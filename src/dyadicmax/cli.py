@@ -1,8 +1,9 @@
 """Batch front end: generate instances, run verification sweeps, summarize.
 
-Reports are append-only JSON-lines records, one per (instance, p, q, check),
-so long sweeps can resume; the summary command aggregates them into CSV.
-Identical configurations produce byte-identical reports.
+Reports are JSON-lines records, one per (instance, p, q, check), appended
+to ``report.jsonl``; a second run into the same directory appends its
+records again, it does not resume.  The summary command aggregates them into
+CSV.  Identical configurations produce byte-identical reports.
 """
 
 from __future__ import annotations
@@ -244,7 +245,7 @@ def _verify_one(path_str: str, config: SweepConfig):
 
             # full sufficiency chain
             try:
-                trace = proof_trace(model, coeffs, f, p, q, r,
+                trace = proof_trace(model, coeffs, f, p, q, r, B=rep.B,
                                     rtol=config.tol, strict=True)
                 slacks = [(l.rhs - l.lhs) / max(abs(l.rhs), 1e-300)
                           for l in trace.links]

@@ -17,7 +17,7 @@ import mpmath
 import numpy as np
 
 from .lattice import MU, NU, DyadicModel, Exponents, lp_norm
-from .maximal import CoefficientFamily, _apply_batch, _combine_terms
+from .maximal import CoefficientFamily, _apply_batch, _indicator_norms
 
 __all__ = [
     "ConstantsReport",
@@ -87,22 +87,14 @@ def testing_constant(model: DyadicModel, a: CoefficientFamily, p, q):
     is 0 with no witness.  Ties go to the earliest cube in document order.
     """
     Exponents(p, q).require_ordered()
-    # For f = 1_Q the integral over any subcube R of Q is just mu(R), so one
-    # shared integral vector serves every Q.
-    integrals = model.mu_node[None, :]
-    best = 0.0
-    witness = None
-    inv_p = 1.0 / p
-    for k in range(model.n_nodes):
-        mass = model.mu_node[k]
-        if mass <= 0.0:
-            continue
-        vals = _combine_terms(model, a, integrals, q, model.subtree(k))
-        ratio = _norms_batch(model, vals, p, NU)[0] / mass ** inv_p
-        if ratio > best:
-            best = ratio
-            witness = model.ids[k]
-    return best, witness
+    norms = _indicator_norms(model, a, p, q)
+    pos = model.mu_node > 0
+    ratio = np.zeros(model.n_nodes)
+    ratio[pos] = norms[pos] ** (1.0 / p) / model.mu_node[pos] ** (1.0 / p)
+    k = int(np.argmax(ratio))  # the first maximum; a NaN wins and surfaces in B
+    if ratio[k] == 0.0:
+        return 0.0, None
+    return float(ratio[k]), model.ids[k]
 
 
 @dataclass(frozen=True)
@@ -352,6 +344,9 @@ def verify_theorem(model: DyadicModel, a: CoefficientFamily, p, q,
         witness_cube=witness_cube, witness_function=witness_f,
         margins=(A_lower - B, C_p * B - A_lower), p=float(p), q=q,
     )
+    if not all(math.isfinite(x) for x in (B, A_lower, *report.margins)):
+        raise VerificationError(
+            f"non-finite sandwich: B={B!r}, A_lower={A_lower!r}", report)
     if B > A_lower * (1 + rtol):
         raise VerificationError(
             f"sandwich violation: B={B!r} > A_lower={A_lower!r}", report)

@@ -11,9 +11,11 @@ averages and weighted Lp norms.
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Mapping
 
@@ -138,14 +140,18 @@ class DyadicModel:
         self.leaf_ids = tuple(self.ids[k] for k in self.leaf_nodes)
         self.leaf_index = {nid: j for j, nid in enumerate(self.leaf_ids)}
 
+        for arr in (self.parent, self.depth, self.dfs_order, self.dfs_lo, self.dfs_hi,
+                    self.leaf_lo, self.leaf_hi, self.leaf_nodes, self.is_leaf):
+            arr.setflags(write=False)
+        self._set_measures(mu_leaf, nu_leaf)
+
+    def _set_measures(self, mu_leaf, nu_leaf):
         m = len(self.leaf_ids)
         self.mu_leaf = _as_mass_array(mu_leaf, m, "mu")
         self.nu_leaf = _as_mass_array(nu_leaf, m, "nu")
         self.mu_node = self._subtree_sums(self.mu_leaf)
         self.nu_node = self._subtree_sums(self.nu_leaf)
-        for arr in (self.parent, self.depth, self.dfs_order, self.dfs_lo, self.dfs_hi,
-                    self.leaf_lo, self.leaf_hi, self.leaf_nodes, self.is_leaf,
-                    self.mu_leaf, self.nu_leaf, self.mu_node, self.nu_node):
+        for arr in (self.mu_leaf, self.nu_leaf, self.mu_node, self.nu_node):
             arr.setflags(write=False)
 
     # -- structure ---------------------------------------------------------
@@ -173,10 +179,15 @@ class DyadicModel:
         """Node indices of the subtree rooted at node index ``k`` (DFS order)."""
         return self.dfs_order[self.dfs_lo[k]:self.dfs_hi[k]]
 
-    def subtree_mask(self, k):
-        pos = np.empty(self.n_nodes, dtype=np.int64)
-        pos[self.dfs_order] = np.arange(self.n_nodes)
-        return (pos >= self.dfs_lo[k]) & (pos < self.dfs_hi[k])
+    @cached_property
+    def levels(self):
+        """Node indices grouped by depth: ``levels[d]`` holds depth d."""
+        by_depth = np.argsort(self.depth, kind="stable")
+        cuts = np.searchsorted(self.depth[by_depth], np.arange(self.max_depth + 2))
+        out = tuple(by_depth[cuts[d]:cuts[d + 1]] for d in range(self.max_depth + 1))
+        for arr in out:
+            arr.setflags(write=False)
+        return out
 
     def ancestors_or_self(self, k):
         out = []
@@ -209,16 +220,30 @@ class DyadicModel:
         """Per-node sums of an arbitrary leaf vector (additive set function)."""
         return self._subtree_sums(as_leaf_function(self, leaf_values))
 
+    def subtree_totals(self, node_values):
+        """Per-node sums of a node vector over each node's subtree.
+
+        Children are added into their parents one level at a time, deepest
+        level first, so a small subtree's total never passes through a
+        difference of large prefix sums.
+        """
+        total = np.array(node_values, dtype=float)
+        if total.shape != (self.n_nodes,):
+            raise ValueError(f"need one value per node, got shape {total.shape}")
+        for nodes in self.levels[:0:-1]:
+            np.add.at(total, self.parent[nodes], total[nodes])
+        return total
+
     def with_measures(self, mu_leaf=None, nu_leaf=None):
-        """A model with the same tree shape and replaced leaf masses."""
-        return DyadicModel(
-            self.ids,
-            self.parent,
-            self.children,
-            self.mu_leaf if mu_leaf is None else mu_leaf,
-            self.nu_leaf if nu_leaf is None else nu_leaf,
-            min_children=1,
-        )
+        """A model with the same tree shape and replaced leaf masses.
+
+        The shape is read-only, so the new model shares it instead of
+        walking the tree again.
+        """
+        model = copy.copy(self)
+        model._set_measures(self.mu_leaf if mu_leaf is None else mu_leaf,
+                            self.nu_leaf if nu_leaf is None else nu_leaf)
+        return model
 
     # -- equality / serialization ------------------------------------------
 

@@ -17,9 +17,9 @@ from typing import Optional
 
 import numpy as np
 
-from .lattice import (MU, NU, DyadicModel, Exponents, as_leaf_function, average,
-                      lp_norm)
-from .maximal import CoefficientFamily, apply_depth_truncated, node_integrals, _combine_terms
+from .lattice import MU, NU, DyadicModel, Exponents, as_leaf_function, lp_norm
+from .maximal import (CoefficientFamily, _apply_by_label, apply_depth_truncated,
+                      node_integrals)
 from .constants import VerificationError, holder_conjugate, testing_constant
 
 __all__ = [
@@ -59,6 +59,26 @@ def _node_averages(model, f):
     return np.where(model.mu_node > 0, ints / np.where(model.mu_node > 0, model.mu_node, 1.0), 0.0)
 
 
+def _stopping_search(model, averages, k, r) -> list:
+    """Indices of the stopping children of node k, in depth-first order.
+
+    These are the maximal strict descendants of positive mass whose average
+    is at least r times k's; a null cube or a zero average has none.
+    """
+    if averages[k] == 0.0 or model.mu_node[k] == 0:
+        return []
+    threshold = r * averages[k]
+    found = []
+    stack = list(model.children[k])[::-1]
+    while stack:
+        node = stack.pop()
+        if model.mu_node[node] > 0 and averages[node] >= threshold:
+            found.append(node)
+            continue
+        stack.extend(reversed(model.children[node]))
+    return found
+
+
 def stopping_children(model: DyadicModel, f, Q, r) -> list:
     """Maximal strict descendants of Q whose average jumps by the factor r.
 
@@ -69,19 +89,7 @@ def stopping_children(model: DyadicModel, f, Q, r) -> list:
     r = _check_r(r)
     f = as_leaf_function(model, f, nonneg=True)
     k = model.node(Q)
-    avg_q = average(model, f, Q, MU)
-    if avg_q == 0.0:
-        return []
-    averages = _node_averages(model, f)
-    threshold = r * avg_q
-    found = []
-    stack = list(model.children[k])[::-1]
-    while stack:
-        node = stack.pop()
-        if model.mu_node[node] > 0 and averages[node] >= threshold:
-            found.append(node)
-            continue
-        stack.extend(reversed(model.children[node]))
+    found = _stopping_search(model, _node_averages(model, f), k, r)
     return [model.ids[n] for n in sorted(found)]
 
 
@@ -93,6 +101,8 @@ class StoppingDecomposition:
     ``n_start`` when the truncated-depth variant is being traced).  The
     blocks E(Q) are disjoint and cover every node at depth >= n_start; each
     block member sits below its owner and above all deeper stopping cubes.
+    ``stopping_parent`` gives, per node, the stopping cube whose stopping
+    child it is (-1 for the first generation and for non-stopping nodes).
     """
 
     model: DyadicModel
@@ -105,6 +115,7 @@ class StoppingDecomposition:
     measure_used: str = MU
     owner_index: np.ndarray = field(default=None, repr=False)
     in_stopping: np.ndarray = field(default=None, repr=False)
+    stopping_parent: np.ndarray = field(default=None, repr=False)
 
 
 def build_decomposition(model: DyadicModel, f, r, *, n_start: int = 0) -> StoppingDecomposition:
@@ -119,28 +130,12 @@ def build_decomposition(model: DyadicModel, f, r, *, n_start: int = 0) -> Stoppi
         raise ValueError(f"n_start must be in [0, {model.max_depth}], got {n_start}")
 
     averages = _node_averages(model, f)
-    in_scope = model.depth >= n_start
-
-    def children_of(k):
-        # maximal positive-mass descendants above the r-threshold
-        avg_q = averages[k]
-        if avg_q == 0.0 or model.mu_node[k] == 0:
-            return []
-        threshold = r * avg_q
-        found = []
-        stack = list(model.children[k])[::-1]
-        while stack:
-            node = stack.pop()
-            if model.mu_node[node] > 0 and averages[node] >= threshold:
-                found.append(node)
-                continue
-            stack.extend(reversed(model.children[node]))
-        return found
 
     first = [int(k) for k in np.flatnonzero(model.depth == n_start)]
     generations = []
     stopping = []
     in_stopping = np.zeros(model.n_nodes, dtype=bool)
+    stopping_parent = np.full(model.n_nodes, -1, dtype=np.int64)
     current = first
     while current:
         generations.append([model.ids[k] for k in sorted(current)])
@@ -149,23 +144,20 @@ def build_decomposition(model: DyadicModel, f, r, *, n_start: int = 0) -> Stoppi
             stopping.append(k)
         nxt = []
         for k in current:
-            nxt.extend(children_of(k))
+            kids = _stopping_search(model, averages, k, r)
+            stopping_parent[kids] = k
+            nxt.extend(kids)
         current = nxt
 
-    # block owner: nearest stopping ancestor-or-self, propagated root-to-leaf
+    # block owner: nearest stopping ancestor-or-self, propagated level by level
     owner = np.full(model.n_nodes, -1, dtype=np.int64)
-    for k in model.dfs_order:
-        if not in_scope[k]:
-            continue
-        if in_stopping[k]:
-            owner[k] = k
-        else:
-            parent = model.parent[k]
-            owner[k] = owner[parent] if parent >= 0 else -1
+    owner[first] = first
+    for nodes in model.levels[n_start + 1:]:
+        owner[nodes] = np.where(in_stopping[nodes], nodes, owner[model.parent[nodes]])
 
     blocks = {}
     for k in model.dfs_order:
-        if in_scope[k] and owner[k] >= 0:
+        if owner[k] >= 0:
             blocks.setdefault(model.ids[owner[k]], []).append(model.ids[k])
 
     return StoppingDecomposition(
@@ -174,6 +166,7 @@ def build_decomposition(model: DyadicModel, f, r, *, n_start: int = 0) -> Stoppi
         stopping=[model.ids[k] for k in stopping],
         blocks=blocks,
         owner_index=owner, in_stopping=in_stopping,
+        stopping_parent=stopping_parent,
     )
 
 
@@ -230,13 +223,7 @@ def verify_packing(model: DyadicModel, decomp: StoppingDecomposition) -> Packing
     """
     r = decomp.r
     bound = r / (r - 1.0)
-    stop_mass = np.where(decomp.in_stopping, model.mu_node, 0.0)
-    # subtree accumulation, children before parents
-    subtotal = stop_mass.copy()
-    for k in model.dfs_order[::-1]:
-        parent = model.parent[k]
-        if parent >= 0:
-            subtotal[parent] += subtotal[k]
+    subtotal = model.subtree_totals(np.where(decomp.in_stopping, model.mu_node, 0.0))
 
     ratio = {}
     slack = {}
@@ -254,19 +241,13 @@ def verify_packing(model: DyadicModel, decomp: StoppingDecomposition) -> Packing
             worst_node = nid
 
     # one-generation condition: each stopping parent's children pack below mu(Q)/r
-    averages = _node_averages(model, decomp.f)
-    gen_worst = 0.0
-    gen_ok = True
-    for qid in decomp.stopping:
-        k = model.node(qid)
-        if model.mu_node[k] <= 0 or averages[k] <= 0:
-            continue
-        kids = stopping_children(model, decomp.f, qid, r)
-        mass = sum(model.mu_node[model.node(c)] for c in kids)
-        g = r * mass / model.mu_node[k]
-        gen_worst = max(gen_worst, g)
-        if mass > model.mu_node[k] / r * (1 + 1e-9):
-            gen_ok = False
+    kids = np.flatnonzero(decomp.stopping_parent >= 0)
+    mass = np.bincount(decomp.stopping_parent[kids], weights=model.mu_node[kids],
+                       minlength=model.n_nodes)
+    parents = decomp.in_stopping & (model.mu_node > 0)
+    mass, mu_par = mass[parents], model.mu_node[parents]
+    gen_worst = float(np.max(r * mass / mu_par, initial=0.0))
+    gen_ok = bool(np.all(mass <= mu_par / r * (1 + 1e-9)))
 
     return PackingReport(
         bound=bound, worst_ratio=worst, worst_node=worst_node,
@@ -291,11 +272,7 @@ class CarlesonSequence:
             raise ValueError(f"need one weight per node, got shape {w.shape}")
         if np.any(w < 0):
             raise ValueError("Carleson weights must be >= 0")
-        subtotal = w.copy()
-        for k in model.dfs_order[::-1]:
-            parent = model.parent[k]
-            if parent >= 0:
-                subtotal[parent] += subtotal[k]
+        subtotal = model.subtree_totals(w)
         pos = model.mu_node > 0
         packing = float((subtotal[pos] / model.mu_node[pos]).max()) if np.any(pos) else 0.0
         return cls(model=model, weights=w, packing_constant=packing)
@@ -427,54 +404,47 @@ def proof_trace(model: DyadicModel, a: CoefficientFamily, f, p, q, r=None,
 
     decomp = build_decomposition(model, f, r, n_start=n_start)
     averages = _node_averages(model, f)
-    integrals = node_integrals(model, f[None, :], MU)
 
     lhs_vals = apply_depth_truncated(model, a, f, q, n_start).values
     lhs = lp_norm(model, lhs_vals, p, NU) ** p
 
-    pc = holder_conjugate(p)
-    blocks = []
-    est1 = 0.0
-    carleson_lhs = 0.0
-    avg_excess = -math.inf
-    block_ok = True
-    worst_block = None
-    if q == math.inf:
-        recon = np.zeros(model.n_leaves)
-    else:
-        recon_pow = np.zeros(model.n_leaves)
-    for qid in decomp.stopping:
-        k = model.node(qid)
-        members = np.asarray([model.node(m) for m in decomp.blocks[qid]],
-                             dtype=np.int64)
-        fq = _combine_terms(model, a, integrals, q, members)[0]
-        norm_p = lp_norm(model, fq, p, NU) ** p
-        bound = (r * averages[k]) ** p * B ** p * model.mu_node[k]
-        blocks.append(BlockRecord(owner=qid, norm_p=norm_p, bound=bound,
-                                  average=averages[k]))
-        est1 += norm_p
-        carleson_lhs += averages[k] ** p * model.mu_node[k]
-        if norm_p > bound * (1 + rtol):
-            block_ok = False
-            worst_block = qid
-        if q == math.inf:
-            np.maximum(recon, fq, out=recon)
-        else:
-            recon_pow += fq ** q
-        # average control over the block members, weak inequality convention
-        for m in members:
-            if model.mu_node[m] > 0:
-                denom = r * averages[k]
-                if denom > 0:
-                    avg_excess = max(avg_excess, averages[m] / denom - 1.0)
-                elif averages[m] > 0:
-                    avg_excess = max(avg_excess, math.inf)
+    # F_Q per (atom, block): each (atom, cube) pair lies in exactly one block
+    leaf, owner, F = _apply_by_label(model, a, f, q, decomp.owner_index)
+    norm_p = np.bincount(owner, weights=model.nu_leaf[leaf] * F ** p,
+                         minlength=model.n_nodes)
+    stop = np.fromiter((model.index[qid] for qid in decomp.stopping),
+                       dtype=np.int64, count=len(decomp.stopping))
+    norm_p = norm_p[stop]
+    bounds = (r * averages[stop]) ** p * B ** p * model.mu_node[stop]
+    blocks = [BlockRecord(owner=qid, norm_p=n, bound=b, average=avg)
+              for qid, n, b, avg in zip(decomp.stopping, norm_p.tolist(),
+                                        bounds.tolist(), averages[stop].tolist())]
+    est1 = float(norm_p.sum())
+    carleson_lhs = float(np.sum(averages[stop] ** p * model.mu_node[stop]))
+    block_fine = np.isfinite(norm_p) & np.isfinite(bounds) & (norm_p <= bounds * (1 + rtol))
+    block_ok = bool(np.all(block_fine))
+    worst_block = None if block_ok else decomp.stopping[np.flatnonzero(~block_fine)[-1]]
 
+    # the blocks' ell-q combination must give back the operator
+    recon = np.zeros(model.n_leaves)
+    np.maximum.at(recon, leaf, F)
     if q != math.inf:
-        recon = recon_pow ** (1.0 / q)
+        acc = np.zeros(model.n_leaves)
+        np.add.at(acc, leaf, (F / np.where(recon > 0, recon, 1.0)[leaf]) ** q)
+        recon = recon * acc ** (1.0 / q)
     scale = max(np.max(np.abs(lhs_vals)), 1e-300)
     recon_err = float(np.max(np.abs(recon - lhs_vals)) / scale)
 
+    # average control over the block members, weak inequality convention
+    members = (decomp.owner_index >= 0) & (model.mu_node > 0)
+    avg_m = averages[members]
+    denom = r * averages[decomp.owner_index[members]]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        excess = np.where(denom > 0, avg_m / denom - 1.0,
+                          np.where(avg_m > 0, math.inf, -math.inf))
+    avg_excess = float(np.max(excess, initial=-math.inf))
+
+    pc = holder_conjugate(p)
     norm_f_p = lp_norm(model, f, p, MU) ** p
     carleson_bound = r / (r - 1.0) * pc ** p * norm_f_p
     final_bound = r ** (p + 1.0) / (r - 1.0) * pc ** p * B ** p * norm_f_p
@@ -482,19 +452,20 @@ def proof_trace(model: DyadicModel, a: CoefficientFamily, f, p, q, r=None,
     optimal_bound = ((1.0 + 1.0 / p) ** (p + 1.0) * p * pc ** p * B ** p * norm_f_p
                      if at_optimal else None)
 
+    def link(name, lhs, rhs):
+        # a non-finite side never counts as a held inequality
+        ok = math.isfinite(lhs) and math.isfinite(rhs) and lhs <= rhs * (1 + rtol)
+        return LinkCheck(name, lhs, rhs, ok)
+
     links = [
-        LinkCheck("lq_to_lp", lhs, est1, lhs <= est1 * (1 + rtol)),
-        LinkCheck("block_bound",
-                  max((b.norm_p for b in blocks), default=0.0),
-                  max((b.bound for b in blocks), default=0.0),
-                  block_ok),
-        LinkCheck("carleson", carleson_lhs, carleson_bound,
-                  carleson_lhs <= carleson_bound * (1 + rtol)),
-        LinkCheck("final", lhs, final_bound, lhs <= final_bound * (1 + rtol)),
+        link("lq_to_lp", lhs, est1),
+        LinkCheck("block_bound", float(np.max(norm_p, initial=0.0)),
+                  float(np.max(bounds, initial=0.0)), block_ok),
+        link("carleson", carleson_lhs, carleson_bound),
+        link("final", lhs, final_bound),
     ]
     if optimal_bound is not None:
-        links.append(LinkCheck("optimal_r", lhs, optimal_bound,
-                               lhs <= optimal_bound * (1 + rtol)))
+        links.append(link("optimal_r", lhs, optimal_bound))
 
     trace = ProofTrace(
         decomposition=decomp, p=p, q=q, r=r, B=B, lhs=lhs, est1=est1,

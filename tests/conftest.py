@@ -51,10 +51,13 @@ def deep_model():
     })
 
 
-def make_instance(seed, *, depth_max=4, branch_max=3, zero_prob=0.15):
-    """One random (model, coefficients) pair, deterministic in seed."""
+def make_instance(seed, *, depth_max=4, branch_min=2, branch_max=3, zero_prob=0.15):
+    """One random (model, coefficients) pair, deterministic in seed.
+
+    ``branch_min=1`` allows unary chains.
+    """
     params = RandomModelParams(
-        depth_min=1, depth_max=depth_max, branch_min=2, branch_max=branch_max,
+        depth_min=1, depth_max=depth_max, branch_min=branch_min, branch_max=branch_max,
         zero_prob_mu=zero_prob, zero_prob_nu=zero_prob, leaf_prob=0.25,
     )
     model = random_model(params, seed)

@@ -86,6 +86,47 @@ def test_verify_injected_fault_exits_1(tmp_path):
     assert failing and all(r["check"] == "cp_value" for r in failing)
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_verify_non_finite_sandwich_fails(tmp_path):
+    # constant coefficients 10 on a two-atom root: at p = 1000 the testing
+    # norm overflows, and the sandwich record must say so, not pass
+    inst = tmp_path / "two.json"
+    inst.write_text(json.dumps({
+        "nodes": [{"id": "Q0", "parent": None}, {"id": "L1", "parent": "Q0"},
+                  {"id": "L2", "parent": "Q0"}],
+        "mu": {"L1": 1.0, "L2": 1.0}, "nu": {"L1": 1.0, "L2": 1.0}}))
+    (tmp_path / "two.coeffs.json").write_text(
+        json.dumps({"Q0": 10.0, "L1": 10.0, "L2": 10.0}))
+    config = SweepConfig(p_values=(1000.0,), q_tokens=("inf",),
+                         search_random=4, search_ascent=1,
+                         out=str(tmp_path / "run"))
+    code, records = cmd_verify(config, [inst])
+    assert code == 1
+    sandwich = [r for r in records if r["check"] == "sandwich"]
+    assert len(sandwich) == 1 and not sandwich[0]["pass"]
+    assert "non-finite" in sandwich[0]["detail"]["error"]
+
+
+def test_verify_computes_testing_constant_once(tmp_path, monkeypatch):
+    import dyadicmax.constants as constants_mod
+    import dyadicmax.stopping as stopping_mod
+    calls = []
+    original = constants_mod.testing_constant
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(constants_mod, "testing_constant", counted)
+    monkeypatch.setattr(stopping_mod, "testing_constant", counted)
+    paths, _ = gen(tmp_path, trials=2)
+    config = SweepConfig(seed=7, p_values=(2.0,), q_tokens=("p", "inf"),
+                         out=str(tmp_path / "run"))
+    code, _ = cmd_verify(config, paths)
+    assert code == 0
+    assert len(calls) == 2 * 2  # instances * (p, q): the proof chain reuses B
+
+
 def test_verify_report_bytes_deterministic(tmp_path):
     paths, _ = gen(tmp_path, trials=2)
     cfg = dict(seed=3, p_values=(2.0,), q_tokens=("p", "inf"))

@@ -91,12 +91,21 @@ def test_testing_constant_null_mu():
 
 
 def test_testing_matches_reference():
-    for seed in range(25):
-        model, a = make_instance(seed)
+    instances = [make_instance(seed) for seed in range(25)]
+    instances += [make_instance(seed, depth_max=6, branch_min=1) for seed in range(25)]
+    for model, a in instances:
         for p, q in ((1.5, 2.0), (2.0, INF), (3.0, 6.0)):
-            got, _ = testing_constant(model, a, p, q)
-            want, _ = ref_testing_constant(model, a, p, q)
+            got, got_witness = testing_constant(model, a, p, q)
+            want, want_witness = ref_testing_constant(model, a, p, q)
             assert got == pytest.approx(want, rel=1e-10, abs=1e-12)
+            assert got_witness == want_witness
+        # At q = 1e6 the oracle's float q-th powers overflow.  On a path of
+        # at most depth + 1 terms, though, the ell-q sum lies between the max
+        # and (depth + 1)^(1/q) times it, so B is pinned by the q = inf oracle.
+        got, _ = testing_constant(model, a, 2.0, 1e6)
+        want, _ = ref_testing_constant(model, a, 2.0, INF)
+        spread = (model.max_depth + 1) ** 1e-6
+        assert want * (1 - 1e-10) - 1e-12 <= got <= want * spread * (1 + 1e-10) + 1e-12
 
 
 def test_norm_lower_e1(e1):
@@ -211,6 +220,16 @@ def test_verify_theorem_detects_injected_fault(e1):
     # B = A_lower = 2 here, so any c_p < 1 breaks the upper inequality
     with pytest.raises(VerificationError, match="sandwich"):
         verify_theorem(e1, a, 2, INF, NormSearch(seed=5), c_p=0.9)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_verify_theorem_rejects_non_finite(e1):
+    # 20^1000 overflows: B is inf and A_lower NaN, which must never pass
+    a = CoefficientFamily.constant(e1, 10.0)
+    with pytest.raises(VerificationError, match="non-finite") as exc:
+        verify_theorem(e1, a, 1000, INF, NormSearch(n_random=4, ascent_rounds=1))
+    rep = exc.value.report
+    assert not all(math.isfinite(x) for x in (rep.B, rep.A_lower, *rep.margins))
 
 
 def test_verify_theorem_requires_p_le_q(e1):

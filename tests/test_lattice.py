@@ -135,6 +135,24 @@ def test_exponents_conjugate():
         Exponents(3, 2).require_ordered()
 
 
+def test_subtree_totals_match_direct_sums():
+    for seed in range(20):
+        model, _ = make_instance(seed)
+        vals = np.random.default_rng(seed).exponential(1.0, model.n_nodes)
+        want = [math.fsum(vals[model.subtree(k)]) for k in range(model.n_nodes)]
+        assert np.allclose(model.subtree_totals(vals), want, rtol=1e-14, atol=0)
+
+
+def test_subtree_totals_small_subtree_beside_large_mass(deep_model):
+    # a prefix-sum difference would lose the 1.0 entries against 1e17
+    vals = np.ones(deep_model.n_nodes)
+    vals[deep_model.node("R")] = 1e17
+    totals = deep_model.subtree_totals(vals)
+    assert totals[deep_model.node("A")] == 3.0
+    assert totals[deep_model.node("B")] == 4.0
+    assert totals[deep_model.node("b2")] == 1.0
+
+
 def test_random_model_deterministic():
     params = RandomModelParams(depth_min=2, depth_max=4, branch_min=2,
                                branch_max=3, zero_prob_mu=0.2)

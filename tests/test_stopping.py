@@ -10,6 +10,7 @@ from dyadicmax import (CarlesonSequence, CoefficientFamily, VerificationError,
                        testing_constant, verify_packing)
 from dyadicmax.stopping import partition_ok
 
+from _reference import ref_lp_norm, ref_maximal
 from conftest import INF, make_instance, random_nonneg
 
 
@@ -63,6 +64,20 @@ def test_decomposition_blocks_partition_random():
         assert d.generations[0] == sorted(
             [model.ids[k] for k in model.roots],
             key=lambda nid: model.node(nid))
+
+
+def test_stopping_parents_match_stopping_children():
+    for seed in range(30):
+        model, _ = make_instance(seed, branch_min=1 + seed % 2)
+        f = random_nonneg(model, seed + 12)
+        r = 1.0 + (seed % 4 + 1) / 4
+        d = build_decomposition(model, f, r)
+        for qid in d.stopping:
+            k = model.node(qid)
+            kids = [model.ids[c] for c in np.flatnonzero(d.stopping_parent == k)]
+            assert kids == stopping_children(model, f, qid, r), (seed, qid)
+        first = {model.node(qid) for qid in d.generations[0]}
+        assert all(d.stopping_parent[k] == -1 for k in first)
 
 
 def test_verify_packing_e2(e1):
@@ -204,6 +219,23 @@ def test_block_reconstruction_matches_depth_truncation():
             for n_start in {0, model.max_depth // 2}:
                 trace = proof_trace(model, a, f, 2.0, q, 1.7, n_start=n_start)
                 assert trace.reconstruction_rel_error <= 1e-12, (seed, q, n_start)
+
+
+def test_block_norms_match_reference():
+    for seed in range(20):
+        model, a = make_instance(seed, branch_min=1 + seed % 2)
+        f = random_nonneg(model, seed + 11)
+        n_start = seed % (model.max_depth + 1)
+        for q in (2.0, 4.0, INF):
+            trace = proof_trace(model, a, f, 2.0, q, n_start=n_start)
+            blocks = trace.decomposition.blocks
+            assert [b.owner for b in trace.blocks] == trace.decomposition.stopping
+            for b in trace.blocks:
+                allowed = {model.node(m) for m in blocks[b.owner]}
+                want = ref_lp_norm(model, ref_maximal(model, a, f, q, allowed=allowed),
+                                   2.0) ** 2.0
+                assert b.norm_p == pytest.approx(want, rel=1e-10, abs=1e-12), \
+                    (seed, q, b.owner)
 
 
 def test_depth_truncated_trace_bounds():
