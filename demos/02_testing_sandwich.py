@@ -3,8 +3,11 @@
 
 Computes the testing constant B exactly, a certified lower bound for the
 operator norm A, and the sufficiency constant C(p), first on a toy model and
-then on a batch of random instances.  On tiny models the exhaustive oracle
-pins the true norm between the same bounds.
+then on a batch of random instances.  The lower bound comes from cube
+indicators and random candidates, refined by a nonlinear power iteration
+f -> (sum over Q containing y of dM/dI_Q)^(1/(p-1)) whose iterates are all
+evaluated exactly.  On tiny models the exhaustive oracle pins the true norm
+between the same bounds.
 """
 
 import math
@@ -50,6 +53,7 @@ for seed in range(8):
     a = CoefficientFamily.random(model, seed + 99)
     for p in (1.5, 2.0):
         q = 2 * p
+        # 64 random candidates, then 12 power steps from the best starts
         rep = verify_theorem(model, a, p, q,
                              NormSearch(n_random=64, ascent_rounds=12, seed=seed))
         ratio = rep.A_lower / rep.B if rep.B > 0 else float("nan")

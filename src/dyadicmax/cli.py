@@ -246,7 +246,7 @@ def _verify_one(path_str: str, config: SweepConfig):
             # full sufficiency chain
             try:
                 trace = proof_trace(model, coeffs, f, p, q, r, B=rep.B,
-                                    rtol=config.tol, strict=True)
+                                    decomp=decomp, rtol=config.tol, strict=True)
                 slacks = [(l.rhs - l.lhs) / max(abs(l.rhs), 1e-300)
                           for l in trace.links]
                 chain_ok = (trace.reconstruction_rel_error <= 1e-12
@@ -402,7 +402,8 @@ def build_parser():
     ver.add_argument("--tol", type=float, default=1e-9)
     ver.add_argument("--workers", type=int, default=1)
     ver.add_argument("--search-random", type=int, default=64)
-    ver.add_argument("--search-ascent", type=int, default=12)
+    ver.add_argument("--search-ascent", type=int, default=12,
+                     help="power-iteration steps of the operator-norm search")
     ver.add_argument("--debug-halve-cp", action="store_true",
                      help="fault injection: halve C(p) to prove checks can fail")
     ver.add_argument("--audit", action="store_true",

@@ -372,12 +372,14 @@ def build_model(spec: Mapping, *, min_children: int = 2) -> DyadicModel:
 
 
 def as_leaf_function(model: DyadicModel, f, *, nonneg: bool = False) -> np.ndarray:
-    """Validate a leaf-value vector against the model."""
+    """Validate a leaf-value vector against the model: finite, one per leaf."""
     arr = np.asarray(f, dtype=float)
     if arr.shape != (model.n_leaves,):
         raise ValueError(
             f"function has shape {arr.shape}, model has {model.n_leaves} leaves"
         )
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("function values must be finite")
     if nonneg and np.any(arr < 0):
         raise ValueError("function must be nonnegative here")
     return arr

@@ -14,21 +14,22 @@ terms |I_R| * a_R(x) per atom x then serves the full operator and both
 truncations (a reduction over a range of levels), the testing constant (a
 suffix reduction along each atom's path, with f = 1_Q) and the stopping
 blocks of the proof chain (a reduction over each run of levels that one
-block owns).  The batch evaluation behind the operator-norm search still
-combines its terms cube by cube.  Its candidate batches have thousands of
-rows, and a gather over (rows, atoms, levels) buys nothing there: on a
-1093-node ternary tree a 7290-row batch at q = inf took 0.25-0.28 s gathered
-against 0.24-0.25 s looped (2-vCPU Xeon VM), and the gather held a 300 MB
-array.
+block owns).  The batch evaluation behind the operator-norm search runs on
+the same tables, a block of rows at a time, since one gather over (rows,
+atoms, levels) would hold a table per candidate.  On a 1093-node ternary
+tree, 1158 candidates at q = 4 took 0.14 s in blocks of 2^18 terms, 0.18 s
+in one piece and 0.24 s cube by cube; at q = inf 0.034, 0.054 and 0.055 s
+(best of 7, 2-vCPU Xeon VM).
 """
 
 from __future__ import annotations
 
 import json
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -46,6 +47,25 @@ __all__ = [
     "write_coefficients",
 ]
 
+# terms per block of a batch evaluation: 2 MB of floats, small enough to stay in cache
+_BATCH_TERMS = 1 << 18
+
+
+def _checked_vector(model, k, entry):
+    """A read-only copy of a vector coefficient entry for node k, validated."""
+    vec = np.asarray(entry, dtype=float)
+    width = model.leaf_hi[k] - model.leaf_lo[k]
+    if vec.shape != (width,):
+        raise ValueError(
+            f"coefficient vector for {model.ids[k]!r} has shape {vec.shape}, "
+            f"cube has {width} atoms"
+        )
+    if not np.all(np.isfinite(vec)) or np.any(vec < 0):
+        raise ValueError(f"coefficient for {model.ids[k]!r} must be finite >= 0")
+    vec = vec.copy()
+    vec.setflags(write=False)
+    return vec
+
 
 class CoefficientFamily:
     """One nonnegative coefficient per cube: a scalar, or a value per atom.
@@ -62,26 +82,18 @@ class CoefficientFamily:
                 f"coefficient missing: {len(entries)} entries for {model.n_nodes} nodes"
             )
         self.model = model
-        checked = []
-        for k, entry in enumerate(entries):
-            if np.ndim(entry) == 0:
-                val = float(entry)
-                if not (val >= 0 and math.isfinite(val)):
-                    raise ValueError(f"coefficient for {model.ids[k]!r} must be finite >= 0")
-                checked.append(val)
-            else:
-                vec = np.asarray(entry, dtype=float)
-                width = model.leaf_hi[k] - model.leaf_lo[k]
-                if vec.shape != (width,):
-                    raise ValueError(
-                        f"coefficient vector for {model.ids[k]!r} has shape {vec.shape}, "
-                        f"cube has {width} atoms"
-                    )
-                if not np.all(np.isfinite(vec)) or np.any(vec < 0):
-                    raise ValueError(f"coefficient for {model.ids[k]!r} must be finite >= 0")
-                vec = vec.copy()
-                vec.setflags(write=False)
-                checked.append(vec)
+        checked = [float(e) if isinstance(e, float) or np.ndim(e) == 0 else e
+                   for e in entries]
+        scalars = np.array([e if isinstance(e, float) else 0.0 for e in checked])
+        bad = np.flatnonzero(~(np.isfinite(scalars) & (scalars >= 0)))
+        first_bad = int(bad[0]) if bad.size else len(checked)
+        # vectors are checked in order up to the first bad scalar, so the
+        # earliest offending entry is the one reported
+        for k in range(first_bad):
+            if not isinstance(checked[k], float):
+                checked[k] = _checked_vector(model, k, checked[k])
+        if bad.size:
+            raise ValueError(f"coefficient for {model.ids[first_bad]!r} must be finite >= 0")
         self._entries = checked
         self._tables = None
 
@@ -220,55 +232,40 @@ def _check_tree(model: DyadicModel, a: CoefficientFamily):
             raise ValueError("coefficient family was built for a different tree")
 
 
-def _combine_terms(model: DyadicModel, a: CoefficientFamily, integrals: np.ndarray,
-                   q) -> np.ndarray:
-    """Combine per-cube terms |I_Q| * a_Q into the ell-q output per atom.
-
-    For finite q the q-th powers are accumulated after rescaling by the
-    pointwise max term, which keeps q as large as 1e6 from overflowing.
-    """
-    m = integrals.shape[0]
-    absint = np.abs(integrals)
-    lo, hi = model.leaf_lo, model.leaf_hi
-    peak = np.zeros((m, model.n_leaves))
-    for k in range(model.n_nodes):
-        t = absint[:, k, None] * np.atleast_1d(a.entry(k))[None, :]
-        np.maximum(peak[:, lo[k]:hi[k]], t, out=peak[:, lo[k]:hi[k]])
-    if q == math.inf:
-        return peak
-    acc = np.zeros((m, model.n_leaves))
-    with np.errstate(invalid="ignore", divide="ignore"):
-        for k in range(model.n_nodes):
-            t = absint[:, k, None] * np.atleast_1d(a.entry(k))[None, :]
-            block = peak[:, lo[k]:hi[k]]
-            ratio = np.where(block > 0, t / np.where(block > 0, block, 1.0), 0.0)
-            acc[:, lo[k]:hi[k]] += ratio ** q
-    return peak * acc ** (1.0 / q)
-
-
 def _apply_batch(model, a, F, q):
-    """Full operator on every row of a (m, n_leaves) batch of functions."""
-    _check_tree(model, a)
-    return _combine_terms(model, a, node_integrals(model, F), q)
+    """Full operator on every row of a (m, n_leaves) batch of functions.
+
+    Rows go through the leaf-by-level tables a block at a time, so that one
+    block's terms hold about _BATCH_TERMS floats.
+    """
+    anc, _ = a._leaf_levels()
+    rows = max(1, _BATCH_TERMS // anc.size)
+    out = np.empty((F.shape[0], model.n_leaves))
+    for s in range(0, F.shape[0], rows):
+        ints = node_integrals(model, F[s:s + rows])
+        out[s:s + rows] = _combine_levels(_level_terms(model, a, ints), q)
+    return out
 
 
 def _level_terms(model, a, integrals):
     """Terms |I_R| * a_R(x): one row per atom x, one column per depth of R.
 
-    Entries below an atom's own depth are 0.
+    Entries below an atom's own depth are 0.  A batch of integrals, shape
+    (m, n_nodes), gives one such table per function, shape (m, leaves, depth+1).
     """
     _check_tree(model, a)
     anc, coef = a._leaf_levels()
-    return np.append(np.abs(integrals), 0.0)[anc] * coef
+    pad = np.zeros(np.shape(integrals)[:-1] + (1,))
+    return np.concatenate([np.abs(integrals), pad], axis=-1)[..., anc] * coef
 
 
 def _combine_levels(T, q):
-    """ell-q combination along each row, rescaled by the row's peak."""
-    peak = T.max(axis=1)
+    """ell-q combination along the last axis, rescaled by each row's peak."""
+    peak = T.max(axis=-1)
     if q == math.inf:
         return peak
-    scale = np.where(peak > 0, peak, 1.0)[:, None]
-    return peak * ((T / scale) ** q).sum(axis=1) ** (1.0 / q)
+    scale = np.where(peak > 0, peak, 1.0)[..., None]
+    return peak * ((T / scale) ** q).sum(axis=-1) ** (1.0 / q)
 
 
 def _apply_levels(model, a, f, q, first_level=0, leaves=slice(None)):

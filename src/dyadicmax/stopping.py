@@ -388,9 +388,13 @@ class ProofTrace:
 
 def proof_trace(model: DyadicModel, a: CoefficientFamily, f, p, q, r=None,
                 n_start: int = 0, *, B: Optional[float] = None,
+                decomp: Optional[StoppingDecomposition] = None,
                 rtol: float = 1e-9, strict: bool = True) -> ProofTrace:
     """Numerically walk the sufficiency argument on one instance.
 
+    ``B`` and ``decomp`` let a caller that already has the testing constant
+    or the stopping decomposition of (f, r, n_start) pass it in; a
+    decomposition built for another model, f, r or n_start is rejected.
     Any failed link raises :class:`VerificationError` naming the link
     (``strict=False`` returns the trace instead); the chain is a theorem, so
     failures indicate bugs, not bad inputs.
@@ -399,10 +403,14 @@ def proof_trace(model: DyadicModel, a: CoefficientFamily, f, p, q, r=None,
     p = exps.p
     f = as_leaf_function(model, f, nonneg=True)
     r = default_r(p) if r is None else _check_r(r)
+    if decomp is None:
+        decomp = build_decomposition(model, f, r, n_start=n_start)
+    elif (decomp.model is not model or decomp.r != r or decomp.n_start != n_start
+          or not np.array_equal(decomp.f, f)):
+        raise ValueError("decomposition was built for a different model, f, r or n_start")
     if B is None:
         B, _ = testing_constant(model, a, p, q)
 
-    decomp = build_decomposition(model, f, r, n_start=n_start)
     averages = _node_averages(model, f)
 
     lhs_vals = apply_depth_truncated(model, a, f, q, n_start).values

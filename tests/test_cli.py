@@ -127,6 +127,26 @@ def test_verify_computes_testing_constant_once(tmp_path, monkeypatch):
     assert len(calls) == 2 * 2  # instances * (p, q): the proof chain reuses B
 
 
+def test_verify_builds_decomposition_once(tmp_path, monkeypatch):
+    import dyadicmax.cli as cli_mod
+    import dyadicmax.stopping as stopping_mod
+    calls = []
+    original = stopping_mod.build_decomposition
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cli_mod, "build_decomposition", counted)
+    monkeypatch.setattr(stopping_mod, "build_decomposition", counted)
+    paths, _ = gen(tmp_path, trials=2)
+    config = SweepConfig(seed=7, p_values=(2.0,), q_tokens=("p", "inf"),
+                         out=str(tmp_path / "run"))
+    code, _ = cmd_verify(config, paths)
+    assert code == 0
+    assert len(calls) == 2 * 2  # instances * (p, q): the proof chain reuses it
+
+
 def test_verify_report_bytes_deterministic(tmp_path):
     paths, _ = gen(tmp_path, trials=2)
     cfg = dict(seed=3, p_values=(2.0,), q_tokens=("p", "inf"))

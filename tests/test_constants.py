@@ -5,13 +5,14 @@ import numpy as np
 import pytest
 
 from dyadicmax import (CoefficientFamily, NormSearch, VerificationError,
-                       apply_maximal, holder_conjugate, lp_norm,
+                       apply_maximal, holder_conjugate, indicator, lp_norm,
                        operator_norm_bruteforce, operator_norm_lower,
                        testing_constant, theorem_constant, theorem_constant_hp,
                        verify_theorem)
+from dyadicmax.constants import _power_step
 
 from _reference import ref_testing_constant
-from conftest import INF, make_instance
+from conftest import INF, make_instance, random_nonneg
 
 # frozen from a 50-digit evaluation of ((1+1/p)^(p+1) p)^(1/p) p'
 C_AT_1_5 = 9.2100787466009665
@@ -280,3 +281,95 @@ def test_oracle_consistency_small_instances():
             A_bf = operator_norm_bruteforce(model, a, p, q, 60)
             assert A_bf >= A_lo - 1e-6
             assert B - 1e-6 <= A_bf <= theorem_constant(p) * B + 1e-6
+
+
+def best_indicator_ratio(model, a, p, q):
+    return max(ratio(model, a, indicator(model, model.ids[k]), p, q)
+               for k in range(model.n_nodes) if model.mu_node[k] > 0)
+
+
+def test_norm_lower_beats_indicators_and_reproduces_witness():
+    for seed in range(12):
+        model, a = make_instance(seed)
+        if np.all(model.mu_leaf == 0):
+            continue
+        for p, q in ((1.5, 3.0), (2.0, INF), (3.0, 3.0), (2.0, 1e6)):
+            A, witness = operator_norm_lower(
+                model, a, p, q, NormSearch(n_random=8, ascent_rounds=6, seed=seed))
+            assert A >= best_indicator_ratio(model, a, p, q) * (1 - 1e-12)
+            assert lp_norm(model, witness, p, "mu") == pytest.approx(1.0, rel=1e-12)
+            assert ratio(model, a, witness, p, q) == pytest.approx(A, rel=1e-12)
+
+
+# (seed, p, q, A_lower) from the coordinate-ascent search that the power
+# iteration replaced, at the CLI's default budget: 64 random candidates, 12 rounds
+COORDINATE_ASCENT = [
+    (0, 1.5, 3.0, 21.319867593477777),
+    (0, 2.0, INF, 19.001623355287904),
+    (0, 3.0, 3.0, 19.026541031029073),
+    (1, 1.5, 3.0, 17.281354072534615),
+    (1, 2.0, INF, 15.390478760397054),
+    (1, 3.0, 3.0, 15.619768800418381),
+    (2, 1.5, 3.0, 20.208688475347692),
+    (2, 2.0, INF, 21.789703751096717),
+    (2, 3.0, 3.0, 24.655511782644563),
+    (3, 1.5, 3.0, 18.994755987423382),
+    (3, 2.0, INF, 15.200619701682877),
+    (3, 3.0, 3.0, 20.230101693907738),
+    (4, 1.5, 3.0, 33.26020567002198),
+    (4, 2.0, INF, 35.20678093157677),
+    (4, 3.0, 3.0, 37.46129486919038),
+    (5, 1.5, 3.0, 6.7084196643609335),
+    (5, 2.0, INF, 7.0663592512079605),
+    (5, 3.0, 3.0, 8.62258270022574),
+]
+
+
+def test_norm_lower_not_below_coordinate_ascent():
+    for seed, p, q, old in COORDINATE_ASCENT:
+        model, a = make_instance(seed)
+        A, _ = operator_norm_lower(model, a, p, q,
+                                   NormSearch(n_random=64, ascent_rounds=12, seed=seed))
+        assert A >= old * (1 - 1e-12), (seed, p, q, A, old)
+
+
+def test_norm_lower_deterministic():
+    model, a = make_instance(9)
+    search = NormSearch(n_random=16, ascent_rounds=8, seed=21)
+    for p, q in ((1.5, 3.0), (2.0, INF)):
+        A1, w1 = operator_norm_lower(model, a, p, q, search)
+        A2, w2 = operator_norm_lower(model, a, p, q, search)
+        assert A1 == A2
+        assert np.array_equal(w1, w2)
+
+
+def test_power_step_never_lowers_the_ratio():
+    # |Mf|^p is convex in f >= 0, so each step's ratio is at least the last
+    for seed in range(10):
+        model, a = make_instance(seed, depth_max=5)
+        if np.all(model.mu_leaf == 0):
+            continue
+        for p, q in ((1.2, 1.5), (1.5, 3.0), (2.0, INF), (3.0, 3.0), (8.0, INF)):
+            f = random_nonneg(model, seed, "pareto")
+            last = ratio(model, a, f, p, q)
+            for _ in range(10):
+                f = _power_step(model, a, f[None, :], p, q)[0]
+                now = ratio(model, a, f, p, q)
+                assert now >= last * (1 - 1e-12), (seed, p, q, now, last)
+                last = now
+
+
+@pytest.mark.parametrize("q", [50.0, INF])
+def test_power_step_finite_at_large_p(q):
+    model, a = make_instance(4)
+    big = a.scaled(1e8)
+    p = 50.0
+    ones = np.ones(model.n_leaves)
+    with np.errstate(over="ignore"):
+        # the unscaled weights nu(x) Mf(x)^(p-1) overflow on this instance
+        assert np.max(apply_maximal(model, big, ones, q).values) ** (p - 1) == INF
+    X = np.vstack([ones, indicator(model, model.ids[1]), random_nonneg(model, 3, "pareto")])
+    for _ in range(20):
+        X = _power_step(model, big, X, p, q)
+        assert np.all(np.isfinite(X)) and np.all(X >= 0)
+        assert np.all(X.max(axis=1) == 1.0)

@@ -30,6 +30,11 @@ def test_maximal_rejects_bad_q(e1, ones):
         apply_maximal(e1, ones, [1, 1], 1.0)
 
 
+def test_maximal_rejects_non_finite_f(e1, ones):
+    with pytest.raises(ValueError, match="finite"):
+        apply_maximal(e1, ones, [1, math.nan], INF)
+
+
 def test_coefficients_must_cover_all_nodes(e1):
     with pytest.raises(ValueError, match="missing"):
         CoefficientFamily.from_mapping(e1, {"Q0": 1.0, "L1": 1.0})

@@ -206,6 +206,35 @@ def test_proof_trace_fault_raises(e1):
         proof_trace(e1, a, [1, 1], 2, INF, 1.5, B=0.1)  # falsified testing constant
 
 
+def test_proof_trace_rejects_non_finite_f(e1):
+    a = CoefficientFamily.constant(e1)
+    with pytest.raises(ValueError, match="finite"):
+        proof_trace(e1, a, [1, math.inf], 2, INF, 1.5)
+
+
+def test_proof_trace_reuses_decomposition():
+    model, a = make_instance(5)
+    f = random_nonneg(model, 5)
+    decomp = build_decomposition(model, f, 1.5, n_start=1)
+    given = proof_trace(model, a, f, 2.0, 4.0, 1.5, n_start=1, decomp=decomp)
+    built = proof_trace(model, a, f, 2.0, 4.0, 1.5, n_start=1)
+    assert given.decomposition is decomp
+    assert (given.lhs, given.est1, given.carleson_lhs) == \
+        (built.lhs, built.est1, built.carleson_lhs)
+    assert [b.norm_p for b in given.blocks] == [b.norm_p for b in built.blocks]
+    mismatched = [
+        dict(r=1.7, n_start=1),
+        dict(r=1.5, n_start=0),
+        dict(r=1.5, n_start=1, f=2.0 * f),
+        dict(r=1.5, n_start=1, model=model.with_measures(nu_leaf=model.nu_leaf)),
+    ]
+    for call in mismatched:
+        m = call.get("model", model)
+        with pytest.raises(ValueError, match="decomposition"):
+            proof_trace(m, a, call.get("f", f), 2.0, 4.0, call["r"],
+                        n_start=call["n_start"], decomp=decomp)
+
+
 def test_default_r():
     assert default_r(2.0) == 1.5
     assert default_r(3.0) == pytest.approx(4 / 3)
