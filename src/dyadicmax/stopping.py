@@ -95,34 +95,78 @@ def stopping_children(model: DyadicModel, f, Q, r) -> list:
 
 @dataclass
 class StoppingDecomposition:
-    """Generations of stopping cubes and the blocks they own.
+    """The stopping cubes of (f, r) and the blocks they own, as two arrays.
 
-    The first generation is the forest roots (or the cubes at depth
-    ``n_start`` when the truncated-depth variant is being traced).  The
-    blocks E(Q) are disjoint and cover every node at depth >= n_start; each
-    block member sits below its owner and above all deeper stopping cubes.
-    ``stopping_parent`` gives, per node, the stopping cube whose stopping
-    child it is (-1 for the first generation and for non-stopping nodes).
+    ``owner_index[k]`` is the block owner of node k: its nearest stopping
+    ancestor-or-self, -1 above depth ``n_start``.  The stopping cubes are the
+    nodes that own themselves; the first generation is the forest roots (or
+    the cubes at depth ``n_start`` when the truncated-depth variant is being
+    traced).  ``stopping_parent[k]`` is the stopping cube whose stopping
+    child k is, -1 for the first generation and for non-stopping nodes.
+    ``averages`` holds the mu-average of f on every node.  The id views
+    ``generations``, ``stopping`` and ``blocks`` are derived from the arrays.
     """
 
     model: DyadicModel
     f: np.ndarray
     r: float
     n_start: int
-    generations: list          # list of lists of node ids
-    stopping: list             # all stopping-cube ids, generation order
-    blocks: dict               # owner id -> list of member ids
-    measure_used: str = MU
-    owner_index: np.ndarray = field(default=None, repr=False)
-    in_stopping: np.ndarray = field(default=None, repr=False)
-    stopping_parent: np.ndarray = field(default=None, repr=False)
+    averages: np.ndarray = field(repr=False)
+    owner_index: np.ndarray = field(repr=False)
+    stopping_parent: np.ndarray = field(repr=False)
+
+    @property
+    def in_stopping(self) -> np.ndarray:
+        return self.owner_index == np.arange(self.model.n_nodes)
+
+    def _by_generation(self):
+        """Stopping-cube indices by generation, DFS order within each, and
+        the generation of each."""
+        model = self.model
+        stop = self.in_stopping
+        gen = np.full(model.n_nodes, -1, dtype=np.int64)
+        gen[model.levels[self.n_start]] = 0
+        for nodes in model.levels[self.n_start + 1:]:
+            gen[nodes] = gen[model.parent[nodes]] + stop[nodes]
+        nodes = model.dfs_order[stop[model.dfs_order]]
+        order = np.argsort(gen[nodes], kind="stable")
+        return nodes[order], gen[nodes[order]]
+
+    @property
+    def stopping_nodes(self) -> np.ndarray:
+        """Stopping-cube indices, generation by generation, DFS order within."""
+        return self._by_generation()[0]
+
+    @property
+    def stopping(self) -> list:
+        """Stopping-cube ids, generation by generation, DFS order within."""
+        return [self.model.ids[k] for k in self.stopping_nodes]
+
+    @property
+    def generations(self) -> list:
+        """Stopping-cube ids per generation, in document order."""
+        nodes, gen = self._by_generation()
+        cuts = np.flatnonzero(np.diff(gen)) + 1
+        return [[self.model.ids[k] for k in np.sort(part)]
+                for part in np.split(nodes, cuts)]
+
+    @property
+    def blocks(self) -> dict:
+        """Owner id -> member ids, both in DFS order."""
+        model = self.model
+        out = {}
+        for k in model.dfs_order[self.owner_index[model.dfs_order] >= 0]:
+            out.setdefault(model.ids[self.owner_index[k]], []).append(model.ids[k])
+        return out
 
 
 def build_decomposition(model: DyadicModel, f, r, *, n_start: int = 0) -> StoppingDecomposition:
-    """Iterate stopping generations until exhausted and carve the blocks.
+    """The stopping decomposition of (f, r) in one pass over the levels.
 
-    Terminates after at most ``depth`` generations since stopping cubes are
-    strictly deeper than their parents in the stopping tree.
+    The cubes at depth ``n_start`` own themselves.  Going down one level at a
+    time, a node with owner o (its parent's owner) is a stopping cube iff it
+    has positive mass, avg(o) > 0 and avg(node) >= r * avg(o); it then owns
+    itself and o is its stopping parent, and otherwise it joins o's block.
     """
     r = _check_r(r)
     f = as_leaf_function(model, f, nonneg=True)
@@ -130,43 +174,20 @@ def build_decomposition(model: DyadicModel, f, r, *, n_start: int = 0) -> Stoppi
         raise ValueError(f"n_start must be in [0, {model.max_depth}], got {n_start}")
 
     averages = _node_averages(model, f)
-
-    first = [int(k) for k in np.flatnonzero(model.depth == n_start)]
-    generations = []
-    stopping = []
-    in_stopping = np.zeros(model.n_nodes, dtype=bool)
-    stopping_parent = np.full(model.n_nodes, -1, dtype=np.int64)
-    current = first
-    while current:
-        generations.append([model.ids[k] for k in sorted(current)])
-        for k in current:
-            in_stopping[k] = True
-            stopping.append(k)
-        nxt = []
-        for k in current:
-            kids = _stopping_search(model, averages, k, r)
-            stopping_parent[kids] = k
-            nxt.extend(kids)
-        current = nxt
-
-    # block owner: nearest stopping ancestor-or-self, propagated level by level
     owner = np.full(model.n_nodes, -1, dtype=np.int64)
+    stopping_parent = np.full(model.n_nodes, -1, dtype=np.int64)
+    first = model.levels[n_start]
     owner[first] = first
     for nodes in model.levels[n_start + 1:]:
-        owner[nodes] = np.where(in_stopping[nodes], nodes, owner[model.parent[nodes]])
-
-    blocks = {}
-    for k in model.dfs_order:
-        if owner[k] >= 0:
-            blocks.setdefault(model.ids[owner[k]], []).append(model.ids[k])
+        o = owner[model.parent[nodes]]
+        avg_o = averages[o]
+        stops = (model.mu_node[nodes] > 0) & (avg_o > 0) & (averages[nodes] >= r * avg_o)
+        owner[nodes] = np.where(stops, nodes, o)
+        stopping_parent[nodes[stops]] = o[stops]
 
     return StoppingDecomposition(
-        model=model, f=f, r=r, n_start=int(n_start),
-        generations=generations,
-        stopping=[model.ids[k] for k in stopping],
-        blocks=blocks,
-        owner_index=owner, in_stopping=in_stopping,
-        stopping_parent=stopping_parent,
+        model=model, f=f, r=r, n_start=int(n_start), averages=averages,
+        owner_index=owner, stopping_parent=stopping_parent,
     )
 
 
@@ -175,30 +196,31 @@ def decomposition_to_dict(decomp: StoppingDecomposition) -> dict:
     return {
         "r": decomp.r,
         "n_start": decomp.n_start,
-        "measure": decomp.measure_used,
-        "generations": [list(gen) for gen in decomp.generations],
-        "blocks": {owner: list(members)
-                   for owner, members in decomp.blocks.items()},
+        "measure": MU,
+        "generations": decomp.generations,
+        "blocks": decomp.blocks,
     }
 
 
 def partition_ok(decomp: StoppingDecomposition) -> bool:
-    """Blocks are disjoint, cover the nodes at depth >= n_start, and nest.
+    """The owner array partitions the nodes at depth >= n_start into blocks.
 
-    Every member must also sit inside its owner's subtree.
+    Every such node has an owner, no node above n_start has one, and each
+    owner owns itself and is an ancestor-or-self of its members (by DFS
+    interval).
     """
     model = decomp.model
-    seen = []
-    for owner, members in decomp.blocks.items():
-        k = model.node(owner)
-        lo, hi = model.dfs_lo[k], model.dfs_hi[k]
-        for m in members:
-            pos = model.dfs_lo[model.node(m)]
-            if not (lo <= pos < hi):
-                return False
-        seen.extend(members)
-    in_scope = {model.ids[k] for k in np.flatnonzero(model.depth >= decomp.n_start)}
-    return len(seen) == len(set(seen)) == len(in_scope) and set(seen) == in_scope
+    owner = np.asarray(decomp.owner_index)
+    if owner.shape != (model.n_nodes,):
+        return False
+    scope = model.depth >= decomp.n_start
+    if np.any(owner[~scope] != -1):
+        return False
+    o = owner[scope]
+    if not np.all((0 <= o) & (o < model.n_nodes)):
+        return False
+    pos = model.dfs_lo[scope]
+    return bool(np.all((owner[o] == o) & (model.dfs_lo[o] <= pos) & (pos < model.dfs_hi[o])))
 
 
 @dataclass
@@ -225,20 +247,15 @@ def verify_packing(model: DyadicModel, decomp: StoppingDecomposition) -> Packing
     bound = r / (r - 1.0)
     subtotal = model.subtree_totals(np.where(decomp.in_stopping, model.mu_node, 0.0))
 
-    ratio = {}
-    slack = {}
-    worst = 0.0
-    worst_node = None
-    for k in range(model.n_nodes):
-        if model.mu_node[k] <= 0:
-            continue
-        rk = subtotal[k] / model.mu_node[k]
-        nid = model.ids[k]
-        ratio[nid] = rk
-        slack[nid] = bound - rk
-        if rk > worst:
-            worst = rk
-            worst_node = nid
+    pos = np.flatnonzero(model.mu_node > 0)
+    rk = subtotal[pos] / model.mu_node[pos]
+    nids = [model.ids[k] for k in pos]
+    ratio = dict(zip(nids, rk.tolist()))
+    slack = dict(zip(nids, (bound - rk).tolist()))
+    # the first strict maximum above 0; a NaN ratio never wins
+    above = np.where(rk > 0, rk, 0.0)
+    i = int(np.argmax(above)) if above.size else 0
+    worst, worst_node = (float(above[i]), nids[i]) if above.size and above[i] > 0 else (0.0, None)
 
     # one-generation condition: each stopping parent's children pack below mu(Q)/r
     kids = np.flatnonzero(decomp.stopping_parent >= 0)
@@ -411,7 +428,7 @@ def proof_trace(model: DyadicModel, a: CoefficientFamily, f, p, q, r=None,
     if B is None:
         B, _ = testing_constant(model, a, p, q)
 
-    averages = _node_averages(model, f)
+    averages = decomp.averages
 
     lhs_vals = apply_depth_truncated(model, a, f, q, n_start).values
     lhs = lp_norm(model, lhs_vals, p, NU) ** p
@@ -420,18 +437,18 @@ def proof_trace(model: DyadicModel, a: CoefficientFamily, f, p, q, r=None,
     leaf, owner, F = _apply_by_label(model, a, f, q, decomp.owner_index)
     norm_p = np.bincount(owner, weights=model.nu_leaf[leaf] * F ** p,
                          minlength=model.n_nodes)
-    stop = np.fromiter((model.index[qid] for qid in decomp.stopping),
-                       dtype=np.int64, count=len(decomp.stopping))
+    stop = decomp.stopping_nodes
+    stop_ids = [model.ids[k] for k in stop]
     norm_p = norm_p[stop]
     bounds = (r * averages[stop]) ** p * B ** p * model.mu_node[stop]
     blocks = [BlockRecord(owner=qid, norm_p=n, bound=b, average=avg)
-              for qid, n, b, avg in zip(decomp.stopping, norm_p.tolist(),
+              for qid, n, b, avg in zip(stop_ids, norm_p.tolist(),
                                         bounds.tolist(), averages[stop].tolist())]
     est1 = float(norm_p.sum())
     carleson_lhs = float(np.sum(averages[stop] ** p * model.mu_node[stop]))
     block_fine = np.isfinite(norm_p) & np.isfinite(bounds) & (norm_p <= bounds * (1 + rtol))
     block_ok = bool(np.all(block_fine))
-    worst_block = None if block_ok else decomp.stopping[np.flatnonzero(~block_fine)[-1]]
+    worst_block = None if block_ok else stop_ids[np.flatnonzero(~block_fine)[-1]]
 
     # the blocks' ell-q combination must give back the operator
     recon = np.zeros(model.n_leaves)
