@@ -16,7 +16,7 @@ from typing import Optional
 import mpmath
 import numpy as np
 
-from .lattice import MU, NU, DyadicModel, Exponents, lp_norm
+from .lattice import MU, DyadicModel, Exponents, _lp_rows, lp_norm
 from .maximal import (CoefficientFamily, _apply_batch, _combine_levels,
                       _indicator_norms, _level_terms, node_integrals)
 
@@ -69,17 +69,6 @@ def theorem_constant_hp(p, dps: int = 50) -> float:
         return float(((1 + 1 / mp) ** (mp + 1) * mp) ** (1 / mp) * pc)
 
 
-def _norms_batch(model, values, p, measure):
-    """Row-wise Lp(measure) norms of a (m, n_leaves) value array."""
-    mass = model.leaf_masses(measure)
-    if p == math.inf:
-        pos = mass > 0
-        if not np.any(pos):
-            return np.zeros(values.shape[0])
-        return np.abs(values[:, pos]).max(axis=1)
-    return (np.abs(values) ** p @ mass) ** (1.0 / p)
-
-
 def testing_constant(model: DyadicModel, a: CoefficientFamily, p, q):
     """Largest cube-normalized norm of the truncated operator on indicators.
 
@@ -91,7 +80,7 @@ def testing_constant(model: DyadicModel, a: CoefficientFamily, p, q):
     norms = _indicator_norms(model, a, p, q)
     pos = model.mu_node > 0
     ratio = np.zeros(model.n_nodes)
-    ratio[pos] = norms[pos] ** (1.0 / p) / model.mu_node[pos] ** (1.0 / p)
+    ratio[pos] = norms[pos] / model.mu_node[pos] ** (1.0 / p)
     k = int(np.argmax(ratio))  # the first maximum; a NaN wins and surfaces in B
     if ratio[k] == 0.0:
         return 0.0, None
@@ -121,8 +110,8 @@ def _indicator_rows(model):
 
 
 def _ratios(model, a, F, p, q):
-    out_norm = _norms_batch(model, _apply_batch(model, a, F, q), p, NU)
-    in_norm = _norms_batch(model, F, p, MU)
+    out_norm = _lp_rows(_apply_batch(model, a, F, q), model.nu_leaf, p)
+    in_norm = _lp_rows(F, model.mu_leaf, p)
     ratios = np.where(in_norm > 0, out_norm / np.where(in_norm > 0, in_norm, 1.0), -1.0)
     return ratios, in_norm
 

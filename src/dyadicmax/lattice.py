@@ -414,6 +414,24 @@ def average(model: DyadicModel, f, Q, measure: str = MU) -> float:
     return integrate(model, f, Q, measure) / mass
 
 
+def _lp_rows(values, mass, p):
+    """Weighted Lp norms along the last axis of ``values``, p in [1, inf].
+
+    Only atoms of positive mass count; p = inf gives the max of |v| over
+    them (0 when there are none).  For finite p each row is divided by its
+    peak before the power, so |v|^p neither overflows nor underflows at any p.
+    """
+    pos = mass > 0
+    v = np.abs(values[..., pos])
+    if v.shape[-1] == 0:
+        return np.zeros(v.shape[:-1])
+    peak = v.max(axis=-1)
+    if p == math.inf:
+        return peak
+    scale = np.where(peak > 0, peak, 1.0)
+    return scale * ((v / scale[..., None]) ** p @ mass[pos]) ** (1.0 / p)
+
+
 def lp_norm(model: DyadicModel, g, p, measure: str) -> float:
     """Weighted Lp norm of a leaf function, p in [1, inf].
 
@@ -421,14 +439,9 @@ def lp_norm(model: DyadicModel, g, p, measure: str) -> float:
     positive mass (0 when the measure vanishes identically).
     """
     arr = as_leaf_function(model, g)
-    mass = model.leaf_masses(measure)
-    if p == math.inf:
-        pos = mass > 0
-        return float(np.abs(arr[pos]).max()) if np.any(pos) else 0.0
-    p = float(p)
-    if p < 1.0:
-        raise ValueError(f"p must be >= 1, got {p}")
-    return float(np.dot(np.abs(arr) ** p, mass) ** (1.0 / p))
+    if p != math.inf and float(p) < 1.0:
+        raise ValueError(f"p must be >= 1, got {float(p)}")
+    return float(_lp_rows(arr, model.leaf_masses(measure), float(p)))
 
 
 # ---------------------------------------------------------------------------

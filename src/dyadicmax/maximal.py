@@ -275,13 +275,15 @@ def _apply_levels(model, a, f, q, first_level=0, leaves=slice(None)):
 
 
 def _indicator_norms(model: DyadicModel, a: CoefficientFamily, p, q) -> np.ndarray:
-    """|M_Q 1_Q|^p in L^p(nu), for every cube Q, M_Q truncated to Q's subcubes.
+    """|M_Q 1_Q| in L^p(nu), for every cube Q, M_Q truncated to Q's subcubes.
 
     For f = 1_Q the integral over a subcube R of Q is mu(R), so (M_Q 1_Q)(x)
     is the ell-q combination of the terms mu(R) * a_R(x) from Q's depth down
     x's path: a suffix of x's row.  Each suffix is rescaled by its own peak,
     so no suffix underflows against a larger term above it, even at q = 1e6.
-    One bincount then sends nu(x) * suffix^p to the ancestor at each depth.
+    One bincount then sends nu(x) * suffix^p to the ancestor at each depth,
+    each suffix divided by the largest one its cube receives, so the powers
+    stay finite at any p.
     """
     T = _level_terms(model, a, model.mu_node)
     if q == math.inf:
@@ -298,9 +300,14 @@ def _indicator_norms(model: DyadicModel, a: CoefficientFamily, p, q) -> np.ndarr
             peak = new_peak
             S[:, d] = peak * acc ** (1.0 / q)
     anc, _ = a._leaf_levels()
-    below = anc >= 0
-    weights = (model.nu_leaf[:, None] * S ** p)[below]
-    return np.bincount(anc[below], weights=weights, minlength=model.n_nodes)
+    keep = (anc >= 0) & (model.nu_leaf[:, None] > 0)
+    cube, S = anc[keep], S[keep]
+    top = np.zeros(model.n_nodes)
+    np.maximum.at(top, cube, S)
+    top = np.where(top > 0, top, 1.0)
+    nu = np.broadcast_to(model.nu_leaf[:, None], anc.shape)[keep]
+    sums = np.bincount(cube, weights=nu * (S / top[cube]) ** p, minlength=model.n_nodes)
+    return top * sums ** (1.0 / p)
 
 
 def _apply_by_label(model: DyadicModel, a: CoefficientFamily, f, q, labels):

@@ -53,6 +53,12 @@ def _check_r(r):
     return r
 
 
+def _power(x, p) -> float:
+    """x ** p for a float x >= 0, inf where it overflows (a float raises)."""
+    with np.errstate(over="ignore"):
+        return float(np.float64(x) ** p)
+
+
 def _node_averages(model, f):
     """mu-averages of f on every node, 0 on null cubes by convention."""
     ints = node_integrals(model, f[None, :], MU)[0]
@@ -339,7 +345,7 @@ def carleson_embedding_check(model: DyadicModel, w: CarlesonSequence, f, p,
     f = as_leaf_function(model, f, nonneg=True)
     averages = _node_averages(model, f)
     lhs = float(np.dot(averages ** p, w.weights))
-    norm_p = lp_norm(model, f, p, MU) ** p
+    norm_p = _power(lp_norm(model, f, p, MU), p)
     bound = holder_conjugate(p) ** p * w.packing_constant * norm_p
     return CarlesonReport(
         lhs=lhs, bound=bound, packing_constant=w.packing_constant, p=p,
@@ -427,11 +433,12 @@ def proof_trace(model: DyadicModel, a: CoefficientFamily, f, p, q, r=None,
         raise ValueError("decomposition was built for a different model, f, r or n_start")
     if B is None:
         B, _ = testing_constant(model, a, p, q)
+    B_p = _power(B, p)
 
     averages = decomp.averages
 
     lhs_vals = apply_depth_truncated(model, a, f, q, n_start).values
-    lhs = lp_norm(model, lhs_vals, p, NU) ** p
+    lhs = _power(lp_norm(model, lhs_vals, p, NU), p)
 
     # F_Q per (atom, block): each (atom, cube) pair lies in exactly one block
     leaf, owner, F = _apply_by_label(model, a, f, q, decomp.owner_index)
@@ -440,7 +447,7 @@ def proof_trace(model: DyadicModel, a: CoefficientFamily, f, p, q, r=None,
     stop = decomp.stopping_nodes
     stop_ids = [model.ids[k] for k in stop]
     norm_p = norm_p[stop]
-    bounds = (r * averages[stop]) ** p * B ** p * model.mu_node[stop]
+    bounds = (r * averages[stop]) ** p * B_p * model.mu_node[stop]
     blocks = [BlockRecord(owner=qid, norm_p=n, bound=b, average=avg)
               for qid, n, b, avg in zip(stop_ids, norm_p.tolist(),
                                         bounds.tolist(), averages[stop].tolist())]
@@ -470,11 +477,11 @@ def proof_trace(model: DyadicModel, a: CoefficientFamily, f, p, q, r=None,
     avg_excess = float(np.max(excess, initial=-math.inf))
 
     pc = holder_conjugate(p)
-    norm_f_p = lp_norm(model, f, p, MU) ** p
+    norm_f_p = _power(lp_norm(model, f, p, MU), p)
     carleson_bound = r / (r - 1.0) * pc ** p * norm_f_p
-    final_bound = r ** (p + 1.0) / (r - 1.0) * pc ** p * B ** p * norm_f_p
+    final_bound = r ** (p + 1.0) / (r - 1.0) * pc ** p * B_p * norm_f_p
     at_optimal = math.isclose(r, default_r(p), rel_tol=1e-12)
-    optimal_bound = ((1.0 + 1.0 / p) ** (p + 1.0) * p * pc ** p * B ** p * norm_f_p
+    optimal_bound = ((1.0 + 1.0 / p) ** (p + 1.0) * p * pc ** p * B_p * norm_f_p
                      if at_optimal else None)
 
     def link(name, lhs, rhs):

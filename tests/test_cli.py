@@ -88,15 +88,15 @@ def test_verify_injected_fault_exits_1(tmp_path):
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_verify_non_finite_sandwich_fails(tmp_path):
-    # constant coefficients 10 on a two-atom root: at p = 1000 the testing
-    # norm overflows, and the sandwich record must say so, not pass
+    # constant coefficients 1e308 on a two-atom root: mu(Q0) * a overflows,
+    # and the sandwich record must say so, not pass
     inst = tmp_path / "two.json"
     inst.write_text(json.dumps({
         "nodes": [{"id": "Q0", "parent": None}, {"id": "L1", "parent": "Q0"},
                   {"id": "L2", "parent": "Q0"}],
         "mu": {"L1": 1.0, "L2": 1.0}, "nu": {"L1": 1.0, "L2": 1.0}}))
     (tmp_path / "two.coeffs.json").write_text(
-        json.dumps({"Q0": 10.0, "L1": 10.0, "L2": 10.0}))
+        json.dumps({"Q0": 1e308, "L1": 1e308, "L2": 1e308}))
     config = SweepConfig(p_values=(1000.0,), q_tokens=("inf",),
                          search_random=4, search_ascent=1,
                          out=str(tmp_path / "run"))

@@ -225,8 +225,8 @@ def test_verify_theorem_detects_injected_fault(e1):
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_verify_theorem_rejects_non_finite(e1):
-    # 20^1000 overflows: B is inf and A_lower NaN, which must never pass
-    a = CoefficientFamily.constant(e1, 10.0)
+    # mu(Q0) * a = 2e308 overflows: B and A_lower are NaN, which must never pass
+    a = CoefficientFamily.constant(e1, 1e308)
     with pytest.raises(VerificationError, match="non-finite") as exc:
         verify_theorem(e1, a, 1000, INF, NormSearch(n_random=4, ascent_rounds=1))
     rep = exc.value.report
@@ -373,3 +373,20 @@ def test_power_step_finite_at_large_p(q):
         X = _power_step(model, big, X, p, q)
         assert np.all(np.isfinite(X)) and np.all(X >= 0)
         assert np.all(X.max(axis=1) == 1.0)
+
+
+def test_sandwich_finite_at_large_p_on_scaled_coefficients(e1):
+    # |v|^p of the norms overflows here; each norm is rescaled by its peak
+    model, a = make_instance(4)
+    search = NormSearch(n_random=8, ascent_rounds=4)
+    base = verify_theorem(model, a, 50.0, INF, search)
+    big = verify_theorem(model, a.scaled(1e8), 50.0, INF, search)
+    assert base.B == pytest.approx(41.78454, rel=1e-6)
+    assert big.B == pytest.approx(1e8 * base.B, rel=1e-12)
+    assert big.A_lower == pytest.approx(1e8 * base.A_lower, rel=1e-12)
+    assert big.witness_cube == base.witness_cube
+    # 20^1000 overflows, but B = A_lower = 20 on constant coefficients 10
+    rep = verify_theorem(e1, CoefficientFamily.constant(e1, 10.0), 1000, INF,
+                         NormSearch(n_random=4, ascent_rounds=1))
+    assert rep.B == pytest.approx(20.0, rel=1e-12)
+    assert rep.A_lower == pytest.approx(20.0, rel=1e-12)

@@ -124,6 +124,16 @@ def test_lp_norm_inf_ignores_null_atoms(deep_model):
     assert lp_norm(deep_model, g, math.inf, "mu") == 1.0
 
 
+def test_lp_norm_rescales_by_the_peak(e1, deep_model):
+    # (1e200)^2 and 2^1100 overflow, and 1e-200^2 underflows, unless rescaled
+    assert lp_norm(e1, [1e200, 1e200], 2, "nu") == pytest.approx(math.sqrt(2) * 1e200, rel=1e-15)
+    assert lp_norm(e1, [2.0, 2.0], 1100, "nu") == pytest.approx(2.0 * 2 ** (1 / 1100), rel=1e-15)
+    assert lp_norm(e1, [1e-200, 0.0], 2, "nu") == pytest.approx(1e-200, rel=1e-15)
+    # a null atom's value sets no scale: b2 has mu mass 0
+    g = np.array([1.0, 1.0, 1.0, 1e300, 1.0])
+    assert lp_norm(deep_model, g, 3, "mu") == pytest.approx(6.5 ** (1 / 3), rel=1e-15)
+
+
 def test_exponents_conjugate():
     assert Exponents(2, 2).p_conj == 2.0
     assert abs(1 / 3 + 1 / Exponents(3, 3).p_conj - 1) < 1e-15
