@@ -25,7 +25,8 @@ from .constants import (NormSearch, VerificationError, theorem_constant,
 from .lattice import ModelError, RandomModelParams, build_model, random_model
 from .maximal import (CoefficientFamily, classical_coefficients,
                       read_coefficients, write_coefficients)
-from .sawyer import SawyerInstance, instance_to_dict, verify_reduction
+from .sawyer import (ReductionError, SawyerInstance, instance_to_dict,
+                     verify_reduction)
 from .stopping import (build_decomposition, carleson_embedding_check,
                        decomposition_to_dict, default_r, partition_ok,
                        proof_trace, stopping_weights, verify_packing)
@@ -173,11 +174,9 @@ def _record(instance, p, q, check, passed, margin, **detail):
     }
 
 
-def _verify_one(path_str: str, config: SweepConfig):
-    """All check records for one instance file; deterministic."""
-    path = Path(path_str)
-    name = path.stem
-    model, coeffs, omega, w, alpha = _load_instance(path)
+def _verify_one(name: str, instance, config: SweepConfig):
+    """All check records for one loaded instance; deterministic."""
+    model, coeffs, omega, w, alpha = instance
     entropy = _instance_entropy(config.seed, name)
     records = []
 
@@ -264,7 +263,12 @@ def _verify_one(path_str: str, config: SweepConfig):
             # change-of-weight identities
             inst = SawyerInstance(model=model, omega_leaf=omega, w_leaf=w,
                                   alpha=alpha, p=p)
-            red = verify_reduction(inst, f, q, strict=False)
+            try:
+                red = verify_reduction(inst, f, q, strict=False)
+            except ReductionError as exc:
+                records.append(_record(name, p, q, "sawyer_reduction", False, -1.0,
+                                       error=str(exc)))
+                continue
             worst = max(red.integral_rel_error, red.operator_rel_error,
                         red.norm_rel_error)
             records.append(_record(
@@ -282,20 +286,18 @@ def cmd_verify(config: SweepConfig, instance_paths):
     paths = sorted(str(p) for p in instance_paths
                    if not str(p).endswith(".coeffs.json"))
     try:
-        loaded = []
-        for p in paths:
-            _load_instance(Path(p))
-            loaded.append(p)
+        instances = [_load_instance(Path(p)) for p in paths]
     except (ModelError, json.JSONDecodeError, OSError, KeyError, ValueError) as exc:
         print(f"error: cannot load instance: {exc}", file=sys.stderr)
         return 2, []
 
+    names = [Path(p).stem for p in paths]
     if config.workers > 1:
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            per_instance = list(pool.map(_verify_one, loaded,
-                                         [config] * len(loaded)))
+            per_instance = list(pool.map(_verify_one, names, instances,
+                                         [config] * len(paths)))
     else:
-        per_instance = [_verify_one(p, config) for p in loaded]
+        per_instance = [_verify_one(n, inst, config) for n, inst in zip(names, instances)]
 
     records = [rec for batch in per_instance for rec in batch]
     out = Path(config.out)

@@ -231,3 +231,41 @@ def test_main_end_to_end(tmp_path, capsys):
     assert main(["report", str(tmp_path / "run" / "report.jsonl"),
                  "--csv", str(tmp_path / "s.csv")]) == 0
     assert (tmp_path / "s.csv").exists()
+
+
+def test_verify_records_a_failed_reduction_and_goes_on(tmp_path):
+    # omega > 0 where w = 0: the reduced measure would be infinite
+    paths, _ = gen(tmp_path, trials=1)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({
+        "nodes": [{"id": "Q0", "parent": None}, {"id": "L1", "parent": "Q0"},
+                  {"id": "L2", "parent": "Q0"}],
+        "mu": {"L1": 1.0, "L2": 1.0}, "nu": {"L1": 1.0, "L2": 1.0},
+        "omega": {"L1": 1.0, "L2": 1.0}, "w": {"L1": 0.0, "L2": 1.0}}))
+    run = tmp_path / "run"
+    config = SweepConfig(seed=7, p_values=(2.0,), q_tokens=("p", "inf"), out=str(run))
+    code, records = cmd_verify(config, [bad, *paths])
+    assert code == 1
+    assert len((run / "report.jsonl").read_text().splitlines()) == len(records) == 2 * 2 * 6
+    failed = [r for r in records if not r["pass"]]
+    assert [(r["instance"], r["check"]) for r in failed] == [("bad", "sawyer_reduction")] * 2
+    assert all("zero density" in r["detail"]["error"] for r in failed)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_verify_loads_each_instance_once(tmp_path, monkeypatch, workers):
+    import dyadicmax.cli as cli_mod
+    calls = []
+    original = cli_mod._load_instance
+
+    def counted(path):
+        calls.append(path)
+        return original(path)
+
+    monkeypatch.setattr(cli_mod, "_load_instance", counted)
+    paths, _ = gen(tmp_path, trials=3)
+    config = SweepConfig(seed=7, p_values=(2.0,), q_tokens=("inf",),
+                         out=str(tmp_path / "run"), workers=workers)
+    code, _ = cmd_verify(config, paths)
+    assert code == 0
+    assert sorted(calls) == sorted(paths)
