@@ -51,14 +51,15 @@ def deep_model():
     })
 
 
-def make_instance(seed, *, depth_max=4, branch_min=2, branch_max=3, zero_prob=0.15):
+def make_instance(seed, *, depth_max=4, branch_min=2, branch_max=3, zero_prob=0.15,
+                  roots=1):
     """One random (model, coefficients) pair, deterministic in seed.
 
-    ``branch_min=1`` allows unary chains.
+    ``branch_min=1`` allows unary chains; ``roots > 1`` gives a forest.
     """
     params = RandomModelParams(
         depth_min=1, depth_max=depth_max, branch_min=branch_min, branch_max=branch_max,
-        zero_prob_mu=zero_prob, zero_prob_nu=zero_prob, leaf_prob=0.25,
+        roots=roots, zero_prob_mu=zero_prob, zero_prob_nu=zero_prob, leaf_prob=0.25,
     )
     model = random_model(params, seed)
     coeffs = CoefficientFamily.random(model, seed + 1_000_003)

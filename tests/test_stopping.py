@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -66,18 +67,66 @@ def test_decomposition_blocks_partition_random():
             key=lambda nid: model.node(nid))
 
 
-def test_stopping_parents_match_stopping_children():
+def test_stopping_parents_match_stopping_children(e1):
+    cases = [(e1, np.array([3.0, 1.0]), 1.5, 0)]   # avg(L1) = 3 = r * avg(Q0): a tie stops
     for seed in range(30):
         model, _ = make_instance(seed, branch_min=1 + seed % 2)
-        f = random_nonneg(model, seed + 12)
-        r = 1.0 + (seed % 4 + 1) / 4
-        d = build_decomposition(model, f, r)
+        cases.append((model, random_nonneg(model, seed + 12), 1.0 + (seed % 4 + 1) / 4, 0))
+        # forests, unary chains, zero f on some atoms, a truncated first generation
+        model, _ = make_instance(seed, branch_min=1 + seed % 2, roots=2 + seed % 2)
+        f = random_nonneg(model, seed + 13)
+        f[np.random.default_rng(seed).random(model.n_leaves) < 0.3] = 0.0
+        cases.append((model, f, 1.0 + (seed % 4 + 1) / 4, seed % (model.max_depth + 1)))
+    for case, (model, f, r, n_start) in enumerate(cases):
+        d = build_decomposition(model, f, r, n_start=n_start)
         for qid in d.stopping:
             k = model.node(qid)
             kids = [model.ids[c] for c in np.flatnonzero(d.stopping_parent == k)]
-            assert kids == stopping_children(model, f, qid, r), (seed, qid)
+            assert kids == stopping_children(model, f, qid, r), (case, qid)
         first = {model.node(qid) for qid in d.generations[0]}
         assert all(d.stopping_parent[k] == -1 for k in first)
+        assert first == set(np.flatnonzero(model.depth == n_start))
+
+        # the stopping cubes are the first generation and its stopping children, iterated
+        generations, frontier = [], [model.ids[k] for k in sorted(first)]
+        while frontier:
+            generations.append(frontier)
+            frontier = sorted((c for qid in frontier
+                               for c in stopping_children(model, f, qid, r)), key=model.node)
+        assert d.generations == generations, case
+        stopping = {model.node(qid) for gen in generations for qid in gen}
+        # owner: the nearest stopping ancestor-or-self at depth >= n_start, else none
+        for k in range(model.n_nodes):
+            path = [c for c in model.ancestors_or_self(k) if model.depth[c] >= n_start]
+            want = next((c for c in path if c in stopping), -1)
+            assert d.owner_index[k] == want, (case, k)
+        assert partition_ok(d)
+
+
+def test_partition_ok_rejects_bad_owner_arrays(e1):
+    d = build_decomposition(e1, [4, 0], 1.5)   # owners: Q0 -> Q0, L1 -> L1, L2 -> Q0
+    Q0, L1, L2 = (e1.node(n) for n in ("Q0", "L1", "L2"))
+    assert list(d.owner_index) == [Q0, L1, Q0] and partition_ok(d)
+
+    def with_owners(decomp, **changes):
+        owner = decomp.owner_index.copy()
+        for nid, o in changes.items():
+            owner[e1.node(nid)] = o
+        return dataclasses.replace(decomp, owner_index=owner)
+
+    assert not partition_ok(with_owners(d, L2=L1))       # owner is not an ancestor
+    assert not partition_ok(with_owners(d, L2=-1))       # in-scope node without owner
+    chain = build_model({"nodes": [{"id": "R", "parent": None}, {"id": "A", "parent": "R"},
+                                   {"id": "a", "parent": "A"}],
+                         "mu": {"a": 1}, "nu": {"a": 1}}, min_children=1)
+    d3 = build_decomposition(chain, [1.0], 1.5)
+    assert list(d3.owner_index) == [0, 0, 0] and partition_ok(d3)
+    d3.owner_index[2] = 1                                # A owns a but not itself
+    assert not partition_ok(d3)
+    deep = build_decomposition(e1, [4, 0], 1.5, n_start=1)
+    assert list(deep.owner_index) == [-1, L1, L2] and partition_ok(deep)
+    assert not partition_ok(with_owners(deep, Q0=Q0))    # owner above n_start
+    assert not partition_ok(with_owners(deep, L2=Q0))    # member of an owner above n_start
 
 
 def test_verify_packing_e2(e1):
