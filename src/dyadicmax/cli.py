@@ -196,18 +196,14 @@ def _verify_one(name: str, instance, config: SweepConfig):
                                 ascent_rounds=config.search_ascent,
                                 seed=int(rng.integers(2 ** 31)))
             try:
-                rep = verify_theorem(model, coeffs, p, q, search,
-                                     rtol=config.tol, c_p=cp_used)
-                records.append(_record(
-                    name, p, q, "sandwich", True, min(rep.margins),
-                    B=rep.B, A_lower=rep.A_lower, C_p=rep.C_p,
-                    witness_cube=rep.witness_cube))
+                rep, error = verify_theorem(model, coeffs, p, q, search, rtol=config.tol,
+                                            c_p=cp_used), {}
             except VerificationError as exc:
-                rep = exc.report
-                records.append(_record(
-                    name, p, q, "sandwich", False, min(rep.margins),
-                    B=rep.B, A_lower=rep.A_lower, C_p=rep.C_p,
-                    witness_cube=rep.witness_cube, error=str(exc)))
+                rep, error = exc.report, {"error": str(exc)}
+            records.append(_record(
+                name, p, q, "sandwich", not error, min(rep.margins),
+                B=rep.B, A_lower=rep.A_lower, C_p=rep.C_p,
+                witness_cube=rep.witness_cube, **error))
 
             # the constant actually used vs an independent evaluation
             cp_err = abs(cp_used - cp_ref) / cp_ref
@@ -291,13 +287,12 @@ def cmd_verify(config: SweepConfig, instance_paths):
         print(f"error: cannot load instance: {exc}", file=sys.stderr)
         return 2, []
 
-    names = [Path(p).stem for p in paths]
+    jobs = ([Path(p).stem for p in paths], instances, [config] * len(paths))
     if config.workers > 1:
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            per_instance = list(pool.map(_verify_one, names, instances,
-                                         [config] * len(paths)))
+            per_instance = list(pool.map(_verify_one, *jobs))
     else:
-        per_instance = [_verify_one(n, inst, config) for n, inst in zip(names, instances)]
+        per_instance = list(map(_verify_one, *jobs))
 
     records = [rec for batch in per_instance for rec in batch]
     out = Path(config.out)

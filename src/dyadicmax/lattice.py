@@ -415,21 +415,20 @@ def average(model: DyadicModel, f, Q, measure: str = MU) -> float:
 
 
 def _lp_rows(values, mass, p):
-    """Weighted Lp norms along the last axis of ``values``, p in [1, inf].
+    """Weighted Lp norms along the last axis over the atoms of positive mass.
 
-    Only atoms of positive mass count; p = inf gives the max of |v| over
-    them (0 when there are none).  For finite p each row is divided by its
-    peak before the power, so |v|^p neither overflows nor underflows at any p.
+    For finite p each row is divided by its peak before the power, so |v|^p
+    neither overflows nor underflows; p = inf gives the peak itself.
     """
     pos = mass > 0
     v = np.abs(values[..., pos])
-    if v.shape[-1] == 0:
-        return np.zeros(v.shape[:-1])
-    peak = v.max(axis=-1)
+    peak = v.max(axis=-1, initial=0.0)
     if p == math.inf:
         return peak
     scale = np.where(peak > 0, peak, 1.0)
-    return scale * ((v / scale[..., None]) ** p @ mass[pos]) ** (1.0 / p)
+    v /= scale[..., None]
+    v **= p
+    return scale * (v @ mass[pos]) ** (1.0 / p)
 
 
 def lp_norm(model: DyadicModel, g, p, measure: str) -> float:
@@ -439,7 +438,7 @@ def lp_norm(model: DyadicModel, g, p, measure: str) -> float:
     positive mass (0 when the measure vanishes identically).
     """
     arr = as_leaf_function(model, g)
-    if p != math.inf and float(p) < 1.0:
+    if not float(p) >= 1.0:
         raise ValueError(f"p must be >= 1, got {float(p)}")
     return float(_lp_rows(arr, model.leaf_masses(measure), float(p)))
 

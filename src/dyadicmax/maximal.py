@@ -281,9 +281,8 @@ def _indicator_norms(model: DyadicModel, a: CoefficientFamily, p, q) -> np.ndarr
     is the ell-q combination of the terms mu(R) * a_R(x) from Q's depth down
     x's path: a suffix of x's row.  Each suffix is rescaled by its own peak,
     so no suffix underflows against a larger term above it, even at q = 1e6.
-    One bincount then sends nu(x) * suffix^p to the ancestor at each depth,
-    each suffix divided by the largest one its cube receives, so the powers
-    stay finite at any p.
+    One bincount then sends nu(x) * (suffix / the cube's largest suffix)^p
+    to the ancestor at each depth, so the powers stay finite at any p.
     """
     T = _level_terms(model, a, model.mu_node)
     if q == math.inf:
@@ -301,12 +300,12 @@ def _indicator_norms(model: DyadicModel, a: CoefficientFamily, p, q) -> np.ndarr
             S[:, d] = peak * acc ** (1.0 / q)
     anc, _ = a._leaf_levels()
     keep = (anc >= 0) & (model.nu_leaf[:, None] > 0)
-    cube, S = anc[keep], S[keep]
+    rows, cube, S = np.nonzero(keep)[0], anc[keep], S[keep]
     top = np.zeros(model.n_nodes)
     np.maximum.at(top, cube, S)
     top = np.where(top > 0, top, 1.0)
-    nu = np.broadcast_to(model.nu_leaf[:, None], anc.shape)[keep]
-    sums = np.bincount(cube, weights=nu * (S / top[cube]) ** p, minlength=model.n_nodes)
+    sums = np.bincount(cube, weights=model.nu_leaf[rows] * (S / top[cube]) ** p,
+                       minlength=model.n_nodes)
     return top * sums ** (1.0 / p)
 
 

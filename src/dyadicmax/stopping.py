@@ -101,16 +101,14 @@ def stopping_children(model: DyadicModel, f, Q, r) -> list:
 
 @dataclass
 class StoppingDecomposition:
-    """The stopping cubes of (f, r) and the blocks they own, as two arrays.
+    """The stopping cubes of (f, r) and their blocks, as two node arrays.
 
-    ``owner_index[k]`` is the block owner of node k: its nearest stopping
-    ancestor-or-self, -1 above depth ``n_start``.  The stopping cubes are the
-    nodes that own themselves; the first generation is the forest roots (or
-    the cubes at depth ``n_start`` when the truncated-depth variant is being
-    traced).  ``stopping_parent[k]`` is the stopping cube whose stopping
-    child k is, -1 for the first generation and for non-stopping nodes.
-    ``averages`` holds the mu-average of f on every node.  The id views
-    ``generations``, ``stopping`` and ``blocks`` are derived from the arrays.
+    ``owner_index[k]`` is node k's block owner, its nearest stopping
+    ancestor-or-self (-1 above depth ``n_start``); the stopping cubes own
+    themselves, and the first generation is the cubes at depth ``n_start``.
+    ``stopping_parent[k]`` is the stopping cube whose stopping child k is (-1
+    for the first generation and non-stopping nodes).  ``averages`` holds the
+    mu-averages of f; ``generations``, ``stopping`` and ``blocks`` are views.
     """
 
     model: DyadicModel
@@ -126,41 +124,30 @@ class StoppingDecomposition:
         return self.owner_index == np.arange(self.model.n_nodes)
 
     def _by_generation(self):
-        """Stopping-cube indices by generation, DFS order within each, and
-        the generation of each."""
-        model = self.model
-        stop = self.in_stopping
-        gen = np.full(model.n_nodes, -1, dtype=np.int64)
-        gen[model.levels[self.n_start]] = 0
+        """Stopping-cube indices by generation, DFS order within one; their generations."""
+        model, stop = self.model, self.in_stopping
+        gen = np.zeros(model.n_nodes, dtype=np.int64)
         for nodes in model.levels[self.n_start + 1:]:
             gen[nodes] = gen[model.parent[nodes]] + stop[nodes]
         nodes = model.dfs_order[stop[model.dfs_order]]
-        order = np.argsort(gen[nodes], kind="stable")
-        return nodes[order], gen[nodes[order]]
-
-    @property
-    def stopping_nodes(self) -> np.ndarray:
-        """Stopping-cube indices, generation by generation, DFS order within."""
-        return self._by_generation()[0]
+        nodes = nodes[np.argsort(gen[nodes], kind="stable")]
+        return nodes, gen[nodes]
 
     @property
     def stopping(self) -> list:
-        """Stopping-cube ids, generation by generation, DFS order within."""
-        return [self.model.ids[k] for k in self.stopping_nodes]
+        """Stopping-cube ids, generation by generation, DFS order within one."""
+        return [self.model.ids[k] for k in self._by_generation()[0]]
 
     @property
     def generations(self) -> list:
         """Stopping-cube ids per generation, in document order."""
         nodes, gen = self._by_generation()
-        cuts = np.flatnonzero(np.diff(gen)) + 1
-        return [[self.model.ids[k] for k in np.sort(part)]
-                for part in np.split(nodes, cuts)]
+        return [[self.model.ids[k] for k in np.sort(nodes[gen == g])] for g in range(gen[-1] + 1)]
 
     @property
     def blocks(self) -> dict:
         """Owner id -> member ids, both in DFS order."""
-        model = self.model
-        out = {}
+        model, out = self.model, {}
         for k in model.dfs_order[self.owner_index[model.dfs_order] >= 0]:
             out.setdefault(model.ids[self.owner_index[k]], []).append(model.ids[k])
         return out
@@ -215,17 +202,13 @@ def partition_ok(decomp: StoppingDecomposition) -> bool:
     owner owns itself and is an ancestor-or-self of its members (by DFS
     interval).
     """
-    model = decomp.model
-    owner = np.asarray(decomp.owner_index)
-    if owner.shape != (model.n_nodes,):
-        return False
+    model, owner = decomp.model, np.asarray(decomp.owner_index)
     scope = model.depth >= decomp.n_start
-    if np.any(owner[~scope] != -1):
+    if owner.shape != scope.shape or np.any(owner[~scope] != -1):
         return False
-    o = owner[scope]
-    if not np.all((0 <= o) & (o < model.n_nodes)):
+    o, pos = owner[scope], model.dfs_lo[scope]
+    if np.any((o < 0) | (o >= model.n_nodes)):
         return False
-    pos = model.dfs_lo[scope]
     return bool(np.all((owner[o] == o) & (model.dfs_lo[o] <= pos) & (pos < model.dfs_hi[o])))
 
 
@@ -312,12 +295,10 @@ class CarlesonSequence:
                 for k, v in enumerate(self.weights) if v != 0.0}
 
 
-def stopping_weights(decomp: StoppingDecomposition,
-                     model: Optional[DyadicModel] = None) -> CarlesonSequence:
+def stopping_weights(decomp: StoppingDecomposition) -> CarlesonSequence:
     """mu(Q) on the stopping cubes, 0 elsewhere; packs within r/(r-1)."""
-    model = model or decomp.model
-    w = np.where(decomp.in_stopping, model.mu_node, 0.0)
-    return CarlesonSequence.from_weights(model, w)
+    model = decomp.model
+    return CarlesonSequence.from_weights(model, np.where(decomp.in_stopping, model.mu_node, 0.0))
 
 
 @dataclass
@@ -444,7 +425,7 @@ def proof_trace(model: DyadicModel, a: CoefficientFamily, f, p, q, r=None,
     leaf, owner, F = _apply_by_label(model, a, f, q, decomp.owner_index)
     norm_p = np.bincount(owner, weights=model.nu_leaf[leaf] * F ** p,
                          minlength=model.n_nodes)
-    stop = decomp.stopping_nodes
+    stop, _ = decomp._by_generation()
     stop_ids = [model.ids[k] for k in stop]
     norm_p = norm_p[stop]
     bounds = (r * averages[stop]) ** p * B_p * model.mu_node[stop]
