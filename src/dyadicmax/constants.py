@@ -16,9 +16,9 @@ from typing import Optional
 import mpmath
 import numpy as np
 
-from .lattice import MU, DyadicModel, Exponents, _lp_rows, lp_norm
-from .maximal import (CoefficientFamily, _apply_batch, _combine_levels,
-                      _indicator_norms, _level_terms, node_integrals)
+from .lattice import MU, DyadicModel, Exponents, _lp_rows, _lq_rows, lp_norm
+from .maximal import (CoefficientFamily, _apply_batch, _indicator_norms, _level_terms,
+                      node_integrals)
 
 __all__ = [
     "ConstantsReport",
@@ -130,7 +130,7 @@ def _power_step(model, a, F, p, q):
     anc, coef = a._leaf_levels()
     m, n = F.shape[0], model.n_nodes
     T = _level_terms(model, a, node_integrals(model, F))
-    Mf = _combine_levels(T, q)
+    Mf = _lq_rows(T, q)
     top = Mf.max(axis=1, keepdims=True)
     weight = model.nu_leaf * (Mf / np.where(top > 0, top, 1.0)) ** (p - 1.0)
     if q == math.inf:
@@ -182,9 +182,13 @@ def operator_norm_lower(model: DyadicModel, a: CoefficientFamily, p, q,
     starts = [int(np.argmax(ratios[:n])), n]
     if search.n_random > 0:
         starts.append(n + 1 + int(np.argmax(ratios[n + 1:])))
-    X = F[starts]
+    X, steps = F[starts], []
     for _ in range(search.ascent_rounds):
         X = _power_step(model, a, X, p, q)
+        steps.append(X)
+    if steps:
+        # one batch evaluates every step; the earliest best iterate wins, as step by step
+        X = np.vstack(steps)
         step_ratios, _ = _ratios(model, a, X, p, q)
         k = int(np.argmax(step_ratios))
         if step_ratios[k] > best_ratio:

@@ -414,21 +414,27 @@ def average(model: DyadicModel, f, Q, measure: str = MU) -> float:
     return integrate(model, f, Q, measure) / mass
 
 
-def _lp_rows(values, mass, p):
-    """Weighted Lp norms along the last axis over the atoms of positive mass.
+def _lq_rows(T, q):
+    """ell-q norms along the last axis of T >= 0, q in [1, inf].
 
-    For finite p each row is divided by its peak before the power, so |v|^p
-    neither overflows nor underflows; p = inf gives the peak itself.
+    Each row is divided by its peak before the power, so no q-th power
+    overflows or underflows; q = inf gives the peak itself.
     """
-    pos = mass > 0
-    v = np.abs(values[..., pos])
-    peak = v.max(axis=-1, initial=0.0)
-    if p == math.inf:
+    peak = T.max(axis=-1)
+    if q == math.inf:
         return peak
-    scale = np.where(peak > 0, peak, 1.0)
-    v /= scale[..., None]
-    v **= p
-    return scale * (v @ mass[pos]) ** (1.0 / p)
+    scale = np.where(peak > 0, peak, 1.0)[..., None]
+    return peak * ((T / scale) ** q).sum(axis=-1) ** (1.0 / q)
+
+
+def _lp_rows(values, mass, p):
+    """Weighted Lp norms along the last axis, over the atoms of positive mass.
+
+    sum(mass * |v|^p) is the p-th power of the ell-p norm of mass^(1/p) * |v|;
+    at p = inf the weight is 1 on the atoms of positive mass and 0 elsewhere.
+    """
+    w = (mass > 0) * 1.0 if p == math.inf else mass ** (1.0 / p)
+    return _lq_rows(np.abs(values) * w, p)
 
 
 def lp_norm(model: DyadicModel, g, p, measure: str) -> float:

@@ -33,7 +33,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .lattice import MU, DyadicModel, as_leaf_function
+from .lattice import MU, DyadicModel, _lq_rows, as_leaf_function
 
 __all__ = [
     "CoefficientFamily",
@@ -243,7 +243,7 @@ def _apply_batch(model, a, F, q):
     out = np.empty((F.shape[0], model.n_leaves))
     for s in range(0, F.shape[0], rows):
         ints = node_integrals(model, F[s:s + rows])
-        out[s:s + rows] = _combine_levels(_level_terms(model, a, ints), q)
+        out[s:s + rows] = _lq_rows(_level_terms(model, a, ints), q)
     return out
 
 
@@ -259,19 +259,10 @@ def _level_terms(model, a, integrals):
     return np.concatenate([np.abs(integrals), pad], axis=-1)[..., anc] * coef
 
 
-def _combine_levels(T, q):
-    """ell-q combination along the last axis, rescaled by each row's peak."""
-    peak = T.max(axis=-1)
-    if q == math.inf:
-        return peak
-    scale = np.where(peak > 0, peak, 1.0)[..., None]
-    return peak * ((T / scale) ** q).sum(axis=-1) ** (1.0 / q)
-
-
 def _apply_levels(model, a, f, q, first_level=0, leaves=slice(None)):
     """The operator on f over the cubes at depth >= first_level, on some atoms."""
     ints = node_integrals(model, f[None, :])[0]
-    return _combine_levels(_level_terms(model, a, ints)[leaves, first_level:], q)
+    return _lq_rows(_level_terms(model, a, ints)[leaves, first_level:], q)
 
 
 def _indicator_norms(model: DyadicModel, a: CoefficientFamily, p, q) -> np.ndarray:

@@ -460,7 +460,7 @@ def proof_trace(model: DyadicModel, a: CoefficientFamily, f, p, q, r=None,
     pc = holder_conjugate(p)
     norm_f_p = _power(lp_norm(model, f, p, MU), p)
     carleson_bound = r / (r - 1.0) * pc ** p * norm_f_p
-    final_bound = r ** (p + 1.0) / (r - 1.0) * pc ** p * B_p * norm_f_p
+    final_bound = _power(r, p + 1.0) / (r - 1.0) * pc ** p * B_p * norm_f_p
     at_optimal = math.isclose(r, default_r(p), rel_tol=1e-12)
     optimal_bound = ((1.0 + 1.0 / p) ** (p + 1.0) * p * pc ** p * B_p * norm_f_p
                      if at_optimal else None)

@@ -343,6 +343,30 @@ def test_norm_lower_deterministic():
         assert np.array_equal(w1, w2)
 
 
+def test_norm_lower_matches_step_by_step_evaluation():
+    # operator_norm_lower evaluates all power steps in one batch; this replays
+    # them one step at a time and keeps the first strictly better iterate
+    from dyadicmax.constants import _indicator_rows, _ratios
+    for seed in range(8):
+        model, a = make_instance(seed, branch_min=1 + seed % 2)
+        if np.all(model.mu_leaf == 0):
+            continue
+        for p, q in ((1.5, 3.0), (2.0, INF), (3.0, 3.0)):
+            F = np.vstack([_indicator_rows(model), np.ones((1, model.n_leaves))])
+            ratios, _ = _ratios(model, a, F, p, q)
+            best, best_f = ratios.max(), F[np.argmax(ratios)]
+            X = F[[int(np.argmax(ratios[:model.n_nodes])), model.n_nodes]]
+            for _ in range(6):
+                X = _power_step(model, a, X, p, q)
+                step, _ = _ratios(model, a, X, p, q)
+                if step.max() > best:
+                    best, best_f = step.max(), X[np.argmax(step)]
+            A, witness = operator_norm_lower(model, a, p, q,
+                                             NormSearch(n_random=0, ascent_rounds=6))
+            assert A == best, (seed, p, q)
+            assert np.array_equal(witness, best_f / lp_norm(model, best_f, p, "mu"))
+
+
 def test_power_step_never_lowers_the_ratio():
     # |Mf|^p is convex in f >= 0, so each step's ratio is at least the last
     for seed in range(10):

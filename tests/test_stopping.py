@@ -261,6 +261,15 @@ def test_proof_trace_rejects_non_finite_f(e1):
         proof_trace(e1, a, [1, math.inf], 2, INF, 1.5)
 
 
+def test_proof_trace_overflow_fails_links_without_raising(e1):
+    # 20^1000 (lhs and B^p) and 4^601 (r^(p+1)) exceed the float range
+    for coef, p, r in ((10.0, 1000.0, 1.001), (1.0, 600.0, 4.0)):
+        a = CoefficientFamily.constant(e1, coef)
+        with np.errstate(over="ignore"):
+            trace = proof_trace(e1, a, [1.0, 2.0], p, INF, r, strict=False)
+        assert not trace.ok and "final" in trace.failed_links(), (coef, p, r)
+
+
 def test_proof_trace_reuses_decomposition():
     model, a = make_instance(5)
     f = random_nonneg(model, 5)
