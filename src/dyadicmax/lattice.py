@@ -423,8 +423,9 @@ def _lq_rows(T, q):
     peak = T.max(axis=-1)
     if q == math.inf:
         return peak
-    scale = np.where(peak > 0, peak, 1.0)[..., None]
-    return peak * ((T / scale) ** q).sum(axis=-1) ** (1.0 / q)
+    R = T / np.where(peak > 0, peak, 1.0)[..., None]
+    R **= q
+    return peak * R.sum(axis=-1) ** (1.0 / q)
 
 
 def _lp_rows(values, mass, p):
@@ -433,8 +434,9 @@ def _lp_rows(values, mass, p):
     sum(mass * |v|^p) is the p-th power of the ell-p norm of mass^(1/p) * |v|;
     at p = inf the weight is 1 on the atoms of positive mass and 0 elsewhere.
     """
-    w = (mass > 0) * 1.0 if p == math.inf else mass ** (1.0 / p)
-    return _lq_rows(np.abs(values) * w, p)
+    v = np.abs(values)
+    v *= (mass > 0) if p == math.inf else mass ** (1.0 / p)
+    return _lq_rows(v, p)
 
 
 def lp_norm(model: DyadicModel, g, p, measure: str) -> float:

@@ -241,10 +241,10 @@ def verify_packing(model: DyadicModel, decomp: StoppingDecomposition) -> Packing
     nids = [model.ids[k] for k in pos]
     ratio = dict(zip(nids, rk.tolist()))
     slack = dict(zip(nids, (bound - rk).tolist()))
-    # the first strict maximum above 0; a NaN ratio never wins
+    # the first maximum above 0; a NaN ratio never wins
     above = np.where(rk > 0, rk, 0.0)
-    i = int(np.argmax(above)) if above.size else 0
-    worst, worst_node = (float(above[i]), nids[i]) if above.size and above[i] > 0 else (0.0, None)
+    i = int(np.argmax(above)) if np.any(above > 0) else -1
+    worst, worst_node = (float(above[i]), nids[i]) if i >= 0 else (0.0, None)
 
     # one-generation condition: each stopping parent's children pack below mu(Q)/r
     kids = np.flatnonzero(decomp.stopping_parent >= 0)
@@ -298,7 +298,8 @@ class CarlesonSequence:
 def stopping_weights(decomp: StoppingDecomposition) -> CarlesonSequence:
     """mu(Q) on the stopping cubes, 0 elsewhere; packs within r/(r-1)."""
     model = decomp.model
-    return CarlesonSequence.from_weights(model, np.where(decomp.in_stopping, model.mu_node, 0.0))
+    w = np.where(decomp.in_stopping, model.mu_node, 0.0)
+    return CarlesonSequence.from_weights(model, w)
 
 
 @dataclass
