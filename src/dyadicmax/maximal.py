@@ -291,12 +291,12 @@ def _indicator_norms(model: DyadicModel, a: CoefficientFamily, p, q) -> np.ndarr
             S[:, d] = peak * acc ** (1.0 / q)
     anc, _ = a._leaf_levels()
     keep = (anc >= 0) & (model.nu_leaf[:, None] > 0)
-    rows, cube, S = np.nonzero(keep)[0], anc[keep], S[keep]
+    cube, S = anc[keep], S[keep]
+    nu = np.broadcast_to(model.nu_leaf[:, None], anc.shape)[keep]
     top = np.zeros(model.n_nodes)
     np.maximum.at(top, cube, S)
     top = np.where(top > 0, top, 1.0)
-    sums = np.bincount(cube, weights=model.nu_leaf[rows] * (S / top[cube]) ** p,
-                       minlength=model.n_nodes)
+    sums = np.bincount(cube, weights=nu * (S / top[cube]) ** p, minlength=model.n_nodes)
     return top * sums ** (1.0 / p)
 
 
