@@ -195,9 +195,10 @@ def _verify_one(name: str, instance, config: SweepConfig):
             search = NormSearch(n_random=config.search_random,
                                 ascent_rounds=config.search_ascent,
                                 seed=int(rng.integers(2 ** 31)))
+            error = {}
             try:
-                rep, error = verify_theorem(model, coeffs, p, q, search, rtol=config.tol,
-                                            c_p=cp_used), {}
+                rep = verify_theorem(model, coeffs, p, q, search,
+                                     rtol=config.tol, c_p=cp_used)
             except VerificationError as exc:
                 rep, error = exc.report, {"error": str(exc)}
             records.append(_record(
