@@ -15,7 +15,7 @@ import json
 import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +25,7 @@ from .constants import (NormSearch, VerificationError, theorem_constant,
 from .lattice import ModelError, RandomModelParams, build_model, random_model
 from .maximal import (CoefficientFamily, classical_coefficients,
                       read_coefficients, write_coefficients)
-from .sawyer import (ReductionError, SawyerInstance, instance_to_dict,
+from .sawyer import (ReductionError, SawyerInstance, _draw_instance, instance_to_dict,
                      verify_reduction)
 from .stopping import (build_decomposition, carleson_embedding_check,
                        decomposition_to_dict, default_r, partition_ok,
@@ -122,13 +122,8 @@ def cmd_generate(config: SweepConfig):
         name = f"instance_{i:04d}"
         entropy = _instance_entropy(config.seed, name)
         model = random_model(params, np.random.SeedSequence(entropy + [1]))
-        rng = np.random.default_rng(np.random.SeedSequence(entropy + [2]))
-        omega = rng.exponential(1.0, model.n_leaves)
-        omega = np.where(rng.random(model.n_leaves) < 0.1, 0.0, omega)
-        w = rng.lognormal(0.0, 1.0, model.n_leaves)
-        alpha = float(rng.uniform(0.05, 1.0))
-        inst = SawyerInstance(model=model, omega_leaf=omega, w_leaf=w,
-                              alpha=alpha, p=2.0)
+        inst = _draw_instance(model, np.random.default_rng(
+            np.random.SeedSequence(entropy + [2])), p=2.0)
         path = out / f"{name}.json"
         path.write_text(json.dumps(instance_to_dict(inst), indent=2,
                                    sort_keys=True) + "\n")
@@ -146,20 +141,21 @@ def cmd_generate(config: SweepConfig):
 
 
 def _load_instance(path: Path):
-    """Instance file -> (model, coefficients, sawyer fields)."""
+    """Instance file -> (validated Sawyer instance, coefficients)."""
     data = json.loads(path.read_text())
     model = build_model(data, min_children=1)
     omega_map = data.get("omega") or data["mu"]
-    omega = np.asarray([float(omega_map.get(nid, 0.0)) for nid in model.leaf_ids])
-    w = np.asarray([float(data.get("w", {}).get(nid, 1.0))
-                    for nid in model.leaf_ids])
-    alpha = float(data.get("alpha", 0.5))
+    inst = SawyerInstance(  # p is a placeholder: each swept p replaces it
+        model=model,
+        omega_leaf=[float(omega_map.get(nid, 0.0)) for nid in model.leaf_ids],
+        w_leaf=[float(data.get("w", {}).get(nid, 1.0)) for nid in model.leaf_ids],
+        alpha=float(data.get("alpha", 0.5)), p=2.0)
     coeff_path = path.with_name(path.stem + ".coeffs.json")
     if coeff_path.exists():
         coeffs = read_coefficients(model, coeff_path)
     else:
-        coeffs = classical_coefficients(model, omega, alpha)
-    return model, coeffs, omega, w, alpha
+        coeffs = classical_coefficients(model, inst.omega_leaf, inst.alpha)
+    return inst, coeffs
 
 
 def _record(instance, p, q, check, passed, margin, **detail):
@@ -176,7 +172,8 @@ def _record(instance, p, q, check, passed, margin, **detail):
 
 def _verify_one(name: str, instance, config: SweepConfig):
     """All check records for one loaded instance; deterministic."""
-    model, coeffs, omega, w, alpha = instance
+    inst, coeffs = instance
+    model = inst.model
     entropy = _instance_entropy(config.seed, name)
     records = []
 
@@ -258,10 +255,8 @@ def _verify_one(name: str, instance, config: SweepConfig):
                     failed_link=str(exc)))
 
             # change-of-weight identities
-            inst = SawyerInstance(model=model, omega_leaf=omega, w_leaf=w,
-                                  alpha=alpha, p=p)
             try:
-                red = verify_reduction(inst, f, q, strict=False)
+                red = verify_reduction(replace(inst, p=p), f, q, strict=False)
             except ReductionError as exc:
                 records.append(_record(name, p, q, "sawyer_reduction", False, -1.0,
                                        error=str(exc)))
@@ -284,7 +279,7 @@ def cmd_verify(config: SweepConfig, instance_paths):
                    if not str(p).endswith(".coeffs.json"))
     try:
         instances = [_load_instance(Path(p)) for p in paths]
-    except (ModelError, json.JSONDecodeError, OSError, KeyError, ValueError) as exc:
+    except (ModelError, json.JSONDecodeError, OSError, KeyError, TypeError, ValueError) as exc:
         print(f"error: cannot load instance: {exc}", file=sys.stderr)
         return 2, []
 

@@ -103,9 +103,9 @@ class NormSearch:
 
 
 def _indicator_rows(model):
-    rows = np.zeros((model.n_nodes, model.n_leaves))
-    for k in range(model.n_nodes):
-        rows[k, model.leaf_lo[k]:model.leaf_hi[k]] = 1.0
+    j = np.arange(model.n_leaves)
+    rows = (model.leaf_lo[:, None] <= j).astype(float)
+    rows *= j < model.leaf_hi[:, None]
     return rows
 
 
@@ -319,20 +319,6 @@ class ConstantsReport:
     margins: tuple  # (A_lower - B, C_p * B - A_lower)
     p: float = field(default=math.nan)
     q: float = field(default=math.nan)
-
-    def record(self, instance_id: str = "") -> dict:
-        """One flat line-record for batch sweep reports."""
-        return {
-            "instance": instance_id,
-            "p": self.p,
-            "q": "inf" if self.q == math.inf else self.q,
-            "B": self.B,
-            "A_lower": self.A_lower,
-            "C_p": self.C_p,
-            "margin_lower": self.margins[0],
-            "margin_upper": self.margins[1],
-            "witness_cube": self.witness_cube,
-        }
 
 
 def verify_theorem(model: DyadicModel, a: CoefficientFamily, p, q,

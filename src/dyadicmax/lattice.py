@@ -139,9 +139,14 @@ class DyadicModel:
         self.is_leaf[self.leaf_nodes] = True
         self.leaf_ids = tuple(self.ids[k] for k in self.leaf_nodes)
         self.leaf_index = {nid: j for j, nid in enumerate(self.leaf_ids)}
+        # interior nodes in DFS order, so that the gaps between their intervals,
+        # which reduceat also sums, are disjoint: O(nodes) extra work in all
+        self._inner = dfs_order[~self.is_leaf[dfs_order]]
+        self._inner_bounds = np.stack([dfs_lo, dfs_hi], axis=1)[self._inner].ravel()
 
         for arr in (self.parent, self.depth, self.dfs_order, self.dfs_lo, self.dfs_hi,
-                    self.leaf_lo, self.leaf_hi, self.leaf_nodes, self.is_leaf):
+                    self.leaf_lo, self.leaf_hi, self.leaf_nodes, self.is_leaf,
+                    self._inner, self._inner_bounds):
             arr.setflags(write=False)
         self._set_measures(mu_leaf, nu_leaf)
 
@@ -212,27 +217,36 @@ class DyadicModel:
             return self.nu_node
         raise ValueError(f"unknown measure {measure!r}; use 'mu' or 'nu'")
 
-    def _subtree_sums(self, leaf_values):
-        csum = np.concatenate(([0.0], np.cumsum(leaf_values)))
-        return csum[self.leaf_hi] - csum[self.leaf_lo]
+    def _subtree_sums(self, values):
+        """Per-node sums over each subtree, along the last axis of ``values``.
+
+        The last axis holds one value per leaf or one per node (with as many
+        leaves as nodes every node is a lone leaf, and the two agree); leading
+        axes are a batch.  Each interior node's own DFS interval is summed on
+        its own, never as a difference of prefix sums, so a small cube keeps
+        its digits beside a large one.
+        """
+        values = np.asarray(values, dtype=float)
+        n = self.n_nodes
+        dfs = np.zeros(values.shape[:-1] + (n + 1,))  # a trailing 0 keeps every hi in range
+        if values.shape[-1] == n:
+            dfs[..., :n] = values[..., self.dfs_order]
+        else:
+            dfs[..., self.dfs_lo[self.leaf_nodes]] = values
+        out = dfs[..., self.dfs_lo]
+        out[..., self._inner] = np.add.reduceat(dfs, self._inner_bounds, axis=-1)[..., ::2]
+        return out
 
     def subtree_sums(self, leaf_values):
         """Per-node sums of an arbitrary leaf vector (additive set function)."""
         return self._subtree_sums(as_leaf_function(self, leaf_values))
 
     def subtree_totals(self, node_values):
-        """Per-node sums of a node vector over each node's subtree.
-
-        Children are added into their parents one level at a time, deepest
-        level first, so a small subtree's total never passes through a
-        difference of large prefix sums.
-        """
-        total = np.array(node_values, dtype=float)
+        """Per-node sums of a node vector over each node's subtree, each on its own."""
+        total = np.asarray(node_values, dtype=float)
         if total.shape != (self.n_nodes,):
             raise ValueError(f"need one value per node, got shape {total.shape}")
-        for nodes in self.levels[:0:-1]:
-            np.add.at(total, self.parent[nodes], total[nodes])
-        return total
+        return self._subtree_sums(total)
 
     def with_measures(self, mu_leaf=None, nu_leaf=None):
         """A model with the same tree shape and replaced leaf masses.
@@ -426,6 +440,21 @@ def _lq_rows(T, q):
     R = T / np.where(peak > 0, peak, 1.0)[..., None]
     R **= q
     return peak * R.sum(axis=-1) ** (1.0 / q)
+
+
+def _lq_groups(values, group, n, q):
+    """ell-q norms of values >= 0 by group, values[i] in group[i] of range(n).
+
+    An empty group gives 0.  Each value is divided by its group's peak
+    before the power, as in :func:`_lq_rows`.
+    """
+    peak = np.zeros(n)
+    np.maximum.at(peak, group, values)
+    if q == math.inf:
+        return peak
+    scaled = values / np.where(peak > 0, peak, 1.0)[group]
+    scaled **= q
+    return peak * np.bincount(group, weights=scaled, minlength=n) ** (1.0 / q)
 
 
 def _lp_rows(values, mass, p):

@@ -10,16 +10,18 @@ forest.
 Single-function evaluations run on two leaf-by-level tables that a
 coefficient family builds once and caches: the ancestor of every atom at
 every depth, and the coefficient of that ancestor at the atom.  One row of
-terms |I_R| * a_R(x) per atom x then serves the full operator and both
-truncations (a reduction over a range of levels), the testing constant (a
-suffix reduction along each atom's path, with f = 1_Q) and the stopping
-blocks of the proof chain (a reduction over each run of levels that one
-block owns).  The batch evaluation behind the operator-norm search runs on
-the same tables, a block of rows at a time, since one gather over (rows,
-atoms, levels) would hold a table per candidate.  On a 1093-node ternary
-tree, 1158 candidates at q = 4 took 0.14 s in blocks of 2^18 terms, 0.18 s
-in one piece and 0.24 s cube by cube; at q = inf 0.034, 0.054 and 0.055 s
-(best of 7, 2-vCPU Xeon VM).
+terms |I_R| * a_R(x) per atom x, each integral summed from its cube's own
+atoms, then serves the full operator and both truncations (a reduction over
+a range of levels), the testing constant (a suffix reduction along each
+atom's path, with f = 1_Q) and the stopping blocks of the proof chain (a
+reduction over each run of levels that one block owns).  Every ell-q
+combination divides by its peak before the power, by rows
+(``lattice._lq_rows``) or by groups (``lattice._lq_groups``).  The batch
+evaluation behind the operator-norm search runs on the same tables, a block
+of rows at a time, since one gather over (rows, atoms, levels) would hold a
+table per candidate.  On a 1093-node ternary tree, 1158 candidates at q = 4
+took 0.17 s in blocks of 2^18 terms and 0.18 s in one piece; at q = inf
+0.037 and 0.074 s (best of 7, 2-vCPU Xeon VM).
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .lattice import MU, DyadicModel, _lq_rows, as_leaf_function
+from .lattice import MU, DyadicModel, _lq_groups, _lq_rows, as_leaf_function
 
 __all__ = [
     "CoefficientFamily",
@@ -214,16 +216,13 @@ def _check_q(q):
 
 
 def node_integrals(model: DyadicModel, F: np.ndarray, measure: str = MU) -> np.ndarray:
-    """Integrals over every cube for a batch of leaf functions.
+    """Integrals over every cube of a leaf function, or of a batch of them.
 
-    F has shape (m, n_leaves); the result has shape (m, n_nodes).  Uses a
-    prefix sum over the DFS leaf order, so each row costs O(leaves + nodes).
+    F has shape (n_leaves,) or (m, n_leaves); the result has shape (n_nodes,)
+    or (m, n_nodes).  Each cube's integral sums the cube's own atoms, so it is
+    exact to rounding cube by cube; a row costs O(leaves * depth).
     """
-    weighted = F * model.leaf_masses(measure)[None, :]
-    csum = np.concatenate(
-        [np.zeros((F.shape[0], 1)), np.cumsum(weighted, axis=1)], axis=1
-    )
-    return csum[:, model.leaf_hi] - csum[:, model.leaf_lo]
+    return model._subtree_sums(F * model.leaf_masses(measure))
 
 
 def _check_tree(model: DyadicModel, a: CoefficientFamily):
@@ -261,7 +260,7 @@ def _level_terms(model, a, integrals):
 
 def _apply_levels(model, a, f, q, first_level=0, leaves=slice(None)):
     """The operator on f over the cubes at depth >= first_level, on some atoms."""
-    ints = node_integrals(model, f[None, :])[0]
+    ints = node_integrals(model, f)
     return _lq_rows(_level_terms(model, a, ints)[leaves, first_level:], q)
 
 
@@ -272,8 +271,9 @@ def _indicator_norms(model: DyadicModel, a: CoefficientFamily, p, q) -> np.ndarr
     is the ell-q combination of the terms mu(R) * a_R(x) from Q's depth down
     x's path: a suffix of x's row.  Each suffix is rescaled by its own peak,
     so no suffix underflows against a larger term above it, even at q = 1e6.
-    One bincount then sends nu(x) * (suffix / the cube's largest suffix)^p
-    to the ancestor at each depth, so the powers stay finite at any p.
+    Weighted by nu(x)^(1/p), the suffixes of the atoms with nu(x) > 0 go to
+    the ancestor at their depth through one grouped ell-p norm, rescaled by
+    the cube's peak, so the powers stay finite at any p.
     """
     T = _level_terms(model, a, model.mu_node)
     if q == math.inf:
@@ -291,13 +291,8 @@ def _indicator_norms(model: DyadicModel, a: CoefficientFamily, p, q) -> np.ndarr
             S[:, d] = peak * acc ** (1.0 / q)
     anc, _ = a._leaf_levels()
     keep = (anc >= 0) & (model.nu_leaf[:, None] > 0)
-    cube, S = anc[keep], S[keep]
-    nu = np.broadcast_to(model.nu_leaf[:, None], anc.shape)[keep]
-    top = np.zeros(model.n_nodes)
-    np.maximum.at(top, cube, S)
-    top = np.where(top > 0, top, 1.0)
-    sums = np.bincount(cube, weights=nu * (S / top[cube]) ** p, minlength=model.n_nodes)
-    return top * sums ** (1.0 / p)
+    weight = np.broadcast_to(model.nu_leaf[:, None] ** (1.0 / p), anc.shape)
+    return _lq_groups(weight[keep] * S[keep], anc[keep], model.n_nodes, p)
 
 
 def _apply_by_label(model: DyadicModel, a: CoefficientFamily, f, q, labels):
@@ -309,22 +304,16 @@ def _apply_by_label(model: DyadicModel, a: CoefficientFamily, f, q, labels):
     each part b meeting x's path, the ell-q combination of |I_R| * a_R(x)
     over the cubes R of b that contain x.
     """
-    ints = node_integrals(model, f[None, :])[0]
-    T = _level_terms(model, a, ints)
+    T = _level_terms(model, a, node_integrals(model, f))
     anc, _ = a._leaf_levels()
     lab = np.append(np.asarray(labels, dtype=np.int64), -1)[anc]
     keep = lab >= 0
     leaf = np.broadcast_to(np.arange(model.n_leaves)[:, None], anc.shape)[keep]
-    lab, t = lab[keep], T[keep]
-    if t.size == 0:
-        return leaf, lab, t
-    starts = np.flatnonzero(np.concatenate(
-        ([True], (lab[1:] != lab[:-1]) | (leaf[1:] != leaf[:-1]))))
-    peak = np.maximum.reduceat(t, starts)
-    if q != math.inf:
-        scale = np.repeat(np.where(peak > 0, peak, 1.0), np.diff(starts, append=t.size))
-        peak = peak * np.add.reduceat((t / scale) ** q, starts) ** (1.0 / q)
-    return leaf[starts], lab[starts], peak
+    lab = lab[keep]
+    new = np.ones(lab.size, dtype=bool)
+    new[1:] = (lab[1:] != lab[:-1]) | (leaf[1:] != leaf[:-1])
+    starts = np.flatnonzero(new)
+    return leaf[starts], lab[starts], _lq_groups(T[keep], np.cumsum(new) - 1, starts.size, q)
 
 
 def apply_maximal(model: DyadicModel, a: CoefficientFamily, f, q) -> MaximalOutput:

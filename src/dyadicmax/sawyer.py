@@ -142,8 +142,8 @@ def verify_reduction(inst: SawyerInstance, f, q, *, rtol: float = 1e-12,
     model_two = inst.model.with_measures(mu_leaf=reduced.mu_leaf)
     model_three = inst.model.with_measures(mu_leaf=inst.omega_leaf)
 
-    ints_two = node_integrals(model_two, g[None, :], MU)[0]
-    ints_three = node_integrals(model_three, f[None, :], MU)[0]
+    ints_two = node_integrals(model_two, g, MU)
+    ints_three = node_integrals(model_three, f, MU)
     scale = max(np.max(np.abs(ints_two)), np.max(np.abs(ints_three)), 1e-300)
     integral_err = float(np.max(np.abs(ints_two - ints_three)) / scale)
 
@@ -197,18 +197,22 @@ def truncation_restriction_gap(model: DyadicModel, a: CoefficientFamily, Q,
 # instance generation and files
 
 
-def random_instance(seed: int, params: Optional[RandomModelParams] = None,
-                    p: Optional[float] = None) -> SawyerInstance:
-    """Deterministic random instance; densities are strictly positive."""
-    params = params or RandomModelParams(zero_prob_mu=0.1, zero_prob_nu=0.1)
-    model = random_model(params, seed)
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 0x5A]))
+def _draw_instance(model, rng, p=None) -> SawyerInstance:
+    """omega (exponential, 10 % zeros), w (lognormal), alpha and, unless given, p."""
     omega = rng.exponential(1.0, model.n_leaves)
     omega = np.where(rng.random(model.n_leaves) < 0.1, 0.0, omega)
     w = rng.lognormal(0.0, 1.0, model.n_leaves)
     alpha = float(rng.uniform(0.05, 1.0))
     p = float(p) if p is not None else float(rng.uniform(1.2, 4.0))
     return SawyerInstance(model=model, omega_leaf=omega, w_leaf=w, alpha=alpha, p=p)
+
+
+def random_instance(seed: int, params: Optional[RandomModelParams] = None,
+                    p: Optional[float] = None) -> SawyerInstance:
+    """Deterministic random instance; densities are strictly positive."""
+    params = params or RandomModelParams(zero_prob_mu=0.1, zero_prob_nu=0.1)
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 0x5A]))
+    return _draw_instance(random_model(params, seed), rng, p)
 
 
 def instance_to_dict(inst: SawyerInstance) -> dict:

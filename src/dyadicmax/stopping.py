@@ -17,7 +17,8 @@ from typing import Optional
 
 import numpy as np
 
-from .lattice import MU, NU, DyadicModel, Exponents, as_leaf_function, lp_norm
+from .lattice import (MU, NU, DyadicModel, Exponents, _lq_groups, as_leaf_function,
+                      lp_norm)
 from .maximal import (CoefficientFamily, _apply_by_label, apply_depth_truncated,
                       node_integrals)
 from .constants import VerificationError, holder_conjugate, testing_constant
@@ -61,7 +62,7 @@ def _power(x, p) -> float:
 
 def _node_averages(model, f):
     """mu-averages of f on every node, 0 on null cubes by convention."""
-    ints = node_integrals(model, f[None, :], MU)[0]
+    ints = node_integrals(model, f, MU)
     return np.where(model.mu_node > 0, ints / np.where(model.mu_node > 0, model.mu_node, 1.0), 0.0)
 
 
@@ -440,12 +441,7 @@ def proof_trace(model: DyadicModel, a: CoefficientFamily, f, p, q, r=None,
     worst_block = None if block_ok else stop_ids[np.flatnonzero(~block_fine)[-1]]
 
     # the blocks' ell-q combination must give back the operator
-    recon = np.zeros(model.n_leaves)
-    np.maximum.at(recon, leaf, F)
-    if q != math.inf:
-        acc = np.zeros(model.n_leaves)
-        np.add.at(acc, leaf, (F / np.where(recon > 0, recon, 1.0)[leaf]) ** q)
-        recon = recon * acc ** (1.0 / q)
+    recon = _lq_groups(F, leaf, model.n_leaves, q)
     scale = max(np.max(np.abs(lhs_vals)), 1e-300)
     recon_err = float(np.max(np.abs(recon - lhs_vals)) / scale)
 

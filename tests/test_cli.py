@@ -76,6 +76,22 @@ def test_verify_corrupt_file_exits_2(tmp_path):
     assert code == 2 and records == []
 
 
+@pytest.mark.parametrize("alpha", [2.0, None])
+def test_verify_invalid_alpha_exits_2(tmp_path, capsys, alpha):
+    paths, _ = gen(tmp_path, trials=1)
+    bad = tmp_path / "bad.json"
+    data = json.loads(paths[0].read_text())
+    data["alpha"] = alpha
+    bad.write_text(json.dumps(data))
+    coeffs = paths[0].with_name(paths[0].stem + ".coeffs.json")
+    bad.with_name("bad.coeffs.json").write_text(coeffs.read_text())
+    run = tmp_path / "run"
+    assert main(["verify", str(bad), *map(str, paths), "--search-random", "2",
+                 "--search-ascent", "1", "--out", str(run)]) == 2
+    assert "cannot load instance" in capsys.readouterr().err
+    assert not (run / "report.jsonl").exists()
+
+
 def test_verify_injected_fault_exits_1(tmp_path):
     paths, _ = gen(tmp_path, trials=1)
     config = SweepConfig(seed=7, p_values=(2.0,), q_tokens=("inf",),

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from dyadicmax import (Exponents, ModelError, RandomModelParams, average,
                        build_model, integrate, lp_norm, random_model,
                        read_model, write_model)
-from dyadicmax.lattice import model_to_dict
+from dyadicmax.lattice import _lq_groups, _lq_rows, model_to_dict
+from dyadicmax.maximal import node_integrals
 
 from _reference import ref_integrate, ref_lp_norm
 from conftest import make_instance, random_nonneg
@@ -161,6 +162,51 @@ def test_subtree_totals_small_subtree_beside_large_mass(deep_model):
     assert totals[deep_model.node("A")] == 3.0
     assert totals[deep_model.node("B")] == 4.0
     assert totals[deep_model.node("b2")] == 1.0
+
+
+def test_small_atom_beside_large_mass():
+    # a difference of prefix sums gives B the mass 1e17 + 1.0 - 1e17 = 0
+    model = build_model({
+        "nodes": [{"id": "R", "parent": None}, {"id": "A", "parent": "R"},
+                  {"id": "B", "parent": "R"}],
+        "mu": {"A": 1e17, "B": 1.0}, "nu": {"A": 1.0, "B": 1.0},
+    })
+    B = model.node("B")
+    assert model.mu_node[B] == 1.0
+    assert node_integrals(model, np.ones(2))[B] == 1.0
+    assert node_integrals(model, np.ones((3, 2)))[:, B].tolist() == [1.0] * 3
+
+
+def test_cube_sums_match_fsum_on_a_large_tree():
+    params = RandomModelParams(depth_min=6, depth_max=6, branch_min=3, branch_max=3,
+                               mass_dist="pareto", zero_prob_mu=0.15)
+    model = random_model(params, 11)
+    assert model.n_nodes == 1093
+    rng = np.random.default_rng(11)
+    F = rng.pareto(1.5, (3, model.n_leaves))
+    node_vals = rng.pareto(1.5, model.n_nodes)
+    cases = [(model.mu_node, model.mu_leaf, model.leaf_lo, model.leaf_hi)]
+    ints = node_integrals(model, F)
+    cases += [(ints[i], F[i] * model.mu_leaf, model.leaf_lo, model.leaf_hi) for i in range(3)]
+    cases.append((model.subtree_totals(node_vals), node_vals[model.dfs_order],
+                  model.dfs_lo, model.dfs_hi))
+    for got, terms, lo, hi in cases:
+        want = np.array([math.fsum(terms[a:b]) for a, b in zip(lo, hi)])
+        assert np.all(np.abs(got - want) <= 1e-15 * want)
+
+
+@pytest.mark.parametrize("q", [2, 4, 1e6, math.inf])
+def test_lq_groups_match_lq_rows(q):
+    rng = np.random.default_rng(3)
+    group = rng.integers(0, 6, 40)  # group 6 stays empty
+    values = rng.exponential(1.0, 40)
+    values[group == 0] = 1e-200
+    values[np.flatnonzero(group == 0)[0]] = 1e200
+    rows = np.zeros((7, 40))
+    rows[group, np.arange(40)] = values
+    got = _lq_groups(values, group, 7, q)
+    assert got[6] == 0.0 and got[0] == pytest.approx(1e200, rel=1e-15)
+    np.testing.assert_allclose(got, _lq_rows(rows, q), rtol=1e-14, atol=0)
 
 
 def test_random_model_deterministic():
