@@ -16,9 +16,9 @@ from typing import Optional
 import mpmath
 import numpy as np
 
-from .lattice import MU, DyadicModel, Exponents, _lp_rows, _lq_rows, lp_norm
-from .maximal import (CoefficientFamily, _apply_batch, _indicator_norms, _level_terms,
-                      node_integrals)
+from .lattice import MU, DyadicModel, Exponents, _lp_rows, _lq_rows, indicator, lp_norm
+from .maximal import (CoefficientFamily, _apply_levels, _indicator_norms,
+                      _indicator_ratios, _level_terms, node_integrals)
 
 __all__ = [
     "ConstantsReport",
@@ -102,15 +102,8 @@ class NormSearch:
     seed: int = 0
 
 
-def _indicator_rows(model):
-    j = np.arange(model.n_leaves)
-    rows = (model.leaf_lo[:, None] <= j).astype(float)
-    rows *= j < model.leaf_hi[:, None]
-    return rows
-
-
 def _ratios(model, a, F, p, q):
-    out_norm = _lp_rows(_apply_batch(model, a, F, q), model.nu_leaf, p)
+    out_norm = _lp_rows(_apply_levels(model, a, F, q), model.nu_leaf, p)
     in_norm = _lp_rows(F, model.mu_leaf, p)
     ratios = np.where(in_norm > 0, out_norm / np.where(in_norm > 0, in_norm, 1.0), -1.0)
     return ratios, in_norm
@@ -163,25 +156,24 @@ def operator_norm_lower(model: DyadicModel, a: CoefficientFamily, p, q,
     Exponents(p, q).require_ordered()
     search = search or NormSearch()
 
-    candidates = [_indicator_rows(model), np.ones((1, model.n_leaves))]
+    cubes = _indicator_ratios(model, a, p, q)
+    k = int(np.argmax(cubes))  # the first best cube, which the row below stands for
+    candidates = [indicator(model, model.ids[k]), np.ones(model.n_leaves)]
     if search.n_random > 0:
         streams = np.random.SeedSequence(search.seed).spawn(search.n_random)
-        rand = np.stack([
-            np.random.default_rng(s).pareto(1.5, model.n_leaves) for s in streams
-        ])
-        candidates.append(rand)
-    F = np.vstack(candidates)
-    ratios, in_norms = _ratios(model, a, F, p, q)
+        candidates += [np.random.default_rng(s).pareto(1.5, model.n_leaves) for s in streams]
+    F = np.stack(candidates)
+    ratios, in_norms = _ratios(model, a, F[1:], p, q)
     if np.all(in_norms == 0):
         raise ValueError("all candidates have zero mu-norm")
+    ratios = np.concatenate([cubes[k:k + 1], ratios])
     best_idx = int(np.argmax(ratios))
     best_ratio = float(ratios[best_idx])
     best_f = F[best_idx]
 
-    n = model.n_nodes
-    starts = [int(np.argmax(ratios[:n])), n]
+    starts = [0, 1]
     if search.n_random > 0:
-        starts.append(n + 1 + int(np.argmax(ratios[n + 1:])))
+        starts.append(2 + int(np.argmax(ratios[2:])))
     X, steps = F[starts], []
     for _ in range(search.ascent_rounds):
         X = _power_step(model, a, X, p, q)

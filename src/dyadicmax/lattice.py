@@ -194,6 +194,16 @@ class DyadicModel:
             arr.setflags(write=False)
         return out
 
+    @cached_property
+    def _families(self):
+        """Child lists of the interior nodes, one row each, padded with n_nodes."""
+        lists = [ch for ch in self.children if ch]
+        out = np.full((len(lists), max(map(len, lists), default=0)), self.n_nodes)
+        for row, ch in enumerate(lists):
+            out[row, :len(ch)] = ch
+        out.setflags(write=False)
+        return out
+
     def ancestors_or_self(self, k):
         out = []
         while k >= 0:
@@ -440,6 +450,22 @@ def _lq_rows(T, q):
     R = T / np.where(peak > 0, peak, 1.0)[..., None]
     R **= q
     return peak * R.sum(axis=-1) ** (1.0 / q)
+
+
+def _running_lq(T, q):
+    """ell-q norms of T[..., :d] >= 0 for d = 0..n, each step rescaled by the running peak."""
+    out = np.zeros(T.shape[:-1] + (T.shape[-1] + 1,))
+    if q == math.inf:
+        out[..., 1:] = np.maximum.accumulate(T, axis=-1)
+        return out
+    peak, acc = np.zeros((2,) + T.shape[:-1])
+    for d in range(T.shape[-1]):
+        new_peak = np.maximum(peak, T[..., d])
+        scale = np.where(new_peak > 0, new_peak, 1.0)
+        acc = acc * (peak / scale) ** q + (T[..., d] / scale) ** q
+        peak = new_peak
+        out[..., d + 1] = peak * acc ** (1.0 / q)
+    return out
 
 
 def _lq_groups(values, group, n, q):

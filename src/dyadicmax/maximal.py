@@ -7,21 +7,16 @@ q-th powers for finite q, a sup for q = inf.  Cube truncation keeps only the
 subcubes of a fixed Q; depth truncation discards the top levels of the
 forest.
 
-Single-function evaluations run on two leaf-by-level tables that a
-coefficient family builds once and caches: the ancestor of every atom at
-every depth, and the coefficient of that ancestor at the atom.  One row of
-terms |I_R| * a_R(x) per atom x, each integral summed from its cube's own
-atoms, then serves the full operator and both truncations (a reduction over
-a range of levels), the testing constant (a suffix reduction along each
-atom's path, with f = 1_Q) and the stopping blocks of the proof chain (a
-reduction over each run of levels that one block owns).  Every ell-q
-combination divides by its peak before the power, by rows
-(``lattice._lq_rows``) or by groups (``lattice._lq_groups``).  The batch
-evaluation behind the operator-norm search runs on the same tables, a block
-of rows at a time, since one gather over (rows, atoms, levels) would hold a
-table per candidate.  On a 1093-node ternary tree, 1158 candidates at q = 4
-took 0.17 s in blocks of 2^18 terms and 0.18 s in one piece; at q = inf
-0.037 and 0.074 s (best of 7, 2-vCPU Xeon VM).
+Every evaluation runs on two leaf-by-level tables that a coefficient family
+builds once and caches: the ancestor of every atom at every depth, and the
+coefficient of that ancestor at the atom.  One row of terms |I_R| * a_R(x)
+per atom x, each integral summed from its cube's own atoms, serves the full
+operator on one function or a batch, both truncations (a reduction over a
+range of levels), the testing constant and the ratio of every cube indicator
+(running reductions along each atom's path) and the proof chain's stopping
+blocks (a reduction over each run of levels that one block owns).  Every
+ell-q combination divides by its peak before the power, by rows, by groups
+or along a running prefix (``lattice._lq_rows``, ``_lq_groups``, ``_running_lq``).
 """
 
 from __future__ import annotations
@@ -35,7 +30,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .lattice import MU, DyadicModel, _lq_groups, _lq_rows, as_leaf_function
+from .lattice import MU, DyadicModel, _lq_groups, _lq_rows, _running_lq, as_leaf_function
 
 __all__ = [
     "CoefficientFamily",
@@ -48,9 +43,6 @@ __all__ = [
     "read_coefficients",
     "write_coefficients",
 ]
-
-# terms per block of a batch evaluation: 2 MB of floats, small enough to stay in cache
-_BATCH_TERMS = 1 << 18
 
 
 def _checked_vector(model, k, entry):
@@ -231,21 +223,6 @@ def _check_tree(model: DyadicModel, a: CoefficientFamily):
             raise ValueError("coefficient family was built for a different tree")
 
 
-def _apply_batch(model, a, F, q):
-    """Full operator on every row of a (m, n_leaves) batch of functions.
-
-    Rows go through the leaf-by-level tables a block at a time, so that one
-    block's terms hold about _BATCH_TERMS floats.
-    """
-    anc, _ = a._leaf_levels()
-    rows = max(1, _BATCH_TERMS // anc.size)
-    out = np.empty((F.shape[0], model.n_leaves))
-    for s in range(0, F.shape[0], rows):
-        ints = node_integrals(model, F[s:s + rows])
-        out[s:s + rows] = _lq_rows(_level_terms(model, a, ints), q)
-    return out
-
-
 def _level_terms(model, a, integrals):
     """Terms |I_R| * a_R(x): one row per atom x, one column per depth of R.
 
@@ -259,9 +236,9 @@ def _level_terms(model, a, integrals):
 
 
 def _apply_levels(model, a, f, q, first_level=0, leaves=slice(None)):
-    """The operator on f over the cubes at depth >= first_level, on some atoms."""
+    """The operator on f, or on a batch of rows, over the cubes at depth >= first_level."""
     ints = node_integrals(model, f)
-    return _lq_rows(_level_terms(model, a, ints)[leaves, first_level:], q)
+    return _lq_rows(_level_terms(model, a, ints)[..., leaves, first_level:], q)
 
 
 def _indicator_norms(model: DyadicModel, a: CoefficientFamily, p, q) -> np.ndarray:
@@ -275,24 +252,43 @@ def _indicator_norms(model: DyadicModel, a: CoefficientFamily, p, q) -> np.ndarr
     the ancestor at their depth through one grouped ell-p norm, rescaled by
     the cube's peak, so the powers stay finite at any p.
     """
-    T = _level_terms(model, a, model.mu_node)
-    if q == math.inf:
-        S = np.maximum.accumulate(T[:, ::-1], axis=1)[:, ::-1]
-    else:
-        S = np.empty_like(T)
-        peak = np.zeros(T.shape[0])
-        acc = np.zeros(T.shape[0])
-        for d in range(T.shape[1] - 1, -1, -1):
-            t = T[:, d]
-            new_peak = np.maximum(peak, t)
-            scale = np.where(new_peak > 0, new_peak, 1.0)
-            acc = acc * (peak / scale) ** q + (t / scale) ** q
-            peak = new_peak
-            S[:, d] = peak * acc ** (1.0 / q)
+    S = _running_lq(_level_terms(model, a, model.mu_node)[:, ::-1], q)[:, :0:-1]
     anc, _ = a._leaf_levels()
     keep = (anc >= 0) & (model.nu_leaf[:, None] > 0)
     weight = np.broadcast_to(model.nu_leaf[:, None] ** (1.0 / p), anc.shape)
     return _lq_groups(weight[keep] * S[keep], anc[keep], model.n_nodes, p)
+
+
+def _indicator_ratios(model: DyadicModel, a: CoefficientFamily, p, q) -> np.ndarray:
+    """|M 1_Q|_p,nu / mu(Q)^(1/p) for every cube Q, and -1 where mu(Q) = 0.
+
+    For f = 1_Q, I_R is mu(R) on the subcubes R of Q, mu(Q) on Q's strict
+    ancestors and 0 elsewhere.  So on Q, at depth d, M 1_Q is the ell-q norm of
+    mu(Q) * P[., d], P the norm of the coefficients above d, and the suffix
+    S[., d] of ``_indicator_norms``; on a sibling C' of a cube on Q's root path
+    it is mu(Q) * P[., depth C'].  Each path cube's ell-p norm over its siblings
+    of Y(C') = |P[., depth C']|_p,nu over C' joins running norms from both ends
+    of the child list, not a total less the cube's own part, which would lose
+    a small cube beside a big one.
+    """
+    n, fam = model.n_nodes, model._families
+    anc, coef = a._leaf_levels()
+    S, P = _running_lq(np.stack([_level_terms(model, a, model.mu_node)[:, ::-1], coef]), q)
+    S, P = S[:, :0:-1], P[:, :-1]
+    keep = (anc >= 0) & (model.nu_leaf[:, None] > 0)
+    weight = np.broadcast_to(model.nu_leaf[:, None] ** (1.0 / p), anc.shape)[keep]
+    node, P = anc[keep], P[keep]
+    on = _lq_rows(np.stack([model.mu_node[node] * P, S[keep]], axis=-1), q)
+    on = _lq_groups(weight * on, node, n, p)
+    Y = np.append(_lq_groups(weight * P, node, n, p), 0.0)[fam]
+    before, after = _running_lq(np.stack([Y, Y[:, ::-1]]), p)  # first and last i children
+    beside = np.zeros(n + 1)
+    beside[fam] = _lq_rows(np.stack([before[:, :-1], after[:, -2::-1]], axis=-1), p)
+    path = np.empty(n + 1)  # anc = -1, below an atom's own depth, writes to spare slot n
+    path[anc] = _running_lq(beside[anc], p)[:, 1:]
+    norms = _lq_rows(np.stack([on, model.mu_node * path[:n]], axis=-1), p)
+    pos = model.mu_node > 0
+    return np.where(pos, norms / np.where(pos, model.mu_node, 1.0) ** (1.0 / p), -1.0)
 
 
 def _apply_by_label(model: DyadicModel, a: CoefficientFamily, f, q, labels):

@@ -76,3 +76,15 @@ def ref_testing_constant(model, a, p, q):
         if ratio > best:
             best, witness = ratio, model.ids[k]
     return best, witness
+
+
+def ref_indicator_ratios(model, a, p, q):
+    """|M 1_Q|_p,nu / |1_Q|_p,mu for every cube Q, -1 where 1_Q has mu-norm 0."""
+    out = []
+    for k in range(model.n_nodes):
+        one_q = np.zeros(model.n_leaves)
+        one_q[model.leaf_lo[k]:model.leaf_hi[k]] = 1.0
+        den = ref_lp_norm(model, one_q, p, "mu")
+        num = ref_lp_norm(model, ref_maximal(model, a, one_q, q), p, "nu")
+        out.append(num / den if den > 0 else -1.0)
+    return np.asarray(out)

@@ -1,15 +1,17 @@
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
 import pytest
 
-from dyadicmax import (CoefficientFamily, NormSearch, VerificationError,
-                       apply_maximal, holder_conjugate, indicator, lp_norm,
-                       operator_norm_bruteforce, operator_norm_lower,
-                       testing_constant, theorem_constant, theorem_constant_hp,
-                       verify_theorem)
+from dyadicmax import (CoefficientFamily, NormSearch, RandomModelParams,
+                       VerificationError, apply_maximal, holder_conjugate, indicator,
+                       lp_norm, operator_norm_bruteforce, operator_norm_lower,
+                       random_model, testing_constant, theorem_constant,
+                       theorem_constant_hp, verify_theorem)
 from dyadicmax.constants import _power_step
+from dyadicmax.maximal import _indicator_ratios
 
 from _reference import ref_testing_constant
 from conftest import INF, make_instance, random_nonneg
@@ -346,16 +348,18 @@ def test_norm_lower_deterministic():
 def test_norm_lower_matches_step_by_step_evaluation():
     # operator_norm_lower evaluates all power steps in one batch; this replays
     # them one step at a time and keeps the first strictly better iterate
-    from dyadicmax.constants import _indicator_rows, _ratios
+    # from the best cube indicator, whose ratio comes in closed form
+    from dyadicmax.constants import _ratios
     for seed in range(8):
         model, a = make_instance(seed, branch_min=1 + seed % 2)
         if np.all(model.mu_leaf == 0):
             continue
         for p, q in ((1.5, 3.0), (2.0, INF), (3.0, 3.0)):
-            F = np.vstack([_indicator_rows(model), np.ones((1, model.n_leaves))])
-            ratios, _ = _ratios(model, a, F, p, q)
-            best, best_f = ratios.max(), F[np.argmax(ratios)]
-            X = F[[int(np.argmax(ratios[:model.n_nodes])), model.n_nodes]]
+            cubes = _indicator_ratios(model, a, p, q)
+            k = int(np.argmax(cubes))
+            X = np.vstack([indicator(model, model.ids[k]), np.ones(model.n_leaves)])
+            ratios = np.append(cubes[k], _ratios(model, a, X[1:], p, q)[0])
+            best, best_f = ratios.max(), X[np.argmax(ratios)]
             for _ in range(6):
                 X = _power_step(model, a, X, p, q)
                 step, _ = _ratios(model, a, X, p, q)
@@ -365,6 +369,22 @@ def test_norm_lower_matches_step_by_step_evaluation():
                                              NormSearch(n_random=0, ascent_rounds=6))
             assert A == best, (seed, p, q)
             assert np.array_equal(witness, best_f / lp_norm(model, best_f, p, "mu"))
+
+
+def test_norm_lower_holds_no_dense_indicator_batch():
+    # one (nodes, leaves) float batch of every cube indicator is 54.7 MiB here
+    params = RandomModelParams(depth_min=7, depth_max=7, branch_min=3, branch_max=3,
+                               zero_prob_mu=0.15, zero_prob_nu=0.15)
+    model = random_model(params, 5)
+    a = CoefficientFamily.random(model, 6)
+    assert model.n_nodes == 3280
+    tracemalloc.start()
+    try:
+        operator_norm_lower(model, a, 2.0, INF, NormSearch(n_random=64, ascent_rounds=12))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < model.n_nodes * model.n_leaves * 8, peak / 2 ** 20
 
 
 def test_power_step_never_lowers_the_ratio():

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from dyadicmax import (Exponents, ModelError, RandomModelParams, average,
                        build_model, integrate, lp_norm, random_model,
                        read_model, write_model)
-from dyadicmax.lattice import _lq_groups, _lq_rows, model_to_dict
+from dyadicmax.lattice import _lq_groups, _lq_rows, _running_lq, model_to_dict
 from dyadicmax.maximal import node_integrals
 
 from _reference import ref_integrate, ref_lp_norm
@@ -207,6 +207,11 @@ def test_lq_groups_match_lq_rows(q):
     got = _lq_groups(values, group, 7, q)
     assert got[6] == 0.0 and got[0] == pytest.approx(1e200, rel=1e-15)
     np.testing.assert_allclose(got, _lq_rows(rows, q), rtol=1e-14, atol=0)
+    # the running kernel gives every prefix of every row
+    prefixes = np.stack([_lq_rows(rows[:, :d], q) for d in range(1, 41)], axis=-1)
+    running = _running_lq(rows, q)
+    assert np.all(running[:, 0] == 0.0)
+    np.testing.assert_allclose(running[:, 1:], prefixes, rtol=1e-14, atol=0)
 
 
 def test_random_model_deterministic():

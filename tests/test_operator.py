@@ -6,10 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dyadicmax import (CoefficientFamily, apply_depth_truncated, apply_maximal,
-                       apply_truncated, classical_coefficients,
+                       apply_truncated, classical_coefficients, indicator, lp_norm,
                        read_coefficients, write_coefficients)
+from dyadicmax.maximal import _indicator_ratios
 
-from _reference import ref_depth_truncated, ref_maximal, ref_truncated
+from _reference import (ref_depth_truncated, ref_indicator_ratios, ref_maximal,
+                        ref_truncated)
 from conftest import INF, make_instance, random_nonneg
 
 
@@ -203,3 +205,42 @@ def test_truncation_bounded_by_full(seed):
     lo, hi = model.leaf_lo[model.roots[0]], model.leaf_hi[model.roots[0]]
     assert np.allclose(at_root[lo:hi], full[lo:hi], rtol=1e-12, atol=1e-12)
     assert np.all(at_root[:lo] == 0) and np.all(at_root[hi:] == 0)
+
+
+# -- closed-form indicator ratios ---------------------------------------------
+
+
+@pytest.mark.parametrize("p, q", [(1.5, 1.5), (1.5, 3.0), (2.0, INF), (2.0, 50.0),
+                                  (3.0, 6.0), (8.0, 8.0), (8.0, 16.0)])
+def test_indicator_ratios_match_reference(p, q):
+    for seed in range(12):
+        model, a = make_instance(seed, roots=1 + seed % 3, branch_min=1 + seed % 2)
+        got = _indicator_ratios(model, a, p, q)
+        want = ref_indicator_ratios(model, a, p, q)
+        assert np.array_equal(got < 0, want < 0)
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
+        # cubes whose indicators agree mu-almost everywhere tie exactly in the
+        # reference; the closed form may take any of them, and no other cube
+        assert want[np.argmax(got)] == want.max(), seed
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10 ** 6), roots=st.integers(1, 3),
+       branch_min=st.integers(1, 2), p=st.floats(1.05, 1000.0),
+       q_of=st.sampled_from(["p", "2p", 1e6, INF]),
+       scale=st.sampled_from([1e-8, 1.0, 1e8]))
+def test_indicator_ratios_match_per_cube_operator(seed, roots, branch_min, p, q_of,
+                                                  scale):
+    model, a = make_instance(seed, roots=roots, branch_min=branch_min)
+    a = a.scaled(scale)
+    q = {"p": p, "2p": 2 * p}.get(q_of, q_of)
+    got = _indicator_ratios(model, a, p, q)
+    assert np.all(np.isfinite(got))
+    for k, nid in enumerate(model.ids):
+        one_q = indicator(model, nid)
+        den = lp_norm(model, one_q, p, "mu")
+        if den == 0:
+            assert got[k] == -1.0
+            continue
+        want = lp_norm(model, apply_maximal(model, a, one_q, q).values, p, "nu") / den
+        assert got[k] == pytest.approx(want, rel=1e-13, abs=0), (k, want)
