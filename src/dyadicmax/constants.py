@@ -92,9 +92,10 @@ class NormSearch:
     """Budgets for the operator-norm lower-bound search.
 
     Indicators of all cubes are always tried (they alone certify B <= A);
-    ``n_random`` seeded random candidates probe beyond them, and
-    ``ascent_rounds`` nonlinear power steps then climb from the best
-    indicator, from the constant function and from the best random candidate.
+    ``n_random`` random candidates, drawn row by row from one generator
+    seeded with ``seed`` (so the first k do not depend on ``n_random``),
+    probe beyond them, and ``ascent_rounds`` nonlinear power steps then climb
+    from the best indicator, the constant function and the best random one.
     """
 
     n_random: int = 200
@@ -127,8 +128,7 @@ def _power_step(model, a, F, p, q):
     top = Mf.max(axis=1, keepdims=True)
     weight = model.nu_leaf * (Mf / np.where(top > 0, top, 1.0)) ** (p - 1.0)
     if q == math.inf:
-        share = np.zeros_like(T)
-        np.put_along_axis(share, T.argmax(axis=2)[..., None], 1.0, axis=2)
+        share = (T.argmax(axis=2)[..., None] == np.arange(T.shape[2])).astype(float)
     else:
         share = (T / np.where(Mf > 0, Mf, 1.0)[..., None]) ** (q - 1.0)
     # padding (anc = -1) goes to a zero column n, which g[:, anc] reads back
@@ -145,8 +145,9 @@ def operator_norm_lower(model: DyadicModel, a: CoefficientFamily, p, q,
     """Certified lower bound for the L^p(mu) -> L^p(nu) operator norm.
 
     Maximizes |Mf|_p,nu / |f|_p,mu over cube indicators, the constant
-    function and seeded random nonnegative functions (heavy-tailed,
-    independent substream each), then runs a nonlinear power iteration
+    function and random nonnegative functions (heavy-tailed, drawn row by row
+    from one generator seeded with ``search.seed``, so the first k do not
+    depend on ``n_random``), then runs a nonlinear power iteration
     (Boyd 1974; Higham 1992) from the best indicator, the constant function
     and the best random candidate.  Every iterate is evaluated exactly at the
     true q and the best ratio seen is kept, so the bound is certified whether
@@ -158,11 +159,9 @@ def operator_norm_lower(model: DyadicModel, a: CoefficientFamily, p, q,
 
     cubes = _indicator_ratios(model, a, p, q)
     k = int(np.argmax(cubes))  # the first best cube, which the row below stands for
-    candidates = [indicator(model, model.ids[k]), np.ones(model.n_leaves)]
-    if search.n_random > 0:
-        streams = np.random.SeedSequence(search.seed).spawn(search.n_random)
-        candidates += [np.random.default_rng(s).pareto(1.5, model.n_leaves) for s in streams]
-    F = np.stack(candidates)
+    rng = np.random.default_rng(search.seed)
+    F = np.vstack([indicator(model, model.ids[k]), np.ones(model.n_leaves),
+                   rng.pareto(1.5, (search.n_random, model.n_leaves))])
     ratios, in_norms = _ratios(model, a, F[1:], p, q)
     if np.all(in_norms == 0):
         raise ValueError("all candidates have zero mu-norm")

@@ -214,6 +214,20 @@ def test_lq_groups_match_lq_rows(q):
     np.testing.assert_allclose(running[:, 1:], prefixes, rtol=1e-14, atol=0)
 
 
+@pytest.mark.parametrize("q", [1.5, 4, 1e6, math.inf])
+def test_running_lq_batch_matches_each_slice(q):
+    # _indicator_ratios runs the kernel on two tables stacked this way
+    rng = np.random.default_rng(5)
+    T = rng.pareto(1.5, (2, 9, 6))
+    T[0, 2] = 0.0
+    T[1, 4, 1], T[1, 4, 3] = 1e200, 1e-200
+    T[0, 6, 0], T[0, 6, 5] = 1e-200, 1e200
+    batch = _running_lq(T, q)
+    assert np.all(batch[0, 2] == 0.0)
+    for i in range(2):
+        assert np.array_equal(batch[i], _running_lq(T[i], q))
+
+
 def test_random_model_deterministic():
     params = RandomModelParams(depth_min=2, depth_max=4, branch_min=2,
                                branch_max=3, zero_prob_mu=0.2)
