@@ -14,10 +14,11 @@ from __future__ import annotations
 import copy
 import json
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from pathlib import Path
-from typing import Mapping
 
 import numpy as np
 
@@ -32,6 +33,7 @@ __all__ = [
     "Exponents",
     "RandomModelParams",
     "build_model",
+    "leaf_values",
     "integrate",
     "average",
     "lp_norm",
@@ -48,15 +50,14 @@ class ModelError(ValueError):
     """A tree description violates the model contract."""
 
 
-def _as_mass_array(values, n, what):
-    arr = np.asarray(values, dtype=float)
-    if arr.shape != (n,):
-        raise ModelError(f"{what}: expected {n} values, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ModelError(f"{what}: non-finite mass")
-    if np.any(arr < 0):
-        raise ModelError(f"negative mass in {what}")
-    return arr
+def _index(ids):
+    """{id: position} for a list of distinct ids."""
+    index = dict(zip(ids, range(len(ids))))
+    if len(index) != len(ids):
+        seen = set()
+        dup = next(i for i in ids if i in seen or seen.add(i))
+        raise ModelError(f"duplicate id: {dup!r}")
+    return index
 
 
 class DyadicModel:
@@ -65,7 +66,16 @@ class DyadicModel:
     Nodes are addressed by string ids.  Leaves are ordered depth-first
     (roots in document order, children in their given order), so the set of
     leaves below any node is a contiguous slice of the leaf vector; this is
-    what makes integrals over cubes cheap.
+    what makes integrals over cubes cheap.  The masses ``mu_leaf`` and
+    ``nu_leaf`` come in that leaf order, or as maps {leaf id: mass}.
+
+    The layout arrays (``depth``, ``dfs_order``, the subtree intervals
+    ``dfs_lo``/``dfs_hi`` and ``leaf_lo``/``leaf_hi``) come from one walk over
+    plain lists, turned into arrays once.  Tables that depend on the shape
+    alone (``levels``, the child lists and the leaf-by-level ancestor table)
+    are built on first use and cached on the model, so every coefficient
+    family on the tree, and every ``with_measures`` copy made after they
+    exist, shares them.
 
     Instances are immutable after construction and safe to share across
     threads; all module operations are pure functions of their inputs.
@@ -75,74 +85,65 @@ class DyadicModel:
         n = len(ids)
         if n == 0:
             raise ModelError("empty model")
-        if len(set(ids)) != n:
-            seen = set()
-            dup = next(i for i in ids if i in seen or seen.add(i))
-            raise ModelError(f"duplicate id: {dup!r}")
-        self.ids = tuple(str(i) for i in ids)
-        self.index = {nid: k for k, nid in enumerate(self.ids)}
+        self.ids = tuple(map(str, ids))
+        self.index = _index(self.ids)
         self.parent = np.asarray(parents, dtype=np.int64)
-        self.children = tuple(tuple(c) for c in children)
-        self.roots = tuple(int(k) for k in np.flatnonzero(self.parent < 0))
+        self.children = tuple(map(tuple, children))
+        listed = tuple(chain.from_iterable(self.children))
+        if listed and not (0 <= min(listed) and max(listed) < n):
+            raise ModelError(f"child index out of range [0, {n})")
+        self.roots = tuple(np.flatnonzero(self.parent < 0).tolist())
         if not self.roots:
             raise ModelError("cycle detected: no root node")
 
-        for k, ch in enumerate(self.children):
-            if ch and len(ch) < min_children:
+        # Depth-first walk over plain lists: detects cycles and orphans, checks
+        # the child counts, fixes the leaf order and the subtree intervals.  ~k
+        # (negative, unlike any child index) on the stack marks the end of k's
+        # subtree.
+        depth, lo, hi, leaf_lo, leaf_hi = ([-1] * n for _ in range(5))
+        order, leaves = [], []
+        stack = list(self.roots[::-1])
+        pos = n_leaves = d = 0
+        while stack:
+            k = stack.pop()
+            if k < 0:
+                k, d = ~k, d - 1
+                hi[k], leaf_hi[k] = pos, n_leaves
+                continue
+            if depth[k] >= 0:
+                raise ModelError(f"cycle detected at node {self.ids[k]!r}")
+            depth[k], lo[k], leaf_lo[k] = d, pos, n_leaves
+            order.append(k)
+            pos += 1
+            ch = self.children[k]
+            if not ch:
+                leaves.append(k)
+                n_leaves += 1
+                hi[k], leaf_hi[k] = pos, n_leaves
+            elif len(ch) < min_children:
                 raise ModelError(
                     f"node {self.ids[k]!r} has {len(ch)} children; minimum is {min_children}"
                 )
-
-        # Depth-first walk: detects cycles/orphans, fixes the leaf order and
-        # the subtree intervals used everywhere else.
-        depth = np.full(n, -1, dtype=np.int64)
-        dfs_order = np.empty(n, dtype=np.int64)
-        dfs_lo = np.empty(n, dtype=np.int64)
-        dfs_hi = np.empty(n, dtype=np.int64)
-        leaf_lo = np.empty(n, dtype=np.int64)
-        leaf_hi = np.empty(n, dtype=np.int64)
-        leaf_nodes = []
-        pos = 0
-        for root in self.roots:
-            stack = [(root, 0, False)]
-            while stack:
-                node, d, done = stack.pop()
-                if done:
-                    dfs_hi[node] = pos
-                    leaf_hi[node] = len(leaf_nodes)
-                    continue
-                if depth[node] >= 0:
-                    raise ModelError(f"cycle detected at node {self.ids[node]!r}")
-                depth[node] = d
-                dfs_order[pos] = node
-                dfs_lo[node] = pos
-                leaf_lo[node] = len(leaf_nodes)
-                pos += 1
-                stack.append((node, d, True))
-                if not self.children[node]:
-                    leaf_nodes.append(node)
-                else:
-                    for c in reversed(self.children[node]):
-                        stack.append((c, d + 1, False))
+            else:
+                d += 1
+                stack.append(~k)
+                stack.extend(ch[::-1])
         if pos != n:
-            missed = self.ids[int(np.flatnonzero(depth < 0)[0])]
-            raise ModelError(f"cycle detected: node {missed!r} unreachable from any root")
+            raise ModelError(
+                f"cycle detected: node {self.ids[depth.index(-1)]!r} unreachable from any root"
+            )
 
-        self.depth = depth
-        self.dfs_order = dfs_order
-        self.dfs_lo = dfs_lo
-        self.dfs_hi = dfs_hi
-        self.leaf_lo = leaf_lo
-        self.leaf_hi = leaf_hi
-        self.leaf_nodes = np.asarray(leaf_nodes, dtype=np.int64)
-        self.is_leaf = np.zeros(n, dtype=bool)
-        self.is_leaf[self.leaf_nodes] = True
-        self.leaf_ids = tuple(self.ids[k] for k in self.leaf_nodes)
-        self.leaf_index = {nid: j for j, nid in enumerate(self.leaf_ids)}
+        (self.depth, self.dfs_lo, self.dfs_hi, self.leaf_lo,
+         self.leaf_hi) = np.array([depth, lo, hi, leaf_lo, leaf_hi], dtype=np.int64)
+        self.dfs_order = np.array(order, dtype=np.int64)
+        self.leaf_nodes = np.array(leaves, dtype=np.int64)
+        self.is_leaf = self.dfs_hi - self.dfs_lo == 1
+        self.leaf_ids = tuple(map(self.ids.__getitem__, leaves))
+        self.leaf_index = dict(zip(self.leaf_ids, range(len(leaves))))
         # interior nodes in DFS order, so that the gaps between their intervals,
         # which reduceat also sums, are disjoint: O(nodes) extra work in all
-        self._inner = dfs_order[~self.is_leaf[dfs_order]]
-        self._inner_bounds = np.stack([dfs_lo, dfs_hi], axis=1)[self._inner].ravel()
+        self._inner = self.dfs_order[~self.is_leaf[self.dfs_order]]
+        self._inner_bounds = np.stack([self.dfs_lo, self.dfs_hi], axis=1)[self._inner].ravel()
 
         for arr in (self.parent, self.depth, self.dfs_order, self.dfs_lo, self.dfs_hi,
                     self.leaf_lo, self.leaf_hi, self.leaf_nodes, self.is_leaf,
@@ -151,13 +152,30 @@ class DyadicModel:
         self._set_measures(mu_leaf, nu_leaf)
 
     def _set_measures(self, mu_leaf, nu_leaf):
-        m = len(self.leaf_ids)
-        self.mu_leaf = _as_mass_array(mu_leaf, m, "mu")
-        self.nu_leaf = _as_mass_array(nu_leaf, m, "nu")
-        self.mu_node = self._subtree_sums(self.mu_leaf)
-        self.nu_node = self._subtree_sums(self.nu_leaf)
+        self.mu_leaf = self._checked_masses(mu_leaf, MU)
+        self.nu_leaf = self._checked_masses(nu_leaf, NU)
+        self.mu_node, self.nu_node = self._subtree_sums(np.stack([self.mu_leaf, self.nu_leaf]))
         for arr in (self.mu_leaf, self.nu_leaf, self.mu_node, self.nu_node):
             arr.setflags(write=False)
+
+    def _checked_masses(self, values, what):
+        """Validated masses in leaf order, from a sequence or a {leaf id: mass} map."""
+        if isinstance(values, Mapping):
+            values = leaf_values(self, values, what)
+        try:
+            arr = np.asarray(values, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise ModelError(f"{what}: masses must be numbers ({exc})") from None
+        if arr.shape != (self.n_leaves,):
+            raise ModelError(f"{what}: expected {self.n_leaves} values, got shape {arr.shape}")
+        finite = np.isfinite(arr)
+        if not finite.all():
+            leaf = self.leaf_ids[int(np.argmin(finite))]
+            raise ModelError(f"{what} mass of leaf {leaf!r} is not a finite number")
+        if (arr < 0).any():
+            leaf = self.leaf_ids[int(np.argmax(arr < 0))]
+            raise ModelError(f"negative mass in {what} at leaf {leaf!r}")
+        return arr
 
     # -- structure ---------------------------------------------------------
 
@@ -203,6 +221,19 @@ class DyadicModel:
             out[row, :len(ch)] = ch
         out.setflags(write=False)
         return out
+
+    @cached_property
+    def _ancestors(self):
+        """The ancestor of every atom at every depth: one row per leaf, one column
+        per depth, -1 below the leaf.  It depends on the tree's shape only."""
+        anc = np.full((self.n_leaves, self.max_depth + 1), -1, dtype=np.int64)
+        rows, cur = np.arange(self.n_leaves), self.leaf_nodes
+        while rows.size:
+            anc[rows, self.depth[cur]] = cur
+            cur = self.parent[cur]
+            rows, cur = rows[cur >= 0], cur[cur >= 0]
+        anc.setflags(write=False)
+        return anc
 
     def ancestors_or_self(self, k):
         out = []
@@ -261,8 +292,9 @@ class DyadicModel:
     def with_measures(self, mu_leaf=None, nu_leaf=None):
         """A model with the same tree shape and replaced leaf masses.
 
-        The shape is read-only, so the new model shares it instead of
-        walking the tree again.
+        The shape is read-only, so the new model shares it, and the shape
+        tables already built (such as the ancestor table), instead of walking
+        the tree again.  Masses may be given in leaf order or by leaf id.
         """
         model = copy.copy(self)
         model._set_measures(self.mu_leaf if mu_leaf is None else mu_leaf,
@@ -334,65 +366,71 @@ def build_model(spec: Mapping, *, min_children: int = 2) -> DyadicModel:
     children (lower it to 1 to allow chains).
     """
     try:
-        node_specs = list(spec["nodes"])
-        mu_map = {str(k): v for k, v in dict(spec["mu"]).items()}
-        nu_map = {str(k): v for k, v in dict(spec["nu"]).items()}
+        records, mu_map, nu_map = list(spec["nodes"]), spec["mu"], spec["nu"]
     except (KeyError, TypeError) as exc:
         raise ModelError(f"malformed model spec: {exc}") from None
-    if not node_specs:
+    if not (isinstance(mu_map, Mapping) and isinstance(nu_map, Mapping)):
+        raise ModelError("malformed model spec: mu and nu must map leaf ids to masses")
+    if not records:
         raise ModelError("empty model")
 
-    ids = []
-    parent_ids = []
-    declared_children = {}
-    for rec in node_specs:
-        nid = str(rec["id"])
-        if nid in declared_children:
-            raise ModelError(f"duplicate id: {nid!r}")
-        ids.append(nid)
-        parent_ids.append(rec.get("parent"))
-        declared_children[nid] = rec.get("children")
-
-    index = {nid: k for k, nid in enumerate(ids)}
-    parents = np.full(len(ids), -1, dtype=np.int64)
+    try:
+        ids = [str(rec["id"]) for rec in records]
+    except (KeyError, TypeError):
+        pos, rec = next((pos, rec) for pos, rec in enumerate(records)
+                        if not isinstance(rec, Mapping) or "id" not in rec)
+        raise ModelError(f"node record {pos} is not an object with an 'id': {rec!r}") from None
+    index = _index(ids)
+    parent_ids = [rec.get("parent") for rec in records]
+    parents = [-1 if pid is None else index.get(str(pid), -2) for pid in parent_ids]
+    if -2 in parents:
+        k = parents.index(-2)
+        raise ModelError(f"orphan node {ids[k]!r}: unknown parent {str(parent_ids[k])!r}")
     children = [[] for _ in ids]
-    for k, pid in enumerate(parent_ids):
-        if pid is None:
-            continue
-        pid = str(pid)
-        if pid not in index:
-            raise ModelError(f"orphan node {ids[k]!r}: unknown parent {pid!r}")
-        parents[k] = index[pid]
-        children[index[pid]].append(k)
+    for k, pid in enumerate(parents):
+        if pid >= 0:
+            children[pid].append(k)
 
-    for nid, declared in declared_children.items():
-        if declared is None:
-            continue
-        actual = [ids[c] for c in children[index[nid]]]
-        if [str(c) for c in declared] != actual:
-            raise ModelError(f"children of {nid!r} disagree with parent links")
+    # declared child lists must match the parent links: compared all at once,
+    # as their lengths and their concatenation, and node by node only to name
+    # the first that disagrees
+    listed = [k for k, rec in enumerate(records) if rec.get("children") is not None]
+    declared = [records[k]["children"] for k in listed]
+    actual = [children[k] for k in listed]
+    if not set(map(type, declared)) <= {list, tuple}:
+        k, got = next((k, c) for k, c in zip(listed, declared) if type(c) not in (list, tuple))
+        raise ModelError(f"children of {ids[k]!r} must be a list of ids, got {got!r}")
+    if (list(map(len, declared)) != list(map(len, actual))
+            or list(map(str, chain.from_iterable(declared)))
+            != list(map(ids.__getitem__, chain.from_iterable(actual)))):
+        k = next(k for k, c, a in zip(listed, declared, actual)
+                 if list(map(str, c)) != [ids[j] for j in a])
+        raise ModelError(f"children of {ids[k]!r} disagree with parent links")
 
-    leaf_set = [ids[k] for k in range(len(ids)) if not children[k]]
-    for name, mass_map in ((MU, mu_map), (NU, nu_map)):
-        for key in mass_map:
-            if key not in index:
-                raise ModelError(f"{name} mass for unknown node {key!r}")
-            if children[index[key]]:
-                raise ModelError(f"{name} mass assigned to non-leaf {key!r}")
-        missing = [nid for nid in leaf_set if nid not in mass_map]
-        if missing:
-            raise ModelError(f"missing {name} mass for leaf {missing[0]!r}")
+    return DyadicModel(ids, parents, children, mu_map, nu_map, min_children=min_children)
 
-    # shape first, then masses keyed by id in the model's own leaf order
-    model = DyadicModel(
-        ids, parents, children,
-        np.zeros(len(leaf_set)), np.zeros(len(leaf_set)),
-        min_children=min_children,
-    )
-    return model.with_measures(
-        mu_leaf=[float(mu_map[nid]) for nid in model.leaf_ids],
-        nu_leaf=[float(nu_map[nid]) for nid in model.leaf_ids],
-    )
+
+def leaf_values(model: DyadicModel, values: Mapping, what: str) -> list:
+    """The values of a map {leaf id: value}, in the model's leaf order.
+
+    Every leaf needs a value and every key must be a leaf id; ``what`` names
+    the map in the error.  The values themselves are not checked here.
+    """
+    if len(values) == model.n_leaves:
+        try:
+            return [values[nid] for nid in model.leaf_ids]
+        except KeyError:
+            pass
+    keyed = {str(k): v for k, v in values.items()}
+    for key in keyed:
+        if key not in model.index:
+            raise ModelError(f"{what} mass for unknown node {key!r}")
+        if not model.is_leaf[model.index[key]]:
+            raise ModelError(f"{what} mass assigned to non-leaf {key!r}")
+    missing = next((nid for nid in model.leaf_ids if nid not in keyed), None)
+    if missing is not None:
+        raise ModelError(f"missing {what} mass for leaf {missing!r}")
+    return [keyed[nid] for nid in model.leaf_ids]
 
 
 def as_leaf_function(model: DyadicModel, f, *, nonneg: bool = False) -> np.ndarray:
@@ -587,10 +625,8 @@ def random_model(params: RandomModelParams, seed: int) -> DyadicModel:
     n_leaves = sum(1 for ch in children if not ch)
     mu = _draw_masses(rng, n_leaves, params.mass_dist, params.zero_prob_mu)
     nu = _draw_masses(rng, n_leaves, params.mass_dist, params.zero_prob_nu)
-    # masses are i.i.d., so assign them in the model's own (DFS) leaf order
-    model = DyadicModel(ids, parents, children, np.zeros(n_leaves), np.zeros(n_leaves),
-                        min_children=1)
-    return model.with_measures(mu_leaf=mu, nu_leaf=nu)
+    # masses are i.i.d., so they go straight into the model's own (DFS) leaf order
+    return DyadicModel(ids, parents, children, mu, nu, min_children=1)
 
 
 # ---------------------------------------------------------------------------

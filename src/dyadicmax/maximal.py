@@ -7,14 +7,17 @@ q-th powers for finite q, a sup for q = inf.  Cube truncation keeps only the
 subcubes of a fixed Q; depth truncation discards the top levels of the
 forest.
 
-Every evaluation runs on two leaf-by-level tables that a coefficient family
-builds once and caches: the ancestor of every atom at every depth, and the
-coefficient of that ancestor at the atom.  One row of terms |I_R| * a_R(x)
-per atom x, each integral summed from its cube's own atoms, serves the full
-operator on one function or a batch, both truncations (a reduction over a
-range of levels), the testing constant and the ratio of every cube indicator
-(running reductions along each atom's path) and the proof chain's stopping
-blocks (a reduction over each run of levels that one block owns).  Every
+Every evaluation runs on two leaf-by-level tables: the ancestor of every atom
+at every depth, which depends on the tree's shape alone and is cached on the
+model for every family on it, and the coefficient of that ancestor at the
+atom, which a family builds once from its entry arrays (one gather of its
+scalars, one scatter of its flat vector values) and caches.  One row of
+terms |I_R| * a_R(x) per atom x, each integral summed from its cube's own
+atoms, serves the full operator on one function or a batch, both
+truncations (a reduction over a range of levels), the testing constant and
+the ratio of every cube indicator (running reductions along each atom's
+path) and the proof chain's stopping blocks (a reduction over each run of
+levels that one block owns).  Every
 ell-q combination divides by its peak before the power, by rows, by groups
 or along a running prefix (``lattice._lq_rows``, ``_lq_groups``, ``_running_lq``).
 """
@@ -26,7 +29,7 @@ import math
 from collections.abc import Mapping
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import Optional
 
 import numpy as np
 
@@ -45,22 +48,6 @@ __all__ = [
 ]
 
 
-def _checked_vector(model, k, entry):
-    """A read-only copy of a vector coefficient entry for node k, validated."""
-    vec = np.asarray(entry, dtype=float)
-    width = model.leaf_hi[k] - model.leaf_lo[k]
-    if vec.shape != (width,):
-        raise ValueError(
-            f"coefficient vector for {model.ids[k]!r} has shape {vec.shape}, "
-            f"cube has {width} atoms"
-        )
-    if not np.all(np.isfinite(vec)) or np.any(vec < 0):
-        raise ValueError(f"coefficient for {model.ids[k]!r} must be finite >= 0")
-    vec = vec.copy()
-    vec.setflags(write=False)
-    return vec
-
-
 class CoefficientFamily:
     """One nonnegative coefficient per cube: a scalar, or a value per atom.
 
@@ -68,124 +55,177 @@ class CoefficientFamily:
     resolves a_Q atom by atom (in the model's leaf order restricted to Q).
     Either way a_Q vanishes off Q, which the evaluation enforces by only
     writing to Q's leaf slice.
+
+    The entries are stored as arrays: one scalar per node, and one flat
+    read-only array holding every vector entry's values, node after node,
+    with per-node offsets into it.  ``scalars[k]`` is node k's coefficient
+    unless ``lengths[k] > 0``; then its coefficient is the next ``lengths[k]``
+    of ``values``, which must be the cube's atom count.  All entries are
+    checked at once, and the earliest bad one is named.
     """
 
-    def __init__(self, model: DyadicModel, entries: Sequence[Union[float, np.ndarray]]):
-        if len(entries) != model.n_nodes:
+    def __init__(self, model: DyadicModel, scalars, lengths=None, values=()):
+        n = model.n_nodes
+        scalars = np.array(scalars, dtype=float)
+        if scalars.shape != (n,):
             raise ValueError(
-                f"coefficient missing: {len(entries)} entries for {model.n_nodes} nodes"
+                f"coefficient missing: {scalars.size} entries for {n} nodes"
             )
+        values = np.array(values, dtype=float)
+        offsets = np.zeros(n + 1, dtype=np.int64)
+        if lengths is not None:
+            lengths = np.asarray(lengths, dtype=np.int64)
+            if lengths.shape != (n,) or lengths.min() < 0:
+                raise ValueError(f"need one length >= 0 per node, got {lengths!r}")
+            np.cumsum(lengths, out=offsets[1:])
+        if values.shape != (offsets[-1],):
+            raise ValueError(f"{values.size} vector values for lengths summing to {offsets[-1]}")
+        if values.size:
+            vector = offsets[1:] > offsets[:-1]
+            scalars[vector] = 0.0
+            bad_length = vector & (lengths != model.leaf_hi - model.leaf_lo)
+            entries = np.concatenate([scalars, values])
+        else:
+            bad_length, entries = None, scalars
+        good = np.isfinite(entries) & (entries >= 0)
+        if not good.all() or (bad_length is not None and bad_length.any()):
+            self._raise_earliest(model, np.diff(offsets), good)
         self.model = model
-        checked = [float(e) if isinstance(e, float) or np.ndim(e) == 0 else e
-                   for e in entries]
-        scalars = np.array([e if isinstance(e, float) else 0.0 for e in checked])
-        bad = np.flatnonzero(~(np.isfinite(scalars) & (scalars >= 0)))
-        first_bad = int(bad[0]) if bad.size else len(checked)
-        # vectors are checked in order up to the first bad scalar, so the
-        # earliest offending entry is the one reported
-        for k in range(first_bad):
-            if not isinstance(checked[k], float):
-                checked[k] = _checked_vector(model, k, checked[k])
-        if bad.size:
-            raise ValueError(f"coefficient for {model.ids[first_bad]!r} must be finite >= 0")
-        self._entries = checked
-        self._tables = None
+        self._scalars = scalars
+        self._offsets = offsets
+        self._values = values
+        for arr in (scalars, offsets, values):
+            arr.setflags(write=False)
+        self._coef = None
+
+    @staticmethod
+    def _raise_earliest(model, lengths, good):
+        """Name the earliest bad entry; a vector's length before its values."""
+        n = model.n_nodes
+        width = model.leaf_hi - model.leaf_lo
+        owner = np.concatenate([np.arange(n), np.repeat(np.arange(n), lengths)])
+        bad_length = (lengths > 0) & (lengths != width)
+        k = int(owner[~good].min(initial=n))
+        k_length = int(np.argmax(bad_length)) if bad_length.any() else n
+        if k_length <= k:
+            raise ValueError(
+                f"coefficient vector for {model.ids[k_length]!r} has shape "
+                f"({lengths[k_length]},), cube has {width[k_length]} atoms"
+            )
+        raise ValueError(f"coefficient for {model.ids[k]!r} must be finite >= 0")
 
     def entry(self, k):
-        """Coefficient of node index k: float or vector over its leaf slice."""
-        return self._entries[k]
+        """Coefficient of node index k: float or read-only vector over its leaf slice."""
+        lo, hi = self._offsets[k], self._offsets[k + 1]
+        return float(self._scalars[k]) if lo == hi else self._values[lo:hi]
 
     def _leaf_levels(self):
-        """Cached read-only (anc, coef) tables, one row per leaf, one column per depth.
+        """Read-only (anc, coef) tables, one row per leaf, one column per depth.
 
-        anc[j, d] is the ancestor of leaf j at depth d (-1 below the leaf) and
-        coef[j, d] its coefficient at that leaf (0 below the leaf).  Both
-        depend on the tree shape and the entries only, never on the masses.
+        anc[j, d] is the ancestor of leaf j at depth d (-1 below the leaf): the
+        model's own table, shared by every family on the tree.  coef[j, d] is
+        that ancestor's coefficient at the leaf (0 below the leaf), built once
+        per family from one gather of the scalars and one scatter of the flat
+        vector values.  Neither depends on the masses.
         """
-        if self._tables is None:
-            model = self.model
-            anc = np.full((model.n_leaves, model.max_depth + 1), -1, dtype=np.int64)
-            rows = np.arange(model.n_leaves)
-            cur = model.leaf_nodes
-            while rows.size:
-                anc[rows, model.depth[cur]] = cur
-                cur = model.parent[cur]
-                rows, cur = rows[cur >= 0], cur[cur >= 0]
-            # entries are floats or (read-only) vectors, as checked on construction
-            scalars = np.array([e if isinstance(e, float) else 0.0 for e in self._entries]
-                               + [0.0])
-            coef = scalars[anc]
-            for k, entry in enumerate(self._entries):
-                if not isinstance(entry, float):
-                    coef[model.leaf_lo[k]:model.leaf_hi[k], model.depth[k]] = entry
-            anc.setflags(write=False)
+        model = self.model
+        anc = model._ancestors
+        if self._coef is None:
+            coef = np.append(self._scalars, 0.0)[anc]
+            if self._values.size:
+                owner = np.repeat(np.arange(model.n_nodes), np.diff(self._offsets))
+                row = np.arange(self._values.size) + (model.leaf_lo - self._offsets[:-1])[owner]
+                coef[row, model.depth[owner]] = self._values
             coef.setflags(write=False)
-            self._tables = (anc, coef)
-        return self._tables
+            self._coef = coef
+        return anc, self._coef
 
     @classmethod
     def constant(cls, model: DyadicModel, value: float = 1.0) -> "CoefficientFamily":
-        return cls(model, [float(value)] * model.n_nodes)
+        return cls(model, np.full(model.n_nodes, float(value)))
 
     @classmethod
     def from_scalars(cls, model: DyadicModel, scalars) -> "CoefficientFamily":
-        return cls(model, list(np.asarray(scalars, dtype=float)))
+        return cls(model, scalars)
 
     @classmethod
     def from_mapping(cls, model: DyadicModel, mapping: Mapping) -> "CoefficientFamily":
-        """Build from {node id: scalar or {leaf id: value}}; every node required."""
-        entries = [None] * model.n_nodes
-        for key, val in mapping.items():
-            k = model.node(str(key))
-            if isinstance(val, Mapping):
-                lo, hi = model.leaf_lo[k], model.leaf_hi[k]
-                vec = np.zeros(hi - lo)
-                for leaf_id, v in val.items():
-                    j = model.leaf_index.get(str(leaf_id))
-                    if j is None or not (lo <= j < hi):
-                        raise ValueError(
-                            f"leaf {leaf_id!r} is not an atom of cube {key!r}"
-                        )
-                    vec[j - lo] = float(v)
-                entries[k] = vec
+        """Build from {node id: scalar or {leaf id: value}}; every node required.
+
+        Atoms that a vector entry leaves out get 0.
+        """
+        n, index, leaf_index = model.n_nodes, model.index, model.leaf_index
+        try:
+            nodes = [index[str(key)] for key in mapping]
+        except KeyError:
+            nodes = [model.node(str(key)) for key in mapping]  # names the unknown id
+        if len(set(nodes)) != n:
+            missing = model.ids[min(set(range(n)).difference(nodes))]
+            raise ValueError(f"coefficient missing for node {missing!r}")
+        width = (model.leaf_hi - model.leaf_lo).tolist()
+        scalars, lengths, vectors = [0.0] * n, [0] * n, []
+        for k, val in zip(nodes, mapping.values()):
+            # plain numbers first: the Mapping check is an ABC lookup per entry
+            if not isinstance(val, (float, int)) and isinstance(val, Mapping):
+                vectors.append((k, val))
+                lengths[k] = width[k]
             else:
-                entries[k] = float(val)
-        for k, entry in enumerate(entries):
-            if entry is None:
-                raise ValueError(f"coefficient missing for node {model.ids[k]!r}")
-        return cls(model, entries)
+                scalars[k] = val
+        if not vectors:
+            return cls(model, scalars)
+        # every (atom, value) pair of the vector entries, cube by cube: cube k's
+        # values start at `start` in the flat array, its atoms at leaf_lo[k]
+        vectors.sort(key=lambda entry: entry[0])
+        bounds, start = [], 0
+        for k, m in vectors:
+            lo = int(model.leaf_lo[k])
+            bounds.append((lo, lo + width[k], start - lo, len(m)))
+            start += width[k]
+        bounds = np.array(bounds, dtype=np.int64)
+        lo, hi, shift = np.repeat(bounds[:, :3], bounds[:, 3], axis=0).T
+        atoms = [j for _, m in vectors for j in m]
+        leaf = np.array([leaf_index.get(str(j), -1) for j in atoms], dtype=np.int64)
+        outside = (leaf < lo) | (leaf >= hi)
+        if outside.any():
+            i = int(np.argmax(outside))
+            cube = [k for k, m in vectors for _ in m][i]
+            raise ValueError(f"leaf {atoms[i]!r} is not an atom of cube {model.ids[cube]!r}")
+        values = np.zeros(start)
+        values[leaf + shift] = [v for _, m in vectors for v in m.values()]
+        return cls(model, scalars, lengths, values)
 
     @classmethod
     def random(cls, model: DyadicModel, seed, *, vector_prob: float = 0.3,
                zero_prob: float = 0.1) -> "CoefficientFamily":
         """Random family: lognormal values, some vector-valued, some zeroed."""
         rng = np.random.default_rng(seed)
-        entries = []
-        for k in range(model.n_nodes):
-            width = int(model.leaf_hi[k] - model.leaf_lo[k])
+        scalars = [0.0] * model.n_nodes
+        lengths = [0] * model.n_nodes
+        vectors = [np.empty(0)]
+        for k, width in enumerate((model.leaf_hi - model.leaf_lo).tolist()):
             if rng.random() < zero_prob:
-                entries.append(0.0)
-            elif width > 1 and rng.random() < vector_prob:
-                entries.append(rng.lognormal(0.0, 1.0, width))
+                continue
+            if width > 1 and rng.random() < vector_prob:
+                vectors.append(rng.lognormal(0.0, 1.0, width))
+                lengths[k] = width
             else:
-                entries.append(float(rng.lognormal(0.0, 1.0)))
-        return cls(model, entries)
+                scalars[k] = rng.lognormal(0.0, 1.0)
+        return cls(model, scalars, lengths, np.concatenate(vectors))
 
     def scaled(self, c: float) -> "CoefficientFamily":
         if c < 0:
             raise ValueError("scale factor must be >= 0")
-        return CoefficientFamily(self.model, [e * c for e in self._entries])
+        return CoefficientFamily(self.model, self._scalars * c, np.diff(self._offsets),
+                                 self._values * c)
 
     def to_mapping(self) -> dict:
-        out = {}
-        for k, entry in enumerate(self._entries):
-            if np.ndim(entry) == 0:
-                out[self.model.ids[k]] = float(entry)
-            else:
-                lo = self.model.leaf_lo[k]
-                out[self.model.ids[k]] = {
-                    self.model.leaf_ids[lo + j]: float(v) for j, v in enumerate(entry)
-                }
+        model = self.model
+        out = dict(zip(model.ids, self._scalars.tolist()))
+        offsets, values = self._offsets.tolist(), self._values.tolist()
+        for k in np.flatnonzero(np.diff(self._offsets)).tolist():
+            lo = int(model.leaf_lo[k])
+            out[model.ids[k]] = dict(zip(model.leaf_ids[lo:lo + offsets[k + 1] - offsets[k]],
+                                         values[offsets[k]:offsets[k + 1]]))
         return out
 
 

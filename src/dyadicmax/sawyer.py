@@ -21,7 +21,8 @@ import numpy as np
 
 from .constants import VerificationError, holder_conjugate
 from .lattice import (MU, NU, DyadicModel, RandomModelParams, as_leaf_function,
-                      build_model, indicator, lp_norm, model_to_dict, random_model)
+                      build_model, indicator, leaf_values, lp_norm, model_to_dict,
+                      random_model)
 from .maximal import (CoefficientFamily, apply_maximal, apply_truncated,
                       classical_coefficients, node_integrals)
 
@@ -232,10 +233,8 @@ def read_instance(path, *, p: Optional[float] = None) -> SawyerInstance:
     """Load a Sawyer instance file; ``p`` overrides the stored exponent."""
     data = json.loads(Path(path).read_text())
     model = build_model(data, min_children=1)
-    omega = [float(data["omega"][nid]) for nid in model.leaf_ids]
-    w = [float(data["w"][nid]) for nid in model.leaf_ids]
     return SawyerInstance(
-        model=model, omega_leaf=np.asarray(omega), w_leaf=np.asarray(w),
-        alpha=float(data["alpha"]),
+        model=model, omega_leaf=leaf_values(model, data["omega"], "omega"),
+        w_leaf=leaf_values(model, data["w"], "w"), alpha=float(data["alpha"]),
         p=float(p) if p is not None else float(data.get("p", 2.0)),
     )

@@ -88,3 +88,45 @@ def ref_indicator_ratios(model, a, p, q):
         num = ref_lp_norm(model, ref_maximal(model, a, one_q, q), p, "nu")
         out.append(num / den if den > 0 else -1.0)
     return np.asarray(out)
+
+
+def ref_layout(model):
+    """Depth-first layout by a plain stack walk over ``model.children``.
+
+    Roots are the nodes that no child list names, in index order.  Returns
+    (depth, dfs_order, dfs_lo, dfs_hi, leaf_lo, leaf_hi, leaf_nodes, levels)
+    as integer arrays, ``levels`` a list of them.
+    """
+    n = model.n_nodes
+    listed = set(c for ch in model.children for c in ch)
+    depth, dfs_lo, dfs_hi, leaf_lo, leaf_hi = ([0] * n for _ in range(5))
+    order, leaves = [], []
+    for root in (k for k in range(n) if k not in listed):
+        stack = [(root, 0, False)]
+        while stack:
+            node, d, done = stack.pop()
+            if done:
+                dfs_hi[node], leaf_hi[node] = len(order), len(leaves)
+                continue
+            depth[node], dfs_lo[node], leaf_lo[node] = d, len(order), len(leaves)
+            order.append(node)
+            stack.append((node, d, True))
+            if not model.children[node]:
+                leaves.append(node)
+            for c in reversed(model.children[node]):
+                stack.append((c, d + 1, False))
+    levels = [np.array([k for k in range(n) if depth[k] == d], dtype=np.int64)
+              for d in range(max(depth) + 1)]
+    return (*(np.array(x, dtype=np.int64) for x in (depth, order, dfs_lo, dfs_hi,
+                                                    leaf_lo, leaf_hi, leaves)), levels)
+
+
+def ref_leaf_levels(model, a):
+    """The (ancestor, coefficient) leaf-by-depth tables, entry by entry."""
+    anc = np.full((model.n_leaves, model.max_depth + 1), -1, dtype=np.int64)
+    coef = np.zeros(anc.shape)
+    for j in range(model.n_leaves):
+        for k in model.ancestors_or_self(int(model.leaf_nodes[j])):
+            anc[j, model.depth[k]] = k
+            coef[j, model.depth[k]] = _coefficient_at(a, k, j, model)
+    return anc, coef

@@ -4,6 +4,8 @@ import tracemalloc
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dyadicmax import (CoefficientFamily, NormSearch, RandomModelParams,
                        VerificationError, apply_maximal, holder_conjugate, indicator,
@@ -462,3 +464,18 @@ def test_sandwich_finite_at_large_p_on_scaled_coefficients(e1):
                          NormSearch(n_random=4, ascent_rounds=1))
     assert rep.B == pytest.approx(20.0, rel=1e-12)
     assert rep.A_lower == pytest.approx(20.0, rel=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10 ** 6), roots=st.integers(1, 3), branch_min=st.integers(1, 2),
+       p=st.one_of(st.floats(1.05, 8.0), st.floats(8.0, 1000.0)),
+       q_of=st.sampled_from(["p", "2p", 1e6, INF]), scale=st.sampled_from([1e-8, 1.0, 1e8]))
+def test_sandwich_holds_up_to_large_p(seed, roots, branch_min, p, q_of, scale):
+    model, a = make_instance(seed, roots=roots, branch_min=branch_min)
+    a = a.scaled(scale)
+    q = {"p": p, "2p": 2 * p}.get(q_of, q_of)
+    rep = verify_theorem(model, a, p, q, NormSearch(n_random=8, ascent_rounds=4))
+    assert math.isfinite(rep.B) and math.isfinite(rep.A_lower)
+    if p <= 8 and q <= 50:
+        want, _ = ref_testing_constant(model, a, p, q)
+        assert rep.B == pytest.approx(want, rel=1e-12, abs=0)

@@ -6,13 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dyadicmax import (Exponents, ModelError, RandomModelParams, average,
+from dyadicmax import (DyadicModel, Exponents, ModelError, RandomModelParams, average,
                        build_model, integrate, lp_norm, random_model,
                        read_model, write_model)
 from dyadicmax.lattice import _lq_groups, _lq_rows, _running_lq, model_to_dict
 from dyadicmax.maximal import node_integrals
 
-from _reference import ref_integrate, ref_lp_norm
+from _reference import ref_integrate, ref_layout, ref_lp_norm
 from conftest import make_instance, random_nonneg
 
 
@@ -316,6 +316,95 @@ def test_children_disagreement_rejected():
             "mu": {"a": 1, "b": 1},
             "nu": {"a": 1, "b": 1},
         })
+
+
+def test_record_without_id_rejected():
+    with pytest.raises(ModelError, match="node record 1 .*'id'"):
+        build_model({
+            "nodes": [{"id": "R", "parent": None}, {"parent": "R"}],
+            "mu": {"R": 1},
+            "nu": {"R": 1},
+        })
+
+
+def test_record_not_an_object_rejected():
+    with pytest.raises(ModelError, match="node record 0 is not an object"):
+        build_model({"nodes": ["R"], "mu": {"R": 1}, "nu": {"R": 1}})
+
+
+def test_null_mass_rejected():
+    with pytest.raises(ModelError, match="nu mass of leaf 'b' is not a finite number"):
+        build_model({
+            "nodes": [{"id": "R", "parent": None},
+                      {"id": "a", "parent": "R"}, {"id": "b", "parent": "R"}],
+            "mu": {"a": 1, "b": 1},
+            "nu": {"a": 1, "b": None},
+        })
+
+
+def test_children_string_rejected():
+    # a string iterates to its characters, and "L" alone matches the parent links
+    with pytest.raises(ModelError, match="children of 'R' must be a list"):
+        build_model({
+            "nodes": [{"id": "R", "parent": None, "children": "L"},
+                      {"id": "L", "parent": "R"}],
+            "mu": {"L": 1},
+            "nu": {"L": 1},
+        }, min_children=1)
+
+
+# -- layout against an independent walk ---------------------------------------
+
+
+def _layout(model):
+    return (model.depth, model.dfs_order, model.dfs_lo, model.dfs_hi, model.leaf_lo,
+            model.leaf_hi, model.leaf_nodes, list(model.levels))
+
+
+def _caterpillar(n_spine):
+    """A chain of n_spine cubes, each with one atom beside the next cube."""
+    ids = [f"s{k}" for k in range(n_spine + 1)] + [f"a{k}" for k in range(n_spine)]
+    parents = [-1] + list(range(n_spine)) + list(range(n_spine))
+    children = [[k + 1, n_spine + 1 + k] for k in range(n_spine)] + [[]] * (n_spine + 1)
+    m = n_spine + 1
+    return DyadicModel(ids, parents, children, np.ones(m), np.ones(m))
+
+
+def test_layout_matches_reference_walk():
+    models = [random_model(RandomModelParams(depth_max=5, branch_min=1 + s % 2,
+                                            roots=1 + s % 3, leaf_prob=0.25), s)
+              for s in range(60)]
+    models.append(_caterpillar(1500))
+    assert models[-1].n_nodes == 3001 and models[-1].max_depth == 1500
+    for model in models:
+        got, want = _layout(model), ref_layout(model)
+        for name, g, w in zip(("depth", "dfs_order", "dfs_lo", "dfs_hi", "leaf_lo",
+                               "leaf_hi", "leaf_nodes"), got, want):
+            assert g.dtype == np.int64 and np.array_equal(g, w), name
+        assert len(got[-1]) == len(want[-1])
+        assert all(np.array_equal(g, w) for g, w in zip(got[-1], want[-1]))
+
+
+@pytest.mark.parametrize("case", ["two_parents", "root_as_child", "unreachable_cycle",
+                                  "few_children", "bad_index"])
+def test_layout_rejects_bad_shapes(case):
+    if case == "two_parents":  # b is listed under both R and a
+        shape = (["R", "a", "b"], [-1, 0, 0], [[1, 2], [2], []])
+        match = "cycle detected at node 'b'"
+    elif case == "root_as_child":  # S has no parent, yet R lists it
+        shape = (["R", "S", "x"], [-1, -1, 0], [[1, 2], [], []])
+        match = "cycle detected at node 'S'"
+    elif case == "unreachable_cycle":  # A and B are each other's parent
+        shape = (["R", "A", "B", "L"], [-1, 2, 1, 0], [[3], [2], [1], []])
+        match = "node 'A' unreachable from any root"
+    elif case == "few_children":
+        shape = (["R", "a", "b"], [-1, 0, 1], [[1], [2], []])
+        match = "node 'R' has 1 children; minimum is 2"
+    else:  # -1 would read as the end of a subtree
+        shape = (["R", "a"], [-1, 0], [[1, -1], []])
+        match = r"child index out of range \[0, 2\)"
+    with pytest.raises(ModelError, match=match):
+        DyadicModel(*shape, [1.0], [1.0], min_children=2 if case == "few_children" else 1)
 
 
 # -- properties --------------------------------------------------------------

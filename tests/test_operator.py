@@ -10,8 +10,8 @@ from dyadicmax import (CoefficientFamily, apply_depth_truncated, apply_maximal,
                        read_coefficients, write_coefficients)
 from dyadicmax.maximal import _indicator_ratios
 
-from _reference import (ref_depth_truncated, ref_indicator_ratios, ref_maximal,
-                        ref_truncated)
+from _reference import (ref_depth_truncated, ref_indicator_ratios, ref_leaf_levels,
+                        ref_maximal, ref_truncated)
 from conftest import INF, make_instance, random_nonneg
 
 
@@ -103,6 +103,60 @@ def test_coefficient_file_roundtrip(tmp_path, deep_model):
     write_coefficients(fam, path)
     again = read_coefficients(deep_model, path)
     assert fam.to_mapping() == again.to_mapping()
+
+
+# deep_model's node order: R, A, B, a1, a2, b1, b2, b3
+@pytest.mark.parametrize("bad_vector, bad_scalar, named", [("A", "a1", "A"), ("B", "A", "A")])
+def test_earliest_bad_coefficient_is_named(deep_model, bad_vector, bad_scalar, named):
+    mapping = {nid: 1.0 for nid in deep_model.ids}
+    atoms = {"A": ["a1", "a2"], "B": ["b1", "b2", "b3"]}[bad_vector]
+    mapping[bad_vector] = {leaf: -1.0 if leaf == atoms[-1] else 1.0 for leaf in atoms}
+    mapping[bad_scalar] = math.nan
+    with pytest.raises(ValueError, match=f"coefficient for '{named}' must be finite >= 0"):
+        CoefficientFamily.from_mapping(deep_model, mapping)
+
+
+def test_wrong_length_coefficient_vector_is_named(deep_model):
+    n = deep_model.n_nodes
+    lengths = np.zeros(n, dtype=int)
+    lengths[deep_model.node("A")] = 3  # A has two atoms
+    lengths[deep_model.node("B")] = 3
+    scalars = np.ones(n)
+    scalars[deep_model.node("b1")] = -1.0  # a later bad entry is not the one named
+    with pytest.raises(ValueError, match=r"vector for 'A' has shape \(3,\), cube has 2 atoms"):
+        CoefficientFamily(deep_model, scalars, lengths, np.ones(6))
+
+
+def test_entry_is_a_float_or_a_read_only_vector(deep_model):
+    fam = CoefficientFamily.from_mapping(
+        deep_model, {**{nid: 2.0 for nid in deep_model.ids}, "B": {"b3": 3.0, "b1": 1.0}})
+    scalar = fam.entry(deep_model.node("A"))
+    assert type(scalar) is float and scalar == 2.0  # the demos print entries
+    vec = fam.entry(deep_model.node("B"))
+    assert vec.tolist() == [1.0, 0.0, 3.0] and not vec.flags.writeable
+
+
+def test_leaf_level_tables_match_entry_by_entry():
+    for seed in range(20):
+        model, _ = make_instance(seed, roots=1 + seed % 3, branch_min=1 + seed % 2)
+        fam = CoefficientFamily.random(model, seed, vector_prob=0.9, zero_prob=0.05)
+        anc, coef = fam._leaf_levels()
+        want_anc, want_coef = ref_leaf_levels(model, fam)
+        assert np.array_equal(anc, want_anc) and np.array_equal(coef, want_coef)
+        assert not anc.flags.writeable and not coef.flags.writeable
+
+
+def test_ancestor_table_is_shared_by_the_tree():
+    model, a = make_instance(3)
+    b = CoefficientFamily.random(model, 4)
+    anc = a._leaf_levels()[0]
+    assert b._leaf_levels()[0] is anc
+    # a family used with a copy of its model reads the model's own table,
+    # and families on the copy share it too
+    copy = model.with_measures(mu_leaf=2.0 * model.mu_leaf)
+    apply_maximal(copy, a, np.ones(model.n_leaves), 2.0)
+    assert copy._ancestors is anc
+    assert classical_coefficients(copy, model.mu_leaf, 0.5)._leaf_levels()[0] is anc
 
 
 def test_signed_f_uses_absolute_integrals(e1, ones):
