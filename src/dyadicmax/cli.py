@@ -22,7 +22,7 @@ import numpy as np
 
 from .constants import (NormSearch, VerificationError, theorem_constant,
                         theorem_constant_hp, verify_theorem)
-from .lattice import ModelError, RandomModelParams, build_model, random_model
+from .lattice import ModelError, RandomModelParams, build_model, leaf_values, random_model
 from .maximal import (CoefficientFamily, classical_coefficients,
                       read_coefficients, write_coefficients)
 from .sawyer import (ReductionError, SawyerInstance, _draw_instance, instance_to_dict,
@@ -141,14 +141,18 @@ def cmd_generate(config: SweepConfig):
 
 
 def _load_instance(path: Path):
-    """Instance file -> (validated Sawyer instance, coefficients)."""
+    """Instance file -> (validated Sawyer instance, coefficients).
+
+    ``omega`` and ``w`` are read as strictly as ``mu``: every leaf and no
+    other node.  An absent ``omega`` is ``mu``, an absent ``w`` is 1.
+    """
     data = json.loads(path.read_text())
     model = build_model(data, min_children=1)
-    omega_map = data.get("omega") or data["mu"]
+    omega, w = data.get("omega"), data.get("w")
     inst = SawyerInstance(  # p is a placeholder: each swept p replaces it
         model=model,
-        omega_leaf=[float(omega_map.get(nid, 0.0)) for nid in model.leaf_ids],
-        w_leaf=[float(data.get("w", {}).get(nid, 1.0)) for nid in model.leaf_ids],
+        omega_leaf=model.mu_leaf if omega is None else leaf_values(model, omega, "omega"),
+        w_leaf=np.ones(model.n_leaves) if w is None else leaf_values(model, w, "w"),
         alpha=float(data.get("alpha", 0.5)), p=2.0)
     coeff_path = path.with_name(path.stem + ".coeffs.json")
     if coeff_path.exists():

@@ -117,25 +117,31 @@ def _power_step(model, a, F, p, q):
     are the fixed points of f(y) -> (sum of g_Q over the cubes Q containing
     y)^(1/(p-1)).  Since |Mf|^p is convex in f >= 0, no step lowers the
     ratio in exact arithmetic.  At q = inf g is the subgradient that puts
-    each atom's weight on the first level attaining its max.  The map is
-    scale invariant, so each row's weights and sums are rescaled by their
-    peak before the powers: iterates lie in [0, 1] and stay finite at any p.
+    each atom's weight on the first (shallowest) level attaining its max.
+    The map is scale invariant, so each row's weights and sums are rescaled
+    by their peak before the powers: iterates lie in [0, 1] and stay finite
+    at any p.
     """
     anc, coef = a._leaf_levels()
     m, n = F.shape[0], model.n_nodes
     T = _level_terms(model, a, node_integrals(model, F))
-    Mf = _lq_rows(T, q)
+    Mf = _lq_rows(T, q, axis=1)
     top = Mf.max(axis=1, keepdims=True)
     weight = model.nu_leaf * (Mf / np.where(top > 0, top, 1.0)) ** (p - 1.0)
+    # padding (anc = -1) goes to a zero column n of each row, which g[:, anc] reads back
+    rows = (n + 1) * np.arange(m)
     if q == math.inf:
-        share = (T.argmax(axis=2)[..., None] == np.arange(T.shape[2])).astype(float)
+        # each atom's weight goes to its first maximal level only
+        first = (T == Mf[:, None]).argmax(axis=1)
+        atom = np.arange(model.n_leaves)
+        node = anc[first, atom] + rows[:, None]  # never a padding level
+        weight = weight * coef[first, atom]
     else:
-        share = (T / np.where(Mf > 0, Mf, 1.0)[..., None]) ** (q - 1.0)
-    # padding (anc = -1) goes to a zero column n, which g[:, anc] reads back
-    node = anc % (n + 1) + (n + 1) * np.arange(m)[:, None, None]
-    g = np.bincount(node.ravel(), weights=(weight[..., None] * share * coef).ravel(),
+        node = anc % (n + 1) + rows[:, None, None]
+        weight = weight[:, None] * (T / np.where(Mf > 0, Mf, 1.0)[:, None]) ** (q - 1.0) * coef
+    g = np.bincount(node.ravel(), weights=weight.ravel(),
                     minlength=m * (n + 1)).reshape(m, n + 1)
-    G = g[:, anc].sum(axis=2)
+    G = g[:, anc].sum(axis=1)
     peak = G.max(axis=1, keepdims=True)
     return (G / np.where(peak > 0, peak, 1.0)) ** (1.0 / (p - 1.0))
 
@@ -151,7 +157,8 @@ def operator_norm_lower(model: DyadicModel, a: CoefficientFamily, p, q,
     (Boyd 1974; Higham 1992) from the best indicator, the constant function
     and the best random candidate.  Every iterate is evaluated exactly at the
     true q and the best ratio seen is kept, so the bound is certified whether
-    or not the iteration converges.  Deterministic for a fixed search config.
+    or not the iteration converges.  The iteration stops early once a step
+    returns its input bit for bit.  Deterministic for a fixed search config.
     Returns (A_lower, witness function with unit mu-norm).
     """
     Exponents(p, q).require_ordered()
@@ -175,8 +182,10 @@ def operator_norm_lower(model: DyadicModel, a: CoefficientFamily, p, q,
         starts.append(2 + int(np.argmax(ratios[2:])))
     X, steps = F[starts], []
     for _ in range(search.ascent_rounds):
-        X = _power_step(model, a, X, p, q)
+        last, X = X, _power_step(model, a, X, p, q)
         steps.append(X)
+        if np.array_equal(X, last):
+            break  # an exact fixed point: every later step would repeat it
     if steps:
         # one batch evaluates every step; the earliest best iterate wins, as step by step
         X = np.vstack(steps)

@@ -72,7 +72,7 @@ class DyadicModel:
     The layout arrays (``depth``, ``dfs_order``, the subtree intervals
     ``dfs_lo``/``dfs_hi`` and ``leaf_lo``/``leaf_hi``) come from one walk over
     plain lists, turned into arrays once.  Tables that depend on the shape
-    alone (``levels``, the child lists and the leaf-by-level ancestor table)
+    alone (``levels``, the child lists and the level-by-leaf ancestor table)
     are built on first use and cached on the model, so every coefficient
     family on the tree, and every ``with_measures`` copy made after they
     exist, shares them.
@@ -214,24 +214,31 @@ class DyadicModel:
 
     @cached_property
     def _families(self):
-        """Child lists of the interior nodes, one row each, padded with n_nodes."""
-        lists = [ch for ch in self.children if ch]
-        out = np.full((len(lists), max(map(len, lists), default=0)), self.n_nodes)
-        for row, ch in enumerate(lists):
-            out[row, :len(ch)] = ch
+        """Child lists of the interior nodes, one column each, padded with n_nodes:
+        row i holds every interior node's i-th child.  One scatter fills it."""
+        lengths = np.fromiter(map(len, self.children), np.int64, self.n_nodes)
+        lengths = lengths[lengths > 0]
+        starts = np.cumsum(lengths) - lengths
+        flat = np.fromiter(chain.from_iterable(self.children), np.int64, lengths.sum())
+        column = np.repeat(np.arange(lengths.size), lengths)
+        out = np.full((lengths.max(initial=0), lengths.size), self.n_nodes)
+        out[np.arange(flat.size) - starts[column], column] = flat
         out.setflags(write=False)
         return out
 
     @cached_property
     def _ancestors(self):
-        """The ancestor of every atom at every depth: one row per leaf, one column
-        per depth, -1 below the leaf.  It depends on the tree's shape only."""
-        anc = np.full((self.n_leaves, self.max_depth + 1), -1, dtype=np.int64)
-        rows, cur = np.arange(self.n_leaves), self.leaf_nodes
-        while rows.size:
-            anc[rows, self.depth[cur]] = cur
+        """The ancestor of every atom at every depth: one row per depth, one column
+        per leaf, -1 below the leaf.  It depends on the tree's shape only.  The
+        table is level-major, so a reduction along every atom's path (a max, an
+        ell-q sum, a running norm) is elementwise work across a few contiguous
+        rows of atoms, not one short inner loop per atom."""
+        anc = np.full((self.max_depth + 1, self.n_leaves), -1, dtype=np.int64)
+        cols, cur = np.arange(self.n_leaves), self.leaf_nodes
+        while cols.size:
+            anc[self.depth[cur], cols] = cur
             cur = self.parent[cur]
-            rows, cur = rows[cur >= 0], cur[cur >= 0]
+            cols, cur = cols[cur >= 0], cur[cur >= 0]
         anc.setflags(write=False)
         return anc
 
@@ -476,34 +483,37 @@ def average(model: DyadicModel, f, Q, measure: str = MU) -> float:
     return integrate(model, f, Q, measure) / mass
 
 
-def _lq_rows(T, q):
-    """ell-q norms along the last axis of T >= 0, q in [1, inf].
+def _lq_rows(T, q, axis=-1):
+    """ell-q norms of T >= 0 along an axis, q in [1, inf].
 
-    Each row is divided by its peak before the power, so no q-th power
+    Each line is divided by its peak before the power, so no q-th power
     overflows or underflows; q = inf gives the peak itself.
     """
-    peak = T.max(axis=-1)
     if q == math.inf:
-        return peak
-    R = T / np.where(peak > 0, peak, 1.0)[..., None]
+        return T.max(axis=axis)
+    peak = T.max(axis=axis, keepdims=True)
+    R = T / np.where(peak > 0, peak, 1.0)
     R **= q
-    return peak * R.sum(axis=-1) ** (1.0 / q)
+    # on 1-D T the sum stays a numpy scalar, whose power rounds as before
+    return peak.squeeze(axis) * R.sum(axis=axis) ** (1.0 / q)
 
 
-def _running_lq(T, q):
-    """ell-q norms of T[..., :d] >= 0 for d = 0..n, each step rescaled by the running peak."""
-    out = np.zeros(T.shape[:-1] + (T.shape[-1] + 1,))
+def _running_lq(T, q, axis):
+    """ell-q norms of the first d entries along an axis of T >= 0, for d = 0..n
+    (n + 1 entries on that axis), each step rescaled by the running peak."""
+    T = T.swapaxes(0, axis)
+    out = np.zeros((T.shape[0] + 1,) + T.shape[1:])
     if q == math.inf:
-        out[..., 1:] = np.maximum.accumulate(T, axis=-1)
-        return out
-    peak, acc = np.zeros((2,) + T.shape[:-1])
-    for d in range(T.shape[-1]):
-        new_peak = np.maximum(peak, T[..., d])
+        np.maximum.accumulate(T, axis=0, out=out[1:])
+        return out.swapaxes(0, axis)
+    peak, acc = np.zeros((2,) + T.shape[1:])
+    for d in range(T.shape[0]):
+        new_peak = np.maximum(peak, T[d])
         scale = np.where(new_peak > 0, new_peak, 1.0)
-        acc = acc * (peak / scale) ** q + (T[..., d] / scale) ** q
+        acc = acc * (peak / scale) ** q + (T[d] / scale) ** q
         peak = new_peak
-        out[..., d + 1] = peak * acc ** (1.0 / q)
-    return out
+        out[d + 1] = peak * acc ** (1.0 / q)
+    return out.swapaxes(0, axis)
 
 
 def _lq_groups(values, group, n, q):

@@ -7,19 +7,23 @@ q-th powers for finite q, a sup for q = inf.  Cube truncation keeps only the
 subcubes of a fixed Q; depth truncation discards the top levels of the
 forest.
 
-Every evaluation runs on two leaf-by-level tables: the ancestor of every atom
-at every depth, which depends on the tree's shape alone and is cached on the
-model for every family on it, and the coefficient of that ancestor at the
-atom, which a family builds once from its entry arrays (one gather of its
-scalars, one scatter of its flat vector values) and caches.  One row of
-terms |I_R| * a_R(x) per atom x, each integral summed from its cube's own
-atoms, serves the full operator on one function or a batch, both
-truncations (a reduction over a range of levels), the testing constant and
-the ratio of every cube indicator (running reductions along each atom's
-path) and the proof chain's stopping blocks (a reduction over each run of
-levels that one block owns).  Every
-ell-q combination divides by its peak before the power, by rows, by groups
-or along a running prefix (``lattice._lq_rows``, ``_lq_groups``, ``_running_lq``).
+Every evaluation runs on two level-by-leaf tables of shape
+(depth + 1) x atoms: the ancestor of every atom at every depth, which depends
+on the tree's shape alone and is cached on the model for every family on it,
+and the coefficient of that ancestor at the atom, which a family builds once
+from its entry arrays (one gather of its scalars, one scatter of its flat
+vector values) and caches.  One table of terms |I_R| * a_R(x), each integral
+summed from its cube's own atoms, serves the full operator on one function or
+a batch, both truncations (a reduction over a range of levels), the testing
+constant and the ratio of every cube indicator (running reductions along
+each atom's path) and the proof chain's stopping blocks (a reduction over
+each run of levels that one block owns).  The tables are level-major: a
+tree has few levels and many atoms, so each level is one contiguous row of
+atoms and every reduction along the paths is elementwise work across a few
+rows, where an atom-major table would run one short inner loop per atom.
+Every ell-q combination divides by its peak before the power, along an
+axis, by groups or along a running prefix (``lattice._lq_rows``,
+``_lq_groups``, ``_running_lq``).
 """
 
 from __future__ import annotations
@@ -120,13 +124,15 @@ class CoefficientFamily:
         return float(self._scalars[k]) if lo == hi else self._values[lo:hi]
 
     def _leaf_levels(self):
-        """Read-only (anc, coef) tables, one row per leaf, one column per depth.
+        """Read-only (anc, coef) tables, one row per depth, one column per leaf.
 
-        anc[j, d] is the ancestor of leaf j at depth d (-1 below the leaf): the
-        model's own table, shared by every family on the tree.  coef[j, d] is
+        anc[d, j] is the ancestor of leaf j at depth d (-1 below the leaf): the
+        model's own table, shared by every family on the tree.  coef[d, j] is
         that ancestor's coefficient at the leaf (0 below the leaf), built once
         per family from one gather of the scalars and one scatter of the flat
-        vector values.  Neither depends on the masses.
+        vector values.  Neither depends on the masses.  Both are level-major,
+        (depth + 1) x atoms, so every reduction along the paths runs across
+        contiguous rows of atoms.
         """
         model = self.model
         anc = model._ancestors
@@ -134,8 +140,8 @@ class CoefficientFamily:
             coef = np.append(self._scalars, 0.0)[anc]
             if self._values.size:
                 owner = np.repeat(np.arange(model.n_nodes), np.diff(self._offsets))
-                row = np.arange(self._values.size) + (model.leaf_lo - self._offsets[:-1])[owner]
-                coef[row, model.depth[owner]] = self._values
+                col = np.arange(self._values.size) + (model.leaf_lo - self._offsets[:-1])[owner]
+                coef[model.depth[owner], col] = self._values
             coef.setflags(write=False)
             self._coef = coef
         return anc, self._coef
@@ -264,21 +270,23 @@ def _check_tree(model: DyadicModel, a: CoefficientFamily):
 
 
 def _level_terms(model, a, integrals):
-    """Terms |I_R| * a_R(x): one row per atom x, one column per depth of R.
+    """Terms |I_R| * a_R(x): one row per depth of R, one column per atom x.
 
     Entries below an atom's own depth are 0.  A batch of integrals, shape
-    (m, n_nodes), gives one such table per function, shape (m, leaves, depth+1).
+    (m, n_nodes), gives one such table per function, shape (m, depth+1, leaves).
     """
     _check_tree(model, a)
     anc, coef = a._leaf_levels()
     pad = np.zeros(np.shape(integrals)[:-1] + (1,))
-    return np.concatenate([np.abs(integrals), pad], axis=-1)[..., anc] * coef
+    T = np.concatenate([np.abs(integrals), pad], axis=-1)[..., anc]
+    T *= coef
+    return T
 
 
 def _apply_levels(model, a, f, q, first_level=0, leaves=slice(None)):
     """The operator on f, or on a batch of rows, over the cubes at depth >= first_level."""
     ints = node_integrals(model, f)
-    return _lq_rows(_level_terms(model, a, ints)[..., leaves, first_level:], q)
+    return _lq_rows(_level_terms(model, a, ints)[..., first_level:, leaves], q, axis=-2)
 
 
 def _indicator_norms(model: DyadicModel, a: CoefficientFamily, p, q) -> np.ndarray:
@@ -286,16 +294,16 @@ def _indicator_norms(model: DyadicModel, a: CoefficientFamily, p, q) -> np.ndarr
 
     For f = 1_Q the integral over a subcube R of Q is mu(R), so (M_Q 1_Q)(x)
     is the ell-q combination of the terms mu(R) * a_R(x) from Q's depth down
-    x's path: a suffix of x's row.  Each suffix is rescaled by its own peak,
+    x's path: a suffix of x's column.  Each suffix is rescaled by its own peak,
     so no suffix underflows against a larger term above it, even at q = 1e6.
     Weighted by nu(x)^(1/p), the suffixes of the atoms with nu(x) > 0 go to
     the ancestor at their depth through one grouped ell-p norm, rescaled by
     the cube's peak, so the powers stay finite at any p.
     """
-    S = _running_lq(_level_terms(model, a, model.mu_node)[:, ::-1], q)[:, :0:-1]
+    S = _running_lq(_level_terms(model, a, model.mu_node)[::-1], q, axis=0)[:0:-1]
     anc, _ = a._leaf_levels()
-    keep = (anc >= 0) & (model.nu_leaf[:, None] > 0)
-    weight = np.broadcast_to(model.nu_leaf[:, None] ** (1.0 / p), anc.shape)
+    keep = (anc >= 0) & (model.nu_leaf > 0)
+    weight = np.broadcast_to(model.nu_leaf ** (1.0 / p), anc.shape)
     return _lq_groups(weight[keep] * S[keep], anc[keep], model.n_nodes, p)
 
 
@@ -313,20 +321,20 @@ def _indicator_ratios(model: DyadicModel, a: CoefficientFamily, p, q) -> np.ndar
     """
     n, fam = model.n_nodes, model._families
     anc, coef = a._leaf_levels()
-    S, P = _running_lq(np.stack([_level_terms(model, a, model.mu_node)[:, ::-1], coef]), q)
-    S, P = S[:, :0:-1], P[:, :-1]
-    keep = (anc >= 0) & (model.nu_leaf[:, None] > 0)
-    weight = np.broadcast_to(model.nu_leaf[:, None] ** (1.0 / p), anc.shape)[keep]
+    S, P = _running_lq(np.stack([_level_terms(model, a, model.mu_node)[::-1], coef]), q, axis=1)
+    S, P = S[:0:-1], P[:-1]
+    keep = (anc >= 0) & (model.nu_leaf > 0)
+    weight = np.broadcast_to(model.nu_leaf ** (1.0 / p), anc.shape)[keep]
     node, P = anc[keep], P[keep]
-    on = _lq_rows(np.stack([model.mu_node[node] * P, S[keep]], axis=-1), q)
+    on = _lq_rows(np.stack([model.mu_node[node] * P, S[keep]]), q, axis=0)
     on = _lq_groups(weight * on, node, n, p)
     Y = np.append(_lq_groups(weight * P, node, n, p), 0.0)[fam]
-    before, after = _running_lq(np.stack([Y, Y[:, ::-1]]), p)  # first and last i children
+    before, after = _running_lq(np.stack([Y, Y[::-1]]), p, axis=1)  # first and last i children
     beside = np.zeros(n + 1)
-    beside[fam] = _lq_rows(np.stack([before[:, :-1], after[:, -2::-1]], axis=-1), p)
+    beside[fam] = _lq_rows(np.stack([before[:-1], after[-2::-1]]), p, axis=0)
     path = np.empty(n + 1)  # anc = -1, below an atom's own depth, writes to spare slot n
-    path[anc] = _running_lq(beside[anc], p)[:, 1:]
-    norms = _lq_rows(np.stack([on, model.mu_node * path[:n]], axis=-1), p)
+    path[anc] = _running_lq(beside[anc], p, axis=0)[1:]
+    norms = _lq_rows(np.stack([on, model.mu_node * path[:n]]), p, axis=0)
     pos = model.mu_node > 0
     return np.where(pos, norms / np.where(pos, model.mu_node, 1.0) ** (1.0 / p), -1.0)
 
@@ -338,18 +346,20 @@ def _apply_by_label(model: DyadicModel, a: CoefficientFamily, f, q, labels):
     every atom's path a part must hold one contiguous run of depths, as a
     stopping block does.  Returns (leaf, label, values): for each atom x and
     each part b meeting x's path, the ell-q combination of |I_R| * a_R(x)
-    over the cubes R of b that contain x.
+    over the cubes R of b that contain x.  The parts come atom by atom, and
+    down each atom's path.
     """
     T = _level_terms(model, a, node_integrals(model, f))
     anc, _ = a._leaf_levels()
     lab = np.append(np.asarray(labels, dtype=np.int64), -1)[anc]
     keep = lab >= 0
-    leaf = np.broadcast_to(np.arange(model.n_leaves)[:, None], anc.shape)[keep]
-    lab = lab[keep]
-    new = np.ones(lab.size, dtype=bool)
-    new[1:] = (lab[1:] != lab[:-1]) | (leaf[1:] != leaf[:-1])
-    starts = np.flatnonzero(new)
-    return leaf[starts], lab[starts], _lq_groups(T[keep], np.cumsum(new) - 1, starts.size, q)
+    new = keep.copy()  # where a part's run starts down an atom's path
+    new[1:] &= lab[1:] != lab[:-1]
+    # parts are numbered atom by atom, and down each atom's path
+    rank = np.cumsum(new, axis=0)
+    part = np.cumsum(rank[-1]) - rank[-1] + rank - 1
+    return (np.nonzero(new.T)[0], lab.T[new.T],
+            _lq_groups(T[keep], part[keep], int(rank[-1].sum()), q))
 
 
 def apply_maximal(model: DyadicModel, a: CoefficientFamily, f, q) -> MaximalOutput:

@@ -122,11 +122,52 @@ def ref_layout(model):
 
 
 def ref_leaf_levels(model, a):
-    """The (ancestor, coefficient) leaf-by-depth tables, entry by entry."""
-    anc = np.full((model.n_leaves, model.max_depth + 1), -1, dtype=np.int64)
+    """The (ancestor, coefficient) depth-by-leaf tables, entry by entry."""
+    anc = np.full((model.max_depth + 1, model.n_leaves), -1, dtype=np.int64)
     coef = np.zeros(anc.shape)
     for j in range(model.n_leaves):
         for k in model.ancestors_or_self(int(model.leaf_nodes[j])):
-            anc[j, model.depth[k]] = k
-            coef[j, model.depth[k]] = _coefficient_at(a, k, j, model)
+            anc[model.depth[k], j] = k
+            coef[model.depth[k], j] = _coefficient_at(a, k, j, model)
     return anc, coef
+
+
+def ref_families(model):
+    """Child lists of the interior nodes as plain lists, padded with n_nodes."""
+    lists = [list(ch) for ch in model.children if ch]
+    width = max((len(ch) for ch in lists), default=0)
+    return [[ch[i] if i < len(ch) else model.n_nodes for ch in lists]
+            for i in range(width)]
+
+
+def ref_power_step(model, a, f, p, q):
+    """One nonlinear power step on f >= 0, atom by atom.
+
+    g_R is the sum over the atoms x below R of nu(x) * Mf(x)^(p-1) times the
+    share of R in Mf(x): (|I_R| a_R(x) / Mf(x))^(q-1) * a_R(x) for finite q;
+    at q = inf all of a_R(x) for the first (shallowest) R on x's path that
+    attains Mf(x), and 0 for every other R.  The new value at y is the sum of
+    g_R over the cubes R containing y, to the power 1/(p-1), divided by the
+    largest such value.
+    """
+    ints = [ref_integrate(model, f, k) for k in range(model.n_nodes)]
+    Mf = ref_maximal(model, a, f, q)
+    g = [0.0] * model.n_nodes
+    for j in range(model.n_leaves):
+        if Mf[j] == 0:
+            continue
+        path = model.ancestors_or_self(int(model.leaf_nodes[j]))[::-1]  # root first
+        weight = float(model.nu_leaf[j]) * float(Mf[j]) ** (p - 1.0)
+        for k in path:
+            c = _coefficient_at(a, k, j, model)
+            t = abs(ints[k]) * c
+            if q == math.inf:
+                if t == Mf[j]:
+                    g[k] += weight * c
+                    break
+            else:
+                g[k] += weight * (t / Mf[j]) ** (q - 1.0) * c
+    G = [math.fsum(g[k] for k in model.ancestors_or_self(int(model.leaf_nodes[j])))
+         for j in range(model.n_leaves)]
+    top = max(G)
+    return np.array([(x / top if top > 0 else x) ** (1.0 / (p - 1.0)) for x in G])

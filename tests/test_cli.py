@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -90,6 +91,49 @@ def test_verify_invalid_alpha_exits_2(tmp_path, capsys, alpha):
                  "--search-ascent", "1", "--out", str(run)]) == 2
     assert "cannot load instance" in capsys.readouterr().err
     assert not (run / "report.jsonl").exists()
+
+
+def _small_instance(**extra):
+    return {"nodes": [{"id": "Q0", "parent": None}, {"id": "L1", "parent": "Q0"},
+                      {"id": "L2", "parent": "Q0"}],
+            "mu": {"L1": 1.0, "L2": 2.0}, "nu": {"L1": 1.0, "L2": 1.0}, **extra}
+
+
+@pytest.mark.parametrize("key", ["omega", "w"])
+@pytest.mark.parametrize("values, message", [
+    ({"L1": 1.0}, "missing {key} mass for leaf 'L2'"),
+    ({"L1": 1.0, "L2": 1.0, "X": 1.0}, "{key} mass for unknown node 'X'"),
+    ({"L1": 1.0, "L2": 1.0, "Q0": 1.0}, "{key} mass assigned to non-leaf 'Q0'"),
+], ids=["missing_leaf", "unknown_node", "interior_node"])
+def test_verify_reads_omega_and_w_strictly(tmp_path, capsys, key, values, message):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(_small_instance(**{key: values})))
+    run = tmp_path / "run"
+    assert main(["verify", str(bad), "--search-random", "2", "--search-ascent", "1",
+                 "--out", str(run)]) == 2
+    assert message.format(key=key) in capsys.readouterr().err
+    assert not (run / "report.jsonl").exists()
+
+
+def test_verify_defaults_absent_omega_to_mu_and_w_to_one(tmp_path):
+    from dyadicmax.cli import _load_instance
+    plain, full = tmp_path / "plain" / "inst.json", tmp_path / "full" / "inst.json"
+    for path, data in ((plain, _small_instance()),
+                       (full, _small_instance(omega={"L1": 1.0, "L2": 2.0},
+                                              w={"L1": 1.0, "L2": 1.0}))):
+        path.parent.mkdir()
+        path.write_text(json.dumps(data))
+    (a, _), (b, _) = _load_instance(plain), _load_instance(full)
+    assert a.omega_leaf.tolist() == b.omega_leaf.tolist() == [1.0, 2.0]
+    assert a.w_leaf.tolist() == b.w_leaf.tolist() == [1.0, 1.0]
+    config = SweepConfig(p_values=(2.0,), q_tokens=("inf",), search_random=2,
+                         search_ascent=1)
+    reports = []
+    for path in (plain, full):
+        out = path.parent / "run"
+        assert cmd_verify(replace(config, out=str(out)), [path])[0] == 0
+        reports.append((out / "report.jsonl").read_text())
+    assert reports[0] == reports[1]
 
 
 def test_verify_injected_fault_exits_1(tmp_path):

@@ -13,9 +13,9 @@ from dyadicmax import (CoefficientFamily, NormSearch, RandomModelParams,
                        random_model, testing_constant, theorem_constant,
                        theorem_constant_hp, verify_theorem)
 from dyadicmax.constants import _power_step
-from dyadicmax.maximal import _indicator_ratios
+from dyadicmax.maximal import _indicator_ratios, node_integrals
 
-from _reference import ref_testing_constant
+from _reference import ref_power_step, ref_testing_constant
 from conftest import INF, make_instance, random_nonneg
 
 # frozen from a 50-digit evaluation of ((1+1/p)^(p+1) p)^(1/p) p'
@@ -401,6 +401,24 @@ def test_norm_lower_matches_step_by_step_evaluation():
             assert np.array_equal(witness, best_f / lp_norm(model, best_f, p, "mu"))
 
 
+def test_power_iteration_stops_at_an_exact_fixed_point(monkeypatch):
+    import dyadicmax.constants as constants
+    calls = []
+    step = constants._power_step
+    monkeypatch.setattr(constants, "_power_step",
+                        lambda *args: calls.append(1) or step(*args))
+    model, a = make_instance(4)
+    for p, q in ((2.0, INF), (1.5, 3.0)):  # fixed after 2 and after 13 steps
+        found = []
+        for rounds in (12, 200):
+            calls.clear()
+            found.append(operator_norm_lower(model, a, p, q,
+                                             NormSearch(n_random=4, ascent_rounds=rounds)))
+        (A12, w12), (A200, w200) = found
+        assert A12 == A200 and np.array_equal(w12, w200), (p, q)
+        assert len(calls) < 200, (p, q)
+
+
 def test_norm_lower_holds_no_dense_indicator_batch():
     # one (nodes, leaves) float batch of every cube indicator is 54.7 MiB here
     params = RandomModelParams(depth_min=7, depth_max=7, branch_min=3, branch_max=3,
@@ -431,6 +449,43 @@ def test_power_step_never_lowers_the_ratio():
                 now = ratio(model, a, f, p, q)
                 assert now >= last * (1 - 1e-12), (seed, p, q, now, last)
                 last = now
+
+
+@pytest.mark.parametrize("q_of", [lambda p: p, lambda p: 2 * p, lambda p: INF],
+                         ids=["p", "2p", "inf"])
+def test_power_step_matches_per_atom_reference(q_of):
+    for seed in range(12):
+        model, a = make_instance(seed, roots=1 + seed % 3, branch_min=1 + seed % 2)
+        if np.all(model.nu_leaf == 0):
+            continue
+        for p in (1.5, 2.0, 3.0):
+            q = q_of(p)
+            F = np.stack([random_nonneg(model, seed + i, "pareto") for i in range(3)])
+            got = _power_step(model, a, F, p, q)
+            for f, row in zip(F, got):
+                np.testing.assert_allclose(row, ref_power_step(model, a, f, p, q),
+                                           rtol=1e-12, atol=0, err_msg=f"{seed} {p} {q}")
+
+
+def test_power_step_gives_a_tie_to_the_shallower_level():
+    # R and its child A hold the same mu-mass, since mu(z) = 0, and the same
+    # coefficient, so at q = inf the terms of R and A tie exactly at a1 and a2
+    from dyadicmax import build_model
+    model = build_model({
+        "nodes": [{"id": "R", "parent": None}, {"id": "A", "parent": "R"},
+                  {"id": "z", "parent": "R"}, {"id": "a1", "parent": "A"},
+                  {"id": "a2", "parent": "A"}],
+        "mu": {"a1": 1.0, "a2": 3.0, "z": 0.0}, "nu": {"a1": 2.0, "a2": 1.0, "z": 1.0}})
+    a = CoefficientFamily.from_mapping(model, {"R": 1.0, "A": 1.0, "z": 0.5,
+                                               "a1": 0.5, "a2": 0.5})
+    f = np.ones(model.n_leaves)
+    T = [abs(float(node_integrals(model, f)[model.node(k)])) for k in ("R", "A")]
+    assert T[0] == T[1] == 4.0
+    got = _power_step(model, a, f[None, :], 2.0, INF)[0]
+    # every atom's weight on R: G = g_R = 2 + 1 + 1 everywhere; had the ties
+    # gone to A, g_A = 3 and g_R = 1 would give z a quarter of the others
+    assert got.tolist() == [1.0, 1.0, 1.0]
+    np.testing.assert_allclose(got, ref_power_step(model, a, f, 2.0, INF), rtol=1e-12)
 
 
 @pytest.mark.parametrize("q", [50.0, INF])

@@ -12,7 +12,7 @@ from dyadicmax import (DyadicModel, Exponents, ModelError, RandomModelParams, av
 from dyadicmax.lattice import _lq_groups, _lq_rows, _running_lq, model_to_dict
 from dyadicmax.maximal import node_integrals
 
-from _reference import ref_integrate, ref_layout, ref_lp_norm
+from _reference import ref_families, ref_integrate, ref_layout, ref_lp_norm
 from conftest import make_instance, random_nonneg
 
 
@@ -209,23 +209,26 @@ def test_lq_groups_match_lq_rows(q):
     np.testing.assert_allclose(got, _lq_rows(rows, q), rtol=1e-14, atol=0)
     # the running kernel gives every prefix of every row
     prefixes = np.stack([_lq_rows(rows[:, :d], q) for d in range(1, 41)], axis=-1)
-    running = _running_lq(rows, q)
+    running = _running_lq(rows, q, axis=-1)
     assert np.all(running[:, 0] == 0.0)
     np.testing.assert_allclose(running[:, 1:], prefixes, rtol=1e-14, atol=0)
 
 
 @pytest.mark.parametrize("q", [1.5, 4, 1e6, math.inf])
 def test_running_lq_batch_matches_each_slice(q):
-    # _indicator_ratios runs the kernel on two tables stacked this way
+    # _indicator_ratios runs the kernel down the levels of two level-major
+    # (levels, atoms) tables stacked this way
     rng = np.random.default_rng(5)
-    T = rng.pareto(1.5, (2, 9, 6))
-    T[0, 2] = 0.0
-    T[1, 4, 1], T[1, 4, 3] = 1e200, 1e-200
-    T[0, 6, 0], T[0, 6, 5] = 1e-200, 1e200
-    batch = _running_lq(T, q)
-    assert np.all(batch[0, 2] == 0.0)
+    T = rng.pareto(1.5, (2, 6, 9))
+    T[0, :, 2] = 0.0
+    T[1, 1, 4], T[1, 3, 4] = 1e200, 1e-200
+    T[0, 0, 6], T[0, 5, 6] = 1e-200, 1e200
+    batch = _running_lq(T, q, axis=1)
+    assert batch.shape == (2, 7, 9) and np.all(batch[0, :, 2] == 0.0)
     for i in range(2):
-        assert np.array_equal(batch[i], _running_lq(T[i], q))
+        assert np.array_equal(batch[i], _running_lq(T[i], q, axis=0))
+        # the same norms as along the last axis of the atom-major table
+        assert np.array_equal(batch[i], _running_lq(T[i].T, q, axis=-1).T)
 
 
 def test_random_model_deterministic():
@@ -383,6 +386,22 @@ def test_layout_matches_reference_walk():
             assert g.dtype == np.int64 and np.array_equal(g, w), name
         assert len(got[-1]) == len(want[-1])
         assert all(np.array_equal(g, w) for g, w in zip(got[-1], want[-1]))
+
+
+def test_families_match_plain_lists():
+    # forests, unary chains (branch_min=1), single-node trees and a caterpillar
+    models = [random_model(RandomModelParams(depth_min=1, depth_max=1 + s % 5,
+                                            branch_min=1 + s % 2, roots=1 + s % 3,
+                                            leaf_prob=0.25), s)
+              for s in range(40)]
+    models.append(DyadicModel(["x", "y"], [-1, -1], [[], []], [1.0, 2.0], [1.0, 1.0]))
+    models.append(_caterpillar(1500))
+    for model in models:
+        fam = model._families
+        assert fam.dtype == np.int64 and not fam.flags.writeable
+        assert fam.tolist() == ref_families(model)
+    assert models[-2]._families.shape == (0, 0)
+    assert models[-1]._families.shape == (2, 1500)
 
 
 @pytest.mark.parametrize("case", ["two_parents", "root_as_child", "unreachable_cycle",
