@@ -185,6 +185,7 @@ def _verify_one(name: str, instance, config: SweepConfig):
         cp_true = theorem_constant(p)
         cp_used = cp_true * (0.5 if config.halve_cp else 1.0)
         cp_ref = theorem_constant_hp(p)
+        inst_p = replace(inst, p=p)
         for qi, tok in enumerate(config.q_tokens):
             q = resolve_q(tok, p)
             rng = np.random.default_rng(
@@ -260,7 +261,7 @@ def _verify_one(name: str, instance, config: SweepConfig):
 
             # change-of-weight identities
             try:
-                red = verify_reduction(replace(inst, p=p), f, q, strict=False)
+                red = verify_reduction(inst_p, f, q, strict=False)
             except ReductionError as exc:
                 records.append(_record(name, p, q, "sawyer_reduction", False, -1.0,
                                        error=str(exc)))

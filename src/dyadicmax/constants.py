@@ -9,6 +9,7 @@ upper bound C(p) * B, and checks B <= A_lower <= C(p) * B.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -16,7 +17,7 @@ from typing import Optional
 import mpmath
 import numpy as np
 
-from .lattice import MU, DyadicModel, Exponents, _lp_rows, _lq_rows, indicator, lp_norm
+from .lattice import DyadicModel, Exponents, _lp_rows, _lq_rows, indicator
 from .maximal import (CoefficientFamily, _apply_levels, _indicator_norms,
                       _indicator_ratios, _level_terms, node_integrals)
 
@@ -61,8 +62,12 @@ def theorem_constant(p: float) -> float:
     return ((1.0 + 1.0 / p) ** (p + 1.0) * p) ** (1.0 / p) * holder_conjugate(p)
 
 
+@functools.lru_cache(maxsize=64)
 def theorem_constant_hp(p, dps: int = 50) -> float:
-    """Independent high-precision evaluation of the same constant."""
+    """Independent high-precision evaluation of the same constant.
+
+    Memoised per (p, dps): a sweep asks for the same few p again and again.
+    """
     with mpmath.workdps(dps):
         mp = mpmath.mpf(p)
         pc = mp / (mp - 1)
@@ -103,8 +108,12 @@ class NormSearch:
     seed: int = 0
 
 
-def _ratios(model, a, F, p, q):
-    out_norm = _lp_rows(_apply_levels(model, a, F, q), model.nu_leaf, p)
+def _ratios(model, a, F, p, q, images=None):
+    """|Mf|_p,nu / |f|_p,mu for every row f of F (-1 where |f|_p,mu = 0), and the
+    mu-norms.  ``images``, the operator on the rows of F, is computed if not given."""
+    if images is None:
+        images = _apply_levels(model, a, F, q)
+    out_norm = _lp_rows(images, model.nu_leaf, p)
     in_norm = _lp_rows(F, model.mu_leaf, p)
     ratios = np.where(in_norm > 0, out_norm / np.where(in_norm > 0, in_norm, 1.0), -1.0)
     return ratios, in_norm
@@ -120,7 +129,9 @@ def _power_step(model, a, F, p, q):
     each atom's weight on the first (shallowest) level attaining its max.
     The map is scale invariant, so each row's weights and sums are rescaled
     by their peak before the powers: iterates lie in [0, 1] and stay finite
-    at any p.
+    at any p.  Returns (the next iterates, M F): the operator on the rows it
+    consumed, which the step computes anyway, so each iterate is scored from
+    the step that consumes it.
     """
     anc, coef = a._leaf_levels()
     m, n = F.shape[0], model.n_nodes
@@ -137,13 +148,13 @@ def _power_step(model, a, F, p, q):
         node = anc[first, atom] + rows[:, None]  # never a padding level
         weight = weight * coef[first, atom]
     else:
-        node = anc % (n + 1) + rows[:, None, None]
+        node = model._ancestor_slots + rows[:, None, None]
         weight = weight[:, None] * (T / np.where(Mf > 0, Mf, 1.0)[:, None]) ** (q - 1.0) * coef
     g = np.bincount(node.ravel(), weights=weight.ravel(),
                     minlength=m * (n + 1)).reshape(m, n + 1)
     G = g[:, anc].sum(axis=1)
     peak = G.max(axis=1, keepdims=True)
-    return (G / np.where(peak > 0, peak, 1.0)) ** (1.0 / (p - 1.0))
+    return (G / np.where(peak > 0, peak, 1.0)) ** (1.0 / (p - 1.0)), Mf
 
 
 def operator_norm_lower(model: DyadicModel, a: CoefficientFamily, p, q,
@@ -157,8 +168,11 @@ def operator_norm_lower(model: DyadicModel, a: CoefficientFamily, p, q,
     (Boyd 1974; Higham 1992) from the best indicator, the constant function
     and the best random candidate.  Every iterate is evaluated exactly at the
     true q and the best ratio seen is kept, so the bound is certified whether
-    or not the iteration converges.  The iteration stops early once a step
-    returns its input bit for bit.  Deterministic for a fixed search config.
+    or not the iteration converges.  Each power step hands back the operator
+    on the iterate it consumed, so the iterates are scored from those images;
+    only the last one needs its own pass, when the budget runs out.  The
+    iteration stops early once a step returns its input bit for bit, whose
+    image is then known too.  Deterministic for a fixed search config.
     Returns (A_lower, witness function with unit mu-norm).
     """
     Exponents(p, q).require_ordered()
@@ -180,21 +194,26 @@ def operator_norm_lower(model: DyadicModel, a: CoefficientFamily, p, q,
     starts = [0, 1]
     if search.n_random > 0:
         starts.append(2 + int(np.argmax(ratios[2:])))
-    X, steps = F[starts], []
+    X, steps, images = F[starts], [], []  # images[i] is the operator on iterate i
     for _ in range(search.ascent_rounds):
-        last, X = X, _power_step(model, a, X, p, q)
+        last, (X, image) = X, _power_step(model, a, X, p, q)
         steps.append(X)
+        images.append(image)
         if np.array_equal(X, last):
+            images.append(image)  # X repeats its input, and so its image
             break  # an exact fixed point: every later step would repeat it
+    else:
+        if steps:  # the budget ran out: the last iterate has no image yet
+            images.append(_apply_levels(model, a, X, q))
     if steps:
-        # one batch evaluates every step; the earliest best iterate wins, as step by step
+        # one batch scores every step; the earliest best iterate wins, as step by step
         X = np.vstack(steps)
-        step_ratios, _ = _ratios(model, a, X, p, q)
+        step_ratios, _ = _ratios(model, a, X, p, q, np.vstack(images[1:]))
         k = int(np.argmax(step_ratios))
         if step_ratios[k] > best_ratio:
             best_ratio, best_f = float(step_ratios[k]), X[k]
 
-    norm = lp_norm(model, best_f, p, MU)
+    norm = _lp_rows(best_f, model.mu_leaf, p)
     witness = best_f / norm if norm > 0 else best_f
     return best_ratio, witness
 

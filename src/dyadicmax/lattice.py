@@ -144,10 +144,11 @@ class DyadicModel:
         # which reduceat also sums, are disjoint: O(nodes) extra work in all
         self._inner = self.dfs_order[~self.is_leaf[self.dfs_order]]
         self._inner_bounds = np.stack([self.dfs_lo, self.dfs_hi], axis=1)[self._inner].ravel()
+        self._leaf_dfs = self.dfs_lo[self.leaf_nodes]  # each atom's DFS position
 
         for arr in (self.parent, self.depth, self.dfs_order, self.dfs_lo, self.dfs_hi,
                     self.leaf_lo, self.leaf_hi, self.leaf_nodes, self.is_leaf,
-                    self._inner, self._inner_bounds):
+                    self._inner, self._inner_bounds, self._leaf_dfs):
             arr.setflags(write=False)
         self._set_measures(mu_leaf, nu_leaf)
 
@@ -242,6 +243,14 @@ class DyadicModel:
         anc.setflags(write=False)
         return anc
 
+    @cached_property
+    def _ancestor_slots(self):
+        """The ancestor table with its padding (-1) moved to slot n_nodes, so every
+        entry is a valid nonnegative index into a row of n_nodes + 1 cells."""
+        slots = self._ancestors % (self.n_nodes + 1)
+        slots.setflags(write=False)
+        return slots
+
     def ancestors_or_self(self, k):
         out = []
         while k >= 0:
@@ -280,7 +289,7 @@ class DyadicModel:
         if values.shape[-1] == n:
             dfs[..., :n] = values[..., self.dfs_order]
         else:
-            dfs[..., self.dfs_lo[self.leaf_nodes]] = values
+            dfs[..., self._leaf_dfs] = values
         out = dfs[..., self.dfs_lo]
         out[..., self._inner] = np.add.reduceat(dfs, self._inner_bounds, axis=-1)[..., ::2]
         return out
@@ -504,7 +513,10 @@ def _running_lq(T, q, axis):
     T = T.swapaxes(0, axis)
     out = np.zeros((T.shape[0] + 1,) + T.shape[1:])
     if q == math.inf:
-        np.maximum.accumulate(T, axis=0, out=out[1:])
+        # one maximum per row; maximum.accumulate along axis 0 runs column by column
+        out[1:2] = T[:1]
+        for d in range(1, T.shape[0]):
+            np.maximum(out[d], T[d], out=out[d + 1])
         return out.swapaxes(0, axis)
     peak, acc = np.zeros((2,) + T.shape[1:])
     for d in range(T.shape[0]):

@@ -339,8 +339,9 @@ def _indicator_ratios(model: DyadicModel, a: CoefficientFamily, p, q) -> np.ndar
     return np.where(pos, norms / np.where(pos, model.mu_node, 1.0) ** (1.0 / p), -1.0)
 
 
-def _apply_by_label(model: DyadicModel, a: CoefficientFamily, f, q, labels):
-    """The operator on f split into parts by a labelling of the cubes.
+def _apply_by_label(model: DyadicModel, a: CoefficientFamily, T, q, labels):
+    """The operator on f split into parts by a labelling of the cubes, from
+    f's table of terms ``T`` (``_level_terms`` of f's cube integrals).
 
     ``labels[k] >= 0`` puts cube k in that part and -1 leaves it out.  Along
     every atom's path a part must hold one contiguous run of depths, as a
@@ -349,7 +350,6 @@ def _apply_by_label(model: DyadicModel, a: CoefficientFamily, f, q, labels):
     over the cubes R of b that contain x.  The parts come atom by atom, and
     down each atom's path.
     """
-    T = _level_terms(model, a, node_integrals(model, f))
     anc, _ = a._leaf_levels()
     lab = np.append(np.asarray(labels, dtype=np.int64), -1)[anc]
     keep = lab >= 0

@@ -17,10 +17,9 @@ from typing import Optional
 
 import numpy as np
 
-from .lattice import (MU, NU, DyadicModel, Exponents, _lq_groups, as_leaf_function,
-                      lp_norm)
-from .maximal import (CoefficientFamily, _apply_by_label, apply_depth_truncated,
-                      node_integrals)
+from .lattice import (MU, DyadicModel, Exponents, _lp_rows, _lq_groups, _lq_rows,
+                      as_leaf_function)
+from .maximal import CoefficientFamily, _apply_by_label, _level_terms, node_integrals
 from .constants import VerificationError, holder_conjugate, testing_constant
 
 __all__ = [
@@ -328,7 +327,7 @@ def carleson_embedding_check(model: DyadicModel, w: CarlesonSequence, f, p,
     f = as_leaf_function(model, f, nonneg=True)
     averages = _node_averages(model, f)
     lhs = float(np.dot(averages ** p, w.weights))
-    norm_p = _power(lp_norm(model, f, p, MU), p)
+    norm_p = _power(_lp_rows(f, model.mu_leaf, p), p)
     bound = holder_conjugate(p) ** p * w.packing_constant * norm_p
     return CarlesonReport(
         lhs=lhs, bound=bound, packing_constant=w.packing_constant, p=p,
@@ -420,11 +419,13 @@ def proof_trace(model: DyadicModel, a: CoefficientFamily, f, p, q, r=None,
 
     averages = decomp.averages
 
-    lhs_vals = apply_depth_truncated(model, a, f, q, n_start).values
-    lhs = _power(lp_norm(model, lhs_vals, p, NU), p)
+    # one table of terms |I_R| a_R(x) serves the depth-truncated operator and its blocks
+    T = _level_terms(model, a, node_integrals(model, f))
+    lhs_vals = _lq_rows(T[n_start:], q, axis=0)
+    lhs = _power(_lp_rows(lhs_vals, model.nu_leaf, p), p)
 
     # F_Q per (atom, block): each (atom, cube) pair lies in exactly one block
-    leaf, owner, F = _apply_by_label(model, a, f, q, decomp.owner_index)
+    leaf, owner, F = _apply_by_label(model, a, T, q, decomp.owner_index)
     norm_p = np.bincount(owner, weights=model.nu_leaf[leaf] * F ** p,
                          minlength=model.n_nodes)
     stop, _ = decomp._by_generation()
@@ -455,7 +456,7 @@ def proof_trace(model: DyadicModel, a: CoefficientFamily, f, p, q, r=None,
     avg_excess = float(np.max(excess, initial=-math.inf))
 
     pc = holder_conjugate(p)
-    norm_f_p = _power(lp_norm(model, f, p, MU), p)
+    norm_f_p = _power(_lp_rows(f, model.mu_leaf, p), p)
     carleson_bound = r / (r - 1.0) * pc ** p * norm_f_p
     final_bound = _power(r, p + 1.0) / (r - 1.0) * pc ** p * B_p * norm_f_p
     at_optimal = math.isclose(r, default_r(p), rel_tol=1e-12)

@@ -1,7 +1,10 @@
 """Naive reference implementations used as independent oracles.
 
 Everything here is written with explicit per-leaf loops and plain Python
-sums, deliberately sharing no code path with the vectorized library.
+sums, deliberately sharing no code path with the vectorized library.  The one
+exception is ``ref_verify_reduction``, the reduction check in its earlier
+form on public calls, one model copy per measure, which pins the library's
+report bit for bit.
 """
 
 import math
@@ -171,3 +174,38 @@ def ref_power_step(model, a, f, p, q):
          for j in range(model.n_leaves)]
     top = max(G)
     return np.array([(x / top if top > 0 else x) ** (1.0 / (p - 1.0)) for x in G])
+
+
+def ref_verify_reduction(inst, f, q, rtol=1e-12):
+    """verify_reduction with a model copy per measure, apply_maximal and lp_norm."""
+    from dyadicmax import apply_maximal, lp_norm, node_integrals, reduce_three_to_two
+    from dyadicmax.sawyer import ReductionReport, _rel_gap
+
+    reduced = reduce_three_to_two(inst)
+    g = reduced.transform(f)
+    model_two = inst.model.with_measures(mu_leaf=reduced.mu_leaf)
+    model_three = inst.model.with_measures(mu_leaf=inst.omega_leaf)
+
+    ints_two = node_integrals(model_two, g, "mu")
+    ints_three = node_integrals(model_three, f, "mu")
+    scale = max(np.max(np.abs(ints_two)), np.max(np.abs(ints_three)), 1e-300)
+    integral_err = float(np.max(np.abs(ints_two - ints_three)) / scale)
+
+    a = reduced.coefficients
+    m_two = apply_maximal(model_two, a, g, q).values
+    m_three = apply_maximal(model_three, a, f, q).values
+    mscale = max(np.max(m_two), np.max(m_three), 1e-300)
+    operator_err = float(np.max(np.abs(m_two - m_three)) / mscale)
+
+    norm_two = lp_norm(model_two, g, inst.p, "mu")
+    target_model = inst.model.with_measures(mu_leaf=inst.target_leaf)
+    norm_three = lp_norm(target_model, f, inst.p, "mu")
+    norm_err = _rel_gap(norm_two, norm_three)
+
+    ratio_lhs = ratio_rhs = None
+    if norm_two > 0 and norm_three > 0:
+        ratio_lhs = lp_norm(inst.model, m_two, inst.p, "nu") / norm_two
+        ratio_rhs = lp_norm(inst.model, m_three, inst.p, "nu") / norm_three
+    errors = (integral_err, operator_err, norm_err)
+    return ReductionReport(integral_err, operator_err, norm_err, ratio_lhs, ratio_rhs,
+                           ok=all(err <= rtol for err in errors))

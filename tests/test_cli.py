@@ -329,3 +329,22 @@ def test_verify_loads_each_instance_once(tmp_path, monkeypatch, workers):
     code, _ = cmd_verify(config, paths)
     assert code == 0
     assert sorted(calls) == sorted(paths)
+
+
+@pytest.mark.parametrize("w", [1e-300, 1e300])
+def test_verify_records_a_non_finite_reduction_and_goes_on(tmp_path, w):
+    # at p = 1.5 the reduced mass w^-2 * omega overflows at w = 1e-300, and
+    # the multiplier w^2 at w = 1e300; RuntimeWarnings are errors in this suite
+    (path,), _ = gen(tmp_path, trials=1, seed=0)
+    data = json.loads(Path(path).read_text())
+    data["w"]["n10"], data["omega"]["n10"] = w, 1.0
+    Path(path).write_text(json.dumps(data))
+    run = tmp_path / "run"
+    config = SweepConfig(seed=0, p_values=(1.5,), q_tokens=("inf",), out=str(run))
+    code, records = cmd_verify(config, [path])
+    assert code == 1
+    assert len((run / "report.jsonl").read_text().splitlines()) == len(records) == 6
+    failed = [r for r in records if not r["pass"]]
+    assert [r["check"] for r in failed] == ["sawyer_reduction"]
+    assert failed[0]["detail"]["error"].startswith("leaf 'n10': ")
+    assert "not a finite number" in failed[0]["detail"]["error"]

@@ -13,7 +13,7 @@ from dyadicmax import (CoefficientFamily, NormSearch, RandomModelParams,
                        random_model, testing_constant, theorem_constant,
                        theorem_constant_hp, verify_theorem)
 from dyadicmax.constants import _power_step
-from dyadicmax.maximal import _indicator_ratios, node_integrals
+from dyadicmax.maximal import _apply_levels, _indicator_ratios, node_integrals
 
 from _reference import ref_power_step, ref_testing_constant
 from conftest import INF, make_instance, random_nonneg
@@ -391,7 +391,7 @@ def test_norm_lower_matches_step_by_step_evaluation():
             ratios = np.append(cubes[k], _ratios(model, a, X[1:], p, q)[0])
             best, best_f = ratios.max(), X[np.argmax(ratios)]
             for _ in range(6):
-                X = _power_step(model, a, X, p, q)
+                X, _ = _power_step(model, a, X, p, q)
                 step, _ = _ratios(model, a, X, p, q)
                 if step.max() > best:
                     best, best_f = step.max(), X[np.argmax(step)]
@@ -435,6 +435,28 @@ def test_norm_lower_holds_no_dense_indicator_batch():
     assert peak < model.n_nodes * model.n_leaves * 8, peak / 2 ** 20
 
 
+def test_power_step_returns_the_operator_on_its_input():
+    # the search scores each iterate from the step that consumes it, so the
+    # image must be the operator on the step's input, bit for bit
+    for seed in range(6):
+        model, a = make_instance(seed, branch_min=1 + seed % 2)
+        for p, q in ((1.5, 3.0), (2.0, INF), (3.0, 6.0)):
+            F = np.stack([random_nonneg(model, seed + i, "pareto") for i in range(3)])
+            _, image = _power_step(model, a, F, p, q)
+            assert np.array_equal(image, _apply_levels(model, a, F, q)), (seed, p, q)
+            for f, row in zip(F, image):
+                assert np.array_equal(row, apply_maximal(model, a, f, q).values)
+
+
+def test_theorem_constant_hp_is_memoised():
+    theorem_constant_hp.cache_clear()
+    first = theorem_constant_hp(2.5)
+    assert theorem_constant_hp(2.5) == first
+    assert theorem_constant_hp.cache_info().hits == 1
+    assert theorem_constant_hp(2.5, dps=60) == pytest.approx(first, rel=1e-15)
+    assert theorem_constant_hp.cache_info().misses == 2
+
+
 def test_power_step_never_lowers_the_ratio():
     # |Mf|^p is convex in f >= 0, so each step's ratio is at least the last
     for seed in range(10):
@@ -445,7 +467,7 @@ def test_power_step_never_lowers_the_ratio():
             f = random_nonneg(model, seed, "pareto")
             last = ratio(model, a, f, p, q)
             for _ in range(10):
-                f = _power_step(model, a, f[None, :], p, q)[0]
+                f = _power_step(model, a, f[None, :], p, q)[0][0]
                 now = ratio(model, a, f, p, q)
                 assert now >= last * (1 - 1e-12), (seed, p, q, now, last)
                 last = now
@@ -461,7 +483,7 @@ def test_power_step_matches_per_atom_reference(q_of):
         for p in (1.5, 2.0, 3.0):
             q = q_of(p)
             F = np.stack([random_nonneg(model, seed + i, "pareto") for i in range(3)])
-            got = _power_step(model, a, F, p, q)
+            got, _ = _power_step(model, a, F, p, q)
             for f, row in zip(F, got):
                 np.testing.assert_allclose(row, ref_power_step(model, a, f, p, q),
                                            rtol=1e-12, atol=0, err_msg=f"{seed} {p} {q}")
@@ -481,7 +503,7 @@ def test_power_step_gives_a_tie_to_the_shallower_level():
     f = np.ones(model.n_leaves)
     T = [abs(float(node_integrals(model, f)[model.node(k)])) for k in ("R", "A")]
     assert T[0] == T[1] == 4.0
-    got = _power_step(model, a, f[None, :], 2.0, INF)[0]
+    got = _power_step(model, a, f[None, :], 2.0, INF)[0][0]
     # every atom's weight on R: G = g_R = 2 + 1 + 1 everywhere; had the ties
     # gone to A, g_A = 3 and g_R = 1 would give z a quarter of the others
     assert got.tolist() == [1.0, 1.0, 1.0]
@@ -499,7 +521,7 @@ def test_power_step_finite_at_large_p(q):
         assert np.max(apply_maximal(model, big, ones, q).values) ** (p - 1) == INF
     X = np.vstack([ones, indicator(model, model.ids[1]), random_nonneg(model, 3, "pareto")])
     for _ in range(20):
-        X = _power_step(model, big, X, p, q)
+        X, _ = _power_step(model, big, X, p, q)
         assert np.all(np.isfinite(X)) and np.all(X >= 0)
         assert np.all(X.max(axis=1) == 1.0)
 

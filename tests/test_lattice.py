@@ -231,6 +231,16 @@ def test_running_lq_batch_matches_each_slice(q):
         assert np.array_equal(batch[i], _running_lq(T[i].T, q, axis=-1).T)
 
 
+def test_running_max_matches_accumulate():
+    # at q = inf the running kernel is the running peak, bit for bit
+    rng = np.random.default_rng(11)
+    for shape, axis in (((9, 40), 0), ((2, 9, 40), 1), ((4, 11), -1), ((0, 5), 0)):
+        T = rng.pareto(1.5, shape)
+        got = np.moveaxis(_running_lq(T, math.inf, axis), axis, 0)
+        assert np.all(got[0] == 0.0)
+        assert np.array_equal(got[1:], np.moveaxis(np.maximum.accumulate(T, axis=axis), axis, 0))
+
+
 def test_random_model_deterministic():
     params = RandomModelParams(depth_min=2, depth_max=4, branch_min=2,
                                branch_max=3, zero_prob_mu=0.2)

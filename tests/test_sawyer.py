@@ -1,14 +1,17 @@
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
 
 from dyadicmax import (CoefficientFamily, ReductionError, SawyerInstance,
+                       VerificationError,
                        apply_maximal, build_model, classical_coefficients,
                        lp_norm, reduce_three_to_two, truncation_restriction_gap,
                        verify_reduction)
 from dyadicmax.sawyer import random_instance
 
+from _reference import ref_verify_reduction
 from conftest import INF
 
 
@@ -50,6 +53,32 @@ def test_reduce_rejects_infinite_measure(unit_leaf):
         reduce_three_to_two(inst)
 
 
+@pytest.mark.parametrize("omega, w, alpha", [
+    (1.0, 1e-300, 0.5),   # reduced mass 1e300^(p'/p) overflows
+    (1.0, 1e300, 0.5),    # the multiplier overflows
+    (5e-324, 1.0, 1.0),   # the coefficient omega^-alpha overflows
+])
+def test_reduce_rejects_non_finite_systems(deep_model, omega, w, alpha):
+    # RuntimeWarnings are errors in this suite, so none may escape either
+    omegas, ws = np.ones(5), np.ones(5)
+    omegas[3], ws[3] = omega, w
+    inst = SawyerInstance(model=deep_model, omega_leaf=omegas, w_leaf=ws,
+                          alpha=alpha, p=1.5)
+    leaf = deep_model.leaf_ids[3]
+    with pytest.raises(ReductionError, match=f"leaf {leaf!r}: .* not a finite number"):
+        reduce_three_to_two(inst)
+    with pytest.raises(ReductionError):
+        verify_reduction(inst, np.ones(5), INF, strict=False)
+
+
+def test_reduce_overflow_where_omega_vanishes_is_quiet(deep_model):
+    # w^(-p'/p) overflows, but omega = 0 there gives mass 0: no inf * 0 warning
+    inst = SawyerInstance(model=deep_model, omega_leaf=[1, 1, 0, 1, 1],
+                          w_leaf=[1, 1, 1e-300, 1, 1], alpha=0.5, p=1.5)
+    red = reduce_three_to_two(inst)
+    assert red.mu_leaf[2] == 0.0 and np.all(np.isfinite(red.mu_leaf))
+
+
 def test_verify_reduction_single_leaf(unit_leaf):
     inst = SawyerInstance(model=unit_leaf, omega_leaf=[1.0], w_leaf=[4.0],
                           alpha=1.0, p=2.0)
@@ -79,6 +108,52 @@ def test_verify_reduction_random_instances():
         for q in (inst.p, 2 * inst.p, INF):
             rep = verify_reduction(inst, f, q)
             assert rep.ok, (seed, q)
+
+
+def test_verify_reduction_matches_the_model_copy_reference():
+    # the same report, bit for bit, as three with_measures models, apply_maximal
+    # and lp_norm give on the instances above
+    rng = np.random.default_rng(2024)
+    for seed in range(40):
+        inst = random_instance(seed)
+        f = rng.exponential(1.0, inst.model.n_leaves)
+        for q in (inst.p, 2 * inst.p, INF):
+            got = astuple(verify_reduction(inst, f, q, strict=False))
+            want = astuple(ref_verify_reduction(inst, f, q))
+            assert got == want, (seed, q)
+            assert [type(x) for x in got] == [type(x) for x in want], (seed, q)
+
+
+def test_verify_reduction_nan_error_never_passes(monkeypatch):
+    # max(1e-16, nan) is 1e-16: a NaN must fail on its own, whatever its position
+    import dyadicmax.sawyer as sawyer
+    lq_rows = sawyer._lq_rows
+
+    def with_nan(*args, **kwargs):
+        out = lq_rows(*args, **kwargs)
+        out[0, 0] = math.nan
+        return out
+
+    monkeypatch.setattr(sawyer, "_lq_rows", with_nan)
+    inst = random_instance(3)
+    f = np.ones(inst.model.n_leaves)
+    rep = verify_reduction(inst, f, INF, strict=False)
+    assert math.isnan(rep.operator_rel_error)
+    assert rep.integral_rel_error <= 1e-12 and rep.norm_rel_error <= 1e-12
+    assert not rep.ok
+    with pytest.raises(VerificationError, match="reduction identity violated"):
+        verify_reduction(inst, f, INF)
+
+
+def test_verify_reduction_overflow_fails_quietly(deep_model):
+    # w^(p'/p) = 1e300 is finite, but g = f * 1e300 overflows at f = 1e10
+    inst = SawyerInstance(model=deep_model, omega_leaf=np.ones(5),
+                          w_leaf=[1, 1, 1e150, 1, 1], alpha=0.5, p=1.5)
+    f = np.full(5, 1e10)
+    rep = verify_reduction(inst, f, INF, strict=False)
+    assert not rep.ok and math.isnan(rep.integral_rel_error)
+    with pytest.raises(VerificationError):
+        verify_reduction(inst, f, INF)
 
 
 def test_ratio_invariance():
