@@ -339,7 +339,7 @@ def _indicator_ratios(model: DyadicModel, a: CoefficientFamily, p, q) -> np.ndar
     return np.where(pos, norms / np.where(pos, model.mu_node, 1.0) ** (1.0 / p), -1.0)
 
 
-def _apply_by_label(model: DyadicModel, a: CoefficientFamily, T, q, labels):
+def _apply_by_label(a: CoefficientFamily, T, q, labels):
     """The operator on f split into parts by a labelling of the cubes, from
     f's table of terms ``T`` (``_level_terms`` of f's cube integrals).
 

@@ -425,7 +425,7 @@ def proof_trace(model: DyadicModel, a: CoefficientFamily, f, p, q, r=None,
     lhs = _power(_lp_rows(lhs_vals, model.nu_leaf, p), p)
 
     # F_Q per (atom, block): each (atom, cube) pair lies in exactly one block
-    leaf, owner, F = _apply_by_label(model, a, T, q, decomp.owner_index)
+    leaf, owner, F = _apply_by_label(a, T, q, decomp.owner_index)
     norm_p = np.bincount(owner, weights=model.nu_leaf[leaf] * F ** p,
                          minlength=model.n_nodes)
     stop, _ = decomp._by_generation()
