@@ -47,7 +47,8 @@ print(f"\nstopping masses as a Carleson sequence: {weights.as_mapping()}")
 print(f"computed packing constant: {weights.packing_constant:.4f}")
 for p in (1.5, 2.0):
     rep = carleson_embedding_check(model, weights, f, p)
-    print(f"embedding at p={p}: lhs {rep.lhs:.4f} <= bound {rep.bound:.4f}")
+    print(f"embedding at p={p}: (sum avg^p w)^(1/p) {rep.lhs:.4f} "
+          f"<= p' A^(1/p) |f|_p {rep.bound:.4f}")
 
 print("\nfull chain on a random instance (default r = (p+1)/p):")
 rmodel = random_model(RandomModelParams(depth_min=3, depth_max=4,
@@ -58,9 +59,10 @@ p, q = 2.0, math.inf
 trace = proof_trace(rmodel, a, g, p, q)
 print(f"instance: {rmodel}, stopping cubes: {len(trace.decomposition.stopping)}, "
       f"r = {trace.r:.3f}, B = {trace.B:.4f}")
+print("each link compares norms:")
 for link in trace.links:
     print(f"  {link.name:<12} {link.lhs:>14.6f} <= {link.rhs:>14.6f}   ok={link.ok}")
 print(f"block reconstruction error: {trace.reconstruction_rel_error:.2e}")
+final = next(link for link in trace.links if link.name == "final")
 print("the operator norm estimate certified by the chain:",
-      f"lhs^(1/p) = {trace.lhs ** (1 / p):.4f} <= "
-      f"final^(1/p) = {trace.final_bound ** (1 / p):.4f}")
+      f"|Mf|_p = {final.lhs:.4f} <= final bound {trace.final_bound:.4f}")

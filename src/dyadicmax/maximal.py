@@ -151,10 +151,6 @@ class CoefficientFamily:
         return cls(model, np.full(model.n_nodes, float(value)))
 
     @classmethod
-    def from_scalars(cls, model: DyadicModel, scalars) -> "CoefficientFamily":
-        return cls(model, scalars)
-
-    @classmethod
     def from_mapping(cls, model: DyadicModel, mapping: Mapping) -> "CoefficientFamily":
         """Build from {node id: scalar or {leaf id: value}}; every node required.
 
@@ -410,7 +406,7 @@ def classical_coefficients(model: DyadicModel, omega_leaf, alpha: float) -> Coef
         raise ValueError("omega masses must be >= 0")
     with np.errstate(divide="ignore"):
         scalars = np.where(omega_node > 0, omega_node ** (-float(alpha)), 0.0)
-    return CoefficientFamily.from_scalars(model, scalars)
+    return CoefficientFamily(model, scalars)
 
 
 def write_coefficients(a: CoefficientFamily, path) -> None:

@@ -20,7 +20,7 @@ import numpy as np
 from .lattice import (MU, DyadicModel, Exponents, _lp_rows, _lq_groups, _lq_rows,
                       as_leaf_function)
 from .maximal import CoefficientFamily, _apply_by_label, _level_terms, node_integrals
-from .constants import VerificationError, holder_conjugate, testing_constant
+from .constants import VerificationError, holder_conjugate, testing_constant, theorem_constant
 
 __all__ = [
     "StoppingDecomposition",
@@ -53,10 +53,9 @@ def _check_r(r):
     return r
 
 
-def _power(x, p) -> float:
-    """x ** p for a float x >= 0, inf where it overflows (a float raises)."""
-    with np.errstate(over="ignore"):
-        return float(np.float64(x) ** p)
+def _held(lhs, rhs, p, rtol):
+    """lhs^p <= rhs^p (1 + rtol) for norms, elementwise; inf or NaN never holds."""
+    return (lhs < math.inf) & (rhs < math.inf) & (lhs <= rhs * (1.0 + rtol) ** (1.0 / p))
 
 
 def _node_averages(model, f):
@@ -276,6 +275,9 @@ class CarlesonSequence:
         w = np.asarray(weights, dtype=float)
         if w.shape != (model.n_nodes,):
             raise ValueError(f"need one weight per node, got shape {w.shape}")
+        if not np.all(np.isfinite(w)):
+            k = int(np.argmin(np.isfinite(w)))
+            raise ValueError(f"Carleson weight of node {model.ids[k]!r} is not finite: {w[k]}")
         if np.any(w < 0):
             raise ValueError("Carleson weights must be >= 0")
         subtotal = model.subtree_totals(w)
@@ -304,10 +306,10 @@ def stopping_weights(decomp: StoppingDecomposition) -> CarlesonSequence:
 
 @dataclass
 class CarlesonReport:
-    """One evaluation of the embedding inequality with its slack."""
+    """One evaluation of the embedding inequality, as norms, with its slack."""
 
-    lhs: float
-    bound: float
+    lhs: float                   # (sum_Q (avg_Q f)^p w_Q)^(1/p)
+    bound: float                 # p' A^(1/p) |f|_p,mu
     packing_constant: float
     p: float
     slack: float
@@ -316,22 +318,24 @@ class CarlesonReport:
 
 def carleson_embedding_check(model: DyadicModel, w: CarlesonSequence, f, p,
                              *, rtol: float = 1e-9) -> CarlesonReport:
-    """Test sum_Q (avg_Q f)^p w_Q <= (p')^p * A * |f|_p^p for the sequence.
+    """Test (sum_Q (avg_Q f)^p w_Q)^(1/p) <= p' * A^(1/p) * |f|_p for the sequence.
 
-    A failure is reported, not raised; the inequality is a theorem for any
-    sequence with a finite packing constant.
+    ``rtol`` is relative to the p-th powers, and a non-finite side fails.  A
+    failure is reported, not raised; the inequality is a theorem for any
+    sequence with a finite packing constant A.
     """
     p = float(p)
     if not (1.0 < p < math.inf):
         raise ValueError(f"p must be in (1, inf), got {p}")
+    if w.packing_constant < 0:
+        raise ValueError(f"packing constant must be >= 0, got {w.packing_constant}")
     f = as_leaf_function(model, f, nonneg=True)
-    averages = _node_averages(model, f)
-    lhs = float(np.dot(averages ** p, w.weights))
-    norm_p = _power(_lp_rows(f, model.mu_leaf, p), p)
-    bound = holder_conjugate(p) ** p * w.packing_constant * norm_p
+    lhs = float(_lp_rows(_node_averages(model, f), w.weights, p))
+    bound = (holder_conjugate(p) * w.packing_constant ** (1.0 / p)
+             * float(_lp_rows(f, model.mu_leaf, p)))
     return CarlesonReport(
         lhs=lhs, bound=bound, packing_constant=w.packing_constant, p=p,
-        slack=bound - lhs, ok=lhs <= bound * (1 + rtol),
+        slack=bound - lhs, ok=bool(_held(lhs, bound, p, rtol)),
     )
 
 
@@ -350,8 +354,8 @@ class LinkCheck:
 @dataclass
 class BlockRecord:
     owner: str
-    norm_p: float        # |F_Q|_p,nu ^ p
-    bound: float         # r^p B^p (avg_Q f)^p mu(Q)
+    norm: float          # |F_Q|_p,nu
+    bound: float         # r B avg_Q(f) mu(Q)^(1/p)
     average: float
 
 
@@ -359,12 +363,13 @@ class BlockRecord:
 class ProofTrace:
     """Every intermediate quantity of the sufficiency chain, checked in order.
 
-    Links, in the order they are asserted:
-      lq_to_lp:   |(sum F_Q^q)^(1/q)|^p  <=  sum |F_Q|^p        (q >= p)
-      block_bound: each |F_Q|^p <= r^p B^p (avg_Q f)^p mu(Q)
-      carleson:   sum (avg_Q f)^p mu(Q) <= r/(r-1) (p')^p |f|^p
-      final:      lhs <= r^(p+1)/(r-1) (p')^p B^p |f|^p
-      optimal_r:  at r = (p+1)/p the final constant is (1+1/p)^(p+1) p (p')^p
+    Every link compares norms, finite at any p, and holds iff lhs^p <= rhs^p
+    (1 + rtol) with both sides finite.  With N = |M_n f|_p,nu, in order:
+      lq_to_lp:    N  <=  (sum |F_Q|^p)^(1/p)                  (q >= p)
+      block_bound: each |F_Q| <= r B avg_Q(f) mu(Q)^(1/p)
+      carleson:    (sum avg_Q(f)^p mu(Q))^(1/p) <= (r/(r-1))^(1/p) p' |f|
+      final:       N <= r^((p+1)/p) (r-1)^(-1/p) p' B |f|
+      optimal_r:   at r = (p+1)/p the final constant is C(p) B
     """
 
     decomposition: StoppingDecomposition
@@ -372,8 +377,8 @@ class ProofTrace:
     q: float
     r: float
     B: float
-    lhs: float                  # |depth-truncated operator of f|_p,nu ^ p
-    est1: float                 # sum over blocks of |F_Q|^p
+    lhs: float                  # N ** p, inf where it overflows; no link reads it
+    est1: float                 # (sum over blocks of |F_Q|^p)^(1/p)
     carleson_lhs: float
     carleson_bound: float
     final_bound: float
@@ -415,29 +420,26 @@ def proof_trace(model: DyadicModel, a: CoefficientFamily, f, p, q, r=None,
         raise ValueError("decomposition was built for a different model, f, r or n_start")
     if B is None:
         B, _ = testing_constant(model, a, p, q)
-    B_p = _power(B, p)
 
     averages = decomp.averages
 
     # one table of terms |I_R| a_R(x) serves the depth-truncated operator and its blocks
     T = _level_terms(model, a, node_integrals(model, f))
     lhs_vals = _lq_rows(T[n_start:], q, axis=0)
-    lhs = _power(_lp_rows(lhs_vals, model.nu_leaf, p), p)
+    norm_Mf = float(_lp_rows(lhs_vals, model.nu_leaf, p))
 
     # F_Q per (atom, block): each (atom, cube) pair lies in exactly one block
     leaf, owner, F = _apply_by_label(a, T, q, decomp.owner_index)
-    norm_p = np.bincount(owner, weights=model.nu_leaf[leaf] * F ** p,
-                         minlength=model.n_nodes)
     stop, _ = decomp._by_generation()
     stop_ids = [model.ids[k] for k in stop]
-    norm_p = norm_p[stop]
-    bounds = (r * averages[stop]) ** p * B_p * model.mu_node[stop]
-    blocks = [BlockRecord(owner=qid, norm_p=n, bound=b, average=avg)
-              for qid, n, b, avg in zip(stop_ids, norm_p.tolist(),
-                                        bounds.tolist(), averages[stop].tolist())]
-    est1 = float(norm_p.sum())
-    carleson_lhs = float(np.sum(averages[stop] ** p * model.mu_node[stop]))
-    block_fine = np.isfinite(norm_p) & np.isfinite(bounds) & (norm_p <= bounds * (1 + rtol))
+    norms = _lq_groups(model.nu_leaf[leaf] ** (1.0 / p) * F, owner, model.n_nodes, p)[stop]
+    avg_stop, mu_stop = averages[stop], model.mu_node[stop]
+    bounds = r * avg_stop * B * mu_stop ** (1.0 / p)
+    blocks = [BlockRecord(owner=qid, norm=n, bound=b, average=avg)
+              for qid, n, b, avg in zip(stop_ids, norms.tolist(),
+                                        bounds.tolist(), avg_stop.tolist())]
+    est1, carleson_lhs = float(_lq_rows(norms, p)), float(_lp_rows(avg_stop, mu_stop, p))
+    block_fine = _held(norms, bounds, p, rtol)
     block_ok = bool(np.all(block_fine))
     worst_block = None if block_ok else stop_ids[np.flatnonzero(~block_fine)[-1]]
 
@@ -455,29 +457,28 @@ def proof_trace(model: DyadicModel, a: CoefficientFamily, f, p, q, r=None,
                           np.where(avg_m > 0, math.inf, -math.inf))
     avg_excess = float(np.max(excess, initial=-math.inf))
 
+    norm_f = float(_lp_rows(f, model.mu_leaf, p))
     pc = holder_conjugate(p)
-    norm_f_p = _power(_lp_rows(f, model.mu_leaf, p), p)
-    carleson_bound = r / (r - 1.0) * pc ** p * norm_f_p
-    final_bound = _power(r, p + 1.0) / (r - 1.0) * pc ** p * B_p * norm_f_p
+    carleson_bound = (r / (r - 1.0)) ** (1.0 / p) * pc * norm_f
+    final_bound = r ** ((p + 1.0) / p) * (r - 1.0) ** (-1.0 / p) * pc * B * norm_f
     at_optimal = math.isclose(r, default_r(p), rel_tol=1e-12)
-    optimal_bound = ((1.0 + 1.0 / p) ** (p + 1.0) * p * pc ** p * B_p * norm_f_p
-                     if at_optimal else None)
+    optimal_bound = theorem_constant(p) * B * norm_f if at_optimal else None
 
     def link(name, lhs, rhs):
-        # a non-finite side never counts as a held inequality
-        ok = math.isfinite(lhs) and math.isfinite(rhs) and lhs <= rhs * (1 + rtol)
-        return LinkCheck(name, lhs, rhs, ok)
+        return LinkCheck(name, lhs, rhs, bool(_held(lhs, rhs, p, rtol)))
 
     links = [
-        link("lq_to_lp", lhs, est1),
-        LinkCheck("block_bound", float(np.max(norm_p, initial=0.0)),
+        link("lq_to_lp", norm_Mf, est1),
+        LinkCheck("block_bound", float(np.max(norms, initial=0.0)),
                   float(np.max(bounds, initial=0.0)), block_ok),
         link("carleson", carleson_lhs, carleson_bound),
-        link("final", lhs, final_bound),
+        link("final", norm_Mf, final_bound),
     ]
     if optimal_bound is not None:
-        links.append(link("optimal_r", lhs, optimal_bound))
+        links.append(link("optimal_r", norm_Mf, optimal_bound))
 
+    with np.errstate(over="ignore"):
+        lhs = float(np.float64(norm_Mf) ** p)
     trace = ProofTrace(
         decomposition=decomp, p=p, q=q, r=r, B=B, lhs=lhs, est1=est1,
         carleson_lhs=carleson_lhs, carleson_bound=carleson_bound,

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -67,6 +68,17 @@ def test_verify_all_pass(tmp_path):
     assert all(rec["pass"] for rec in records)
     report = tmp_path / "run" / "report.jsonl"
     assert len(report.read_text().splitlines()) == expected
+
+
+def test_verify_passes_at_large_p(tmp_path, capsys):
+    # |Mf|^600 and r^601 overflow; every check compares norms
+    paths, _ = gen(tmp_path, trials=1, seed=0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main(["verify", "--p", "600", "--q", "inf", "--r", "4",
+                     "--out", str(tmp_path / "run"), *map(str, paths)])
+    assert code == 0
+    assert "6/6 checks passed" in capsys.readouterr().out
 
 
 def test_verify_corrupt_file_exits_2(tmp_path):

@@ -8,10 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dyadicmax import (CoefficientFamily, NormSearch, RandomModelParams,
-                       VerificationError, apply_maximal, holder_conjugate, indicator,
-                       lp_norm, operator_norm_bruteforce, operator_norm_lower,
-                       random_model, testing_constant, theorem_constant,
-                       theorem_constant_hp, verify_theorem)
+                       VerificationError, apply_maximal, carleson_embedding_check,
+                       holder_conjugate, indicator, lp_norm, operator_norm_bruteforce,
+                       operator_norm_lower, proof_trace, random_model, stopping_weights,
+                       testing_constant, theorem_constant, theorem_constant_hp,
+                       verify_theorem)
 from dyadicmax.constants import _power_step
 from dyadicmax.maximal import _apply_levels, _indicator_ratios, node_integrals
 
@@ -543,10 +544,14 @@ def test_sandwich_finite_at_large_p_on_scaled_coefficients(e1):
     assert rep.A_lower == pytest.approx(20.0, rel=1e-12)
 
 
+LARGE_P_CASES = dict(
+    seed=st.integers(0, 10 ** 6), roots=st.integers(1, 3), branch_min=st.integers(1, 2),
+    p=st.one_of(st.floats(1.05, 8.0), st.floats(8.0, 1000.0)),
+    q_of=st.sampled_from(["p", "2p", 1e6, INF]), scale=st.sampled_from([1e-8, 1.0, 1e8]))
+
+
 @settings(max_examples=40, deadline=None)
-@given(seed=st.integers(0, 10 ** 6), roots=st.integers(1, 3), branch_min=st.integers(1, 2),
-       p=st.one_of(st.floats(1.05, 8.0), st.floats(8.0, 1000.0)),
-       q_of=st.sampled_from(["p", "2p", 1e6, INF]), scale=st.sampled_from([1e-8, 1.0, 1e8]))
+@given(**LARGE_P_CASES)
 def test_sandwich_holds_up_to_large_p(seed, roots, branch_min, p, q_of, scale):
     model, a = make_instance(seed, roots=roots, branch_min=branch_min)
     a = a.scaled(scale)
@@ -556,3 +561,17 @@ def test_sandwich_holds_up_to_large_p(seed, roots, branch_min, p, q_of, scale):
     if p <= 8 and q <= 50:
         want, _ = ref_testing_constant(model, a, p, q)
         assert rep.B == pytest.approx(want, rel=1e-12, abs=0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(**LARGE_P_CASES)
+def test_proof_chain_holds_up_to_large_p(seed, roots, branch_min, p, q_of, scale):
+    model, a = make_instance(seed, roots=roots, branch_min=branch_min)
+    a = a.scaled(scale)
+    q = {"p": p, "2p": 2 * p}.get(q_of, q_of)
+    f = random_nonneg(model, seed)
+    trace = proof_trace(model, a, f, p, q, strict=False)
+    assert trace.ok, trace.failed_links()
+    assert all(math.isfinite(link.lhs) and math.isfinite(link.rhs) for link in trace.links)
+    weights = stopping_weights(trace.decomposition)
+    assert carleson_embedding_check(model, weights, f, p).ok

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -175,9 +176,38 @@ def test_carleson_sequence_packing(e1):
     w = CarlesonSequence.from_mapping(e1, {"Q0": 2.0, "L1": 1.0, "L2": 1.0})
     assert w.packing_constant == pytest.approx(2.0)
     rep = carleson_embedding_check(e1, w, [1, 1], 2)
-    assert rep.lhs == pytest.approx(4.0)
-    assert rep.bound == pytest.approx(16.0)
+    assert rep.lhs == pytest.approx(2.0)     # (2 + 1 + 1)^(1/2)
+    assert rep.bound == pytest.approx(4.0)   # p' * 2^(1/2) * |f|_2
     assert rep.ok
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_carleson_weights_must_be_finite(e1, bad):
+    with pytest.raises(ValueError, match="'Q0' is not finite"):
+        CarlesonSequence.from_weights(e1, [bad, 0.0, 0.0])
+    with pytest.raises(ValueError, match="'L2' is not finite"):
+        CarlesonSequence.from_mapping(e1, {"L1": 1.0, "L2": bad})
+
+
+def test_carleson_rejects_negative_packing_constant(e1):
+    w = CarlesonSequence(e1, np.ones(3), packing_constant=-1.0)
+    with pytest.raises(ValueError, match="packing constant"):
+        carleson_embedding_check(e1, w, [1.0, 1.0], 2.0)
+
+
+@pytest.mark.parametrize("p", [2.0, 600.0])
+def test_carleson_understated_packing_fails(e1, p):
+    # the true packing constant is (1e6 + 2) / 2; at p = 600 the p-th powers
+    # of both sides overflow, and only the comparison of norms tells them apart
+    w = np.array([1e6, 1.0, 1.0])
+    understated = CarlesonSequence(e1, w, packing_constant=1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rep = carleson_embedding_check(e1, understated, [10.0, 10.0], p)
+        assert math.isfinite(rep.lhs) and math.isfinite(rep.bound)
+        assert not rep.ok
+        assert carleson_embedding_check(e1, CarlesonSequence.from_weights(e1, w),
+                                        [10.0, 10.0], p).ok
 
 
 def test_carleson_zero_cases(e1):
@@ -196,7 +226,7 @@ def test_carleson_equality_single_leaf():
     assert w.packing_constant == pytest.approx(1.0)
     for p in (1.5, 2.0, 3.0):
         rep = carleson_embedding_check(model, w, [1.0], p)
-        assert rep.bound == pytest.approx(holder_conjugate(p) ** p * rep.lhs, rel=1e-12)
+        assert rep.bound == pytest.approx(holder_conjugate(p) * rep.lhs, rel=1e-12)
 
 
 def test_carleson_random_weights():
@@ -229,7 +259,7 @@ def test_proof_trace_e1(e1):
     trace = proof_trace(e1, a, [1, 1], 2, INF, 1.5)
     assert trace.B == pytest.approx(2.0)
     assert trace.lhs == pytest.approx(8.0)
-    assert trace.final_bound == pytest.approx(216.0)
+    assert trace.final_bound == pytest.approx(math.sqrt(216.0))
     assert trace.ok
     assert trace.reconstruction_rel_error < 1e-15
     names = [link.name for link in trace.links]
@@ -261,13 +291,21 @@ def test_proof_trace_rejects_non_finite_f(e1):
         proof_trace(e1, a, [1, math.inf], 2, INF, 1.5)
 
 
-def test_proof_trace_overflow_fails_links_without_raising(e1):
-    # 20^1000 (lhs and B^p) and 4^601 (r^(p+1)) exceed the float range
+def test_proof_trace_holds_at_large_p(e1):
+    # 20^1000 (|Mf|^p and B^p) and 4^601 (r^(p+1)) exceed the float range;
+    # the links compare norms, which stay finite
     for coef, p, r in ((10.0, 1000.0, 1.001), (1.0, 600.0, 4.0)):
         a = CoefficientFamily.constant(e1, coef)
-        with np.errstate(over="ignore"):
-            trace = proof_trace(e1, a, [1.0, 2.0], p, INF, r, strict=False)
-        assert not trace.ok and "final" in trace.failed_links(), (coef, p, r)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            trace = proof_trace(e1, a, [1.0, 2.0], p, INF, r)
+            assert trace.ok, (coef, p, r)
+            assert all(math.isfinite(link.lhs) and math.isfinite(link.rhs)
+                       for link in trace.links)
+            # a falsified testing constant still fails at the same p
+            for B in (trace.B / 2, 0.1):
+                bad = proof_trace(e1, a, [1.0, 2.0], p, INF, B=B, strict=False)
+                assert "final" in bad.failed_links(), (coef, p, B)
 
 
 def test_proof_trace_reuses_decomposition():
@@ -279,7 +317,7 @@ def test_proof_trace_reuses_decomposition():
     assert given.decomposition is decomp
     assert (given.lhs, given.est1, given.carleson_lhs) == \
         (built.lhs, built.est1, built.carleson_lhs)
-    assert [b.norm_p for b in given.blocks] == [b.norm_p for b in built.blocks]
+    assert [b.norm for b in given.blocks] == [b.norm for b in built.blocks]
     mismatched = [
         dict(r=1.7, n_start=1),
         dict(r=1.5, n_start=0),
@@ -319,9 +357,8 @@ def test_block_norms_match_reference():
             assert [b.owner for b in trace.blocks] == trace.decomposition.stopping
             for b in trace.blocks:
                 allowed = {model.node(m) for m in blocks[b.owner]}
-                want = ref_lp_norm(model, ref_maximal(model, a, f, q, allowed=allowed),
-                                   2.0) ** 2.0
-                assert b.norm_p == pytest.approx(want, rel=1e-10, abs=1e-12), \
+                want = ref_lp_norm(model, ref_maximal(model, a, f, q, allowed=allowed), 2.0)
+                assert b.norm == pytest.approx(want, rel=1e-10, abs=1e-12), \
                     (seed, q, b.owner)
 
 
