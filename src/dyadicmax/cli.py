@@ -62,16 +62,19 @@ class SweepConfig:
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         for p in self.p_values:
-            if not p > 1.0:
-                raise ValueError(f"p must be > 1, got {p}")
+            if not 1.0 < p < math.inf:
+                raise ValueError(f"p must be finite and > 1, got {p}")
             for tok in self.q_tokens:
-                q = resolve_q(tok, p)
-                if q < p:
+                if not resolve_q(tok, p) >= p:  # NaN is not >= p either
                     raise ValueError(f"need p <= q, got p={p}, q={tok!r}")
-        if self.r != "auto" and not float(self.r) > 1.0:
-            raise ValueError(f"r must be 'auto' or > 1, got {self.r}")
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
+        if self.r != "auto" and not 1.0 < float(self.r) < math.inf:
+            raise ValueError(f"r must be 'auto' or finite and > 1, got {self.r}")
+        if not (math.isfinite(self.tol) and self.tol > 0):
+            raise ValueError(f"tol must be finite and > 0, got {self.tol}")
+        for name in ("search_random", "search_ascent"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name.replace('_', '-')} must be >= 0, "
+                                 f"got {getattr(self, name)}")
         return self
 
 

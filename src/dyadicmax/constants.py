@@ -19,7 +19,7 @@ import numpy as np
 
 from .lattice import DyadicModel, Exponents, _lp_rows, _lq_rows, indicator
 from .maximal import (CoefficientFamily, _apply_levels, _indicator_norms,
-                      _indicator_ratios, _level_terms, node_integrals)
+                      _indicator_ratios, _level_terms)
 
 __all__ = [
     "ConstantsReport",
@@ -101,11 +101,27 @@ class NormSearch:
     seeded with ``seed`` (so the first k do not depend on ``n_random``),
     probe beyond them, and ``ascent_rounds`` nonlinear power steps then climb
     from the best indicator, the constant function and the best random one.
+    Both budgets must be integers >= 0; 0 turns that part off.
     """
 
     n_random: int = 200
     ascent_rounds: int = 50
     seed: int = 0
+
+    def __post_init__(self):
+        for name in ("n_random", "ascent_rounds"):
+            value = getattr(self, name)
+            if not (isinstance(value, (int, np.integer)) and value >= 0):
+                raise ValueError(f"{name} must be an integer >= 0, got {value!r}")
+
+
+def _check_rtol(rtol) -> float:
+    """A relative tolerance must be a finite number >= 0: every comparison
+    x > y * (1 + rtol) is False when rtol is NaN, which would pass anything."""
+    rtol = float(rtol)
+    if not (math.isfinite(rtol) and rtol >= 0):
+        raise ValueError(f"rtol must be finite and >= 0, got {rtol}")
+    return rtol
 
 
 def _ratios(model, a, F, p, q, images=None):
@@ -119,7 +135,18 @@ def _ratios(model, a, F, p, q, images=None):
     return ratios, in_norm
 
 
-def _power_step(model, a, F, p, q):
+def _step_index(model, m):
+    """What every power step on a batch of m rows indexes with, built once per
+    search: the cell of every term in m rows of cells laid out as the buffer
+    of ``_dfs_sums`` (``_ancestor_sums``, padding at the zero cell n_nodes of
+    each row), ordered (level, atom, row) as the level tables are in memory;
+    and the row offsets and atom numbers that pick one level per atom at
+    q = inf."""
+    rows = model._sum_cells * np.arange(m)
+    return model._ancestor_sums[..., None] + rows, rows[:, None], np.arange(model.n_leaves)
+
+
+def _power_step(model, a, F, p, q, index=None):
     """One nonlinear power step on every row of a batch of functions f >= 0.
 
     With g_Q = d|Mf|^p_p,nu / dI_Q, the maximizers of |Mf|_p,nu / |f|_p,mu
@@ -131,28 +158,31 @@ def _power_step(model, a, F, p, q):
     by their peak before the powers: iterates lie in [0, 1] and stay finite
     at any p.  Returns (the next iterates, M F): the operator on the rows it
     consumed, which the step computes anyway, so each iterate is scored from
-    the step that consumes it.
+    the step that consumes it.  ``index`` is ``_step_index`` for F's row count,
+    which a search builds once for all its steps.
     """
-    anc, coef = a._leaf_levels()
-    m, n = F.shape[0], model.n_nodes
-    T = _level_terms(model, a, node_integrals(model, F))
+    _, coef = a._leaf_levels()
+    m = F.shape[0]
+    slots, rows, atom = _step_index(model, m) if index is None else index
+    T = _level_terms(model, a, F * model.mu_leaf)
     Mf = _lq_rows(T, q, axis=1)
     top = Mf.max(axis=1, keepdims=True)
     weight = model.nu_leaf * (Mf / np.where(top > 0, top, 1.0)) ** (p - 1.0)
-    # padding (anc = -1) goes to a zero column n of each row, which g[:, anc] reads back
-    rows = (n + 1) * np.arange(m)
+    # padding goes to each row's zero cell n_nodes, which g[slots] reads back.
+    # Each cell sums its terms in atom order whatever the layout, and G sums
+    # each atom's levels in the layout of T, which fancy indexing makes
+    # (level, atom, row), as the transposes below keep
     if q == math.inf:
         # each atom's weight goes to its first maximal level only
         first = (T == Mf[:, None]).argmax(axis=1)
-        atom = np.arange(model.n_leaves)
-        node = anc[first, atom] + rows[:, None]  # never a padding level
+        node = model._ancestor_sums[first, atom] + rows  # never a padding level
         weight = weight * coef[first, atom]
     else:
-        node = model._ancestor_slots + rows[:, None, None]
+        node = slots
         weight = weight[:, None] * (T / np.where(Mf > 0, Mf, 1.0)[:, None]) ** (q - 1.0) * coef
-    g = np.bincount(node.ravel(), weights=weight.ravel(),
-                    minlength=m * (n + 1)).reshape(m, n + 1)
-    G = g[:, anc].sum(axis=1)
+        weight = weight.transpose(1, 2, 0)
+    g = np.bincount(node.ravel(), weights=weight.ravel(), minlength=m * model._sum_cells)
+    G = g[slots].transpose(2, 0, 1).sum(axis=1)
     peak = G.max(axis=1, keepdims=True)
     return (G / np.where(peak > 0, peak, 1.0)) ** (1.0 / (p - 1.0)), Mf
 
@@ -195,8 +225,9 @@ def operator_norm_lower(model: DyadicModel, a: CoefficientFamily, p, q,
     if search.n_random > 0:
         starts.append(2 + int(np.argmax(ratios[2:])))
     X, steps, images = F[starts], [], []  # images[i] is the operator on iterate i
+    index = _step_index(model, len(starts))
     for _ in range(search.ascent_rounds):
-        last, (X, image) = X, _power_step(model, a, X, p, q)
+        last, (X, image) = X, _power_step(model, a, X, p, q, index)
         steps.append(X)
         images.append(image)
         if np.array_equal(X, last):
@@ -346,15 +377,17 @@ def verify_theorem(model: DyadicModel, a: CoefficientFamily, p, q,
     """Check B <= A_lower <= C(p) * B on one instance.
 
     Raises :class:`VerificationError` on a sandwich violation, which the
-    characterization theorem rules out for a correct implementation.  The
-    ``c_p`` override exists for fault-injection tests only.
+    characterization theorem rules out for a correct implementation, and
+    ``ValueError`` on bad input, such as an rtol that is not a finite number
+    >= 0.  The ``c_p`` override exists for fault-injection tests only.
     """
     Exponents(p, q).require_ordered()
+    rtol = _check_rtol(rtol)
     B, witness_cube = testing_constant(model, a, p, q)
-    try:
+    if np.any(model.mu_leaf > 0):
         A_lower, witness_f = operator_norm_lower(model, a, p, q, search)
-    except ValueError:
-        A_lower, witness_f = 0.0, None  # degenerate mu: estimate vacuously 0
+    else:
+        A_lower, witness_f = 0.0, None  # mu = 0: every f has mu-norm 0, the estimate is 0
     A_lower = max(A_lower, 0.0)
     C_p = theorem_constant(p) if c_p is None else float(c_p)
     report = ConstantsReport(

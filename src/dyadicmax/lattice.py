@@ -141,14 +141,19 @@ class DyadicModel:
         self.leaf_ids = tuple(map(self.ids.__getitem__, leaves))
         self.leaf_index = dict(zip(self.leaf_ids, range(len(leaves))))
         # interior nodes in DFS order, so that the gaps between their intervals,
-        # which reduceat also sums, are disjoint: O(nodes) extra work in all
-        self._inner = self.dfs_order[~self.is_leaf[self.dfs_order]]
-        self._inner_bounds = np.stack([self.dfs_lo, self.dfs_hi], axis=1)[self._inner].ravel()
+        # which reduceat also sums, are disjoint: O(nodes) extra work in all.
+        # In the buffer of _dfs_sums a leaf's sum is its own value, at its DFS
+        # position, and interior node i's (in this order) is entry n + 1 + 2i
+        inner = self.dfs_order[~self.is_leaf[self.dfs_order]]
+        self._inner_bounds = np.stack([self.dfs_lo, self.dfs_hi], axis=1)[inner].ravel()
+        self._sum_slots = self.dfs_lo.copy()
+        self._sum_slots[inner] = n + 1 + 2 * np.arange(inner.size)
+        self._sum_cells = n + 1 + self._inner_bounds.size
         self._leaf_dfs = self.dfs_lo[self.leaf_nodes]  # each atom's DFS position
 
         for arr in (self.parent, self.depth, self.dfs_order, self.dfs_lo, self.dfs_hi,
                     self.leaf_lo, self.leaf_hi, self.leaf_nodes, self.is_leaf,
-                    self._inner, self._inner_bounds, self._leaf_dfs):
+                    self._inner_bounds, self._sum_slots, self._leaf_dfs):
             arr.setflags(write=False)
         self._set_measures(mu_leaf, nu_leaf)
 
@@ -244,10 +249,12 @@ class DyadicModel:
         return anc
 
     @cached_property
-    def _ancestor_slots(self):
-        """The ancestor table with its padding (-1) moved to slot n_nodes, so every
-        entry is a valid nonnegative index into a row of n_nodes + 1 cells."""
-        slots = self._ancestors % (self.n_nodes + 1)
+    def _ancestor_sums(self):
+        """The ancestor table as positions in the buffer of ``_dfs_sums``: the sum
+        of every atom's ancestor at every depth, and its padding (-1) at entry
+        n_nodes, which is 0, so a gather through it reads 0 below each atom."""
+        anc = self._ancestors
+        slots = np.where(anc >= 0, self._sum_slots[anc], self.n_nodes)
         slots.setflags(write=False)
         return slots
 
@@ -274,25 +281,33 @@ class DyadicModel:
             return self.nu_node
         raise ValueError(f"unknown measure {measure!r}; use 'mu' or 'nu'")
 
-    def _subtree_sums(self, values):
-        """Per-node sums over each subtree, along the last axis of ``values``.
+    def _dfs_sums(self, values):
+        """Per-node sums over each subtree, along the last axis of ``values``, in
+        one buffer: node k's sum is entry ``_sum_slots[k]``, and entry n_nodes
+        is 0.
 
         The last axis holds one value per leaf or one per node (with as many
         leaves as nodes every node is a lone leaf, and the two agree); leading
-        axes are a batch.  Each interior node's own DFS interval is summed on
-        its own, never as a difference of prefix sums, so a small cube keeps
-        its digits beside a large one.
+        axes are a batch.  The buffer's first n_nodes + 1 entries hold the
+        values in DFS order, a leaf's sum being its own value; one reduceat over
+        the interior nodes' DFS intervals writes their sums after them.  Each
+        interval is summed on its own, never as a difference of prefix sums,
+        so a small cube keeps its digits beside a large one.
         """
         values = np.asarray(values, dtype=float)
         n = self.n_nodes
-        dfs = np.zeros(values.shape[:-1] + (n + 1,))  # a trailing 0 keeps every hi in range
+        out = np.zeros(values.shape[:-1] + (self._sum_cells,))
+        dfs = out[..., :n + 1]  # a trailing 0 keeps every hi in range
         if values.shape[-1] == n:
             dfs[..., :n] = values[..., self.dfs_order]
         else:
             dfs[..., self._leaf_dfs] = values
-        out = dfs[..., self.dfs_lo]
-        out[..., self._inner] = np.add.reduceat(dfs, self._inner_bounds, axis=-1)[..., ::2]
+        np.add.reduceat(dfs, self._inner_bounds, axis=-1, out=out[..., n + 1:])
         return out
+
+    def _subtree_sums(self, values):
+        """``_dfs_sums`` in node order: one sum per node along the last axis."""
+        return self._dfs_sums(values)[..., self._sum_slots]
 
     def subtree_sums(self, leaf_values):
         """Per-node sums of an arbitrary leaf vector (additive set function)."""
@@ -496,36 +511,48 @@ def _lq_rows(T, q, axis=-1):
     """ell-q norms of T >= 0 along an axis, q in [1, inf].
 
     Each line is divided by its peak before the power, so no q-th power
-    overflows or underflows; q = inf gives the peak itself.
+    overflows or underflows; q = inf gives the peak itself.  The ufuncs
+    reduce directly, without the array methods' wrappers: this runs some
+    thirty times per verified combination.
     """
     if q == math.inf:
-        return T.max(axis=axis)
-    peak = T.max(axis=axis, keepdims=True)
+        return np.maximum.reduce(T, axis=axis)
+    peak = np.maximum.reduce(T, axis=axis, keepdims=True)
     R = T / np.where(peak > 0, peak, 1.0)
     R **= q
     # on 1-D T the sum stays a numpy scalar, whose power rounds as before
-    return peak.squeeze(axis) * R.sum(axis=axis) ** (1.0 / q)
+    return peak.squeeze(axis) * np.add.reduce(R, axis=axis) ** (1.0 / q)
 
 
 def _running_lq(T, q, axis):
     """ell-q norms of the first d entries along an axis of T >= 0, for d = 0..n
-    (n + 1 entries on that axis), each step rescaled by the running peak."""
+    (n + 1 entries on that axis), each step rescaled by the running peak.
+
+    T has two axes or more, so that each row is an array.  One maximum per
+    row gives the running peaks (maximum.accumulate along axis 0 runs column
+    by column).  At finite q the sum of the q-th powers, divided by the
+    running peak's, is carried from row to row as
+    acc_d = acc_(d-1) * (peak_(d-1) / peak_d)^q + (T_d / peak_d)^q: every power
+    is taken for all rows at once, and only that multiply-add runs row by row.
+    """
     T = T.swapaxes(0, axis)
-    out = np.zeros((T.shape[0] + 1,) + T.shape[1:])
+    n = T.shape[0]
+    peak = np.zeros((n + 1,) + T.shape[1:])
     if q == math.inf:
-        # one maximum per row; maximum.accumulate along axis 0 runs column by column
-        out[1:2] = T[:1]
-        for d in range(1, T.shape[0]):
-            np.maximum(out[d], T[d], out=out[d + 1])
-        return out.swapaxes(0, axis)
-    peak, acc = np.zeros((2,) + T.shape[1:])
-    for d in range(T.shape[0]):
-        new_peak = np.maximum(peak, T[d])
-        scale = np.where(new_peak > 0, new_peak, 1.0)
-        acc = acc * (peak / scale) ** q + (T[d] / scale) ** q
-        peak = new_peak
-        out[d + 1] = peak * acc ** (1.0 / q)
-    return out.swapaxes(0, axis)
+        peak[1:2] = T[:1]
+        for d in range(1, n):
+            np.maximum(peak[d], T[d], out=peak[d + 1])
+        return peak.swapaxes(0, axis)
+    for d in range(n):
+        np.maximum(peak[d], T[d], out=peak[d + 1])
+    scale = np.where(peak[1:] > 0, peak[1:], 1.0)
+    shrink = (peak[:-1] / scale) ** q
+    terms = (T / scale) ** q
+    acc = np.zeros_like(peak)
+    for d in range(n):
+        np.multiply(acc[d], shrink[d], out=acc[d + 1])
+        acc[d + 1] += terms[d]
+    return (peak * acc ** (1.0 / q)).swapaxes(0, axis)
 
 
 def _lq_groups(values, group, n, q):

@@ -13,7 +13,8 @@ on the tree's shape alone and is cached on the model for every family on it,
 and the coefficient of that ancestor at the atom, which a family builds once
 from its entry arrays (one gather of its scalars, one scatter of its flat
 vector values) and caches.  One table of terms |I_R| * a_R(x), each integral
-summed from its cube's own atoms, serves the full operator on one function or
+summed from its cube's own atoms and the table built from f's leaf values in
+one pass (``_level_terms``), serves the full operator on one function or
 a batch, both truncations (a reduction over a range of levels), the testing
 constant and the ratio of every cube indicator (running reductions along
 each atom's path) and the proof chain's stopping blocks (a reduction over
@@ -52,6 +53,9 @@ __all__ = [
 ]
 
 
+_SUFFIX_TABLES = 8  # q values whose suffix tables a family keeps
+
+
 class CoefficientFamily:
     """One nonnegative coefficient per cube: a scalar, or a value per atom.
 
@@ -66,6 +70,11 @@ class CoefficientFamily:
     unless ``lengths[k] > 0``; then its coefficient is the next ``lengths[k]``
     of ``values``, which must be the cube's atom count.  All entries are
     checked at once, and the earliest bad one is named.
+
+    Tables derived from the entries are built on first use and kept: the
+    coefficient table of ``_leaf_levels``, which depends on the entries
+    alone, and the testing constant's suffix tables of ``_suffixes``, one per
+    q for the masses they were last asked for.
     """
 
     def __init__(self, model: DyadicModel, scalars, lengths=None, values=()):
@@ -101,6 +110,7 @@ class CoefficientFamily:
         for arr in (scalars, offsets, values):
             arr.setflags(write=False)
         self._coef = None
+        self._suffix_cache = (None, {})
 
     @staticmethod
     def _raise_earliest(model, lengths, good):
@@ -145,6 +155,32 @@ class CoefficientFamily:
             coef.setflags(write=False)
             self._coef = coef
         return anc, self._coef
+
+    def _suffixes(self, model, q):
+        """Read-only S: S[d, x] is the ell-q combination of the terms mu(R) * a_R(x)
+        over the cubes R on atom x's path at depth >= d (0 below the atom).
+
+        It is (M_Q 1_Q)(x) for the ancestor Q of x at depth d, which the testing
+        constant and the cube indicators of the norm search both read.  Each
+        suffix is rescaled by its own running peak, so none underflows against
+        a larger term above it, even at q = 1e6.  S does not depend on p, so
+        it is cached per q, for one set of masses: the cache is keyed by
+        ``model.mu_node``, an array that belongs to those masses (a
+        ``with_measures`` copy or another model has its own), and other masses
+        empty it.  It keeps the tables of the last ``_SUFFIX_TABLES`` q values it
+        built; a sweep's q values for one instance (p, 2p and inf at three p
+        are six) all fit.  A miss replaces the cache's dict, and never changes
+        a dict in use.
+        """
+        mu, tables = self._suffix_cache
+        if mu is model.mu_node and q in tables:
+            return tables[q]
+        S = _running_lq(_level_terms(model, self, model.mu_leaf)[::-1], q, axis=0)[:0:-1]
+        S.setflags(write=False)
+        kept = list(tables.items()) if mu is model.mu_node else []
+        kept = kept[max(0, len(kept) + 1 - _SUFFIX_TABLES):] + [(q, S)]
+        self._suffix_cache = (model.mu_node, dict(kept))
+        return S
 
     @classmethod
     def constant(cls, model: DyadicModel, value: float = 1.0) -> "CoefficientFamily":
@@ -265,24 +301,30 @@ def _check_tree(model: DyadicModel, a: CoefficientFamily):
             raise ValueError("coefficient family was built for a different tree")
 
 
-def _level_terms(model, a, integrals):
-    """Terms |I_R| * a_R(x): one row per depth of R, one column per atom x.
+def _level_terms(model, a, rows):
+    """The forward kernel: terms |I_R| * a_R(x), one row per depth of R, one
+    column per atom x, from leaf rows to the table in one pass.
 
-    Entries below an atom's own depth are 0.  A batch of integrals, shape
-    (m, n_nodes), gives one such table per function, shape (m, depth+1, leaves).
+    ``rows`` holds per atom a function times the masses its integrals take
+    (f * mu for the operator); a batch of rows, shape (m, leaves), gives one
+    table per row, shape (m, depth+1, leaves).  One reduceat sums every cube
+    (``DyadicModel._dfs_sums``), and the table gathers |I_R| from those sums
+    through ``_ancestor_sums``, whose padding reads a 0 of the sums' buffer:
+    entries below an atom's own depth are 0.
     """
     _check_tree(model, a)
-    anc, coef = a._leaf_levels()
-    pad = np.zeros(np.shape(integrals)[:-1] + (1,))
-    T = np.concatenate([np.abs(integrals), pad], axis=-1)[..., anc]
+    _, coef = a._leaf_levels()
+    sums = model._dfs_sums(rows)
+    np.abs(sums, out=sums)
+    T = sums[..., model._ancestor_sums]
     T *= coef
     return T
 
 
 def _apply_levels(model, a, f, q, first_level=0, leaves=slice(None)):
     """The operator on f, or on a batch of rows, over the cubes at depth >= first_level."""
-    ints = node_integrals(model, f)
-    return _lq_rows(_level_terms(model, a, ints)[..., first_level:, leaves], q, axis=-2)
+    T = _level_terms(model, a, f * model.mu_leaf)
+    return _lq_rows(T[..., first_level:, leaves], q, axis=-2)
 
 
 def _indicator_norms(model: DyadicModel, a: CoefficientFamily, p, q) -> np.ndarray:
@@ -290,13 +332,12 @@ def _indicator_norms(model: DyadicModel, a: CoefficientFamily, p, q) -> np.ndarr
 
     For f = 1_Q the integral over a subcube R of Q is mu(R), so (M_Q 1_Q)(x)
     is the ell-q combination of the terms mu(R) * a_R(x) from Q's depth down
-    x's path: a suffix of x's column.  Each suffix is rescaled by its own peak,
-    so no suffix underflows against a larger term above it, even at q = 1e6.
+    x's path: a suffix S of x's column (``CoefficientFamily._suffixes``).
     Weighted by nu(x)^(1/p), the suffixes of the atoms with nu(x) > 0 go to
     the ancestor at their depth through one grouped ell-p norm, rescaled by
     the cube's peak, so the powers stay finite at any p.
     """
-    S = _running_lq(_level_terms(model, a, model.mu_node)[::-1], q, axis=0)[:0:-1]
+    S = a._suffixes(model, q)
     anc, _ = a._leaf_levels()
     keep = (anc >= 0) & (model.nu_leaf > 0)
     weight = np.broadcast_to(model.nu_leaf ** (1.0 / p), anc.shape)
@@ -317,8 +358,7 @@ def _indicator_ratios(model: DyadicModel, a: CoefficientFamily, p, q) -> np.ndar
     """
     n, fam = model.n_nodes, model._families
     anc, coef = a._leaf_levels()
-    S, P = _running_lq(np.stack([_level_terms(model, a, model.mu_node)[::-1], coef]), q, axis=1)
-    S, P = S[:0:-1], P[:-1]
+    S, P = a._suffixes(model, q), _running_lq(coef, q, axis=0)[:-1]
     keep = (anc >= 0) & (model.nu_leaf > 0)
     weight = np.broadcast_to(model.nu_leaf ** (1.0 / p), anc.shape)[keep]
     node, P = anc[keep], P[keep]
@@ -337,7 +377,7 @@ def _indicator_ratios(model: DyadicModel, a: CoefficientFamily, p, q) -> np.ndar
 
 def _apply_by_label(a: CoefficientFamily, T, q, labels):
     """The operator on f split into parts by a labelling of the cubes, from
-    f's table of terms ``T`` (``_level_terms`` of f's cube integrals).
+    f's table of terms ``T`` (``_level_terms`` of f * mu).
 
     ``labels[k] >= 0`` puts cube k in that part and -1 leaves it out.  Along
     every atom's path a part must hold one contiguous run of depths, as a

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
@@ -51,6 +51,13 @@ class SawyerInstance:
     The model's own mu masses are ignored here; only its shape and nu
     matter.  ``w`` is the density of the testing-side measure with respect
     to omega, ``alpha`` the exponent of the classical coefficients.
+
+    What the reduction derives from the instance is cached in ``_derived``,
+    which ``dataclasses.replace`` hands to the copy, so a copy per p (as a
+    sweep makes) shares it: the classical coefficients, keyed by the model,
+    omega's bytes and alpha, and the reduced mass with the multiplier, keyed
+    by omega's and w's bytes and p.  Each holds one entry, rebuilt when its
+    key differs from the stored one, so a changed field is never read stale.
     """
 
     model: DyadicModel
@@ -58,6 +65,7 @@ class SawyerInstance:
     w_leaf: np.ndarray
     alpha: float
     p: float
+    _derived: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         self.omega_leaf = as_leaf_function(self.model, self.omega_leaf, nonneg=True)
@@ -71,6 +79,13 @@ class SawyerInstance:
     def target_leaf(self):
         """Masses of the testing-side measure: w * omega per atom."""
         return self.w_leaf * self.omega_leaf
+
+    def _cached(self, name, key, build):
+        """``build()``, or the value stored under ``name`` if it was built for ``key``."""
+        entry = self._derived.get(name)
+        if entry is None or entry[0] != key:
+            entry = self._derived[name] = (key, build())
+        return entry[1]
 
 
 @dataclass
@@ -93,8 +108,21 @@ def reduce_three_to_two(inst: SawyerInstance) -> ReducedSystem:
     infinite mass and are rejected.  So is an atom where the reduced mass,
     the multiplier w^(p'/p) or its own coefficient omega^(-alpha) overflows,
     the largest coefficient on its path: every cube with an infinite
-    coefficient holds such an atom.
+    coefficient holds such an atom.  The coefficients are built once per
+    instance and the mass and multiplier once per p (see
+    :class:`SawyerInstance`); all three are read-only.
     """
+    omega, w = inst.omega_leaf, inst.w_leaf
+    omega_key = omega.tobytes()
+    mu, multiplier = inst._cached("measure", (omega_key, w.tobytes(), inst.p),
+                                  lambda: _reduced_measure(inst))
+    a = inst._cached("classical", (inst.model, omega_key, inst.alpha),
+                     lambda: classical_coefficients(inst.model, omega, inst.alpha))
+    return ReducedSystem(mu_leaf=mu, coefficients=a, multiplier=multiplier)
+
+
+def _reduced_measure(inst):
+    """The reduced mass and the multiplier of ``reduce_three_to_two``, checked."""
     exponent = holder_conjugate(inst.p) / inst.p
     omega = inst.omega_leaf
     w = inst.w_leaf
@@ -117,8 +145,9 @@ def reduce_three_to_two(inst: SawyerInstance) -> ReducedSystem:
             f"coefficient is not a finite number (omega = {float(omega[j])!r}, "
             f"w = {float(w[j])!r})"
         )
-    a = classical_coefficients(inst.model, omega, inst.alpha)
-    return ReducedSystem(mu_leaf=mu, coefficients=a, multiplier=multiplier)
+    mu.setflags(write=False)
+    multiplier.setflags(write=False)
+    return mu, multiplier
 
 
 @dataclass
@@ -159,13 +188,12 @@ def verify_reduction(inst: SawyerInstance, f, q, *, rtol: float = 1e-12,
     # an overflow (g = f * w^(p'/p) can exceed the floats) shows as a non-finite error
     with np.errstate(over="ignore", invalid="ignore"):
         g = reduced.transform(f)
-        ints_two, ints_three = model._subtree_sums(np.stack([g * reduced.mu_leaf,
-                                                             f * inst.omega_leaf]))
+        rows = np.stack([g * reduced.mu_leaf, f * inst.omega_leaf])
+        ints_two, ints_three = model._subtree_sums(rows)
         scale = max(np.max(np.abs(ints_two)), np.max(np.abs(ints_three)), 1e-300)
         integral_err = float(np.max(np.abs(ints_two - ints_three)) / scale)
 
-        m_two, m_three = _lq_rows(_level_terms(model, reduced.coefficients,
-                                               np.stack([ints_two, ints_three])), q, axis=-2)
+        m_two, m_three = _lq_rows(_level_terms(model, reduced.coefficients, rows), q, axis=-2)
         mscale = max(np.max(m_two), np.max(m_three), 1e-300)
         operator_err = float(np.max(np.abs(m_two - m_three)) / mscale)
 

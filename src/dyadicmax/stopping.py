@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -20,7 +21,8 @@ import numpy as np
 from .lattice import (MU, DyadicModel, Exponents, _lp_rows, _lq_groups, _lq_rows,
                       as_leaf_function)
 from .maximal import CoefficientFamily, _apply_by_label, _level_terms, node_integrals
-from .constants import VerificationError, holder_conjugate, testing_constant, theorem_constant
+from .constants import (VerificationError, _check_rtol, holder_conjugate, testing_constant,
+                        theorem_constant)
 
 __all__ = [
     "StoppingDecomposition",
@@ -48,8 +50,8 @@ def default_r(p: float) -> float:
 
 def _check_r(r):
     r = float(r)
-    if not r > 1.0:
-        raise ValueError(f"stopping ratio r must be > 1, got {r}")
+    if not 1.0 < r < math.inf:
+        raise ValueError(f"stopping ratio r must be finite and > 1, got {r}")
     return r
 
 
@@ -213,16 +215,34 @@ def partition_ok(decomp: StoppingDecomposition) -> bool:
 
 @dataclass
 class PackingReport:
-    """Cumulative and per-generation mass packing of a stopping family."""
+    """Cumulative and per-generation mass packing of a stopping family.
+
+    ``ratios`` holds, for the positive-mass ``nodes`` of ``model``, the
+    stopping mass below each node over its mu.  The maps ``ratio`` (node id
+    -> ratio) and ``slack`` (node id -> bound - ratio) are built from them on
+    first access: a check that reads neither pays for no dict.
+    """
 
     bound: float                     # r / (r - 1)
     worst_ratio: float
     worst_node: Optional[str]
-    ratio: dict                      # node id -> subtree stopping mass / mu
-    slack: dict                      # node id -> bound - ratio
     generation_bound_ok: bool        # sum over G*(Q) of mu <= mu(Q)/r for all Q in G
     generation_worst: float          # max of r * sum(G*(Q)) / mu(Q)
+    model: DyadicModel = field(repr=False, compare=False)
+    nodes: np.ndarray = field(repr=False, compare=False)
+    ratios: np.ndarray = field(repr=False, compare=False)
     ok: bool = True
+
+    @cached_property
+    def ratio(self) -> dict:
+        """Node id -> subtree stopping mass / mu, over the positive-mass nodes."""
+        return dict(zip(map(self.model.ids.__getitem__, self.nodes.tolist()),
+                        self.ratios.tolist()))
+
+    @cached_property
+    def slack(self) -> dict:
+        """Node id -> bound - ratio, over the positive-mass nodes."""
+        return dict(zip(self.ratio, (self.bound - self.ratios).tolist()))
 
 
 def verify_packing(model: DyadicModel, decomp: StoppingDecomposition) -> PackingReport:
@@ -237,13 +257,10 @@ def verify_packing(model: DyadicModel, decomp: StoppingDecomposition) -> Packing
 
     pos = np.flatnonzero(model.mu_node > 0)
     rk = subtotal[pos] / model.mu_node[pos]
-    nids = [model.ids[k] for k in pos]
-    ratio = dict(zip(nids, rk.tolist()))
-    slack = dict(zip(nids, (bound - rk).tolist()))
     # the first maximum above 0; a NaN ratio never wins
     above = np.where(rk > 0, rk, 0.0)
     i = int(np.argmax(above)) if np.any(above > 0) else -1
-    worst, worst_node = (float(above[i]), nids[i]) if i >= 0 else (0.0, None)
+    worst, worst_node = (float(above[i]), model.ids[pos[i]]) if i >= 0 else (0.0, None)
 
     # one-generation condition: each stopping parent's children pack below mu(Q)/r
     kids = np.flatnonzero(decomp.stopping_parent >= 0)
@@ -256,19 +273,27 @@ def verify_packing(model: DyadicModel, decomp: StoppingDecomposition) -> Packing
 
     return PackingReport(
         bound=bound, worst_ratio=worst, worst_node=worst_node,
-        ratio=ratio, slack=slack,
         generation_bound_ok=gen_ok, generation_worst=gen_worst,
         ok=(worst <= bound * (1 + 1e-9)) and gen_ok,
+        model=model, nodes=pos, ratios=rk,
     )
 
 
 @dataclass
 class CarlesonSequence:
-    """Nonnegative cube weights with their computed packing constant."""
+    """Nonnegative cube weights with their computed packing constant.
+
+    ``decomposition`` is the stopping decomposition that ``stopping_weights``
+    built the weights from, if any: :func:`carleson_embedding_check` on that
+    decomposition's model and f reads the mu-averages of f it holds instead
+    of summing them again.
+    """
 
     model: DyadicModel
     weights: np.ndarray          # per node, document order
     packing_constant: float
+    decomposition: Optional[StoppingDecomposition] = field(default=None, repr=False,
+                                                          compare=False)
 
     @classmethod
     def from_weights(cls, model: DyadicModel, weights) -> "CarlesonSequence":
@@ -300,8 +325,9 @@ class CarlesonSequence:
 def stopping_weights(decomp: StoppingDecomposition) -> CarlesonSequence:
     """mu(Q) on the stopping cubes, 0 elsewhere; packs within r/(r-1)."""
     model = decomp.model
-    w = np.where(decomp.in_stopping, model.mu_node, 0.0)
-    return CarlesonSequence.from_weights(model, w)
+    seq = CarlesonSequence.from_weights(model, np.where(decomp.in_stopping, model.mu_node, 0.0))
+    seq.decomposition = decomp
+    return seq
 
 
 @dataclass
@@ -320,17 +346,23 @@ def carleson_embedding_check(model: DyadicModel, w: CarlesonSequence, f, p,
                              *, rtol: float = 1e-9) -> CarlesonReport:
     """Test (sum_Q (avg_Q f)^p w_Q)^(1/p) <= p' * A^(1/p) * |f|_p for the sequence.
 
-    ``rtol`` is relative to the p-th powers, and a non-finite side fails.  A
-    failure is reported, not raised; the inequality is a theorem for any
-    sequence with a finite packing constant A.
+    ``rtol``, a finite number >= 0, is relative to the p-th powers, and a
+    non-finite side fails.  A failure is reported, not raised; the inequality
+    is a theorem for any sequence with a finite packing constant A.
     """
     p = float(p)
     if not (1.0 < p < math.inf):
         raise ValueError(f"p must be in (1, inf), got {p}")
+    rtol = _check_rtol(rtol)
     if w.packing_constant < 0:
         raise ValueError(f"packing constant must be >= 0, got {w.packing_constant}")
     f = as_leaf_function(model, f, nonneg=True)
-    lhs = float(_lp_rows(_node_averages(model, f), w.weights, p))
+    source = w.decomposition
+    if source is not None and source.model is model and np.array_equal(source.f, f):
+        averages = source.averages
+    else:
+        averages = _node_averages(model, f)
+    lhs = float(_lp_rows(averages, w.weights, p))
     bound = (holder_conjugate(p) * w.packing_constant ** (1.0 / p)
              * float(_lp_rows(f, model.mu_leaf, p)))
     return CarlesonReport(
@@ -407,10 +439,12 @@ def proof_trace(model: DyadicModel, a: CoefficientFamily, f, p, q, r=None,
     decomposition built for another model, f, r or n_start is rejected.
     Any failed link raises :class:`VerificationError` naming the link
     (``strict=False`` returns the trace instead); the chain is a theorem, so
-    failures indicate bugs, not bad inputs.
+    failures indicate bugs, not bad inputs.  Bad inputs, such as an rtol that
+    is not a finite number >= 0, raise ``ValueError``.
     """
     exps = Exponents(p, q).require_ordered()
     p = exps.p
+    rtol = _check_rtol(rtol)
     f = as_leaf_function(model, f, nonneg=True)
     r = default_r(p) if r is None else _check_r(r)
     if decomp is None:
@@ -424,7 +458,7 @@ def proof_trace(model: DyadicModel, a: CoefficientFamily, f, p, q, r=None,
     averages = decomp.averages
 
     # one table of terms |I_R| a_R(x) serves the depth-truncated operator and its blocks
-    T = _level_terms(model, a, node_integrals(model, f))
+    T = _level_terms(model, a, f * model.mu_leaf)
     lhs_vals = _lq_rows(T[n_start:], q, axis=0)
     norm_Mf = float(_lp_rows(lhs_vals, model.nu_leaf, p))
 

@@ -1,10 +1,11 @@
 """Naive reference implementations used as independent oracles.
 
 Everything here is written with explicit per-leaf loops and plain Python
-sums, deliberately sharing no code path with the vectorized library.  The one
-exception is ``ref_verify_reduction``, the reduction check in its earlier
-form on public calls, one model copy per measure, which pins the library's
-report bit for bit.
+sums, deliberately sharing no code path with the vectorized library.  The
+exceptions pin the library's arithmetic bit for bit against earlier forms of
+it: ``ref_verify_reduction``, the reduction check on public calls with one
+model copy per measure, and, at the end, the forward path and the testing
+constant's suffixes as they were before the one-pass kernel.
 """
 
 import math
@@ -209,3 +210,89 @@ def ref_verify_reduction(inst, f, q, rtol=1e-12):
     errors = (integral_err, operator_err, norm_err)
     return ReductionReport(integral_err, operator_err, norm_err, ratio_lhs, ratio_rhs,
                            ok=all(err <= rtol for err in errors))
+
+
+# ---------------------------------------------------------------------------
+# the operator's forward path and the testing constant's suffixes as they were
+# before the one-pass kernel: cube integrals in node order, |I| padded with one
+# 0 column, and the running ell-q norm one level at a time
+
+
+def ref_subtree_sums(model, values):
+    """Subtree sums of leaf values along the last axis: the leaves copied, and
+    one reduceat over the DFS intervals of the interior nodes only."""
+    n = model.n_nodes
+    dfs = np.zeros(values.shape[:-1] + (n + 1,))
+    dfs[..., model.dfs_lo[model.leaf_nodes]] = values
+    out = dfs[..., model.dfs_lo]
+    inner = model.dfs_order[~model.is_leaf[model.dfs_order]]
+    bounds = np.stack([model.dfs_lo, model.dfs_hi], axis=1)[inner].ravel()
+    out[..., inner] = np.add.reduceat(dfs, bounds, axis=-1)[..., ::2]
+    return out
+
+
+def ref_level_terms(model, a, integrals):
+    """|I_R| * a_R(x) by depth of R and atom x, from cube integrals in node order."""
+    anc, coef = ref_leaf_levels(model, a)
+    pad = np.zeros(np.shape(integrals)[:-1] + (1,))
+    T = np.concatenate([np.abs(integrals), pad], axis=-1)[..., anc]
+    T *= coef
+    return T
+
+
+def ref_running_lq(T, q, axis):
+    """Running ell-q norms along an axis, every step taken for one level at a time."""
+    T = T.swapaxes(0, axis)
+    out = np.zeros((T.shape[0] + 1,) + T.shape[1:])
+    if q == math.inf:
+        out[1:2] = T[:1]
+        for d in range(1, T.shape[0]):
+            np.maximum(out[d], T[d], out=out[d + 1])
+        return out.swapaxes(0, axis)
+    peak, acc = np.zeros((2,) + T.shape[1:])
+    for d in range(T.shape[0]):
+        new_peak = np.maximum(peak, T[d])
+        scale = np.where(new_peak > 0, new_peak, 1.0)
+        acc = acc * (peak / scale) ** q + (T[d] / scale) ** q
+        peak = new_peak
+        out[d + 1] = peak * acc ** (1.0 / q)
+    return out.swapaxes(0, axis)
+
+
+def ref_indicator_norms(model, a, p, q):
+    """|M_Q 1_Q|_p,nu for every cube Q, from the suffixes of the mu-terms."""
+    from dyadicmax.lattice import _lq_groups
+
+    S = ref_running_lq(ref_level_terms(model, a, model.mu_node)[::-1], q, axis=0)[:0:-1]
+    anc, _ = ref_leaf_levels(model, a)
+    keep = (anc >= 0) & (model.nu_leaf > 0)
+    weight = np.broadcast_to(model.nu_leaf ** (1.0 / p), anc.shape)
+    return _lq_groups(weight[keep] * S[keep], anc[keep], model.n_nodes, p)
+
+
+def ref_power_step_tables(model, a, F, p, q):
+    """One power step on every row of F, as the level tables took it before the
+    search built its index once: the bincount slots per step, and G gathered
+    from the (rows, n_nodes + 1) cells through the ancestor table."""
+    from dyadicmax.lattice import _lq_rows
+
+    anc, coef = ref_leaf_levels(model, a)
+    m, n = F.shape[0], model.n_nodes
+    T = ref_level_terms(model, a, ref_subtree_sums(model, F * model.mu_leaf))
+    Mf = _lq_rows(T, q, axis=1)
+    top = Mf.max(axis=1, keepdims=True)
+    weight = model.nu_leaf * (Mf / np.where(top > 0, top, 1.0)) ** (p - 1.0)
+    rows = (n + 1) * np.arange(m)
+    if q == math.inf:
+        first = (T == Mf[:, None]).argmax(axis=1)
+        atom = np.arange(model.n_leaves)
+        node = anc[first, atom] + rows[:, None]
+        weight = weight * coef[first, atom]
+    else:
+        node = anc % (n + 1) + rows[:, None, None]
+        weight = weight[:, None] * (T / np.where(Mf > 0, Mf, 1.0)[:, None]) ** (q - 1.0) * coef
+    g = np.bincount(node.ravel(), weights=weight.ravel(),
+                    minlength=m * (n + 1)).reshape(m, n + 1)
+    G = g[:, anc].sum(axis=1)
+    peak = G.max(axis=1, keepdims=True)
+    return (G / np.where(peak > 0, peak, 1.0)) ** (1.0 / (p - 1.0)), Mf

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from dyadicmax import (CoefficientFamily, RandomModelParams, build_model,
+from dyadicmax import (CoefficientFamily, DyadicModel, RandomModelParams, build_model,
                        random_model)
 
 INF = math.inf
@@ -71,3 +71,12 @@ def random_nonneg(model, seed, dist="exponential"):
     if dist == "exponential":
         return rng.exponential(1.0, model.n_leaves)
     return rng.pareto(1.5, model.n_leaves)
+
+
+def caterpillar(n_spine):
+    """A chain of n_spine cubes, each with one atom beside the next cube."""
+    ids = [f"s{k}" for k in range(n_spine + 1)] + [f"a{k}" for k in range(n_spine)]
+    parents = [-1] + list(range(n_spine)) + list(range(n_spine))
+    children = [[k + 1, n_spine + 1 + k] for k in range(n_spine)] + [[]] * (n_spine + 1)
+    m = n_spine + 1
+    return DyadicModel(ids, parents, children, np.ones(m), np.ones(m))

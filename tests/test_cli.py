@@ -243,6 +243,40 @@ def test_verify_rejects_bad_pq(tmp_path):
         SweepConfig(p_values=(3.0,), q_tokens=("2.0",)).validate()
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--tol", "nan", "tol must be finite and > 0"),
+    ("--tol", "inf", "tol must be finite and > 0"),
+    ("--q", "nan", "need p <= q"),
+    ("--q", "nanp", "need p <= q"),
+    ("--p", "inf", "p must be finite and > 1"),
+    ("--p", "nan", "p must be finite and > 1"),
+    ("--r", "inf", "r must be 'auto' or finite and > 1"),
+    ("--search-random", "-1", "search-random must be >= 0"),
+    ("--search-ascent", "-1", "search-ascent must be >= 0"),
+])
+def test_verify_bad_option_exits_2(tmp_path, capsys, flag, value, message):
+    # each of these once passed validation: NaN compares False with every
+    # bound, so --tol nan passed any sandwich, and the others crashed or
+    # failed checks mid-sweep with exit 1 and no report
+    paths, _ = gen(tmp_path, trials=2, seed=0)
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", f"{flag}={value}", "--out", str(tmp_path / "run"), str(paths[1])])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+def test_verify_theorem_nan_rtol_on_a_generated_instance(tmp_path):
+    # C(p) = 1e-6 is far below A_lower here; with rtol = NaN the sandwich passed
+    from dyadicmax import NormSearch, read_coefficients, read_model, verify_theorem
+    paths, _ = gen(tmp_path, trials=2, seed=0)
+    model = read_model(paths[1])
+    coeffs = read_coefficients(model, paths[1].with_name(paths[1].stem + ".coeffs.json"))
+    with pytest.raises(ValueError, match="rtol"):
+        verify_theorem(model, coeffs, 2.0, math.inf, NormSearch(4, 2, 0), rtol=math.nan,
+                       c_p=1e-6)
+
+
 def test_verify_audit_dumps_decompositions(tmp_path):
     paths, _ = gen(tmp_path, trials=1)
     run = tmp_path / "run"

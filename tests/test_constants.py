@@ -13,10 +13,10 @@ from dyadicmax import (CoefficientFamily, NormSearch, RandomModelParams,
                        operator_norm_lower, proof_trace, random_model, stopping_weights,
                        testing_constant, theorem_constant, theorem_constant_hp,
                        verify_theorem)
-from dyadicmax.constants import _power_step
+from dyadicmax.constants import _power_step, _step_index
 from dyadicmax.maximal import _apply_levels, _indicator_ratios, node_integrals
 
-from _reference import ref_power_step, ref_testing_constant
+from _reference import ref_power_step, ref_power_step_tables, ref_testing_constant
 from conftest import INF, make_instance, random_nonneg
 
 # frozen from a 50-digit evaluation of ((1+1/p)^(p+1) p)^(1/p) p'
@@ -243,6 +243,89 @@ def test_verify_theorem_requires_p_le_q(e1):
         verify_theorem(e1, CoefficientFamily.constant(e1), 3, 2)
 
 
+@pytest.mark.parametrize("rtol", [math.nan, math.inf, -1e-9])
+def test_verify_theorem_rejects_a_bad_rtol(rtol):
+    # with rtol = NaN every x > y * (1 + rtol) is False: C(p) = 1e-6 passed
+    model, a = make_instance(1)
+    with pytest.raises(ValueError, match="rtol must be finite and >= 0"):
+        verify_theorem(model, a, 2.0, INF, NormSearch(4, 2, 0), rtol=rtol, c_p=1e-6)
+    with pytest.raises(VerificationError, match="sandwich violation"):
+        verify_theorem(model, a, 2.0, INF, NormSearch(4, 2, 0), rtol=0.0, c_p=1e-6)
+
+
+@pytest.mark.parametrize("budget", [dict(n_random=-1), dict(ascent_rounds=-1),
+                                    dict(n_random=2.5), dict(ascent_rounds=None)])
+def test_norm_search_rejects_a_bad_budget(budget):
+    with pytest.raises(ValueError, match="must be an integer >= 0"):
+        NormSearch(**budget)
+
+
+def test_verify_theorem_raises_bad_search_input(e1):
+    # only mu = 0 makes the estimate 0; any other ValueError of the search is
+    # bad input, not a sandwich violation with A_lower = 0
+    with pytest.raises(ValueError, match="negative"):
+        verify_theorem(e1, CoefficientFamily.constant(e1), 2, INF, NormSearch(4, 2, seed=-1))
+
+
+def test_verify_theorem_all_zero_mu_is_vacuous():
+    from dyadicmax import build_model
+    model = build_model({
+        "nodes": [{"id": "R", "parent": None},
+                  {"id": "x", "parent": "R"}, {"id": "y", "parent": "R"}],
+        "mu": {"x": 0, "y": 0}, "nu": {"x": 1, "y": 1}})
+    rep = verify_theorem(model, CoefficientFamily.constant(model), 2, INF)
+    assert (rep.B, rep.A_lower, rep.witness_cube, rep.witness_function) == (0.0, 0.0, None, None)
+
+
+# -- the suffix cache of the testing constant ---------------------------------
+
+
+def test_suffix_cache_is_keyed_by_the_masses():
+    # one family on its model and on a copy with other masses, at the same q:
+    # each gets its own B and its own indicator ratios, as a fresh family would
+    model, a = make_instance(3)
+    rng = np.random.default_rng(0)
+    copy = model.with_measures(mu_leaf=rng.exponential(1.0, model.n_leaves))
+    for p, q in ((2.0, 4.0), (2.0, INF)):
+        B = testing_constant(model, a, p, q)
+        B_copy = testing_constant(copy, a, p, q)
+        assert B_copy != B
+        assert B_copy == testing_constant(copy, a.scaled(1.0), p, q)
+        assert np.array_equal(_indicator_ratios(copy, a, p, q),
+                              _indicator_ratios(copy, a.scaled(1.0), p, q))
+        assert testing_constant(model, a, p, q) == B
+
+
+def test_suffix_cache_alternating_q_gives_cold_results():
+    # warm tables (S does not depend on p) give what a cold family gives, and
+    # the cache keeps a bounded number of q values
+    from dyadicmax.maximal import _SUFFIX_TABLES
+    model, a = make_instance(5)
+    pq = [(2.0, 2.0), (2.0, 4.0), (2.0, 2.0), (2.0, INF), (3.0, 4.0), (2.0, INF),
+          (1.5, 2.0), (1.5, 1e6)] + [(2.0, 2.0 + k / 4) for k in range(12)] + [(3.0, 4.0)]
+    for p, q in pq:
+        cold = a.scaled(1.0)
+        assert testing_constant(model, a, p, q) == testing_constant(model, cold, p, q)
+        assert np.array_equal(_indicator_ratios(model, a, p, q),
+                              _indicator_ratios(model, cold, p, q)), (p, q)
+    assert len(a._suffix_cache[1]) == _SUFFIX_TABLES
+
+
+def test_verify_theorem_matches_calls_on_a_fresh_family():
+    # one family across a sweep of (p, q) gives what a fresh one gives per call
+    for seed in range(6):
+        model, a = make_instance(seed, roots=1 + seed % 2)
+        if np.all(model.mu_leaf == 0):
+            continue
+        for p, q in ((1.5, 3.0), (2.0, INF), (3.0, 3.0), (2.0, 4.0), (3.0, INF)):
+            search = NormSearch(8, 4, seed)
+            rep = verify_theorem(model, a, p, q, search)
+            B, cube = testing_constant(model, a.scaled(1.0), p, q)
+            A, witness = operator_norm_lower(model, a.scaled(1.0), p, q, search)
+            assert (rep.B, rep.witness_cube, rep.A_lower) == (B, cube, A), (seed, p, q)
+            assert np.array_equal(rep.witness_function, witness)
+
+
 def test_scale_covariance_in_a():
     model, a = make_instance(17)
     p, q = 2.0, INF
@@ -456,6 +539,23 @@ def test_theorem_constant_hp_is_memoised():
     assert theorem_constant_hp.cache_info().hits == 1
     assert theorem_constant_hp(2.5, dps=60) == pytest.approx(first, rel=1e-15)
     assert theorem_constant_hp.cache_info().misses == 2
+
+
+def test_power_step_matches_the_earlier_tables_bit_for_bit():
+    # the iterates and images, and their memory layout, which sets the order
+    # of every later sum over them: trees up to 13 levels deep, where numpy
+    # sums a level axis pairwise, and batches of one to four rows
+    for seed in range(16):
+        model, a = make_instance(seed, depth_max=2 + seed % 12, branch_min=1,
+                                 branch_max=2 + seed % 2, roots=1 + seed % 2)
+        rng = np.random.default_rng(seed)
+        F = rng.pareto(1.5, (1 + seed % 4, model.n_leaves))
+        for p, q in ((1.5, 1.5), (2.0, 4.0), (2.0, INF), (3.0, 1e6)):
+            want = ref_power_step_tables(model, a, F, p, q)
+            for index in (None, _step_index(model, F.shape[0])):
+                got = _power_step(model, a, F, p, q, index)
+                for g, w in zip(got, want):
+                    assert g.strides == w.strides and g.tobytes() == w.tobytes(), (seed, p, q)
 
 
 def test_power_step_never_lowers_the_ratio():

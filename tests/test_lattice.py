@@ -12,8 +12,9 @@ from dyadicmax import (DyadicModel, Exponents, ModelError, RandomModelParams, av
 from dyadicmax.lattice import _lq_groups, _lq_rows, _running_lq, model_to_dict
 from dyadicmax.maximal import node_integrals
 
-from _reference import ref_families, ref_integrate, ref_layout, ref_lp_norm
-from conftest import make_instance, random_nonneg
+from _reference import (ref_families, ref_integrate, ref_layout, ref_lp_norm,
+                        ref_running_lq, ref_subtree_sums)
+from conftest import caterpillar, make_instance, random_nonneg
 
 
 def test_build_additivity(e1):
@@ -231,6 +232,47 @@ def test_running_lq_batch_matches_each_slice(q):
         assert np.array_equal(batch[i], _running_lq(T[i].T, q, axis=-1).T)
 
 
+def test_running_lq_matches_the_level_by_level_form_bit_for_bit():
+    # every power is taken for all levels at once; only the multiply-add runs
+    # level by level, in the same order, so zeros, -0.0, inf and NaN, tiny and
+    # huge terms all come out bit for bit as one level at a time
+    rng = np.random.default_rng(17)
+    with np.errstate(all="ignore"):
+        for trial in range(400):
+            shape = tuple(rng.integers(1, 6, size=rng.integers(2, 4)))
+            T = rng.pareto(1.0, shape) * 10.0 ** rng.integers(-300, 300)
+            mark = rng.random(shape)
+            T[mark < 0.2] = 0.0
+            T[mark > 0.97] = -0.0
+            if trial % 7 == 0:
+                T[mark > 0.95] = math.inf
+            if trial % 11 == 0:
+                T[mark > 0.96] = math.nan
+            axis = int(rng.integers(0, len(shape)))
+            for q in (1.5, 3.0, 4.0, 7.3, 1e6, math.inf):
+                got, want = _running_lq(T, q, axis), ref_running_lq(T, q, axis)
+                assert got.strides == want.strides and got.tobytes() == want.tobytes(), \
+                    (trial, q)
+
+
+def test_subtree_sums_match_the_interior_reduceat_bit_for_bit():
+    # every node's interval in one reduceat, against the leaves copied and a
+    # reduceat over the interior intervals only
+    models = [random_model(RandomModelParams(depth_min=1, depth_max=1 + s % 6,
+                                            branch_min=1 + s % 2, roots=1 + s % 3,
+                                            leaf_prob=0.25), s)
+              for s in range(40)]
+    models.append(DyadicModel(["x", "y"], [-1, -1], [[], []], [1.0, 2.0], [1.0, 1.0]))
+    models.append(caterpillar(300))
+    for model in models:
+        rng = np.random.default_rng(model.n_nodes)
+        values = rng.normal(size=(3, model.n_leaves)) * 10.0 ** rng.integers(-8, 8, (3, 1))
+        values[0, :1] = -0.0
+        for v in (values, values[2]):
+            got, want = model._subtree_sums(v), ref_subtree_sums(model, v)
+            assert got.strides == want.strides and got.tobytes() == want.tobytes()
+
+
 def test_running_max_matches_accumulate():
     # at q = inf the running kernel is the running peak, bit for bit
     rng = np.random.default_rng(11)
@@ -374,20 +416,11 @@ def _layout(model):
             model.leaf_hi, model.leaf_nodes, list(model.levels))
 
 
-def _caterpillar(n_spine):
-    """A chain of n_spine cubes, each with one atom beside the next cube."""
-    ids = [f"s{k}" for k in range(n_spine + 1)] + [f"a{k}" for k in range(n_spine)]
-    parents = [-1] + list(range(n_spine)) + list(range(n_spine))
-    children = [[k + 1, n_spine + 1 + k] for k in range(n_spine)] + [[]] * (n_spine + 1)
-    m = n_spine + 1
-    return DyadicModel(ids, parents, children, np.ones(m), np.ones(m))
-
-
 def test_layout_matches_reference_walk():
     models = [random_model(RandomModelParams(depth_max=5, branch_min=1 + s % 2,
                                             roots=1 + s % 3, leaf_prob=0.25), s)
               for s in range(60)]
-    models.append(_caterpillar(1500))
+    models.append(caterpillar(1500))
     assert models[-1].n_nodes == 3001 and models[-1].max_depth == 1500
     for model in models:
         got, want = _layout(model), ref_layout(model)
@@ -405,7 +438,7 @@ def test_families_match_plain_lists():
                                             leaf_prob=0.25), s)
               for s in range(40)]
     models.append(DyadicModel(["x", "y"], [-1, -1], [[], []], [1.0, 2.0], [1.0, 1.0]))
-    models.append(_caterpillar(1500))
+    models.append(caterpillar(1500))
     for model in models:
         fam = model._families
         assert fam.dtype == np.int64 and not fam.flags.writeable

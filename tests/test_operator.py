@@ -8,11 +8,13 @@ from hypothesis import strategies as st
 from dyadicmax import (CoefficientFamily, apply_depth_truncated, apply_maximal,
                        apply_truncated, classical_coefficients, indicator, lp_norm,
                        read_coefficients, write_coefficients)
-from dyadicmax.maximal import _indicator_ratios
+from dyadicmax.lattice import _lq_rows
+from dyadicmax.maximal import _apply_levels, _indicator_norms, _indicator_ratios, _level_terms
 
-from _reference import (ref_depth_truncated, ref_indicator_ratios, ref_leaf_levels,
-                        ref_maximal, ref_truncated)
-from conftest import INF, make_instance, random_nonneg
+from _reference import (ref_depth_truncated, ref_indicator_norms, ref_indicator_ratios,
+                        ref_leaf_levels, ref_level_terms, ref_maximal, ref_subtree_sums,
+                        ref_truncated)
+from conftest import INF, caterpillar, make_instance, random_nonneg
 
 
 @pytest.fixture
@@ -157,6 +159,46 @@ def test_ancestor_table_is_shared_by_the_tree():
     apply_maximal(copy, a, np.ones(model.n_leaves), 2.0)
     assert copy._ancestors is anc
     assert classical_coefficients(copy, model.mu_leaf, 0.5)._leaf_levels()[0] is anc
+
+
+def _forests():
+    """Random forests, unary chains and a caterpillar 40 cubes deep, with
+    random masses (some zero) and random coefficient families."""
+    cases = [make_instance(seed, roots=1 + seed % 3, branch_min=1 + seed % 2)
+             for seed in range(24)]
+    rng = np.random.default_rng(40)
+    cat = caterpillar(40)
+    cat = cat.with_measures(mu_leaf=rng.exponential(1.0, 41) * (rng.random(41) > 0.2),
+                            nu_leaf=rng.exponential(1.0, 41))
+    cases.append((cat, CoefficientFamily.random(cat, 41)))
+    return cases
+
+
+def test_level_terms_match_the_earlier_forward_path_bit_for_bit():
+    # one reduceat from leaf rows to the table, against the integrals in node
+    # order, padded with a 0 column and gathered: signed, single and batched F
+    for model, a in _forests():
+        rng = np.random.default_rng(model.n_nodes)
+        signed = rng.normal(size=(4, model.n_leaves))
+        signed[0, :2] = -0.0
+        for F in (signed, signed[1], np.abs(signed), np.ones(model.n_leaves)):
+            rows = F * model.mu_leaf
+            sums = ref_subtree_sums(model, rows)
+            assert np.array_equal(model._subtree_sums(rows), sums)
+            got, want = _level_terms(model, a, rows), ref_level_terms(model, a, sums)
+            # the layout too: it sets the order of every later sum over the table
+            assert got.strides == want.strides and np.array_equal(got, want)
+            for q in (1.5, 4.0, INF):
+                assert np.array_equal(_apply_levels(model, a, F, q),
+                                      _lq_rows(want, q, axis=-2))
+
+
+@pytest.mark.parametrize("p, q", [(1.5, 1.5), (2.0, 4.0), (2.0, INF), (3.0, 1e6),
+                                  (50.0, 100.0)])
+def test_indicator_norms_match_the_earlier_suffixes_bit_for_bit(p, q):
+    for model, a in _forests():
+        assert np.array_equal(_indicator_norms(model, a, p, q),
+                              ref_indicator_norms(model, a, p, q))
 
 
 def test_signed_f_uses_absolute_integrals(e1, ones):

@@ -1,5 +1,5 @@
 import math
-from dataclasses import astuple
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -77,6 +77,35 @@ def test_reduce_overflow_where_omega_vanishes_is_quiet(deep_model):
                           w_leaf=[1, 1, 1e-300, 1, 1], alpha=0.5, p=1.5)
     red = reduce_three_to_two(inst)
     assert red.mu_leaf[2] == 0.0 and np.all(np.isfinite(red.mu_leaf))
+
+
+def test_reduction_is_built_once_per_instance_and_p():
+    # a copy per p, as a sweep makes, shares the classical family and keeps
+    # one reduced mass per p; a copy with other omega, w or alpha, or an omega
+    # changed in place, is never served a stale one
+    inst = random_instance(3, p=2.0)
+    first = reduce_three_to_two(inst)
+    assert not first.mu_leaf.flags.writeable and not first.multiplier.flags.writeable
+    at_3 = reduce_three_to_two(replace(inst, p=3.0))
+    assert at_3.coefficients is first.coefficients
+    assert reduce_three_to_two(replace(inst, p=3.0)).mu_leaf is at_3.mu_leaf
+    omega = inst.omega_leaf.copy()
+    omega[0] += 1.0
+    changed = {"alpha": replace(inst, alpha=inst.alpha / 2),
+               "omega": replace(inst, omega_leaf=omega),
+               "w": replace(inst, w_leaf=2.0 * inst.w_leaf), "p": replace(inst, p=3.0)}
+    for name, other in changed.items():
+        got = reduce_three_to_two(other)
+        fresh = reduce_three_to_two(SawyerInstance(other.model, other.omega_leaf.copy(),
+                                                   other.w_leaf.copy(), other.alpha, other.p))
+        assert np.array_equal(got.mu_leaf, fresh.mu_leaf), name
+        assert np.array_equal(got.multiplier, fresh.multiplier), name
+        assert got.coefficients.to_mapping() == fresh.coefficients.to_mapping(), name
+    inst.omega_leaf[0] += 1.0
+    again = reduce_three_to_two(inst)
+    assert again.coefficients.to_mapping() == classical_coefficients(
+        inst.model, inst.omega_leaf, inst.alpha).to_mapping()
+    assert again.coefficients.to_mapping() != first.coefficients.to_mapping()
 
 
 def test_verify_reduction_single_leaf(unit_leaf):

@@ -139,6 +139,23 @@ def test_verify_packing_e2(e1):
     assert rep.worst_ratio <= rep.bound
 
 
+def test_packing_maps_are_built_on_first_access():
+    # verify reads neither map; a caller that does gets the same values as
+    # the report held before, one entry per positive-mass node
+    model, _ = make_instance(8)
+    d = build_decomposition(model, random_nonneg(model, 8), 1.5)
+    rep = verify_packing(model, d)
+    assert "ratio" not in vars(rep) and "slack" not in vars(rep)
+    subtotal = model.subtree_totals(np.where(d.in_stopping, model.mu_node, 0.0))
+    pos = [k for k in range(model.n_nodes) if model.mu_node[k] > 0]
+    assert list(rep.ratio) == [model.ids[k] for k in pos]
+    for k in pos:
+        nid = model.ids[k]
+        assert rep.ratio[nid] == subtotal[k] / model.mu_node[k]
+        assert rep.slack[nid] == rep.bound - rep.ratio[nid]
+    assert rep.ratio is rep.ratio and rep.worst_ratio == max(rep.ratio.values())
+
+
 def test_verify_packing_constant_f(e1):
     d = build_decomposition(e1, [1, 1], 2.0)
     rep = verify_packing(e1, d)
@@ -187,6 +204,35 @@ def test_carleson_weights_must_be_finite(e1, bad):
         CarlesonSequence.from_weights(e1, [bad, 0.0, 0.0])
     with pytest.raises(ValueError, match="'L2' is not finite"):
         CarlesonSequence.from_mapping(e1, {"L1": 1.0, "L2": bad})
+
+
+@pytest.mark.parametrize("rtol", [math.nan, math.inf, -1e-9])
+def test_carleson_and_proof_trace_reject_a_bad_rtol(e1, rtol):
+    w = CarlesonSequence.from_mapping(e1, {"Q0": 2.0})
+    with pytest.raises(ValueError, match="rtol must be finite and >= 0"):
+        carleson_embedding_check(e1, w, [1.0, 1.0], 2.0, rtol=rtol)
+    with pytest.raises(ValueError, match="rtol must be finite and >= 0"):
+        proof_trace(e1, CoefficientFamily.constant(e1), [1.0, 1.0], 2.0, INF, rtol=rtol)
+
+
+def test_carleson_reads_the_averages_of_its_decomposition(monkeypatch):
+    import dyadicmax.stopping as stopping_mod
+    calls = []
+    averages = stopping_mod._node_averages
+    monkeypatch.setattr(stopping_mod, "_node_averages",
+                        lambda *args: calls.append(1) or averages(*args))
+    for seed in range(10):
+        model, _ = make_instance(seed)
+        f, g = random_nonneg(model, seed), random_nonneg(model, seed + 50)
+        w = stopping_weights(build_decomposition(model, f, 1.5))
+        plain = CarlesonSequence.from_weights(model, w.weights)
+        copy = model.with_measures(mu_leaf=2.0 * model.mu_leaf)
+        for fn, m, reuse in ((f, model, True), (f.copy(), model, True), (g, model, False),
+                             (f, copy, False)):
+            calls.clear()
+            got = carleson_embedding_check(m, w, fn, 2.0)
+            assert len(calls) == (0 if reuse else 1), seed
+            assert got == carleson_embedding_check(m, plain, fn, 2.0)
 
 
 def test_carleson_rejects_negative_packing_constant(e1):
