@@ -156,7 +156,7 @@ def _load_instance(path: Path):
         model=model,
         omega_leaf=model.mu_leaf if omega is None else leaf_values(model, omega, "omega"),
         w_leaf=np.ones(model.n_leaves) if w is None else leaf_values(model, w, "w"),
-        alpha=float(data.get("alpha", 0.5)), p=2.0)
+        alpha=data.get("alpha", 0.5), p=2.0)
     coeff_path = path.with_name(path.stem + ".coeffs.json")
     if coeff_path.exists():
         coeffs = read_coefficients(model, coeff_path)

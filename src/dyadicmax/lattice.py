@@ -17,7 +17,7 @@ import math
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
+from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
@@ -50,6 +50,19 @@ class ModelError(ValueError):
     """A tree description violates the model contract."""
 
 
+# what a number read from a file must not be: JSON's "1.5" and true would
+# otherwise convert silently
+_NOT_NUMBERS = (str, bytes, bool, np.bool_)
+
+
+def _non_number(values):
+    """Position of the first string or boolean among ``values``, or None: one
+    test of the set of the value types when there is none."""
+    if set(map(type, values)).isdisjoint(_NOT_NUMBERS):
+        return None
+    return next(i for i, v in enumerate(values) if isinstance(v, _NOT_NUMBERS))
+
+
 def _index(ids):
     """{id: position} for a list of distinct ids."""
     index = dict(zip(ids, range(len(ids))))
@@ -58,6 +71,97 @@ def _index(ids):
         dup = next(i for i in ids if i in seen or seen.add(i))
         raise ModelError(f"duplicate id: {dup!r}")
     return index
+
+
+def _layout(ids, roots, children, min_children):
+    """Depth-first layout of a forest given by its child lists, in array passes.
+
+    ``children[k]`` lists node k's children in their given order and
+    ``roots`` holds the nodes without a parent, in index order; the forest is
+    laid out root after root.  Returns (depth, dfs_order, dfs_lo, dfs_hi,
+    leaf_lo, leaf_hi, counts, flat), ``counts`` and ``flat`` being the child
+    lists' lengths and their concatenation.
+
+    Three passes run level by level, so they cost O(depth) array operations:
+    one down the tree finds each level's nodes in the flattened lists, one up
+    it adds up the subtree sizes, and one down again places every node after
+    its parent and its elder siblings' subtrees.  A child index outside
+    [0, n) and a forest without a root are rejected first.  Then a node named
+    twice (in two lists, twice in one, or a root named as a child), a node no
+    root reaches and a node with fewer than ``min_children`` children are
+    faults; the first faulty node in index order (document order) is named,
+    with the first of those three faults that it has.
+    """
+    n = len(ids)
+    counts = np.fromiter(map(len, children), np.int64, n)
+    flat = np.fromiter(chain.from_iterable(children), np.int64, int(np.add.reduce(counts)))
+    if flat.size and not (np.minimum.reduce(flat) >= 0 and np.maximum.reduce(flat) < n):
+        raise ModelError(f"child index out of range [0, {n})")
+    if not roots.size:
+        raise ModelError("cycle detected: no root node")
+    owner = np.repeat(np.arange(n), counts)  # the node whose list holds flat[i]
+
+    def descend(once):
+        """Depths, and per depth >= 1 the nodes with their parents and flat
+        positions: the nodes one level below depth d are the flat entries
+        whose owner is at depth d.  Without ``once`` a node named twice is
+        reached twice, and the pass stops after n placements."""
+        depth = np.full(n, -1, dtype=np.int64)
+        depth[roots] = 0
+        levels, placed, d = [], roots.size, 0
+        while placed < n or once:
+            pick = (depth[owner] == d).nonzero()[0]
+            if once:
+                pick = pick[depth[flat[pick]] < 0]
+            if not pick.size:
+                break
+            kids = flat[pick]
+            d += 1
+            depth[kids] = d
+            levels.append((kids, owner[pick], pick))
+            placed += kids.size
+        return depth, levels, placed
+
+    # with one name per node that is not a root, n placements that reach all
+    # n nodes place each node once, from every name: no node is named twice
+    # and every node is reached
+    depth, levels, placed = descend(False)
+    few = (counts > 0) & (counts < min_children) if min_children > 1 else False
+    if (placed != n or flat.size != n - roots.size or np.minimum.reduce(depth) < 0
+            or min_children > 1 and np.logical_or.reduce(few)):
+        named = np.bincount(flat, minlength=n)
+        named[roots] += 1  # a root is reached without being named
+        depth = descend(True)[0]
+        k = int(np.argmax((named > 1) | (depth < 0) | few))
+        if named[k] > 1:
+            raise ModelError(f"cycle detected at node {ids[k]!r}")
+        if depth[k] < 0:
+            raise ModelError(f"cycle detected: node {ids[k]!r} unreachable from any root")
+        raise ModelError(
+            f"node {ids[k]!r} has {counts[k]} children; minimum is {min_children}")
+
+    # up: subtree sizes.  A node's place in its parent's subtree is 1 plus the
+    # sizes of its elder siblings, from one running sum over the flat lists
+    size = np.ones(n, dtype=np.int64)
+    for kids, parents, _ in reversed(levels):
+        np.add.at(size, parents, size[kids])
+    sizes = size[flat]
+    before = np.add.accumulate(sizes) - sizes
+    first = np.add.accumulate(counts) - counts  # each list's start in flat
+    offset = before + 1 - before[first[owner]]
+
+    # down again: DFS positions, roots one after another
+    lo = np.empty(n, dtype=np.int64)
+    root_sizes = size[roots]
+    lo[roots] = np.add.accumulate(root_sizes) - root_sizes
+    for kids, parents, pick in levels:
+        lo[kids] = lo[parents] + offset[pick]
+    order = np.empty(n, dtype=np.int64)
+    order[lo] = np.arange(n)
+    leaves_before = np.zeros(n + 1, dtype=np.int64)
+    np.add.accumulate(counts[order] == 0, dtype=np.int64, out=leaves_before[1:])
+    hi = lo + size
+    return depth, order, lo, hi, leaves_before[lo], leaves_before[hi], counts, flat
 
 
 class DyadicModel:
@@ -70,12 +174,14 @@ class DyadicModel:
     ``nu_leaf`` come in that leaf order, or as maps {leaf id: mass}.
 
     The layout arrays (``depth``, ``dfs_order``, the subtree intervals
-    ``dfs_lo``/``dfs_hi`` and ``leaf_lo``/``leaf_hi``) come from one walk over
-    plain lists, turned into arrays once.  Tables that depend on the shape
-    alone (``levels``, the child lists and the level-by-leaf ancestor table)
-    are built on first use and cached on the model, so every coefficient
-    family on the tree, and every ``with_measures`` copy made after they
-    exist, shares them.
+    ``dfs_lo``/``dfs_hi`` and ``leaf_lo``/``leaf_hi``) come from the child
+    lists, read as one flat array and their lengths, in a few array passes
+    per level of the tree (``_layout``), which also reject a malformed
+    shape by naming its first faulty node in index order.  Tables that depend
+    on the shape alone (``levels``, ``leaf_index``, the padded child lists and
+    the level-by-leaf ancestor table) are built on first use and cached on
+    the model, so every coefficient family on the tree, and every
+    ``with_measures`` copy made after they exist, shares them.
 
     Instances are immutable after construction and safe to share across
     threads; all module operations are pure functions of their inputs.
@@ -85,84 +191,52 @@ class DyadicModel:
         n = len(ids)
         if n == 0:
             raise ModelError("empty model")
-        self.ids = tuple(map(str, ids))
+        self.ids = tuple(ids)
+        if not set(map(type, self.ids)) <= {str}:
+            self.ids = tuple(map(str, self.ids))
         self.index = _index(self.ids)
         self.parent = np.asarray(parents, dtype=np.int64)
         self.children = tuple(map(tuple, children))
-        listed = tuple(chain.from_iterable(self.children))
-        if listed and not (0 <= min(listed) and max(listed) < n):
-            raise ModelError(f"child index out of range [0, {n})")
-        self.roots = tuple(np.flatnonzero(self.parent < 0).tolist())
-        if not self.roots:
-            raise ModelError("cycle detected: no root node")
+        if len(self.children) != n or self.parent.shape != (n,):
+            raise ModelError(f"need one parent and one child list for each of {n} nodes")
+        roots = (self.parent < 0).nonzero()[0]
+        self.roots = tuple(roots.tolist())
+        (self.depth, self.dfs_order, self.dfs_lo, self.dfs_hi, self.leaf_lo, self.leaf_hi,
+         self._child_counts, self._child_flat) = _layout(self.ids, roots, self.children,
+                                                         min_children)
 
-        # Depth-first walk over plain lists: detects cycles and orphans, checks
-        # the child counts, fixes the leaf order and the subtree intervals.  ~k
-        # (negative, unlike any child index) on the stack marks the end of k's
-        # subtree.
-        depth, lo, hi, leaf_lo, leaf_hi = ([-1] * n for _ in range(5))
-        order, leaves = [], []
-        stack = list(self.roots[::-1])
-        pos = n_leaves = d = 0
-        while stack:
-            k = stack.pop()
-            if k < 0:
-                k, d = ~k, d - 1
-                hi[k], leaf_hi[k] = pos, n_leaves
-                continue
-            if depth[k] >= 0:
-                raise ModelError(f"cycle detected at node {self.ids[k]!r}")
-            depth[k], lo[k], leaf_lo[k] = d, pos, n_leaves
-            order.append(k)
-            pos += 1
-            ch = self.children[k]
-            if not ch:
-                leaves.append(k)
-                n_leaves += 1
-                hi[k], leaf_hi[k] = pos, n_leaves
-            elif len(ch) < min_children:
-                raise ModelError(
-                    f"node {self.ids[k]!r} has {len(ch)} children; minimum is {min_children}"
-                )
-            else:
-                d += 1
-                stack.append(~k)
-                stack.extend(ch[::-1])
-        if pos != n:
-            raise ModelError(
-                f"cycle detected: node {self.ids[depth.index(-1)]!r} unreachable from any root"
-            )
-
-        (self.depth, self.dfs_lo, self.dfs_hi, self.leaf_lo,
-         self.leaf_hi) = np.array([depth, lo, hi, leaf_lo, leaf_hi], dtype=np.int64)
-        self.dfs_order = np.array(order, dtype=np.int64)
-        self.leaf_nodes = np.array(leaves, dtype=np.int64)
-        self.is_leaf = self.dfs_hi - self.dfs_lo == 1
-        self.leaf_ids = tuple(map(self.ids.__getitem__, leaves))
-        self.leaf_index = dict(zip(self.leaf_ids, range(len(leaves))))
+        self.is_leaf = self._child_counts == 0
+        self.leaf_nodes = self.dfs_order[self.is_leaf[self.dfs_order]]
+        self.leaf_ids = tuple(map(self.ids.__getitem__, self.leaf_nodes.tolist()))
         # interior nodes in DFS order, so that the gaps between their intervals,
         # which reduceat also sums, are disjoint: O(nodes) extra work in all.
         # In the buffer of _dfs_sums a leaf's sum is its own value, at its DFS
         # position, and interior node i's (in this order) is entry n + 1 + 2i
         inner = self.dfs_order[~self.is_leaf[self.dfs_order]]
-        self._inner_bounds = np.stack([self.dfs_lo, self.dfs_hi], axis=1)[inner].ravel()
+        self._inner_bounds = np.empty(2 * inner.size, dtype=np.int64)
+        self._inner_bounds[0::2] = self.dfs_lo[inner]
+        self._inner_bounds[1::2] = self.dfs_hi[inner]
         self._sum_slots = self.dfs_lo.copy()
-        self._sum_slots[inner] = n + 1 + 2 * np.arange(inner.size)
+        self._sum_slots[inner] = np.arange(n + 1, n + 1 + 2 * inner.size, 2)
         self._sum_cells = n + 1 + self._inner_bounds.size
         self._leaf_dfs = self.dfs_lo[self.leaf_nodes]  # each atom's DFS position
 
         for arr in (self.parent, self.depth, self.dfs_order, self.dfs_lo, self.dfs_hi,
                     self.leaf_lo, self.leaf_hi, self.leaf_nodes, self.is_leaf,
-                    self._inner_bounds, self._sum_slots, self._leaf_dfs):
+                    self._child_counts, self._child_flat, self._inner_bounds,
+                    self._sum_slots, self._leaf_dfs):
             arr.setflags(write=False)
         self._set_measures(mu_leaf, nu_leaf)
 
     def _set_measures(self, mu_leaf, nu_leaf):
-        self.mu_leaf = self._checked_masses(mu_leaf, MU)
-        self.nu_leaf = self._checked_masses(nu_leaf, NU)
-        self.mu_node, self.nu_node = self._subtree_sums(np.stack([self.mu_leaf, self.nu_leaf]))
-        for arr in (self.mu_leaf, self.nu_leaf, self.mu_node, self.nu_node):
-            arr.setflags(write=False)
+        masses = np.empty((2, self.n_leaves))
+        masses[0] = self._checked_masses(mu_leaf, MU)
+        masses[1] = self._checked_masses(nu_leaf, NU)
+        sums = self._subtree_sums(masses)
+        masses.setflags(write=False)
+        sums.setflags(write=False)
+        self.mu_leaf, self.nu_leaf = masses
+        self.mu_node, self.nu_node = sums
 
     def _checked_masses(self, values, what):
         """Validated masses in leaf order, from a sequence or a {leaf id: mass} map."""
@@ -174,11 +248,12 @@ class DyadicModel:
             raise ModelError(f"{what}: masses must be numbers ({exc})") from None
         if arr.shape != (self.n_leaves,):
             raise ModelError(f"{what}: expected {self.n_leaves} values, got shape {arr.shape}")
-        finite = np.isfinite(arr)
-        if not finite.all():
-            leaf = self.leaf_ids[int(np.argmin(finite))]
-            raise ModelError(f"{what} mass of leaf {leaf!r} is not a finite number")
-        if (arr < 0).any():
+        # a NaN fails both tests
+        if not (np.minimum.reduce(arr) >= 0 and np.maximum.reduce(arr) < math.inf):
+            finite = np.isfinite(arr)
+            if not finite.all():
+                leaf = self.leaf_ids[int(np.argmin(finite))]
+                raise ModelError(f"{what} mass of leaf {leaf!r} is not a finite number")
             leaf = self.leaf_ids[int(np.argmax(arr < 0))]
             raise ModelError(f"negative mass in {what} at leaf {leaf!r}")
         return arr
@@ -209,6 +284,11 @@ class DyadicModel:
         return self.dfs_order[self.dfs_lo[k]:self.dfs_hi[k]]
 
     @cached_property
+    def leaf_index(self):
+        """{leaf id: position in the leaf order}, built on first use."""
+        return dict(zip(self.leaf_ids, range(len(self.leaf_ids))))
+
+    @cached_property
     def levels(self):
         """Node indices grouped by depth: ``levels[d]`` holds depth d."""
         by_depth = np.argsort(self.depth, kind="stable")
@@ -222,10 +302,9 @@ class DyadicModel:
     def _families(self):
         """Child lists of the interior nodes, one column each, padded with n_nodes:
         row i holds every interior node's i-th child.  One scatter fills it."""
-        lengths = np.fromiter(map(len, self.children), np.int64, self.n_nodes)
-        lengths = lengths[lengths > 0]
+        lengths = self._child_counts[self._child_counts > 0]
         starts = np.cumsum(lengths) - lengths
-        flat = np.fromiter(chain.from_iterable(self.children), np.int64, lengths.sum())
+        flat = self._child_flat
         column = np.repeat(np.arange(lengths.size), lengths)
         out = np.full((lengths.max(initial=0), lengths.size), self.n_nodes)
         out[np.arange(flat.size) - starts[column], column] = flat
@@ -406,37 +485,61 @@ def build_model(spec: Mapping, *, min_children: int = 2) -> DyadicModel:
         raise ModelError("empty model")
 
     try:
-        ids = [str(rec["id"]) for rec in records]
+        ids = [rec["id"] for rec in records]
     except (KeyError, TypeError):
         pos, rec = next((pos, rec) for pos, rec in enumerate(records)
                         if not isinstance(rec, Mapping) or "id" not in rec)
         raise ModelError(f"node record {pos} is not an object with an 'id': {rec!r}") from None
+    if not set(map(type, ids)) <= {str}:
+        ids = list(map(str, ids))
+    n = len(ids)
     index = _index(ids)
     parent_ids = [rec.get("parent") for rec in records]
-    parents = [-1 if pid is None else index.get(str(pid), -2) for pid in parent_ids]
-    if -2 in parents:
-        k = parents.index(-2)
-        raise ModelError(f"orphan node {ids[k]!r}: unknown parent {str(parent_ids[k])!r}")
-    children = [[] for _ in ids]
-    for k, pid in enumerate(parents):
-        if pid >= 0:
-            children[pid].append(k)
+    try:
+        parents = np.fromiter(map(index.get, parent_ids, repeat(-2)), np.int64, n)
+    except TypeError:  # an unhashable parent id
+        parents = np.full(n, -2, dtype=np.int64)
+    for k in (parents == -2).nonzero()[0].tolist():  # roots, and ids that are not strings
+        pid = parent_ids[k]
+        parents[k] = -1 if pid is None else index.get(str(pid), -2)
+        if parents[k] == -2:
+            raise ModelError(f"orphan node {ids[k]!r}: unknown parent {str(pid)!r}")
+
+    # child lists from the parent links: the nodes sorted by parent, in index
+    # order within each parent, after the roots (parent -1)
+    counts = np.bincount(parents + 1, minlength=n + 1)
+    flat = tuple(np.argsort(parents, kind="stable").tolist())
+    ends = np.add.accumulate(counts)
+    inner = counts[1:].nonzero()[0]
+    children = [()] * n
+    for k, lo, hi in zip(inner.tolist(), ends[inner].tolist(), ends[inner + 1].tolist()):
+        children[k] = flat[lo:hi]
 
     # declared child lists must match the parent links: compared all at once,
-    # as their lengths and their concatenation, and node by node only to name
-    # the first that disagrees
-    listed = [k for k, rec in enumerate(records) if rec.get("children") is not None]
-    declared = [records[k]["children"] for k in listed]
-    actual = [children[k] for k in listed]
-    if not set(map(type, declared)) <= {list, tuple}:
-        k, got = next((k, c) for k, c in zip(listed, declared) if type(c) not in (list, tuple))
+    # as their lengths and as one sequence of child indices, and node by node
+    # only to name the first that disagrees
+    declared = [rec.get("children") for rec in records]
+    kinds = set(map(type, declared))
+    if not kinds <= {list, tuple, type(None)}:
+        k, got = next((k, c) for k, c in enumerate(declared)
+                      if c is not None and type(c) not in (list, tuple))
         raise ModelError(f"children of {ids[k]!r} must be a list of ids, got {got!r}")
-    if (list(map(len, declared)) != list(map(len, actual))
-            or list(map(str, chain.from_iterable(declared)))
-            != list(map(ids.__getitem__, chain.from_iterable(actual)))):
-        k = next(k for k, c, a in zip(listed, declared, actual)
-                 if list(map(str, c)) != [ids[j] for j in a])
-        raise ModelError(f"children of {ids[k]!r} disagree with parent links")
+    listed, lengths, actual = range(n), counts[1:].tolist(), flat[counts[0]:]
+    if type(None) in kinds:
+        listed = [k for k, c in enumerate(declared) if c is not None]
+        declared = [declared[k] for k in listed]
+        lengths = [lengths[k] for k in listed]
+        actual = tuple(chain.from_iterable(children[k] for k in listed))
+    try:
+        same = (list(map(len, declared)) == lengths
+                and tuple(map(index.get, chain.from_iterable(declared), repeat(-1))) == actual)
+    except TypeError:  # an unhashable entry
+        same = False
+    if not same:  # entries that are not strings are compared as their str()
+        k = next((k for k, c in zip(listed, declared)
+                  if list(map(str, c)) != [ids[j] for j in children[k]]), None)
+        if k is not None:
+            raise ModelError(f"children of {ids[k]!r} disagree with parent links")
 
     return DyadicModel(ids, parents, children, mu_map, nu_map, min_children=min_children)
 
@@ -445,13 +548,16 @@ def leaf_values(model: DyadicModel, values: Mapping, what: str) -> list:
     """The values of a map {leaf id: value}, in the model's leaf order.
 
     Every leaf needs a value and every key must be a leaf id; ``what`` names
-    the map in the error.  The values themselves are not checked here.
+    the map in the error.  A value that is a string or a boolean is rejected;
+    the caller checks the others.
     """
     if len(values) == model.n_leaves:
         try:
-            return [values[nid] for nid in model.leaf_ids]
+            out = list(map(values.__getitem__, model.leaf_ids))
         except KeyError:
             pass
+        else:
+            return _numbers(model, out, what)
     keyed = {str(k): v for k, v in values.items()}
     for key in keyed:
         if key not in model.index:
@@ -461,7 +567,15 @@ def leaf_values(model: DyadicModel, values: Mapping, what: str) -> list:
     missing = next((nid for nid in model.leaf_ids if nid not in keyed), None)
     if missing is not None:
         raise ModelError(f"missing {what} mass for leaf {missing!r}")
-    return [keyed[nid] for nid in model.leaf_ids]
+    return _numbers(model, [keyed[nid] for nid in model.leaf_ids], what)
+
+
+def _numbers(model, values, what):
+    i = _non_number(values)
+    if i is not None:
+        raise ModelError(f"{what} value of leaf {model.leaf_ids[i]!r} must be a number, "
+                         f"got {values[i]!r}")
+    return values
 
 
 def as_leaf_function(model: DyadicModel, f, *, nonneg: bool = False) -> np.ndarray:

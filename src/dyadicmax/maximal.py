@@ -33,12 +33,14 @@ import json
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass
+from itertools import chain, repeat
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
-from .lattice import MU, DyadicModel, _lq_groups, _lq_rows, _running_lq, as_leaf_function
+from .lattice import (_NOT_NUMBERS, MU, DyadicModel, ModelError, _lq_groups, _lq_rows,
+                      _non_number, _running_lq, as_leaf_function)
 
 __all__ = [
     "CoefficientFamily",
@@ -190,47 +192,66 @@ class CoefficientFamily:
     def from_mapping(cls, model: DyadicModel, mapping: Mapping) -> "CoefficientFamily":
         """Build from {node id: scalar or {leaf id: value}}; every node required.
 
-        Atoms that a vector entry leaves out get 0.
+        Atoms that a vector entry leaves out get 0.  A value that is a string
+        or a boolean is rejected, as in the instance files.  Keys that are not
+        strings are looked up as their str().
         """
-        n, index, leaf_index = model.n_nodes, model.index, model.leaf_index
+        n, index = model.n_nodes, model.index
+        keys = list(mapping)
         try:
-            nodes = [index[str(key)] for key in mapping]
+            nodes = list(map(index.__getitem__, keys))
         except KeyError:
-            nodes = [model.node(str(key)) for key in mapping]  # names the unknown id
+            nodes = [model.node(key if type(key) is str else str(key)) for key in keys]
         if len(set(nodes)) != n:
             missing = model.ids[min(set(range(n)).difference(nodes))]
             raise ValueError(f"coefficient missing for node {missing!r}")
-        width = (model.leaf_hi - model.leaf_lo).tolist()
-        scalars, lengths, vectors = [0.0] * n, [0] * n, []
-        for k, val in zip(nodes, mapping.values()):
-            # plain numbers first: the Mapping check is an ABC lookup per entry
-            if not isinstance(val, (float, int)) and isinstance(val, Mapping):
-                vectors.append((k, val))
-                lengths[k] = width[k]
-            else:
-                scalars[k] = val
+        values = list(mapping.values())
+        vectors = []  # positions in `values` of the vector entries, in node order
+        kinds = set(map(type, values))
+        if not kinds <= {float, int}:
+            if not kinds.isdisjoint(_NOT_NUMBERS):
+                i = next(i for i, val in enumerate(values) if isinstance(val, _NOT_NUMBERS))
+                raise ModelError(f"coefficient for {model.ids[nodes[i]]!r} must be a number, "
+                                 f"got {values[i]!r}")
+            # one Mapping test per type, not per entry: it is an ABC lookup
+            kinds = {kind for kind in kinds if issubclass(kind, Mapping)}
+            vectors = sorted((i for i, val in enumerate(values) if type(val) in kinds),
+                             key=nodes.__getitem__)
+        maps = [values[i] for i in vectors]
+        for i in vectors:
+            values[i] = 0.0
+        scalars = np.empty(n)
+        scalars[nodes] = np.array(values, dtype=float)
         if not vectors:
             return cls(model, scalars)
+
         # every (atom, value) pair of the vector entries, cube by cube: cube k's
         # values start at `start` in the flat array, its atoms at leaf_lo[k]
-        vectors.sort(key=lambda entry: entry[0])
-        bounds, start = [], 0
-        for k, m in vectors:
-            lo = int(model.leaf_lo[k])
-            bounds.append((lo, lo + width[k], start - lo, len(m)))
-            start += width[k]
-        bounds = np.array(bounds, dtype=np.int64)
-        lo, hi, shift = np.repeat(bounds[:, :3], bounds[:, 3], axis=0).T
-        atoms = [j for _, m in vectors for j in m]
-        leaf = np.array([leaf_index.get(str(j), -1) for j in atoms], dtype=np.int64)
-        outside = (leaf < lo) | (leaf >= hi)
+        cubes = np.array([nodes[i] for i in vectors], dtype=np.int64)
+        count = np.fromiter(map(len, maps), np.int64, len(maps))
+        atoms = list(chain.from_iterable(maps))
+        entries = list(chain.from_iterable(m.values() for m in maps))
+        lo = model.leaf_lo[cubes]
+        width = model.leaf_hi[cubes] - lo
+        start = np.cumsum(width) - width
+        cube = np.repeat(cubes, count)
+        node = np.fromiter(map(index.get, atoms, repeat(-1)), np.int64, len(atoms))
+        for i in (node < 0).nonzero()[0].tolist():  # atom ids that are not strings
+            node[i] = index.get(str(atoms[i]), -1)
+        leaf = np.where((node >= 0) & model.is_leaf[node], model.leaf_lo[node], -1)
+        outside = (leaf < model.leaf_lo[cube]) | (leaf >= model.leaf_hi[cube])
         if outside.any():
             i = int(np.argmax(outside))
-            cube = [k for k, m in vectors for _ in m][i]
-            raise ValueError(f"leaf {atoms[i]!r} is not an atom of cube {model.ids[cube]!r}")
-        values = np.zeros(start)
-        values[leaf + shift] = [v for _, m in vectors for v in m.values()]
-        return cls(model, scalars, lengths, values)
+            raise ValueError(f"leaf {atoms[i]!r} is not an atom of cube {model.ids[cube[i]]!r}")
+        i = _non_number(entries)
+        if i is not None:
+            raise ModelError(f"coefficient of cube {model.ids[cube[i]]!r} at leaf {atoms[i]!r} "
+                             f"must be a number, got {entries[i]!r}")
+        lengths = np.zeros(n, dtype=np.int64)
+        lengths[cubes] = width
+        flat = np.zeros(int(width.sum()))
+        flat[leaf + np.repeat(start - lo, count)] = entries
+        return cls(model, scalars, lengths, flat)
 
     @classmethod
     def random(cls, model: DyadicModel, seed, *, vector_prob: float = 0.3,
@@ -312,9 +333,14 @@ def _level_terms(model, a, rows):
     through ``_ancestor_sums``, whose padding reads a 0 of the sums' buffer:
     entries below an atom's own depth are 0.
     """
+    return _terms_of_sums(model, a, model._dfs_sums(rows))
+
+
+def _terms_of_sums(model, a, sums):
+    """``_level_terms`` from the rows' buffer of ``DyadicModel._dfs_sums``, which
+    it overwrites with its absolute values."""
     _check_tree(model, a)
     _, coef = a._leaf_levels()
-    sums = model._dfs_sums(rows)
     np.abs(sums, out=sums)
     T = sums[..., model._ancestor_sums]
     T *= coef

@@ -20,10 +20,10 @@ from typing import Optional
 import numpy as np
 
 from .constants import VerificationError, holder_conjugate
-from .lattice import (DyadicModel, RandomModelParams, _lp_rows, _lq_rows,
+from .lattice import (_NOT_NUMBERS, DyadicModel, RandomModelParams, _lp_rows, _lq_rows,
                       as_leaf_function, build_model, indicator, leaf_values,
                       model_to_dict, random_model)
-from .maximal import (CoefficientFamily, _check_q, _level_terms, apply_maximal,
+from .maximal import (CoefficientFamily, _check_q, _terms_of_sums, apply_maximal,
                       apply_truncated, classical_coefficients)
 
 __all__ = [
@@ -70,10 +70,12 @@ class SawyerInstance:
     def __post_init__(self):
         self.omega_leaf = as_leaf_function(self.model, self.omega_leaf, nonneg=True)
         self.w_leaf = as_leaf_function(self.model, self.w_leaf, nonneg=True)
-        if not (0.0 < self.alpha <= 1.0):
-            raise ValueError(f"alpha must be in (0, 1], got {self.alpha}")
-        if not (1.0 < self.p < math.inf):
-            raise ValueError(f"p must be finite > 1, got {self.p}")
+        # a string or a boolean (JSON "0.5" or true) is not a number here
+        if isinstance(self.alpha, _NOT_NUMBERS) or not (0.0 < self.alpha <= 1.0):
+            raise ValueError(f"alpha must be a number in (0, 1], got {self.alpha!r}")
+        if isinstance(self.p, _NOT_NUMBERS) or not (1.0 < self.p < math.inf):
+            raise ValueError(f"p must be a finite number > 1, got {self.p!r}")
+        self.alpha, self.p = float(self.alpha), float(self.p)
 
     @property
     def target_leaf(self):
@@ -188,12 +190,14 @@ def verify_reduction(inst: SawyerInstance, f, q, *, rtol: float = 1e-12,
     # an overflow (g = f * w^(p'/p) can exceed the floats) shows as a non-finite error
     with np.errstate(over="ignore", invalid="ignore"):
         g = reduced.transform(f)
-        rows = np.stack([g * reduced.mu_leaf, f * inst.omega_leaf])
-        ints_two, ints_three = model._subtree_sums(rows)
+        # one buffer of cube sums for both identities: the integrals are read
+        # from it before the operator's terms take its absolute values
+        sums = model._dfs_sums(np.stack([g * reduced.mu_leaf, f * inst.omega_leaf]))
+        ints_two, ints_three = sums[:, model._sum_slots]
         scale = max(np.max(np.abs(ints_two)), np.max(np.abs(ints_three)), 1e-300)
         integral_err = float(np.max(np.abs(ints_two - ints_three)) / scale)
 
-        m_two, m_three = _lq_rows(_level_terms(model, reduced.coefficients, rows), q, axis=-2)
+        m_two, m_three = _lq_rows(_terms_of_sums(model, reduced.coefficients, sums), q, axis=-2)
         mscale = max(np.max(m_two), np.max(m_three), 1e-300)
         operator_err = float(np.max(np.abs(m_two - m_three)) / mscale)
 
@@ -278,6 +282,6 @@ def read_instance(path, *, p: Optional[float] = None) -> SawyerInstance:
     model = build_model(data, min_children=1)
     return SawyerInstance(
         model=model, omega_leaf=leaf_values(model, data["omega"], "omega"),
-        w_leaf=leaf_values(model, data["w"], "w"), alpha=float(data["alpha"]),
-        p=float(p) if p is not None else float(data.get("p", 2.0)),
+        w_leaf=leaf_values(model, data["w"], "w"), alpha=data["alpha"],
+        p=p if p is not None else data.get("p", 2.0),
     )

@@ -3,9 +3,10 @@
 Everything here is written with explicit per-leaf loops and plain Python
 sums, deliberately sharing no code path with the vectorized library.  The
 exceptions pin the library's arithmetic bit for bit against earlier forms of
-it: ``ref_verify_reduction``, the reduction check on public calls with one
-model copy per measure, and, at the end, the forward path and the testing
-constant's suffixes as they were before the one-pass kernel.
+it: ``ref_walk``, the model constructor's depth-first walk as it was before
+the array layout; ``ref_verify_reduction``, the reduction check on public
+calls with one model copy per measure; and, at the end, the forward path and
+the testing constant's suffixes as they were before the one-pass kernel.
 """
 
 import math
@@ -94,35 +95,91 @@ def ref_indicator_ratios(model, a, p, q):
     return np.asarray(out)
 
 
-def ref_layout(model):
-    """Depth-first layout by a plain stack walk over ``model.children``.
+def ref_walk(ids, parents, children, mu_leaf, nu_leaf, min_children=1):
+    """The model's arrays as a depth-first walk over plain lists builds them.
 
-    Roots are the nodes that no child list names, in index order.  Returns
-    (depth, dfs_order, dfs_lo, dfs_hi, leaf_lo, leaf_hi, leaf_nodes, levels)
-    as integer arrays, ``levels`` a list of them.
+    This is the constructor's walk as it was before the array layout: roots
+    are the nodes with a negative parent, in index order, and one stack walk
+    detects cycles and unreachable nodes, checks the child counts and fixes
+    the leaf order and the subtree intervals, naming the first fault it meets
+    in depth-first order.  Returns {attribute: value} for every array and
+    table the constructor sets.  Masses come in leaf order or by leaf id.
     """
-    n = model.n_nodes
-    listed = set(c for ch in model.children for c in ch)
-    depth, dfs_lo, dfs_hi, leaf_lo, leaf_hi = ([0] * n for _ in range(5))
+    from dyadicmax import ModelError
+
+    n = len(ids)
+    ids = tuple(map(str, ids))
+    parent = np.asarray(parents, dtype=np.int64)
+    children = tuple(map(tuple, children))
+    listed = [c for ch in children for c in ch]
+    if listed and not (0 <= min(listed) and max(listed) < n):
+        raise ModelError(f"child index out of range [0, {n})")
+    roots = tuple(np.flatnonzero(parent < 0).tolist())
+    if not roots:
+        raise ModelError("cycle detected: no root node")
+    # ~k (negative, unlike any child index) on the stack ends k's subtree
+    depth, lo, hi, leaf_lo, leaf_hi = ([-1] * n for _ in range(5))
     order, leaves = [], []
-    for root in (k for k in range(n) if k not in listed):
-        stack = [(root, 0, False)]
-        while stack:
-            node, d, done = stack.pop()
-            if done:
-                dfs_hi[node], leaf_hi[node] = len(order), len(leaves)
-                continue
-            depth[node], dfs_lo[node], leaf_lo[node] = d, len(order), len(leaves)
-            order.append(node)
-            stack.append((node, d, True))
-            if not model.children[node]:
-                leaves.append(node)
-            for c in reversed(model.children[node]):
-                stack.append((c, d + 1, False))
-    levels = [np.array([k for k in range(n) if depth[k] == d], dtype=np.int64)
-              for d in range(max(depth) + 1)]
-    return (*(np.array(x, dtype=np.int64) for x in (depth, order, dfs_lo, dfs_hi,
-                                                    leaf_lo, leaf_hi, leaves)), levels)
+    stack = list(roots[::-1])
+    pos = n_leaves = d = 0
+    while stack:
+        k = stack.pop()
+        if k < 0:
+            k, d = ~k, d - 1
+            hi[k], leaf_hi[k] = pos, n_leaves
+            continue
+        if depth[k] >= 0:
+            raise ModelError(f"cycle detected at node {ids[k]!r}")
+        depth[k], lo[k], leaf_lo[k] = d, pos, n_leaves
+        order.append(k)
+        pos += 1
+        ch = children[k]
+        if not ch:
+            leaves.append(k)
+            n_leaves += 1
+            hi[k], leaf_hi[k] = pos, n_leaves
+        elif len(ch) < min_children:
+            raise ModelError(f"node {ids[k]!r} has {len(ch)} children; minimum is {min_children}")
+        else:
+            d += 1
+            stack.append(~k)
+            stack.extend(ch[::-1])
+    if pos != n:
+        raise ModelError(
+            f"cycle detected: node {ids[depth.index(-1)]!r} unreachable from any root")
+
+    out = dict(ids=ids, parent=parent, children=children, roots=roots)
+    for name, values in zip(("depth", "dfs_lo", "dfs_hi", "leaf_lo", "leaf_hi", "dfs_order",
+                             "leaf_nodes"), (depth, lo, hi, leaf_lo, leaf_hi, order, leaves)):
+        out[name] = np.array(values, dtype=np.int64)
+    out["is_leaf"] = out["dfs_hi"] - out["dfs_lo"] == 1
+    out["leaf_ids"] = tuple(ids[k] for k in leaves)
+    out["leaf_index"] = {nid: j for j, nid in enumerate(out["leaf_ids"])}
+    out["index"] = {nid: k for k, nid in enumerate(ids)}
+    out["levels"] = [np.array([k for k in range(n) if depth[k] == dd], dtype=np.int64)
+                     for dd in range(max(depth) + 1)]
+    inner = out["dfs_order"][~out["is_leaf"][out["dfs_order"]]]
+    bounds = np.stack([out["dfs_lo"], out["dfs_hi"]], axis=1)[inner].ravel()
+    slots = out["dfs_lo"].copy()
+    slots[inner] = n + 1 + 2 * np.arange(inner.size)
+    out.update(_inner_bounds=bounds, _sum_slots=slots, _sum_cells=n + 1 + bounds.size,
+               _leaf_dfs=out["dfs_lo"][out["leaf_nodes"]])
+    masses = np.array([[m[nid] for nid in out["leaf_ids"]] if isinstance(m, dict) else m
+                       for m in (mu_leaf, nu_leaf)], dtype=float)
+    sums = np.zeros((2, n + 1 + bounds.size))
+    sums[:, out["_leaf_dfs"]] = masses
+    np.add.reduceat(sums[:, :n + 1], bounds, axis=-1, out=sums[:, n + 1:])
+    out.update(mu_leaf=masses[0], nu_leaf=masses[1], mu_node=sums[0, slots],
+               nu_node=sums[1, slots])
+    return out
+
+
+def ref_layout(model):
+    """(depth, dfs_order, dfs_lo, dfs_hi, leaf_lo, leaf_hi, leaf_nodes, levels)
+    of ``model``'s shape by :func:`ref_walk`."""
+    ref = ref_walk(model.ids, model.parent, model.children, model.mu_leaf, model.nu_leaf)
+    return tuple(ref[name] for name in ("depth", "dfs_order", "dfs_lo", "dfs_hi", "leaf_lo",
+                                        "leaf_hi", "leaf_nodes", "levels"))
 
 
 def ref_leaf_levels(model, a):

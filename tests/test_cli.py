@@ -127,6 +127,34 @@ def test_verify_reads_omega_and_w_strictly(tmp_path, capsys, key, values, messag
     assert not (run / "report.jsonl").exists()
 
 
+@pytest.mark.parametrize("change, message", [
+    ({"mu": {"L1": "1.5", "L2": 2.0}}, "mu value of leaf 'L1' must be a number, got '1.5'"),
+    ({"nu": {"L1": 1.0, "L2": True}}, "nu value of leaf 'L2' must be a number, got True"),
+    ({"omega": {"L1": 1.0, "L2": "2"}}, "omega value of leaf 'L2' must be a number"),
+    ({"w": {"L1": False, "L2": 1.0}}, "w value of leaf 'L1' must be a number"),
+    ({"alpha": "0.5"}, "alpha must be a number in (0, 1], got '0.5'"),
+    ({"nodes": [{"id": "Q0", "parent": "L2"}, {"id": "L1", "parent": "Q0"},
+                {"id": "L2", "parent": "Q0"}]}, "cycle detected: no root node"),
+], ids=["string_mu", "boolean_nu", "string_omega", "boolean_w", "string_alpha", "cycle"])
+def test_verify_rejects_malformed_instances(tmp_path, capsys, change, message):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(_small_instance(**change)))
+    run = tmp_path / "run"
+    assert main(["verify", str(bad), "--search-random", "2", "--search-ascent", "1",
+                 "--out", str(run)]) == 2
+    assert message in capsys.readouterr().err
+    assert not (run / "report.jsonl").exists()
+
+
+def test_verify_rejects_a_coefficient_written_as_a_string(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(_small_instance()))
+    bad.with_name("bad.coeffs.json").write_text(
+        json.dumps({"Q0": 1.0, "L1": "2.0", "L2": 1.0}))
+    assert main(["verify", str(bad), "--out", str(tmp_path / "run")]) == 2
+    assert "coefficient for 'L1' must be a number, got '2.0'" in capsys.readouterr().err
+
+
 def test_verify_defaults_absent_omega_to_mu_and_w_to_one(tmp_path):
     from dyadicmax.cli import _load_instance
     plain, full = tmp_path / "plain" / "inst.json", tmp_path / "full" / "inst.json"

@@ -9,11 +9,12 @@ from hypothesis import strategies as st
 from dyadicmax import (DyadicModel, Exponents, ModelError, RandomModelParams, average,
                        build_model, integrate, lp_norm, random_model,
                        read_model, write_model)
+from dyadicmax.cli import SweepConfig, cmd_generate
 from dyadicmax.lattice import _lq_groups, _lq_rows, _running_lq, model_to_dict
 from dyadicmax.maximal import node_integrals
 
 from _reference import (ref_families, ref_integrate, ref_layout, ref_lp_norm,
-                        ref_running_lq, ref_subtree_sums)
+                        ref_running_lq, ref_subtree_sums, ref_walk)
 from conftest import caterpillar, make_instance, random_nonneg
 
 
@@ -467,6 +468,165 @@ def test_layout_rejects_bad_shapes(case):
         match = r"child index out of range \[0, 2\)"
     with pytest.raises(ModelError, match=match):
         DyadicModel(*shape, [1.0], [1.0], min_children=2 if case == "few_children" else 1)
+
+
+def _assert_same_model(model, want):
+    """Every attribute in ``want`` (from ``ref_walk``) equals the model's."""
+    for name, value in want.items():
+        got = getattr(model, name)
+        if isinstance(value, np.ndarray):
+            assert got.dtype == value.dtype and np.array_equal(got, value), name
+            assert not got.flags.writeable, name
+        elif name == "levels":
+            assert len(got) == len(value), name
+            assert all(np.array_equal(g, w) for g, w in zip(got, value)), name
+        else:
+            assert got == value, name
+
+
+def _random_forest(seed, n, root_prob, chain_prob):
+    """(ids, parents, children, mu, nu) of a random forest whose node indices
+    are shuffled, so that index order is not depth-first order, and whose
+    child lists come in a random order: several roots, unary chains and lone
+    leaves among them."""
+    rng = np.random.default_rng(seed)
+    link = [-1]
+    for i in range(1, n):
+        if rng.random() < root_prob:
+            link.append(-1)
+        else:
+            link.append(i - 1 if rng.random() < chain_prob else int(rng.integers(0, i)))
+    label = rng.permutation(n).tolist()
+    parents, children = [-1] * n, [[] for _ in range(n)]
+    for i, up in enumerate(link):
+        if up >= 0:
+            parents[label[i]] = label[up]
+            children[label[up]].append(label[i])
+    for ch in children:
+        rng.shuffle(ch)
+    leaves = sum(1 for ch in children if not ch)
+    return ([f"v{k}" for k in range(n)], parents, children,
+            rng.exponential(1.0, leaves), rng.exponential(1.0, leaves))
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 60),
+       root_prob=st.sampled_from([0.0, 0.1, 0.4, 1.0]),
+       chain_prob=st.sampled_from([0.0, 0.5, 0.95]))
+def test_layout_equals_the_walk_on_random_forests(seed, n, root_prob, chain_prob):
+    shape = _random_forest(seed, n, root_prob, chain_prob)
+    _assert_same_model(DyadicModel(*shape), ref_walk(*shape))
+
+
+def test_layout_equals_the_walk_on_the_caterpillar_and_random_models():
+    models = [caterpillar(1500)]
+    models += [random_model(RandomModelParams(depth_max=1 + s % 5, branch_min=1 + s % 2,
+                                              roots=1 + s % 3, leaf_prob=0.25), s)
+               for s in range(20)]
+    for model in models:
+        shape = (model.ids, model.parent, model.children, model.mu_leaf, model.nu_leaf)
+        _assert_same_model(DyadicModel(*shape), ref_walk(*shape))
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 14),
+       faults=st.integers(0, 3), min_children=st.integers(1, 3))
+def test_layout_rejects_what_the_walk_rejects(seed, n, faults, min_children):
+    # a random forest with up to three edits, each of which may break it: a
+    # second name for a node, a dropped name, a name moved to another list,
+    # a parent link changed (which changes the roots)
+    rng = np.random.default_rng(seed)
+    ids, parents, children, _, _ = _random_forest(seed, n, 0.2, 0.3)
+    for _ in range(faults):
+        k, j = (int(x) for x in rng.integers(0, n, 2))
+        edit = int(rng.integers(0, 4))
+        if edit == 0:
+            children[k].insert(int(rng.integers(0, len(children[k]) + 1)), j)
+        elif edit == 1 and children[k]:
+            children[k].pop(int(rng.integers(0, len(children[k]))))
+        elif edit == 2 and children[k]:
+            children[j].append(children[k].pop(int(rng.integers(0, len(children[k])))))
+        else:
+            parents[k] = -1 if parents[k] >= 0 else j
+    leaves = sum(1 for ch in children if not ch)
+    shape = (ids, parents, children, np.ones(leaves), np.ones(leaves))
+    try:
+        want = ref_walk(*shape, min_children=min_children)
+    except ModelError:
+        with pytest.raises(ModelError):
+            DyadicModel(*shape, min_children=min_children)
+    else:
+        _assert_same_model(DyadicModel(*shape, min_children=min_children), want)
+
+
+@pytest.mark.parametrize("case", ["two_few", "twice_and_cycle", "unreachable_and_few",
+                                  "twice_and_few_on_one_node"])
+def test_two_faults_name_the_first_faulty_node_in_document_order(case):
+    # the walk met the faults in depth-first order; the layout names the
+    # faulty node that comes first in the node list
+    least = 2  # children of an interior node
+    if case == "two_few":  # R lists a (index 2) before b (index 1); each has 1 child
+        shape = (["R", "b", "a", "x", "y"], [-1, 0, 0, 2, 1], [[2, 1], [4], [3], [], []])
+        walk, match = "node 'a' has 1 children", "node 'b' has 1 children; minimum is 2"
+    elif case == "twice_and_cycle":  # c is named twice; u and v are a cycle
+        shape = (["R", "u", "v", "c", "d"], [-1, 2, 1, 0, 0], [[3, 4], [2], [1], [], [3]])
+        walk, match = "cycle detected at node 'c'", "node 'u' unreachable from any root"
+        least = 1
+    elif case == "unreachable_and_few":  # no list names X; a has 1 child
+        shape = (["R", "X", "a", "b", "c"], [-1, 0, 0, 2, 0], [[2, 4], [], [3], [], []])
+        walk, match = "node 'a' has 1 children", "node 'X' unreachable from any root"
+    else:  # root S is named by R and has 1 child: the second name comes first
+        shape = (["S", "R", "x", "y", "z"], [-1, -1, 0, 1, 1], [[2], [3, 0, 4], [], [], []])
+        walk, match = "node 'S' has 1 children", "cycle detected at node 'S'"
+    leaves = sum(1 for ch in shape[2] if not ch)
+    masses = (np.ones(leaves), np.ones(leaves))
+    with pytest.raises(ModelError, match=walk):
+        ref_walk(*shape, *masses, min_children=least)
+    with pytest.raises(ModelError, match=match):
+        DyadicModel(*shape, *masses, min_children=least)
+
+
+def test_build_model_names_the_first_faulty_record():
+    # P and Q are each other's parent, and a has one child: the walk met a
+    # first, the record of P comes first
+    with pytest.raises(ModelError, match="node 'P' unreachable from any root"):
+        build_model({
+            "nodes": [{"id": "R", "parent": None}, {"id": "P", "parent": "Q"},
+                      {"id": "Q", "parent": "P"}, {"id": "a", "parent": "R"},
+                      {"id": "b", "parent": "R"}, {"id": "x", "parent": "a"}],
+            "mu": {"x": 1, "b": 1}, "nu": {"x": 1, "b": 1},
+        }, min_children=2)
+
+
+def test_generated_files_build_the_walks_models(tmp_path):
+    paths = cmd_generate(SweepConfig(trials=288, depth_max=4, branch_max=3,
+                                     out=str(tmp_path)))
+    assert len(paths) == 288
+    for path in paths:
+        spec = json.loads(path.read_text())
+        ids = [rec["id"] for rec in spec["nodes"]]
+        position = {nid: k for k, nid in enumerate(ids)}
+        parents = [-1 if rec["parent"] is None else position[rec["parent"]]
+                   for rec in spec["nodes"]]
+        children = [[] for _ in ids]
+        for k, up in enumerate(parents):
+            if up >= 0:
+                children[up].append(k)
+        _assert_same_model(read_model(path),
+                           ref_walk(ids, parents, children, spec["mu"], spec["nu"]))
+
+
+@pytest.mark.parametrize("mu, match", [
+    ({"a": "1.5", "b": True}, "mu value of leaf 'a' must be a number, got '1.5'"),
+    ({"a": 1.5, "b": True}, "mu value of leaf 'b' must be a number, got True"),
+])
+def test_masses_written_as_strings_or_booleans_rejected(mu, match):
+    spec = {"nodes": [{"id": "R", "parent": None}, {"id": "a", "parent": "R"},
+                      {"id": "b", "parent": "R"}], "mu": mu, "nu": {"a": 1, "b": 1}}
+    with pytest.raises(ModelError, match=match):
+        build_model(spec)
+    with pytest.raises(ModelError, match=match.replace("mu ", "nu ")):
+        build_model({**spec, "mu": spec["nu"], "nu": mu})
 
 
 # -- properties --------------------------------------------------------------

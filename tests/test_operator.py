@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dyadicmax import (CoefficientFamily, apply_depth_truncated, apply_maximal,
-                       apply_truncated, classical_coefficients, indicator, lp_norm,
-                       read_coefficients, write_coefficients)
+from dyadicmax import (CoefficientFamily, ModelError, apply_depth_truncated, apply_maximal,
+                       apply_truncated, build_model, classical_coefficients, indicator,
+                       lp_norm, read_coefficients, write_coefficients)
 from dyadicmax.lattice import _lq_rows
 from dyadicmax.maximal import _apply_levels, _indicator_norms, _indicator_ratios, _level_terms
 
@@ -44,6 +44,27 @@ def test_coefficients_must_cover_all_nodes(e1):
         CoefficientFamily.from_mapping(e1, {"Q0": 1.0, "L1": 1.0})
     with pytest.raises(ValueError):
         CoefficientFamily.from_mapping(e1, {"Q0": -1.0, "L1": 1.0, "L2": 1.0})
+
+
+@pytest.mark.parametrize("mapping, match", [
+    ({"Q0": "2.0", "L1": True, "L2": {"L2": "3"}}, "coefficient for 'Q0' must be a number, got '2.0'"),
+    ({"Q0": 2.0, "L1": True, "L2": {"L2": "3"}}, "coefficient for 'L1' must be a number, got True"),
+    ({"Q0": 2.0, "L1": 1, "L2": {"L2": "3"}},
+     "coefficient of cube 'L2' at leaf 'L2' must be a number, got '3'"),
+    ({"Q0": {"L1": 1.0, "L2": False}, "L1": 1, "L2": 1.0},
+     "coefficient of cube 'Q0' at leaf 'L2' must be a number, got False"),
+])
+def test_coefficients_written_as_strings_or_booleans_rejected(e1, mapping, match):
+    with pytest.raises(ModelError, match=match):
+        CoefficientFamily.from_mapping(e1, mapping)
+
+
+def test_coefficient_keys_that_are_not_strings_read_as_their_str():
+    model = build_model({"nodes": [{"id": "1", "parent": None}, {"id": "2", "parent": "1"},
+                                   {"id": "3", "parent": "1"}],
+                         "mu": {"2": 1, "3": 1}, "nu": {"2": 1, "3": 1}})
+    fam = CoefficientFamily.from_mapping(model, {1: {2: 0.5, "3": 4.0}, "2": 1.0, 3: 2.0})
+    assert fam.entry(0).tolist() == [0.5, 4.0] and fam.entry(2) == 2.0
 
 
 def test_truncated_examples(e1, ones):

@@ -1,15 +1,16 @@
+import json
 import math
 from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
 
-from dyadicmax import (CoefficientFamily, ReductionError, SawyerInstance,
-                       VerificationError,
+from dyadicmax import (CoefficientFamily, DyadicModel, ModelError, ReductionError,
+                       SawyerInstance, VerificationError,
                        apply_maximal, build_model, classical_coefficients,
                        lp_norm, reduce_three_to_two, truncation_restriction_gap,
                        verify_reduction)
-from dyadicmax.sawyer import random_instance
+from dyadicmax.sawyer import random_instance, read_instance, write_instance
 
 from _reference import ref_verify_reduction
 from conftest import INF
@@ -151,6 +152,40 @@ def test_verify_reduction_matches_the_model_copy_reference():
             want = astuple(ref_verify_reduction(inst, f, q))
             assert got == want, (seed, q)
             assert [type(x) for x in got] == [type(x) for x in want], (seed, q)
+
+
+def test_verify_reduction_sums_its_rows_once(monkeypatch):
+    # the integral identity and the operator identity read one buffer of sums
+    # (the first call also sums omega for the instance's coefficients)
+    inst = random_instance(3)
+    verify_reduction(inst, np.ones(inst.model.n_leaves), 2.0, strict=False)
+    calls = []
+    real = DyadicModel._dfs_sums
+    monkeypatch.setattr(DyadicModel, "_dfs_sums",
+                        lambda self, values: calls.append(np.shape(values)) or real(self, values))
+    verify_reduction(inst, np.ones(inst.model.n_leaves), 2.0, strict=False)
+    assert calls == [(2, inst.model.n_leaves)]
+
+
+@pytest.mark.parametrize("field, value", [("alpha", "0.5"), ("alpha", True), ("p", "2.0"),
+                                          ("p", True)])
+def test_instance_numbers_written_as_strings_or_booleans_rejected(deep_model, field, value):
+    fields = dict(model=deep_model, omega_leaf=np.ones(5), w_leaf=np.ones(5), alpha=0.5, p=2.0)
+    with pytest.raises(ValueError, match=f"{field} must be a .*number.*got {value!r}"):
+        SawyerInstance(**{**fields, field: value})
+
+
+@pytest.mark.parametrize("key", ["omega", "w"])
+def test_read_instance_rejects_a_string_mass(tmp_path, key):
+    inst = random_instance(1)
+    path = tmp_path / "inst.json"
+    write_instance(inst, path)
+    data = json.loads(path.read_text())
+    leaf = inst.model.leaf_ids[-1]
+    data[key][leaf] = "1.5"
+    path.write_text(json.dumps(data))
+    with pytest.raises(ModelError, match=f"{key} value of leaf '{leaf}' must be a number"):
+        read_instance(path)
 
 
 def test_verify_reduction_nan_error_never_passes(monkeypatch):
