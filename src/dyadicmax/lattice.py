@@ -178,9 +178,9 @@ class DyadicModel:
     lists, read as one flat array and their lengths, in a few array passes
     per level of the tree (``_layout``), which also reject a malformed
     shape by naming its first faulty node in index order.  Tables that depend
-    on the shape alone (``levels``, ``leaf_index``, the padded child lists and
-    the level-by-leaf ancestor table) are built on first use and cached on
-    the model, so every coefficient family on the tree, and every
+    on the shape alone (``levels``, the padded child lists and the
+    level-by-leaf ancestor table) are built on first use and cached on the
+    model, so every coefficient family on the tree, and every
     ``with_measures`` copy made after they exist, shares them.
 
     Instances are immutable after construction and safe to share across
@@ -282,11 +282,6 @@ class DyadicModel:
     def subtree(self, k):
         """Node indices of the subtree rooted at node index ``k`` (DFS order)."""
         return self.dfs_order[self.dfs_lo[k]:self.dfs_hi[k]]
-
-    @cached_property
-    def leaf_index(self):
-        """{leaf id: position in the leaf order}, built on first use."""
-        return dict(zip(self.leaf_ids, range(len(self.leaf_ids))))
 
     @cached_property
     def levels(self):
@@ -551,31 +546,28 @@ def leaf_values(model: DyadicModel, values: Mapping, what: str) -> list:
     the map in the error.  A value that is a string or a boolean is rejected;
     the caller checks the others.
     """
+    out = None
     if len(values) == model.n_leaves:
         try:
             out = list(map(values.__getitem__, model.leaf_ids))
         except KeyError:
             pass
-        else:
-            return _numbers(model, out, what)
-    keyed = {str(k): v for k, v in values.items()}
-    for key in keyed:
-        if key not in model.index:
-            raise ModelError(f"{what} mass for unknown node {key!r}")
-        if not model.is_leaf[model.index[key]]:
-            raise ModelError(f"{what} mass assigned to non-leaf {key!r}")
-    missing = next((nid for nid in model.leaf_ids if nid not in keyed), None)
-    if missing is not None:
-        raise ModelError(f"missing {what} mass for leaf {missing!r}")
-    return _numbers(model, [keyed[nid] for nid in model.leaf_ids], what)
-
-
-def _numbers(model, values, what):
-    i = _non_number(values)
+    if out is None:
+        keyed = {str(k): v for k, v in values.items()}
+        for key in keyed:
+            if key not in model.index:
+                raise ModelError(f"{what} mass for unknown node {key!r}")
+            if not model.is_leaf[model.index[key]]:
+                raise ModelError(f"{what} mass assigned to non-leaf {key!r}")
+        missing = next((nid for nid in model.leaf_ids if nid not in keyed), None)
+        if missing is not None:
+            raise ModelError(f"missing {what} mass for leaf {missing!r}")
+        out = [keyed[nid] for nid in model.leaf_ids]
+    i = _non_number(out)
     if i is not None:
         raise ModelError(f"{what} value of leaf {model.leaf_ids[i]!r} must be a number, "
-                         f"got {values[i]!r}")
-    return values
+                         f"got {out[i]!r}")
+    return out
 
 
 def as_leaf_function(model: DyadicModel, f, *, nonneg: bool = False) -> np.ndarray:

@@ -154,7 +154,6 @@ def ref_walk(ids, parents, children, mu_leaf, nu_leaf, min_children=1):
         out[name] = np.array(values, dtype=np.int64)
     out["is_leaf"] = out["dfs_hi"] - out["dfs_lo"] == 1
     out["leaf_ids"] = tuple(ids[k] for k in leaves)
-    out["leaf_index"] = {nid: j for j, nid in enumerate(out["leaf_ids"])}
     out["index"] = {nid: k for k, nid in enumerate(ids)}
     out["levels"] = [np.array([k for k in range(n) if depth[k] == dd], dtype=np.int64)
                      for dd in range(max(depth) + 1)]
