@@ -22,11 +22,11 @@ import numpy as np
 
 from .constants import (NormSearch, VerificationError, theorem_constant,
                         theorem_constant_hp, verify_theorem)
-from .lattice import ModelError, RandomModelParams, build_model, leaf_values, random_model
+from .lattice import ModelError, RandomModelParams, _read_json, random_model
 from .maximal import (CoefficientFamily, classical_coefficients,
                       read_coefficients, write_coefficients)
-from .sawyer import (ReductionError, SawyerInstance, _draw_instance, instance_to_dict,
-                     verify_reduction)
+from .sawyer import (ReductionError, _draw_instance, _instance_from_dict, verify_reduction,
+                     write_instance)
 from .stopping import (build_decomposition, carleson_embedding_check,
                        decomposition_to_dict, default_r, partition_ok,
                        proof_trace, stopping_weights, verify_packing)
@@ -128,8 +128,7 @@ def cmd_generate(config: SweepConfig):
         inst = _draw_instance(model, np.random.default_rng(
             np.random.SeedSequence(entropy + [2])), p=2.0)
         path = out / f"{name}.json"
-        path.write_text(json.dumps(instance_to_dict(inst), indent=2,
-                                   sort_keys=True) + "\n")
+        write_instance(inst, path)
         coeffs = CoefficientFamily.random(
             model, np.random.SeedSequence(entropy + [3]))
         write_coefficients(coeffs, out / f"{name}.coeffs.json")
@@ -147,21 +146,16 @@ def _load_instance(path: Path):
     """Instance file -> (validated Sawyer instance, coefficients).
 
     ``omega`` and ``w`` are read as strictly as ``mu``: every leaf and no
-    other node.  An absent ``omega`` is ``mu``, an absent ``w`` is 1.
+    other node.  An absent ``omega`` is ``mu``, an absent ``w`` is 1.  An
+    error in either file's content raises ``ModelError`` naming that file.
     """
-    data = json.loads(path.read_text())
-    model = build_model(data, min_children=1)
-    omega, w = data.get("omega"), data.get("w")
-    inst = SawyerInstance(  # p is a placeholder: each swept p replaces it
-        model=model,
-        omega_leaf=model.mu_leaf if omega is None else leaf_values(model, omega, "omega"),
-        w_leaf=np.ones(model.n_leaves) if w is None else leaf_values(model, w, "w"),
-        alpha=data.get("alpha", 0.5), p=2.0)
+    # p is a placeholder: each swept p replaces it
+    inst = _read_json(path, lambda data: _instance_from_dict(data, p=2.0))
     coeff_path = path.with_name(path.stem + ".coeffs.json")
     if coeff_path.exists():
-        coeffs = read_coefficients(model, coeff_path)
+        coeffs = read_coefficients(inst.model, coeff_path)
     else:
-        coeffs = classical_coefficients(model, inst.omega_leaf, inst.alpha)
+        coeffs = classical_coefficients(inst.model, inst.omega_leaf, inst.alpha)
     return inst, coeffs
 
 
@@ -225,8 +219,7 @@ def _verify_one(name: str, instance, config: SweepConfig):
                 audit_dir = Path(config.out) / "audit"
                 audit_dir.mkdir(parents=True, exist_ok=True)
                 dump = audit_dir / f"{name}_p{p}_q{_q_label(q)}.decomp.json"
-                dump.write_text(json.dumps(decomposition_to_dict(decomp),
-                                           indent=2, sort_keys=True) + "\n")
+                dump.write_text(json.dumps(decomposition_to_dict(decomp), sort_keys=True) + "\n")
             records.append(_record(
                 name, p, q, "packing", packing.ok and parts_ok,
                 packing.bound - packing.worst_ratio,

@@ -546,6 +546,8 @@ def leaf_values(model: DyadicModel, values: Mapping, what: str) -> list:
     the map in the error.  A value that is a string or a boolean is rejected;
     the caller checks the others.
     """
+    if not isinstance(values, Mapping):
+        raise ModelError(f"{what} must map leaf ids to values, got {type(values).__name__}")
     out = None
     if len(values) == model.n_leaves:
         try:
@@ -789,29 +791,41 @@ def random_model(params: RandomModelParams, seed: int) -> DyadicModel:
 
 
 def model_to_dict(model: DyadicModel) -> dict:
-    nodes = []
-    for k, nid in enumerate(model.ids):
-        parent = None if model.parent[k] < 0 else model.ids[model.parent[k]]
-        nodes.append({
-            "id": nid,
-            "parent": parent,
-            "children": [model.ids[c] for c in model.children[k]],
-        })
+    parents = [None if k < 0 else model.ids[k] for k in model.parent.tolist()]
+    nodes = [{"id": nid, "parent": parent, "children": [model.ids[c] for c in children]}
+             for nid, parent, children in zip(model.ids, parents, model.children)]
     return {
         "nodes": nodes,
-        "mu": {nid: float(v) for nid, v in zip(model.leaf_ids, model.mu_leaf)},
-        "nu": {nid: float(v) for nid, v in zip(model.leaf_ids, model.nu_leaf)},
+        "mu": dict(zip(model.leaf_ids, model.mu_leaf.tolist())),
+        "nu": dict(zip(model.leaf_ids, model.nu_leaf.tolist())),
     }
 
 
+def _write_json(data, path) -> None:
+    """``data`` as one line of compact JSON: ``indent`` would bypass json's C encoder."""
+    Path(path).write_text(json.dumps(data) + "\n")
+
+
+def _read_json(path, build):
+    """``build`` applied to the JSON value in the file at ``path``.
+
+    A parse error, or a ``ValueError`` that ``build`` raises on a value of
+    the wrong shape, comes back as a ``ModelError`` naming the file.
+    """
+    try:
+        data = json.loads(Path(path).read_text())
+    except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
+        raise ModelError(f"cannot parse {path}: {exc}") from None
+    try:
+        return build(data)
+    except ValueError as exc:
+        raise ModelError(f"{path}: {exc}") from None
+
+
 def write_model(model: DyadicModel, path) -> None:
-    Path(path).write_text(json.dumps(model_to_dict(model), indent=2) + "\n")
+    _write_json(model_to_dict(model), path)
 
 
 def read_model(path, *, min_children: int = 1) -> DyadicModel:
     """Load an instance file; permissive about unary chains by default."""
-    try:
-        spec = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise ModelError(f"cannot parse {path}: {exc}") from None
-    return build_model(spec, min_children=min_children)
+    return _read_json(path, lambda spec: build_model(spec, min_children=min_children))

@@ -29,18 +29,16 @@ axis, by groups or along a running prefix (``lattice._lq_rows``,
 
 from __future__ import annotations
 
-import json
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass
 from itertools import chain, repeat
-from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
 from .lattice import (_NOT_NUMBERS, MU, DyadicModel, ModelError, _lq_groups, _lq_rows,
-                      _non_number, _running_lq, as_leaf_function)
+                      _non_number, _read_json, _running_lq, _write_json, as_leaf_function)
 
 __all__ = [
     "CoefficientFamily",
@@ -196,12 +194,17 @@ class CoefficientFamily:
         or a boolean is rejected, as in the instance files.  Keys that are not
         strings are looked up as their str().
         """
+        if not isinstance(mapping, Mapping):
+            raise ModelError("coefficients must map node ids to coefficients, "
+                             f"got {type(mapping).__name__}")
         n, index = model.n_nodes, model.index
         keys = list(mapping)
         try:
             nodes = list(map(index.__getitem__, keys))
         except KeyError:
-            nodes = [model.node(key if type(key) is str else str(key)) for key in keys]
+            nodes = [index.get(str(key), -1) for key in keys]
+            if -1 in nodes:
+                raise ModelError(f"coefficient for unknown node {keys[nodes.index(-1)]!r}")
         if len(set(nodes)) != n:
             missing = model.ids[min(set(range(n)).difference(nodes))]
             raise ValueError(f"coefficient missing for node {missing!r}")
@@ -476,8 +479,9 @@ def classical_coefficients(model: DyadicModel, omega_leaf, alpha: float) -> Coef
 
 
 def write_coefficients(a: CoefficientFamily, path) -> None:
-    Path(path).write_text(json.dumps(a.to_mapping(), indent=2) + "\n")
+    _write_json(a.to_mapping(), path)
 
 
 def read_coefficients(model: DyadicModel, path) -> CoefficientFamily:
-    return CoefficientFamily.from_mapping(model, json.loads(Path(path).read_text()))
+    """Load a coefficient file; errors in its content raise ``ModelError`` naming it."""
+    return _read_json(path, lambda mapping: CoefficientFamily.from_mapping(model, mapping))

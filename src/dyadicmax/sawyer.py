@@ -11,18 +11,17 @@ verifies the identities exactly on finite models.
 
 from __future__ import annotations
 
-import json
 import math
+import numbers
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
 from .constants import VerificationError, holder_conjugate
 from .lattice import (_NOT_NUMBERS, DyadicModel, RandomModelParams, _lp_rows, _lq_rows,
-                      as_leaf_function, build_model, indicator, leaf_values,
-                      model_to_dict, random_model)
+                      _read_json, _write_json, as_leaf_function, build_model, indicator,
+                      leaf_values, model_to_dict, random_model)
 from .maximal import (CoefficientFamily, _check_q, _terms_of_sums, apply_maximal,
                       apply_truncated, classical_coefficients)
 
@@ -42,6 +41,10 @@ __all__ = [
 
 class ReductionError(ValueError):
     """The instance admits no finite reduced measure."""
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, _NOT_NUMBERS)
 
 
 @dataclass
@@ -70,10 +73,10 @@ class SawyerInstance:
     def __post_init__(self):
         self.omega_leaf = as_leaf_function(self.model, self.omega_leaf, nonneg=True)
         self.w_leaf = as_leaf_function(self.model, self.w_leaf, nonneg=True)
-        # a string or a boolean (JSON "0.5" or true) is not a number here
-        if isinstance(self.alpha, _NOT_NUMBERS) or not (0.0 < self.alpha <= 1.0):
+        # a string or a boolean (JSON "0.5" or true) is not a number here, nor is null
+        if not _is_number(self.alpha) or not (0.0 < self.alpha <= 1.0):
             raise ValueError(f"alpha must be a number in (0, 1], got {self.alpha!r}")
-        if isinstance(self.p, _NOT_NUMBERS) or not (1.0 < self.p < math.inf):
+        if not _is_number(self.p) or not (1.0 < self.p < math.inf):
             raise ValueError(f"p must be a finite number > 1, got {self.p!r}")
         self.alpha, self.p = float(self.alpha), float(self.p)
 
@@ -265,23 +268,35 @@ def random_instance(seed: int, params: Optional[RandomModelParams] = None,
 
 def instance_to_dict(inst: SawyerInstance) -> dict:
     data = model_to_dict(inst.model)
-    data["omega"] = {nid: float(v) for nid, v in zip(inst.model.leaf_ids, inst.omega_leaf)}
-    data["w"] = {nid: float(v) for nid, v in zip(inst.model.leaf_ids, inst.w_leaf)}
+    data["omega"] = dict(zip(inst.model.leaf_ids, inst.omega_leaf.tolist()))
+    data["w"] = dict(zip(inst.model.leaf_ids, inst.w_leaf.tolist()))
     data["alpha"] = float(inst.alpha)
     data["p"] = float(inst.p)
     return data
 
 
 def write_instance(inst: SawyerInstance, path) -> None:
-    Path(path).write_text(json.dumps(instance_to_dict(inst), indent=2) + "\n")
+    _write_json(instance_to_dict(inst), path)
+
+
+def _instance_from_dict(data, p: Optional[float] = None) -> SawyerInstance:
+    """The instance that a file's JSON value describes.
+
+    An absent ``omega`` is ``mu``, an absent ``w`` is 1 and an absent
+    ``alpha`` is 0.5; ``p`` overrides the stored exponent, which defaults to 2.
+    """
+    model = build_model(data, min_children=1)
+    omega, w = data.get("omega"), data.get("w")
+    return SawyerInstance(
+        model=model,
+        omega_leaf=model.mu_leaf if omega is None else leaf_values(model, omega, "omega"),
+        w_leaf=np.ones(model.n_leaves) if w is None else leaf_values(model, w, "w"),
+        alpha=data.get("alpha", 0.5), p=p if p is not None else data.get("p", 2.0))
 
 
 def read_instance(path, *, p: Optional[float] = None) -> SawyerInstance:
-    """Load a Sawyer instance file; ``p`` overrides the stored exponent."""
-    data = json.loads(Path(path).read_text())
-    model = build_model(data, min_children=1)
-    return SawyerInstance(
-        model=model, omega_leaf=leaf_values(model, data["omega"], "omega"),
-        w_leaf=leaf_values(model, data["w"], "w"), alpha=data["alpha"],
-        p=p if p is not None else data.get("p", 2.0),
-    )
+    """Load a Sawyer instance file; ``p`` overrides the stored exponent.
+
+    Errors in the file's content raise ``ModelError`` naming the file.
+    """
+    return _read_json(path, lambda data: _instance_from_dict(data, p))

@@ -89,6 +89,20 @@ def test_verify_corrupt_file_exits_2(tmp_path):
     assert code == 2 and records == []
 
 
+@pytest.mark.parametrize("suffix, text, prefix", [
+    (".json", '{"nodes": ', "cannot parse "),
+    (".coeffs.json", "[1, 2]", ""),
+], ids=["unparsable_instance", "coefficients_not_an_object"])
+def test_verify_load_error_names_the_file(tmp_path, capsys, suffix, text, prefix):
+    paths, _ = gen(tmp_path, trials=2)
+    bad = paths[1].with_name(paths[1].stem + suffix)
+    bad.write_text(text)
+    run = tmp_path / "run"
+    assert main(["verify", *map(str, paths), "--out", str(run)]) == 2
+    assert f"error: cannot load instance: {prefix}{bad}: " in capsys.readouterr().err
+    assert not (run / "report.jsonl").exists()
+
+
 @pytest.mark.parametrize("alpha", [2.0, None])
 def test_verify_invalid_alpha_exits_2(tmp_path, capsys, alpha):
     paths, _ = gen(tmp_path, trials=1)
