@@ -75,6 +75,8 @@ class SweepConfig:
             if getattr(self, name) < 0:
                 raise ValueError(f"{name.replace('_', '-')} must be >= 0, "
                                  f"got {getattr(self, name)}")
+        if self.workers < 1:
+            raise ValueError(f"workers must be >= 1, got {self.workers}")
         return self
 
 
@@ -285,8 +287,9 @@ def cmd_verify(config: SweepConfig, instance_paths):
         return 2, []
 
     jobs = ([Path(p).stem for p in paths], instances, [config] * len(paths))
-    if config.workers > 1:
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
+    workers = min(config.workers, len(paths))  # a process per file at most
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             per_instance = list(pool.map(_verify_one, *jobs))
     else:
         per_instance = list(map(_verify_one, *jobs))
@@ -314,7 +317,11 @@ def cmd_verify(config: SweepConfig, instance_paths):
 
 
 def cmd_report(report_path, csv_path=None):
-    """Aggregate a JSONL report into per-(p, q) summary rows (CSV)."""
+    """Aggregate a JSONL report into per-(p, q) summary rows (CSV).
+
+    A line that is not a check record, such as the cut-off last line of a
+    killed sweep, raises ``ValueError`` naming the file and the line.
+    """
     path = Path(report_path)
     if not path.exists():
         raise FileNotFoundError(f"missing report: {path}")
@@ -326,22 +333,25 @@ def cmd_report(report_path, csv_path=None):
         if cur is None or better(value, cur[0]):
             best[key] = (value, instance)
 
-    with path.open() as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
+    with path.open("rb") as fh:  # json.loads decodes, so bad bytes are a bad line too
+        for lineno, line in enumerate(fh, 1):
+            if not line.strip():
                 continue
-            rec = json.loads(line)
-            p, q, det = rec["p"], rec["q"], rec["detail"]
-            if rec["check"] == "sandwich" and det.get("B", 0) > 0:
-                consider(p, q, "max_A_over_B", det["A_lower"] / det["B"],
-                         rec["instance"], lambda a, b: a > b)
-            elif rec["check"] == "packing":
-                consider(p, q, "max_packing_ratio", det["worst_ratio"],
-                         rec["instance"], lambda a, b: a > b)
-            elif rec["check"] == "proof_chain" and "min_rel_slack" in det:
-                consider(p, q, "min_proof_slack", det["min_rel_slack"],
-                         rec["instance"], lambda a, b: a < b)
+            try:
+                rec = json.loads(line)
+                p, q, det = rec["p"], rec["q"], rec["detail"]
+                if rec["check"] == "sandwich" and det.get("B", 0) > 0:
+                    consider(p, q, "max_A_over_B", det["A_lower"] / det["B"],
+                             rec["instance"], lambda a, b: a > b)
+                elif rec["check"] == "packing":
+                    consider(p, q, "max_packing_ratio", det["worst_ratio"],
+                             rec["instance"], lambda a, b: a > b)
+                elif rec["check"] == "proof_chain" and "min_rel_slack" in det:
+                    consider(p, q, "min_proof_slack", det["min_rel_slack"],
+                             rec["instance"], lambda a, b: a < b)
+            except (ValueError, KeyError, TypeError, AttributeError) as exc:
+                raise ValueError(f"{path}, line {lineno}: not a check record: "
+                                 f"{type(exc).__name__}: {exc}") from None
 
     rows = [(p, q, metric, value, instance)
             for (p, q, metric), (value, instance) in sorted(
@@ -442,7 +452,7 @@ def main(argv=None):
     if args.command == "report":
         try:
             cmd_report(args.report, args.csv)
-        except FileNotFoundError as exc:
+        except (FileNotFoundError, ValueError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
         return 0

@@ -19,7 +19,7 @@ import numpy as np
 
 from .lattice import DyadicModel, Exponents, _lp_rows, _lq_rows, indicator
 from .maximal import (CoefficientFamily, _apply_levels, _indicator_norms,
-                      _indicator_ratios, _level_terms)
+                      _indicator_ratios, _level_terms, _suffix_table)
 
 __all__ = [
     "ConstantsReport",
@@ -74,15 +74,18 @@ def theorem_constant_hp(p, dps: int = 50) -> float:
         return float(((1 + 1 / mp) ** (mp + 1) * mp) ** (1 / mp) * pc)
 
 
-def testing_constant(model: DyadicModel, a: CoefficientFamily, p, q):
+def testing_constant(model: DyadicModel, a: CoefficientFamily, p, q, *, _S=None):
     """Largest cube-normalized norm of the truncated operator on indicators.
 
     Returns (B, witness id).  Cubes of zero mu-mass are skipped (their
     testing inequality is 0 <= 0); if no cube has positive mass the constant
     is 0 with no witness.  Ties go to the earliest cube in document order.
+    ``_S``, the ``_suffix_table`` of (a, q), is built here unless
+    :func:`verify_theorem` hands over the one it shares with the norm search.
     """
     Exponents(p, q).require_ordered()
-    norms = _indicator_norms(model, a, p, q)
+    S = _suffix_table(model, a, q) if _S is None else _S
+    norms = _indicator_norms(model, a, p, S)
     pos = model.mu_node > 0
     ratio = np.zeros(model.n_nodes)
     ratio[pos] = norms[pos] / model.mu_node[pos] ** (1.0 / p)
@@ -188,7 +191,7 @@ def _power_step(model, a, F, p, q, index=None):
 
 
 def operator_norm_lower(model: DyadicModel, a: CoefficientFamily, p, q,
-                        search: Optional[NormSearch] = None):
+                        search: Optional[NormSearch] = None, *, _S=None):
     """Certified lower bound for the L^p(mu) -> L^p(nu) operator norm.
 
     Maximizes |Mf|_p,nu / |f|_p,mu over cube indicators, the constant
@@ -203,12 +206,14 @@ def operator_norm_lower(model: DyadicModel, a: CoefficientFamily, p, q,
     only the last one needs its own pass, when the budget runs out.  The
     iteration stops early once a step returns its input bit for bit, whose
     image is then known too.  Deterministic for a fixed search config.
-    Returns (A_lower, witness function with unit mu-norm).
+    Returns (A_lower, witness function with unit mu-norm).  ``_S`` is as in
+    :func:`testing_constant`.
     """
     Exponents(p, q).require_ordered()
     search = search or NormSearch()
 
-    cubes = _indicator_ratios(model, a, p, q)
+    S = _suffix_table(model, a, q) if _S is None else _S
+    cubes = _indicator_ratios(model, a, p, q, S)
     k = int(np.argmax(cubes))  # the first best cube, which the row below stands for
     rng = np.random.default_rng(search.seed)
     F = np.vstack([indicator(model, model.ids[k]), np.ones(model.n_leaves),
@@ -383,9 +388,10 @@ def verify_theorem(model: DyadicModel, a: CoefficientFamily, p, q,
     """
     Exponents(p, q).require_ordered()
     rtol = _check_rtol(rtol)
-    B, witness_cube = testing_constant(model, a, p, q)
+    S = _suffix_table(model, a, q)  # one table for both halves of the sandwich
+    B, witness_cube = testing_constant(model, a, p, q, _S=S)
     if np.any(model.mu_leaf > 0):
-        A_lower, witness_f = operator_norm_lower(model, a, p, q, search)
+        A_lower, witness_f = operator_norm_lower(model, a, p, q, search, _S=S)
     else:
         A_lower, witness_f = 0.0, None  # mu = 0: every f has mu-norm 0, the estimate is 0
     A_lower = max(A_lower, 0.0)

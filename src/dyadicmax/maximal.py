@@ -53,9 +53,6 @@ __all__ = [
 ]
 
 
-_SUFFIX_TABLES = 8  # q values whose suffix tables a family keeps
-
-
 class CoefficientFamily:
     """One nonnegative coefficient per cube: a scalar, or a value per atom.
 
@@ -71,10 +68,8 @@ class CoefficientFamily:
     of ``values``, which must be the cube's atom count.  All entries are
     checked at once, and the earliest bad one is named.
 
-    Tables derived from the entries are built on first use and kept: the
-    coefficient table of ``_leaf_levels``, which depends on the entries
-    alone, and the testing constant's suffix tables of ``_suffixes``, one per
-    q for the masses they were last asked for.
+    The coefficient table of ``_leaf_levels``, which depends on the entries
+    alone, is built on first use and kept.
     """
 
     def __init__(self, model: DyadicModel, scalars, lengths=None, values=()):
@@ -110,7 +105,6 @@ class CoefficientFamily:
         for arr in (scalars, offsets, values):
             arr.setflags(write=False)
         self._coef = None
-        self._suffix_cache = (None, {})
 
     @staticmethod
     def _raise_earliest(model, lengths, good):
@@ -155,32 +149,6 @@ class CoefficientFamily:
             coef.setflags(write=False)
             self._coef = coef
         return anc, self._coef
-
-    def _suffixes(self, model, q):
-        """Read-only S: S[d, x] is the ell-q combination of the terms mu(R) * a_R(x)
-        over the cubes R on atom x's path at depth >= d (0 below the atom).
-
-        It is (M_Q 1_Q)(x) for the ancestor Q of x at depth d, which the testing
-        constant and the cube indicators of the norm search both read.  Each
-        suffix is rescaled by its own running peak, so none underflows against
-        a larger term above it, even at q = 1e6.  S does not depend on p, so
-        it is cached per q, for one set of masses: the cache is keyed by
-        ``model.mu_node``, an array that belongs to those masses (a
-        ``with_measures`` copy or another model has its own), and other masses
-        empty it.  It keeps the tables of the last ``_SUFFIX_TABLES`` q values it
-        built; a sweep's q values for one instance (p, 2p and inf at three p
-        are six) all fit.  A miss replaces the cache's dict, and never changes
-        a dict in use.
-        """
-        mu, tables = self._suffix_cache
-        if mu is model.mu_node and q in tables:
-            return tables[q]
-        S = _running_lq(_level_terms(model, self, model.mu_leaf)[::-1], q, axis=0)[:0:-1]
-        S.setflags(write=False)
-        kept = list(tables.items()) if mu is model.mu_node else []
-        kept = kept[max(0, len(kept) + 1 - _SUFFIX_TABLES):] + [(q, S)]
-        self._suffix_cache = (model.mu_node, dict(kept))
-        return S
 
     @classmethod
     def constant(cls, model: DyadicModel, value: float = 1.0) -> "CoefficientFamily":
@@ -356,38 +324,51 @@ def _apply_levels(model, a, f, q, first_level=0, leaves=slice(None)):
     return _lq_rows(T[..., first_level:, leaves], q, axis=-2)
 
 
-def _indicator_norms(model: DyadicModel, a: CoefficientFamily, p, q) -> np.ndarray:
+def _suffix_table(model: DyadicModel, a: CoefficientFamily, q) -> np.ndarray:
+    """Read-only S: S[d, x] is the ell-q combination of the terms mu(R) * a_R(x)
+    over the cubes R on atom x's path at depth >= d (0 below the atom).
+
+    It is (M_Q 1_Q)(x) for the ancestor Q of x at depth d, which the testing
+    constant and the cube indicators of the norm search both read.  Each
+    suffix is rescaled by its own running peak, so none underflows against
+    a larger term above it, even at q = 1e6.  S does not depend on p.
+    """
+    S = _running_lq(_level_terms(model, a, model.mu_leaf)[::-1], q, axis=0)[:0:-1]
+    S.setflags(write=False)
+    return S
+
+
+def _indicator_norms(model: DyadicModel, a: CoefficientFamily, p, S) -> np.ndarray:
     """|M_Q 1_Q| in L^p(nu), for every cube Q, M_Q truncated to Q's subcubes.
 
     For f = 1_Q the integral over a subcube R of Q is mu(R), so (M_Q 1_Q)(x)
     is the ell-q combination of the terms mu(R) * a_R(x) from Q's depth down
-    x's path: a suffix S of x's column (``CoefficientFamily._suffixes``).
+    x's path: a suffix of x's column of S, the ``_suffix_table`` of (a, q).
     Weighted by nu(x)^(1/p), the suffixes of the atoms with nu(x) > 0 go to
     the ancestor at their depth through one grouped ell-p norm, rescaled by
     the cube's peak, so the powers stay finite at any p.
     """
-    S = a._suffixes(model, q)
     anc, _ = a._leaf_levels()
     keep = (anc >= 0) & (model.nu_leaf > 0)
     weight = np.broadcast_to(model.nu_leaf ** (1.0 / p), anc.shape)
     return _lq_groups(weight[keep] * S[keep], anc[keep], model.n_nodes, p)
 
 
-def _indicator_ratios(model: DyadicModel, a: CoefficientFamily, p, q) -> np.ndarray:
+def _indicator_ratios(model: DyadicModel, a: CoefficientFamily, p, q, S) -> np.ndarray:
     """|M 1_Q|_p,nu / mu(Q)^(1/p) for every cube Q, and -1 where mu(Q) = 0.
 
     For f = 1_Q, I_R is mu(R) on the subcubes R of Q, mu(Q) on Q's strict
     ancestors and 0 elsewhere.  So on Q, at depth d, M 1_Q is the ell-q norm of
     mu(Q) * P[., d], P the norm of the coefficients above d, and the suffix
-    S[., d] of ``_indicator_norms``; on a sibling C' of a cube on Q's root path
-    it is mu(Q) * P[., depth C'].  Each path cube's ell-p norm over its siblings
-    of Y(C') = |P[., depth C']|_p,nu over C' joins running norms from both ends
-    of the child list, not a total less the cube's own part, which would lose
-    a small cube beside a big one.
+    S[., d] of (a, q)'s ``_suffix_table`` S; on a sibling C' of a cube on Q's
+    root path it is mu(Q) * P[., depth C'].  Each path cube's ell-p norm over
+    its siblings of Y(C') = |P[., depth C']|_p,nu over C' joins running norms
+    from both ends of the child list, not a total less the cube's own part,
+    which would lose a small cube beside a big one.
     """
     n, fam = model.n_nodes, model._families
     anc, coef = a._leaf_levels()
-    S, P = a._suffixes(model, q), _running_lq(coef, q, axis=0)[:-1]
+    P = _running_lq(coef, q, axis=0)[:-1]
     keep = (anc >= 0) & (model.nu_leaf > 0)
     weight = np.broadcast_to(model.nu_leaf ** (1.0 / p), anc.shape)[keep]
     node, P = anc[keep], P[keep]

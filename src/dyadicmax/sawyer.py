@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -54,13 +54,6 @@ class SawyerInstance:
     The model's own mu masses are ignored here; only its shape and nu
     matter.  ``w`` is the density of the testing-side measure with respect
     to omega, ``alpha`` the exponent of the classical coefficients.
-
-    What the reduction derives from the instance is cached in ``_derived``,
-    which ``dataclasses.replace`` hands to the copy, so a copy per p (as a
-    sweep makes) shares it: the classical coefficients, keyed by the model,
-    omega's bytes and alpha, and the reduced mass with the multiplier, keyed
-    by omega's and w's bytes and p.  Each holds one entry, rebuilt when its
-    key differs from the stored one, so a changed field is never read stale.
     """
 
     model: DyadicModel
@@ -68,7 +61,6 @@ class SawyerInstance:
     w_leaf: np.ndarray
     alpha: float
     p: float
-    _derived: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         self.omega_leaf = as_leaf_function(self.model, self.omega_leaf, nonneg=True)
@@ -84,13 +76,6 @@ class SawyerInstance:
     def target_leaf(self):
         """Masses of the testing-side measure: w * omega per atom."""
         return self.w_leaf * self.omega_leaf
-
-    def _cached(self, name, key, build):
-        """``build()``, or the value stored under ``name`` if it was built for ``key``."""
-        entry = self._derived.get(name)
-        if entry is None or entry[0] != key:
-            entry = self._derived[name] = (key, build())
-        return entry[1]
 
 
 @dataclass
@@ -113,16 +98,12 @@ def reduce_three_to_two(inst: SawyerInstance) -> ReducedSystem:
     infinite mass and are rejected.  So is an atom where the reduced mass,
     the multiplier w^(p'/p) or its own coefficient omega^(-alpha) overflows,
     the largest coefficient on its path: every cube with an infinite
-    coefficient holds such an atom.  The coefficients are built once per
-    instance and the mass and multiplier once per p (see
-    :class:`SawyerInstance`); all three are read-only.
+    coefficient holds such an atom.  The mass, the multiplier and the
+    coefficients are built from the instance's fields on each call, and all
+    three are read-only.
     """
-    omega, w = inst.omega_leaf, inst.w_leaf
-    omega_key = omega.tobytes()
-    mu, multiplier = inst._cached("measure", (omega_key, w.tobytes(), inst.p),
-                                  lambda: _reduced_measure(inst))
-    a = inst._cached("classical", (inst.model, omega_key, inst.alpha),
-                     lambda: classical_coefficients(inst.model, omega, inst.alpha))
+    mu, multiplier = _reduced_measure(inst)
+    a = classical_coefficients(inst.model, inst.omega_leaf, inst.alpha)
     return ReducedSystem(mu_leaf=mu, coefficients=a, multiplier=multiplier)
 
 

@@ -281,19 +281,11 @@ def verify_packing(model: DyadicModel, decomp: StoppingDecomposition) -> Packing
 
 @dataclass
 class CarlesonSequence:
-    """Nonnegative cube weights with their computed packing constant.
-
-    ``decomposition`` is the stopping decomposition that ``stopping_weights``
-    built the weights from, if any: :func:`carleson_embedding_check` on that
-    decomposition's model and f reads the mu-averages of f it holds instead
-    of summing them again.
-    """
+    """Nonnegative cube weights with their computed packing constant."""
 
     model: DyadicModel
     weights: np.ndarray          # per node, document order
     packing_constant: float
-    decomposition: Optional[StoppingDecomposition] = field(default=None, repr=False,
-                                                          compare=False)
 
     @classmethod
     def from_weights(cls, model: DyadicModel, weights) -> "CarlesonSequence":
@@ -325,9 +317,7 @@ class CarlesonSequence:
 def stopping_weights(decomp: StoppingDecomposition) -> CarlesonSequence:
     """mu(Q) on the stopping cubes, 0 elsewhere; packs within r/(r-1)."""
     model = decomp.model
-    seq = CarlesonSequence.from_weights(model, np.where(decomp.in_stopping, model.mu_node, 0.0))
-    seq.decomposition = decomp
-    return seq
+    return CarlesonSequence.from_weights(model, np.where(decomp.in_stopping, model.mu_node, 0.0))
 
 
 @dataclass
@@ -357,12 +347,7 @@ def carleson_embedding_check(model: DyadicModel, w: CarlesonSequence, f, p,
     if w.packing_constant < 0:
         raise ValueError(f"packing constant must be >= 0, got {w.packing_constant}")
     f = as_leaf_function(model, f, nonneg=True)
-    source = w.decomposition
-    if source is not None and source.model is model and np.array_equal(source.f, f):
-        averages = source.averages
-    else:
-        averages = _node_averages(model, f)
-    lhs = float(_lp_rows(averages, w.weights, p))
+    lhs = float(_lp_rows(_node_averages(model, f), w.weights, p))
     bound = (holder_conjugate(p) * w.packing_constant ** (1.0 / p)
              * float(_lp_rows(f, model.mu_leaf, p)))
     return CarlesonReport(

@@ -280,6 +280,50 @@ def test_verify_parallel_workers_same_bytes(tmp_path):
         (tmp_path / "pool" / "report.jsonl").read_bytes()
 
 
+@pytest.mark.parametrize("workers, files, pool", [(5000, 2, [2]), (2, 3, [2]), (3, 1, [])])
+def test_verify_starts_at_most_one_process_per_file(tmp_path, monkeypatch, workers, files,
+                                                    pool):
+    # a fake pool records its size and maps in this process: no process starts
+    import dyadicmax.cli as cli_mod
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(cli_mod, "ProcessPoolExecutor", RecordingPool)
+    paths, _ = gen(tmp_path, trials=files)
+    config = SweepConfig(seed=7, p_values=(2.0,), q_tokens=("inf",),
+                         out=str(tmp_path / "run"), workers=workers)
+    code, records = cmd_verify(config, paths)
+    assert code == 0 and len(records) == 6 * files
+    assert sizes == pool
+
+
+def test_verify_one_on_reused_objects_matches_fresh_loads(tmp_path):
+    # q = 3 and q = inf come back at other p: whatever one run derives from the
+    # loaded instance and family, a second run on them gives the same records
+    import dyadicmax.cli as cli_mod
+    paths, _ = gen(tmp_path, trials=2, seed=0)
+    config = SweepConfig(seed=0, p_values=(1.5, 2.0, 3.0), q_tokens=("p", "2p", "inf"))
+    for path in paths:
+        loaded = cli_mod._load_instance(path)
+        runs = [cli_mod._verify_one(path.stem, loaded, config) for _ in range(2)]
+        runs.append(cli_mod._verify_one(path.stem, cli_mod._load_instance(path), config))
+        first, second, fresh = (json.dumps(run, sort_keys=True) for run in runs)
+        assert len(runs[0]) == 9 * 6
+        assert first == fresh and second == fresh
+
+
 def test_verify_rejects_bad_pq(tmp_path):
     with pytest.raises(ValueError, match="p <= q"):
         SweepConfig(p_values=(3.0,), q_tokens=("2.0",)).validate()
@@ -295,6 +339,8 @@ def test_verify_rejects_bad_pq(tmp_path):
     ("--r", "inf", "r must be 'auto' or finite and > 1"),
     ("--search-random", "-1", "search-random must be >= 0"),
     ("--search-ascent", "-1", "search-ascent must be >= 0"),
+    ("--workers", "0", "workers must be >= 1"),
+    ("--workers", "-1", "workers must be >= 1"),
 ])
 def test_verify_bad_option_exits_2(tmp_path, capsys, flag, value, message):
     # each of these once passed validation: NaN compares False with every
@@ -359,6 +405,25 @@ def test_report_empty(tmp_path):
     rows = cmd_report(empty, csv_path)
     assert rows == []
     assert csv_path.read_text().strip() == "p,q,metric,value,instance_id"
+
+
+@pytest.mark.parametrize("bad", ['{"instance": "instance_0000", "p": 2.0, "q": "in', "[1, 2]"])
+def test_report_names_a_malformed_line_and_exits_2(tmp_path, capsys, bad):
+    # a cut-off last line, as a killed sweep leaves it, and a line that is not
+    # a record once ended in a JSONDecodeError or TypeError traceback
+    paths, _ = gen(tmp_path, trials=1)
+    run = tmp_path / "run"
+    code, records = cmd_verify(SweepConfig(seed=7, out=str(run)), paths)
+    assert code == 0
+    report = run / "report.jsonl"
+    with report.open("a") as fh:
+        fh.write(bad)
+    with pytest.raises(ValueError, match=f"line {len(records) + 1}: not a check record"):
+        cmd_report(report)
+    capsys.readouterr()
+    assert main(["report", str(report)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"{report}, line {len(records) + 1}" in err
 
 
 def test_report_missing_file(tmp_path):

@@ -14,7 +14,7 @@ from dyadicmax import (CoefficientFamily, NormSearch, RandomModelParams,
                        testing_constant, theorem_constant, theorem_constant_hp,
                        verify_theorem)
 from dyadicmax.constants import _power_step, _step_index
-from dyadicmax.maximal import _apply_levels, _indicator_ratios, node_integrals
+from dyadicmax.maximal import _apply_levels, _indicator_ratios, _suffix_table, node_integrals
 
 from _reference import ref_power_step, ref_power_step_tables, ref_testing_constant
 from conftest import INF, make_instance, random_nonneg
@@ -291,24 +291,41 @@ def test_suffix_cache_is_keyed_by_the_masses():
         B_copy = testing_constant(copy, a, p, q)
         assert B_copy != B
         assert B_copy == testing_constant(copy, a.scaled(1.0), p, q)
-        assert np.array_equal(_indicator_ratios(copy, a, p, q),
-                              _indicator_ratios(copy, a.scaled(1.0), p, q))
+        assert np.array_equal(_indicator_ratios(copy, a, p, q, _suffix_table(copy, a, q)),
+                              _indicator_ratios(copy, a.scaled(1.0), p, q,
+                                                _suffix_table(copy, a.scaled(1.0), q)))
         assert testing_constant(model, a, p, q) == B
 
 
 def test_suffix_cache_alternating_q_gives_cold_results():
-    # warm tables (S does not depend on p) give what a cold family gives, and
-    # the cache keeps a bounded number of q values
-    from dyadicmax.maximal import _SUFFIX_TABLES
+    # a family used across (p, q) gives what a cold family gives
     model, a = make_instance(5)
     pq = [(2.0, 2.0), (2.0, 4.0), (2.0, 2.0), (2.0, INF), (3.0, 4.0), (2.0, INF),
           (1.5, 2.0), (1.5, 1e6)] + [(2.0, 2.0 + k / 4) for k in range(12)] + [(3.0, 4.0)]
     for p, q in pq:
         cold = a.scaled(1.0)
         assert testing_constant(model, a, p, q) == testing_constant(model, cold, p, q)
-        assert np.array_equal(_indicator_ratios(model, a, p, q),
-                              _indicator_ratios(model, cold, p, q)), (p, q)
-    assert len(a._suffix_cache[1]) == _SUFFIX_TABLES
+        assert np.array_equal(_indicator_ratios(model, a, p, q, _suffix_table(model, a, q)),
+                              _indicator_ratios(model, cold, p, q,
+                                                _suffix_table(model, cold, q))), (p, q)
+
+
+def test_verify_theorem_builds_the_suffix_table_once(monkeypatch):
+    # the testing constant and the norm search read one table per call
+    import dyadicmax.constants as constants_mod
+    calls = []
+    original = constants_mod._suffix_table
+    monkeypatch.setattr(constants_mod, "_suffix_table",
+                        lambda *args: calls.append(args[2]) or original(*args))
+    model, a = make_instance(3)
+    assert np.any(model.mu_leaf > 0)
+    for p, q in ((2.0, 4.0), (2.0, INF), (3.0, 4.0)):
+        calls.clear()
+        verify_theorem(model, a, p, q, NormSearch(4, 2, 0))
+        assert calls == [q]
+        testing_constant(model, a, p, q)
+        operator_norm_lower(model, a, p, q, NormSearch(4, 2, 0))
+        assert calls == [q] * 3
 
 
 def test_verify_theorem_matches_calls_on_a_fresh_family():
@@ -469,7 +486,7 @@ def test_norm_lower_matches_step_by_step_evaluation():
         if np.all(model.mu_leaf == 0):
             continue
         for p, q in ((1.5, 3.0), (2.0, INF), (3.0, 3.0)):
-            cubes = _indicator_ratios(model, a, p, q)
+            cubes = _indicator_ratios(model, a, p, q, _suffix_table(model, a, q))
             k = int(np.argmax(cubes))
             X = np.vstack([indicator(model, model.ids[k]), np.ones(model.n_leaves)])
             ratios = np.append(cubes[k], _ratios(model, a, X[1:], p, q)[0])

@@ -9,7 +9,8 @@ from dyadicmax import (CoefficientFamily, ModelError, apply_depth_truncated, app
                        apply_truncated, build_model, classical_coefficients, indicator,
                        lp_norm, read_coefficients, write_coefficients)
 from dyadicmax.lattice import _lq_rows
-from dyadicmax.maximal import _apply_levels, _indicator_norms, _indicator_ratios, _level_terms
+from dyadicmax.maximal import (_apply_levels, _indicator_norms, _indicator_ratios, _level_terms,
+                              _suffix_table)
 
 from _reference import (ref_depth_truncated, ref_indicator_norms, ref_indicator_ratios,
                         ref_leaf_levels, ref_level_terms, ref_maximal, ref_subtree_sums,
@@ -218,7 +219,7 @@ def test_level_terms_match_the_earlier_forward_path_bit_for_bit():
                                   (50.0, 100.0)])
 def test_indicator_norms_match_the_earlier_suffixes_bit_for_bit(p, q):
     for model, a in _forests():
-        assert np.array_equal(_indicator_norms(model, a, p, q),
+        assert np.array_equal(_indicator_norms(model, a, p, _suffix_table(model, a, q)),
                               ref_indicator_norms(model, a, p, q))
 
 
@@ -332,7 +333,7 @@ def test_truncation_bounded_by_full(seed):
 def test_indicator_ratios_match_reference(p, q):
     for seed in range(12):
         model, a = make_instance(seed, roots=1 + seed % 3, branch_min=1 + seed % 2)
-        got = _indicator_ratios(model, a, p, q)
+        got = _indicator_ratios(model, a, p, q, _suffix_table(model, a, q))
         want = ref_indicator_ratios(model, a, p, q)
         assert np.array_equal(got < 0, want < 0)
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
@@ -351,7 +352,7 @@ def test_indicator_ratios_match_per_cube_operator(seed, roots, branch_min, p, q_
     model, a = make_instance(seed, roots=roots, branch_min=branch_min)
     a = a.scaled(scale)
     q = {"p": p, "2p": 2 * p}.get(q_of, q_of)
-    got = _indicator_ratios(model, a, p, q)
+    got = _indicator_ratios(model, a, p, q, _suffix_table(model, a, q))
     assert np.all(np.isfinite(got))
     for k, nid in enumerate(model.ids):
         one_q = indicator(model, nid)
