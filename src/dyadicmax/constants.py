@@ -140,13 +140,11 @@ def _ratios(model, a, F, p, q, images=None):
 
 def _step_index(model, m):
     """What every power step on a batch of m rows indexes with, built once per
-    search: the cell of every term in m rows of cells laid out as the buffer
-    of ``_dfs_sums`` (``_ancestor_sums``, padding at the zero cell n_nodes of
-    each row), ordered (level, atom, row) as the level tables are in memory;
-    and the row offsets and atom numbers that pick one level per atom at
-    q = inf."""
-    rows = model._sum_cells * np.arange(m)
-    return model._ancestor_sums[..., None] + rows, rows[:, None], np.arange(model.n_leaves)
+    search: the node cell of every term, the ancestor table plus (n_nodes + 1)
+    * row, in the (level, atom, row) order of the level tables in memory; and
+    the row offsets and atom numbers that pick one level per atom at q = inf."""
+    rows = (model.n_nodes + 1) * np.arange(m)
+    return model._ancestors[..., None] + rows, rows[:, None], np.arange(model.n_leaves)
 
 
 def _power_step(model, a, F, p, q, index=None):
@@ -161,31 +159,32 @@ def _power_step(model, a, F, p, q, index=None):
     by their peak before the powers: iterates lie in [0, 1] and stay finite
     at any p.  Returns (the next iterates, M F): the operator on the rows it
     consumed, which the step computes anyway, so each iterate is scored from
-    the step that consumes it.  ``index`` is ``_step_index`` for F's row count,
-    which a search builds once for all its steps.
+    the step that consumes it.  g_Q of row i is summed in cell
+    Q + (n_nodes + 1) * i through ``index``, ``_step_index`` for F's row
+    count, which a search builds once for all its steps.
     """
-    _, coef = a._leaf_levels()
+    coef = a._leaf_levels()
     m = F.shape[0]
-    slots, rows, atom = _step_index(model, m) if index is None else index
+    cells, rows, atom = _step_index(model, m) if index is None else index
     T = _level_terms(model, a, F * model.mu_leaf)
     Mf = _lq_rows(T, q, axis=1)
     top = Mf.max(axis=1, keepdims=True)
     weight = model.nu_leaf * (Mf / np.where(top > 0, top, 1.0)) ** (p - 1.0)
-    # padding goes to each row's zero cell n_nodes, which g[slots] reads back.
-    # Each cell sums its terms in atom order whatever the layout, and G sums
+    # padding, whose weights are 0, goes to each row's spare cell n_nodes, which
+    # g[cells] reads back.  Each cell sums its terms in atom order, and G sums
     # each atom's levels in the layout of T, which fancy indexing makes
     # (level, atom, row), as the transposes below keep
     if q == math.inf:
         # each atom's weight goes to its first maximal level only
         first = (T == Mf[:, None]).argmax(axis=1)
-        node = model._ancestor_sums[first, atom] + rows  # never a padding level
+        node = model._ancestors[first, atom] + rows  # never a padding level
         weight = weight * coef[first, atom]
     else:
-        node = slots
+        node = cells
         weight = weight[:, None] * (T / np.where(Mf > 0, Mf, 1.0)[:, None]) ** (q - 1.0) * coef
         weight = weight.transpose(1, 2, 0)
-    g = np.bincount(node.ravel(), weights=weight.ravel(), minlength=m * model._sum_cells)
-    G = g[slots].transpose(2, 0, 1).sum(axis=1)
+    g = np.bincount(node.ravel(), weights=weight.ravel(), minlength=m * (model.n_nodes + 1))
+    G = g[cells].transpose(2, 0, 1).sum(axis=1)
     peak = G.max(axis=1, keepdims=True)
     return (G / np.where(peak > 0, peak, 1.0)) ** (1.0 / (p - 1.0)), Mf
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 import copy
 import json
 import math
+import numbers
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
@@ -55,6 +56,10 @@ class ModelError(ValueError):
 _NOT_NUMBERS = (str, bytes, bool, np.bool_)
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, _NOT_NUMBERS)
+
+
 def _non_number(values):
     """Position of the first string or boolean among ``values``, or None: one
     test of the set of the value types when there is none."""
@@ -73,14 +78,14 @@ def _index(ids):
     return index
 
 
-def _layout(ids, roots, children, min_children):
+def _layout(ids, parent, roots, children, min_children):
     """Depth-first layout of a forest given by its child lists, in array passes.
 
     ``children[k]`` lists node k's children in their given order and
-    ``roots`` holds the nodes without a parent, in index order; the forest is
-    laid out root after root.  Returns (depth, dfs_order, dfs_lo, dfs_hi,
-    leaf_lo, leaf_hi, counts, flat), ``counts`` and ``flat`` being the child
-    lists' lengths and their concatenation.
+    ``roots`` holds the nodes whose ``parent`` link is negative, in index
+    order; the forest is laid out root after root.  Returns (depth, dfs_order,
+    dfs_lo, dfs_hi, leaf_lo, leaf_hi, counts, flat), ``counts`` and ``flat``
+    being the child lists' lengths and their concatenation.
 
     Three passes run level by level, so they cost O(depth) array operations:
     one down the tree finds each level's nodes in the flattened lists, one up
@@ -90,7 +95,8 @@ def _layout(ids, roots, children, min_children):
     twice (in two lists, twice in one, or a root named as a child), a node no
     root reaches and a node with fewer than ``min_children`` children are
     faults; the first faulty node in index order (document order) is named,
-    with the first of those three faults that it has.
+    with the first of those three faults that it has.  Last, the first node
+    whose parent link is not the node whose list names it is named.
     """
     n = len(ids)
     counts = np.fromiter(map(len, children), np.int64, n)
@@ -139,6 +145,9 @@ def _layout(ids, roots, children, min_children):
             raise ModelError(f"cycle detected: node {ids[k]!r} unreachable from any root")
         raise ModelError(
             f"node {ids[k]!r} has {counts[k]} children; minimum is {min_children}")
+    wrong = flat[parent[flat] != owner]
+    if wrong.size:
+        raise ModelError(f"parent link of node {ids[wrong.min()]!r} disagrees with child lists")
 
     # up: subtree sizes.  A node's place in its parent's subtree is 1 plus the
     # sizes of its elder siblings, from one running sum over the flat lists
@@ -177,11 +186,14 @@ class DyadicModel:
     ``dfs_lo``/``dfs_hi`` and ``leaf_lo``/``leaf_hi``) come from the child
     lists, read as one flat array and their lengths, in a few array passes
     per level of the tree (``_layout``), which also reject a malformed
-    shape by naming its first faulty node in index order.  Tables that depend
-    on the shape alone (``levels``, the padded child lists and the
-    level-by-leaf ancestor table) are built on first use and cached on the
-    model, so every coefficient family on the tree, and every
-    ``with_measures`` copy made after they exist, shares them.
+    shape, or parent links that disagree with the child lists, by naming the
+    first faulty node in index order.  Tables that depend on the shape alone
+    (``levels``, and the child lists and the level-by-leaf ancestor table,
+    both padded with n_nodes) are built on first use and cached on the model,
+    so every coefficient family on the tree, and every ``with_measures`` copy
+    made after they exist, shares them.  Other modules read subtree sums per
+    node (``_subtree_sums``) or along the paths (``_path_sums``), never the
+    buffer of ``_dfs_sums``.
 
     Instances are immutable after construction and safe to share across
     threads; all module operations are pure functions of their inputs.
@@ -202,8 +214,8 @@ class DyadicModel:
         roots = (self.parent < 0).nonzero()[0]
         self.roots = tuple(roots.tolist())
         (self.depth, self.dfs_order, self.dfs_lo, self.dfs_hi, self.leaf_lo, self.leaf_hi,
-         self._child_counts, self._child_flat) = _layout(self.ids, roots, self.children,
-                                                         min_children)
+         self._child_counts, self._child_flat) = _layout(self.ids, self.parent, roots,
+                                                         self.children, min_children)
 
         self.is_leaf = self._child_counts == 0
         self.leaf_nodes = self.dfs_order[self.is_leaf[self.dfs_order]]
@@ -309,11 +321,11 @@ class DyadicModel:
     @cached_property
     def _ancestors(self):
         """The ancestor of every atom at every depth: one row per depth, one column
-        per leaf, -1 below the leaf.  It depends on the tree's shape only.  The
-        table is level-major, so a reduction along every atom's path (a max, an
-        ell-q sum, a running norm) is elementwise work across a few contiguous
-        rows of atoms, not one short inner loop per atom."""
-        anc = np.full((self.max_depth + 1, self.n_leaves), -1, dtype=np.int64)
+        per leaf, n_nodes (the spare slot of every n_nodes + 1 array) below the
+        leaf.  It depends on the tree's shape only.  The table is level-major,
+        so a reduction along every atom's path (a max, an ell-q sum, a running
+        norm) is elementwise work across a few contiguous rows of atoms."""
+        anc = np.full((self.max_depth + 1, self.n_leaves), self.n_nodes, dtype=np.int64)
         cols, cur = np.arange(self.n_leaves), self.leaf_nodes
         while cols.size:
             anc[self.depth[cur], cols] = cur
@@ -324,11 +336,9 @@ class DyadicModel:
 
     @cached_property
     def _ancestor_sums(self):
-        """The ancestor table as positions in the buffer of ``_dfs_sums``: the sum
-        of every atom's ancestor at every depth, and its padding (-1) at entry
-        n_nodes, which is 0, so a gather through it reads 0 below each atom."""
-        anc = self._ancestors
-        slots = np.where(anc >= 0, self._sum_slots[anc], self.n_nodes)
+        """The ancestor table as positions in the buffer of ``_dfs_sums``; the
+        padding n_nodes is the buffer's zero cell n_nodes."""
+        slots = np.append(self._sum_slots, self.n_nodes)[self._ancestors]
         slots.setflags(write=False)
         return slots
 
@@ -382,6 +392,11 @@ class DyadicModel:
     def _subtree_sums(self, values):
         """``_dfs_sums`` in node order: one sum per node along the last axis."""
         return self._dfs_sums(values)[..., self._sum_slots]
+
+    def _path_sums(self, values):
+        """The sum over every atom's ancestor at every depth, 0 below the atom:
+        one ``_dfs_sums`` gathered as the ancestor table, on the last two axes."""
+        return self._dfs_sums(values)[..., self._ancestor_sums]
 
     def subtree_sums(self, leaf_values):
         """Per-node sums of an arbitrary leaf vector (additive set function)."""

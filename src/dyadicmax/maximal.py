@@ -8,13 +8,12 @@ subcubes of a fixed Q; depth truncation discards the top levels of the
 forest.
 
 Every evaluation runs on two level-by-leaf tables of shape
-(depth + 1) x atoms: the ancestor of every atom at every depth, which depends
-on the tree's shape alone and is cached on the model for every family on it,
-and the coefficient of that ancestor at the atom, which a family builds once
-from its entry arrays (one gather of its scalars, one scatter of its flat
-vector values) and caches.  One table of terms |I_R| * a_R(x), each integral
-summed from its cube's own atoms and the table built from f's leaf values in
-one pass (``_level_terms``), serves the full operator on one function or
+(depth + 1) x atoms: the ancestor of every atom at every depth (n_nodes
+below the atom), cached on the model for every family on the tree, and the
+coefficient of that ancestor at the atom (0 below it), which a family builds
+once from its entry arrays and caches.  One table of terms |I_R| * a_R(x),
+the model's sums of f's leaf values along each atom's path times those
+coefficients (``_level_terms``), serves the full operator on one function or
 a batch, both truncations (a reduction over a range of levels), the testing
 constant and the ratio of every cube indicator (running reductions along
 each atom's path) and the proof chain's stopping blocks (a reduction over
@@ -128,27 +127,24 @@ class CoefficientFamily:
         return float(self._scalars[k]) if lo == hi else self._values[lo:hi]
 
     def _leaf_levels(self):
-        """Read-only (anc, coef) tables, one row per depth, one column per leaf.
+        """The read-only coefficient table, one row per depth, one column per leaf.
 
-        anc[d, j] is the ancestor of leaf j at depth d (-1 below the leaf): the
-        model's own table, shared by every family on the tree.  coef[d, j] is
-        that ancestor's coefficient at the leaf (0 below the leaf), built once
-        per family from one gather of the scalars and one scatter of the flat
-        vector values.  Neither depends on the masses.  Both are level-major,
-        (depth + 1) x atoms, so every reduction along the paths runs across
-        contiguous rows of atoms.
+        coef[d, j] is the coefficient at leaf j of its ancestor at depth d (0
+        below the leaf), built once per family from one gather of the scalars
+        through the model's ancestor table and one scatter of the flat vector
+        values.  It does not depend on the masses.  It is level-major, so every
+        reduction along the paths runs across contiguous rows of atoms.
         """
-        model = self.model
-        anc = model._ancestors
         if self._coef is None:
-            coef = np.append(self._scalars, 0.0)[anc]
+            model = self.model
+            coef = np.append(self._scalars, 0.0)[model._ancestors]
             if self._values.size:
                 owner = np.repeat(np.arange(model.n_nodes), np.diff(self._offsets))
                 col = np.arange(self._values.size) + (model.leaf_lo - self._offsets[:-1])[owner]
                 coef[model.depth[owner], col] = self._values
             coef.setflags(write=False)
             self._coef = coef
-        return anc, self._coef
+        return self._coef
 
     @classmethod
     def constant(cls, model: DyadicModel, value: float = 1.0) -> "CoefficientFamily":
@@ -299,22 +295,13 @@ def _level_terms(model, a, rows):
 
     ``rows`` holds per atom a function times the masses its integrals take
     (f * mu for the operator); a batch of rows, shape (m, leaves), gives one
-    table per row, shape (m, depth+1, leaves).  One reduceat sums every cube
-    (``DyadicModel._dfs_sums``), and the table gathers |I_R| from those sums
-    through ``_ancestor_sums``, whose padding reads a 0 of the sums' buffer:
-    entries below an atom's own depth are 0.
+    table per row, shape (m, depth+1, leaves): |``DyadicModel._path_sums``|
+    times the coefficient table, 0 below each atom's own depth.
     """
-    return _terms_of_sums(model, a, model._dfs_sums(rows))
-
-
-def _terms_of_sums(model, a, sums):
-    """``_level_terms`` from the rows' buffer of ``DyadicModel._dfs_sums``, which
-    it overwrites with its absolute values."""
     _check_tree(model, a)
-    _, coef = a._leaf_levels()
-    np.abs(sums, out=sums)
-    T = sums[..., model._ancestor_sums]
-    T *= coef
+    T = model._path_sums(rows)
+    np.abs(T, out=T)
+    T *= a._leaf_levels()
     return T
 
 
@@ -348,8 +335,8 @@ def _indicator_norms(model: DyadicModel, a: CoefficientFamily, p, S) -> np.ndarr
     the ancestor at their depth through one grouped ell-p norm, rescaled by
     the cube's peak, so the powers stay finite at any p.
     """
-    anc, _ = a._leaf_levels()
-    keep = (anc >= 0) & (model.nu_leaf > 0)
+    anc = model._ancestors
+    keep = (anc < model.n_nodes) & (model.nu_leaf > 0)  # no padding, no nu-null atom
     weight = np.broadcast_to(model.nu_leaf ** (1.0 / p), anc.shape)
     return _lq_groups(weight[keep] * S[keep], anc[keep], model.n_nodes, p)
 
@@ -366,10 +353,9 @@ def _indicator_ratios(model: DyadicModel, a: CoefficientFamily, p, q, S) -> np.n
     from both ends of the child list, not a total less the cube's own part,
     which would lose a small cube beside a big one.
     """
-    n, fam = model.n_nodes, model._families
-    anc, coef = a._leaf_levels()
-    P = _running_lq(coef, q, axis=0)[:-1]
-    keep = (anc >= 0) & (model.nu_leaf > 0)
+    n, fam, anc = model.n_nodes, model._families, model._ancestors
+    P = _running_lq(a._leaf_levels(), q, axis=0)[:-1]
+    keep = (anc < n) & (model.nu_leaf > 0)
     weight = np.broadcast_to(model.nu_leaf ** (1.0 / p), anc.shape)[keep]
     node, P = anc[keep], P[keep]
     on = _lq_rows(np.stack([model.mu_node[node] * P, S[keep]]), q, axis=0)
@@ -378,14 +364,14 @@ def _indicator_ratios(model: DyadicModel, a: CoefficientFamily, p, q, S) -> np.n
     before, after = _running_lq(np.stack([Y, Y[::-1]]), p, axis=1)  # first and last i children
     beside = np.zeros(n + 1)
     beside[fam] = _lq_rows(np.stack([before[:-1], after[-2::-1]]), p, axis=0)
-    path = np.empty(n + 1)  # anc = -1, below an atom's own depth, writes to spare slot n
+    path = np.empty(n + 1)  # the padding writes to the spare slot n
     path[anc] = _running_lq(beside[anc], p, axis=0)[1:]
     norms = _lq_rows(np.stack([on, model.mu_node * path[:n]]), p, axis=0)
     pos = model.mu_node > 0
     return np.where(pos, norms / np.where(pos, model.mu_node, 1.0) ** (1.0 / p), -1.0)
 
 
-def _apply_by_label(a: CoefficientFamily, T, q, labels):
+def _apply_by_label(model: DyadicModel, T, q, labels):
     """The operator on f split into parts by a labelling of the cubes, from
     f's table of terms ``T`` (``_level_terms`` of f * mu).
 
@@ -396,8 +382,7 @@ def _apply_by_label(a: CoefficientFamily, T, q, labels):
     over the cubes R of b that contain x.  The parts come atom by atom, and
     down each atom's path.
     """
-    anc, _ = a._leaf_levels()
-    lab = np.append(np.asarray(labels, dtype=np.int64), -1)[anc]
+    lab = np.append(np.asarray(labels, dtype=np.int64), -1)[model._ancestors]
     keep = lab >= 0
     new = keep.copy()  # where a part's run starts down an atom's path
     new[1:] &= lab[1:] != lab[:-1]

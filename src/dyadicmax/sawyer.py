@@ -12,17 +12,16 @@ verifies the identities exactly on finite models.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .constants import VerificationError, holder_conjugate
-from .lattice import (_NOT_NUMBERS, DyadicModel, RandomModelParams, _lp_rows, _lq_rows,
+from .lattice import (DyadicModel, RandomModelParams, _is_number, _lp_rows, _lq_rows,
                       _read_json, _write_json, as_leaf_function, build_model, indicator,
                       leaf_values, model_to_dict, random_model)
-from .maximal import (CoefficientFamily, _check_q, _terms_of_sums, apply_maximal,
+from .maximal import (CoefficientFamily, _check_q, _level_terms, apply_maximal,
                       apply_truncated, classical_coefficients)
 
 __all__ = [
@@ -41,10 +40,6 @@ __all__ = [
 
 class ReductionError(ValueError):
     """The instance admits no finite reduced measure."""
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, _NOT_NUMBERS)
 
 
 @dataclass
@@ -174,14 +169,12 @@ def verify_reduction(inst: SawyerInstance, f, q, *, rtol: float = 1e-12,
     # an overflow (g = f * w^(p'/p) can exceed the floats) shows as a non-finite error
     with np.errstate(over="ignore", invalid="ignore"):
         g = reduced.transform(f)
-        # one buffer of cube sums for both identities: the integrals are read
-        # from it before the operator's terms take its absolute values
-        sums = model._dfs_sums(np.stack([g * reduced.mu_leaf, f * inst.omega_leaf]))
-        ints_two, ints_three = sums[:, model._sum_slots]
+        rows = np.stack([g * reduced.mu_leaf, f * inst.omega_leaf])
+        ints_two, ints_three = model._subtree_sums(rows)
         scale = max(np.max(np.abs(ints_two)), np.max(np.abs(ints_three)), 1e-300)
         integral_err = float(np.max(np.abs(ints_two - ints_three)) / scale)
 
-        m_two, m_three = _lq_rows(_terms_of_sums(model, reduced.coefficients, sums), q, axis=-2)
+        m_two, m_three = _lq_rows(_level_terms(model, reduced.coefficients, rows), q, axis=-2)
         mscale = max(np.max(m_two), np.max(m_three), 1e-300)
         operator_err = float(np.max(np.abs(m_two - m_three)) / mscale)
 

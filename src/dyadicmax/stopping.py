@@ -18,8 +18,8 @@ from typing import Optional
 
 import numpy as np
 
-from .lattice import (MU, DyadicModel, Exponents, _lp_rows, _lq_groups, _lq_rows,
-                      as_leaf_function)
+from .lattice import (MU, DyadicModel, Exponents, ModelError, _is_number, _lp_rows,
+                      _lq_groups, _lq_rows, as_leaf_function)
 from .maximal import CoefficientFamily, _apply_by_label, _level_terms, node_integrals
 from .constants import (VerificationError, _check_rtol, holder_conjugate, testing_constant,
                         theorem_constant)
@@ -304,9 +304,16 @@ class CarlesonSequence:
 
     @classmethod
     def from_mapping(cls, model: DyadicModel, mapping) -> "CarlesonSequence":
+        """Build from {node id: weight}, absent nodes weighing 0; an unknown id
+        or a weight that is not a number (a string or a boolean) is named."""
         w = np.zeros(model.n_nodes)
         for key, val in mapping.items():
-            w[model.node(str(key))] = float(val)
+            k = model.index.get(str(key))
+            if k is None:
+                raise ModelError(f"Carleson weight for unknown node {key!r}")
+            if not _is_number(val):
+                raise ModelError(f"Carleson weight of {key!r} must be a number, got {val!r}")
+            w[k] = val
         return cls.from_weights(model, w)
 
     def as_mapping(self) -> dict:
@@ -448,7 +455,7 @@ def proof_trace(model: DyadicModel, a: CoefficientFamily, f, p, q, r=None,
     norm_Mf = float(_lp_rows(lhs_vals, model.nu_leaf, p))
 
     # F_Q per (atom, block): each (atom, cube) pair lies in exactly one block
-    leaf, owner, F = _apply_by_label(a, T, q, decomp.owner_index)
+    leaf, owner, F = _apply_by_label(model, T, q, decomp.owner_index)
     stop, _ = decomp._by_generation()
     stop_ids = [model.ids[k] for k in stop]
     norms = _lq_groups(model.nu_leaf[leaf] ** (1.0 / p) * F, owner, model.n_nodes, p)[stop]

@@ -102,8 +102,11 @@ def ref_walk(ids, parents, children, mu_leaf, nu_leaf, min_children=1):
     are the nodes with a negative parent, in index order, and one stack walk
     detects cycles and unreachable nodes, checks the child counts and fixes
     the leaf order and the subtree intervals, naming the first fault it meets
-    in depth-first order.  Returns {attribute: value} for every array and
-    table the constructor sets.  Masses come in leaf order or by leaf id.
+    in depth-first order.  A forest without those faults is then checked
+    against the parent links: the first node in index order whose parent is
+    not the node whose list names it is named.  Returns {attribute: value}
+    for every array and table the constructor sets.  Masses come in leaf
+    order or by leaf id.
     """
     from dyadicmax import ModelError
 
@@ -147,6 +150,10 @@ def ref_walk(ids, parents, children, mu_leaf, nu_leaf, min_children=1):
     if pos != n:
         raise ModelError(
             f"cycle detected: node {ids[depth.index(-1)]!r} unreachable from any root")
+    wrong = [c for k, ch in enumerate(children) for c in ch if parent[c] != k]
+    if wrong:
+        raise ModelError(
+            f"parent link of node {ids[min(wrong)]!r} disagrees with child lists")
 
     out = dict(ids=ids, parent=parent, children=children, roots=roots)
     for name, values in zip(("depth", "dfs_lo", "dfs_hi", "leaf_lo", "leaf_hi", "dfs_order",
@@ -181,14 +188,23 @@ def ref_layout(model):
                                         "leaf_hi", "leaf_nodes", "levels"))
 
 
-def ref_leaf_levels(model, a):
-    """The (ancestor, coefficient) depth-by-leaf tables, entry by entry."""
-    anc = np.full((model.max_depth + 1, model.n_leaves), -1, dtype=np.int64)
-    coef = np.zeros(anc.shape)
+def ref_ancestors(model):
+    """The ancestor of every leaf at every depth, entry by entry, n_nodes below
+    the leaf."""
+    anc = np.full((model.max_depth + 1, model.n_leaves), model.n_nodes, dtype=np.int64)
     for j in range(model.n_leaves):
         for k in model.ancestors_or_self(int(model.leaf_nodes[j])):
             anc[model.depth[k], j] = k
-            coef[model.depth[k], j] = _coefficient_at(a, k, j, model)
+    return anc
+
+
+def ref_leaf_levels(model, a):
+    """The (ancestor, coefficient) depth-by-leaf tables, entry by entry; below
+    each leaf the ancestor is n_nodes and the coefficient 0."""
+    anc = ref_ancestors(model)
+    coef = np.zeros(anc.shape)
+    for d, j in zip(*(anc < model.n_nodes).nonzero()):
+        coef[d, j] = _coefficient_at(a, int(anc[d, j]), int(j), model)
     return anc, coef
 
 
@@ -321,7 +337,7 @@ def ref_indicator_norms(model, a, p, q):
 
     S = ref_running_lq(ref_level_terms(model, a, model.mu_node)[::-1], q, axis=0)[:0:-1]
     anc, _ = ref_leaf_levels(model, a)
-    keep = (anc >= 0) & (model.nu_leaf > 0)
+    keep = (anc < model.n_nodes) & (model.nu_leaf > 0)
     weight = np.broadcast_to(model.nu_leaf ** (1.0 / p), anc.shape)
     return _lq_groups(weight[keep] * S[keep], anc[keep], model.n_nodes, p)
 
@@ -345,7 +361,7 @@ def ref_power_step_tables(model, a, F, p, q):
         node = anc[first, atom] + rows[:, None]
         weight = weight * coef[first, atom]
     else:
-        node = anc % (n + 1) + rows[:, None, None]
+        node = anc + rows[:, None, None]
         weight = weight[:, None] * (T / np.where(Mf > 0, Mf, 1.0)[:, None]) ** (q - 1.0) * coef
     g = np.bincount(node.ravel(), weights=weight.ravel(),
                     minlength=m * (n + 1)).reshape(m, n + 1)

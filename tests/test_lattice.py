@@ -13,8 +13,8 @@ from dyadicmax.cli import SweepConfig, cmd_generate
 from dyadicmax.lattice import _lq_groups, _lq_rows, _running_lq, model_to_dict
 from dyadicmax.maximal import node_integrals
 
-from _reference import (ref_families, ref_integrate, ref_layout, ref_lp_norm,
-                        ref_running_lq, ref_subtree_sums, ref_walk)
+from _reference import (ref_ancestors, ref_families, ref_integrate, ref_layout,
+                        ref_lp_norm, ref_running_lq, ref_subtree_sums, ref_walk)
 from conftest import caterpillar, make_instance, random_nonneg
 
 
@@ -274,6 +274,27 @@ def test_subtree_sums_match_the_interior_reduceat_bit_for_bit():
             assert got.strides == want.strides and got.tobytes() == want.tobytes()
 
 
+def test_path_sums_gather_the_subtree_sums_along_each_path():
+    # each atom's ancestor at each depth, 0 below the atom: one row and a batch,
+    # on forests, unary chains and a caterpillar 1500 levels deep
+    models = [random_model(RandomModelParams(depth_min=1, depth_max=1 + s % 6,
+                                            branch_min=1 + s % 2, roots=1 + s % 3,
+                                            leaf_prob=0.25), s)
+              for s in range(30)]
+    models.append(caterpillar(1500))
+    for model in models:
+        anc = ref_ancestors(model)
+        below = anc == model.n_nodes
+        rng = np.random.default_rng(model.n_nodes)
+        values = rng.normal(size=(3, model.n_leaves))
+        for v in (values, values[1]):
+            sums = ref_subtree_sums(model, v)
+            want = np.concatenate([sums, np.zeros(v.shape[:-1] + (1,))], axis=-1)[..., anc]
+            got = model._path_sums(v)
+            assert got.shape == want.shape and np.array_equal(got, want)
+            assert not got[..., below].any()
+
+
 def test_running_max_matches_accumulate():
     # at q = inf the running kernel is the running peak, bit for bit
     rng = np.random.default_rng(11)
@@ -468,6 +489,29 @@ def test_layout_rejects_bad_shapes(case):
         match = r"child index out of range \[0, 2\)"
     with pytest.raises(ModelError, match=match):
         DyadicModel(*shape, [1.0], [1.0], min_children=2 if case == "few_children" else 1)
+
+
+@pytest.mark.parametrize("case", ["moved", "out_of_range", "two_wrong", "cycle_first"])
+def test_parent_links_must_match_the_child_lists(case):
+    # the ancestor table walks the parent links and the subtree intervals come
+    # from the child lists: a model built from both would mix two trees
+    if case == "moved":  # R lists B, whose link names A: M f would read R, A, B
+        shape = (["R", "A", "B"], [-1, 0, 1], [[1, 2], [], []])
+        match = "parent link of node 'B' disagrees with child lists"
+    elif case == "out_of_range":
+        shape = (["R", "A", "B"], [-1, 0, 7], [[1, 2], [], []])
+        match = "parent link of node 'B' disagrees"
+    elif case == "two_wrong":  # the first in index order is named
+        shape = (["R", "A", "c", "b", "d"], [-1, 0, 1, 0, 1], [[1, 2], [3, 4], [], [], []])
+        match = "parent link of node 'c' disagrees"
+    else:  # an earlier fault is named first
+        shape = (["R", "A", "B"], [-1, 0, 1], [[1, 2], [2], []])
+        match = "cycle detected at node 'B'"
+    leaves = sum(1 for ch in shape[2] if not ch)
+    masses = (np.ones(leaves), np.ones(leaves))
+    for build in (DyadicModel, ref_walk):
+        with pytest.raises(ModelError, match=match):
+            build(*shape, *masses)
 
 
 def _assert_same_model(model, want):

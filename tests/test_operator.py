@@ -164,23 +164,27 @@ def test_leaf_level_tables_match_entry_by_entry():
     for seed in range(20):
         model, _ = make_instance(seed, roots=1 + seed % 3, branch_min=1 + seed % 2)
         fam = CoefficientFamily.random(model, seed, vector_prob=0.9, zero_prob=0.05)
-        anc, coef = fam._leaf_levels()
-        want_anc, want_coef = ref_leaf_levels(model, fam)
+        coef = fam._leaf_levels()
+        want_anc, want_coef = ref_leaf_levels(model, fam)  # padded with n_nodes
+        anc = model._ancestors
         assert np.array_equal(anc, want_anc) and np.array_equal(coef, want_coef)
         assert not anc.flags.writeable and not coef.flags.writeable
 
 
 def test_ancestor_table_is_shared_by_the_tree():
+    # the ancestor table and its path slots are built once per tree shape: a
+    # family used with a copy of its model, and a family built on the copy,
+    # read the model's own tables
     model, a = make_instance(3)
-    b = CoefficientFamily.random(model, 4)
-    anc = a._leaf_levels()[0]
-    assert b._leaf_levels()[0] is anc
-    # a family used with a copy of its model reads the model's own table,
-    # and families on the copy share it too
+    f = np.ones(model.n_leaves)
+    apply_maximal(model, a, f, 2.0)
+    anc, slots = model._ancestors, model._ancestor_sums
     copy = model.with_measures(mu_leaf=2.0 * model.mu_leaf)
-    apply_maximal(copy, a, np.ones(model.n_leaves), 2.0)
-    assert copy._ancestors is anc
-    assert classical_coefficients(copy, model.mu_leaf, 0.5)._leaf_levels()[0] is anc
+    b = classical_coefficients(copy, model.mu_leaf, 0.5)
+    apply_maximal(copy, a, f, 2.0)
+    apply_maximal(copy, b, f, 2.0)
+    assert b.model is copy and copy._ancestors is anc and copy._ancestor_sums is slots
+    assert not anc.flags.writeable and not slots.flags.writeable
 
 
 def _forests():

@@ -5,7 +5,7 @@ from dataclasses import astuple, replace
 import numpy as np
 import pytest
 
-from dyadicmax import (CoefficientFamily, DyadicModel, ModelError, ReductionError,
+from dyadicmax import (CoefficientFamily, ModelError, ReductionError,
                        SawyerInstance, VerificationError,
                        apply_maximal, build_model, classical_coefficients,
                        lp_norm, reduce_three_to_two, truncation_restriction_gap,
@@ -148,19 +148,6 @@ def test_verify_reduction_matches_the_model_copy_reference():
             want = astuple(ref_verify_reduction(inst, f, q))
             assert got == want, (seed, q)
             assert [type(x) for x in got] == [type(x) for x in want], (seed, q)
-
-
-def test_verify_reduction_sums_its_rows_once(monkeypatch):
-    # the integral identity and the operator identity read one buffer of sums;
-    # the classical coefficients sum omega on their own, on every call
-    inst = random_instance(3)
-    verify_reduction(inst, np.ones(inst.model.n_leaves), 2.0, strict=False)
-    calls = []
-    real = DyadicModel._dfs_sums
-    monkeypatch.setattr(DyadicModel, "_dfs_sums",
-                        lambda self, values: calls.append(np.shape(values)) or real(self, values))
-    verify_reduction(inst, np.ones(inst.model.n_leaves), 2.0, strict=False)
-    assert calls == [(inst.model.n_leaves,), (2, inst.model.n_leaves)]
 
 
 @pytest.mark.parametrize("field, value", [("alpha", "0.5"), ("alpha", True), ("p", "2.0"),

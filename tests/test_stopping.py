@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from dyadicmax import (CarlesonSequence, CoefficientFamily, VerificationError,
+from dyadicmax import (CarlesonSequence, CoefficientFamily, ModelError, VerificationError,
                        apply_depth_truncated, build_decomposition, build_model,
                        carleson_embedding_check, default_r, holder_conjugate,
                        lp_norm, proof_trace, stopping_children, stopping_weights,
@@ -204,6 +204,17 @@ def test_carleson_weights_must_be_finite(e1, bad):
         CarlesonSequence.from_weights(e1, [bad, 0.0, 0.0])
     with pytest.raises(ValueError, match="'L2' is not finite"):
         CarlesonSequence.from_mapping(e1, {"L1": 1.0, "L2": bad})
+
+
+@pytest.mark.parametrize("mapping, match", [
+    ({"Q0": "2.5"}, "weight of 'Q0' must be a number, got '2.5'"),
+    ({"Q0": 1.0, "L1": True}, "weight of 'L1' must be a number, got True"),
+    ({"L2": None}, "weight of 'L2' must be a number, got None"),
+    ({"Q0": 1.0, "Q9": 1.0}, "Carleson weight for unknown node 'Q9'"),
+], ids=["string", "boolean", "null", "unknown_id"])
+def test_carleson_from_mapping_rejects_what_is_not_a_weight(e1, mapping, match):
+    with pytest.raises(ModelError, match=match):
+        CarlesonSequence.from_mapping(e1, mapping)
 
 
 @pytest.mark.parametrize("rtol", [math.nan, math.inf, -1e-9])
