@@ -371,9 +371,12 @@ def cmd_report(report_path, csv_path=None):
 # argument parsing
 
 
+_DEFAULTS = SweepConfig()  # every option's default
+
+
 def _add_common(sub):
-    sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--out", default=".")
+    sub.add_argument("--seed", type=int, default=_DEFAULTS.seed)
+    sub.add_argument("--out", default=_DEFAULTS.out)
 
 
 def _float_list(text):
@@ -391,22 +394,22 @@ def build_parser():
     subs = parser.add_subparsers(dest="command", required=True)
 
     gen = subs.add_parser("generate", help="write random instance files")
-    gen.add_argument("--trials", type=int, default=10)
-    gen.add_argument("--depth-min", type=int, default=1)
-    gen.add_argument("--depth-max", type=int, default=3)
-    gen.add_argument("--branch-min", type=int, default=2)
-    gen.add_argument("--branch-max", type=int, default=3)
+    gen.add_argument("--trials", type=int, default=_DEFAULTS.trials)
+    gen.add_argument("--depth-min", type=int, default=_DEFAULTS.depth_min)
+    gen.add_argument("--depth-max", type=int, default=_DEFAULTS.depth_max)
+    gen.add_argument("--branch-min", type=int, default=_DEFAULTS.branch_min)
+    gen.add_argument("--branch-max", type=int, default=_DEFAULTS.branch_max)
     _add_common(gen)
 
     ver = subs.add_parser("verify", help="run every check on instance files")
     ver.add_argument("instances", nargs="+")
-    ver.add_argument("--p", type=_float_list, default=(2.0,))
-    ver.add_argument("--q", type=_token_list, default=("inf",))
-    ver.add_argument("--r", default="auto")
-    ver.add_argument("--tol", type=float, default=1e-9)
-    ver.add_argument("--workers", type=int, default=1)
-    ver.add_argument("--search-random", type=int, default=64)
-    ver.add_argument("--search-ascent", type=int, default=12,
+    ver.add_argument("--p", type=_float_list, default=_DEFAULTS.p_values)
+    ver.add_argument("--q", type=_token_list, default=_DEFAULTS.q_tokens)
+    ver.add_argument("--r", default=_DEFAULTS.r)
+    ver.add_argument("--tol", type=float, default=_DEFAULTS.tol)
+    ver.add_argument("--workers", type=int, default=_DEFAULTS.workers)
+    ver.add_argument("--search-random", type=int, default=_DEFAULTS.search_random)
+    ver.add_argument("--search-ascent", type=int, default=_DEFAULTS.search_ascent,
                      help="power-iteration steps of the operator-norm search")
     ver.add_argument("--debug-halve-cp", action="store_true",
                      help="fault injection: halve C(p) to prove checks can fail")

@@ -44,10 +44,10 @@ class VerificationError(RuntimeError):
 
 
 def holder_conjugate(p: float) -> float:
-    """p' with 1/p + 1/p' = 1."""
+    """p' with 1/p + 1/p' = 1, for finite p > 1."""
     p = float(p)
-    if not p > 1.0:
-        raise ValueError(f"p must be > 1, got {p}")
+    if not (1.0 < p < math.inf):
+        raise ValueError(f"p must be finite > 1, got {p}")
     return p / (p - 1.0)
 
 

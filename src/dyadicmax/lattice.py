@@ -78,76 +78,58 @@ def _index(ids):
     return index
 
 
-def _layout(ids, parent, roots, children, min_children):
-    """Depth-first layout of a forest given by its child lists, in array passes.
+def _layout(ids, parent, roots, min_children):
+    """Depth-first layout of a forest given by its parent links, in array passes.
 
-    ``children[k]`` lists node k's children in their given order and
     ``roots`` holds the nodes whose ``parent`` link is negative, in index
-    order; the forest is laid out root after root.  Returns (depth, dfs_order,
-    dfs_lo, dfs_hi, leaf_lo, leaf_hi, counts, flat), ``counts`` and ``flat``
-    being the child lists' lengths and their concatenation.
+    order; the forest is laid out root after root, and each node's children
+    in index order.  Returns (depth, dfs_order, dfs_lo, dfs_hi, leaf_lo,
+    leaf_hi, counts, flat), ``counts`` and ``flat`` being the child lists'
+    lengths and their concatenation: the nodes that are not roots, sorted by
+    parent in one stable sort.
 
     Three passes run level by level, so they cost O(depth) array operations:
-    one down the tree finds each level's nodes in the flattened lists, one up
+    one down the tree finds each level's nodes among the sorted ones, one up
     it adds up the subtree sizes, and one down again places every node after
-    its parent and its elder siblings' subtrees.  A child index outside
-    [0, n) and a forest without a root are rejected first.  Then a node named
-    twice (in two lists, twice in one, or a root named as a child), a node no
-    root reaches and a node with fewer than ``min_children`` children are
-    faults; the first faulty node in index order (document order) is named,
-    with the first of those three faults that it has.  Last, the first node
-    whose parent link is not the node whose list names it is named.
+    its parent and its elder siblings' subtrees.  A parent index of n or
+    more and a forest without a root are rejected first.  Then a node no
+    root reaches (a node on a cycle of parent links, or below one) and a node
+    with fewer than ``min_children`` children are faults; the first faulty
+    node in index order (document order) is named, with the first of those
+    two faults that it has.
     """
     n = len(ids)
-    counts = np.fromiter(map(len, children), np.int64, n)
-    flat = np.fromiter(chain.from_iterable(children), np.int64, int(np.add.reduce(counts)))
-    if flat.size and not (np.minimum.reduce(flat) >= 0 and np.maximum.reduce(flat) < n):
-        raise ModelError(f"child index out of range [0, {n})")
+    if np.maximum.reduce(parent) >= n:
+        k = int(np.argmax(parent >= n))
+        raise ModelError(f"parent index of node {ids[k]!r} out of range [0, {n})")
     if not roots.size:
         raise ModelError("cycle detected: no root node")
-    owner = np.repeat(np.arange(n), counts)  # the node whose list holds flat[i]
+    flat = np.argsort(parent, kind="stable")[roots.size:]
+    owner = parent[flat]  # the parent of flat[i], in ascending order
+    counts = np.bincount(owner, minlength=n)
 
-    def descend(once):
-        """Depths, and per depth >= 1 the nodes with their parents and flat
-        positions: the nodes one level below depth d are the flat entries
-        whose owner is at depth d.  Without ``once`` a node named twice is
-        reached twice, and the pass stops after n placements."""
-        depth = np.full(n, -1, dtype=np.int64)
-        depth[roots] = 0
-        levels, placed, d = [], roots.size, 0
-        while placed < n or once:
-            pick = (depth[owner] == d).nonzero()[0]
-            if once:
-                pick = pick[depth[flat[pick]] < 0]
-            if not pick.size:
-                break
-            kids = flat[pick]
-            d += 1
-            depth[kids] = d
-            levels.append((kids, owner[pick], pick))
-            placed += kids.size
-        return depth, levels, placed
-
-    # with one name per node that is not a root, n placements that reach all
-    # n nodes place each node once, from every name: no node is named twice
-    # and every node is reached
-    depth, levels, placed = descend(False)
+    # down: depths, and per depth >= 1 the nodes with their parents and flat
+    # positions.  The nodes one level below depth d are the flat entries whose
+    # owner is at depth d; each node has one owner, so it is reached at most once
+    depth = np.full(n, -1, dtype=np.int64)
+    depth[roots] = 0
+    levels, placed, d = [], roots.size, 0
+    while placed < n:
+        pick = (depth[owner] == d).nonzero()[0]
+        if not pick.size:
+            break
+        kids = flat[pick]
+        d += 1
+        depth[kids] = d
+        levels.append((kids, owner[pick], pick))
+        placed += kids.size
     few = (counts > 0) & (counts < min_children) if min_children > 1 else False
-    if (placed != n or flat.size != n - roots.size or np.minimum.reduce(depth) < 0
-            or min_children > 1 and np.logical_or.reduce(few)):
-        named = np.bincount(flat, minlength=n)
-        named[roots] += 1  # a root is reached without being named
-        depth = descend(True)[0]
-        k = int(np.argmax((named > 1) | (depth < 0) | few))
-        if named[k] > 1:
-            raise ModelError(f"cycle detected at node {ids[k]!r}")
+    if placed != n or min_children > 1 and np.logical_or.reduce(few):
+        k = int(np.argmax((depth < 0) | few))
         if depth[k] < 0:
             raise ModelError(f"cycle detected: node {ids[k]!r} unreachable from any root")
         raise ModelError(
             f"node {ids[k]!r} has {counts[k]} children; minimum is {min_children}")
-    wrong = flat[parent[flat] != owner]
-    if wrong.size:
-        raise ModelError(f"parent link of node {ids[wrong.min()]!r} disagrees with child lists")
 
     # up: subtree sizes.  A node's place in its parent's subtree is 1 plus the
     # sizes of its elder siblings, from one running sum over the flat lists
@@ -176,30 +158,30 @@ def _layout(ids, parent, roots, children, min_children):
 class DyadicModel:
     """Immutable rooted forest with atomic leaf measures.
 
-    Nodes are addressed by string ids.  Leaves are ordered depth-first
-    (roots in document order, children in their given order), so the set of
-    leaves below any node is a contiguous slice of the leaf vector; this is
-    what makes integrals over cubes cheap.  The masses ``mu_leaf`` and
-    ``nu_leaf`` come in that leaf order, or as maps {leaf id: mass}.
+    Nodes are addressed by string ids, and the tree is given once, by each
+    node's parent index (negative for a root).  Leaves are ordered
+    depth-first (roots in document order, children in index order), so the
+    set of leaves below any node is a contiguous slice of the leaf vector;
+    this is what makes integrals over cubes cheap.  The masses ``mu_leaf``
+    and ``nu_leaf`` come in that leaf order, or as maps {leaf id: mass}.
 
     The layout arrays (``depth``, ``dfs_order``, the subtree intervals
-    ``dfs_lo``/``dfs_hi`` and ``leaf_lo``/``leaf_hi``) come from the child
-    lists, read as one flat array and their lengths, in a few array passes
-    per level of the tree (``_layout``), which also reject a malformed
-    shape, or parent links that disagree with the child lists, by naming the
+    ``dfs_lo``/``dfs_hi`` and ``leaf_lo``/``leaf_hi``) come from the parent
+    links, sorted once by parent, in a few array passes per level of the
+    tree (``_layout``), which also reject a malformed shape by naming the
     first faulty node in index order.  Tables that depend on the shape alone
-    (``levels``, and the child lists and the level-by-leaf ancestor table,
-    both padded with n_nodes) are built on first use and cached on the model,
-    so every coefficient family on the tree, and every ``with_measures`` copy
-    made after they exist, shares them.  Other modules read subtree sums per
-    node (``_subtree_sums``) or along the paths (``_path_sums``), never the
-    buffer of ``_dfs_sums``.
+    (``children``, ``levels``, and the child lists and the level-by-leaf
+    ancestor table, both padded with n_nodes) are built on first use and
+    cached on the model, so every coefficient family on the tree, and every
+    ``with_measures`` copy made after they exist, shares them.  Other
+    modules read subtree sums per node (``_subtree_sums``) or along the paths
+    (``_path_sums``), never the buffer of ``_dfs_sums``.
 
     Instances are immutable after construction and safe to share across
     threads; all module operations are pure functions of their inputs.
     """
 
-    def __init__(self, ids, parents, children, mu_leaf, nu_leaf, *, min_children=1):
+    def __init__(self, ids, parents, mu_leaf, nu_leaf, *, min_children=1):
         n = len(ids)
         if n == 0:
             raise ModelError("empty model")
@@ -207,15 +189,14 @@ class DyadicModel:
         if not set(map(type, self.ids)) <= {str}:
             self.ids = tuple(map(str, self.ids))
         self.index = _index(self.ids)
-        self.parent = np.asarray(parents, dtype=np.int64)
-        self.children = tuple(map(tuple, children))
-        if len(self.children) != n or self.parent.shape != (n,):
-            raise ModelError(f"need one parent and one child list for each of {n} nodes")
+        self.parent = np.maximum(np.asarray(parents, dtype=np.int64), -1)  # -1 for a root
+        if self.parent.shape != (n,):
+            raise ModelError(f"need one parent for each of {n} nodes")
         roots = (self.parent < 0).nonzero()[0]
         self.roots = tuple(roots.tolist())
         (self.depth, self.dfs_order, self.dfs_lo, self.dfs_hi, self.leaf_lo, self.leaf_hi,
          self._child_counts, self._child_flat) = _layout(self.ids, self.parent, roots,
-                                                         self.children, min_children)
+                                                         min_children)
 
         self.is_leaf = self._child_counts == 0
         self.leaf_nodes = self.dfs_order[self.is_leaf[self.dfs_order]]
@@ -294,6 +275,12 @@ class DyadicModel:
     def subtree(self, k):
         """Node indices of the subtree rooted at node index ``k`` (DFS order)."""
         return self.dfs_order[self.dfs_lo[k]:self.dfs_hi[k]]
+
+    @cached_property
+    def children(self):
+        """Each node's children as a tuple of node indices, in index order."""
+        flat, ends = self._child_flat.tolist(), np.add.accumulate(self._child_counts).tolist()
+        return tuple(tuple(flat[lo:hi]) for lo, hi in zip([0] + ends, ends))
 
     @cached_property
     def levels(self):
@@ -429,7 +416,6 @@ class DyadicModel:
         return (
             self.ids == other.ids
             and np.array_equal(self.parent, other.parent)
-            and self.children == other.children
             and np.array_equal(self.mu_leaf, other.mu_leaf)
             and np.array_equal(self.nu_leaf, other.nu_leaf)
         )
@@ -481,9 +467,12 @@ def build_model(spec: Mapping, *, min_children: int = 2) -> DyadicModel:
         {"nodes": [{"id": ..., "parent": ... or None, "children": [...]}, ...],
          "mu": {leaf id: mass}, "nu": {leaf id: mass}}
 
-    ``children`` entries are optional and checked against the parent links
-    when present.  Every non-leaf must have at least ``min_children``
-    children (lower it to 1 to allow chains).
+    The parent links alone give the tree: the model is built from them, and
+    its children come in index order.  ``children`` entries are optional;
+    a present one must then list exactly the model's children of its node,
+    in that order, or the first record whose list disagrees is named.  Every
+    non-leaf must have at least ``min_children`` children (lower it to 1 to
+    allow chains).
     """
     try:
         records, mu_map, nu_map = list(spec["nodes"]), spec["mu"], spec["nu"]
@@ -515,43 +504,35 @@ def build_model(spec: Mapping, *, min_children: int = 2) -> DyadicModel:
         if parents[k] == -2:
             raise ModelError(f"orphan node {ids[k]!r}: unknown parent {str(pid)!r}")
 
-    # child lists from the parent links: the nodes sorted by parent, in index
-    # order within each parent, after the roots (parent -1)
-    counts = np.bincount(parents + 1, minlength=n + 1)
-    flat = tuple(np.argsort(parents, kind="stable").tolist())
-    ends = np.add.accumulate(counts)
-    inner = counts[1:].nonzero()[0]
-    children = [()] * n
-    for k, lo, hi in zip(inner.tolist(), ends[inner].tolist(), ends[inner + 1].tolist()):
-        children[k] = flat[lo:hi]
-
-    # declared child lists must match the parent links: compared all at once,
-    # as their lengths and as one sequence of child indices, and node by node
-    # only to name the first that disagrees
     declared = [rec.get("children") for rec in records]
     kinds = set(map(type, declared))
     if not kinds <= {list, tuple, type(None)}:
         k, got = next((k, c) for k, c in enumerate(declared)
                       if c is not None and type(c) not in (list, tuple))
         raise ModelError(f"children of {ids[k]!r} must be a list of ids, got {got!r}")
-    listed, lengths, actual = range(n), counts[1:].tolist(), flat[counts[0]:]
+
+    model = DyadicModel(ids, parents, mu_map, nu_map, min_children=min_children)
+
+    # declared child lists must be the model's: compared all at once, as their
+    # lengths and as one sequence of child indices, and node by node only to
+    # name the first that disagrees
+    listed, lengths, actual = range(n), model._child_counts.tolist(), model._child_flat.tolist()
     if type(None) in kinds:
         listed = [k for k, c in enumerate(declared) if c is not None]
         declared = [declared[k] for k in listed]
         lengths = [lengths[k] for k in listed]
-        actual = tuple(chain.from_iterable(children[k] for k in listed))
+        actual = list(chain.from_iterable(model.children[k] for k in listed))
     try:
         same = (list(map(len, declared)) == lengths
-                and tuple(map(index.get, chain.from_iterable(declared), repeat(-1))) == actual)
+                and list(map(index.get, chain.from_iterable(declared), repeat(-1))) == actual)
     except TypeError:  # an unhashable entry
         same = False
     if not same:  # entries that are not strings are compared as their str()
         k = next((k for k, c in zip(listed, declared)
-                  if list(map(str, c)) != [ids[j] for j in children[k]]), None)
+                  if list(map(str, c)) != [ids[j] for j in model.children[k]]), None)
         if k is not None:
             raise ModelError(f"children of {ids[k]!r} disagree with parent links")
-
-    return DyadicModel(ids, parents, children, mu_map, nu_map, min_children=min_children)
+    return model
 
 
 def leaf_values(model: DyadicModel, values: Mapping, what: str) -> list:
@@ -763,27 +744,20 @@ def _draw_masses(rng, n, dist, zero_prob):
 
 
 def random_model(params: RandomModelParams, seed: int) -> DyadicModel:
-    """Deterministic random forest for a given (params, seed) pair."""
+    """Deterministic random forest for a given (params, seed) pair.
+
+    Node k has id ``n{k}``.  The nodes are numbered breadth-first, root
+    after root, so the model's child lists, which come in index order, keep
+    the order in which the children were drawn.
+    """
     params.validate()
     rng = np.random.default_rng(seed)
 
-    ids = []
-    parents = []
-    children = []
-
-    def new_node(parent):
-        k = len(ids)
-        ids.append(f"n{k}")
-        parents.append(parent)
-        children.append([])
-        if parent >= 0:
-            children[parent].append(k)
-        return k
-
+    parents = []  # node k's parent index
     for _ in range(params.roots):
         target = int(rng.integers(params.depth_min, params.depth_max + 1))
-        root = new_node(-1)
-        frontier = [(root, 0)]
+        frontier = [(len(parents), 0)]
+        parents.append(-1)
         while frontier:
             node, d = frontier.pop(0)
             if d >= target:
@@ -792,13 +766,15 @@ def random_model(params: RandomModelParams, seed: int) -> DyadicModel:
                 continue
             width = int(rng.integers(params.branch_min, params.branch_max + 1))
             for _ in range(width):
-                frontier.append((new_node(node), d + 1))
+                frontier.append((len(parents), d + 1))
+                parents.append(node)
 
-    n_leaves = sum(1 for ch in children if not ch)
+    n_leaves = len(parents) - len(set(parents).difference([-1]))  # nodes no one's parent
     mu = _draw_masses(rng, n_leaves, params.mass_dist, params.zero_prob_mu)
     nu = _draw_masses(rng, n_leaves, params.mass_dist, params.zero_prob_nu)
     # masses are i.i.d., so they go straight into the model's own (DFS) leaf order
-    return DyadicModel(ids, parents, children, mu, nu, min_children=1)
+    ids = [f"n{k}" for k in range(len(parents))]
+    return DyadicModel(ids, parents, mu, nu, min_children=1)
 
 
 # ---------------------------------------------------------------------------

@@ -285,7 +285,7 @@ def node_integrals(model: DyadicModel, F: np.ndarray, measure: str = MU) -> np.n
 
 def _check_tree(model: DyadicModel, a: CoefficientFamily):
     if a.model is not model:
-        if a.model.ids != model.ids or a.model.children != model.children:
+        if a.model.ids != model.ids or not np.array_equal(a.model.parent, model.parent):
             raise ValueError("coefficient family was built for a different tree")
 
 

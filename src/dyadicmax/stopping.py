@@ -12,6 +12,7 @@ bound that the proof-chain trace walks end to end.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional
@@ -306,6 +307,9 @@ class CarlesonSequence:
     def from_mapping(cls, model: DyadicModel, mapping) -> "CarlesonSequence":
         """Build from {node id: weight}, absent nodes weighing 0; an unknown id
         or a weight that is not a number (a string or a boolean) is named."""
+        if not isinstance(mapping, Mapping):
+            raise ModelError("Carleson weights must map node ids to weights, "
+                             f"got {type(mapping).__name__}")
         w = np.zeros(model.n_nodes)
         for key, val in mapping.items():
             k = model.index.get(str(key))

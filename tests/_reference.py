@@ -95,28 +95,32 @@ def ref_indicator_ratios(model, a, p, q):
     return np.asarray(out)
 
 
-def ref_walk(ids, parents, children, mu_leaf, nu_leaf, min_children=1):
+def ref_walk(ids, parents, mu_leaf, nu_leaf, min_children=1):
     """The model's arrays as a depth-first walk over plain lists builds them.
 
-    This is the constructor's walk as it was before the array layout: roots
-    are the nodes with a negative parent, in index order, and one stack walk
-    detects cycles and unreachable nodes, checks the child counts and fixes
-    the leaf order and the subtree intervals, naming the first fault it meets
-    in depth-first order.  A forest without those faults is then checked
-    against the parent links: the first node in index order whose parent is
-    not the node whose list names it is named.  Returns {attribute: value}
-    for every array and table the constructor sets.  Masses come in leaf
-    order or by leaf id.
+    This is the constructor's walk as it was before the array layout: the
+    child lists come from the parent links in one loop over the nodes, so
+    each lists its children in index order; roots are the nodes with a
+    negative parent, in index order, and one stack walk checks the child
+    counts and fixes the leaf order and the subtree intervals, naming the
+    first fault it meets in depth-first order, and then the first node it
+    never reached (one on or below a cycle of parent links).  A parent index
+    of n or more is rejected before the walk.  Returns
+    {attribute: value} for every array and table the constructor sets.
+    Masses come in leaf order or by leaf id.
     """
     from dyadicmax import ModelError
 
     n = len(ids)
     ids = tuple(map(str, ids))
     parent = np.asarray(parents, dtype=np.int64)
+    children = [[] for _ in range(n)]
+    for k, up in enumerate(parent.tolist()):
+        if up >= n:
+            raise ModelError(f"parent index of node {ids[k]!r} out of range [0, {n})")
+        if up >= 0:
+            children[up].append(k)
     children = tuple(map(tuple, children))
-    listed = [c for ch in children for c in ch]
-    if listed and not (0 <= min(listed) and max(listed) < n):
-        raise ModelError(f"child index out of range [0, {n})")
     roots = tuple(np.flatnonzero(parent < 0).tolist())
     if not roots:
         raise ModelError("cycle detected: no root node")
@@ -131,8 +135,6 @@ def ref_walk(ids, parents, children, mu_leaf, nu_leaf, min_children=1):
             k, d = ~k, d - 1
             hi[k], leaf_hi[k] = pos, n_leaves
             continue
-        if depth[k] >= 0:
-            raise ModelError(f"cycle detected at node {ids[k]!r}")
         depth[k], lo[k], leaf_lo[k] = d, pos, n_leaves
         order.append(k)
         pos += 1
@@ -150,10 +152,6 @@ def ref_walk(ids, parents, children, mu_leaf, nu_leaf, min_children=1):
     if pos != n:
         raise ModelError(
             f"cycle detected: node {ids[depth.index(-1)]!r} unreachable from any root")
-    wrong = [c for k, ch in enumerate(children) for c in ch if parent[c] != k]
-    if wrong:
-        raise ModelError(
-            f"parent link of node {ids[min(wrong)]!r} disagrees with child lists")
 
     out = dict(ids=ids, parent=parent, children=children, roots=roots)
     for name, values in zip(("depth", "dfs_lo", "dfs_hi", "leaf_lo", "leaf_hi", "dfs_order",
@@ -183,7 +181,7 @@ def ref_walk(ids, parents, children, mu_leaf, nu_leaf, min_children=1):
 def ref_layout(model):
     """(depth, dfs_order, dfs_lo, dfs_hi, leaf_lo, leaf_hi, leaf_nodes, levels)
     of ``model``'s shape by :func:`ref_walk`."""
-    ref = ref_walk(model.ids, model.parent, model.children, model.mu_leaf, model.nu_leaf)
+    ref = ref_walk(model.ids, model.parent, model.mu_leaf, model.nu_leaf)
     return tuple(ref[name] for name in ("depth", "dfs_order", "dfs_lo", "dfs_hi", "leaf_lo",
                                         "leaf_hi", "leaf_nodes", "levels"))
 

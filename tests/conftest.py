@@ -77,6 +77,5 @@ def caterpillar(n_spine):
     """A chain of n_spine cubes, each with one atom beside the next cube."""
     ids = [f"s{k}" for k in range(n_spine + 1)] + [f"a{k}" for k in range(n_spine)]
     parents = [-1] + list(range(n_spine)) + list(range(n_spine))
-    children = [[k + 1, n_spine + 1 + k] for k in range(n_spine)] + [[]] * (n_spine + 1)
     m = n_spine + 1
-    return DyadicModel(ids, parents, children, np.ones(m), np.ones(m))
+    return DyadicModel(ids, parents, np.ones(m), np.ones(m))

@@ -446,6 +446,17 @@ def test_main_end_to_end(tmp_path, capsys):
     assert (tmp_path / "s.csv").exists()
 
 
+def test_options_left_out_take_the_config_defaults(monkeypatch):
+    import dyadicmax.cli as cli_mod
+    seen = []
+    monkeypatch.setattr(cli_mod, "cmd_verify",
+                        lambda config, paths: seen.append((config, paths)) or (0, []))
+    monkeypatch.setattr(cli_mod, "cmd_generate", lambda config: seen.append((config, None)))
+    assert main(["verify", "x.json"]) == 0
+    assert main(["generate"]) == 0
+    assert seen == [(SweepConfig(), ["x.json"]), (SweepConfig(), None)]
+
+
 def test_verify_records_a_failed_reduction_and_goes_on(tmp_path):
     # omega > 0 where w = 0: the reduced measure would be infinite
     paths, _ = gen(tmp_path, trials=1)

@@ -33,8 +33,9 @@ def test_holder_conjugate():
     assert holder_conjugate(2) == 2.0
     assert holder_conjugate(4) == pytest.approx(4 / 3, rel=1e-15)
     assert holder_conjugate(1.01) == pytest.approx(101, rel=1e-12)
-    with pytest.raises(ValueError):
-        holder_conjugate(1.0)
+    for p in (1.0, math.inf, math.nan):  # inf / inf would be NaN
+        with pytest.raises(ValueError, match="p must be finite > 1"):
+            holder_conjugate(p)
 
 
 def test_theorem_constant_values():

@@ -263,7 +263,7 @@ def test_subtree_sums_match_the_interior_reduceat_bit_for_bit():
                                             branch_min=1 + s % 2, roots=1 + s % 3,
                                             leaf_prob=0.25), s)
               for s in range(40)]
-    models.append(DyadicModel(["x", "y"], [-1, -1], [[], []], [1.0, 2.0], [1.0, 1.0]))
+    models.append(DyadicModel(["x", "y"], [-1, -1], [1.0, 2.0], [1.0, 1.0]))
     models.append(caterpillar(300))
     for model in models:
         rng = np.random.default_rng(model.n_nodes)
@@ -383,16 +383,23 @@ def test_masses_keyed_by_id_not_document_order():
     assert integrate(model, np.ones(3), "B", "mu") == 2.0
 
 
-def test_children_disagreement_rejected():
-    with pytest.raises(ModelError, match="disagree"):
-        build_model({
-            "nodes": [
-                {"id": "R", "parent": None, "children": ["b", "a"]},
-                {"id": "a", "parent": "R"}, {"id": "b", "parent": "R"},
-            ],
-            "mu": {"a": 1, "b": 1},
-            "nu": {"a": 1, "b": 1},
-        })
+@pytest.mark.parametrize("lists, named", [
+    ({"R": ["b", "a"]}, "R"),
+    ({"a": ["x", "y", "x"]}, "a"),
+    ({"R": ["a", "b"], "a": ["x"]}, "a"),
+    ({"b": ["u", "v", "x"]}, "b"),
+    ({"a": ["x", "y"], "x": ["y"]}, "x"),
+], ids=["order", "twice", "left_out", "wrong_parent", "on_a_leaf"])
+def test_children_disagreement_rejected(lists, named):
+    # the parent links give the tree; a file's child lists can still name a
+    # node twice or under another parent, and the first record whose list
+    # is not its node's children in index order is named
+    links = {"R": None, "a": "R", "b": "R", "x": "a", "y": "a", "u": "b", "v": "b"}
+    nodes = [{"id": nid, "parent": up, **({"children": lists[nid]} if nid in lists else {})}
+             for nid, up in links.items()]
+    leaves = {nid: 1 for nid in "xyuv"}
+    with pytest.raises(ModelError, match=f"children of '{named}' disagree with parent links"):
+        build_model({"nodes": nodes, "mu": leaves, "nu": leaves})
 
 
 def test_record_without_id_rejected():
@@ -459,7 +466,7 @@ def test_families_match_plain_lists():
                                             branch_min=1 + s % 2, roots=1 + s % 3,
                                             leaf_prob=0.25), s)
               for s in range(40)]
-    models.append(DyadicModel(["x", "y"], [-1, -1], [[], []], [1.0, 2.0], [1.0, 1.0]))
+    models.append(DyadicModel(["x", "y"], [-1, -1], [1.0, 2.0], [1.0, 1.0]))
     models.append(caterpillar(1500))
     for model in models:
         fam = model._families
@@ -469,49 +476,27 @@ def test_families_match_plain_lists():
     assert models[-1]._families.shape == (2, 1500)
 
 
-@pytest.mark.parametrize("case", ["two_parents", "root_as_child", "unreachable_cycle",
-                                  "few_children", "bad_index"])
+@pytest.mark.parametrize("case", ["unreachable_cycle", "self_parent", "few_children",
+                                  "bad_index", "no_root"])
 def test_layout_rejects_bad_shapes(case):
-    if case == "two_parents":  # b is listed under both R and a
-        shape = (["R", "a", "b"], [-1, 0, 0], [[1, 2], [2], []])
-        match = "cycle detected at node 'b'"
-    elif case == "root_as_child":  # S has no parent, yet R lists it
-        shape = (["R", "S", "x"], [-1, -1, 0], [[1, 2], [], []])
-        match = "cycle detected at node 'S'"
-    elif case == "unreachable_cycle":  # A and B are each other's parent
-        shape = (["R", "A", "B", "L"], [-1, 2, 1, 0], [[3], [2], [1], []])
-        match = "node 'A' unreachable from any root"
+    if case == "unreachable_cycle":  # A and B are each other's parent
+        shape = (["R", "A", "B", "L"], [-1, 2, 1, 0])
+        match = "cycle detected: node 'A' unreachable from any root"
+    elif case == "self_parent":  # S is its own parent, and so its own child
+        shape = (["R", "S", "L"], [-1, 1, 0])
+        match = "cycle detected: node 'S' unreachable from any root"
     elif case == "few_children":
-        shape = (["R", "a", "b"], [-1, 0, 1], [[1], [2], []])
+        shape = (["R", "a", "b"], [-1, 0, 1])
         match = "node 'R' has 1 children; minimum is 2"
-    else:  # -1 would read as the end of a subtree
-        shape = (["R", "a"], [-1, 0], [[1, -1], []])
-        match = r"child index out of range \[0, 2\)"
-    with pytest.raises(ModelError, match=match):
-        DyadicModel(*shape, [1.0], [1.0], min_children=2 if case == "few_children" else 1)
-
-
-@pytest.mark.parametrize("case", ["moved", "out_of_range", "two_wrong", "cycle_first"])
-def test_parent_links_must_match_the_child_lists(case):
-    # the ancestor table walks the parent links and the subtree intervals come
-    # from the child lists: a model built from both would mix two trees
-    if case == "moved":  # R lists B, whose link names A: M f would read R, A, B
-        shape = (["R", "A", "B"], [-1, 0, 1], [[1, 2], [], []])
-        match = "parent link of node 'B' disagrees with child lists"
-    elif case == "out_of_range":
-        shape = (["R", "A", "B"], [-1, 0, 7], [[1, 2], [], []])
-        match = "parent link of node 'B' disagrees"
-    elif case == "two_wrong":  # the first in index order is named
-        shape = (["R", "A", "c", "b", "d"], [-1, 0, 1, 0, 1], [[1, 2], [3, 4], [], [], []])
-        match = "parent link of node 'c' disagrees"
-    else:  # an earlier fault is named first
-        shape = (["R", "A", "B"], [-1, 0, 1], [[1, 2], [2], []])
-        match = "cycle detected at node 'B'"
-    leaves = sum(1 for ch in shape[2] if not ch)
-    masses = (np.ones(leaves), np.ones(leaves))
+    elif case == "bad_index":  # a parent index of n or more names no node
+        shape = (["R", "a", "b"], [-1, 0, 3])
+        match = r"parent index of node 'b' out of range \[0, 3\)"
+    else:
+        shape = (["A", "B"], [1, 0])
+        match = "cycle detected: no root node"
     for build in (DyadicModel, ref_walk):
         with pytest.raises(ModelError, match=match):
-            build(*shape, *masses)
+            build(*shape, [1.0], [1.0], min_children=2 if case == "few_children" else 1)
 
 
 def _assert_same_model(model, want):
@@ -528,11 +513,23 @@ def _assert_same_model(model, want):
             assert got == value, name
 
 
+def test_every_negative_parent_link_is_a_root():
+    # one tree, whichever negative number marks its root
+    shape = (["R", "a", "b"], [-2, 0, 0], [1.0, 2.0], [1.0, 1.0])
+    model = DyadicModel(*shape)
+    assert model.parent.tolist() == [-1, 0, 0] and model.roots == (0,)
+    assert model == DyadicModel(shape[0], [-1, 0, 0], *shape[2:])
+
+
+def _leaf_count(parents):
+    """The number of nodes that are no node's parent."""
+    return len(parents) - len({up for up in parents if up >= 0})
+
+
 def _random_forest(seed, n, root_prob, chain_prob):
-    """(ids, parents, children, mu, nu) of a random forest whose node indices
-    are shuffled, so that index order is not depth-first order, and whose
-    child lists come in a random order: several roots, unary chains and lone
-    leaves among them."""
+    """(ids, parents, mu, nu) of a random forest whose node indices are
+    shuffled, so that index order is not depth-first order: several roots,
+    unary chains and lone leaves among them."""
     rng = np.random.default_rng(seed)
     link = [-1]
     for i in range(1, n):
@@ -541,15 +538,12 @@ def _random_forest(seed, n, root_prob, chain_prob):
         else:
             link.append(i - 1 if rng.random() < chain_prob else int(rng.integers(0, i)))
     label = rng.permutation(n).tolist()
-    parents, children = [-1] * n, [[] for _ in range(n)]
+    parents = [-1] * n
     for i, up in enumerate(link):
         if up >= 0:
             parents[label[i]] = label[up]
-            children[label[up]].append(label[i])
-    for ch in children:
-        rng.shuffle(ch)
-    leaves = sum(1 for ch in children if not ch)
-    return ([f"v{k}" for k in range(n)], parents, children,
+    leaves = _leaf_count(parents)
+    return ([f"v{k}" for k in range(n)], parents,
             rng.exponential(1.0, leaves), rng.exponential(1.0, leaves))
 
 
@@ -568,7 +562,7 @@ def test_layout_equals_the_walk_on_the_caterpillar_and_random_models():
                                               roots=1 + s % 3, leaf_prob=0.25), s)
                for s in range(20)]
     for model in models:
-        shape = (model.ids, model.parent, model.children, model.mu_leaf, model.nu_leaf)
+        shape = (model.ids, model.parent, model.mu_leaf, model.nu_leaf)
         _assert_same_model(DyadicModel(*shape), ref_walk(*shape))
 
 
@@ -576,24 +570,16 @@ def test_layout_equals_the_walk_on_the_caterpillar_and_random_models():
 @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 14),
        faults=st.integers(0, 3), min_children=st.integers(1, 3))
 def test_layout_rejects_what_the_walk_rejects(seed, n, faults, min_children):
-    # a random forest with up to three edits, each of which may break it: a
-    # second name for a node, a dropped name, a name moved to another list,
-    # a parent link changed (which changes the roots)
+    # a random forest with up to three edits of its parent links, each of which
+    # may break it: a link re-pointed (which may close a cycle), a new root, a
+    # node made its own parent
     rng = np.random.default_rng(seed)
-    ids, parents, children, _, _ = _random_forest(seed, n, 0.2, 0.3)
+    ids, parents, _, _ = _random_forest(seed, n, 0.2, 0.3)
     for _ in range(faults):
         k, j = (int(x) for x in rng.integers(0, n, 2))
-        edit = int(rng.integers(0, 4))
-        if edit == 0:
-            children[k].insert(int(rng.integers(0, len(children[k]) + 1)), j)
-        elif edit == 1 and children[k]:
-            children[k].pop(int(rng.integers(0, len(children[k]))))
-        elif edit == 2 and children[k]:
-            children[j].append(children[k].pop(int(rng.integers(0, len(children[k])))))
-        else:
-            parents[k] = -1 if parents[k] >= 0 else j
-    leaves = sum(1 for ch in children if not ch)
-    shape = (ids, parents, children, np.ones(leaves), np.ones(leaves))
+        parents[k] = (j, -1, k)[int(rng.integers(0, 3))]
+    leaves = _leaf_count(parents)
+    shape = (ids, parents, np.ones(leaves), np.ones(leaves))
     try:
         want = ref_walk(*shape, min_children=min_children)
     except ModelError:
@@ -603,31 +589,22 @@ def test_layout_rejects_what_the_walk_rejects(seed, n, faults, min_children):
         _assert_same_model(DyadicModel(*shape, min_children=min_children), want)
 
 
-@pytest.mark.parametrize("case", ["two_few", "twice_and_cycle", "unreachable_and_few",
-                                  "twice_and_few_on_one_node"])
+@pytest.mark.parametrize("case", ["two_few", "unreachable_and_few"])
 def test_two_faults_name_the_first_faulty_node_in_document_order(case):
     # the walk met the faults in depth-first order; the layout names the
     # faulty node that comes first in the node list
-    least = 2  # children of an interior node
-    if case == "two_few":  # R lists a (index 2) before b (index 1); each has 1 child
-        shape = (["R", "b", "a", "x", "y"], [-1, 0, 0, 2, 1], [[2, 1], [4], [3], [], []])
-        walk, match = "node 'a' has 1 children", "node 'b' has 1 children; minimum is 2"
-    elif case == "twice_and_cycle":  # c is named twice; u and v are a cycle
-        shape = (["R", "u", "v", "c", "d"], [-1, 2, 1, 0, 0], [[3, 4], [2], [1], [], [3]])
-        walk, match = "cycle detected at node 'c'", "node 'u' unreachable from any root"
-        least = 1
-    elif case == "unreachable_and_few":  # no list names X; a has 1 child
-        shape = (["R", "X", "a", "b", "c"], [-1, 0, 0, 2, 0], [[2, 4], [], [3], [], []])
+    if case == "two_few":  # u (index 3) comes before b (index 2) depth-first; each has 1 child
+        shape = (["R", "a", "b", "u", "v", "x", "w"], [-1, 0, 0, 1, 1, 2, 3])
+        walk, match = "node 'u' has 1 children", "node 'b' has 1 children; minimum is 2"
+    else:  # X is its own parent; a has 1 child
+        shape = (["R", "X", "a", "b", "c"], [-1, 1, 0, 2, 0])
         walk, match = "node 'a' has 1 children", "node 'X' unreachable from any root"
-    else:  # root S is named by R and has 1 child: the second name comes first
-        shape = (["S", "R", "x", "y", "z"], [-1, -1, 0, 1, 1], [[2], [3, 0, 4], [], [], []])
-        walk, match = "node 'S' has 1 children", "cycle detected at node 'S'"
-    leaves = sum(1 for ch in shape[2] if not ch)
+    leaves = _leaf_count(shape[1])
     masses = (np.ones(leaves), np.ones(leaves))
     with pytest.raises(ModelError, match=walk):
-        ref_walk(*shape, *masses, min_children=least)
+        ref_walk(*shape, *masses, min_children=2)
     with pytest.raises(ModelError, match=match):
-        DyadicModel(*shape, *masses, min_children=least)
+        DyadicModel(*shape, *masses, min_children=2)
 
 
 def test_build_model_names_the_first_faulty_record():
@@ -652,12 +629,11 @@ def test_generated_files_build_the_walks_models(tmp_path):
         position = {nid: k for k, nid in enumerate(ids)}
         parents = [-1 if rec["parent"] is None else position[rec["parent"]]
                    for rec in spec["nodes"]]
-        children = [[] for _ in ids]
-        for k, up in enumerate(parents):
-            if up >= 0:
-                children[up].append(k)
-        _assert_same_model(read_model(path),
-                           ref_walk(ids, parents, children, spec["mu"], spec["nu"]))
+        model = read_model(path)
+        _assert_same_model(model, ref_walk(ids, parents, spec["mu"], spec["nu"]))
+        # the derived child lists are the ones the file declares
+        assert model.children == tuple(tuple(map(position.__getitem__, rec["children"]))
+                                       for rec in spec["nodes"])
 
 
 @pytest.mark.parametrize("mu, match", [

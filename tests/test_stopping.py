@@ -211,7 +211,8 @@ def test_carleson_weights_must_be_finite(e1, bad):
     ({"Q0": 1.0, "L1": True}, "weight of 'L1' must be a number, got True"),
     ({"L2": None}, "weight of 'L2' must be a number, got None"),
     ({"Q0": 1.0, "Q9": 1.0}, "Carleson weight for unknown node 'Q9'"),
-], ids=["string", "boolean", "null", "unknown_id"])
+    ([("Q0", 1.0)], "Carleson weights must map node ids to weights, got list"),
+], ids=["string", "boolean", "null", "unknown_id", "not_a_mapping"])
 def test_carleson_from_mapping_rejects_what_is_not_a_weight(e1, mapping, match):
     with pytest.raises(ModelError, match=match):
         CarlesonSequence.from_mapping(e1, mapping)
