@@ -43,11 +43,17 @@ class VerificationError(RuntimeError):
         self.report = report
 
 
-def holder_conjugate(p: float) -> float:
-    """p' with 1/p + 1/p' = 1, for finite p > 1."""
+def _check_p(p) -> float:
+    """p as a float, which must be finite and > 1 (a NaN is neither)."""
     p = float(p)
     if not (1.0 < p < math.inf):
         raise ValueError(f"p must be finite > 1, got {p}")
+    return p
+
+
+def holder_conjugate(p: float) -> float:
+    """p' with 1/p + 1/p' = 1, for finite p > 1."""
+    p = _check_p(p)
     return p / (p - 1.0)
 
 
@@ -56,18 +62,19 @@ def theorem_constant(p: float) -> float:
 
     Tends to 1 as p grows; equals 3*sqrt(3) at p = 2.
     """
-    p = float(p)
-    if not (1.0 < p < math.inf):
-        raise ValueError(f"p must be finite > 1, got {p}")
+    p = _check_p(p)
     return ((1.0 + 1.0 / p) ** (p + 1.0) * p) ** (1.0 / p) * holder_conjugate(p)
 
 
 @functools.lru_cache(maxsize=64)
 def theorem_constant_hp(p, dps: int = 50) -> float:
-    """Independent high-precision evaluation of the same constant.
+    """Independent high-precision evaluation of the same constant, for finite
+    p > 1.
 
     Memoised per (p, dps): a sweep asks for the same few p again and again.
+    A p that is rejected stores nothing, since the cache keeps only results.
     """
+    _check_p(p)
     with mpmath.workdps(dps):
         mp = mpmath.mpf(p)
         pc = mp / (mp - 1)
@@ -104,7 +111,8 @@ class NormSearch:
     seeded with ``seed`` (so the first k do not depend on ``n_random``),
     probe beyond them, and ``ascent_rounds`` nonlinear power steps then climb
     from the best indicator, the constant function and the best random one.
-    Both budgets must be integers >= 0; 0 turns that part off.
+    Both budgets must be integers >= 0; 0 turns that part off.  ``seed``
+    must be a non-negative integer.
     """
 
     n_random: int = 200
@@ -116,6 +124,8 @@ class NormSearch:
             value = getattr(self, name)
             if not (isinstance(value, (int, np.integer)) and value >= 0):
                 raise ValueError(f"{name} must be an integer >= 0, got {value!r}")
+        if not (isinstance(self.seed, (int, np.integer)) and self.seed >= 0):
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
 
 
 def _check_rtol(rtol) -> float:

@@ -15,6 +15,7 @@ import copy
 import json
 import math
 import numbers
+from collections import deque
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
@@ -88,15 +89,16 @@ def _layout(ids, parent, roots, min_children):
     lengths and their concatenation: the nodes that are not roots, sorted by
     parent in one stable sort.
 
-    Three passes run level by level, so they cost O(depth) array operations:
-    one down the tree finds each level's nodes among the sorted ones, one up
-    it adds up the subtree sizes, and one down again places every node after
-    its parent and its elder siblings' subtrees.  A parent index of n or
-    more and a forest without a root are rejected first.  Then a node no
-    root reaches (a node on a cycle of parent links, or below one) and a node
-    with fewer than ``min_children`` children are faults; the first faulty
-    node in index order (document order) is named, with the first of those
-    two faults that it has.
+    Three passes run level by level, so they cost O(depth) array operations
+    over O(nodes) elements in all: one down the tree gathers each level's
+    nodes as the child lists of the level above, slices of the sorted ones;
+    one up it adds up the subtree sizes; and one down again places every
+    node after its parent and its elder siblings' subtrees.  A parent index
+    of n or more and a forest without a root are rejected first.  Then a
+    node no root reaches (a node on a cycle of parent links, or below one)
+    and a node with fewer than ``min_children`` children are faults; the
+    first faulty node in index order (document order) is named, with the
+    first of those two faults that it has.
     """
     n = len(ids)
     if np.maximum.reduce(parent) >= n:
@@ -107,22 +109,27 @@ def _layout(ids, parent, roots, min_children):
     flat = np.argsort(parent, kind="stable")[roots.size:]
     owner = parent[flat]  # the parent of flat[i], in ascending order
     counts = np.bincount(owner, minlength=n)
+    first = np.add.accumulate(counts) - counts  # each list's start in flat
 
     # down: depths, and per depth >= 1 the nodes with their parents and flat
-    # positions.  The nodes one level below depth d are the flat entries whose
-    # owner is at depth d; each node has one owner, so it is reached at most once
+    # positions.  The next level is the current level's child lists, slices
+    # of flat, in the current level's order (the later passes work node by
+    # node, so the order inside a level does not matter); each node has one
+    # owner, so it is reached at most once
     depth = np.full(n, -1, dtype=np.int64)
     depth[roots] = 0
-    levels, placed, d = [], roots.size, 0
+    levels, placed, nodes, d = [], roots.size, roots, 0
     while placed < n:
-        pick = (depth[owner] == d).nonzero()[0]
-        if not pick.size:
+        lengths = counts[nodes]
+        ends = np.add.accumulate(lengths)
+        if not ends[-1]:
             break
-        kids = flat[pick]
+        pick = (first[nodes] - ends + lengths).repeat(lengths) + np.arange(ends[-1])
+        nodes = flat[pick]
         d += 1
-        depth[kids] = d
-        levels.append((kids, owner[pick], pick))
-        placed += kids.size
+        depth[nodes] = d
+        levels.append((nodes, owner[pick], pick))
+        placed += nodes.size
     few = (counts > 0) & (counts < min_children) if min_children > 1 else False
     if placed != n or min_children > 1 and np.logical_or.reduce(few):
         k = int(np.argmax((depth < 0) | few))
@@ -138,7 +145,6 @@ def _layout(ids, parent, roots, min_children):
         np.add.at(size, parents, size[kids])
     sizes = size[flat]
     before = np.add.accumulate(sizes) - sizes
-    first = np.add.accumulate(counts) - counts  # each list's start in flat
     offset = before + 1 - before[first[owner]]
 
     # down again: DFS positions, roots one after another
@@ -464,15 +470,16 @@ def build_model(spec: Mapping, *, min_children: int = 2) -> DyadicModel:
 
     ``spec`` follows the instance file schema::
 
-        {"nodes": [{"id": ..., "parent": ... or None, "children": [...]}, ...],
+        {"nodes": [{"id": ..., "parent": ... or None}, ...],
          "mu": {leaf id: mass}, "nu": {leaf id: mass}}
 
     The parent links alone give the tree: the model is built from them, and
-    its children come in index order.  ``children`` entries are optional;
-    a present one must then list exactly the model's children of its node,
-    in that order, or the first record whose list disagrees is named.  Every
-    non-leaf must have at least ``min_children`` children (lower it to 1 to
-    allow chains).
+    its children come in index order.  A record may also carry a
+    ``children`` list, as files of earlier versions do; a present one must
+    then list exactly the model's children of its node, in that order, or
+    the first record whose list disagrees is named.  When no record has one,
+    that check is skipped.  Every non-leaf must have at least
+    ``min_children`` children (lower it to 1 to allow chains).
     """
     try:
         records, mu_map, nu_map = list(spec["nodes"]), spec["mu"], spec["nu"]
@@ -512,6 +519,8 @@ def build_model(spec: Mapping, *, min_children: int = 2) -> DyadicModel:
         raise ModelError(f"children of {ids[k]!r} must be a list of ids, got {got!r}")
 
     model = DyadicModel(ids, parents, mu_map, nu_map, min_children=min_children)
+    if kinds == {type(None)}:  # no record lists its children
+        return model
 
     # declared child lists must be the model's: compared all at once, as their
     # lengths and as one sequence of child indices, and node by node only to
@@ -747,8 +756,9 @@ def random_model(params: RandomModelParams, seed: int) -> DyadicModel:
     """Deterministic random forest for a given (params, seed) pair.
 
     Node k has id ``n{k}``.  The nodes are numbered breadth-first, root
-    after root, so the model's child lists, which come in index order, keep
-    the order in which the children were drawn.
+    after root, from a first-in first-out frontier, so the model's child
+    lists, which come in index order, keep the order in which the children
+    were drawn.
     """
     params.validate()
     rng = np.random.default_rng(seed)
@@ -756,10 +766,10 @@ def random_model(params: RandomModelParams, seed: int) -> DyadicModel:
     parents = []  # node k's parent index
     for _ in range(params.roots):
         target = int(rng.integers(params.depth_min, params.depth_max + 1))
-        frontier = [(len(parents), 0)]
+        frontier = deque([(len(parents), 0)])
         parents.append(-1)
         while frontier:
-            node, d = frontier.pop(0)
+            node, d = frontier.popleft()
             if d >= target:
                 continue
             if d >= 1 and params.leaf_prob > 0 and rng.random() < params.leaf_prob:
@@ -782,9 +792,14 @@ def random_model(params: RandomModelParams, seed: int) -> DyadicModel:
 
 
 def model_to_dict(model: DyadicModel) -> dict:
+    """The instance file schema of a model: one ``{"id", "parent"}`` record per
+    node (``parent`` None for a root), in index order, and the leaf masses.
+
+    The parent links are the whole tree, so no child lists are written;
+    :func:`build_model` still reads and checks them in older files.
+    """
     parents = [None if k < 0 else model.ids[k] for k in model.parent.tolist()]
-    nodes = [{"id": nid, "parent": parent, "children": [model.ids[c] for c in children]}
-             for nid, parent, children in zip(model.ids, parents, model.children)]
+    nodes = [{"id": nid, "parent": parent} for nid, parent in zip(model.ids, parents)]
     return {
         "nodes": nodes,
         "mu": dict(zip(model.leaf_ids, model.mu_leaf.tolist())),

@@ -273,6 +273,15 @@ def _check_q(q):
     return q
 
 
+def _check_n_start(model, n_start) -> int:
+    """A truncation depth must be an integer in [0, max_depth]: a float would
+    otherwise fail later as a slice or tuple index."""
+    if not (isinstance(n_start, (int, np.integer)) and 0 <= n_start <= model.max_depth):
+        raise ValueError(f"n_start must be an integer in [0, {model.max_depth}], "
+                         f"got {n_start!r}")
+    return int(n_start)
+
+
 def node_integrals(model: DyadicModel, F: np.ndarray, measure: str = MU) -> np.ndarray:
     """Integrals over every cube of a leaf function, or of a batch of them.
 
@@ -420,12 +429,9 @@ def apply_depth_truncated(model: DyadicModel, a: CoefficientFamily, f, q,
     """
     q = _check_q(q)
     f = as_leaf_function(model, f)
-    if not (0 <= n_start <= model.max_depth):
-        raise ValueError(
-            f"n_start must be in [0, {model.max_depth}], got {n_start}"
-        )
+    n_start = _check_n_start(model, n_start)
     vals = _apply_levels(model, a, f, q, n_start)
-    return MaximalOutput(values=vals, q=q, truncation=("depth", int(n_start)))
+    return MaximalOutput(values=vals, q=q, truncation=("depth", n_start))
 
 
 def classical_coefficients(model: DyadicModel, omega_leaf, alpha: float) -> CoefficientFamily:

@@ -21,9 +21,10 @@ import numpy as np
 
 from .lattice import (MU, DyadicModel, Exponents, ModelError, _is_number, _lp_rows,
                       _lq_groups, _lq_rows, as_leaf_function)
-from .maximal import CoefficientFamily, _apply_by_label, _level_terms, node_integrals
-from .constants import (VerificationError, _check_rtol, holder_conjugate, testing_constant,
-                        theorem_constant)
+from .maximal import (CoefficientFamily, _apply_by_label, _check_n_start, _level_terms,
+                      node_integrals)
+from .constants import (VerificationError, _check_p, _check_rtol, holder_conjugate,
+                        testing_constant, theorem_constant)
 
 __all__ = [
     "StoppingDecomposition",
@@ -45,8 +46,10 @@ __all__ = [
 
 
 def default_r(p: float) -> float:
-    """The stopping ratio minimizing the final constant: (p + 1) / p."""
-    return (float(p) + 1.0) / float(p)
+    """The stopping ratio minimizing the final constant: (p + 1) / p, for
+    finite p > 1."""
+    p = _check_p(p)
+    return (p + 1.0) / p
 
 
 def _check_r(r):
@@ -165,8 +168,7 @@ def build_decomposition(model: DyadicModel, f, r, *, n_start: int = 0) -> Stoppi
     """
     r = _check_r(r)
     f = as_leaf_function(model, f, nonneg=True)
-    if not (0 <= n_start <= model.max_depth):
-        raise ValueError(f"n_start must be in [0, {model.max_depth}], got {n_start}")
+    n_start = _check_n_start(model, n_start)
 
     averages = _node_averages(model, f)
     owner = np.full(model.n_nodes, -1, dtype=np.int64)
@@ -181,7 +183,7 @@ def build_decomposition(model: DyadicModel, f, r, *, n_start: int = 0) -> Stoppi
         stopping_parent[nodes[stops]] = o[stops]
 
     return StoppingDecomposition(
-        model=model, f=f, r=r, n_start=int(n_start), averages=averages,
+        model=model, f=f, r=r, n_start=n_start, averages=averages,
         owner_index=owner, stopping_parent=stopping_parent,
     )
 
@@ -442,6 +444,7 @@ def proof_trace(model: DyadicModel, a: CoefficientFamily, f, p, q, r=None,
     p = exps.p
     rtol = _check_rtol(rtol)
     f = as_leaf_function(model, f, nonneg=True)
+    n_start = _check_n_start(model, n_start)
     r = default_r(p) if r is None else _check_r(r)
     if decomp is None:
         decomp = build_decomposition(model, f, r, n_start=n_start)

@@ -40,10 +40,10 @@ def test_generate_depth_one_shape(tmp_path):
     paths, _ = gen(tmp_path, trials=4, depth_min=1, depth_max=1)
     for path in paths:
         data = json.loads(path.read_text())
-        roots = [n for n in data["nodes"] if n["parent"] is None]
+        roots = {n["id"] for n in data["nodes"] if n["parent"] is None}
         for node in data["nodes"]:
-            if node["children"]:
-                assert node["id"] in {r["id"] for r in roots}
+            if node["parent"] is not None:
+                assert node["parent"] in roots
 
 
 def test_generate_zero_trials_config_error(tmp_path):

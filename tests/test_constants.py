@@ -261,6 +261,13 @@ def test_norm_search_rejects_a_bad_budget(budget):
         NormSearch(**budget)
 
 
+@pytest.mark.parametrize("seed", [1.5, -1, None, "3", np.float64(2.0)])
+def test_norm_search_rejects_a_bad_seed(seed):
+    # a float used to fail only inside the search, and -1 with numpy's message
+    with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+        NormSearch(seed=seed)
+
+
 def test_verify_theorem_raises_bad_search_input(e1):
     # only mu = 0 makes the estimate 0; any other ValueError of the search is
     # bad input, not a sandwich violation with A_lower = 0
@@ -557,6 +564,13 @@ def test_theorem_constant_hp_is_memoised():
     assert theorem_constant_hp.cache_info().hits == 1
     assert theorem_constant_hp(2.5, dps=60) == pytest.approx(first, rel=1e-15)
     assert theorem_constant_hp.cache_info().misses == 2
+
+
+@pytest.mark.parametrize("p", [math.inf, math.nan, 1.0, 0.5, -2.0])
+def test_theorem_constant_hp_rejects_p_outside_the_range(p):
+    # inf used to give NaN and 1 a ZeroDivisionError
+    with pytest.raises(ValueError, match="p must be finite > 1"):
+        theorem_constant_hp(p)
 
 
 def test_power_step_matches_the_earlier_tables_bit_for_bit():

@@ -12,6 +12,7 @@ from dyadicmax import (DyadicModel, Exponents, ModelError, RandomModelParams, av
 from dyadicmax.cli import SweepConfig, cmd_generate
 from dyadicmax.lattice import _lq_groups, _lq_rows, _running_lq, model_to_dict
 from dyadicmax.maximal import node_integrals
+from dyadicmax.sawyer import random_instance
 
 from _reference import (ref_ancestors, ref_families, ref_integrate, ref_layout,
                         ref_lp_norm, ref_running_lq, ref_subtree_sums, ref_walk)
@@ -354,17 +355,29 @@ def test_file_roundtrip_awkward_floats(tmp_path):
     assert np.array_equal(again.mu_leaf, model.mu_leaf)
 
 
-def test_model_dict_lists_children():
-    model = build_model({
-        "nodes": [
-            {"id": "R", "parent": None},
-            {"id": "a", "parent": "R"}, {"id": "b", "parent": "R"},
-        ],
-        "mu": {"a": 1, "b": 1},
-        "nu": {"a": 1, "b": 1},
-    })
-    data = model_to_dict(model)
-    assert data["nodes"][0]["children"] == ["a", "b"]
+def _with_child_lists(spec):
+    """``spec`` in the format of earlier versions: every record also lists its
+    children, taken from the parent links in document order."""
+    lists = {rec["id"]: [] for rec in spec["nodes"]}
+    for rec in spec["nodes"]:
+        if rec["parent"] is not None:
+            lists[rec["parent"]].append(rec["id"])
+    return {**spec, "nodes": [{**rec, "children": lists[rec["id"]]} for rec in spec["nodes"]]}
+
+
+def test_model_dict_writes_parent_links_only():
+    # the parent links are the whole tree: the records carry nothing else, and
+    # they build the same model, with the same children, as a file of an
+    # earlier version that also lists every node's children
+    models = [DyadicModel(*_random_forest(seed, n, root_prob, 0.5))
+              for seed, (n, root_prob) in enumerate([(1, 0.0), (40, 0.0), (60, 0.2), (30, 1.0)])]
+    models += [caterpillar(300)] + [random_instance(seed).model for seed in range(5)]
+    for model in models:
+        spec = model_to_dict(model)
+        assert all(rec.keys() == {"id", "parent"} for rec in spec["nodes"])
+        for data in (spec, _with_child_lists(spec)):
+            again = build_model(data, min_children=1)
+            assert again == model and again.children == model.children
 
 
 def test_masses_keyed_by_id_not_document_order():
@@ -561,8 +574,9 @@ def test_layout_equals_the_walk_on_the_caterpillar_and_random_models():
     models += [random_model(RandomModelParams(depth_max=1 + s % 5, branch_min=1 + s % 2,
                                               roots=1 + s % 3, leaf_prob=0.25), s)
                for s in range(20)]
-    for model in models:
-        shape = (model.ids, model.parent, model.mu_leaf, model.nu_leaf)
+    shapes = [(model.ids, model.parent, model.mu_leaf, model.nu_leaf) for model in models]
+    shapes.append(_random_forest(3, 2000, 0.01, 1.0))  # a forest of chains, shuffled
+    for shape in shapes:
         _assert_same_model(DyadicModel(*shape), ref_walk(*shape))
 
 
@@ -629,11 +643,9 @@ def test_generated_files_build_the_walks_models(tmp_path):
         position = {nid: k for k, nid in enumerate(ids)}
         parents = [-1 if rec["parent"] is None else position[rec["parent"]]
                    for rec in spec["nodes"]]
+        assert not any("children" in rec for rec in spec["nodes"])
         model = read_model(path)
         _assert_same_model(model, ref_walk(ids, parents, spec["mu"], spec["nu"]))
-        # the derived child lists are the ones the file declares
-        assert model.children == tuple(tuple(map(position.__getitem__, rec["children"]))
-                                       for rec in spec["nodes"])
 
 
 @pytest.mark.parametrize("mu, match", [

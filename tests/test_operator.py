@@ -98,6 +98,13 @@ def test_depth_truncated_examples(e1, ones):
         apply_depth_truncated(e1, ones, [1, 1], INF, 2)
 
 
+@pytest.mark.parametrize("n_start", [1.5, -1, 2, np.float64(1.0), "1", None])
+def test_apply_depth_truncated_rejects_a_bad_n_start(e1, ones, n_start):
+    # e1 has depth 1; a float used to fail later as a slice index
+    with pytest.raises(ValueError, match=r"n_start must be an integer in \[0, 1\]"):
+        apply_depth_truncated(e1, ones, [1, 1], INF, n_start)
+
+
 def test_depth_truncation_monotone(e1, ones):
     prev = apply_depth_truncated(e1, ones, [1, 1], 2, 0).values
     for n in range(1, e1.max_depth + 1):

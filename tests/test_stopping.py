@@ -432,3 +432,23 @@ def test_proof_trace_random_sweep_default_r():
             assert trace.ok
             assert trace.optimal_bound is not None
             assert trace.final_bound == pytest.approx(trace.optimal_bound, rel=1e-12)
+
+
+@pytest.mark.parametrize("n_start", [1.5, -1, 2, np.float64(1.0), "1", None])
+def test_build_decomposition_rejects_a_bad_n_start(e1, n_start):
+    # e1 has depth 1; a float used to fail later as a tuple index
+    with pytest.raises(ValueError, match=r"n_start must be an integer in \[0, 1\]"):
+        build_decomposition(e1, [4, 0], 1.5, n_start=n_start)
+
+
+@pytest.mark.parametrize("n_start", [1.5, -1, 2, np.float64(1.0), "1", None])
+def test_proof_trace_rejects_a_bad_n_start(e1, n_start):
+    a = CoefficientFamily.constant(e1)
+    with pytest.raises(ValueError, match=r"n_start must be an integer in \[0, 1\]"):
+        proof_trace(e1, a, [4, 0], 2.0, INF, n_start=n_start)
+
+
+@pytest.mark.parametrize("p", [math.inf, math.nan, 1.0, 0.5, -2.0])
+def test_default_r_rejects_p_outside_the_range(p):
+    with pytest.raises(ValueError, match="p must be finite > 1"):
+        default_r(p)
