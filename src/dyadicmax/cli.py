@@ -14,7 +14,6 @@ import hashlib
 import json
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -275,30 +274,46 @@ def _verify_one(name: str, instance, config: SweepConfig):
 
 
 def cmd_verify(config: SweepConfig, instance_paths):
-    """Run every configured check; returns (exit code, records)."""
+    """Run every configured check; returns (exit code, records).
+
+    ``report.jsonl`` is opened for appending before any instance is loaded,
+    so an unwritable ``out`` exits 2 before any work.  A file that fails to
+    load also exits 2, and removes the report again if it is still empty.
+    """
     config.validate()
     # companion coefficient files ride along with shell globs; skip them
     paths = sorted(str(p) for p in instance_paths
                    if not str(p).endswith(".coeffs.json"))
+    out = Path(config.out)
+    report_path = out / "report.jsonl"
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        fh = report_path.open("a")
+    except OSError as exc:
+        print(f"error: cannot write report {report_path}: {exc}", file=sys.stderr)
+        return 2, []
     try:
         instances = [_load_instance(Path(p)) for p in paths]
     except (ModelError, json.JSONDecodeError, OSError, KeyError, TypeError, ValueError) as exc:
+        empty = fh.tell() == 0
+        fh.close()
+        if empty:  # a sweep that never ran leaves no report behind
+            report_path.unlink()
         print(f"error: cannot load instance: {exc}", file=sys.stderr)
         return 2, []
 
-    jobs = ([Path(p).stem for p in paths], instances, [config] * len(paths))
-    workers = min(config.workers, len(paths))  # a process per file at most
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            per_instance = list(pool.map(_verify_one, *jobs))
-    else:
-        per_instance = list(map(_verify_one, *jobs))
+    with fh:
+        jobs = ([Path(p).stem for p in paths], instances, [config] * len(paths))
+        workers = min(config.workers, len(paths))  # a process per file at most
+        if workers > 1:
+            # imported here: the serial path never loads multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                per_instance = list(pool.map(_verify_one, *jobs))
+        else:
+            per_instance = list(map(_verify_one, *jobs))
 
-    records = [rec for batch in per_instance for rec in batch]
-    out = Path(config.out)
-    out.mkdir(parents=True, exist_ok=True)
-    report_path = out / "report.jsonl"
-    with report_path.open("a") as fh:
+        records = [rec for batch in per_instance for rec in batch]
         for rec in records:
             fh.write(json.dumps(rec, sort_keys=True) + "\n")
 
@@ -438,7 +453,10 @@ def main(argv=None):
             parser.error(str(exc))
         return 0
     if args.command == "verify":
-        r = args.r if args.r == "auto" else float(args.r)
+        try:
+            r = args.r if args.r == "auto" else float(args.r)
+        except ValueError:
+            parser.error(f"r must be 'auto' or finite and > 1, got {args.r!r}")
         config = SweepConfig(seed=args.seed, p_values=args.p, q_tokens=args.q,
                              r=r, tol=args.tol, out=args.out,
                              workers=args.workers,
@@ -455,7 +473,7 @@ def main(argv=None):
     if args.command == "report":
         try:
             cmd_report(args.report, args.csv)
-        except (FileNotFoundError, ValueError) as exc:
+        except (OSError, ValueError) as exc:  # a directory, an unwritable --csv
             print(f"error: {exc}", file=sys.stderr)
             return 2
         return 0

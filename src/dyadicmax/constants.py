@@ -9,12 +9,12 @@ upper bound C(p) * B, and checks B <= A_lower <= C(p) * B.
 
 from __future__ import annotations
 
+import decimal
 import functools
 import math
 from dataclasses import dataclass, field
 from typing import Optional
 
-import mpmath
 import numpy as np
 
 from .lattice import DyadicModel, Exponents, _lp_rows, _lq_rows, indicator
@@ -69,16 +69,22 @@ def theorem_constant(p: float) -> float:
 @functools.lru_cache(maxsize=64)
 def theorem_constant_hp(p, dps: int = 50) -> float:
     """Independent high-precision evaluation of the same constant, for finite
-    p > 1.
+    p > 1, in a ``decimal`` context of ``dps`` significant digits.
 
     Memoised per (p, dps): a sweep asks for the same few p again and again.
     A p that is rejected stores nothing, since the cache keeps only results.
     """
-    _check_p(p)
-    with mpmath.workdps(dps):
-        mp = mpmath.mpf(p)
+    with _decimal_context(dps):
+        mp = decimal.Decimal(_check_p(p))  # exact: every float is a decimal
         pc = mp / (mp - 1)
         return float(((1 + 1 / mp) ** (mp + 1) * mp) ** (1 / mp) * pc)
+
+
+def _decimal_context(dps: int):
+    """A fresh ``decimal`` context of ``dps`` digits, rounding half even,
+    whatever the caller's own context is."""
+    return decimal.localcontext(decimal.Context(prec=dps,
+                                                rounding=decimal.ROUND_HALF_EVEN))
 
 
 def testing_constant(model: DyadicModel, a: CoefficientFamily, p, q, *, _S=None):
@@ -290,28 +296,31 @@ def _sphere_grid(k, resolution):
 
 
 def _reference_ratio_hp(model, a, f, p, q, dps):
-    """Arbitrary-precision ratio at a single point (tiny models only)."""
-    with mpmath.workdps(dps):
-        fv = [mpmath.mpf(x) for x in f]
-        mu = [mpmath.mpf(x) for x in model.mu_leaf]
-        nu = [mpmath.mpf(x) for x in model.nu_leaf]
+    """Ratio at a single point in ``dps``-digit decimal (tiny models only)."""
+    D = decimal.Decimal
+    with _decimal_context(dps):
+        fv = [D(float(x)) for x in f]
+        mu = [D(float(x)) for x in model.mu_leaf]
+        nu = [D(float(x)) for x in model.nu_leaf]
+        dp = D(float(p))
+        dq = None if q == math.inf else D(float(q))
         ints = {}
         for k in range(model.n_nodes):
             lo, hi = int(model.leaf_lo[k]), int(model.leaf_hi[k])
-            ints[k] = mpmath.fsum(fv[j] * mu[j] for j in range(lo, hi))
+            ints[k] = sum(fv[j] * mu[j] for j in range(lo, hi))
         out = []
         for j, leaf_node in enumerate(model.leaf_nodes):
             terms = []
             for k in model.ancestors_or_self(int(leaf_node)):
                 entry = a.entry(k)
                 aval = entry if np.ndim(entry) == 0 else entry[j - model.leaf_lo[k]]
-                terms.append(abs(ints[k]) * mpmath.mpf(float(aval)))
+                terms.append(abs(ints[k]) * D(float(aval)))
             if q == math.inf:
                 out.append(max(terms))
             else:
-                out.append(mpmath.fsum(t ** q for t in terms) ** (1 / mpmath.mpf(q)))
-        num = mpmath.fsum(v ** p * w for v, w in zip(out, nu)) ** (1 / mpmath.mpf(p))
-        den = mpmath.fsum(abs(v) ** p * w for v, w in zip(fv, mu)) ** (1 / mpmath.mpf(p))
+                out.append(sum(t ** dq for t in terms) ** (1 / dq))
+        num = sum(v ** dp * w for v, w in zip(out, nu)) ** (1 / dp)
+        den = sum(abs(v) ** dp * w for v, w in zip(fv, mu)) ** (1 / dp)
         return float(num / den) if den > 0 else 0.0
 
 
@@ -322,8 +331,8 @@ def operator_norm_bruteforce(model: DyadicModel, a: CoefficientFamily, p, q,
 
     Scans a grid over every nonnegative direction, refines the best point by
     deterministic coordinate ascent, and (optionally) re-evaluates the
-    refined maximizer in arbitrary precision.  Nondecreasing in resolution
-    up to ascent rounding.
+    refined maximizer in ``precision_dps``-digit decimal arithmetic.
+    Nondecreasing in resolution up to ascent rounding.
     """
     Exponents(p, q).require_ordered()
     k = model.n_leaves

@@ -5,12 +5,15 @@ sums, deliberately sharing no code path with the vectorized library.  The
 exceptions pin the library's arithmetic bit for bit against earlier forms of
 it: ``ref_walk``, the model constructor's depth-first walk as it was before
 the array layout; ``ref_verify_reduction``, the reduction check on public
-calls with one model copy per measure; and, at the end, the forward path and
-the testing constant's suffixes as they were before the one-pass kernel.
+calls with one model copy per measure; the forward path and the testing
+constant's suffixes as they were before the one-pass kernel; and, at the end,
+the library's two high-precision evaluations as they were in mpmath before
+they moved to the standard library's ``decimal``.
 """
 
 import math
 
+import mpmath
 import numpy as np
 
 
@@ -366,3 +369,34 @@ def ref_power_step_tables(model, a, F, p, q):
     G = g[:, anc].sum(axis=1)
     peak = G.max(axis=1, keepdims=True)
     return (G / np.where(peak > 0, peak, 1.0)) ** (1.0 / (p - 1.0)), Mf
+
+
+def ref_theorem_constant_mp(p, dps=50):
+    """((1 + 1/p)^(p+1) p)^(1/p) p' in mpmath at ``dps`` digits."""
+    with mpmath.workdps(dps):
+        mp = mpmath.mpf(p)
+        pc = mp / (mp - 1)
+        return float(((1 + 1 / mp) ** (mp + 1) * mp) ** (1 / mp) * pc)
+
+
+def ref_ratio_mp(model, a, f, p, q, dps):
+    """|M f|_p,nu / |f|_p,mu at one point in mpmath at ``dps`` digits."""
+    with mpmath.workdps(dps):
+        fv = [mpmath.mpf(x) for x in f]
+        mu = [mpmath.mpf(x) for x in model.mu_leaf]
+        nu = [mpmath.mpf(x) for x in model.nu_leaf]
+        ints = {}
+        for k in range(model.n_nodes):
+            lo, hi = int(model.leaf_lo[k]), int(model.leaf_hi[k])
+            ints[k] = mpmath.fsum(fv[j] * mu[j] for j in range(lo, hi))
+        out = []
+        for j, leaf_node in enumerate(model.leaf_nodes):
+            terms = [abs(ints[k]) * mpmath.mpf(_coefficient_at(a, k, j, model))
+                     for k in model.ancestors_or_self(int(leaf_node))]
+            if q == math.inf:
+                out.append(max(terms))
+            else:
+                out.append(mpmath.fsum(t ** q for t in terms) ** (1 / mpmath.mpf(q)))
+        num = mpmath.fsum(v ** p * w for v, w in zip(out, nu)) ** (1 / mpmath.mpf(p))
+        den = mpmath.fsum(abs(v) ** p * w for v, w in zip(fv, mu)) ** (1 / mpmath.mpf(p))
+        return float(num / den) if den > 0 else 0.0

@@ -283,8 +283,9 @@ def test_verify_parallel_workers_same_bytes(tmp_path):
 @pytest.mark.parametrize("workers, files, pool", [(5000, 2, [2]), (2, 3, [2]), (3, 1, [])])
 def test_verify_starts_at_most_one_process_per_file(tmp_path, monkeypatch, workers, files,
                                                     pool):
-    # a fake pool records its size and maps in this process: no process starts
-    import dyadicmax.cli as cli_mod
+    # a fake pool records its size and maps in this process: no process starts.
+    # cmd_verify imports the pool class only when it starts a pool
+    import concurrent.futures
     sizes = []
 
     class RecordingPool:
@@ -300,7 +301,7 @@ def test_verify_starts_at_most_one_process_per_file(tmp_path, monkeypatch, worke
         def map(self, fn, *iterables):
             return map(fn, *iterables)
 
-    monkeypatch.setattr(cli_mod, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     paths, _ = gen(tmp_path, trials=files)
     config = SweepConfig(seed=7, p_values=(2.0,), q_tokens=("inf",),
                          out=str(tmp_path / "run"), workers=workers)
@@ -352,6 +353,57 @@ def test_verify_bad_option_exits_2(tmp_path, capsys, flag, value, message):
     assert exc.value.code == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "run").exists()
+
+
+def test_verify_non_numeric_r_exits_2(tmp_path, capsys):
+    # float(args.r) ran outside main's try: a traceback and exit 1
+    paths, _ = gen(tmp_path, trials=1, seed=0)
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--r", "abc", "--out", str(tmp_path / "run"), str(paths[0])])
+    assert exc.value.code == 2
+    assert "r must be 'auto' or finite and > 1, got 'abc'" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("under", ["file", "file/run"])
+def test_verify_out_under_a_file_exits_2_before_loading(tmp_path, capsys, monkeypatch,
+                                                        under):
+    # the sweep used to run in full, then fail writing report.jsonl
+    import dyadicmax.cli as cli_mod
+    paths, _ = gen(tmp_path, trials=1, seed=0)
+    (tmp_path / "file").write_text("")
+    loads, original = [], cli_mod._load_instance
+    monkeypatch.setattr(cli_mod, "_load_instance",
+                        lambda path: loads.append(path) or original(path))
+    out = tmp_path / under
+    assert main(["verify", "--out", str(out), str(paths[0])]) == 2
+    assert f"error: cannot write report {out / 'report.jsonl'}: " in capsys.readouterr().err
+    assert loads == []
+
+
+def test_verify_load_error_keeps_an_earlier_report(tmp_path, capsys):
+    paths, _ = gen(tmp_path, trials=1, seed=0)
+    run = tmp_path / "run"
+    config = SweepConfig(seed=0, p_values=(2.0,), out=str(run))
+    assert cmd_verify(config, paths)[0] == 0
+    before = (run / "report.jsonl").read_bytes()
+    bad = tmp_path / "bad.json"
+    bad.write_text("{ not json")
+    assert cmd_verify(config, [bad])[0] == 2
+    assert (run / "report.jsonl").read_bytes() == before
+
+
+@pytest.mark.parametrize("target", ["report", "csv"])
+def test_report_os_errors_exit_2(tmp_path, capsys, target):
+    # a directory as the report or as the CSV raised IsADirectoryError, exit 1
+    paths, _ = gen(tmp_path, trials=1, seed=0)
+    run = tmp_path / "run"
+    cmd_verify(SweepConfig(seed=0, p_values=(2.0,), out=str(run)), paths)
+    argv = (["report", str(run)] if target == "report"
+            else ["report", str(run / "report.jsonl"), "--csv", str(run)])
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 def test_verify_theorem_nan_rtol_on_a_generated_instance(tmp_path):

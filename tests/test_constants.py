@@ -1,7 +1,6 @@
 import math
 import tracemalloc
 
-import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,10 +12,11 @@ from dyadicmax import (CoefficientFamily, NormSearch, RandomModelParams,
                        operator_norm_lower, proof_trace, random_model, stopping_weights,
                        testing_constant, theorem_constant, theorem_constant_hp,
                        verify_theorem)
-from dyadicmax.constants import _power_step, _step_index
+from dyadicmax.constants import _power_step, _reference_ratio_hp, _step_index
 from dyadicmax.maximal import _apply_levels, _indicator_ratios, _suffix_table, node_integrals
 
-from _reference import ref_power_step, ref_power_step_tables, ref_testing_constant
+from _reference import (ref_power_step, ref_power_step_tables, ref_ratio_mp,
+                        ref_testing_constant, ref_theorem_constant_mp)
 from conftest import INF, make_instance, random_nonneg
 
 # frozen from a 50-digit evaluation of ((1+1/p)^(p+1) p)^(1/p) p'
@@ -52,6 +52,15 @@ def test_theorem_constant_values():
 def test_theorem_constant_against_high_precision():
     for p in (1.2, 1.5, 2.0, 3.0, 7.0, 100.0):
         assert theorem_constant(p) == pytest.approx(theorem_constant_hp(p), rel=1e-12)
+
+
+def test_theorem_constant_hp_equals_mpmath_bit_for_bit():
+    # p - 1 from 1e-12 to 1e7 - 1 on a log scale, the CLI's sweep values, the
+    # smallest p above 1 and the top of the range; cp_value records carry the result
+    ps = list(1.0 + np.geomspace(1e-12, 1e7 - 1.0, 960))
+    ps += [1.01, 1.2, 1.5, 2.0, 3.0, 7.5, 600.0, 1000.0, np.nextafter(1.0, 2.0), 1e7]
+    differ = [p for p in ps if theorem_constant_hp(p) != ref_theorem_constant_mp(p)]
+    assert len(ps) >= 900 and differ == []
 
 
 def test_testing_constant_e1(e1):
@@ -201,6 +210,25 @@ def test_bruteforce_high_precision_refinement(e1):
     refined = operator_norm_bruteforce(e1, a, 2, INF, 50, precision_dps=40)
     assert refined >= plain - 1e-15
     assert refined == pytest.approx(2.0, rel=1e-9)
+
+
+@pytest.mark.parametrize("p, q", [(1.5, 1.5), (1.5, 4.0), (2.0, INF), (3.0, 7.0), (600.0, INF)])
+def test_reference_ratio_hp_matches_mpmath(e1, deep_model, p, q):
+    models = [(e1, CoefficientFamily.constant(e1)),
+              (deep_model, CoefficientFamily.constant(deep_model))]
+    seed = 0
+    while len(models) < 8:  # tiny random models with scalar and vector entries
+        seed += 1
+        model, a = make_instance(seed, depth_max=2, branch_max=3)
+        if model.n_leaves <= 4 and np.any(model.mu_leaf > 0):
+            models.append((model, a))
+    for i, (model, a) in enumerate(models):
+        for dist in ("exponential", "pareto"):
+            f = random_nonneg(model, i, dist)
+            for dps in (30, 50):
+                got = _reference_ratio_hp(model, a, f, p, q, dps)
+                assert got == pytest.approx(ref_ratio_mp(model, a, f, p, q, dps),
+                                            rel=1e-15, abs=0), (i, dist, dps)
 
 
 def test_verify_theorem_e1(e1):
