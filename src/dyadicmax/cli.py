@@ -60,6 +60,9 @@ class SweepConfig:
     def validate(self):
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
+        for values, name in ((self.p_values, "p"), (self.q_tokens, "q")):
+            if not values:  # no combination would run: a vacuous pass
+                raise ValueError(f"need at least one {name} value")
         for p in self.p_values:
             if not 1.0 < p < math.inf:
                 raise ValueError(f"p must be finite and > 1, got {p}")
@@ -276,14 +279,20 @@ def _verify_one(name: str, instance, config: SweepConfig):
 def cmd_verify(config: SweepConfig, instance_paths):
     """Run every configured check; returns (exit code, records).
 
-    ``report.jsonl`` is opened for appending before any instance is loaded,
-    so an unwritable ``out`` exits 2 before any work.  A file that fails to
-    load also exits 2, and removes the report again if it is still empty.
+    No instance file left after skipping the coefficient files exits 2
+    before anything is written.  ``report.jsonl`` is opened for appending
+    before any instance is loaded, so an unwritable ``out`` exits 2 before
+    any work.  A file that fails to load also exits 2, and removes the report
+    again if it is still empty.
     """
     config.validate()
     # companion coefficient files ride along with shell globs; skip them
     paths = sorted(str(p) for p in instance_paths
                    if not str(p).endswith(".coeffs.json"))
+    if not paths:  # 0/0 checks would pass vacuously
+        print("error: no instance files to verify (coefficient files are skipped)",
+              file=sys.stderr)
+        return 2, []
     out = Path(config.out)
     report_path = out / "report.jsonl"
     try:

@@ -143,11 +143,29 @@ def _check_rtol(rtol) -> float:
     return rtol
 
 
+# bytes of (depth + 1) x atoms float tables that one block of _ratios' rows may fill
+_BLOCK_BYTES = 512 * 1024
+
+
+def _row_blocks(F, row_bytes):
+    """F's rows in consecutive blocks, for level tables of ``row_bytes`` a row.
+    A block holds rows = max(2, _BLOCK_BYTES // row_bytes) or more (all of F
+    if F has fewer) and fewer than 2 * rows.  So no row is alone unless F has
+    one: numpy gathers a lone row atom-innermost, and its sums along the
+    levels would round differently from the same row's in a batch."""
+    rows = max(2, _BLOCK_BYTES // row_bytes)
+    return np.array_split(F, max(1, len(F) // rows))
+
+
 def _ratios(model, a, F, p, q, images=None):
     """|Mf|_p,nu / |f|_p,mu for every row f of F (-1 where |f|_p,mu = 0), and the
-    mu-norms.  ``images``, the operator on the rows of F, is computed if not given."""
+    mu-norms.  ``images``, the operator on the rows of F, is computed if not
+    given, block by block (``_row_blocks``), so no level table of the whole
+    batch is ever held: each row's ratio is the same as in one pass."""
     if images is None:
-        images = _apply_levels(model, a, F, q)
+        parts = [_ratios(model, a, block, p, q, _apply_levels(model, a, block, q))
+                 for block in _row_blocks(F, 8 * model._ancestors.size)]
+        return tuple(np.concatenate(column) for column in zip(*parts))
     out_norm = _lp_rows(images, model.nu_leaf, p)
     in_norm = _lp_rows(F, model.mu_leaf, p)
     ratios = np.where(in_norm > 0, out_norm / np.where(in_norm > 0, in_norm, 1.0), -1.0)

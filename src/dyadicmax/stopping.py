@@ -260,9 +260,9 @@ def verify_packing(model: DyadicModel, decomp: StoppingDecomposition) -> Packing
 
     pos = np.flatnonzero(model.mu_node > 0)
     rk = subtotal[pos] / model.mu_node[pos]
-    # the first maximum above 0; a NaN ratio never wins
-    above = np.where(rk > 0, rk, 0.0)
-    i = int(np.argmax(above)) if np.any(above > 0) else -1
+    # the first maximum above 0; a NaN ratio stays and wins, so the check fails
+    above = np.where(rk <= 0, 0.0, rk)
+    i = int(np.argmax(above)) if np.any(above != 0) else -1
     worst, worst_node = (float(above[i]), model.ids[pos[i]]) if i >= 0 else (0.0, None)
 
     # one-generation condition: each stopping parent's children pack below mu(Q)/r

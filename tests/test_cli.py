@@ -355,6 +355,44 @@ def test_verify_bad_option_exits_2(tmp_path, capsys, flag, value, message):
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--p", ""], "need at least one p value"),
+    (["--q", ","], "need at least one q value"),
+], ids=["no_p", "no_q"])
+def test_verify_without_a_combination_exits_2(tmp_path, capsys, argv, message):
+    # an empty list ran no combination and passed: 0/0 checks, exit 0
+    paths, _ = gen(tmp_path, trials=1, seed=0)
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", *argv, "--out", str(tmp_path / "run"), str(paths[0])])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+def test_verify_without_an_instance_exits_2(tmp_path, capsys):
+    # a coefficient file alone is skipped, and the empty sweep passed 0/0 checks
+    paths, _ = gen(tmp_path, trials=1, seed=0)
+    coeffs = paths[0].with_name(paths[0].stem + ".coeffs.json")
+    run = tmp_path / "run"
+    assert main(["verify", "--out", str(run), str(coeffs)]) == 2
+    assert "no instance files to verify" in capsys.readouterr().err
+    assert not run.exists()
+    assert cmd_verify(SweepConfig(out=str(run)), []) == (2, [])
+    assert not run.exists()
+
+
+def test_verify_rejects_masses_whose_sum_overflows(tmp_path, capsys):
+    # both atoms are finite, their cube's sum is not: verify_packing passed it
+    # and stopping_weights died with a traceback, exit 1, an empty report
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(_small_instance(mu={"L1": 1e308, "L2": 1e308})))
+    run = tmp_path / "run"
+    assert main(["verify", str(bad), "--search-random", "2", "--search-ascent", "1",
+                 "--out", str(run)]) == 2
+    assert "mu mass of cube 'Q0' is not a finite number" in capsys.readouterr().err
+    assert not (run / "report.jsonl").exists()
+
+
 def test_verify_non_numeric_r_exits_2(tmp_path, capsys):
     # float(args.r) ran outside main's try: a traceback and exit 1
     paths, _ = gen(tmp_path, trials=1, seed=0)

@@ -12,12 +12,15 @@ from dyadicmax import (CoefficientFamily, NormSearch, RandomModelParams,
                        operator_norm_lower, proof_trace, random_model, stopping_weights,
                        testing_constant, theorem_constant, theorem_constant_hp,
                        verify_theorem)
-from dyadicmax.constants import _power_step, _reference_ratio_hp, _step_index
+from dyadicmax import constants
+from dyadicmax.cli import SweepConfig, _load_instance, cmd_generate
+from dyadicmax.constants import (_power_step, _ratios, _reference_ratio_hp, _row_blocks,
+                                 _step_index)
 from dyadicmax.maximal import _apply_levels, _indicator_ratios, _suffix_table, node_integrals
 
 from _reference import (ref_power_step, ref_power_step_tables, ref_ratio_mp,
                         ref_testing_constant, ref_theorem_constant_mp)
-from conftest import INF, make_instance, random_nonneg
+from conftest import INF, caterpillar, make_instance, random_nonneg
 
 # frozen from a 50-digit evaluation of ((1+1/p)^(p+1) p)^(1/p) p'
 C_AT_1_5 = 9.2100787466009665
@@ -570,6 +573,69 @@ def test_norm_lower_holds_no_dense_indicator_batch():
     finally:
         tracemalloc.stop()
     assert peak < model.n_nodes * model.n_leaves * 8, peak / 2 ** 20
+
+
+@pytest.fixture(scope="module")
+def block_instances(tmp_path_factory):
+    """The acceptance sweep's 48 trees, a complete ternary tree of 1093 nodes
+    and a caterpillar 200 cubes deep, each with a coefficient family."""
+    out = tmp_path_factory.mktemp("sweep")
+    paths = cmd_generate(SweepConfig(trials=48, seed=0, depth_max=4, branch_max=3,
+                                     out=str(out)))
+    pairs = [(inst.model, coeffs) for inst, coeffs in map(_load_instance, paths)]
+    ternary = random_model(RandomModelParams(depth_min=6, depth_max=6, branch_min=3,
+                                             branch_max=3), 3)
+    deep = caterpillar(200)
+    assert ternary.n_nodes == 1093
+    return pairs + [(ternary, CoefficientFamily.random(ternary, 4)),
+                    (deep, CoefficientFamily.random(deep, 5))]
+
+
+@pytest.mark.parametrize("budget", [1, 40_000, 300_000, 2 ** 30])
+def test_blocked_ratios_equal_one_pass_bit_for_bit(block_instances, monkeypatch, budget):
+    # blocks of two rows or more, up to one block for the whole batch; the
+    # images handed in are the operator on the whole batch in one pass
+    monkeypatch.setattr(constants, "_BLOCK_BYTES", budget)
+    for i, (model, a) in enumerate(block_instances):
+        rng = np.random.default_rng(i)
+        F = np.vstack([np.ones(model.n_leaves), rng.pareto(1.5, (24, model.n_leaves))])
+        for p in (1.5, 2.0, 3.0):
+            for q in (p, 2 * p, INF):
+                blocked = _ratios(model, a, F, p, q)
+                whole = _ratios(model, a, F, p, q, _apply_levels(model, a, F, q))
+                for got, want in zip(blocked, whole):
+                    assert np.array_equal(got, want), (i, p, q)
+
+
+def test_row_blocks_never_leave_a_row_alone(monkeypatch):
+    # numpy gathers a lone row in another memory order, whose sums round differently
+    for budget in (1, 7, 64, 1000):
+        monkeypatch.setattr(constants, "_BLOCK_BYTES", budget)
+        for row_bytes in (1, 8, 24, 100, 5000):
+            rows = max(2, budget // row_bytes)
+            for n in range(1, 40):
+                F = np.arange(3.0 * n).reshape(n, 3)
+                blocks = _row_blocks(F, row_bytes)
+                sizes = [len(b) for b in blocks]
+                assert np.array_equal(np.vstack(blocks), F)
+                assert min(sizes) >= min(rows, n), (budget, row_bytes, sizes)
+                assert max(sizes) < 2 * rows, (budget, row_bytes, sizes)
+
+
+@pytest.mark.parametrize("q", [INF, 4.0])
+def test_norm_lower_holds_few_level_tables_on_a_deep_tree(q):
+    # one batch of 65 candidates took 70 (q = inf) and 132 (q = 4) level tables
+    model = caterpillar(400)
+    a = CoefficientFamily.random(model, 9)
+    assert model.n_nodes == 801
+    table = 8 * (model.max_depth + 1) * model.n_leaves
+    tracemalloc.start()
+    try:
+        operator_norm_lower(model, a, 2.0, q, NormSearch(n_random=64, ascent_rounds=12))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * table, peak / table
 
 
 def test_power_step_returns_the_operator_on_its_input():

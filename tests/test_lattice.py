@@ -276,8 +276,9 @@ def test_subtree_sums_match_the_interior_reduceat_bit_for_bit():
 
 
 def test_path_sums_gather_the_subtree_sums_along_each_path():
-    # each atom's ancestor at each depth, 0 below the atom: one row and a batch,
-    # on forests, unary chains and a caterpillar 1500 levels deep
+    # each atom's ancestor at each depth, 0 below the atom: one row and batches,
+    # on forests, unary chains and a caterpillar 1500 levels deep.  The memory
+    # order is fancy indexing's too, which sets the order of later sums
     models = [random_model(RandomModelParams(depth_min=1, depth_max=1 + s % 6,
                                             branch_min=1 + s % 2, roots=1 + s % 3,
                                             leaf_prob=0.25), s)
@@ -288,11 +289,12 @@ def test_path_sums_gather_the_subtree_sums_along_each_path():
         below = anc == model.n_nodes
         rng = np.random.default_rng(model.n_nodes)
         values = rng.normal(size=(3, model.n_leaves))
-        for v in (values, values[1]):
+        for v in (values, values[:2], values[:1], values[1]):
             sums = ref_subtree_sums(model, v)
             want = np.concatenate([sums, np.zeros(v.shape[:-1] + (1,))], axis=-1)[..., anc]
             got = model._path_sums(v)
             assert got.shape == want.shape and np.array_equal(got, want)
+            assert got.strides == want.strides
             assert not got[..., below].any()
 
 
@@ -437,6 +439,29 @@ def test_null_mass_rejected():
             "mu": {"a": 1, "b": 1},
             "nu": {"a": 1, "b": None},
         })
+
+
+@pytest.mark.parametrize("measure", ["mu", "nu"])
+def test_mass_sum_that_overflows_rejected(measure):
+    # every atom is finite, but the cubes above a1 and a2 sum to inf: verify
+    # then passed the packing check and died in stopping_weights
+    spec = {"nodes": [{"id": "R", "parent": None}, {"id": "b", "parent": "R"},
+                      {"id": "A", "parent": "R"}, {"id": "a1", "parent": "A"},
+                      {"id": "a2", "parent": "A"}],
+            "mu": {"a1": 1.0, "a2": 1.0, "b": 1.0}, "nu": {"a1": 1.0, "a2": 1.0, "b": 1.0}}
+    huge = {"a1": 1e308, "a2": 1e308, "b": 0.0}
+    message = f"{measure} mass of cube 'R' is not a finite number"
+    with pytest.raises(ModelError, match=message):
+        build_model({**spec, measure: huge})
+    with pytest.raises(ModelError, match=message):
+        build_model(spec).with_measures(**{f"{measure}_leaf": [0.0, 1e308, 1e308]})
+    # in a forest the first cube in document order that overflows is named
+    forest = {"nodes": [{"id": "R", "parent": None}, {"id": "b", "parent": "R"},
+                        {"id": "S", "parent": None}, {"id": "a1", "parent": "S"},
+                        {"id": "a2", "parent": "S"}],
+              "mu": spec["mu"], "nu": spec["nu"]}
+    with pytest.raises(ModelError, match=f"{measure} mass of cube 'S' is not"):
+        build_model({**forest, measure: huge}, min_children=1)
 
 
 def test_children_string_rejected():

@@ -139,6 +139,17 @@ def test_verify_packing_e2(e1):
     assert rep.worst_ratio <= rep.bound
 
 
+def test_verify_packing_fails_a_nan_ratio(e1, monkeypatch):
+    # np.where(rk > 0, rk, 0) dropped a NaN ratio and passed with worst 0.0
+    d = build_decomposition(e1, [4, 0], 1.5)
+    totals = e1.subtree_totals
+    monkeypatch.setattr(e1, "subtree_totals",
+                        lambda values: totals(values) * [1.0, math.nan, 1.0])
+    rep = verify_packing(e1, d)
+    assert math.isnan(rep.worst_ratio) and rep.worst_node == "L1"
+    assert not rep.ok
+
+
 def test_packing_maps_are_built_on_first_access():
     # verify reads neither map; a caller that does gets the same values as
     # the report held before, one entry per positive-mass node
