@@ -396,14 +396,12 @@ class DyadicModel:
         """The sum over every atom's ancestor at every depth, 0 below the atom:
         one ``_dfs_sums`` gathered as the ancestor table, on the last two axes.
 
-        A batch of rows is gathered from its buffer laid out cells first, each
-        ancestor copying one contiguous run of the rows: the table comes out
-        in the (level, atom, row) memory order that fancy indexing gives, with
-        the same values, but two to five times faster on two or three rows."""
+        The buffer is gathered laid out cells first, each ancestor copying one
+        contiguous run of the rows: a batch of rows comes out in the (level,
+        atom, row) memory order that fancy indexing gives, with the same
+        values, but two to five times faster on two or three rows."""
         sums = self._dfs_sums(values)
-        if sums.ndim != 2:
-            return sums[..., self._ancestor_sums]
-        return np.ascontiguousarray(sums.T).take(self._ancestor_sums, axis=0).transpose(2, 0, 1)
+        return np.ascontiguousarray(sums.T).take(self._ancestor_sums, axis=0).T.swapaxes(-1, -2)
 
     def subtree_sums(self, leaf_values):
         """Per-node sums of an arbitrary leaf vector (additive set function)."""
