@@ -22,10 +22,10 @@ import numpy as np
 from .constants import (NormSearch, VerificationError, theorem_constant,
                         theorem_constant_hp, verify_theorem)
 from .lattice import ModelError, RandomModelParams, _read_json, random_model
-from .maximal import (CoefficientFamily, classical_coefficients,
+from .maximal import (CoefficientFamily, _classical_scalars, classical_coefficients,
                       read_coefficients, write_coefficients)
-from .sawyer import (ReductionError, _draw_instance, _instance_from_dict, verify_reduction,
-                     write_instance)
+from .sawyer import (ReductionError, _draw_instance, _instance_from_dict, _reduced_measure,
+                     verify_reduction, write_instance)
 from .stopping import (build_decomposition, carleson_embedding_check,
                        decomposition_to_dict, default_r, partition_ok,
                        proof_trace, stopping_weights, verify_packing)
@@ -176,17 +176,30 @@ def _record(instance, p, q, check, passed, margin, **detail):
 
 
 def _verify_one(name: str, instance, config: SweepConfig):
-    """All check records for one loaded instance; deterministic."""
+    """All check records for one loaded instance; deterministic.
+
+    The change of weight's inputs are computed once and shared: the reduced
+    mass and the multiplier once per p, and the entries omega(Q)^(-alpha) of
+    its coefficients, which depend on the instance alone, at the first
+    reduction.  They hold one value per atom or node; each
+    ``verify_reduction`` builds its own family, so no level table outlives
+    its combination.
+    """
     inst, coeffs = instance
     model = inst.model
     entropy = _instance_entropy(config.seed, name)
     records = []
+    scalars = None
 
     for pi, p in enumerate(config.p_values):
         cp_true = theorem_constant(p)
         cp_used = cp_true * (0.5 if config.halve_cp else 1.0)
         cp_ref = theorem_constant_hp(p)
         inst_p = replace(inst, p=p)
+        try:
+            reduced = _reduced_measure(inst_p)
+        except ReductionError as exc:
+            reduced = exc
         for qi, tok in enumerate(config.q_tokens):
             q = resolve_q(tok, p)
             rng = np.random.default_rng(
@@ -260,12 +273,13 @@ def _verify_one(name: str, instance, config: SweepConfig):
                     failed_link=str(exc)))
 
             # change-of-weight identities
-            try:
-                red = verify_reduction(inst_p, f, q, strict=False)
-            except ReductionError as exc:
+            if isinstance(reduced, ReductionError):
                 records.append(_record(name, p, q, "sawyer_reduction", False, -1.0,
-                                       error=str(exc)))
+                                       error=str(reduced)))
                 continue
+            if scalars is None:
+                scalars = _classical_scalars(model, inst.omega_leaf, inst.alpha)
+            red = verify_reduction(inst_p, f, q, strict=False, _reduced=(*reduced, scalars))
             worst = max(red.integral_rel_error, red.operator_rel_error,
                         red.norm_rel_error)
             records.append(_record(

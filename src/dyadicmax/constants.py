@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .lattice import DyadicModel, Exponents, _lp_rows, _lq_rows, indicator
+from .lattice import DyadicModel, Exponents, _lp_rows, _lq_rows
 from .maximal import (CoefficientFamily, _apply_levels, _indicator_norms,
                       _indicator_ratios, _level_terms, _suffix_table)
 
@@ -102,7 +102,7 @@ def testing_constant(model: DyadicModel, a: CoefficientFamily, p, q, *, _S=None)
     pos = model.mu_node > 0
     ratio = np.zeros(model.n_nodes)
     ratio[pos] = norms[pos] / model.mu_node[pos] ** (1.0 / p)
-    k = int(np.argmax(ratio))  # the first maximum; a NaN wins and surfaces in B
+    k = int(ratio.argmax())  # the first maximum; a NaN wins and surfaces in B
     if ratio[k] == 0.0:
         return 0.0, None
     return float(ratio[k]), model.ids[k]
@@ -152,9 +152,13 @@ def _row_blocks(F, row_bytes):
     A block holds rows = max(2, _BLOCK_BYTES // row_bytes) or more (all of F
     if F has fewer) and fewer than 2 * rows.  So no row is alone unless F has
     one: numpy gathers a lone row atom-innermost, and its sums along the
-    levels would round differently from the same row's in a batch."""
-    rows = max(2, _BLOCK_BYTES // row_bytes)
-    return np.array_split(F, max(1, len(F) // rows))
+    levels would round differently from the same row's in a batch.  The
+    blocks are ``numpy.array_split``'s: the first len(F) % blocks hold one
+    row more."""
+    blocks = max(1, len(F) // max(2, _BLOCK_BYTES // row_bytes))
+    size, extra = divmod(len(F), blocks)
+    ends = [i * size + min(i, extra) for i in range(blocks + 1)]
+    return [F[lo:hi] for lo, hi in zip(ends, ends[1:])]
 
 
 def _ratios(model, a, F, p, q, images=None):
@@ -202,7 +206,7 @@ def _power_step(model, a, F, p, q, index=None):
     cells, rows, atom = _step_index(model, m) if index is None else index
     T = _level_terms(model, a, F * model.mu_leaf)
     Mf = _lq_rows(T, q, axis=1)
-    top = Mf.max(axis=1, keepdims=True)
+    top = np.maximum.reduce(Mf, axis=1, keepdims=True)
     weight = model.nu_leaf * (Mf / np.where(top > 0, top, 1.0)) ** (p - 1.0)
     # padding, whose weights are 0, goes to each row's spare cell n_nodes, which
     # g[cells] reads back.  Each cell sums its terms in atom order, and G sums
@@ -218,8 +222,8 @@ def _power_step(model, a, F, p, q, index=None):
         weight = weight[:, None] * (T / np.where(Mf > 0, Mf, 1.0)[:, None]) ** (q - 1.0) * coef
         weight = weight.transpose(1, 2, 0)
     g = np.bincount(node.ravel(), weights=weight.ravel(), minlength=m * (model.n_nodes + 1))
-    G = g[cells].transpose(2, 0, 1).sum(axis=1)
-    peak = G.max(axis=1, keepdims=True)
+    G = np.add.reduce(g[cells].transpose(2, 0, 1), axis=1)
+    peak = np.maximum.reduce(G, axis=1, keepdims=True)
     return (G / np.where(peak > 0, peak, 1.0)) ** (1.0 / (p - 1.0)), Mf
 
 
@@ -247,28 +251,34 @@ def operator_norm_lower(model: DyadicModel, a: CoefficientFamily, p, q,
 
     S = _suffix_table(model, a, q) if _S is None else _S
     cubes = _indicator_ratios(model, a, p, q, S)
-    k = int(np.argmax(cubes))  # the first best cube, which the row below stands for
-    rng = np.random.default_rng(search.seed)
-    F = np.vstack([indicator(model, model.ids[k]), np.ones(model.n_leaves),
-                   rng.pareto(1.5, (search.n_random, model.n_leaves))])
+    k = int(cubes.argmax())  # the first best cube, whose indicator is row 0
+    F = np.zeros((2 + search.n_random, model.n_leaves))
+    F[0, model.leaf_lo[k]:model.leaf_hi[k]] = 1.0
+    F[1] = 1.0
+    # each random row times the power of two that puts its peak in [0.5, 1): the
+    # scaling is exact, so the row's ratio and ascent do not change, and f * mu
+    # stays finite where the draws exceed 1 on masses near the float limit
+    R = F[2:]
+    R[...] = np.random.default_rng(search.seed).pareto(1.5, R.shape)
+    np.ldexp(R, -np.frexp(np.maximum.reduce(R, axis=1))[1][:, None], out=R)
     ratios, in_norms = _ratios(model, a, F[1:], p, q)
-    if np.all(in_norms == 0):
+    if not np.logical_or.reduce(in_norms != 0):
         raise ValueError("all candidates have zero mu-norm")
     ratios = np.concatenate([cubes[k:k + 1], ratios])
-    best_idx = int(np.argmax(ratios))
+    best_idx = int(ratios.argmax())
     best_ratio = float(ratios[best_idx])
     best_f = F[best_idx]
 
     starts = [0, 1]
     if search.n_random > 0:
-        starts.append(2 + int(np.argmax(ratios[2:])))
+        starts.append(2 + int(ratios[2:].argmax()))
     X, steps, images = F[starts], [], []  # images[i] is the operator on iterate i
     index = _step_index(model, len(starts))
     for _ in range(search.ascent_rounds):
         last, (X, image) = X, _power_step(model, a, X, p, q, index)
         steps.append(X)
         images.append(image)
-        if np.array_equal(X, last):
+        if np.logical_and.reduce(X == last, axis=None):
             images.append(image)  # X repeats its input, and so its image
             break  # an exact fixed point: every later step would repeat it
     else:
@@ -276,9 +286,9 @@ def operator_norm_lower(model: DyadicModel, a: CoefficientFamily, p, q,
             images.append(_apply_levels(model, a, X, q))
     if steps:
         # one batch scores every step; the earliest best iterate wins, as step by step
-        X = np.vstack(steps)
-        step_ratios, _ = _ratios(model, a, X, p, q, np.vstack(images[1:]))
-        k = int(np.argmax(step_ratios))
+        X = np.concatenate(steps)
+        step_ratios, _ = _ratios(model, a, X, p, q, np.concatenate(images[1:]))
+        k = int(step_ratios.argmax())
         if step_ratios[k] > best_ratio:
             best_ratio, best_f = float(step_ratios[k]), X[k]
 
@@ -426,7 +436,7 @@ def verify_theorem(model: DyadicModel, a: CoefficientFamily, p, q,
     rtol = _check_rtol(rtol)
     S = _suffix_table(model, a, q)  # one table for both halves of the sandwich
     B, witness_cube = testing_constant(model, a, p, q, _S=S)
-    if np.any(model.mu_leaf > 0):
+    if np.maximum.reduce(model.mu_leaf) > 0:
         A_lower, witness_f = operator_norm_lower(model, a, p, q, search, _S=S)
     else:
         A_lower, witness_f = 0.0, None  # mu = 0: every f has mu-norm 0, the estimate is 0

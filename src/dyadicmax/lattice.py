@@ -185,16 +185,20 @@ class DyadicModel:
 
     Instances are immutable after construction and safe to share across
     threads; all module operations are pure functions of their inputs.
+    ``_id_index``, the {id: position} map of ``ids`` already given as
+    distinct strings, lets :func:`build_model` hand over the one it built.
     """
 
-    def __init__(self, ids, parents, mu_leaf, nu_leaf, *, min_children=1):
+    def __init__(self, ids, parents, mu_leaf, nu_leaf, *, min_children=1, _id_index=None):
         n = len(ids)
         if n == 0:
             raise ModelError("empty model")
         self.ids = tuple(ids)
-        if not set(map(type, self.ids)) <= {str}:
-            self.ids = tuple(map(str, self.ids))
-        self.index = _index(self.ids)
+        if _id_index is None:
+            if not set(map(type, self.ids)) <= {str}:
+                self.ids = tuple(map(str, self.ids))
+            _id_index = _index(self.ids)
+        self.index = _id_index
         self.parent = np.maximum(np.asarray(parents, dtype=np.int64), -1)  # -1 for a root
         if self.parent.shape != (n,):
             raise ModelError(f"need one parent for each of {n} nodes")
@@ -275,7 +279,7 @@ class DyadicModel:
 
     @property
     def max_depth(self):
-        return int(self.depth.max())
+        return int(np.maximum.reduce(self.depth))
 
     def node(self, node_id):
         """Index of a node id; raises ``KeyError`` for unknown ids."""
@@ -297,8 +301,8 @@ class DyadicModel:
     @cached_property
     def levels(self):
         """Node indices grouped by depth: ``levels[d]`` holds depth d."""
-        by_depth = np.argsort(self.depth, kind="stable")
-        cuts = np.searchsorted(self.depth[by_depth], np.arange(self.max_depth + 2))
+        by_depth = self.depth.argsort(kind="stable")
+        cuts = self.depth[by_depth].searchsorted(np.arange(self.max_depth + 2))
         out = tuple(by_depth[cuts[d]:cuts[d + 1]] for d in range(self.max_depth + 1))
         for arr in out:
             arr.setflags(write=False)
@@ -309,10 +313,10 @@ class DyadicModel:
         """Child lists of the interior nodes, one column each, padded with n_nodes:
         row i holds every interior node's i-th child.  One scatter fills it."""
         lengths = self._child_counts[self._child_counts > 0]
-        starts = np.cumsum(lengths) - lengths
+        starts = lengths.cumsum() - lengths
         flat = self._child_flat
-        column = np.repeat(np.arange(lengths.size), lengths)
-        out = np.full((lengths.max(initial=0), lengths.size), self.n_nodes)
+        column = np.arange(lengths.size).repeat(lengths)
+        out = np.full((np.maximum.reduce(lengths, initial=0), lengths.size), self.n_nodes)
         out[np.arange(flat.size) - starts[column], column] = flat
         out.setflags(write=False)
         return out
@@ -337,7 +341,7 @@ class DyadicModel:
     def _ancestor_sums(self):
         """The ancestor table as positions in the buffer of ``_dfs_sums``; the
         padding n_nodes is the buffer's zero cell n_nodes."""
-        slots = np.append(self._sum_slots, self.n_nodes)[self._ancestors]
+        slots = np.concatenate((self._sum_slots, [self.n_nodes]))[self._ancestors]
         slots.setflags(write=False)
         return slots
 
@@ -530,7 +534,8 @@ def build_model(spec: Mapping, *, min_children: int = 2) -> DyadicModel:
                       if c is not None and type(c) not in (list, tuple))
         raise ModelError(f"children of {ids[k]!r} must be a list of ids, got {got!r}")
 
-    model = DyadicModel(ids, parents, mu_map, nu_map, min_children=min_children)
+    model = DyadicModel(ids, parents, mu_map, nu_map, min_children=min_children,
+                        _id_index=index)
     if kinds == {type(None)}:  # no record lists its children
         return model
 
@@ -596,9 +601,9 @@ def as_leaf_function(model: DyadicModel, f, *, nonneg: bool = False) -> np.ndarr
         raise ValueError(
             f"function has shape {arr.shape}, model has {model.n_leaves} leaves"
         )
-    if not np.all(np.isfinite(arr)):
+    if not np.logical_and.reduce(np.isfinite(arr)):
         raise ValueError("function values must be finite")
-    if nonneg and np.any(arr < 0):
+    if nonneg and np.minimum.reduce(arr) < 0:
         raise ValueError("function must be nonnegative here")
     return arr
 

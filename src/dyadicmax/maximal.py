@@ -95,7 +95,8 @@ class CoefficientFamily:
         else:
             bad_length, entries = None, scalars
         good = np.isfinite(entries) & (entries >= 0)
-        if not good.all() or (bad_length is not None and bad_length.any()):
+        if not np.logical_and.reduce(good) or (bad_length is not None
+                                                and np.logical_or.reduce(bad_length)):
             self._raise_earliest(model, np.diff(offsets), good)
         self.model = model
         self._scalars = scalars
@@ -137,9 +138,9 @@ class CoefficientFamily:
         """
         if self._coef is None:
             model = self.model
-            coef = np.append(self._scalars, 0.0)[model._ancestors]
+            coef = np.concatenate((self._scalars, [0.0]))[model._ancestors]
             if self._values.size:
-                owner = np.repeat(np.arange(model.n_nodes), np.diff(self._offsets))
+                owner = np.arange(model.n_nodes).repeat(self._offsets[1:] - self._offsets[:-1])
                 col = np.arange(self._values.size) + (model.leaf_lo - self._offsets[:-1])[owner]
                 coef[model.depth[owner], col] = self._values
             coef.setflags(write=False)
@@ -369,7 +370,7 @@ def _indicator_ratios(model: DyadicModel, a: CoefficientFamily, p, q, S) -> np.n
     node, P = anc[keep], P[keep]
     on = _lq_rows(np.stack([model.mu_node[node] * P, S[keep]]), q, axis=0)
     on = _lq_groups(weight * on, node, n, p)
-    Y = np.append(_lq_groups(weight * P, node, n, p), 0.0)[fam]
+    Y = np.concatenate((_lq_groups(weight * P, node, n, p), [0.0]))[fam]
     before, after = _running_lq(np.stack([Y, Y[::-1]]), p, axis=1)  # first and last i children
     beside = np.zeros(n + 1)
     beside[fam] = _lq_rows(np.stack([before[:-1], after[-2::-1]]), p, axis=0)
@@ -391,15 +392,15 @@ def _apply_by_label(model: DyadicModel, T, q, labels):
     over the cubes R of b that contain x.  The parts come atom by atom, and
     down each atom's path.
     """
-    lab = np.append(np.asarray(labels, dtype=np.int64), -1)[model._ancestors]
+    lab = np.concatenate((np.asarray(labels, dtype=np.int64), [-1]))[model._ancestors]
     keep = lab >= 0
     new = keep.copy()  # where a part's run starts down an atom's path
     new[1:] &= lab[1:] != lab[:-1]
     # parts are numbered atom by atom, and down each atom's path
-    rank = np.cumsum(new, axis=0)
-    part = np.cumsum(rank[-1]) - rank[-1] + rank - 1
-    return (np.nonzero(new.T)[0], lab.T[new.T],
-            _lq_groups(T[keep], part[keep], int(rank[-1].sum()), q))
+    rank = new.cumsum(axis=0)
+    part = rank[-1].cumsum() - rank[-1] + rank - 1
+    return (new.T.nonzero()[0], lab.T[new.T],
+            _lq_groups(T[keep], part[keep], int(np.add.reduce(rank[-1])), q))
 
 
 def apply_maximal(model: DyadicModel, a: CoefficientFamily, f, q) -> MaximalOutput:
@@ -440,14 +441,18 @@ def classical_coefficients(model: DyadicModel, omega_leaf, alpha: float) -> Coef
     Cubes with omega(Q) = 0 get coefficient 0: they carry no mass and drop
     out of every estimate after the change of measure.
     """
+    return CoefficientFamily(model, _classical_scalars(model, omega_leaf, alpha))
+
+
+def _classical_scalars(model: DyadicModel, omega_leaf, alpha) -> np.ndarray:
+    """The entries omega(Q)^(-alpha) of ``classical_coefficients``, one per node."""
     if not (0.0 < alpha <= 1.0):
         raise ValueError(f"alpha must be in (0, 1], got {alpha}")
     omega_node = model.subtree_sums(omega_leaf)
-    if np.any(np.asarray(omega_leaf) < 0):
+    if np.minimum.reduce(np.asarray(omega_leaf, dtype=float)) < 0:
         raise ValueError("omega masses must be >= 0")
     with np.errstate(divide="ignore"):
-        scalars = np.where(omega_node > 0, omega_node ** (-float(alpha)), 0.0)
-    return CoefficientFamily(model, scalars)
+        return np.where(omega_node > 0, omega_node ** (-float(alpha)), 0.0)
 
 
 def write_coefficients(a: CoefficientFamily, path) -> None:

@@ -21,8 +21,8 @@ from .constants import VerificationError, holder_conjugate
 from .lattice import (DyadicModel, RandomModelParams, _is_number, _lp_rows, _lq_rows,
                       _read_json, _write_json, as_leaf_function, build_model, indicator,
                       leaf_values, model_to_dict, random_model)
-from .maximal import (CoefficientFamily, _check_q, _level_terms, apply_maximal,
-                      apply_truncated, classical_coefficients)
+from .maximal import (CoefficientFamily, _check_q, _classical_scalars, _level_terms,
+                      apply_maximal, apply_truncated, classical_coefficients)
 
 __all__ = [
     "SawyerInstance",
@@ -108,8 +108,8 @@ def _reduced_measure(inst):
     omega = inst.omega_leaf
     w = inst.w_leaf
     bad = (omega > 0) & (w == 0)
-    if np.any(bad):
-        leaf = inst.model.leaf_ids[int(np.flatnonzero(bad)[0])]
+    if np.logical_or.reduce(bad):
+        leaf = inst.model.leaf_ids[int(bad.argmax())]
         raise ReductionError(
             f"leaf {leaf!r} has positive omega but zero density: "
             "reduced measure would be infinite"
@@ -119,8 +119,8 @@ def _reduced_measure(inst):
         multiplier = np.where(w > 0, w ** exponent, 0.0)
         own_coef = np.where(omega > 0, omega, 1.0) ** (-inst.alpha)
     finite = np.isfinite(mu) & np.isfinite(multiplier) & np.isfinite(own_coef)
-    if not finite.all():
-        j = int(np.argmin(finite))
+    if not np.logical_and.reduce(finite):
+        j = int(finite.argmin())
         raise ReductionError(
             f"leaf {inst.model.leaf_ids[j]!r}: the reduced mass, the multiplier or the "
             f"coefficient is not a finite number (omega = {float(omega[j])!r}, "
@@ -149,7 +149,7 @@ def _rel_gap(x, y):
 
 
 def verify_reduction(inst: SawyerInstance, f, q, *, rtol: float = 1e-12,
-                     strict: bool = True) -> ReductionReport:
+                     strict: bool = True, _reduced=None) -> ReductionReport:
     """Check that the substitution preserves integrals, operators and norms.
 
     Identity (i): integrals of g against the reduced measure match integrals
@@ -161,24 +161,34 @@ def verify_reduction(inst: SawyerInstance, f, q, *, rtol: float = 1e-12,
     Everything runs on the instance's own model: each side's integrals are
     subtree sums of its masses times its function, and the operator and the
     norms read those masses directly, with no model copy per measure.
+    ``_reduced`` lets a caller that checks several q at one p compute once
+    what ``reduce_three_to_two`` derives from the instance: the reduced mass
+    and the multiplier (``_reduced_measure``) and the entries of the
+    coefficients (``maximal._classical_scalars``).  The family, and with it
+    its level table, is built on each call and dropped when it returns.
     """
     model, p, q = inst.model, inst.p, _check_q(q)
     f = as_leaf_function(model, f, nonneg=True)
-    reduced = reduce_three_to_two(inst)
+    if _reduced is None:
+        _reduced = (*_reduced_measure(inst),
+                    _classical_scalars(model, inst.omega_leaf, inst.alpha))
+    mu, multiplier, scalars = _reduced
+    a = CoefficientFamily(model, scalars)
+    largest = np.maximum.reduce
 
     # an overflow (g = f * w^(p'/p) can exceed the floats) shows as a non-finite error
     with np.errstate(over="ignore", invalid="ignore"):
-        g = reduced.transform(f)
-        rows = np.stack([g * reduced.mu_leaf, f * inst.omega_leaf])
+        g = f * multiplier
+        rows = np.stack([g * mu, f * inst.omega_leaf])
         ints_two, ints_three = model._subtree_sums(rows)
-        scale = max(np.max(np.abs(ints_two)), np.max(np.abs(ints_three)), 1e-300)
-        integral_err = float(np.max(np.abs(ints_two - ints_three)) / scale)
+        scale = max(largest(np.abs(ints_two)), largest(np.abs(ints_three)), 1e-300)
+        integral_err = float(largest(np.abs(ints_two - ints_three)) / scale)
 
-        m_two, m_three = _lq_rows(_level_terms(model, reduced.coefficients, rows), q, axis=-2)
-        mscale = max(np.max(m_two), np.max(m_three), 1e-300)
-        operator_err = float(np.max(np.abs(m_two - m_three)) / mscale)
+        m_two, m_three = _lq_rows(_level_terms(model, a, rows), q, axis=-2)
+        mscale = max(largest(m_two), largest(m_three), 1e-300)
+        operator_err = float(largest(np.abs(m_two - m_three)) / mscale)
 
-        norm_two = float(_lp_rows(g, reduced.mu_leaf, p))
+        norm_two = float(_lp_rows(g, mu, p))
         norm_three = float(_lp_rows(f, inst.target_leaf, p))
         norm_err = _rel_gap(norm_two, norm_three)
 

@@ -135,7 +135,7 @@ class StoppingDecomposition:
         for nodes in model.levels[self.n_start + 1:]:
             gen[nodes] = gen[model.parent[nodes]] + stop[nodes]
         nodes = model.dfs_order[stop[model.dfs_order]]
-        nodes = nodes[np.argsort(gen[nodes], kind="stable")]
+        nodes = nodes[gen[nodes].argsort(kind="stable")]
         return nodes, gen[nodes]
 
     @property
@@ -208,12 +208,13 @@ def partition_ok(decomp: StoppingDecomposition) -> bool:
     """
     model, owner = decomp.model, np.asarray(decomp.owner_index)
     scope = model.depth >= decomp.n_start
-    if owner.shape != scope.shape or np.any(owner[~scope] != -1):
+    if owner.shape != scope.shape or np.logical_or.reduce(owner[~scope] != -1):
         return False
     o, pos = owner[scope], model.dfs_lo[scope]
-    if np.any((o < 0) | (o >= model.n_nodes)):
+    if np.logical_or.reduce((o < 0) | (o >= model.n_nodes)):
         return False
-    return bool(np.all((owner[o] == o) & (model.dfs_lo[o] <= pos) & (pos < model.dfs_hi[o])))
+    return bool(np.logical_and.reduce(
+        (owner[o] == o) & (model.dfs_lo[o] <= pos) & (pos < model.dfs_hi[o])))
 
 
 @dataclass
@@ -258,21 +259,21 @@ def verify_packing(model: DyadicModel, decomp: StoppingDecomposition) -> Packing
     bound = r / (r - 1.0)
     subtotal = model.subtree_totals(np.where(decomp.in_stopping, model.mu_node, 0.0))
 
-    pos = np.flatnonzero(model.mu_node > 0)
+    pos = (model.mu_node > 0).nonzero()[0]
     rk = subtotal[pos] / model.mu_node[pos]
     # the first maximum above 0; a NaN ratio stays and wins, so the check fails
     above = np.where(rk <= 0, 0.0, rk)
-    i = int(np.argmax(above)) if np.any(above != 0) else -1
+    i = int(above.argmax()) if np.logical_or.reduce(above != 0) else -1
     worst, worst_node = (float(above[i]), model.ids[pos[i]]) if i >= 0 else (0.0, None)
 
     # one-generation condition: each stopping parent's children pack below mu(Q)/r
-    kids = np.flatnonzero(decomp.stopping_parent >= 0)
+    kids = (decomp.stopping_parent >= 0).nonzero()[0]
     mass = np.bincount(decomp.stopping_parent[kids], weights=model.mu_node[kids],
                        minlength=model.n_nodes)
     parents = decomp.in_stopping & (model.mu_node > 0)
     mass, mu_par = mass[parents], model.mu_node[parents]
-    gen_worst = float(np.max(r * mass / mu_par, initial=0.0))
-    gen_ok = bool(np.all(mass <= mu_par / r * (1 + 1e-9)))
+    gen_worst = float(np.maximum.reduce(r * mass / mu_par, initial=0.0))
+    gen_ok = bool(np.logical_and.reduce(mass <= mu_par / r * (1 + 1e-9)))
 
     return PackingReport(
         bound=bound, worst_ratio=worst, worst_node=worst_node,
@@ -295,14 +296,15 @@ class CarlesonSequence:
         w = np.asarray(weights, dtype=float)
         if w.shape != (model.n_nodes,):
             raise ValueError(f"need one weight per node, got shape {w.shape}")
-        if not np.all(np.isfinite(w)):
-            k = int(np.argmin(np.isfinite(w)))
+        finite = np.isfinite(w)
+        if not np.logical_and.reduce(finite):
+            k = int(finite.argmin())
             raise ValueError(f"Carleson weight of node {model.ids[k]!r} is not finite: {w[k]}")
-        if np.any(w < 0):
+        if np.minimum.reduce(w) < 0:
             raise ValueError("Carleson weights must be >= 0")
         subtotal = model.subtree_totals(w)
         pos = model.mu_node > 0
-        packing = float((subtotal[pos] / model.mu_node[pos]).max()) if np.any(pos) else 0.0
+        packing = float(np.maximum.reduce(subtotal[pos] / model.mu_node[pos], initial=0.0))
         return cls(model=model, weights=w, packing_constant=packing)
 
     @classmethod
@@ -449,7 +451,7 @@ def proof_trace(model: DyadicModel, a: CoefficientFamily, f, p, q, r=None,
     if decomp is None:
         decomp = build_decomposition(model, f, r, n_start=n_start)
     elif (decomp.model is not model or decomp.r != r or decomp.n_start != n_start
-          or not np.array_equal(decomp.f, f)):
+          or decomp.f.shape != f.shape or not np.logical_and.reduce(decomp.f == f)):
         raise ValueError("decomposition was built for a different model, f, r or n_start")
     if B is None:
         B, _ = testing_constant(model, a, p, q)
@@ -473,13 +475,13 @@ def proof_trace(model: DyadicModel, a: CoefficientFamily, f, p, q, r=None,
                                         bounds.tolist(), avg_stop.tolist())]
     est1, carleson_lhs = float(_lq_rows(norms, p)), float(_lp_rows(avg_stop, mu_stop, p))
     block_fine = _held(norms, bounds, p, rtol)
-    block_ok = bool(np.all(block_fine))
-    worst_block = None if block_ok else stop_ids[np.flatnonzero(~block_fine)[-1]]
+    block_ok = bool(np.logical_and.reduce(block_fine))
+    worst_block = None if block_ok else stop_ids[(~block_fine).nonzero()[0][-1]]
 
     # the blocks' ell-q combination must give back the operator
     recon = _lq_groups(F, leaf, model.n_leaves, q)
-    scale = max(np.max(np.abs(lhs_vals)), 1e-300)
-    recon_err = float(np.max(np.abs(recon - lhs_vals)) / scale)
+    scale = max(np.maximum.reduce(np.abs(lhs_vals)), 1e-300)
+    recon_err = float(np.maximum.reduce(np.abs(recon - lhs_vals)) / scale)
 
     # average control over the block members, weak inequality convention
     members = (decomp.owner_index >= 0) & (model.mu_node > 0)
@@ -488,7 +490,7 @@ def proof_trace(model: DyadicModel, a: CoefficientFamily, f, p, q, r=None,
     with np.errstate(divide="ignore", invalid="ignore"):
         excess = np.where(denom > 0, avg_m / denom - 1.0,
                           np.where(avg_m > 0, math.inf, -math.inf))
-    avg_excess = float(np.max(excess, initial=-math.inf))
+    avg_excess = float(np.maximum.reduce(excess, initial=-math.inf))
 
     norm_f = float(_lp_rows(f, model.mu_leaf, p))
     pc = holder_conjugate(p)
@@ -502,8 +504,8 @@ def proof_trace(model: DyadicModel, a: CoefficientFamily, f, p, q, r=None,
 
     links = [
         link("lq_to_lp", norm_Mf, est1),
-        LinkCheck("block_bound", float(np.max(norms, initial=0.0)),
-                  float(np.max(bounds, initial=0.0)), block_ok),
+        LinkCheck("block_bound", float(np.maximum.reduce(norms, initial=0.0)),
+                  float(np.maximum.reduce(bounds, initial=0.0)), block_ok),
         link("carleson", carleson_lhs, carleson_bound),
         link("final", norm_Mf, final_bound),
     ]

@@ -325,6 +325,78 @@ def test_verify_one_on_reused_objects_matches_fresh_loads(tmp_path):
         assert first == fresh and second == fresh
 
 
+def test_verify_one_skips_numpys_python_wrappers_and_shares_the_reduction(tmp_path):
+    # numpy's Python-level reductions (np.any, ndarray.max, ...) cost several
+    # times a ufunc reduce, and a combination would call some 240 of them; the
+    # reduced measure depends on (instance, p) alone, its coefficients on the
+    # instance alone.  Basenames, so that numpy 1.x and 2.x both count
+    import os
+    import sys
+
+    import dyadicmax.cli as cli_mod
+    import dyadicmax.maximal as maximal_mod
+    import dyadicmax.sawyer as sawyer_mod
+    paths, _ = gen(tmp_path, trials=3, seed=0)
+    config = SweepConfig(seed=0, p_values=(1.5, 2.0, 3.0), q_tokens=("p", "2p", "inf"))
+    loaded = [(path.stem, cli_mod._load_instance(path)) for path in paths]
+    wrappers = {"fromnumeric.py", "_methods.py"}
+    counted = {sawyer_mod._reduced_measure.__code__: "reduced",
+               maximal_mod._classical_scalars.__code__: "scalars"}
+    seen, calls = [], {"reduced": 0, "scalars": 0}
+
+    def profile(frame, event, arg):
+        if event == "call":
+            code = frame.f_code
+            if os.path.basename(code.co_filename) in wrappers:
+                seen.append(f"{code.co_filename}:{code.co_name}")
+            if code in counted:
+                calls[counted[code]] += 1
+
+    sys.setprofile(profile)
+    try:
+        records = [cli_mod._verify_one(name, inst, config) for name, inst in loaded]
+    finally:
+        sys.setprofile(None)
+    assert all(rec["pass"] for batch in records for rec in batch)
+    assert sum(map(len, records)) == 3 * 9 * 6
+    assert not seen, sorted(set(seen))
+    assert calls == {"reduced": 3 * 3, "scalars": 3}
+
+
+def test_verify_one_holds_no_table_across_combinations():
+    # the reduction's coefficient table, (depth + 1) x atoms, is built and
+    # dropped inside each combination: three q at one p peak as high as the
+    # highest of them alone
+    import tracemalloc
+
+    import numpy as np
+
+    import dyadicmax.cli as cli_mod
+    from conftest import caterpillar
+    from dyadicmax import SawyerInstance, classical_coefficients
+    model = caterpillar(200)
+    assert model.n_nodes == 401
+    inst = SawyerInstance(model=model, omega_leaf=model.mu_leaf,
+                          w_leaf=np.ones(model.n_leaves), alpha=0.5, p=2.0)
+    loaded = (inst, classical_coefficients(model, model.mu_leaf, 0.5))
+
+    def peak(q_tokens):
+        config = SweepConfig(p_values=(2.0,), q_tokens=q_tokens)
+        tracemalloc.start()
+        try:
+            records = cli_mod._verify_one("caterpillar", loaded, config)
+            top = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert all(rec["pass"] for rec in records)
+        return top
+
+    cli_mod._verify_one("caterpillar", loaded, SweepConfig(p_values=(2.0,)))  # shape tables
+    single = max(peak((tok,)) for tok in ("p", "2p", "inf"))
+    together = peak(("p", "2p", "inf"))
+    assert together <= 1.02 * single, (together / 2 ** 20, single / 2 ** 20)
+
+
 def test_verify_rejects_bad_pq(tmp_path):
     with pytest.raises(ValueError, match="p <= q"):
         SweepConfig(p_values=(3.0,), q_tokens=("2.0",)).validate()

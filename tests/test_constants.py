@@ -638,6 +638,24 @@ def test_norm_lower_holds_few_level_tables_on_a_deep_tree(q):
     assert peak < 20 * table, peak / table
 
 
+def test_norm_search_stays_finite_on_masses_near_the_float_limit():
+    # the cube sums are finite, but a random candidate above 1 times mu(a1)
+    # would overflow, and A_lower come out NaN, unless the candidates are scaled
+    from dyadicmax import build_model, classical_coefficients
+    model = build_model({
+        "nodes": [{"id": "R", "parent": None}, {"id": "A", "parent": "R"},
+                  {"id": "a1", "parent": "A"}, {"id": "a2", "parent": "A"},
+                  {"id": "b", "parent": "R"}],
+        "mu": {"a1": 1e308, "a2": 1e307, "b": 1e300},
+        "nu": {"a1": 1.0, "a2": 1.0, "b": 1.0}})
+    a = classical_coefficients(model, model.mu_leaf, 0.5)
+    for seed in range(30):
+        for p in (1.5, 2.0, 3.0):
+            for q in (p, 2 * p, INF):
+                rep = verify_theorem(model, a, p, q, NormSearch(64, 12, seed))
+                assert math.isfinite(rep.A_lower) and rep.A_lower >= rep.B > 0, (seed, p, q)
+
+
 def test_power_step_returns_the_operator_on_its_input():
     # the search scores each iterate from the step that consumes it, so the
     # image must be the operator on the step's input, bit for bit

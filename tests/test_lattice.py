@@ -658,6 +658,27 @@ def test_build_model_names_the_first_faulty_record():
         }, min_children=2)
 
 
+def test_build_model_builds_the_id_index_once(monkeypatch):
+    # build_model hands its {id: position} map to the model; ids that are
+    # not strings are read as their str() in both
+    import dyadicmax.lattice as lattice_mod
+    calls = []
+    original = lattice_mod._index
+
+    def counted(ids):
+        calls.append(list(ids))
+        return original(ids)
+
+    monkeypatch.setattr(lattice_mod, "_index", counted)
+    model = build_model({"nodes": [{"id": "R", "parent": None}, {"id": 1, "parent": "R"},
+                                   {"id": "b", "parent": "R"}],
+                         "mu": {"1": 1, "b": 2}, "nu": {"1": 1, "b": 1}})
+    assert calls == [["R", "1", "b"]]
+    assert model.ids == ("R", "1", "b") and model.index == {"R": 0, "1": 1, "b": 2}
+    DyadicModel([0, 1, 2], [-1, 0, 0], [1.0, 2.0], [1.0, 1.0])  # the constructor builds its own
+    assert calls[1:] == [["0", "1", "2"]]
+
+
 def test_generated_files_build_the_walks_models(tmp_path):
     paths = cmd_generate(SweepConfig(trials=288, depth_max=4, branch_max=3,
                                      out=str(tmp_path)))
