@@ -409,12 +409,9 @@ def cmd_report(report_path, csv_path=None):
 # argument parsing
 
 
-_DEFAULTS = SweepConfig()  # every option's default
-
-
 def _add_common(sub):
-    sub.add_argument("--seed", type=int, default=_DEFAULTS.seed)
-    sub.add_argument("--out", default=_DEFAULTS.out)
+    sub.add_argument("--seed", type=int)
+    sub.add_argument("--out")
 
 
 def _float_list(text):
@@ -425,31 +422,44 @@ def _token_list(text):
     return tuple(tok.strip() for tok in text.split(",") if tok.strip())
 
 
+def _r_value(text):
+    try:
+        return text if text == "auto" else float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"r must be 'auto' or finite and > 1, got {text!r}") from None
+
+
 def build_parser():
+    """The command-line parser.  An option of generate or verify that is left
+    out is left out of the namespace too, and each option's ``dest`` is its
+    ``SweepConfig`` field, so the config's defaults are the only ones."""
     parser = argparse.ArgumentParser(
         prog="dyadicmax",
         description="Generate, verify and summarize two-weight testing sweeps.")
     subs = parser.add_subparsers(dest="command", required=True)
 
-    gen = subs.add_parser("generate", help="write random instance files")
-    gen.add_argument("--trials", type=int, default=_DEFAULTS.trials)
-    gen.add_argument("--depth-min", type=int, default=_DEFAULTS.depth_min)
-    gen.add_argument("--depth-max", type=int, default=_DEFAULTS.depth_max)
-    gen.add_argument("--branch-min", type=int, default=_DEFAULTS.branch_min)
-    gen.add_argument("--branch-max", type=int, default=_DEFAULTS.branch_max)
+    gen = subs.add_parser("generate", help="write random instance files",
+                          argument_default=argparse.SUPPRESS)
+    gen.add_argument("--trials", type=int)
+    gen.add_argument("--depth-min", type=int)
+    gen.add_argument("--depth-max", type=int)
+    gen.add_argument("--branch-min", type=int)
+    gen.add_argument("--branch-max", type=int)
     _add_common(gen)
 
-    ver = subs.add_parser("verify", help="run every check on instance files")
+    ver = subs.add_parser("verify", help="run every check on instance files",
+                          argument_default=argparse.SUPPRESS)
     ver.add_argument("instances", nargs="+")
-    ver.add_argument("--p", type=_float_list, default=_DEFAULTS.p_values)
-    ver.add_argument("--q", type=_token_list, default=_DEFAULTS.q_tokens)
-    ver.add_argument("--r", default=_DEFAULTS.r)
-    ver.add_argument("--tol", type=float, default=_DEFAULTS.tol)
-    ver.add_argument("--workers", type=int, default=_DEFAULTS.workers)
-    ver.add_argument("--search-random", type=int, default=_DEFAULTS.search_random)
-    ver.add_argument("--search-ascent", type=int, default=_DEFAULTS.search_ascent,
+    ver.add_argument("--p", type=_float_list, dest="p_values", metavar="P")
+    ver.add_argument("--q", type=_token_list, dest="q_tokens", metavar="Q")
+    ver.add_argument("--r", type=_r_value)
+    ver.add_argument("--tol", type=float)
+    ver.add_argument("--workers", type=int)
+    ver.add_argument("--search-random", type=int)
+    ver.add_argument("--search-ascent", type=int,
                      help="power-iteration steps of the operator-norm search")
-    ver.add_argument("--debug-halve-cp", action="store_true",
+    ver.add_argument("--debug-halve-cp", action="store_true", dest="halve_cp",
                      help="fault injection: halve C(p) to prove checks can fail")
     ver.add_argument("--audit", action="store_true",
                      help="dump stopping decompositions next to the report")
@@ -463,44 +473,26 @@ def build_parser():
 
 def main(argv=None):
     parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "generate":
-        config = SweepConfig(trials=args.trials, seed=args.seed,
-                             depth_min=args.depth_min, depth_max=args.depth_max,
-                             branch_min=args.branch_min, branch_max=args.branch_max,
-                             out=args.out)
+    options = vars(parser.parse_args(argv))
+    command = options.pop("command")
+    if command == "report":
         try:
-            config.validate()
-            cmd_generate(config)
-        except ValueError as exc:
-            parser.error(str(exc))
-        return 0
-    if args.command == "verify":
-        try:
-            r = args.r if args.r == "auto" else float(args.r)
-        except ValueError:
-            parser.error(f"r must be 'auto' or finite and > 1, got {args.r!r}")
-        config = SweepConfig(seed=args.seed, p_values=args.p, q_tokens=args.q,
-                             r=r, tol=args.tol, out=args.out,
-                             workers=args.workers,
-                             search_random=args.search_random,
-                             search_ascent=args.search_ascent,
-                             halve_cp=args.debug_halve_cp,
-                             audit=args.audit)
-        try:
-            config.validate()
-        except ValueError as exc:
-            parser.error(str(exc))
-        code, _ = cmd_verify(config, args.instances)
-        return code
-    if args.command == "report":
-        try:
-            cmd_report(args.report, args.csv)
+            cmd_report(options["report"], options["csv"])
         except (OSError, ValueError) as exc:  # a directory, an unwritable --csv
             print(f"error: {exc}", file=sys.stderr)
             return 2
         return 0
-    return 2
+    instances = options.pop("instances", None)
+    config = SweepConfig(**options)
+    try:
+        config.validate()
+        if command == "generate":
+            cmd_generate(config)
+            return 0
+    except ValueError as exc:
+        parser.error(str(exc))
+    code, _ = cmd_verify(config, instances)
+    return code
 
 
 if __name__ == "__main__":

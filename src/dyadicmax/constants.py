@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .lattice import DyadicModel, Exponents, _lp_rows, _lq_rows
+from .lattice import DyadicModel, Exponents, _check_p, _lp_rows, _lq_rows
 from .maximal import (CoefficientFamily, _apply_levels, _indicator_norms,
                       _indicator_ratios, _level_terms, _suffix_table)
 
@@ -41,14 +41,6 @@ class VerificationError(RuntimeError):
     def __init__(self, message, report=None):
         super().__init__(message)
         self.report = report
-
-
-def _check_p(p) -> float:
-    """p as a float, which must be finite and > 1 (a NaN is neither)."""
-    p = float(p)
-    if not (1.0 < p < math.inf):
-        raise ValueError(f"p must be finite > 1, got {p}")
-    return p
 
 
 def holder_conjugate(p: float) -> float:
@@ -353,14 +345,14 @@ def _reference_ratio_hp(model, a, f, p, q, dps):
 
 
 def operator_norm_bruteforce(model: DyadicModel, a: CoefficientFamily, p, q,
-                             resolution: int, *, precision_dps: Optional[int] = None,
-                             chunk: int = 65536):
+                             resolution: int, *, precision_dps: Optional[int] = None):
     """Exhaustive oracle for the operator norm on models with <= 4 leaves.
 
-    Scans a grid over every nonnegative direction, refines the best point by
-    deterministic coordinate ascent, and (optionally) re-evaluates the
-    refined maximizer in ``precision_dps``-digit decimal arithmetic.
-    Nondecreasing in resolution up to ascent rounding.
+    Scans a grid over every nonnegative direction, one ``_sphere_grid`` block
+    at a time (``_ratios`` bounds the memory of each by its row blocks),
+    refines the best point by deterministic coordinate ascent, and
+    (optionally) re-evaluates the refined maximizer in ``precision_dps``-digit
+    decimal arithmetic.  Nondecreasing in resolution up to ascent rounding.
     """
     Exponents(p, q).require_ordered()
     k = model.n_leaves
@@ -374,13 +366,11 @@ def operator_norm_bruteforce(model: DyadicModel, a: CoefficientFamily, p, q,
     best_ratio = -1.0
     best_f = None
     for block in _sphere_grid(k, resolution):
-        for s in range(0, block.shape[0], chunk):
-            part = block[s:s + chunk]
-            ratios, _ = _ratios(model, a, part, p, q)
-            idx = int(np.argmax(ratios))
-            if ratios[idx] > best_ratio:
-                best_ratio = float(ratios[idx])
-                best_f = part[idx].copy()
+        ratios, _ = _ratios(model, a, block, p, q)
+        idx = int(np.argmax(ratios))
+        if ratios[idx] > best_ratio:
+            best_ratio = float(ratios[idx])
+            best_f = block[idx].copy()
 
     # local ascent: shrinking multiplicative perturbations, run to convergence
     step = 0.5

@@ -19,7 +19,7 @@ from collections import deque
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, repeat
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -449,10 +449,29 @@ class DyadicModel:
         )
 
 
+def _check_p(p) -> float:
+    """p as a float, which must be finite and > 1 (a NaN is neither)."""
+    p = float(p)
+    if not (1.0 < p < math.inf):
+        raise ValueError(f"p must be finite > 1, got {p}")
+    return p
+
+
+def _check_q(q) -> float:
+    """q as a float, which must be > 1; the exact marker ``math.inf`` is allowed."""
+    if q == math.inf:
+        return math.inf
+    q = float(q)
+    if not q > 1.0:
+        raise ValueError(f"q must be in (1, inf], got {q}")
+    return q
+
+
 @dataclass(frozen=True)
 class Exponents:
     """A validated (p, q) pair with the Holder conjugate of p.
 
+    Both are kept as the floats that ``_check_p`` and ``_check_q`` return.
     ``q`` may be ``math.inf``; the infinite exponent is this exact marker,
     never a large float stand-in.
     """
@@ -461,10 +480,8 @@ class Exponents:
     q: float
 
     def __post_init__(self):
-        if not (1.0 < self.p < math.inf):
-            raise ValueError(f"p must be in (1, inf), got {self.p}")
-        if not (self.q == math.inf or 1.0 < self.q):
-            raise ValueError(f"q must be in (1, inf], got {self.q}")
+        object.__setattr__(self, "p", _check_p(self.p))
+        object.__setattr__(self, "q", _check_q(self.q))
 
     @property
     def p_conj(self):
@@ -538,25 +555,9 @@ def build_model(spec: Mapping, *, min_children: int = 2) -> DyadicModel:
                         _id_index=index)
     if kinds == {type(None)}:  # no record lists its children
         return model
-
-    # declared child lists must be the model's: compared all at once, as their
-    # lengths and as one sequence of child indices, and node by node only to
-    # name the first that disagrees
-    listed, lengths, actual = range(n), model._child_counts.tolist(), model._child_flat.tolist()
-    if type(None) in kinds:
-        listed = [k for k, c in enumerate(declared) if c is not None]
-        declared = [declared[k] for k in listed]
-        lengths = [lengths[k] for k in listed]
-        actual = list(chain.from_iterable(model.children[k] for k in listed))
-    try:
-        same = (list(map(len, declared)) == lengths
-                and list(map(index.get, chain.from_iterable(declared), repeat(-1))) == actual)
-    except TypeError:  # an unhashable entry
-        same = False
-    if not same:  # entries that are not strings are compared as their str()
-        k = next((k for k, c in zip(listed, declared)
-                  if list(map(str, c)) != [ids[j] for j in model.children[k]]), None)
-        if k is not None:
+    # a declared child list must be the model's, entries compared as their str()
+    for k, listed in enumerate(declared):
+        if listed is not None and list(map(str, listed)) != [ids[j] for j in model.children[k]]:
             raise ModelError(f"children of {ids[k]!r} disagree with parent links")
     return model
 

@@ -28,7 +28,6 @@ axis, by groups or along a running prefix (``lattice._lq_rows``,
 
 from __future__ import annotations
 
-import math
 from collections.abc import Mapping
 from dataclasses import dataclass
 from itertools import chain, repeat
@@ -36,8 +35,9 @@ from typing import Optional
 
 import numpy as np
 
-from .lattice import (_NOT_NUMBERS, MU, DyadicModel, ModelError, _lq_groups, _lq_rows,
-                      _non_number, _read_json, _running_lq, _write_json, as_leaf_function)
+from .lattice import (_NOT_NUMBERS, MU, DyadicModel, ModelError, _check_q, _lq_groups,
+                      _lq_rows, _non_number, _read_json, _running_lq, _write_json,
+                      as_leaf_function)
 
 __all__ = [
     "CoefficientFamily",
@@ -263,15 +263,6 @@ class MaximalOutput:
     values: np.ndarray
     q: float
     truncation: Optional[tuple] = None  # None | ("cube", id) | ("depth", N)
-
-
-def _check_q(q):
-    if q == math.inf:
-        return math.inf
-    q = float(q)
-    if not q > 1.0:
-        raise ValueError(f"q must be in (1, inf], got {q}")
-    return q
 
 
 def _check_n_start(model, n_start) -> int:

@@ -18,11 +18,11 @@ from typing import Optional
 import numpy as np
 
 from .constants import VerificationError, holder_conjugate
-from .lattice import (DyadicModel, RandomModelParams, _is_number, _lp_rows, _lq_rows,
-                      _read_json, _write_json, as_leaf_function, build_model, indicator,
-                      leaf_values, model_to_dict, random_model)
-from .maximal import (CoefficientFamily, _check_q, _classical_scalars, _level_terms,
-                      apply_maximal, apply_truncated, classical_coefficients)
+from .lattice import (DyadicModel, RandomModelParams, _check_q, _is_number, _lp_rows,
+                      _lq_rows, _read_json, _write_json, as_leaf_function, build_model,
+                      indicator, leaf_values, model_to_dict, random_model)
+from .maximal import (CoefficientFamily, _classical_scalars, _level_terms, apply_maximal,
+                      apply_truncated, classical_coefficients)
 
 __all__ = [
     "SawyerInstance",

@@ -19,12 +19,12 @@ from typing import Optional
 
 import numpy as np
 
-from .lattice import (MU, DyadicModel, Exponents, ModelError, _is_number, _lp_rows,
-                      _lq_groups, _lq_rows, as_leaf_function)
+from .lattice import (MU, DyadicModel, Exponents, ModelError, _check_p, _is_number,
+                      _lp_rows, _lq_groups, _lq_rows, as_leaf_function)
 from .maximal import (CoefficientFamily, _apply_by_label, _check_n_start, _level_terms,
                       node_integrals)
-from .constants import (VerificationError, _check_p, _check_rtol, holder_conjugate,
-                        testing_constant, theorem_constant)
+from .constants import (VerificationError, _check_rtol, holder_conjugate, testing_constant,
+                        theorem_constant)
 
 __all__ = [
     "StoppingDecomposition",
@@ -59,6 +59,12 @@ def _check_r(r):
     return r
 
 
+def _check_model(model, other, what):
+    """``other``, the model an argument was built for, must be ``model`` or equal it."""
+    if other is not model and other != model:
+        raise ValueError(f"{what} was built for a different model")
+
+
 def _held(lhs, rhs, p, rtol):
     """lhs^p <= rhs^p (1 + rtol) for norms, elementwise; inf or NaN never holds."""
     return (lhs < math.inf) & (rhs < math.inf) & (lhs <= rhs * (1.0 + rtol) ** (1.0 / p))
@@ -68,40 +74,6 @@ def _node_averages(model, f):
     """mu-averages of f on every node, 0 on null cubes by convention."""
     ints = node_integrals(model, f, MU)
     return np.where(model.mu_node > 0, ints / np.where(model.mu_node > 0, model.mu_node, 1.0), 0.0)
-
-
-def _stopping_search(model, averages, k, r) -> list:
-    """Indices of the stopping children of node k, in depth-first order.
-
-    These are the maximal strict descendants of positive mass whose average
-    is at least r times k's; a null cube or a zero average has none.
-    """
-    if averages[k] == 0.0 or model.mu_node[k] == 0:
-        return []
-    threshold = r * averages[k]
-    found = []
-    stack = list(model.children[k])[::-1]
-    while stack:
-        node = stack.pop()
-        if model.mu_node[node] > 0 and averages[node] >= threshold:
-            found.append(node)
-            continue
-        stack.extend(reversed(model.children[node]))
-    return found
-
-
-def stopping_children(model: DyadicModel, f, Q, r) -> list:
-    """Maximal strict descendants of Q whose average jumps by the factor r.
-
-    Only positive-mass descendants qualify; a cube with zero average has no
-    stopping children (all integrals below it vanish).  Returns node ids in
-    document order.
-    """
-    r = _check_r(r)
-    f = as_leaf_function(model, f, nonneg=True)
-    k = model.node(Q)
-    found = _stopping_search(model, _node_averages(model, f), k, r)
-    return [model.ids[n] for n in sorted(found)]
 
 
 @dataclass
@@ -188,6 +160,20 @@ def build_decomposition(model: DyadicModel, f, r, *, n_start: int = 0) -> Stoppi
     )
 
 
+def stopping_children(model: DyadicModel, f, Q, r) -> list:
+    """Maximal strict descendants of Q whose average jumps by the factor r.
+
+    They are read off the decomposition whose first generation is Q's depth
+    (:func:`build_decomposition`): the nodes whose stopping parent is Q.
+    Only positive-mass descendants qualify, ties with r * avg(Q) stop, and a
+    null cube or one with zero average has none.  Returns node ids in
+    document order.
+    """
+    k = model.node(Q)
+    decomp = build_decomposition(model, f, r, n_start=int(model.depth[k]))
+    return [model.ids[c] for c in (decomp.stopping_parent == k).nonzero()[0].tolist()]
+
+
 def decomposition_to_dict(decomp: StoppingDecomposition) -> dict:
     """Audit dump: generations by id, blocks as owner -> members."""
     return {
@@ -253,8 +239,10 @@ def verify_packing(model: DyadicModel, decomp: StoppingDecomposition) -> Packing
     """Check the mass of stopping cubes under every node against r/(r-1).
 
     Violations are reported, never raised: the bound is a consequence of the
-    construction, so a violation flags an implementation bug.
+    construction, so a violation flags an implementation bug.  A
+    decomposition built for another model raises ``ValueError``.
     """
+    _check_model(model, decomp.model, "decomposition")
     r = decomp.r
     bound = r / (r - 1.0)
     subtotal = model.subtree_totals(np.where(decomp.in_stopping, model.mu_node, 0.0))
@@ -353,11 +341,11 @@ def carleson_embedding_check(model: DyadicModel, w: CarlesonSequence, f, p,
 
     ``rtol``, a finite number >= 0, is relative to the p-th powers, and a
     non-finite side fails.  A failure is reported, not raised; the inequality
-    is a theorem for any sequence with a finite packing constant A.
+    is a theorem for any sequence with a finite packing constant A.  A
+    sequence built for another model raises ``ValueError``.
     """
-    p = float(p)
-    if not (1.0 < p < math.inf):
-        raise ValueError(f"p must be in (1, inf), got {p}")
+    _check_model(model, w.model, "Carleson sequence")
+    p = _check_p(p)
     rtol = _check_rtol(rtol)
     if w.packing_constant < 0:
         raise ValueError(f"packing constant must be >= 0, got {w.packing_constant}")

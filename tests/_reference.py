@@ -23,6 +23,37 @@ def ref_integrate(model, f, k, measure="mu"):
     return math.fsum(float(f[j]) * float(mass[j]) for j in range(lo, hi))
 
 
+def ref_averages(model, f):
+    """The mu-average of f on every node, 0 on null cubes by convention."""
+    ones = [1.0] * model.n_leaves
+    out = []
+    for k in range(model.n_nodes):
+        mass = ref_integrate(model, ones, k)
+        out.append(ref_integrate(model, f, k) / mass if mass > 0 else 0.0)
+    return out
+
+
+def ref_stopping_children(model, averages, k, r):
+    """Indices of the stopping children of node k, sorted, by a depth-first search.
+
+    They are the maximal strict descendants of positive mass whose average
+    is at least r times k's; a null cube or a zero average has none.
+    ``averages`` holds one per node, as ``ref_averages`` gives them.
+    """
+    if averages[k] == 0.0 or model.mu_node[k] == 0:
+        return []
+    threshold = r * averages[k]
+    found = []
+    stack = list(model.children[k])[::-1]
+    while stack:
+        node = stack.pop()
+        if model.mu_node[node] > 0 and averages[node] >= threshold:
+            found.append(node)
+            continue
+        stack.extend(reversed(model.children[node]))
+    return sorted(found)
+
+
 def ref_lp_norm(model, g, p, measure="nu"):
     mass = model.mu_leaf if measure == "mu" else model.nu_leaf
     if p == math.inf:

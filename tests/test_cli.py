@@ -619,6 +619,53 @@ def test_options_left_out_take_the_config_defaults(monkeypatch):
     assert seen == [(SweepConfig(), ["x.json"]), (SweepConfig(), None)]
 
 
+# one non-default value per flag of generate and verify, and the field it sets
+FLAG_FIELDS = {
+    "generate": [("--trials", "3", "trials", 3), ("--depth-min", "2", "depth_min", 2),
+                 ("--depth-max", "4", "depth_max", 4), ("--branch-min", "1", "branch_min", 1),
+                 ("--branch-max", "5", "branch_max", 5), ("--seed", "7", "seed", 7),
+                 ("--out", "elsewhere", "out", "elsewhere")],
+    "verify": [("--p", "1.5,3", "p_values", (1.5, 3.0)),
+               ("--q", "p, inf", "q_tokens", ("p", "inf")), ("--r", "1.75", "r", 1.75),
+               ("--tol", "1e-6", "tol", 1e-6), ("--workers", "2", "workers", 2),
+               ("--search-random", "5", "search_random", 5),
+               ("--search-ascent", "3", "search_ascent", 3),
+               ("--debug-halve-cp", None, "halve_cp", True), ("--audit", None, "audit", True),
+               ("--seed", "7", "seed", 7), ("--out", "elsewhere", "out", "elsewhere")],
+}
+
+
+def _captured_config(monkeypatch, argv):
+    import dyadicmax.cli as cli_mod
+    seen = []
+    monkeypatch.setattr(cli_mod, "cmd_verify",
+                        lambda config, paths: seen.append(config) or (0, []))
+    monkeypatch.setattr(cli_mod, "cmd_generate", seen.append)
+    assert main(argv) == 0
+    [config] = seen
+    return config
+
+
+def test_every_flag_is_listed():
+    # argparse keeps each subcommand's parser as a choice of its subparsers action
+    from dyadicmax.cli import build_parser
+    subs = next(a for a in build_parser()._actions if a.choices)
+    for command, rows in FLAG_FIELDS.items():
+        flags = {opt for action in subs.choices[command]._actions
+                 for opt in action.option_strings if opt not in ("-h", "--help")}
+        assert flags == {row[0] for row in rows}, command
+
+
+@pytest.mark.parametrize("command, flag, value, field, want", [
+    (command, *row) for command, rows in FLAG_FIELDS.items() for row in rows],
+    ids=[f"{command}{row[0]}" for command, rows in FLAG_FIELDS.items() for row in rows])
+def test_each_flag_reaches_its_config_field(monkeypatch, command, flag, value, field, want):
+    paths = ["x.json"] if command == "verify" else []
+    config = _captured_config(monkeypatch, [command, flag, *([value] if value else []), *paths])
+    assert getattr(SweepConfig(), field) != want
+    assert config == replace(SweepConfig(), **{field: want})
+
+
 def test_verify_records_a_failed_reduction_and_goes_on(tmp_path):
     # omega > 0 where w = 0: the reduced measure would be infinite
     paths, _ = gen(tmp_path, trials=1)

@@ -398,23 +398,53 @@ def test_masses_keyed_by_id_not_document_order():
     assert integrate(model, np.ones(3), "B", "mu") == 2.0
 
 
+# a tree whose records list children only where ``lists`` gives them
+_LINKS = {"R": None, "a": "R", "b": "R", "x": "a", "y": "a", "u": "b", "v": "b"}
+_KIDS = {nid: [c for c, up in _LINKS.items() if up == nid] for nid in _LINKS}
+
+
+def _listing(lists):
+    nodes = [{"id": nid, "parent": up, **({"children": lists[nid]} if nid in lists else {})}
+             for nid, up in _LINKS.items()]
+    leaves = {nid: 1 for nid in "xyuv"}
+    return {"nodes": nodes, "mu": leaves, "nu": leaves}
+
+
 @pytest.mark.parametrize("lists, named", [
     ({"R": ["b", "a"]}, "R"),
     ({"a": ["x", "y", "x"]}, "a"),
     ({"R": ["a", "b"], "a": ["x"]}, "a"),
     ({"b": ["u", "v", "x"]}, "b"),
     ({"a": ["x", "y"], "x": ["y"]}, "x"),
-], ids=["order", "twice", "left_out", "wrong_parent", "on_a_leaf"])
+    ({"R": ["a", "b"], "b": ["u", ["v"]]}, "b"),
+], ids=["order", "twice", "left_out", "wrong_parent", "on_a_leaf", "unhashable"])
 def test_children_disagreement_rejected(lists, named):
     # the parent links give the tree; a file's child lists can still name a
     # node twice or under another parent, and the first record whose list
     # is not its node's children in index order is named
-    links = {"R": None, "a": "R", "b": "R", "x": "a", "y": "a", "u": "b", "v": "b"}
-    nodes = [{"id": nid, "parent": up, **({"children": lists[nid]} if nid in lists else {})}
-             for nid, up in links.items()]
-    leaves = {nid: 1 for nid in "xyuv"}
     with pytest.raises(ModelError, match=f"children of '{named}' disagree with parent links"):
-        build_model({"nodes": nodes, "mu": leaves, "nu": leaves})
+        build_model(_listing(lists))
+
+
+@pytest.mark.parametrize("every", [1, 2], ids=["every_record", "every_other_record"])
+def test_children_that_agree_accepted(every):
+    # files of earlier versions list children on every record; a list on
+    # only some of them is checked where it is given
+    lists = {nid: _KIDS[nid] for i, nid in enumerate(_LINKS) if i % every == 0}
+    model = build_model(_listing(lists))
+    assert model == build_model(_listing({}))
+    assert [[model.ids[c] for c in kids] for kids in model.children] == list(_KIDS.values())
+
+
+def test_children_compared_as_their_str():
+    # ids are strings; a child entry written as a number names the id it prints as
+    model = build_model({
+        "nodes": [{"id": "R", "parent": None, "children": [1, 2.5]},
+                  {"id": "1", "parent": "R"}, {"id": "2.5", "parent": "R"}],
+        "mu": {"1": 1, "2.5": 1},
+        "nu": {"1": 1, "2.5": 1},
+    })
+    assert [model.ids[c] for c in model.children[model.node("R")]] == ["1", "2.5"]
 
 
 def test_record_without_id_rejected():

@@ -12,7 +12,7 @@ from dyadicmax import (CarlesonSequence, CoefficientFamily, ModelError, Verifica
                        testing_constant, verify_packing)
 from dyadicmax.stopping import partition_ok
 
-from _reference import ref_lp_norm, ref_maximal
+from _reference import ref_averages, ref_lp_norm, ref_maximal, ref_stopping_children
 from conftest import INF, make_instance, random_nonneg
 
 
@@ -79,21 +79,29 @@ def test_stopping_parents_match_stopping_children(e1):
         f[np.random.default_rng(seed).random(model.n_leaves) < 0.3] = 0.0
         cases.append((model, f, 1.0 + (seed % 4 + 1) / 4, seed % (model.max_depth + 1)))
     for case, (model, f, r, n_start) in enumerate(cases):
+        # the reference is a depth-first search of each cube's subtree, on
+        # averages summed atom by atom: no code shared with the level pass
+        averages = ref_averages(model, f)
         d = build_decomposition(model, f, r, n_start=n_start)
         for qid in d.stopping:
             k = model.node(qid)
-            kids = [model.ids[c] for c in np.flatnonzero(d.stopping_parent == k)]
-            assert kids == stopping_children(model, f, qid, r), (case, qid)
+            kids = np.flatnonzero(d.stopping_parent == k).tolist()
+            assert kids == ref_stopping_children(model, averages, k, r), (case, qid)
+        # stopping_children reads the decomposition at the cube's own depth,
+        # and agrees with the search on every cube, stopping or not
+        for k in range(model.n_nodes):
+            want = [model.ids[c] for c in ref_stopping_children(model, averages, k, r)]
+            assert stopping_children(model, f, model.ids[k], r) == want, (case, k)
         first = {model.node(qid) for qid in d.generations[0]}
         assert all(d.stopping_parent[k] == -1 for k in first)
         assert first == set(np.flatnonzero(model.depth == n_start))
 
         # the stopping cubes are the first generation and its stopping children, iterated
-        generations, frontier = [], [model.ids[k] for k in sorted(first)]
+        generations, frontier = [], sorted(first)
         while frontier:
-            generations.append(frontier)
-            frontier = sorted((c for qid in frontier
-                               for c in stopping_children(model, f, qid, r)), key=model.node)
+            generations.append([model.ids[k] for k in frontier])
+            frontier = sorted(c for k in frontier
+                              for c in ref_stopping_children(model, averages, k, r))
         assert d.generations == generations, case
         stopping = {model.node(qid) for gen in generations for qid in gen}
         # owner: the nearest stopping ancestor-or-self at depth >= n_start, else none
@@ -244,10 +252,37 @@ def test_carleson_reads_the_averages_of_its_decomposition():
         f, g = random_nonneg(model, seed), random_nonneg(model, seed + 50)
         w = stopping_weights(build_decomposition(model, f, 1.5))
         plain = CarlesonSequence.from_weights(model, w.weights)
+        for fn in (f, f.copy(), g):
+            got = carleson_embedding_check(model, w, fn, 2.0)
+            assert got == carleson_embedding_check(model, plain, fn, 2.0)
+        # the packing constant was taken against the model's mu: on other
+        # masses it bounds nothing, so the check refuses the sequence
         copy = model.with_measures(mu_leaf=2.0 * model.mu_leaf)
-        for fn, m in ((f, model), (f.copy(), model), (g, model), (f, copy)):
-            got = carleson_embedding_check(m, w, fn, 2.0)
-            assert got == carleson_embedding_check(m, plain, fn, 2.0)
+        for seq in (w, plain):
+            with pytest.raises(ValueError, match="built for a different model"):
+                carleson_embedding_check(copy, seq, f, 2.0)
+
+
+def test_checks_reject_objects_built_for_another_tree():
+    # two 5-node trees with three atoms each: B's stopping masses, read on A,
+    # passed the Carleson check, and A's packing check read B's stopping cubes
+    def tree(links):
+        nodes = [{"id": nid, "parent": up} for nid, up in links.items()]
+        atoms = {nid: 1.0 for nid in links if nid not in links.values()}
+        return build_model({"nodes": nodes, "mu": atoms, "nu": atoms}, min_children=1)
+
+    A = tree({"R": None, "a": "R", "b": "R", "x": "a", "y": "a"})
+    B = tree({"R": None, "a": "R", "b": "R", "u": "b", "v": "b"})
+    f = [4.0, 1.0, 1.0]
+    decomp = build_decomposition(B, f, 1.5)
+    with pytest.raises(ValueError, match="Carleson sequence was built for a different model"):
+        carleson_embedding_check(A, stopping_weights(decomp), f, 2.0)
+    with pytest.raises(ValueError, match="decomposition was built for a different model"):
+        verify_packing(A, decomp)
+    # an equal model built again is the same model
+    again = tree({"R": None, "a": "R", "b": "R", "u": "b", "v": "b"})
+    assert carleson_embedding_check(again, stopping_weights(decomp), f, 2.0).ok
+    assert verify_packing(again, decomp).ok
 
 
 def test_carleson_rejects_negative_packing_constant(e1):
