@@ -11,7 +11,6 @@ from .lattice import (
     MU,
     NU,
     DyadicModel,
-    Exponents,
     ModelError,
     RandomModelParams,
     as_leaf_function,

@@ -21,7 +21,7 @@ import numpy as np
 
 from .constants import (NormSearch, VerificationError, theorem_constant,
                         theorem_constant_hp, verify_theorem)
-from .lattice import ModelError, RandomModelParams, _read_json, random_model
+from .lattice import ModelError, RandomModelParams, _is_number, _read_json, random_model
 from .maximal import (CoefficientFamily, _classical_scalars, classical_coefficients,
                       read_coefficients, write_coefficients)
 from .sawyer import (ReductionError, _draw_instance, _instance_from_dict, _reduced_measure,
@@ -31,9 +31,6 @@ from .stopping import (build_decomposition, carleson_embedding_check,
                        proof_trace, stopping_weights, verify_packing)
 
 __all__ = ["SweepConfig", "cmd_generate", "cmd_verify", "cmd_report", "main"]
-
-CHECKS = ("sandwich", "cp_value", "packing", "carleson", "proof_chain",
-          "sawyer_reduction")
 
 
 @dataclass(frozen=True)
@@ -173,6 +170,14 @@ def _record(instance, p, q, check, passed, margin, **detail):
         "margin": float(margin),
         "detail": detail,
     }
+
+
+def _spelled(value):
+    """``value`` with each number in it, at any depth of its dicts, that is not
+    finite written as the string "inf", "-inf" or "nan", as q = "inf" is."""
+    if isinstance(value, dict):
+        return {key: _spelled(v) for key, v in value.items()}
+    return str(value) if isinstance(value, float) and not math.isfinite(value) else value
 
 
 def _verify_one(name: str, instance, config: SweepConfig):
@@ -338,7 +343,11 @@ def cmd_verify(config: SweepConfig, instance_paths):
 
         records = [rec for batch in per_instance for rec in batch]
         for rec in records:
-            fh.write(json.dumps(rec, sort_keys=True) + "\n")
+            try:
+                line = json.dumps(rec, sort_keys=True, allow_nan=False)
+            except ValueError:  # a number that is not finite
+                line = json.dumps(_spelled(rec), sort_keys=True, allow_nan=False)
+            fh.write(line + "\n")
 
     failed = [r for r in records if not r["pass"]]
     for rec in failed:
@@ -358,7 +367,8 @@ def cmd_report(report_path, csv_path=None):
     """Aggregate a JSONL report into per-(p, q) summary rows (CSV).
 
     A line that is not a check record, such as the cut-off last line of a
-    killed sweep, raises ``ValueError`` naming the file and the line.
+    killed sweep, raises ``ValueError`` naming the file and the line.  A
+    value written as a string, as a non-finite number is, is skipped.
     """
     path = Path(report_path)
     if not path.exists():
@@ -368,7 +378,7 @@ def cmd_report(report_path, csv_path=None):
     def consider(p, q, metric, value, instance, better):
         key = (p, q, metric)
         cur = best.get(key)
-        if cur is None or better(value, cur[0]):
+        if _is_number(value) and (cur is None or better(value, cur[0])):
             best[key] = (value, instance)
 
     with path.open("rb") as fh:  # json.loads decodes, so bad bytes are a bad line too
@@ -378,9 +388,12 @@ def cmd_report(report_path, csv_path=None):
             try:
                 rec = json.loads(line)
                 p, q, det = rec["p"], rec["q"], rec["detail"]
-                if rec["check"] == "sandwich" and det.get("B", 0) > 0:
-                    consider(p, q, "max_A_over_B", det["A_lower"] / det["B"],
-                             rec["instance"], lambda a, b: a > b)
+                B = det.get("B", 0)
+                if rec["check"] == "sandwich" and _is_number(B) and B > 0:
+                    A = det["A_lower"]
+                    if _is_number(A):
+                        consider(p, q, "max_A_over_B", A / B, rec["instance"],
+                                 lambda a, b: a > b)
                 elif rec["check"] == "packing":
                     consider(p, q, "max_packing_ratio", det["worst_ratio"],
                              rec["instance"], lambda a, b: a > b)

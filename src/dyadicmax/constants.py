@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .lattice import DyadicModel, Exponents, _check_p, _lp_rows, _lq_rows
+from .lattice import DyadicModel, _check_p, _check_pq, _lp_rows, _lq_rows
 from .maximal import (CoefficientFamily, _apply_levels, _indicator_norms,
                       _indicator_ratios, _level_terms, _suffix_table)
 
@@ -88,7 +88,7 @@ def testing_constant(model: DyadicModel, a: CoefficientFamily, p, q, *, _S=None)
     ``_S``, the ``_suffix_table`` of (a, q), is built here unless
     :func:`verify_theorem` hands over the one it shares with the norm search.
     """
-    Exponents(p, q).require_ordered()
+    _check_pq(p, q)
     S = _suffix_table(model, a, q) if _S is None else _S
     norms = _indicator_norms(model, a, p, S)
     pos = model.mu_node > 0
@@ -238,7 +238,7 @@ def operator_norm_lower(model: DyadicModel, a: CoefficientFamily, p, q,
     Returns (A_lower, witness function with unit mu-norm).  ``_S`` is as in
     :func:`testing_constant`.
     """
-    Exponents(p, q).require_ordered()
+    _check_pq(p, q)
     search = search or NormSearch()
 
     S = _suffix_table(model, a, q) if _S is None else _S
@@ -354,7 +354,7 @@ def operator_norm_bruteforce(model: DyadicModel, a: CoefficientFamily, p, q,
     (optionally) re-evaluates the refined maximizer in ``precision_dps``-digit
     decimal arithmetic.  Nondecreasing in resolution up to ascent rounding.
     """
-    Exponents(p, q).require_ordered()
+    _check_pq(p, q)
     k = model.n_leaves
     if k > 4:
         raise ValueError(f"too many leaves for exhaustive search: {k} > 4")
@@ -422,7 +422,7 @@ def verify_theorem(model: DyadicModel, a: CoefficientFamily, p, q,
     ``ValueError`` on bad input, such as an rtol that is not a finite number
     >= 0.  The ``c_p`` override exists for fault-injection tests only.
     """
-    Exponents(p, q).require_ordered()
+    _check_pq(p, q)
     rtol = _check_rtol(rtol)
     S = _suffix_table(model, a, q)  # one table for both halves of the sandwich
     B, witness_cube = testing_constant(model, a, p, q, _S=S)

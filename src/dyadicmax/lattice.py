@@ -32,7 +32,6 @@ __all__ = [
     "NU",
     "ModelError",
     "DyadicModel",
-    "Exponents",
     "RandomModelParams",
     "build_model",
     "leaf_values",
@@ -85,9 +84,10 @@ def _layout(ids, parent, roots, min_children):
     ``roots`` holds the nodes whose ``parent`` link is negative, in index
     order; the forest is laid out root after root, and each node's children
     in index order.  Returns (depth, dfs_order, dfs_lo, dfs_hi, leaf_lo,
-    leaf_hi, counts, flat), ``counts`` and ``flat`` being the child lists'
-    lengths and their concatenation: the nodes that are not roots, sorted by
-    parent in one stable sort.
+    leaf_hi, counts, flat, levels), ``counts`` and ``flat`` being the child
+    lists' lengths and their concatenation: the nodes that are not roots,
+    sorted by parent in one stable sort; and ``levels`` the nodes of each
+    depth in index order, ``roots`` first.
 
     Three passes run level by level, so they cost O(depth) array operations
     over O(nodes) elements in all: one down the tree gathers each level's
@@ -114,8 +114,8 @@ def _layout(ids, parent, roots, min_children):
     # down: depths, and per depth >= 1 the nodes with their parents and flat
     # positions.  The next level is the current level's child lists, slices
     # of flat, in the current level's order (the later passes work node by
-    # node, so the order inside a level does not matter); each node has one
-    # owner, so it is reached at most once
+    # node, so the order inside a level does not matter; ``levels`` sorts each
+    # level once); each node has one owner, so it is reached at most once
     depth = np.full(n, -1, dtype=np.int64)
     depth[roots] = 0
     levels, placed, nodes, d = [], roots.size, roots, 0
@@ -158,7 +158,8 @@ def _layout(ids, parent, roots, min_children):
     leaves_before = np.zeros(n + 1, dtype=np.int64)
     np.add.accumulate(counts[order] == 0, dtype=np.int64, out=leaves_before[1:])
     hi = lo + size
-    return depth, order, lo, hi, leaves_before[lo], leaves_before[hi], counts, flat
+    groups = (roots, *(np.sort(kids) for kids, _, _ in levels))
+    return depth, order, lo, hi, leaves_before[lo], leaves_before[hi], counts, flat, groups
 
 
 class DyadicModel:
@@ -175,13 +176,14 @@ class DyadicModel:
     ``dfs_lo``/``dfs_hi`` and ``leaf_lo``/``leaf_hi``) come from the parent
     links, sorted once by parent, in a few array passes per level of the
     tree (``_layout``), which also reject a malformed shape by naming the
-    first faulty node in index order.  Tables that depend on the shape alone
-    (``children``, ``levels``, and the child lists and the level-by-leaf
-    ancestor table, both padded with n_nodes) are built on first use and
-    cached on the model, so every coefficient family on the tree, and every
-    ``with_measures`` copy made after they exist, shares them.  Other
-    modules read subtree sums per node (``_subtree_sums``) or along the paths
-    (``_path_sums``), never the buffer of ``_dfs_sums``.
+    first faulty node in index order, and group the nodes by depth:
+    ``levels[d]`` holds the nodes at depth d in index order.  Tables that
+    depend on the shape alone (``children``, and the child lists and the
+    level-by-leaf ancestor table, both padded with n_nodes) are built on
+    first use and cached on the model, so every coefficient family on the
+    tree, and every ``with_measures`` copy made after they exist, shares
+    them.  Other modules read subtree sums per node (``_subtree_sums``) or
+    along the paths (``_path_sums``), never the buffer of ``_dfs_sums``.
 
     Instances are immutable after construction and safe to share across
     threads; all module operations are pure functions of their inputs.
@@ -205,8 +207,8 @@ class DyadicModel:
         roots = (self.parent < 0).nonzero()[0]
         self.roots = tuple(roots.tolist())
         (self.depth, self.dfs_order, self.dfs_lo, self.dfs_hi, self.leaf_lo, self.leaf_hi,
-         self._child_counts, self._child_flat) = _layout(self.ids, self.parent, roots,
-                                                         min_children)
+         self._child_counts, self._child_flat, self.levels) = _layout(self.ids, self.parent,
+                                                                      roots, min_children)
 
         self.is_leaf = self._child_counts == 0
         self.leaf_nodes = self.dfs_order[self.is_leaf[self.dfs_order]]
@@ -227,7 +229,7 @@ class DyadicModel:
         for arr in (self.parent, self.depth, self.dfs_order, self.dfs_lo, self.dfs_hi,
                     self.leaf_lo, self.leaf_hi, self.leaf_nodes, self.is_leaf,
                     self._child_counts, self._child_flat, self._inner_bounds,
-                    self._sum_slots, self._leaf_dfs):
+                    self._sum_slots, self._leaf_dfs, *self.levels):
             arr.setflags(write=False)
         self._set_measures(mu_leaf, nu_leaf)
 
@@ -297,16 +299,6 @@ class DyadicModel:
         """Each node's children as a tuple of node indices, in index order."""
         flat, ends = self._child_flat.tolist(), np.add.accumulate(self._child_counts).tolist()
         return tuple(tuple(flat[lo:hi]) for lo, hi in zip([0] + ends, ends))
-
-    @cached_property
-    def levels(self):
-        """Node indices grouped by depth: ``levels[d]`` holds depth d."""
-        by_depth = self.depth.argsort(kind="stable")
-        cuts = self.depth[by_depth].searchsorted(np.arange(self.max_depth + 2))
-        out = tuple(by_depth[cuts[d]:cuts[d + 1]] for d in range(self.max_depth + 1))
-        for arr in out:
-            arr.setflags(write=False)
-        return out
 
     @cached_property
     def _families(self):
@@ -467,31 +459,13 @@ def _check_q(q) -> float:
     return q
 
 
-@dataclass(frozen=True)
-class Exponents:
-    """A validated (p, q) pair with the Holder conjugate of p.
-
-    Both are kept as the floats that ``_check_p`` and ``_check_q`` return.
-    ``q`` may be ``math.inf``; the infinite exponent is this exact marker,
-    never a large float stand-in.
-    """
-
-    p: float
-    q: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "p", _check_p(self.p))
-        object.__setattr__(self, "q", _check_q(self.q))
-
-    @property
-    def p_conj(self):
-        return self.p / (self.p - 1.0)
-
-    def require_ordered(self):
-        """Enforce p <= q, the regime of the testing characterization."""
-        if not self.p <= self.q:
-            raise ValueError(f"need p <= q, got p={self.p}, q={self.q}")
-        return self
+def _check_pq(p, q) -> float:
+    """p as a float, after checking p and q and that p <= q, the regime of the
+    testing characterization."""
+    p, q = _check_p(p), _check_q(q)
+    if not p <= q:
+        raise ValueError(f"need p <= q, got p={p}, q={q}")
+    return p
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,7 @@ from typing import Optional
 
 import numpy as np
 
-from .lattice import (_NOT_NUMBERS, MU, DyadicModel, ModelError, _check_q, _lq_groups,
+from .lattice import (MU, DyadicModel, ModelError, _check_q, _is_number, _lq_groups,
                       _lq_rows, _non_number, _read_json, _running_lq, _write_json,
                       as_leaf_function)
 
@@ -177,8 +177,8 @@ class CoefficientFamily:
         vectors = []  # positions in `values` of the vector entries, in node order
         kinds = set(map(type, values))
         if not kinds <= {float, int}:
-            if not kinds.isdisjoint(_NOT_NUMBERS):
-                i = next(i for i, val in enumerate(values) if isinstance(val, _NOT_NUMBERS))
+            i = _non_number(values)
+            if i is not None:
                 raise ModelError(f"coefficient for {model.ids[nodes[i]]!r} must be a number, "
                                  f"got {values[i]!r}")
             # one Mapping test per type, not per entry: it is an ABC lookup
@@ -435,15 +435,21 @@ def classical_coefficients(model: DyadicModel, omega_leaf, alpha: float) -> Coef
     return CoefficientFamily(model, _classical_scalars(model, omega_leaf, alpha))
 
 
+def _check_alpha(alpha) -> float:
+    """alpha as a float, which must be a number in (0, 1]: a string, a boolean
+    (JSON "0.5" or true) or None is not a number here, and a NaN is not in
+    the range."""
+    if not (_is_number(alpha) and 0.0 < alpha <= 1.0):
+        raise ValueError(f"alpha must be a number in (0, 1], got {alpha!r}")
+    return float(alpha)
+
+
 def _classical_scalars(model: DyadicModel, omega_leaf, alpha) -> np.ndarray:
     """The entries omega(Q)^(-alpha) of ``classical_coefficients``, one per node."""
-    if not (0.0 < alpha <= 1.0):
-        raise ValueError(f"alpha must be in (0, 1], got {alpha}")
-    omega_node = model.subtree_sums(omega_leaf)
-    if np.minimum.reduce(np.asarray(omega_leaf, dtype=float)) < 0:
-        raise ValueError("omega masses must be >= 0")
+    alpha = _check_alpha(alpha)
+    omega_node = model._subtree_sums(model._checked_masses(omega_leaf, "omega"))
     with np.errstate(divide="ignore"):
-        return np.where(omega_node > 0, omega_node ** (-float(alpha)), 0.0)
+        return np.where(omega_node > 0, omega_node ** -alpha, 0.0)
 
 
 def write_coefficients(a: CoefficientFamily, path) -> None:

@@ -17,12 +17,12 @@ from typing import Optional
 
 import numpy as np
 
-from .constants import VerificationError, holder_conjugate
-from .lattice import (DyadicModel, RandomModelParams, _check_q, _is_number, _lp_rows,
-                      _lq_rows, _read_json, _write_json, as_leaf_function, build_model,
-                      indicator, leaf_values, model_to_dict, random_model)
-from .maximal import (CoefficientFamily, _classical_scalars, _level_terms, apply_maximal,
-                      apply_truncated, classical_coefficients)
+from .constants import VerificationError, _check_rtol, holder_conjugate
+from .lattice import (DyadicModel, RandomModelParams, _check_p, _check_q, _is_number,
+                      _lp_rows, _lq_rows, _read_json, _write_json, as_leaf_function,
+                      build_model, indicator, leaf_values, model_to_dict, random_model)
+from .maximal import (CoefficientFamily, _check_alpha, _classical_scalars, _level_terms,
+                      apply_maximal, apply_truncated, classical_coefficients)
 
 __all__ = [
     "SawyerInstance",
@@ -48,7 +48,8 @@ class SawyerInstance:
 
     The model's own mu masses are ignored here; only its shape and nu
     matter.  ``w`` is the density of the testing-side measure with respect
-    to omega, ``alpha`` the exponent of the classical coefficients.
+    to omega, ``alpha`` the exponent of the classical coefficients.  omega
+    and w are checked as the model's masses are, naming a bad value's leaf.
     """
 
     model: DyadicModel
@@ -58,14 +59,13 @@ class SawyerInstance:
     p: float
 
     def __post_init__(self):
-        self.omega_leaf = as_leaf_function(self.model, self.omega_leaf, nonneg=True)
-        self.w_leaf = as_leaf_function(self.model, self.w_leaf, nonneg=True)
-        # a string or a boolean (JSON "0.5" or true) is not a number here, nor is null
-        if not _is_number(self.alpha) or not (0.0 < self.alpha <= 1.0):
-            raise ValueError(f"alpha must be a number in (0, 1], got {self.alpha!r}")
-        if not _is_number(self.p) or not (1.0 < self.p < math.inf):
+        self.omega_leaf = self.model._checked_masses(self.omega_leaf, "omega")
+        self.w_leaf = self.model._checked_masses(self.w_leaf, "w")
+        self.alpha = _check_alpha(self.alpha)
+        # a string or a boolean (JSON "2" or true) is not a number here, nor is null
+        if not _is_number(self.p):
             raise ValueError(f"p must be a finite number > 1, got {self.p!r}")
-        self.alpha, self.p = float(self.alpha), float(self.p)
+        self.p = _check_p(self.p)
 
     @property
     def target_leaf(self):
@@ -155,8 +155,8 @@ def verify_reduction(inst: SawyerInstance, f, q, *, rtol: float = 1e-12,
     Identity (i): integrals of g against the reduced measure match integrals
     of f against omega on every cube, hence the generalized operator of g
     matches the classical weighted operator of f pointwise.  Identity (ii):
-    the L^p norms agree.  Violations beyond ``rtol`` raise unless
-    ``strict=False``; an error that is not a finite number is a violation.
+    the L^p norms agree.  Violations beyond ``rtol`` (finite, >= 0) raise
+    unless ``strict=False``; an error that is not a finite number fails.
 
     Everything runs on the instance's own model: each side's integrals are
     subtree sums of its masses times its function, and the operator and the
@@ -168,6 +168,7 @@ def verify_reduction(inst: SawyerInstance, f, q, *, rtol: float = 1e-12,
     its level table, is built on each call and dropped when it returns.
     """
     model, p, q = inst.model, inst.p, _check_q(q)
+    rtol = _check_rtol(rtol)
     f = as_leaf_function(model, f, nonneg=True)
     if _reduced is None:
         _reduced = (*_reduced_measure(inst),

@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .lattice import (MU, DyadicModel, Exponents, ModelError, _check_p, _is_number,
+from .lattice import (MU, DyadicModel, ModelError, _check_p, _check_pq, _is_number,
                       _lp_rows, _lq_groups, _lq_rows, as_leaf_function)
 from .maximal import (CoefficientFamily, _apply_by_label, _check_n_start, _level_terms,
                       node_integrals)
@@ -84,8 +84,10 @@ class StoppingDecomposition:
     ancestor-or-self (-1 above depth ``n_start``); the stopping cubes own
     themselves, and the first generation is the cubes at depth ``n_start``.
     ``stopping_parent[k]`` is the stopping cube whose stopping child k is (-1
-    for the first generation and non-stopping nodes).  ``averages`` holds the
-    mu-averages of f; ``generations``, ``stopping`` and ``blocks`` are views.
+    for the first generation and non-stopping nodes); ``generation[k]`` counts
+    the stopping cubes on k's path below depth ``n_start``.  ``averages``
+    holds the mu-averages of f; ``generations``, ``stopping`` and ``blocks``
+    are views.
     """
 
     model: DyadicModel
@@ -95,20 +97,18 @@ class StoppingDecomposition:
     averages: np.ndarray = field(repr=False)
     owner_index: np.ndarray = field(repr=False)
     stopping_parent: np.ndarray = field(repr=False)
+    generation: np.ndarray = field(repr=False)
 
-    @property
+    @cached_property
     def in_stopping(self) -> np.ndarray:
         return self.owner_index == np.arange(self.model.n_nodes)
 
     def _by_generation(self):
         """Stopping-cube indices by generation, DFS order within one; their generations."""
-        model, stop = self.model, self.in_stopping
-        gen = np.zeros(model.n_nodes, dtype=np.int64)
-        for nodes in model.levels[self.n_start + 1:]:
-            gen[nodes] = gen[model.parent[nodes]] + stop[nodes]
-        nodes = model.dfs_order[stop[model.dfs_order]]
-        nodes = nodes[gen[nodes].argsort(kind="stable")]
-        return nodes, gen[nodes]
+        order = self.model.dfs_order
+        nodes = order[self.in_stopping[order]]
+        nodes = nodes[self.generation[nodes].argsort(kind="stable")]
+        return nodes, self.generation[nodes]
 
     @property
     def stopping(self) -> list:
@@ -145,18 +145,21 @@ def build_decomposition(model: DyadicModel, f, r, *, n_start: int = 0) -> Stoppi
     averages = _node_averages(model, f)
     owner = np.full(model.n_nodes, -1, dtype=np.int64)
     stopping_parent = np.full(model.n_nodes, -1, dtype=np.int64)
+    generation = np.zeros(model.n_nodes, dtype=np.int64)
     first = model.levels[n_start]
     owner[first] = first
     for nodes in model.levels[n_start + 1:]:
-        o = owner[model.parent[nodes]]
+        up = model.parent[nodes]
+        o = owner[up]
         avg_o = averages[o]
         stops = (model.mu_node[nodes] > 0) & (avg_o > 0) & (averages[nodes] >= r * avg_o)
         owner[nodes] = np.where(stops, nodes, o)
         stopping_parent[nodes[stops]] = o[stops]
+        generation[nodes] = generation[up] + stops
 
     return StoppingDecomposition(
         model=model, f=f, r=r, n_start=n_start, averages=averages,
-        owner_index=owner, stopping_parent=stopping_parent,
+        owner_index=owner, stopping_parent=stopping_parent, generation=generation,
     )
 
 
@@ -423,24 +426,26 @@ def proof_trace(model: DyadicModel, a: CoefficientFamily, f, p, q, r=None,
     """Numerically walk the sufficiency argument on one instance.
 
     ``B`` and ``decomp`` let a caller that already has the testing constant
-    or the stopping decomposition of (f, r, n_start) pass it in; a
-    decomposition built for another model, f, r or n_start is rejected.
+    or the stopping decomposition of (f, r, n_start) pass it in; one built
+    for another f, r or n_start, or for a model unequal to ``model``, is
+    rejected.
     Any failed link raises :class:`VerificationError` naming the link
     (``strict=False`` returns the trace instead); the chain is a theorem, so
     failures indicate bugs, not bad inputs.  Bad inputs, such as an rtol that
     is not a finite number >= 0, raise ``ValueError``.
     """
-    exps = Exponents(p, q).require_ordered()
-    p = exps.p
+    p = _check_pq(p, q)
     rtol = _check_rtol(rtol)
     f = as_leaf_function(model, f, nonneg=True)
     n_start = _check_n_start(model, n_start)
     r = default_r(p) if r is None else _check_r(r)
     if decomp is None:
         decomp = build_decomposition(model, f, r, n_start=n_start)
-    elif (decomp.model is not model or decomp.r != r or decomp.n_start != n_start
-          or decomp.f.shape != f.shape or not np.logical_and.reduce(decomp.f == f)):
-        raise ValueError("decomposition was built for a different model, f, r or n_start")
+    else:
+        _check_model(model, decomp.model, "decomposition")
+        if (decomp.r != r or decomp.n_start != n_start or decomp.f.shape != f.shape
+                or not np.logical_and.reduce(decomp.f == f)):
+            raise ValueError("decomposition was built for a different f, r or n_start")
     if B is None:
         B, _ = testing_constant(model, a, p, q)
 

@@ -5,7 +5,9 @@ sums, deliberately sharing no code path with the vectorized library.  The
 exceptions pin the library's arithmetic bit for bit against earlier forms of
 it: ``ref_walk``, the model constructor's depth-first walk as it was before
 the array layout; ``ref_verify_reduction``, the reduction check on public
-calls with one model copy per measure; the forward path and the testing
+calls with one model copy per measure; ``ref_generations``, the second walk
+down the levels that numbered the stopping generations before the
+decomposition pass recorded them; the forward path and the testing
 constant's suffixes as they were before the one-pass kernel; and, at the end,
 the library's two high-precision evaluations as they were in mpmath before
 they moved to the standard library's ``decimal``.
@@ -52,6 +54,24 @@ def ref_stopping_children(model, averages, k, r):
             continue
         stack.extend(reversed(model.children[node]))
     return sorted(found)
+
+
+def ref_generations(model, owner_index, n_start):
+    """(generation, stopping cubes, their generations) of a decomposition.
+
+    A node's generation counts the stopping cubes (the nodes that own
+    themselves) on its path below depth ``n_start``, numbered by a walk down
+    the depths; the stopping cubes come generation by generation, in DFS
+    order within one.
+    """
+    stop = np.asarray(owner_index) == np.arange(model.n_nodes)
+    gen = np.zeros(model.n_nodes, dtype=np.int64)
+    for d in range(n_start + 1, model.max_depth + 1):
+        nodes = np.flatnonzero(model.depth == d)
+        gen[nodes] = gen[model.parent[nodes]] + stop[nodes]
+    nodes = model.dfs_order[stop[model.dfs_order]]
+    nodes = nodes[gen[nodes].argsort(kind="stable")]
+    return gen, nodes, gen[nodes]
 
 
 def ref_lp_norm(model, g, p, measure="nu"):

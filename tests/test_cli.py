@@ -130,7 +130,10 @@ def _small_instance(**extra):
     ({"L1": 1.0}, "missing {key} mass for leaf 'L2'"),
     ({"L1": 1.0, "L2": 1.0, "X": 1.0}, "{key} mass for unknown node 'X'"),
     ({"L1": 1.0, "L2": 1.0, "Q0": 1.0}, "{key} mass assigned to non-leaf 'Q0'"),
-], ids=["missing_leaf", "unknown_node", "interior_node"])
+    ({"L1": 1.0, "L2": -1.0}, "negative mass in {key} at leaf 'L2'"),
+    # json writes and reads back an infinite value as the token Infinity
+    ({"L1": 1.0, "L2": math.inf}, "{key} mass of leaf 'L2' is not a finite number"),
+], ids=["missing_leaf", "unknown_node", "interior_node", "negative", "infinite"])
 def test_verify_reads_omega_and_w_strictly(tmp_path, capsys, key, values, message):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(_small_instance(**{key: values})))
@@ -586,6 +589,54 @@ def test_report_names_a_malformed_line_and_exits_2(tmp_path, capsys, bad):
     assert main(["report", str(report)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and f"{report}, line {len(records) + 1}" in err
+
+
+def _strict_json(line):
+    def reject(token):
+        raise ValueError(f"{token} is not JSON")
+    return json.loads(line, parse_constant=reject)
+
+
+def test_report_lines_are_strict_json_when_a_number_is_not_finite(tmp_path, capsys):
+    # at p = 1.5 the multiplier w^2 = 1.69e308 is finite, but g = f * w^2
+    # overflows where the drawn f exceeds 1: at q = 3 the reduction's errors
+    # and its margin are NaN
+    leaves = ("a", "b", "c")
+    path = tmp_path / "big_w.json"
+    path.write_text(json.dumps({
+        "nodes": [{"id": "R", "parent": None}] + [{"id": k, "parent": "R"} for k in leaves],
+        "mu": dict.fromkeys(leaves, 1), "nu": dict.fromkeys(leaves, 1),
+        "omega": dict.fromkeys(leaves, 1), "w": dict.fromkeys(leaves, 1.3e154),
+        "alpha": 0.5}))
+    run = tmp_path / "run"
+    assert main(["verify", str(path), "--p", "1.5", "--q", "p,2p,inf", "--out", str(run)]) == 1
+    lines = (run / "report.jsonl").read_text().splitlines()
+    records = [_strict_json(line) for line in lines]
+    failed = [i for i, rec in enumerate(records) if not rec["pass"]]
+    assert [(records[i]["check"], records[i]["q"]) for i in failed] == \
+        [("sawyer_reduction", 3.0)]
+    assert records[failed[0]]["margin"] == "nan"
+    assert set(records[failed[0]]["detail"].values()) == {"nan"}
+    # the records whose numbers are all finite keep json's own bytes
+    assert all(json.dumps(rec, sort_keys=True) == line
+               for i, (rec, line) in enumerate(zip(records, lines)) if i not in failed)
+    capsys.readouterr()
+    assert main(["report", str(run / "report.jsonl")]) == 0
+
+
+def test_report_skips_values_that_are_not_numbers(tmp_path):
+    def record(check, **detail):
+        return json.dumps({"instance": "i", "p": 2.0, "q": "inf", "check": check,
+                           "pass": False, "margin": "nan", "detail": detail})
+    report = tmp_path / "report.jsonl"
+    report.write_text("\n".join([
+        record("sandwich", B="inf", A_lower=1.0),
+        record("sandwich", B=1.0, A_lower="nan"),
+        record("sandwich", B=2.0, A_lower=3.0),
+        record("packing", worst_ratio="inf"),
+        record("proof_chain", min_rel_slack="-inf"),
+    ]) + "\n")
+    assert cmd_report(report) == [(2.0, "inf", "max_A_over_B", 1.5, "i")]
 
 
 def test_report_missing_file(tmp_path):

@@ -6,11 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dyadicmax import (DyadicModel, Exponents, ModelError, RandomModelParams, average,
+from dyadicmax import (DyadicModel, ModelError, RandomModelParams, average,
                        build_model, integrate, lp_norm, random_model,
                        read_model, write_model)
 from dyadicmax.cli import SweepConfig, cmd_generate
-from dyadicmax.lattice import _lq_groups, _lq_rows, _running_lq, model_to_dict
+from dyadicmax.lattice import _check_pq, _lq_groups, _lq_rows, _running_lq, model_to_dict
 from dyadicmax.maximal import node_integrals
 from dyadicmax.sawyer import random_instance
 
@@ -138,15 +138,16 @@ def test_lp_norm_rescales_by_the_peak(e1, deep_model):
     assert lp_norm(deep_model, g, 3, "mu") == pytest.approx(6.5 ** (1 / 3), rel=1e-15)
 
 
-def test_exponents_conjugate():
-    assert Exponents(2, 2).p_conj == 2.0
-    assert abs(1 / 3 + 1 / Exponents(3, 3).p_conj - 1) < 1e-15
-    with pytest.raises(ValueError):
-        Exponents(1.0, 2)
-    with pytest.raises(ValueError):
-        Exponents(2, 1.0)
-    with pytest.raises(ValueError):
-        Exponents(3, 2).require_ordered()
+def test_check_pq():
+    # p comes back as a float; the conjugate is holder_conjugate's (test_holder_conjugate)
+    assert _check_pq(2, 2) == 2.0 and type(_check_pq(2, 2)) is float
+    assert _check_pq(3, math.inf) == 3.0
+    with pytest.raises(ValueError, match="p must be finite > 1"):
+        _check_pq(1.0, 2)
+    with pytest.raises(ValueError, match="q must be in"):
+        _check_pq(2, 1.0)
+    with pytest.raises(ValueError, match="need p <= q, got p=3.0, q=2.0"):
+        _check_pq(3, 2)
 
 
 def test_subtree_totals_match_direct_sums():
@@ -526,6 +527,11 @@ def test_layout_matches_reference_walk():
             assert g.dtype == np.int64 and np.array_equal(g, w), name
         assert len(got[-1]) == len(want[-1])
         assert all(np.array_equal(g, w) for g, w in zip(got[-1], want[-1]))
+        # the depth groups come from the layout pass, as read-only arrays in a tuple
+        assert type(model.levels) is tuple
+        assert not any(level.flags.writeable for level in model.levels)
+        with pytest.raises(ValueError, match="read-only"):
+            model.levels[-1][0] = 0
 
 
 def test_families_match_plain_lists():

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from dataclasses import astuple, replace
 
 import numpy as np
@@ -156,6 +157,43 @@ def test_instance_numbers_written_as_strings_or_booleans_rejected(deep_model, fi
     fields = dict(model=deep_model, omega_leaf=np.ones(5), w_leaf=np.ones(5), alpha=0.5, p=2.0)
     with pytest.raises(ValueError, match=f"{field} must be a .*number.*got {value!r}"):
         SawyerInstance(**{**fields, field: value})
+
+
+@pytest.mark.parametrize("alpha", [True, "0.5", None, 0, 1.5])
+def test_one_alpha_rule_for_the_coefficients_and_the_instance(deep_model, alpha):
+    # True must not count as alpha = 1, nor "0.5" fail with a TypeError
+    message = re.escape(f"alpha must be a number in (0, 1], got {alpha!r}")
+    with pytest.raises(ValueError, match=message):
+        classical_coefficients(deep_model, np.ones(5), alpha)
+    with pytest.raises(ValueError, match=message):
+        SawyerInstance(model=deep_model, omega_leaf=np.ones(5), w_leaf=np.ones(5),
+                       alpha=alpha, p=2.0)
+
+
+@pytest.mark.parametrize("key", ["omega", "w"])
+@pytest.mark.parametrize("value, message", [
+    (-1.0, "negative mass in {key} at leaf '{leaf}'"),
+    (math.inf, "{key} mass of leaf '{leaf}' is not a finite number"),
+    (math.nan, "{key} mass of leaf '{leaf}' is not a finite number"),
+], ids=["negative", "infinite", "nan"])
+def test_instance_masses_name_the_leaf(deep_model, key, value, message):
+    values = np.ones(5)
+    values[3] = value
+    fields = dict(model=deep_model, omega_leaf=np.ones(5), w_leaf=np.ones(5), alpha=0.5, p=2.0)
+    message = re.escape(message.format(key=key, leaf=deep_model.leaf_ids[3]))
+    with pytest.raises(ModelError, match=message):
+        SawyerInstance(**{**fields, f"{key}_leaf": values})
+    if key == "omega":  # the classical coefficients read omega by the same rule
+        with pytest.raises(ModelError, match=message):
+            classical_coefficients(deep_model, values, 0.5)
+
+
+@pytest.mark.parametrize("rtol", [math.inf, math.nan, -1.0])
+def test_verify_reduction_rejects_a_bad_rtol(rtol):
+    # an infinite rtol would pass every finite error, and NaN or -1 fail every check
+    inst = random_instance(3)
+    with pytest.raises(ValueError, match="rtol must be finite and >= 0"):
+        verify_reduction(inst, np.ones(inst.model.n_leaves), INF, rtol=rtol, strict=False)
 
 
 @pytest.mark.parametrize("key", ["omega", "w"])

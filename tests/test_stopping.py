@@ -12,7 +12,8 @@ from dyadicmax import (CarlesonSequence, CoefficientFamily, ModelError, Verifica
                        testing_constant, verify_packing)
 from dyadicmax.stopping import partition_ok
 
-from _reference import ref_averages, ref_lp_norm, ref_maximal, ref_stopping_children
+from _reference import (ref_averages, ref_generations, ref_lp_norm, ref_maximal,
+                        ref_stopping_children)
 from conftest import INF, make_instance, random_nonneg
 
 
@@ -103,6 +104,11 @@ def test_stopping_parents_match_stopping_children(e1):
             frontier = sorted(c for k in frontier
                               for c in ref_stopping_children(model, averages, k, r))
         assert d.generations == generations, case
+        # the generations recorded by the level pass are the second walk's
+        generation, by_generation, of_each = ref_generations(model, d.owner_index, n_start)
+        assert np.array_equal(d.generation, generation), case
+        nodes, gens = d._by_generation()
+        assert np.array_equal(nodes, by_generation) and np.array_equal(gens, of_each), case
         stopping = {model.node(qid) for gen in generations for qid in gen}
         # owner: the nearest stopping ancestor-or-self at depth >= n_start, else none
         for k in range(model.n_nodes):
@@ -414,11 +420,16 @@ def test_proof_trace_reuses_decomposition():
     assert (given.lhs, given.est1, given.carleson_lhs) == \
         (built.lhs, built.est1, built.carleson_lhs)
     assert [b.norm for b in given.blocks] == [b.norm for b in built.blocks]
+    # an equal model that is another object is accepted, as in verify_packing
+    equal = model.with_measures(nu_leaf=model.nu_leaf)
+    assert equal is not model and equal == model
+    same = proof_trace(equal, a, f, 2.0, 4.0, 1.5, n_start=1, decomp=decomp)
+    assert dataclasses.astuple(same)[1:] == dataclasses.astuple(given)[1:]
     mismatched = [
         dict(r=1.7, n_start=1),
         dict(r=1.5, n_start=0),
         dict(r=1.5, n_start=1, f=2.0 * f),
-        dict(r=1.5, n_start=1, model=model.with_measures(nu_leaf=model.nu_leaf)),
+        dict(r=1.5, n_start=1, model=model.with_measures(nu_leaf=2.0 * model.nu_leaf)),
     ]
     for call in mismatched:
         m = call.get("model", model)
