@@ -343,11 +343,7 @@ def cmd_verify(config: SweepConfig, instance_paths):
 
         records = [rec for batch in per_instance for rec in batch]
         for rec in records:
-            try:
-                line = json.dumps(rec, sort_keys=True, allow_nan=False)
-            except ValueError:  # a number that is not finite
-                line = json.dumps(_spelled(rec), sort_keys=True, allow_nan=False)
-            fh.write(line + "\n")
+            fh.write(json.dumps(_spelled(rec), sort_keys=True, allow_nan=False) + "\n")
 
     failed = [r for r in records if not r["pass"]]
     for rec in failed:
@@ -367,18 +363,24 @@ def cmd_report(report_path, csv_path=None):
     """Aggregate a JSONL report into per-(p, q) summary rows (CSV).
 
     A line that is not a check record, such as the cut-off last line of a
-    killed sweep, raises ``ValueError`` naming the file and the line.  A
-    value written as a string, as a non-finite number is, is skipped.
+    killed sweep, raises ``ValueError`` naming the file and the line.  The
+    strings "inf", "-inf" and "nan" are read back as numbers; any other
+    value that is not a number is skipped.
     """
     path = Path(report_path)
     if not path.exists():
         raise FileNotFoundError(f"missing report: {path}")
     best = {}  # (p, q, metric) -> (value, instance, better)
 
+    def number(value):  # a number, the spellings of inf, -inf and nan read back; or None
+        value = float(value) if value in ("inf", "-inf", "nan") else value
+        return value if _is_number(value) else None
+
     def consider(p, q, metric, value, instance, better):
         key = (p, q, metric)
         cur = best.get(key)
-        if _is_number(value) and (cur is None or better(value, cur[0])):
+        value = number(value)
+        if value is not None and (cur is None or better(value, cur[0])):
             best[key] = (value, instance)
 
     with path.open("rb") as fh:  # json.loads decodes, so bad bytes are a bad line too
@@ -388,10 +390,10 @@ def cmd_report(report_path, csv_path=None):
             try:
                 rec = json.loads(line)
                 p, q, det = rec["p"], rec["q"], rec["detail"]
-                B = det.get("B", 0)
-                if rec["check"] == "sandwich" and _is_number(B) and B > 0:
-                    A = det["A_lower"]
-                    if _is_number(A):
+                B = number(det.get("B", 0))
+                if rec["check"] == "sandwich" and B is not None and B > 0:
+                    A = number(det["A_lower"])
+                    if A is not None:
                         consider(p, q, "max_A_over_B", A / B, rec["instance"],
                                  lambda a, b: a > b)
                 elif rec["check"] == "packing":

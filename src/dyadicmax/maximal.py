@@ -436,9 +436,8 @@ def classical_coefficients(model: DyadicModel, omega_leaf, alpha: float) -> Coef
 
 
 def _check_alpha(alpha) -> float:
-    """alpha as a float, which must be a number in (0, 1]: a string, a boolean
-    (JSON "0.5" or true) or None is not a number here, and a NaN is not in
-    the range."""
+    """alpha as a float, a number in (0, 1]: not a string, a boolean or None
+    (JSON "0.5", true or null), nor a NaN."""
     if not (_is_number(alpha) and 0.0 < alpha <= 1.0):
         raise ValueError(f"alpha must be a number in (0, 1], got {alpha!r}")
     return float(alpha)

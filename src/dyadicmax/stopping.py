@@ -87,7 +87,8 @@ class StoppingDecomposition:
     for the first generation and non-stopping nodes); ``generation[k]`` counts
     the stopping cubes on k's path below depth ``n_start``.  ``averages``
     holds the mu-averages of f; ``generations``, ``stopping`` and ``blocks``
-    are views.
+    are views.  :func:`build_decomposition` makes its arrays read-only:
+    ``generation`` and ``in_stopping`` describe the owners it was built with.
     """
 
     model: DyadicModel
@@ -156,6 +157,8 @@ def build_decomposition(model: DyadicModel, f, r, *, n_start: int = 0) -> Stoppi
         owner[nodes] = np.where(stops, nodes, o)
         stopping_parent[nodes[stops]] = o[stops]
         generation[nodes] = generation[up] + stops
+    for arr in (averages, owner, stopping_parent, generation):
+        arr.setflags(write=False)
 
     return StoppingDecomposition(
         model=model, f=f, r=r, n_start=n_start, averages=averages,

@@ -624,19 +624,26 @@ def test_report_lines_are_strict_json_when_a_number_is_not_finite(tmp_path, caps
     assert main(["report", str(run / "report.jsonl")]) == 0
 
 
-def test_report_skips_values_that_are_not_numbers(tmp_path):
+def test_report_reads_non_finite_strings_as_numbers(tmp_path):
+    # verify writes inf, -inf and NaN as strings; they must still reach the
+    # summary, as the worst case of their (p, q), and other strings are skipped
     def record(check, **detail):
         return json.dumps({"instance": "i", "p": 2.0, "q": "inf", "check": check,
                            "pass": False, "margin": "nan", "detail": detail})
     report = tmp_path / "report.jsonl"
     report.write_text("\n".join([
         record("sandwich", B="inf", A_lower=1.0),
-        record("sandwich", B=1.0, A_lower="nan"),
         record("sandwich", B=2.0, A_lower=3.0),
+        record("sandwich", B=1.0, A_lower="big"),
+        record("packing", worst_ratio=2.0),
         record("packing", worst_ratio="inf"),
+        record("packing", worst_ratio="big"),
+        record("proof_chain", min_rel_slack=0.5),
         record("proof_chain", min_rel_slack="-inf"),
     ]) + "\n")
-    assert cmd_report(report) == [(2.0, "inf", "max_A_over_B", 1.5, "i")]
+    assert cmd_report(report) == [(2.0, "inf", "max_A_over_B", 1.5, "i"),
+                                  (2.0, "inf", "max_packing_ratio", math.inf, "i"),
+                                  (2.0, "inf", "min_proof_slack", -math.inf, "i")]
 
 
 def test_report_missing_file(tmp_path):

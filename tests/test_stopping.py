@@ -136,8 +136,10 @@ def test_partition_ok_rejects_bad_owner_arrays(e1):
                          "mu": {"a": 1}, "nu": {"a": 1}}, min_children=1)
     d3 = build_decomposition(chain, [1.0], 1.5)
     assert list(d3.owner_index) == [0, 0, 0] and partition_ok(d3)
-    d3.owner_index[2] = 1                                # A owns a but not itself
-    assert not partition_ok(d3)
+    with pytest.raises(ValueError):                      # the owners are read-only
+        d3.owner_index[2] = 1
+    bad = np.array([0, 0, 1])                            # A owns a but not itself
+    assert not partition_ok(dataclasses.replace(d3, owner_index=bad))
     deep = build_decomposition(e1, [4, 0], 1.5, n_start=1)
     assert list(deep.owner_index) == [-1, L1, L2] and partition_ok(deep)
     assert not partition_ok(with_owners(deep, Q0=Q0))    # owner above n_start
