@@ -19,14 +19,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .constants import (NormSearch, VerificationError, theorem_constant,
+from .constants import (NormSearch, VerificationError, _check_rtol, theorem_constant,
                         theorem_constant_hp, verify_theorem)
-from .lattice import ModelError, RandomModelParams, _is_number, _read_json, random_model
+from .lattice import (ModelError, RandomModelParams, _check_pq, _is_number, _read_json,
+                      random_model)
 from .maximal import (CoefficientFamily, _classical_scalars, classical_coefficients,
                       read_coefficients, write_coefficients)
 from .sawyer import (ReductionError, _draw_instance, _instance_from_dict, _reduced_measure,
                      verify_reduction, write_instance)
-from .stopping import (build_decomposition, carleson_embedding_check,
+from .stopping import (_check_r, build_decomposition, carleson_embedding_check,
                        decomposition_to_dict, default_r, partition_ok,
                        proof_trace, stopping_weights, verify_packing)
 
@@ -41,7 +42,7 @@ class SweepConfig:
     seed: int = 0
     p_values: tuple = (2.0,)
     q_tokens: tuple = ("inf",)
-    r: object = "auto"            # "auto" or float > 1
+    r: object = "auto"            # "auto" or a number
     depth_min: int = 1
     depth_max: int = 3
     branch_min: int = 2
@@ -55,25 +56,21 @@ class SweepConfig:
     audit: bool = False
 
     def validate(self):
+        """The CLI's own rules, and the library's rule for every other option."""
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         for values, name in ((self.p_values, "p"), (self.q_tokens, "q")):
             if not values:  # no combination would run: a vacuous pass
                 raise ValueError(f"need at least one {name} value")
         for p in self.p_values:
-            if not 1.0 < p < math.inf:
-                raise ValueError(f"p must be finite and > 1, got {p}")
             for tok in self.q_tokens:
-                if not resolve_q(tok, p) >= p:  # NaN is not >= p either
-                    raise ValueError(f"need p <= q, got p={p}, q={tok!r}")
-        if self.r != "auto" and not 1.0 < float(self.r) < math.inf:
-            raise ValueError(f"r must be 'auto' or finite and > 1, got {self.r}")
-        if not (math.isfinite(self.tol) and self.tol > 0):
-            raise ValueError(f"tol must be finite and > 0, got {self.tol}")
-        for name in ("search_random", "search_ascent"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name.replace('_', '-')} must be >= 0, "
-                                 f"got {getattr(self, name)}")
+                _check_pq(p, resolve_q(tok, p))
+        if self.r != "auto":
+            _check_r(self.r)
+        _check_rtol(self.tol)
+        # a seed that NormSearch takes is one that _instance_entropy's SeedSequence takes
+        NormSearch(n_random=self.search_random, ascent_rounds=self.search_ascent,
+                   seed=self.seed)
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
         return self
@@ -107,6 +104,11 @@ def _instance_entropy(config_seed: int, name: str):
 def cmd_generate(config: SweepConfig):
     """Write ``trials`` instance files plus coefficient files; print manifest."""
     config.validate()
+    params = RandomModelParams(
+        depth_min=config.depth_min, depth_max=config.depth_max,
+        branch_min=config.branch_min, branch_max=config.branch_max,
+        zero_prob_mu=0.15, zero_prob_nu=0.15, leaf_prob=0.25,
+    ).validate()
     out = Path(config.out)
     try:
         out.mkdir(parents=True, exist_ok=True)
@@ -116,11 +118,6 @@ def cmd_generate(config: SweepConfig):
     except OSError as exc:
         raise ValueError(f"unwritable output path {out}: {exc}") from None
 
-    params = RandomModelParams(
-        depth_min=config.depth_min, depth_max=config.depth_max,
-        branch_min=config.branch_min, branch_max=config.branch_max,
-        zero_prob_mu=0.15, zero_prob_nu=0.15, leaf_prob=0.25,
-    )
     paths = []
     for i in range(config.trials):
         name = f"instance_{i:04d}"
@@ -195,6 +192,10 @@ def _verify_one(name: str, instance, config: SweepConfig):
     entropy = _instance_entropy(config.seed, name)
     records = []
     scalars = None
+    # every check is linear or scale-invariant in f: where f's peak times the largest
+    # mass times the atom count could overflow, f is scaled exactly to a peak in [0.5, 1)
+    largest = max(np.maximum.reduce(model.mu_leaf), np.maximum.reduce(inst.omega_leaf))
+    headroom = 1023 - np.frexp(largest)[1] - model.n_leaves.bit_length()
 
     for pi, p in enumerate(config.p_values):
         cp_true = theorem_constant(p)
@@ -210,6 +211,9 @@ def _verify_one(name: str, instance, config: SweepConfig):
             rng = np.random.default_rng(
                 np.random.SeedSequence(entropy + [10 + pi, 100 + qi]))
             f = rng.exponential(1.0, model.n_leaves)
+            peak = np.frexp(np.maximum.reduce(f))[1]
+            if peak > headroom:
+                f = np.ldexp(f, -peak)
             r = default_r(p) if config.r == "auto" else float(config.r)
 
             # sandwich: B <= A_lower <= C(p) B
@@ -441,8 +445,7 @@ def _r_value(text):
     try:
         return text if text == "auto" else float(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"r must be 'auto' or finite and > 1, got {text!r}") from None
+        return text
 
 
 def build_parser():

@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .lattice import DyadicModel, _check_p, _check_pq, _lp_rows, _lq_rows
+from .lattice import DyadicModel, _check_p, _check_pq, _is_number, _lp_rows, _lq_rows
 from .maximal import (CoefficientFamily, _apply_levels, _indicator_norms,
                       _indicator_ratios, _level_terms, _suffix_table)
 
@@ -127,12 +127,12 @@ class NormSearch:
 
 
 def _check_rtol(rtol) -> float:
-    """A relative tolerance must be a finite number >= 0: every comparison
-    x > y * (1 + rtol) is False when rtol is NaN, which would pass anything."""
-    rtol = float(rtol)
-    if not (math.isfinite(rtol) and rtol >= 0):
-        raise ValueError(f"rtol must be finite and >= 0, got {rtol}")
-    return rtol
+    """A relative tolerance must be a number (not a string or a boolean),
+    finite and >= 0: every comparison x > y * (1 + rtol) is False when rtol
+    is NaN, which would pass anything."""
+    if not (_is_number(rtol) and 0.0 <= rtol < math.inf):
+        raise ValueError(f"rtol must be finite and >= 0, got {rtol!r}")
+    return float(rtol)
 
 
 # bytes of (depth + 1) x atoms float tables that one block of _ratios' rows may fill

@@ -78,6 +78,19 @@ def _index(ids):
     return index
 
 
+def _positions(index, ids) -> np.ndarray:
+    """Each id's position in the {id: position} map ``index``, looked up as
+    given, then as its str() (a number in a file names the id it prints as);
+    -1 where neither finds it."""
+    try:
+        pos = np.fromiter(map(index.get, ids, repeat(-1)), np.int64, len(ids))
+    except TypeError:  # an unhashable id: look each one up as its str()
+        pos = np.full(len(ids), -1, dtype=np.int64)
+    for i in (pos < 0).nonzero()[0].tolist():
+        pos[i] = index.get(str(ids[i]), -1)
+    return pos
+
+
 def _layout(ids, parent, roots, min_children):
     """Depth-first layout of a forest given by its parent links, in array passes.
 
@@ -354,11 +367,7 @@ class DyadicModel:
         raise ValueError(f"unknown measure {measure!r}; use 'mu' or 'nu'")
 
     def node_masses(self, measure):
-        if measure == MU:
-            return self.mu_node
-        if measure == NU:
-            return self.nu_node
-        raise ValueError(f"unknown measure {measure!r}; use 'mu' or 'nu'")
+        return self.mu_node if self.leaf_masses(measure) is self.mu_leaf else self.nu_node
 
     def _dfs_sums(self, values):
         """Per-node sums over each subtree, along the last axis of ``values``, in
@@ -399,10 +408,6 @@ class DyadicModel:
         sums = self._dfs_sums(values)
         return np.ascontiguousarray(sums.T).take(self._ancestor_sums, axis=0).T.swapaxes(-1, -2)
 
-    def subtree_sums(self, leaf_values):
-        """Per-node sums of an arbitrary leaf vector (additive set function)."""
-        return self._subtree_sums(as_leaf_function(self, leaf_values))
-
     def subtree_totals(self, node_values):
         """Per-node sums of a node vector over each node's subtree, each on its own."""
         total = np.asarray(node_values, dtype=float)
@@ -442,21 +447,18 @@ class DyadicModel:
 
 
 def _check_p(p) -> float:
-    """p as a float, which must be finite and > 1 (a NaN is neither)."""
-    p = float(p)
-    if not (1.0 < p < math.inf):
-        raise ValueError(f"p must be finite > 1, got {p}")
-    return p
+    """p as a float: a number (not a string or a boolean), finite and > 1 (a
+    NaN is neither)."""
+    if not (_is_number(p) and 1.0 < p < math.inf):
+        raise ValueError(f"p must be a finite number > 1, got {p!r}")
+    return float(p)
 
 
 def _check_q(q) -> float:
-    """q as a float, which must be > 1; the exact marker ``math.inf`` is allowed."""
-    if q == math.inf:
-        return math.inf
-    q = float(q)
-    if not q > 1.0:
-        raise ValueError(f"q must be in (1, inf], got {q}")
-    return q
+    """q as a float: a number (not a string or a boolean) in (1, inf]."""
+    if not (_is_number(q) and q > 1.0):
+        raise ValueError(f"q must be a number in (1, inf], got {q!r}")
+    return float(q)
 
 
 def _check_pq(p, q) -> float:
@@ -505,18 +507,14 @@ def build_model(spec: Mapping, *, min_children: int = 2) -> DyadicModel:
         raise ModelError(f"node record {pos} is not an object with an 'id': {rec!r}") from None
     if not set(map(type, ids)) <= {str}:
         ids = list(map(str, ids))
-    n = len(ids)
     index = _index(ids)
     parent_ids = [rec.get("parent") for rec in records]
-    try:
-        parents = np.fromiter(map(index.get, parent_ids, repeat(-2)), np.int64, n)
-    except TypeError:  # an unhashable parent id
-        parents = np.full(n, -2, dtype=np.int64)
-    for k in (parents == -2).nonzero()[0].tolist():  # roots, and ids that are not strings
-        pid = parent_ids[k]
-        parents[k] = -1 if pid is None else index.get(str(pid), -2)
-        if parents[k] == -2:
-            raise ModelError(f"orphan node {ids[k]!r}: unknown parent {str(pid)!r}")
+    parents = _positions(index, parent_ids)  # -1: a root, or an unknown parent
+    if "None" in index:  # a None link is a root's, not the node "None"'s
+        parents[[pid is None for pid in parent_ids]] = -1
+    for k in (parents < 0).nonzero()[0].tolist():
+        if parent_ids[k] is not None:
+            raise ModelError(f"orphan node {ids[k]!r}: unknown parent {str(parent_ids[k])!r}")
 
     declared = [rec.get("children") for rec in records]
     kinds = set(map(type, declared))
@@ -552,16 +550,17 @@ def leaf_values(model: DyadicModel, values: Mapping, what: str) -> list:
         except KeyError:
             pass
     if out is None:
-        keyed = {str(k): v for k, v in values.items()}
-        for key in keyed:
-            if key not in model.index:
-                raise ModelError(f"{what} mass for unknown node {key!r}")
-            if not model.is_leaf[model.index[key]]:
-                raise ModelError(f"{what} mass assigned to non-leaf {key!r}")
-        missing = next((nid for nid in model.leaf_ids if nid not in keyed), None)
+        nodes = _positions(model.index, list(values)).tolist()
+        for key, k in zip(values, nodes):
+            if k < 0:
+                raise ModelError(f"{what} mass for unknown node {str(key)!r}")
+            if not model.is_leaf[k]:
+                raise ModelError(f"{what} mass assigned to non-leaf {str(key)!r}")
+        by_node, leaves = dict(zip(nodes, values.values())), model.leaf_nodes.tolist()
+        missing = next((k for k in leaves if k not in by_node), None)
         if missing is not None:
-            raise ModelError(f"missing {what} mass for leaf {missing!r}")
-        out = [keyed[nid] for nid in model.leaf_ids]
+            raise ModelError(f"missing {what} mass for leaf {model.ids[missing]!r}")
+        out = list(map(by_node.__getitem__, leaves))
     i = _non_number(out)
     if i is not None:
         raise ModelError(f"{what} value of leaf {model.leaf_ids[i]!r} must be a number, "

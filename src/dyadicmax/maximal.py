@@ -30,14 +30,14 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import chain
 from typing import Optional
 
 import numpy as np
 
 from .lattice import (MU, DyadicModel, ModelError, _check_q, _is_number, _lq_groups,
-                      _lq_rows, _non_number, _read_json, _running_lq, _write_json,
-                      as_leaf_function)
+                      _lq_rows, _non_number, _positions, _read_json, _running_lq,
+                      _write_json, as_leaf_function)
 
 __all__ = [
     "CoefficientFamily",
@@ -162,17 +162,16 @@ class CoefficientFamily:
         if not isinstance(mapping, Mapping):
             raise ModelError("coefficients must map node ids to coefficients, "
                              f"got {type(mapping).__name__}")
-        n, index = model.n_nodes, model.index
+        n = model.n_nodes
         keys = list(mapping)
-        try:
-            nodes = list(map(index.__getitem__, keys))
-        except KeyError:
-            nodes = [index.get(str(key), -1) for key in keys]
-            if -1 in nodes:
-                raise ModelError(f"coefficient for unknown node {keys[nodes.index(-1)]!r}")
-        if len(set(nodes)) != n:
-            missing = model.ids[min(set(range(n)).difference(nodes))]
-            raise ValueError(f"coefficient missing for node {missing!r}")
+        nodes = _positions(model.index, keys)
+        unknown = nodes < 0
+        if unknown.any():
+            raise ModelError(f"coefficient for unknown node {keys[int(unknown.argmax())]!r}")
+        given = np.zeros(n, dtype=bool)
+        given[nodes] = True
+        if not given.all():
+            raise ValueError(f"coefficient missing for node {model.ids[int(given.argmin())]!r}")
         values = list(mapping.values())
         vectors = []  # positions in `values` of the vector entries, in node order
         kinds = set(map(type, values))
@@ -195,7 +194,7 @@ class CoefficientFamily:
 
         # every (atom, value) pair of the vector entries, cube by cube: cube k's
         # values start at `start` in the flat array, its atoms at leaf_lo[k]
-        cubes = np.array([nodes[i] for i in vectors], dtype=np.int64)
+        cubes = nodes[vectors]
         count = np.fromiter(map(len, maps), np.int64, len(maps))
         atoms = list(chain.from_iterable(maps))
         entries = list(chain.from_iterable(m.values() for m in maps))
@@ -203,9 +202,7 @@ class CoefficientFamily:
         width = model.leaf_hi[cubes] - lo
         start = np.cumsum(width) - width
         cube = np.repeat(cubes, count)
-        node = np.fromiter(map(index.get, atoms, repeat(-1)), np.int64, len(atoms))
-        for i in (node < 0).nonzero()[0].tolist():  # atom ids that are not strings
-            node[i] = index.get(str(atoms[i]), -1)
+        node = _positions(model.index, atoms)
         leaf = np.where((node >= 0) & model.is_leaf[node], model.leaf_lo[node], -1)
         outside = (leaf < model.leaf_lo[cube]) | (leaf >= model.leaf_hi[cube])
         if outside.any():

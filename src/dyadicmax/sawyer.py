@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .constants import VerificationError, _check_rtol, holder_conjugate
-from .lattice import (DyadicModel, RandomModelParams, _check_p, _check_q, _is_number,
+from .lattice import (DyadicModel, RandomModelParams, _check_p, _check_q,
                       _lp_rows, _lq_rows, _read_json, _write_json, as_leaf_function,
                       build_model, indicator, leaf_values, model_to_dict, random_model)
 from .maximal import (CoefficientFamily, _check_alpha, _classical_scalars, _level_terms,
@@ -62,10 +62,7 @@ class SawyerInstance:
         self.omega_leaf = self.model._checked_masses(self.omega_leaf, "omega")
         self.w_leaf = self.model._checked_masses(self.w_leaf, "w")
         self.alpha = _check_alpha(self.alpha)
-        # a string or a boolean (JSON "2" or true) is not a number here, nor is null
-        if not _is_number(self.p):
-            raise ValueError(f"p must be a finite number > 1, got {self.p!r}")
-        self.p = _check_p(self.p)
+        self.p = _check_p(self.p)  # JSON's "2", true or null is no number
 
     @property
     def target_leaf(self):

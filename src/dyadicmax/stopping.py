@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from .lattice import (MU, DyadicModel, ModelError, _check_p, _check_pq, _is_number,
-                      _lp_rows, _lq_groups, _lq_rows, as_leaf_function)
+                      _lp_rows, _lq_groups, _lq_rows, _positions, as_leaf_function)
 from .maximal import (CoefficientFamily, _apply_by_label, _check_n_start, _level_terms,
                       node_integrals)
 from .constants import (VerificationError, _check_rtol, holder_conjugate, testing_constant,
@@ -52,11 +52,12 @@ def default_r(p: float) -> float:
     return (p + 1.0) / p
 
 
-def _check_r(r):
-    r = float(r)
-    if not 1.0 < r < math.inf:
-        raise ValueError(f"stopping ratio r must be finite and > 1, got {r}")
-    return r
+def _check_r(r) -> float:
+    """The stopping ratio as a float: a number (not a string or a boolean),
+    finite and > 1."""
+    if not (_is_number(r) and 1.0 < r < math.inf):
+        raise ValueError(f"stopping ratio r must be a finite number > 1, got {r!r}")
+    return float(r)
 
 
 def _check_model(model, other, what):
@@ -309,9 +310,9 @@ class CarlesonSequence:
             raise ModelError("Carleson weights must map node ids to weights, "
                              f"got {type(mapping).__name__}")
         w = np.zeros(model.n_nodes)
-        for key, val in mapping.items():
-            k = model.index.get(str(key))
-            if k is None:
+        nodes = _positions(model.index, list(mapping)).tolist()
+        for (key, val), k in zip(mapping.items(), nodes):
+            if k < 0:
                 raise ModelError(f"Carleson weight for unknown node {key!r}")
             if not _is_number(val):
                 raise ModelError(f"Carleson weight of {key!r} must be a number, got {val!r}")

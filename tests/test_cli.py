@@ -81,6 +81,22 @@ def test_verify_passes_at_large_p(tmp_path, capsys):
     assert "6/6 checks passed" in capsys.readouterr().out
 
 
+def test_verify_passes_near_the_float_limit(tmp_path, capsys):
+    # f * mu overflowed where the drawn f exceeds 1: at p = q = 2 the packing,
+    # Carleson, proof-chain and reduction records failed on this valid
+    # instance, 50 of 54 passed and verify exited 1.  RuntimeWarnings are
+    # errors in this suite
+    path = tmp_path / "limit.json"
+    path.write_text(json.dumps({
+        "nodes": [{"id": "R", "parent": None}, {"id": "A", "parent": "R"},
+                  {"id": "a1", "parent": "A"}, {"id": "a2", "parent": "A"},
+                  {"id": "b", "parent": "R"}],
+        "mu": {"a1": 1e308, "a2": 1e307, "b": 1e300}, "nu": {"a1": 1, "a2": 1, "b": 1}}))
+    assert main(["verify", str(path), "--p", "1.5,2,3", "--q", "p,2p,inf",
+                 "--out", str(tmp_path / "run")]) == 0
+    assert "54/54 checks passed" in capsys.readouterr().out
+
+
 def test_verify_corrupt_file_exits_2(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{ not json")
@@ -405,23 +421,46 @@ def test_verify_rejects_bad_pq(tmp_path):
         SweepConfig(p_values=(3.0,), q_tokens=("2.0",)).validate()
 
 
+def test_verify_accepts_a_zero_tol():
+    # the library's rtol rule allows 0; the CLI's own copy demanded > 0
+    assert SweepConfig(tol=0.0).validate().tol == 0.0
+
+
 @pytest.mark.parametrize("flag, value, message", [
-    ("--tol", "nan", "tol must be finite and > 0"),
-    ("--tol", "inf", "tol must be finite and > 0"),
-    ("--q", "nan", "need p <= q"),
-    ("--q", "nanp", "need p <= q"),
-    ("--p", "inf", "p must be finite and > 1"),
-    ("--p", "nan", "p must be finite and > 1"),
-    ("--r", "inf", "r must be 'auto' or finite and > 1"),
-    ("--search-random", "-1", "search-random must be >= 0"),
-    ("--search-ascent", "-1", "search-ascent must be >= 0"),
+    ("--depth-min", "0", "empty depth range [0, 3]"),
+    ("--branch-max", "1", "empty branching range [2, 1]"),
+    ("--seed", "-1", "seed must be a non-negative integer"),
+], ids=["depth_min_0", "branch_max_1", "negative_seed"])
+def test_generate_bad_option_exits_2_and_creates_nothing(tmp_path, capsys, flag, value,
+                                                         message):
+    # --depth-min 0 exited 2 but left an empty --out behind; --seed -1 crashed
+    out = tmp_path / "d"
+    with pytest.raises(SystemExit) as exc:
+        main(["generate", f"{flag}={value}", "--out", str(out)])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--tol", "nan", "rtol must be finite and >= 0"),
+    ("--tol", "inf", "rtol must be finite and >= 0"),
+    ("--q", "nan", "q must be a number in (1, inf]"),
+    ("--q", "nanp", "q must be a number in (1, inf]"),
+    ("--p", "inf", "p must be a finite number > 1"),
+    ("--p", "nan", "p must be a finite number > 1"),
+    ("--r", "inf", "ratio r must be a finite number > 1"),
+    ("--search-random", "-1", "n_random must be an integer"),
+    ("--search-ascent", "-1", "ascent_rounds must be an integer"),
+    ("--seed", "-1", "seed must be a non-negative integer"),
     ("--workers", "0", "workers must be >= 1"),
     ("--workers", "-1", "workers must be >= 1"),
 ])
 def test_verify_bad_option_exits_2(tmp_path, capsys, flag, value, message):
     # each of these once passed validation: NaN compares False with every
     # bound, so --tol nan passed any sandwich, and the others crashed or
-    # failed checks mid-sweep with exit 1 and no report
+    # failed checks mid-sweep with exit 1 and no report (--seed -1: a numpy
+    # traceback and an empty report.jsonl).  The messages are the library's
     paths, _ = gen(tmp_path, trials=2, seed=0)
     with pytest.raises(SystemExit) as exc:
         main(["verify", f"{flag}={value}", "--out", str(tmp_path / "run"), str(paths[1])])
@@ -474,7 +513,7 @@ def test_verify_non_numeric_r_exits_2(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--r", "abc", "--out", str(tmp_path / "run"), str(paths[0])])
     assert exc.value.code == 2
-    assert "r must be 'auto' or finite and > 1, got 'abc'" in capsys.readouterr().err
+    assert "stopping ratio r must be a finite number > 1, got 'abc'" in capsys.readouterr().err
     assert not (tmp_path / "run").exists()
 
 

@@ -37,7 +37,7 @@ def test_holder_conjugate():
     assert holder_conjugate(4) == pytest.approx(4 / 3, rel=1e-15)
     assert holder_conjugate(1.01) == pytest.approx(101, rel=1e-12)
     for p in (1.0, math.inf, math.nan):  # inf / inf would be NaN
-        with pytest.raises(ValueError, match="p must be finite > 1"):
+        with pytest.raises(ValueError, match="p must be a finite number > 1"):
             holder_conjugate(p)
 
 
@@ -681,7 +681,7 @@ def test_theorem_constant_hp_is_memoised():
 @pytest.mark.parametrize("p", [math.inf, math.nan, 1.0, 0.5, -2.0])
 def test_theorem_constant_hp_rejects_p_outside_the_range(p):
     # inf used to give NaN and 1 a ZeroDivisionError
-    with pytest.raises(ValueError, match="p must be finite > 1"):
+    with pytest.raises(ValueError, match="p must be a finite number > 1"):
         theorem_constant_hp(p)
 
 

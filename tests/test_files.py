@@ -11,6 +11,7 @@ from dyadicmax import (CoefficientFamily, ModelError, RandomModelParams, SawyerI
 from dyadicmax.cli import SweepConfig, cmd_generate
 from dyadicmax.lattice import model_to_dict
 from dyadicmax.sawyer import instance_to_dict, random_instance, read_instance, write_instance
+from dyadicmax.stopping import CarlesonSequence
 
 from conftest import make_instance
 
@@ -131,3 +132,42 @@ def test_instance_file_errors_name_the_file(tmp_path, change, message):
         with pytest.raises(ModelError) as info:
             read_instance(path)
         assert str(info.value).startswith(f"cannot parse {path}: ")
+
+
+# 1 -> {2 -> {4, 5}, 3}, every id a number in the file
+_NUMERIC_NODES = [{"id": 1, "parent": None}, {"id": 2, "parent": 1}, {"id": 3, "parent": 1},
+                  {"id": 4, "parent": 2}, {"id": 5, "parent": 2}]
+_NUMERIC_MASSES = {"3": 1.0, "4": 2.0, "5": 3.0}
+
+
+def _numeric_model(tmp_path, parent_of_5=2):
+    nodes = _NUMERIC_NODES[:4] + [{"id": 5, "parent": parent_of_5}]
+    path = tmp_path / "numeric.json"
+    path.write_text(json.dumps({"nodes": nodes, "mu": _NUMERIC_MASSES, "nu": _NUMERIC_MASSES}))
+    return read_model(path)
+
+
+def _coefficients(model, key=1, atom=4):
+    return _family_arrays(CoefficientFamily.from_mapping(
+        model, {key: 1.0, "2": {atom: 0.5}, "3": 2.0, "4": 3.0, "5": 4.0}))
+
+
+# one row per place that looks an id up: the id given as a number and as a
+# string load the same, and an unknown number raises the place's own error
+@pytest.mark.parametrize("load, known, message", [
+    (lambda tmp_path, model, k: _numeric_model(tmp_path, parent_of_5=k).parent.tolist(), 2,
+     "orphan node '5': unknown parent '9'"),
+    (lambda tmp_path, model, k: _coefficients(model, key=k), 1,
+     "coefficient for unknown node 9"),
+    (lambda tmp_path, model, k: _coefficients(model, atom=k), 4,
+     "leaf 9 is not an atom of cube '2'"),
+    (lambda tmp_path, model, k: CarlesonSequence.from_mapping(model, {k: 1.5}).weights.tolist(),
+     2, "Carleson weight for unknown node 9"),
+], ids=["parent", "coefficient_key", "atom", "carleson_key"])
+def test_each_id_lookup_reads_a_number_as_its_str(tmp_path, load, known, message):
+    model = _numeric_model(tmp_path)
+    assert model.ids == ("1", "2", "3", "4", "5")
+    assert model.parent.tolist() == [-1, 0, 0, 1, 1]
+    assert load(tmp_path, model, known) == load(tmp_path, model, str(known))
+    with pytest.raises(ValueError, match=message):
+        load(tmp_path, model, 9)

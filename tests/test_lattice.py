@@ -142,12 +142,23 @@ def test_check_pq():
     # p comes back as a float; the conjugate is holder_conjugate's (test_holder_conjugate)
     assert _check_pq(2, 2) == 2.0 and type(_check_pq(2, 2)) is float
     assert _check_pq(3, math.inf) == 3.0
-    with pytest.raises(ValueError, match="p must be finite > 1"):
+    with pytest.raises(ValueError, match="p must be a finite number > 1"):
         _check_pq(1.0, 2)
-    with pytest.raises(ValueError, match="q must be in"):
+    with pytest.raises(ValueError, match="q must be a number in"):
         _check_pq(2, 1.0)
     with pytest.raises(ValueError, match="need p <= q, got p=3.0, q=2.0"):
         _check_pq(3, 2)
+
+
+def test_number_rules_reject_strings_and_booleans():
+    # float() took "2", "inf" and True; the CLI reads --r abc into a string
+    from dyadicmax.constants import _check_rtol
+    from dyadicmax.stopping import _check_r
+    for check, value in ((_check_pq, ("2", 4)), (_check_pq, (2, "inf")), (_check_pq, (True, 4)),
+                         (_check_r, ("2",)), (_check_r, (True,)), (_check_rtol, ("0.1",)),
+                         (_check_rtol, (True,))):
+        with pytest.raises(ValueError, match="must be a .*number|must be finite"):
+            check(*value)
 
 
 def test_subtree_totals_match_direct_sums():
@@ -446,6 +457,17 @@ def test_children_compared_as_their_str():
         "nu": {"1": 1, "2.5": 1},
     })
     assert [model.ids[c] for c in model.children[model.node("R")]] == ["1", "2.5"]
+
+
+def test_a_null_parent_is_a_root_beside_a_node_named_none():
+    # parent ids are looked up as their str() too, but null names no node
+    model = build_model({
+        "nodes": [{"id": "R", "parent": None}, {"id": "None", "parent": "R"},
+                  {"id": "x", "parent": "R"}],
+        "mu": {"None": 1, "x": 1},
+        "nu": {"None": 1, "x": 1},
+    })
+    assert model.parent.tolist() == [-1, 0, 0]
 
 
 def test_record_without_id_rejected():

@@ -509,5 +509,5 @@ def test_proof_trace_rejects_a_bad_n_start(e1, n_start):
 
 @pytest.mark.parametrize("p", [math.inf, math.nan, 1.0, 0.5, -2.0])
 def test_default_r_rejects_p_outside_the_range(p):
-    with pytest.raises(ValueError, match="p must be finite > 1"):
+    with pytest.raises(ValueError, match="p must be a finite number > 1"):
         default_r(p)
