@@ -177,6 +177,22 @@ def _spelled(value):
     return str(value) if isinstance(value, float) and not math.isfinite(value) else value
 
 
+# writes a record as strict JSON, keys sorted; it rejects a number that is not finite
+_ENCODER = json.JSONEncoder(sort_keys=True, allow_nan=False)
+
+
+def _json_line(record) -> str:
+    """A record's line in ``report.jsonl``: the record as strict JSON, keys
+    sorted, with every number that is not finite spelled as a string
+    (``_spelled``).  Only a record that the encoder rejects is spelled out,
+    and ``_spelled`` leaves finite values as they are, so every line is
+    ``json.dumps(_spelled(record), sort_keys=True, allow_nan=False)``."""
+    try:
+        return _ENCODER.encode(record) + "\n"
+    except ValueError:  # a number that is not finite
+        return _ENCODER.encode(_spelled(record)) + "\n"
+
+
 def _verify_one(name: str, instance, config: SweepConfig):
     """All check records for one loaded instance; deterministic.
 
@@ -347,7 +363,7 @@ def cmd_verify(config: SweepConfig, instance_paths):
 
         records = [rec for batch in per_instance for rec in batch]
         for rec in records:
-            fh.write(json.dumps(_spelled(rec), sort_keys=True, allow_nan=False) + "\n")
+            fh.write(_json_line(rec))
 
     failed = [r for r in records if not r["pass"]]
     for rec in failed:

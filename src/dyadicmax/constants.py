@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .lattice import DyadicModel, _check_p, _check_pq, _is_number, _lp_rows, _lq_rows
+from .lattice import _TINY, DyadicModel, _check_p, _check_pq, _lp_rows, _lq_rows, _number
 from .maximal import (CoefficientFamily, _apply_levels, _indicator_norms,
                       _indicator_ratios, _level_terms, _suffix_table)
 
@@ -130,9 +130,10 @@ def _check_rtol(rtol) -> float:
     """A relative tolerance must be a number (not a string or a boolean),
     finite and >= 0: every comparison x > y * (1 + rtol) is False when rtol
     is NaN, which would pass anything."""
-    if not (_is_number(rtol) and 0.0 <= rtol < math.inf):
+    value = _number(rtol)
+    if not 0.0 <= value < math.inf:
         raise ValueError(f"rtol must be finite and >= 0, got {rtol!r}")
-    return float(rtol)
+    return value
 
 
 # bytes of (depth + 1) x atoms float tables that one block of _ratios' rows may fill
@@ -159,12 +160,16 @@ def _ratios(model, a, F, p, q, images=None):
     given, block by block (``_row_blocks``), so no level table of the whole
     batch is ever held: each row's ratio is the same as in one pass."""
     if images is None:
-        parts = [_ratios(model, a, block, p, q, _apply_levels(model, a, block, q))
-                 for block in _row_blocks(F, 8 * model._ancestors.size)]
-        return tuple(np.concatenate(column) for column in zip(*parts))
+        blocks = _row_blocks(F, 8 * model._ancestors.size)
+        if len(blocks) > 1:
+            parts = [_ratios(model, a, block, p, q, _apply_levels(model, a, block, q))
+                     for block in blocks]
+            return tuple(np.concatenate(column) for column in zip(*parts))
+        images = _apply_levels(model, a, F, q)
     out_norm = _lp_rows(images, model.nu_leaf, p)
     in_norm = _lp_rows(F, model.mu_leaf, p)
-    ratios = np.where(in_norm > 0, out_norm / np.where(in_norm > 0, in_norm, 1.0), -1.0)
+    # |f|_p,mu = 0 makes f * mu = 0, and so Mf = 0: the quotient there is 0 (see _TINY)
+    ratios = np.where(in_norm > 0, out_norm / np.maximum(in_norm, _TINY), -1.0)
     return ratios, in_norm
 
 
@@ -198,25 +203,35 @@ def _power_step(model, a, F, p, q, index=None):
     cells, rows, atom = _step_index(model, m) if index is None else index
     T = _level_terms(model, a, F * model.mu_leaf)
     Mf = _lq_rows(T, q, axis=1)
-    top = np.maximum.reduce(Mf, axis=1, keepdims=True)
-    weight = model.nu_leaf * (Mf / np.where(top > 0, top, 1.0)) ** (p - 1.0)
+    # each row's weights over its peak; a zero row stays 0 (see _TINY)
+    weight = Mf / np.maximum(np.maximum.reduce(Mf, axis=1, keepdims=True), _TINY)
+    weight **= p - 1.0
+    weight *= model.nu_leaf
     # padding, whose weights are 0, goes to each row's spare cell n_nodes, which
     # g[cells] reads back.  Each cell sums its terms in atom order, and G sums
     # each atom's levels in the layout of T, which fancy indexing makes
     # (level, atom, row), as the transposes below keep
     if q == math.inf:
-        # each atom's weight goes to its first maximal level only
-        first = (T == Mf[:, None]).argmax(axis=1)
-        node = model._ancestors[first, atom] + rows  # never a padding level
-        weight = weight * coef[first, atom]
+        # each atom's weight goes to its first maximal level only: T has no NaN,
+        # so argmax finds the first level equal to Mf.  One flat index into the
+        # (level, atom) tables picks that level's cube and coefficient
+        first = T.argmax(axis=1)
+        first *= model.n_leaves
+        first += atom
+        node = model._ancestors.ravel()[first] + rows  # never a padding level
+        weight *= coef.ravel()[first]
     else:
         node = cells
-        weight = weight[:, None] * (T / np.where(Mf > 0, Mf, 1.0)[:, None]) ** (q - 1.0) * coef
-        weight = weight.transpose(1, 2, 0)
+        R = T / np.maximum(Mf, _TINY)[:, None]
+        R **= q - 1.0
+        R *= weight[:, None]
+        R *= coef
+        weight = R.transpose(1, 2, 0)
     g = np.bincount(node.ravel(), weights=weight.ravel(), minlength=m * (model.n_nodes + 1))
     G = np.add.reduce(g[cells].transpose(2, 0, 1), axis=1)
-    peak = np.maximum.reduce(G, axis=1, keepdims=True)
-    return (G / np.where(peak > 0, peak, 1.0)) ** (1.0 / (p - 1.0)), Mf
+    G /= np.maximum(np.maximum.reduce(G, axis=1, keepdims=True), _TINY)
+    G **= 1.0 / (p - 1.0)
+    return G, Mf
 
 
 def operator_norm_lower(model: DyadicModel, a: CoefficientFamily, p, q,

@@ -60,6 +60,30 @@ def _is_number(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, _NOT_NUMBERS)
 
 
+def _number(value) -> float:
+    """``value`` as a float if it is a number (not a string or a boolean) that
+    a float holds; NaN, which fails every range and finiteness test, for
+    anything else, such as an integer too large for a float."""
+    if type(value) is float:
+        return value
+    if not _is_number(value):
+        return math.nan
+    try:
+        return float(value)
+    except OverflowError:
+        return math.nan
+
+
+def _float_array(values, copy=None) -> np.ndarray:
+    """``values`` as a float array, copied if ``copy`` (else only when they
+    are not one).  Where an integer is too large for a float, each value is
+    read by ``_number``, so that the finiteness tests name that one."""
+    try:
+        return np.array(values, dtype=float, copy=copy)
+    except OverflowError:
+        return np.array([_number(v) for v in values])
+
+
 def _non_number(values):
     """Position of the first string or boolean among ``values``, or None: one
     test of the set of the value types when there is none."""
@@ -209,6 +233,7 @@ class DyadicModel:
         if n == 0:
             raise ModelError("empty model")
         self.ids = tuple(ids)
+        self.n_nodes = n
         if _id_index is None:
             if not set(map(type, self.ids)) <= {str}:
                 self.ids = tuple(map(str, self.ids))
@@ -223,9 +248,11 @@ class DyadicModel:
          self._child_counts, self._child_flat, self.levels) = _layout(self.ids, self.parent,
                                                                       roots, min_children)
 
+        self.max_depth = len(self.levels) - 1
         self.is_leaf = self._child_counts == 0
         self.leaf_nodes = self.dfs_order[self.is_leaf[self.dfs_order]]
         self.leaf_ids = tuple(map(self.ids.__getitem__, self.leaf_nodes.tolist()))
+        self.n_leaves = len(self.leaf_ids)
         # interior nodes in DFS order, so that the gaps between their intervals,
         # which reduceat also sums, are disjoint: O(nodes) extra work in all.
         # In the buffer of _dfs_sums a leaf's sum is its own value, at its DFS
@@ -267,7 +294,7 @@ class DyadicModel:
         if isinstance(values, Mapping):
             values = leaf_values(self, values, what)
         try:
-            arr = np.asarray(values, dtype=float)
+            arr = _float_array(values)
         except (TypeError, ValueError) as exc:
             raise ModelError(f"{what}: masses must be numbers ({exc})") from None
         if arr.shape != (self.n_leaves,):
@@ -283,18 +310,6 @@ class DyadicModel:
         return arr
 
     # -- structure ---------------------------------------------------------
-
-    @property
-    def n_nodes(self):
-        return len(self.ids)
-
-    @property
-    def n_leaves(self):
-        return len(self.leaf_ids)
-
-    @property
-    def max_depth(self):
-        return int(np.maximum.reduce(self.depth))
 
     def node(self, node_id):
         """Index of a node id; raises ``KeyError`` for unknown ids."""
@@ -449,16 +464,18 @@ class DyadicModel:
 def _check_p(p) -> float:
     """p as a float: a number (not a string or a boolean), finite and > 1 (a
     NaN is neither)."""
-    if not (_is_number(p) and 1.0 < p < math.inf):
+    value = _number(p)
+    if not 1.0 < value < math.inf:
         raise ValueError(f"p must be a finite number > 1, got {p!r}")
-    return float(p)
+    return value
 
 
 def _check_q(q) -> float:
     """q as a float: a number (not a string or a boolean) in (1, inf]."""
-    if not (_is_number(q) and q > 1.0):
+    value = _number(q)
+    if not value > 1.0:
         raise ValueError(f"q must be a number in (1, inf], got {q!r}")
-    return float(q)
+    return value
 
 
 def _check_pq(p, q) -> float:
@@ -611,18 +628,24 @@ def average(model: DyadicModel, f, Q, measure: str = MU) -> float:
     return integrate(model, f, Q, measure) / mass
 
 
+# the smallest positive float.  For x >= 0, np.maximum(x, _TINY) is x where x > 0
+# and _TINY where x is 0: one ufunc call gives a divisor that leaves every
+# quotient by a positive x as it is and sends a 0 over a 0 of x to 0
+_TINY = math.ulp(0.0)
+
+
 def _lq_rows(T, q, axis=-1):
     """ell-q norms of T >= 0 along an axis, q in [1, inf].
 
     Each line is divided by its peak before the power, so no q-th power
-    overflows or underflows; q = inf gives the peak itself.  The ufuncs
-    reduce directly, without the array methods' wrappers: this runs some
-    thirty times per verified combination.
+    overflows or underflows (a line of zeros by ``_TINY``); q = inf gives the
+    peak itself.  The ufuncs reduce directly, without the array methods'
+    wrappers: this runs some thirty times per verified combination.
     """
     if q == math.inf:
         return np.maximum.reduce(T, axis=axis)
     peak = np.maximum.reduce(T, axis=axis, keepdims=True)
-    R = T / np.where(peak > 0, peak, 1.0)
+    R = T / np.maximum(peak, _TINY)
     R **= q
     # on 1-D T the sum stays a numpy scalar, whose power rounds as before
     return peak.squeeze(axis) * np.add.reduce(R, axis=axis) ** (1.0 / q)
@@ -649,10 +672,10 @@ def _running_lq(T, q, axis):
         return peak.swapaxes(0, axis)
     for d in range(n):
         np.maximum(peak[d], T[d], out=peak[d + 1])
-    scale = np.where(peak[1:] > 0, peak[1:], 1.0)
+    scale = np.maximum(peak[1:], _TINY)
     shrink = (peak[:-1] / scale) ** q
     terms = (T / scale) ** q
-    acc = np.zeros_like(peak)
+    acc = np.zeros(peak.shape)
     for d in range(n):
         np.multiply(acc[d], shrink[d], out=acc[d + 1])
         acc[d + 1] += terms[d]
@@ -669,7 +692,7 @@ def _lq_groups(values, group, n, q):
     np.maximum.at(peak, group, values)
     if q == math.inf:
         return peak
-    scaled = values / np.where(peak > 0, peak, 1.0)[group]
+    scaled = values / np.maximum(peak, _TINY)[group]
     scaled **= q
     return peak * np.bincount(group, weights=scaled, minlength=n) ** (1.0 / q)
 

@@ -35,8 +35,8 @@ from typing import Optional
 
 import numpy as np
 
-from .lattice import (MU, DyadicModel, ModelError, _check_q, _is_number, _lq_groups,
-                      _lq_rows, _non_number, _positions, _read_json, _running_lq,
+from .lattice import (MU, _TINY, DyadicModel, ModelError, _check_q, _float_array, _lq_groups,
+                      _lq_rows, _non_number, _number, _positions, _read_json, _running_lq,
                       _write_json, as_leaf_function)
 
 __all__ = [
@@ -73,12 +73,12 @@ class CoefficientFamily:
 
     def __init__(self, model: DyadicModel, scalars, lengths=None, values=()):
         n = model.n_nodes
-        scalars = np.array(scalars, dtype=float)
+        scalars = _float_array(scalars, copy=True)
         if scalars.shape != (n,):
             raise ValueError(
                 f"coefficient missing: {scalars.size} entries for {n} nodes"
             )
-        values = np.array(values, dtype=float)
+        values = _float_array(values, copy=True)
         offsets = np.zeros(n + 1, dtype=np.int64)
         if lengths is not None:
             lengths = np.asarray(lengths, dtype=np.int64)
@@ -188,7 +188,7 @@ class CoefficientFamily:
         for i in vectors:
             values[i] = 0.0
         scalars = np.empty(n)
-        scalars[nodes] = np.array(values, dtype=float)
+        scalars[nodes] = _float_array(values)
         if not vectors:
             return cls(model, scalars)
 
@@ -215,7 +215,7 @@ class CoefficientFamily:
         lengths = np.zeros(n, dtype=np.int64)
         lengths[cubes] = width
         flat = np.zeros(int(width.sum()))
-        flat[leaf + np.repeat(start - lo, count)] = entries
+        flat[leaf + np.repeat(start - lo, count)] = _float_array(entries)
         return cls(model, scalars, lengths, flat)
 
     @classmethod
@@ -333,10 +333,21 @@ def _indicator_norms(model: DyadicModel, a: CoefficientFamily, p, S) -> np.ndarr
     the ancestor at their depth through one grouped ell-p norm, rescaled by
     the cube's peak, so the powers stay finite at any p.
     """
+    keep, node, weight = _weighted_cells(model, p)
+    weight *= S[keep]
+    return _lq_groups(weight, node, model.n_nodes, p)
+
+
+def _weighted_cells(model: DyadicModel, p):
+    """The cells of the ancestor table that hold a cube (no padding) above an
+    atom of positive nu: their mask, their cubes and their atoms' nu(x)^(1/p),
+    each in the mask's order."""
     anc = model._ancestors
-    keep = (anc < model.n_nodes) & (model.nu_leaf > 0)  # no padding, no nu-null atom
-    weight = np.broadcast_to(model.nu_leaf ** (1.0 / p), anc.shape)
-    return _lq_groups(weight[keep] * S[keep], anc[keep], model.n_nodes, p)
+    keep = (anc < model.n_nodes) & (model.nu_leaf > 0)
+    weight = model.nu_leaf ** (1.0 / p)
+    # weight in every row: the stride-0 view of np.broadcast_to, without its Python layers
+    rows = np.ndarray(anc.shape, buffer=weight, strides=(0, weight.itemsize))
+    return keep, anc[keep], rows[keep]
 
 
 def _indicator_ratios(model: DyadicModel, a: CoefficientFamily, p, q, S) -> np.ndarray:
@@ -352,21 +363,20 @@ def _indicator_ratios(model: DyadicModel, a: CoefficientFamily, p, q, S) -> np.n
     which would lose a small cube beside a big one.
     """
     n, fam, anc = model.n_nodes, model._families, model._ancestors
-    P = _running_lq(a._leaf_levels(), q, axis=0)[:-1]
-    keep = (anc < n) & (model.nu_leaf > 0)
-    weight = np.broadcast_to(model.nu_leaf ** (1.0 / p), anc.shape)[keep]
-    node, P = anc[keep], P[keep]
-    on = _lq_rows(np.stack([model.mu_node[node] * P, S[keep]]), q, axis=0)
+    keep, node, weight = _weighted_cells(model, p)
+    P = _running_lq(a._leaf_levels(), q, axis=0)[:-1][keep]
+    # np.array of equal-shaped arrays stacks them, without np.stack's Python layers
+    on = _lq_rows(np.array((model.mu_node[node] * P, S[keep])), q, axis=0)
     on = _lq_groups(weight * on, node, n, p)
-    Y = np.concatenate((_lq_groups(weight * P, node, n, p), [0.0]))[fam]
-    before, after = _running_lq(np.stack([Y, Y[::-1]]), p, axis=1)  # first and last i children
+    Y = _lq_groups(weight * P, node, n + 1, p)[fam]  # the padding reads the spare slot's 0
+    before, after = _running_lq(np.array((Y, Y[::-1])), p, axis=1)  # first and last i children
     beside = np.zeros(n + 1)
-    beside[fam] = _lq_rows(np.stack([before[:-1], after[-2::-1]]), p, axis=0)
+    beside[fam] = _lq_rows(np.array((before[:-1], after[-2::-1])), p, axis=0)
     path = np.empty(n + 1)  # the padding writes to the spare slot n
     path[anc] = _running_lq(beside[anc], p, axis=0)[1:]
-    norms = _lq_rows(np.stack([on, model.mu_node * path[:n]]), p, axis=0)
-    pos = model.mu_node > 0
-    return np.where(pos, norms / np.where(pos, model.mu_node, 1.0) ** (1.0 / p), -1.0)
+    norms = _lq_rows(np.array((on, model.mu_node * path[:n])), p, axis=0)  # 0 on a null cube
+    return np.where(model.mu_node > 0, norms / np.maximum(model.mu_node, _TINY) ** (1.0 / p),
+                    -1.0)
 
 
 def _apply_by_label(model: DyadicModel, T, q, labels):
@@ -435,9 +445,10 @@ def classical_coefficients(model: DyadicModel, omega_leaf, alpha: float) -> Coef
 def _check_alpha(alpha) -> float:
     """alpha as a float, a number in (0, 1]: not a string, a boolean or None
     (JSON "0.5", true or null), nor a NaN."""
-    if not (_is_number(alpha) and 0.0 < alpha <= 1.0):
+    value = _number(alpha)
+    if not 0.0 < value <= 1.0:
         raise ValueError(f"alpha must be a number in (0, 1], got {alpha!r}")
-    return float(alpha)
+    return value
 
 
 def _classical_scalars(model: DyadicModel, omega_leaf, alpha) -> np.ndarray:

@@ -177,7 +177,7 @@ def verify_reduction(inst: SawyerInstance, f, q, *, rtol: float = 1e-12,
     # an overflow (g = f * w^(p'/p) can exceed the floats) shows as a non-finite error
     with np.errstate(over="ignore", invalid="ignore"):
         g = f * multiplier
-        rows = np.stack([g * mu, f * inst.omega_leaf])
+        rows = np.array((g * mu, f * inst.omega_leaf))  # each side's f * mass, stacked
         ints_two, ints_three = model._subtree_sums(rows)
         scale = max(largest(np.abs(ints_two)), largest(np.abs(ints_three)), 1e-300)
         integral_err = float(largest(np.abs(ints_two - ints_three)) / scale)

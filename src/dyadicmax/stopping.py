@@ -19,8 +19,9 @@ from typing import Optional
 
 import numpy as np
 
-from .lattice import (MU, DyadicModel, ModelError, _check_p, _check_pq, _is_number,
-                      _lp_rows, _lq_groups, _lq_rows, _positions, as_leaf_function)
+from .lattice import (MU, _TINY, DyadicModel, ModelError, _check_p, _check_pq, _float_array,
+                      _is_number, _lp_rows, _lq_groups, _lq_rows, _number, _positions,
+                      as_leaf_function)
 from .maximal import (CoefficientFamily, _apply_by_label, _check_n_start, _level_terms,
                       node_integrals)
 from .constants import (VerificationError, _check_rtol, holder_conjugate, testing_constant,
@@ -55,9 +56,10 @@ def default_r(p: float) -> float:
 def _check_r(r) -> float:
     """The stopping ratio as a float: a number (not a string or a boolean),
     finite and > 1."""
-    if not (_is_number(r) and 1.0 < r < math.inf):
+    value = _number(r)
+    if not 1.0 < value < math.inf:
         raise ValueError(f"stopping ratio r must be a finite number > 1, got {r!r}")
-    return float(r)
+    return value
 
 
 def _check_model(model, other, what):
@@ -73,8 +75,8 @@ def _held(lhs, rhs, p, rtol):
 
 def _node_averages(model, f):
     """mu-averages of f on every node, 0 on null cubes by convention."""
-    ints = node_integrals(model, f, MU)
-    return np.where(model.mu_node > 0, ints / np.where(model.mu_node > 0, model.mu_node, 1.0), 0.0)
+    ints = node_integrals(model, f, MU)  # 0 on a null cube, so its quotient is too (see _TINY)
+    return np.where(model.mu_node > 0, ints / np.maximum(model.mu_node, _TINY), 0.0)
 
 
 @dataclass
@@ -145,18 +147,20 @@ def build_decomposition(model: DyadicModel, f, r, *, n_start: int = 0) -> Stoppi
     n_start = _check_n_start(model, n_start)
 
     averages = _node_averages(model, f)
-    owner = np.full(model.n_nodes, -1, dtype=np.int64)
-    stopping_parent = np.full(model.n_nodes, -1, dtype=np.int64)
+    owner, stopping_parent = np.full((2, model.n_nodes), -1, dtype=np.int64)
     generation = np.zeros(model.n_nodes, dtype=np.int64)
+    positive = model.mu_node > 0
     first = model.levels[n_start]
     owner[first] = first
     for nodes in model.levels[n_start + 1:]:
         up = model.parent[nodes]
         o = owner[up]
         avg_o = averages[o]
-        stops = (model.mu_node[nodes] > 0) & (avg_o > 0) & (averages[nodes] >= r * avg_o)
-        owner[nodes] = np.where(stops, nodes, o)
-        stopping_parent[nodes[stops]] = o[stops]
+        stops = positive[nodes] & (avg_o > 0) & (averages[nodes] >= r * avg_o)
+        new = nodes[stops]
+        stopping_parent[new] = o[stops]
+        o[stops] = new
+        owner[nodes] = o
         generation[nodes] = generation[up] + stops
     for arr in (averages, owner, stopping_parent, generation):
         arr.setflags(write=False)
@@ -252,12 +256,12 @@ def verify_packing(model: DyadicModel, decomp: StoppingDecomposition) -> Packing
     _check_model(model, decomp.model, "decomposition")
     r = decomp.r
     bound = r / (r - 1.0)
-    subtotal = model.subtree_totals(np.where(decomp.in_stopping, model.mu_node, 0.0))
+    subtotal = model.subtree_totals(model.mu_node * decomp.in_stopping)
 
     pos = (model.mu_node > 0).nonzero()[0]
     rk = subtotal[pos] / model.mu_node[pos]
     # the first maximum above 0; a NaN ratio stays and wins, so the check fails
-    above = np.where(rk <= 0, 0.0, rk)
+    above = np.maximum(rk, 0.0)
     i = int(above.argmax()) if np.logical_or.reduce(above != 0) else -1
     worst, worst_node = (float(above[i]), model.ids[pos[i]]) if i >= 0 else (0.0, None)
 
@@ -288,7 +292,7 @@ class CarlesonSequence:
 
     @classmethod
     def from_weights(cls, model: DyadicModel, weights) -> "CarlesonSequence":
-        w = np.asarray(weights, dtype=float)
+        w = _float_array(weights)
         if w.shape != (model.n_nodes,):
             raise ValueError(f"need one weight per node, got shape {w.shape}")
         finite = np.isfinite(w)
@@ -316,7 +320,7 @@ class CarlesonSequence:
                 raise ModelError(f"Carleson weight for unknown node {key!r}")
             if not _is_number(val):
                 raise ModelError(f"Carleson weight of {key!r} must be a number, got {val!r}")
-            w[k] = val
+            w[k] = _number(val)
         return cls.from_weights(model, w)
 
     def as_mapping(self) -> dict:
@@ -327,7 +331,7 @@ class CarlesonSequence:
 def stopping_weights(decomp: StoppingDecomposition) -> CarlesonSequence:
     """mu(Q) on the stopping cubes, 0 elsewhere; packs within r/(r-1)."""
     model = decomp.model
-    return CarlesonSequence.from_weights(model, np.where(decomp.in_stopping, model.mu_node, 0.0))
+    return CarlesonSequence.from_weights(model, model.mu_node * decomp.in_stopping)
 
 
 @dataclass
@@ -484,9 +488,11 @@ def proof_trace(model: DyadicModel, a: CoefficientFamily, f, p, q, r=None,
     members = (decomp.owner_index >= 0) & (model.mu_node > 0)
     avg_m = averages[members]
     denom = r * averages[decomp.owner_index[members]]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        excess = np.where(denom > 0, avg_m / denom - 1.0,
-                          np.where(avg_m > 0, math.inf, -math.inf))
+    # a positive average over a 0 one is unbounded; the ufuncs divide where denom > 0 only
+    excess = np.where(avg_m > 0, math.inf, -math.inf)
+    fine = denom > 0
+    np.divide(avg_m, denom, out=excess, where=fine)
+    np.subtract(excess, 1.0, out=excess, where=fine)
     avg_excess = float(np.maximum.reduce(excess, initial=-math.inf))
 
     norm_f = float(_lp_rows(f, model.mu_leaf, p))
@@ -509,8 +515,10 @@ def proof_trace(model: DyadicModel, a: CoefficientFamily, f, p, q, r=None,
     if optimal_bound is not None:
         links.append(link("optimal_r", norm_Mf, optimal_bound))
 
-    with np.errstate(over="ignore"):
-        lhs = float(np.float64(norm_Mf) ** p)
+    try:
+        lhs = norm_Mf ** p
+    except OverflowError:  # a float's power raises where numpy's would give inf
+        lhs = math.inf
     trace = ProofTrace(
         decomposition=decomp, p=p, q=q, r=r, B=B, lhs=lhs, est1=est1,
         carleson_lhs=carleson_lhs, carleson_bound=carleson_bound,

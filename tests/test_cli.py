@@ -179,6 +179,28 @@ def test_verify_rejects_malformed_instances(tmp_path, capsys, change, message):
     assert not (run / "report.jsonl").exists()
 
 
+@pytest.mark.parametrize("change, coeffs, message", [
+    ({"mu": {"L1": 10 ** 400, "L2": 2.0}}, None, "mu mass of leaf 'L1' is not a finite number"),
+    ({"omega": {"L1": 1.0, "L2": 10 ** 400}}, None,
+     "omega mass of leaf 'L2' is not a finite number"),
+    ({}, {"Q0": 1.0, "L1": 10 ** 400, "L2": 1.0}, "coefficient for 'L1' must be finite >= 0"),
+    ({}, {"Q0": {"L1": 1.0, "L2": 10 ** 400}, "L1": 1.0, "L2": 1.0},
+     "coefficient for 'Q0' must be finite >= 0"),
+], ids=["mu_mass", "omega_mass", "scalar_coefficient", "vector_coefficient"])
+def test_verify_rejects_an_integer_too_large_for_a_float(tmp_path, capsys, change, coeffs,
+                                                         message):
+    # json reads 10**400 written out as an int, which float() cannot take: verify
+    # printed an OverflowError traceback, exited 1 and left an empty report
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(_small_instance(**change)))
+    if coeffs is not None:
+        bad.with_name("bad.coeffs.json").write_text(json.dumps(coeffs))
+    run = tmp_path / "run"
+    assert main(["verify", str(bad), "--out", str(run)]) == 2
+    assert message in capsys.readouterr().err
+    assert not (run / "report.jsonl").exists()
+
+
 def test_verify_rejects_a_coefficient_written_as_a_string(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(_small_instance()))
@@ -661,6 +683,22 @@ def test_report_lines_are_strict_json_when_a_number_is_not_finite(tmp_path, caps
                for i, (rec, line) in enumerate(zip(records, lines)) if i not in failed)
     capsys.readouterr()
     assert main(["report", str(run / "report.jsonl")]) == 0
+
+
+@pytest.mark.parametrize("margin, detail", [
+    (0.5, {"B": 1.25, "A_lower": 1.5, "witness_cube": "Q0", "error": None}),
+    (0.5, {"B": math.inf, "A_lower": 1.5}),
+    (-1.0, {"lhs": -math.inf, "bound": 2.0}),
+    (math.nan, {"integral_rel_error": math.nan, "norm_rel_error": 0.0}),
+], ids=["finite", "inf", "minus_inf", "nan"])
+def test_record_lines_are_json_dumps_of_the_spelled_record(margin, detail):
+    # cmd_verify encodes a record once with a shared encoder and spells out
+    # only a record that it rejects; the bytes are those of the one rule
+    from dyadicmax.cli import _json_line, _record, _spelled
+    rec = _record("instance_0000", 2.0, math.inf, "sandwich", True, margin, **detail)
+    want = json.dumps(_spelled(rec), sort_keys=True, allow_nan=False) + "\n"
+    assert _json_line(rec) == want
+    assert "Infinity" not in want and "NaN" not in want
 
 
 def test_report_reads_non_finite_strings_as_numbers(tmp_path):

@@ -161,6 +161,28 @@ def test_number_rules_reject_strings_and_booleans():
             check(*value)
 
 
+def test_number_rules_reject_an_integer_too_large_for_a_float(tmp_path):
+    # 10**400 passed each range test as an int, and float() then raised
+    # OverflowError; read_instance reaches the p rule with a file's p
+    from dyadicmax.constants import _check_rtol
+    from dyadicmax.lattice import _check_p, _check_q
+    from dyadicmax.sawyer import read_instance
+    from dyadicmax.stopping import _check_r
+    big = 10 ** 400
+    for check, message in ((_check_p, "p must be a finite number > 1"),
+                           (_check_q, "q must be a number in (1, inf]"),
+                           (_check_rtol, "rtol must be finite and >= 0"),
+                           (_check_r, "stopping ratio r must be a finite number > 1")):
+        with pytest.raises(ValueError) as exc:
+            check(big)
+        assert str(exc.value).startswith(f"{message}, got 1000")
+    path = tmp_path / "big_p.json"
+    path.write_text(json.dumps({"nodes": [{"id": "R", "parent": None}], "mu": {"R": 1.0},
+                                "nu": {"R": 1.0}, "p": big}))
+    with pytest.raises(ModelError, match=r"p must be a finite number > 1"):
+        read_instance(path)
+
+
 def test_subtree_totals_match_direct_sums():
     for seed in range(20):
         model, _ = make_instance(seed)

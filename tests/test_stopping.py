@@ -225,7 +225,8 @@ def test_carleson_sequence_packing(e1):
     assert rep.ok
 
 
-@pytest.mark.parametrize("bad", [math.inf, math.nan])
+# an integer too large for a float raised OverflowError, not the named error
+@pytest.mark.parametrize("bad", [math.inf, math.nan, 10 ** 400], ids=["inf", "nan", "huge_int"])
 def test_carleson_weights_must_be_finite(e1, bad):
     with pytest.raises(ValueError, match="'Q0' is not finite"):
         CarlesonSequence.from_weights(e1, [bad, 0.0, 0.0])
