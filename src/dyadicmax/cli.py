@@ -184,13 +184,8 @@ _ENCODER = json.JSONEncoder(sort_keys=True, allow_nan=False)
 def _json_line(record) -> str:
     """A record's line in ``report.jsonl``: the record as strict JSON, keys
     sorted, with every number that is not finite spelled as a string
-    (``_spelled``).  Only a record that the encoder rejects is spelled out,
-    and ``_spelled`` leaves finite values as they are, so every line is
-    ``json.dumps(_spelled(record), sort_keys=True, allow_nan=False)``."""
-    try:
-        return _ENCODER.encode(record) + "\n"
-    except ValueError:  # a number that is not finite
-        return _ENCODER.encode(_spelled(record)) + "\n"
+    (``_spelled``)."""
+    return _ENCODER.encode(_spelled(record)) + "\n"
 
 
 def _verify_one(name: str, instance, config: SweepConfig):

@@ -74,14 +74,24 @@ def _number(value) -> float:
         return math.nan
 
 
+def _nan_if_overflow(value):
+    """``value``, or NaN if it is an integer too large for a float."""
+    if isinstance(value, int):
+        try:
+            float(value)
+        except OverflowError:
+            return math.nan
+    return value
+
+
 def _float_array(values, copy=None) -> np.ndarray:
     """``values`` as a float array, copied if ``copy`` (else only when they
-    are not one).  Where an integer is too large for a float, each value is
-    read by ``_number``, so that the finiteness tests name that one."""
+    are not one).  An integer too large for a float becomes NaN, so that the
+    finiteness tests name it; every other value converts as it would alone."""
     try:
         return np.array(values, dtype=float, copy=copy)
     except OverflowError:
-        return np.array([_number(v) for v in values])
+        return np.array([_nan_if_overflow(v) for v in values], dtype=float)
 
 
 def _non_number(values):

@@ -345,9 +345,8 @@ def _weighted_cells(model: DyadicModel, p):
     anc = model._ancestors
     keep = (anc < model.n_nodes) & (model.nu_leaf > 0)
     weight = model.nu_leaf ** (1.0 / p)
-    # weight in every row: the stride-0 view of np.broadcast_to, without its Python layers
-    rows = np.ndarray(anc.shape, buffer=weight, strides=(0, weight.itemsize))
-    return keep, anc[keep], rows[keep]
+    # a kept cell's atom is its column
+    return keep, anc[keep], weight[keep.nonzero()[1]]
 
 
 def _indicator_ratios(model: DyadicModel, a: CoefficientFamily, p, q, S) -> np.ndarray:

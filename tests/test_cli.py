@@ -692,8 +692,8 @@ def test_report_lines_are_strict_json_when_a_number_is_not_finite(tmp_path, caps
     (math.nan, {"integral_rel_error": math.nan, "norm_rel_error": 0.0}),
 ], ids=["finite", "inf", "minus_inf", "nan"])
 def test_record_lines_are_json_dumps_of_the_spelled_record(margin, detail):
-    # cmd_verify encodes a record once with a shared encoder and spells out
-    # only a record that it rejects; the bytes are those of the one rule
+    # cmd_verify encodes every record with one shared encoder; the bytes are
+    # those of json.dumps with the report's rule
     from dyadicmax.cli import _json_line, _record, _spelled
     rec = _record("instance_0000", 2.0, math.inf, "sandwich", True, margin, **detail)
     want = json.dumps(_spelled(rec), sort_keys=True, allow_nan=False) + "\n"

@@ -183,6 +183,16 @@ def test_number_rules_reject_an_integer_too_large_for_a_float(tmp_path):
         read_instance(path)
 
 
+def test_an_integer_too_large_for_a_float_leaves_its_neighbours_as_they_were():
+    # only the too-large integer becomes NaN; True beside it still reads as 1
+    # and the error names the leaf that holds the integer
+    from dyadicmax.lattice import _float_array
+    got = _float_array([True, 10 ** 400, "2", 0.5])
+    np.testing.assert_array_equal(got, [1.0, math.nan, 2.0, 0.5])
+    with pytest.raises(ModelError, match="mass of leaf 'y' is not a finite number"):
+        DyadicModel(["x", "y"], [-1, -1], [True, 10 ** 400], [1.0, 1.0])
+
+
 def test_subtree_totals_match_direct_sums():
     for seed in range(20):
         model, _ = make_instance(seed)
