@@ -14,6 +14,7 @@ import hashlib
 import json
 import math
 import sys
+import traceback
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -197,6 +198,13 @@ def _verify_one(name: str, instance, config: SweepConfig):
     reduction.  They hold one value per atom or node; each
     ``verify_reduction`` builds its own family, so no level table outlives
     its combination.
+
+    A check that raises anything but the failures it reports (a
+    ``VerificationError`` or a ``ReductionError``) costs its combination
+    alone: the (instance, p, q) gets one failed ``error`` record naming the
+    exception in place of its check records, its traceback goes to stderr,
+    and the other combinations run as before, each from its own random
+    stream.
     """
     inst, coeffs = instance
     model = inst.model
@@ -208,105 +216,122 @@ def _verify_one(name: str, instance, config: SweepConfig):
     largest = max(np.maximum.reduce(model.mu_leaf), np.maximum.reduce(inst.omega_leaf))
     headroom = 1023 - np.frexp(largest)[1] - model.n_leaves.bit_length()
 
-    for pi, p in enumerate(config.p_values):
-        cp_true = theorem_constant(p)
-        cp_used = cp_true * (0.5 if config.halve_cp else 1.0)
-        cp_ref = theorem_constant_hp(p)
-        inst_p = replace(inst, p=p)
+    def combination(pi, p, qi, q, shared):
+        """The six check records of (p, q), from the inputs shared across p's q."""
+        nonlocal scalars
+        cp_used, cp_ref, inst_p, reduced = shared
+        out = []
+        rng = np.random.default_rng(
+            np.random.SeedSequence(entropy + [10 + pi, 100 + qi]))
+        f = rng.exponential(1.0, model.n_leaves)
+        peak = np.frexp(np.maximum.reduce(f))[1]
+        if peak > headroom:
+            f = np.ldexp(f, -peak)
+        r = default_r(p) if config.r == "auto" else float(config.r)
+
+        # sandwich: B <= A_lower <= C(p) B
+        search = NormSearch(n_random=config.search_random,
+                            ascent_rounds=config.search_ascent,
+                            seed=int(rng.integers(2 ** 31)))
+        error = {}
         try:
-            reduced = _reduced_measure(inst_p)
-        except ReductionError as exc:
-            reduced = exc
+            rep = verify_theorem(model, coeffs, p, q, search,
+                                 rtol=config.tol, c_p=cp_used)
+        except VerificationError as exc:
+            rep, error = exc.report, {"error": str(exc)}
+        out.append(_record(
+            name, p, q, "sandwich", not error, min(rep.margins),
+            B=rep.B, A_lower=rep.A_lower, C_p=rep.C_p,
+            witness_cube=rep.witness_cube, **error))
+
+        # the constant actually used vs an independent evaluation
+        cp_err = abs(cp_used - cp_ref) / cp_ref
+        out.append(_record(
+            name, p, q, "cp_value", cp_err <= 1e-12, 1e-12 - cp_err,
+            used=cp_used, reference=cp_ref))
+
+        # stopping family packing
+        decomp = build_decomposition(model, f, r)
+        packing = verify_packing(model, decomp)
+        parts_ok = partition_ok(decomp)
+        if config.audit:
+            audit_dir = Path(config.out) / "audit"
+            audit_dir.mkdir(parents=True, exist_ok=True)
+            dump = audit_dir / f"{name}_p{p}_q{_q_label(q)}.decomp.json"
+            dump.write_text(json.dumps(decomposition_to_dict(decomp), sort_keys=True) + "\n")
+        out.append(_record(
+            name, p, q, "packing", packing.ok and parts_ok,
+            packing.bound - packing.worst_ratio,
+            worst_ratio=packing.worst_ratio, bound=packing.bound,
+            generation_worst=packing.generation_worst,
+            partition_ok=parts_ok))
+
+        # Carleson embedding with the stopping masses
+        weights = stopping_weights(decomp)
+        carleson = carleson_embedding_check(model, weights, f, p,
+                                            rtol=config.tol)
+        pack_bound_ok = weights.packing_constant <= r / (r - 1.0) * (1 + config.tol)
+        out.append(_record(
+            name, p, q, "carleson", carleson.ok and pack_bound_ok,
+            carleson.slack, lhs=carleson.lhs, bound=carleson.bound,
+            packing_constant=weights.packing_constant))
+
+        # full sufficiency chain
+        try:
+            trace = proof_trace(model, coeffs, f, p, q, r, B=rep.B,
+                                decomp=decomp, rtol=config.tol, strict=True)
+            slacks = [(l.rhs - l.lhs) / max(abs(l.rhs), 1e-300)
+                      for l in trace.links]
+            chain_ok = (trace.reconstruction_rel_error <= 1e-12
+                        and trace.average_control_excess <= config.tol)
+            out.append(_record(
+                name, p, q, "proof_chain", chain_ok, min(slacks),
+                min_rel_slack=min(slacks),
+                reconstruction_rel_error=trace.reconstruction_rel_error,
+                average_control_excess=trace.average_control_excess))
+        except VerificationError as exc:
+            out.append(_record(
+                name, p, q, "proof_chain", False, -1.0,
+                failed_link=str(exc)))
+
+        # change-of-weight identities
+        if isinstance(reduced, ReductionError):
+            out.append(_record(name, p, q, "sawyer_reduction", False, -1.0,
+                               error=str(reduced)))
+            return out
+        if scalars is None:
+            scalars = _classical_scalars(model, inst.omega_leaf, inst.alpha)
+        red = verify_reduction(inst_p, f, q, strict=False, _reduced=(*reduced, scalars))
+        worst = max(red.integral_rel_error, red.operator_rel_error,
+                    red.norm_rel_error)
+        out.append(_record(
+            name, p, q, "sawyer_reduction", red.ok, 1e-12 - worst,
+            integral_rel_error=red.integral_rel_error,
+            operator_rel_error=red.operator_rel_error,
+            norm_rel_error=red.norm_rel_error))
+        return out
+
+    for pi, p in enumerate(config.p_values):
+        try:
+            cp_used = theorem_constant(p) * (0.5 if config.halve_cp else 1.0)
+            inst_p = replace(inst, p=p)
+            try:
+                reduced = _reduced_measure(inst_p)
+            except ReductionError as exc:
+                reduced = exc
+            shared = (cp_used, theorem_constant_hp(p), inst_p, reduced)
+        except Exception as exc:  # every combination of this p reports it
+            shared = exc
         for qi, tok in enumerate(config.q_tokens):
             q = resolve_q(tok, p)
-            rng = np.random.default_rng(
-                np.random.SeedSequence(entropy + [10 + pi, 100 + qi]))
-            f = rng.exponential(1.0, model.n_leaves)
-            peak = np.frexp(np.maximum.reduce(f))[1]
-            if peak > headroom:
-                f = np.ldexp(f, -peak)
-            r = default_r(p) if config.r == "auto" else float(config.r)
-
-            # sandwich: B <= A_lower <= C(p) B
-            search = NormSearch(n_random=config.search_random,
-                                ascent_rounds=config.search_ascent,
-                                seed=int(rng.integers(2 ** 31)))
-            error = {}
             try:
-                rep = verify_theorem(model, coeffs, p, q, search,
-                                     rtol=config.tol, c_p=cp_used)
-            except VerificationError as exc:
-                rep, error = exc.report, {"error": str(exc)}
-            records.append(_record(
-                name, p, q, "sandwich", not error, min(rep.margins),
-                B=rep.B, A_lower=rep.A_lower, C_p=rep.C_p,
-                witness_cube=rep.witness_cube, **error))
-
-            # the constant actually used vs an independent evaluation
-            cp_err = abs(cp_used - cp_ref) / cp_ref
-            records.append(_record(
-                name, p, q, "cp_value", cp_err <= 1e-12, 1e-12 - cp_err,
-                used=cp_used, reference=cp_ref))
-
-            # stopping family packing
-            decomp = build_decomposition(model, f, r)
-            packing = verify_packing(model, decomp)
-            parts_ok = partition_ok(decomp)
-            if config.audit:
-                audit_dir = Path(config.out) / "audit"
-                audit_dir.mkdir(parents=True, exist_ok=True)
-                dump = audit_dir / f"{name}_p{p}_q{_q_label(q)}.decomp.json"
-                dump.write_text(json.dumps(decomposition_to_dict(decomp), sort_keys=True) + "\n")
-            records.append(_record(
-                name, p, q, "packing", packing.ok and parts_ok,
-                packing.bound - packing.worst_ratio,
-                worst_ratio=packing.worst_ratio, bound=packing.bound,
-                generation_worst=packing.generation_worst,
-                partition_ok=parts_ok))
-
-            # Carleson embedding with the stopping masses
-            weights = stopping_weights(decomp)
-            carleson = carleson_embedding_check(model, weights, f, p,
-                                                rtol=config.tol)
-            pack_bound_ok = weights.packing_constant <= r / (r - 1.0) * (1 + config.tol)
-            records.append(_record(
-                name, p, q, "carleson", carleson.ok and pack_bound_ok,
-                carleson.slack, lhs=carleson.lhs, bound=carleson.bound,
-                packing_constant=weights.packing_constant))
-
-            # full sufficiency chain
-            try:
-                trace = proof_trace(model, coeffs, f, p, q, r, B=rep.B,
-                                    decomp=decomp, rtol=config.tol, strict=True)
-                slacks = [(l.rhs - l.lhs) / max(abs(l.rhs), 1e-300)
-                          for l in trace.links]
-                chain_ok = (trace.reconstruction_rel_error <= 1e-12
-                            and trace.average_control_excess <= config.tol)
-                records.append(_record(
-                    name, p, q, "proof_chain", chain_ok, min(slacks),
-                    min_rel_slack=min(slacks),
-                    reconstruction_rel_error=trace.reconstruction_rel_error,
-                    average_control_excess=trace.average_control_excess))
-            except VerificationError as exc:
-                records.append(_record(
-                    name, p, q, "proof_chain", False, -1.0,
-                    failed_link=str(exc)))
-
-            # change-of-weight identities
-            if isinstance(reduced, ReductionError):
-                records.append(_record(name, p, q, "sawyer_reduction", False, -1.0,
-                                       error=str(reduced)))
-                continue
-            if scalars is None:
-                scalars = _classical_scalars(model, inst.omega_leaf, inst.alpha)
-            red = verify_reduction(inst_p, f, q, strict=False, _reduced=(*reduced, scalars))
-            worst = max(red.integral_rel_error, red.operator_rel_error,
-                        red.norm_rel_error)
-            records.append(_record(
-                name, p, q, "sawyer_reduction", red.ok, 1e-12 - worst,
-                integral_rel_error=red.integral_rel_error,
-                operator_rel_error=red.operator_rel_error,
-                norm_rel_error=red.norm_rel_error))
+                if isinstance(shared, Exception):
+                    raise shared
+                records += combination(pi, p, qi, q, shared)
+            except Exception as exc:  # a fault in a check costs this combination alone
+                traceback.print_exc()
+                records.append(_record(name, p, q, "error", False, -1.0,
+                                       error=f"{type(exc).__name__}: {exc}"))
     return records
 
 

@@ -94,10 +94,11 @@ def _float_array(values, copy=None) -> np.ndarray:
         return np.array([_nan_if_overflow(v) for v in values], dtype=float)
 
 
-def _non_number(values):
+def _non_number(values, kinds=None):
     """Position of the first string or boolean among ``values``, or None: one
-    test of the set of the value types when there is none."""
-    if set(map(type, values)).isdisjoint(_NOT_NUMBERS):
+    test of the set of the value types, ``kinds`` if the caller has it, when
+    there is none."""
+    if (set(map(type, values)) if kinds is None else kinds).isdisjoint(_NOT_NUMBERS):
         return None
     return next(i for i, v in enumerate(values) if isinstance(v, _NOT_NUMBERS))
 
@@ -434,10 +435,17 @@ class DyadicModel:
         return np.ascontiguousarray(sums.T).take(self._ancestor_sums, axis=0).T.swapaxes(-1, -2)
 
     def subtree_totals(self, node_values):
-        """Per-node sums of a node vector over each node's subtree, each on its own."""
-        total = np.asarray(node_values, dtype=float)
+        """Per-node sums of a node vector over each node's subtree, each on its own.
+
+        The values must be finite; the first that is not, such as an integer
+        too large for a float, is named."""
+        total = _float_array(node_values)
         if total.shape != (self.n_nodes,):
             raise ValueError(f"need one value per node, got shape {total.shape}")
+        finite = np.isfinite(total)
+        if not np.logical_and.reduce(finite):
+            raise ValueError(f"value of node {self.ids[int(finite.argmin())]!r} "
+                             "is not a finite number")
         return self._subtree_sums(total)
 
     def with_measures(self, mu_leaf=None, nu_leaf=None):
@@ -597,7 +605,7 @@ def leaf_values(model: DyadicModel, values: Mapping, what: str) -> list:
 
 def as_leaf_function(model: DyadicModel, f, *, nonneg: bool = False) -> np.ndarray:
     """Validate a leaf-value vector against the model: finite, one per leaf."""
-    arr = np.asarray(f, dtype=float)
+    arr = _float_array(f)
     if arr.shape != (model.n_leaves,):
         raise ValueError(
             f"function has shape {arr.shape}, model has {model.n_leaves} leaves"
@@ -725,9 +733,10 @@ def lp_norm(model: DyadicModel, g, p, measure: str) -> float:
     positive mass (0 when the measure vanishes identically).
     """
     arr = as_leaf_function(model, g)
-    if not float(p) >= 1.0:
-        raise ValueError(f"p must be >= 1, got {float(p)}")
-    return float(_lp_rows(arr, model.leaf_masses(measure), float(p)))
+    value = _number(p)
+    if not value >= 1.0:
+        raise ValueError(f"p must be a number >= 1, got {p!r}")
+    return float(_lp_rows(arr, model.leaf_masses(measure), value))
 
 
 # ---------------------------------------------------------------------------

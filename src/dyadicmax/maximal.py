@@ -149,7 +149,7 @@ class CoefficientFamily:
 
     @classmethod
     def constant(cls, model: DyadicModel, value: float = 1.0) -> "CoefficientFamily":
-        return cls(model, np.full(model.n_nodes, float(value)))
+        return cls(model, np.full(model.n_nodes, _number(value)))
 
     @classmethod
     def from_mapping(cls, model: DyadicModel, mapping: Mapping) -> "CoefficientFamily":
@@ -176,7 +176,7 @@ class CoefficientFamily:
         vectors = []  # positions in `values` of the vector entries, in node order
         kinds = set(map(type, values))
         if not kinds <= {float, int}:
-            i = _non_number(values)
+            i = _non_number(values, kinds)
             if i is not None:
                 raise ModelError(f"coefficient for {model.ids[nodes[i]]!r} must be a number, "
                                  f"got {values[i]!r}")
@@ -344,9 +344,10 @@ def _weighted_cells(model: DyadicModel, p):
     each in the mask's order."""
     anc = model._ancestors
     keep = (anc < model.n_nodes) & (model.nu_leaf > 0)
-    weight = model.nu_leaf ** (1.0 / p)
-    # a kept cell's atom is its column
-    return keep, anc[keep], weight[keep.nonzero()[1]]
+    # keep * weight holds each atom's weight (times 1, exactly) in its kept
+    # cells; masking it is about four times faster on the 9841-node ternary
+    # tree than gathering by the kept cells' columns
+    return keep, anc[keep], (keep * model.nu_leaf ** (1.0 / p))[keep]
 
 
 def _indicator_ratios(model: DyadicModel, a: CoefficientFamily, p, q, S) -> np.ndarray:
@@ -393,11 +394,19 @@ def _apply_by_label(model: DyadicModel, T, q, labels):
     keep = lab >= 0
     new = keep.copy()  # where a part's run starts down an atom's path
     new[1:] &= lab[1:] != lab[:-1]
-    # parts are numbered atom by atom, and down each atom's path
-    rank = new.cumsum(axis=0)
-    part = rank[-1].cumsum() - rank[-1] + rank - 1
-    return (new.T.nonzero()[0], lab.T[new.T],
-            _lq_groups(T[keep], part[keep], int(np.add.reduce(rank[-1])), q))
+    # parts are numbered atom by atom, and down each atom's path: the running
+    # count of the starts, added a row at a time (cumsum along axis 0 walks
+    # the table column by column), plus the parts of the atoms before
+    part = new.astype(np.int64)
+    for d in range(1, len(part)):
+        np.add(part[d - 1], part[d], out=part[d])
+    count = part[-1].copy()
+    n_parts = int(np.add.reduce(count))
+    part += count.cumsum() - count - 1
+    # the starts atom by atom: flat positions in the atom-major copy of the mask
+    start = new.T.ravel().nonzero()[0]
+    return (start // len(new), lab.T.ravel()[start],
+            _lq_groups(T[keep], part[keep], n_parts, q))
 
 
 def apply_maximal(model: DyadicModel, a: CoefficientFamily, f, q) -> MaximalOutput:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from functools import cached_property
 from typing import Optional
 
@@ -106,6 +106,15 @@ class StoppingDecomposition:
     @cached_property
     def in_stopping(self) -> np.ndarray:
         return self.owner_index == np.arange(self.model.n_nodes)
+
+    @cached_property
+    def stopping_mass(self) -> np.ndarray:
+        """Per node, the mu mass of the stopping cubes in its subtree, read-only:
+        the packing check and the Carleson weights share one sum."""
+        model = self.model
+        subtotal = model.subtree_totals(model.mu_node * self.in_stopping)
+        subtotal.setflags(write=False)
+        return subtotal
 
     def _by_generation(self):
         """Stopping-cube indices by generation, DFS order within one; their generations."""
@@ -256,7 +265,7 @@ def verify_packing(model: DyadicModel, decomp: StoppingDecomposition) -> Packing
     _check_model(model, decomp.model, "decomposition")
     r = decomp.r
     bound = r / (r - 1.0)
-    subtotal = model.subtree_totals(model.mu_node * decomp.in_stopping)
+    subtotal = decomp.stopping_mass
 
     pos = (model.mu_node > 0).nonzero()[0]
     rk = subtotal[pos] / model.mu_node[pos]
@@ -301,10 +310,8 @@ class CarlesonSequence:
             raise ValueError(f"Carleson weight of node {model.ids[k]!r} is not finite: {w[k]}")
         if np.minimum.reduce(w) < 0:
             raise ValueError("Carleson weights must be >= 0")
-        subtotal = model.subtree_totals(w)
-        pos = model.mu_node > 0
-        packing = float(np.maximum.reduce(subtotal[pos] / model.mu_node[pos], initial=0.0))
-        return cls(model=model, weights=w, packing_constant=packing)
+        return cls(model=model, weights=w,
+                   packing_constant=_packing_constant(model, model.subtree_totals(w)))
 
     @classmethod
     def from_mapping(cls, model: DyadicModel, mapping) -> "CarlesonSequence":
@@ -328,10 +335,19 @@ class CarlesonSequence:
                 for k, v in enumerate(self.weights) if v != 0.0}
 
 
+def _packing_constant(model, subtotal) -> float:
+    """The largest weight below a positive-mass cube over its mu, from the
+    weights' ``subtree_totals``; 0 when no cube has mass."""
+    pos = model.mu_node > 0
+    return float(np.maximum.reduce(subtotal[pos] / model.mu_node[pos], initial=0.0))
+
+
 def stopping_weights(decomp: StoppingDecomposition) -> CarlesonSequence:
-    """mu(Q) on the stopping cubes, 0 elsewhere; packs within r/(r-1)."""
+    """mu(Q) on the stopping cubes, 0 elsewhere; packs within r/(r-1).  Finite
+    and >= 0 by construction, they skip ``from_weights``'s checks."""
     model = decomp.model
-    return CarlesonSequence.from_weights(model, model.mu_node * decomp.in_stopping)
+    return CarlesonSequence(model=model, weights=model.mu_node * decomp.in_stopping,
+                            packing_constant=_packing_constant(model, decomp.stopping_mass))
 
 
 @dataclass
@@ -401,6 +417,11 @@ class ProofTrace:
       carleson:    (sum avg_Q(f)^p mu(Q))^(1/p) <= (r/(r-1))^(1/p) p' |f|
       final:       N <= r^((p+1)/p) (r-1)^(-1/p) p' B |f|
       optimal_r:   at r = (p+1)/p the final constant is C(p) B
+
+    The per-block figures stay arrays over the stopping cubes; ``blocks``,
+    one :class:`BlockRecord` per stopping cube, is built from them on first
+    access, so a caller that reads only the links builds no record.  Not
+    being fields, neither is in ``dataclasses.astuple`` or ``==``.
     """
 
     decomposition: StoppingDecomposition
@@ -414,10 +435,20 @@ class ProofTrace:
     carleson_bound: float
     final_bound: float
     optimal_bound: Optional[float]
-    blocks: list                # BlockRecord per stopping cube
     reconstruction_rel_error: float
     average_control_excess: float   # max over blocks of avg_R / (r avg_Q) - 1
     links: list
+    block_arrays: InitVar[tuple]    # (cubes, norms, bounds, averages), one entry per block
+
+    def __post_init__(self, block_arrays):
+        self._block_arrays = block_arrays
+
+    @cached_property
+    def blocks(self) -> list:
+        """BlockRecord per stopping cube, generation by generation, DFS order within one."""
+        ids = self.decomposition.model.ids
+        return [BlockRecord(owner=ids[k], norm=n, bound=b, average=avg)
+                for k, n, b, avg in zip(*(arr.tolist() for arr in self._block_arrays))]
 
     @property
     def ok(self):
@@ -467,17 +498,12 @@ def proof_trace(model: DyadicModel, a: CoefficientFamily, f, p, q, r=None,
     # F_Q per (atom, block): each (atom, cube) pair lies in exactly one block
     leaf, owner, F = _apply_by_label(model, T, q, decomp.owner_index)
     stop, _ = decomp._by_generation()
-    stop_ids = [model.ids[k] for k in stop]
     norms = _lq_groups(model.nu_leaf[leaf] ** (1.0 / p) * F, owner, model.n_nodes, p)[stop]
     avg_stop, mu_stop = averages[stop], model.mu_node[stop]
     bounds = r * avg_stop * B * mu_stop ** (1.0 / p)
-    blocks = [BlockRecord(owner=qid, norm=n, bound=b, average=avg)
-              for qid, n, b, avg in zip(stop_ids, norms.tolist(),
-                                        bounds.tolist(), avg_stop.tolist())]
     est1, carleson_lhs = float(_lq_rows(norms, p)), float(_lp_rows(avg_stop, mu_stop, p))
     block_fine = _held(norms, bounds, p, rtol)
     block_ok = bool(np.logical_and.reduce(block_fine))
-    worst_block = None if block_ok else stop_ids[(~block_fine).nonzero()[0][-1]]
 
     # the blocks' ell-q combination must give back the operator
     recon = _lq_groups(F, leaf, model.n_leaves, q)
@@ -522,13 +548,15 @@ def proof_trace(model: DyadicModel, a: CoefficientFamily, f, p, q, r=None,
     trace = ProofTrace(
         decomposition=decomp, p=p, q=q, r=r, B=B, lhs=lhs, est1=est1,
         carleson_lhs=carleson_lhs, carleson_bound=carleson_bound,
-        final_bound=final_bound, optimal_bound=optimal_bound, blocks=blocks,
+        final_bound=final_bound, optimal_bound=optimal_bound,
         reconstruction_rel_error=recon_err,
         average_control_excess=avg_excess if avg_excess > -math.inf else 0.0,
-        links=links,
+        links=links, block_arrays=(stop, norms, bounds, avg_stop),
     )
     if strict and not trace.ok:
         name = trace.failed_links()[0]
-        detail = f" (block {worst_block})" if name == "block_bound" else ""
+        # the last block that fails its bound
+        detail = (f" (block {model.ids[stop[(~block_fine).nonzero()[0][-1]]]})"
+                  if name == "block_bound" else "")
         raise VerificationError(f"proof chain link failed: {name}{detail}", trace)
     return trace

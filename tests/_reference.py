@@ -110,6 +110,35 @@ def ref_maximal(model, a, f, q, allowed=None):
     return np.asarray(out)
 
 
+def ref_apply_by_label(model, a, f, q, labels):
+    """The operator on f split into parts by a labelling of the cubes, per atom.
+
+    Walking each atom's path from its root down, every maximal run of cubes
+    with one label >= 0 is a part; returns (leaf, label, value) lists with
+    the parts atom by atom and down each path, each value the ell-q
+    combination of |I_R| * a_R(x) over the run's cubes R.
+    """
+    integrals = [ref_integrate(model, f, k) for k in range(model.n_nodes)]
+    leaves, parts, values = [], [], []
+    for j in range(model.n_leaves):
+        runs, prev = [], -1  # (label, terms) down the path; the label above
+        for k in model.ancestors_or_self(int(model.leaf_nodes[j]))[::-1]:
+            label = int(labels[k])
+            if label >= 0:
+                t = abs(integrals[k] * _coefficient_at(a, k, j, model))
+                if label == prev:
+                    runs[-1][1].append(t)
+                else:
+                    runs.append((label, [t]))
+            prev = label
+        for label, terms in runs:
+            leaves.append(j)
+            parts.append(label)
+            values.append(max(terms) if q == math.inf
+                          else math.fsum(t ** q for t in terms) ** (1.0 / q))
+    return leaves, parts, values
+
+
 def ref_truncated(model, a, f, q, node_k):
     allowed = set(int(i) for i in model.subtree(node_k))
     return ref_maximal(model, a, f, q, allowed=allowed)

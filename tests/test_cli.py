@@ -820,6 +820,39 @@ def test_verify_records_a_failed_reduction_and_goes_on(tmp_path):
     assert all("zero density" in r["detail"]["error"] for r in failed)
 
 
+def test_verify_records_an_unexpected_exception_and_goes_on(tmp_path, monkeypatch):
+    # a check that raises what it does not report, here on one instance at
+    # q = inf, ended the sweep with a traceback and no report; now that
+    # combination gets one failed error record, and every other record is
+    # the one an unpatched run writes, serially and with a pool alike
+    import dyadicmax.cli as cli_mod
+    paths, _ = gen(tmp_path, trials=3)
+    config = SweepConfig(seed=7, p_values=(2.0,), q_tokens=("p", "inf"))
+    _, clean = cmd_verify(replace(config, out=str(tmp_path / "clean")), paths)
+    bad_model = cli_mod._load_instance(Path(paths[1]))[0].model
+    original = cli_mod.proof_trace
+
+    def raising(model, a, f, p, q, *args, **kwargs):
+        if q == math.inf and model == bad_model:
+            raise RuntimeError("injected")
+        return original(model, a, f, p, q, *args, **kwargs)
+
+    monkeypatch.setattr(cli_mod, "proof_trace", raising)
+    runs = {}
+    for workers in (1, 2):
+        out = tmp_path / f"workers{workers}"
+        code, records = cmd_verify(replace(config, out=str(out), workers=workers), paths)
+        assert code == 1
+        runs[workers] = (out / "report.jsonl").read_bytes()
+    assert runs[1] == runs[2]
+    error = {"instance": "instance_0001", "p": 2.0, "q": "inf", "check": "error",
+             "pass": False, "margin": -1.0, "detail": {"error": "RuntimeError: injected"}}
+    want = [rec for rec in clean if (rec["instance"], rec["q"]) != ("instance_0001", "inf")]
+    want.insert(next(i for i, rec in enumerate(want) if rec["instance"] == "instance_0002"),
+                error)
+    assert records == want
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 def test_verify_loads_each_instance_once(tmp_path, monkeypatch, workers):
     import dyadicmax.cli as cli_mod

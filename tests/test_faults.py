@@ -21,8 +21,9 @@ from dyadicmax.cli import SweepConfig, _load_instance, _verify_one, cmd_generate
 CONFIG = SweepConfig(p_values=(1.5, 2.0, 3.0), q_tokens=("p", "2p", "inf"))
 
 # the originals, which each faulty replacement calls, taken before any patch
-LEVEL_TERMS, TESTING_CONSTANT, LQ_ROWS = (maximal._level_terms, constants.testing_constant,
-                                          lattice._lq_rows)
+LEVEL_TERMS, TESTING_CONSTANT, LQ_ROWS, APPLY_BY_LABEL = (
+    maximal._level_terms, constants.testing_constant, lattice._lq_rows,
+    maximal._apply_by_label)
 
 
 @pytest.fixture(scope="module")
@@ -72,12 +73,18 @@ def _max_for_every_lq(T, q, axis=-1):
     return LQ_ROWS(T, math.inf, axis)
 
 
+def _parts_halved(model, T, q, labels):
+    leaf, label, values = APPLY_BY_LABEL(model, T, q, labels)
+    return leaf, label, 0.5 * values
+
+
 # the function faulted, and its faulty replacement
 FAULTS = {
     "level_terms_root_level_zeroed": (LEVEL_TERMS, _root_level_zeroed),
     "level_terms_mu_left_out_of_the_rows": (LEVEL_TERMS, _mu_left_out),
     "testing_constant_halved": (TESTING_CONSTANT, _half_b),
     "lq_rows_always_at_q_inf": (LQ_ROWS, _max_for_every_lq),
+    "apply_by_label_parts_halved": (APPLY_BY_LABEL, _parts_halved),
 }
 
 

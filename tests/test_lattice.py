@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dyadicmax import (DyadicModel, ModelError, RandomModelParams, average,
-                       build_model, integrate, lp_norm, random_model,
-                       read_model, write_model)
+from dyadicmax import (CoefficientFamily, DyadicModel, ModelError, RandomModelParams,
+                       apply_maximal, as_leaf_function, average, build_model, integrate,
+                       lp_norm, random_model, read_model, write_model)
 from dyadicmax.cli import SweepConfig, cmd_generate
 from dyadicmax.lattice import _check_pq, _lq_groups, _lq_rows, _running_lq, model_to_dict
 from dyadicmax.maximal import node_integrals
@@ -191,6 +191,23 @@ def test_an_integer_too_large_for_a_float_leaves_its_neighbours_as_they_were():
     np.testing.assert_array_equal(got, [1.0, math.nan, 2.0, 0.5])
     with pytest.raises(ModelError, match="mass of leaf 'y' is not a finite number"):
         DyadicModel(["x", "y"], [-1, -1], [True, 10 ** 400], [1.0, 1.0])
+
+
+BIG = 10 ** 400  # an integer too large for a float: float() raises OverflowError
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda m: lp_norm(m, [1.0, 1.0], BIG, "mu"), "p must be a number >= 1"),
+    (lambda m: as_leaf_function(m, [BIG, 1]), "function values must be finite"),
+    (lambda m: apply_maximal(m, CoefficientFamily.constant(m), [BIG, 1], 2.0),
+     "function values must be finite"),
+    (lambda m: CoefficientFamily.constant(m, BIG), "coefficient for 'Q0' must be finite >= 0"),
+    (lambda m: m.subtree_totals([1, BIG, 1]), "value of node 'L1' is not a finite number"),
+], ids=["lp_norm", "as_leaf_function", "apply_maximal", "constant", "subtree_totals"])
+def test_entry_points_reject_an_integer_too_large_for_a_float(e1, call, message):
+    # each raised OverflowError; they now give the file readers' ValueError
+    with pytest.raises(ValueError, match=message):
+        call(e1)
 
 
 def test_subtree_totals_match_direct_sums():

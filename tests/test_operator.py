@@ -9,12 +9,13 @@ from dyadicmax import (CoefficientFamily, ModelError, apply_depth_truncated, app
                        apply_truncated, build_model, classical_coefficients, indicator,
                        lp_norm, read_coefficients, write_coefficients)
 from dyadicmax.lattice import _lq_rows
-from dyadicmax.maximal import (_apply_levels, _indicator_norms, _indicator_ratios, _level_terms,
-                              _suffix_table)
+from dyadicmax.maximal import (_apply_by_label, _apply_levels, _indicator_norms,
+                              _indicator_ratios, _level_terms, _suffix_table)
+from dyadicmax.stopping import build_decomposition
 
-from _reference import (ref_depth_truncated, ref_indicator_norms, ref_indicator_ratios,
-                        ref_leaf_levels, ref_level_terms, ref_maximal, ref_subtree_sums,
-                        ref_truncated)
+from _reference import (ref_apply_by_label, ref_depth_truncated, ref_indicator_norms,
+                        ref_indicator_ratios, ref_leaf_levels, ref_level_terms, ref_maximal,
+                        ref_subtree_sums, ref_truncated)
 from conftest import INF, caterpillar, make_instance, random_nonneg
 
 
@@ -232,6 +233,21 @@ def test_indicator_norms_match_the_earlier_suffixes_bit_for_bit(p, q):
     for model, a in _forests():
         assert np.array_equal(_indicator_norms(model, a, p, _suffix_table(model, a, q)),
                               ref_indicator_norms(model, a, p, q))
+
+
+@pytest.mark.parametrize("q", [1.5, 4.0, INF])
+def test_apply_by_label_matches_a_plain_loop(q):
+    # the parts of the stopping blocks, from the root of the forest and from a
+    # deeper first generation: same (leaf, label) pairs in the same order
+    for model, a in _forests():
+        f = random_nonneg(model, model.n_nodes)
+        T = _level_terms(model, a, f * model.mu_leaf)
+        for n_start in sorted({0, 1, model.max_depth // 2, model.max_depth}):
+            labels = build_decomposition(model, f, 1.3, n_start=n_start).owner_index
+            leaf, label, values = _apply_by_label(model, T, q, labels)
+            want_leaf, want_label, want = ref_apply_by_label(model, a, f, q, labels)
+            assert leaf.tolist() == want_leaf and label.tolist() == want_label
+            np.testing.assert_allclose(values, want, rtol=1e-12, atol=0)
 
 
 def test_signed_f_uses_absolute_integrals(e1, ones):

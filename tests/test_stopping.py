@@ -428,6 +428,7 @@ def test_proof_trace_reuses_decomposition():
     assert equal is not model and equal == model
     same = proof_trace(equal, a, f, 2.0, 4.0, 1.5, n_start=1, decomp=decomp)
     assert dataclasses.astuple(same)[1:] == dataclasses.astuple(given)[1:]
+    assert same.blocks == given.blocks  # not a field, so astuple leaves it out
     mismatched = [
         dict(r=1.7, n_start=1),
         dict(r=1.5, n_start=0),
@@ -439,6 +440,21 @@ def test_proof_trace_reuses_decomposition():
         with pytest.raises(ValueError, match="decomposition"):
             proof_trace(m, a, call.get("f", f), 2.0, 4.0, call["r"],
                         n_start=call["n_start"], decomp=decomp)
+
+
+def test_block_records_are_built_on_first_access():
+    # verify reads only the links; a caller that reads the blocks gets one
+    # record per stopping cube, from the trace's arrays
+    model, a = make_instance(8)
+    f = random_nonneg(model, 8)
+    trace = proof_trace(model, a, f, 2.0, INF)
+    assert "blocks" not in vars(trace)
+    stop, norms, bounds, averages = trace._block_arrays
+    assert [b.owner for b in trace.blocks] == trace.decomposition.stopping
+    assert [(b.norm, b.bound, b.average) for b in trace.blocks] == \
+        list(zip(norms.tolist(), bounds.tolist(), averages.tolist()))
+    assert trace.blocks is trace.blocks
+    assert max(norms, default=0.0) == trace.links[1].lhs
 
 
 def test_default_r():
