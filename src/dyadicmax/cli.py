@@ -9,6 +9,7 @@ CSV.  Identical configurations produce byte-identical reports.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import hashlib
 import json
@@ -342,7 +343,8 @@ def cmd_verify(config: SweepConfig, instance_paths):
     before anything is written.  ``report.jsonl`` is opened for appending
     before any instance is loaded, so an unwritable ``out`` exits 2 before
     any work.  A file that fails to load also exits 2, and removes the report
-    again if it is still empty.
+    again if it is still empty.  Records are written instance by instance, so
+    a sweep that dies keeps those of the instances that finished before.
     """
     config.validate()
     # companion coefficient files ride along with shell globs; skip them
@@ -370,20 +372,19 @@ def cmd_verify(config: SweepConfig, instance_paths):
         print(f"error: cannot load instance: {exc}", file=sys.stderr)
         return 2, []
 
-    with fh:
+    records = []
+    with fh, contextlib.ExitStack() as stack:
         jobs = ([Path(p).stem for p in paths], instances, [config] * len(paths))
         workers = min(config.workers, len(paths))  # a process per file at most
+        run = map
         if workers > 1:
             # imported here: the serial path never loads multiprocessing
             from concurrent.futures import ProcessPoolExecutor
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                per_instance = list(pool.map(_verify_one, *jobs))
-        else:
-            per_instance = list(map(_verify_one, *jobs))
-
-        records = [rec for batch in per_instance for rec in batch]
-        for rec in records:
-            fh.write(_json_line(rec))
+            run = stack.enter_context(ProcessPoolExecutor(max_workers=workers)).map
+        for batch in run(_verify_one, *jobs):  # in file order, as each instance returns
+            records += batch
+            fh.writelines(map(_json_line, batch))
+            fh.flush()
 
     failed = [r for r in records if not r["pass"]]
     for rec in failed:

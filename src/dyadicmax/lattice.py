@@ -15,6 +15,7 @@ import copy
 import json
 import math
 import numbers
+import reprlib
 from collections import deque
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -48,11 +49,12 @@ __all__ = [
 
 
 class ModelError(ValueError):
-    """A tree description violates the model contract."""
+    """An input violates the model contract: a tree description, or a vector entry
+    (a mass, a function value, a coefficient, a weight, a parent index) out of range."""
 
 
-# what a number read from a file must not be: JSON's "1.5" and true would
-# otherwise convert silently
+# what a number must not be, in a file or in a call: JSON's "1.5" and true, and
+# Python's, would otherwise convert silently
 _NOT_NUMBERS = (str, bytes, bool, np.bool_)
 
 
@@ -74,33 +76,57 @@ def _number(value) -> float:
         return math.nan
 
 
-def _nan_if_overflow(value):
-    """``value``, or NaN if it is an integer too large for a float."""
-    if isinstance(value, int):
-        try:
-            float(value)
-        except OverflowError:
-            return math.nan
-    return value
-
-
 def _float_array(values, copy=None) -> np.ndarray:
-    """``values`` as a float array, copied if ``copy`` (else only when they
-    are not one).  An integer too large for a float becomes NaN, so that the
-    finiteness tests name it; every other value converts as it would alone."""
-    try:
+    """``values`` as a float array, each entry read by ``_number``'s rule, so that a
+    string, a boolean, None, a container or an integer too large for a float is
+    a NaN for the caller's finiteness test to name.  A numeric array converts
+    directly, copied if ``copy``; a list of plain floats and ints in one call."""
+    if isinstance(values, np.ndarray) and values.dtype.kind in "fiu":
         return np.array(values, dtype=float, copy=copy)
-    except OverflowError:
-        return np.array([_nan_if_overflow(v) for v in values], dtype=float)
+    if not np.iterable(values):  # a 0-d array, which every shape test rejects
+        return np.array(_number(values))
+    values = list(values)
+    if set(map(type, values)) <= {float, int}:
+        try:
+            return np.array(values, dtype=float)
+        except OverflowError:  # an integer too large for a float
+            pass
+    return np.array([v if type(v) is float else _number(v) for v in values], dtype=float)
 
 
-def _non_number(values, kinds=None):
-    """Position of the first string or boolean among ``values``, or None: one
-    test of the set of the value types, ``kinds`` if the caller has it, when
-    there is none."""
-    if (set(map(type, values)) if kinds is None else kinds).isdisjoint(_NOT_NUMBERS):
-        return None
-    return next(i for i, v in enumerate(values) if isinstance(v, _NOT_NUMBERS))
+def _checked_vector(model, values, what, per="leaf", *, nonneg=False):
+    """``values`` (``_float_array``) with one finite number per leaf, or per node,
+    each >= 0 if ``nonneg``; else ``ModelError`` names the shape, or the first bad
+    leaf or node and its value as given (``what`` names the values: "mu mass")."""
+    ids = model.leaf_ids if per == "leaf" else model.ids
+    arr = _float_array(values)
+    if arr.shape != (len(ids),):
+        raise ModelError(f"need one {what} per {per}, {len(ids)} in all, got shape {arr.shape}")
+    # a NaN fails every test
+    if (np.minimum.reduce(arr) >= 0 and np.maximum.reduce(arr) < math.inf if nonneg
+            else np.logical_and.reduce(np.isfinite(arr))):
+        return arr
+    k = int(np.argmax(~np.isfinite(arr) | (arr < 0 if nonneg else False)))
+    given = reprlib.repr(values[k] if isinstance(values, (list, tuple)) else arr[k].item())
+    fault = "is not a finite number" if not math.isfinite(arr[k]) else "is negative"
+    raise ModelError(f"{what} of {per} {ids[k]!r} {fault}, got {given}")
+
+
+def _int_array(values, ids, what) -> np.ndarray:
+    """``values`` as an int64 array, an int64 array as it is: one integer per id by
+    ``_float_array``'s rule (a boolean is none), or ``ModelError`` names the first bad id."""
+    if isinstance(values, np.ndarray) and values.dtype == np.int64 and values.shape == (len(ids),):
+        return values
+    arr = _float_array(values)
+    if arr.shape != (len(ids),):
+        raise ModelError(f"need one {what} for each of {len(ids)} nodes")
+    whole = (np.abs(arr) < 2.0 ** 63) & (arr == np.trunc(arr))  # a NaN is neither
+    if not np.logical_and.reduce(whole):
+        k = int(np.argmax(~whole))
+        given = values[k] if isinstance(values, (list, tuple)) else arr[k].item()
+        raise ModelError(f"{what} of node {ids[k]!r} must be a 64-bit integer, got "
+                         f"{reprlib.repr(given)}")
+    return arr.astype(np.int64)
 
 
 def _index(ids):
@@ -250,9 +276,7 @@ class DyadicModel:
                 self.ids = tuple(map(str, self.ids))
             _id_index = _index(self.ids)
         self.index = _id_index
-        self.parent = np.maximum(np.asarray(parents, dtype=np.int64), -1)  # -1 for a root
-        if self.parent.shape != (n,):
-            raise ModelError(f"need one parent for each of {n} nodes")
+        self.parent = np.maximum(_int_array(parents, self.ids, "parent"), -1)  # -1 for a root
         roots = (self.parent < 0).nonzero()[0]
         self.roots = tuple(roots.tolist())
         (self.depth, self.dfs_order, self.dfs_lo, self.dfs_hi, self.leaf_lo, self.leaf_hi,
@@ -304,21 +328,7 @@ class DyadicModel:
         """Validated masses in leaf order, from a sequence or a {leaf id: mass} map."""
         if isinstance(values, Mapping):
             values = leaf_values(self, values, what)
-        try:
-            arr = _float_array(values)
-        except (TypeError, ValueError) as exc:
-            raise ModelError(f"{what}: masses must be numbers ({exc})") from None
-        if arr.shape != (self.n_leaves,):
-            raise ModelError(f"{what}: expected {self.n_leaves} values, got shape {arr.shape}")
-        # a NaN fails both tests
-        if not (np.minimum.reduce(arr) >= 0 and np.maximum.reduce(arr) < math.inf):
-            finite = np.isfinite(arr)
-            if not finite.all():
-                leaf = self.leaf_ids[int(np.argmin(finite))]
-                raise ModelError(f"{what} mass of leaf {leaf!r} is not a finite number")
-            leaf = self.leaf_ids[int(np.argmax(arr < 0))]
-            raise ModelError(f"negative mass in {what} at leaf {leaf!r}")
-        return arr
+        return _checked_vector(self, values, f"{what} mass", nonneg=True)
 
     # -- structure ---------------------------------------------------------
 
@@ -437,16 +447,9 @@ class DyadicModel:
     def subtree_totals(self, node_values):
         """Per-node sums of a node vector over each node's subtree, each on its own.
 
-        The values must be finite; the first that is not, such as an integer
-        too large for a float, is named."""
-        total = _float_array(node_values)
-        if total.shape != (self.n_nodes,):
-            raise ValueError(f"need one value per node, got shape {total.shape}")
-        finite = np.isfinite(total)
-        if not np.logical_and.reduce(finite):
-            raise ValueError(f"value of node {self.ids[int(finite.argmin())]!r} "
-                             "is not a finite number")
-        return self._subtree_sums(total)
+        The values must be finite numbers; the first that is not, such as an
+        integer too large for a float or a string, is named."""
+        return self._subtree_sums(_checked_vector(self, node_values, "value", per="node"))
 
     def with_measures(self, mu_leaf=None, nu_leaf=None):
         """A model with the same tree shape and replaced leaf masses.
@@ -573,48 +576,32 @@ def leaf_values(model: DyadicModel, values: Mapping, what: str) -> list:
     """The values of a map {leaf id: value}, in the model's leaf order.
 
     Every leaf needs a value and every key must be a leaf id; ``what`` names
-    the map in the error.  A value that is a string or a boolean is rejected;
-    the caller checks the others.
+    the map in the error.  The caller checks the values.
     """
     if not isinstance(values, Mapping):
         raise ModelError(f"{what} must map leaf ids to values, got {type(values).__name__}")
-    out = None
     if len(values) == model.n_leaves:
         try:
-            out = list(map(values.__getitem__, model.leaf_ids))
+            return list(map(values.__getitem__, model.leaf_ids))
         except KeyError:
             pass
-    if out is None:
-        nodes = _positions(model.index, list(values)).tolist()
-        for key, k in zip(values, nodes):
-            if k < 0:
-                raise ModelError(f"{what} mass for unknown node {str(key)!r}")
-            if not model.is_leaf[k]:
-                raise ModelError(f"{what} mass assigned to non-leaf {str(key)!r}")
-        by_node, leaves = dict(zip(nodes, values.values())), model.leaf_nodes.tolist()
-        missing = next((k for k in leaves if k not in by_node), None)
-        if missing is not None:
-            raise ModelError(f"missing {what} mass for leaf {model.ids[missing]!r}")
-        out = list(map(by_node.__getitem__, leaves))
-    i = _non_number(out)
-    if i is not None:
-        raise ModelError(f"{what} value of leaf {model.leaf_ids[i]!r} must be a number, "
-                         f"got {out[i]!r}")
-    return out
+    nodes = _positions(model.index, list(values)).tolist()
+    for key, k in zip(values, nodes):
+        if k < 0:
+            raise ModelError(f"{what} mass for unknown node {str(key)!r}")
+        if not model.is_leaf[k]:
+            raise ModelError(f"{what} mass assigned to non-leaf {str(key)!r}")
+    by_node, leaves = dict(zip(nodes, values.values())), model.leaf_nodes.tolist()
+    missing = next((k for k in leaves if k not in by_node), None)
+    if missing is not None:
+        raise ModelError(f"missing {what} mass for leaf {model.ids[missing]!r}")
+    return list(map(by_node.__getitem__, leaves))
 
 
 def as_leaf_function(model: DyadicModel, f, *, nonneg: bool = False) -> np.ndarray:
-    """Validate a leaf-value vector against the model: finite, one per leaf."""
-    arr = _float_array(f)
-    if arr.shape != (model.n_leaves,):
-        raise ValueError(
-            f"function has shape {arr.shape}, model has {model.n_leaves} leaves"
-        )
-    if not np.logical_and.reduce(np.isfinite(arr)):
-        raise ValueError("function values must be finite")
-    if nonneg and np.minimum.reduce(arr) < 0:
-        raise ValueError("function must be nonnegative here")
-    return arr
+    """Validate a leaf-value vector against the model: one finite number per
+    leaf, each >= 0 if ``nonneg``; the first bad leaf is named."""
+    return _checked_vector(model, f, "function value", nonneg=nonneg)
 
 
 def indicator(model: DyadicModel, Q) -> np.ndarray:

@@ -35,8 +35,8 @@ from typing import Optional
 
 import numpy as np
 
-from .lattice import (MU, _TINY, DyadicModel, ModelError, _check_q, _float_array, _lq_groups,
-                      _lq_rows, _non_number, _number, _positions, _read_json, _running_lq,
+from .lattice import (MU, _TINY, DyadicModel, ModelError, _check_q, _float_array, _int_array,
+                      _lq_groups, _lq_rows, _number, _positions, _read_json, _running_lq,
                       _write_json, as_leaf_function)
 
 __all__ = [
@@ -64,8 +64,9 @@ class CoefficientFamily:
     read-only array holding every vector entry's values, node after node,
     with per-node offsets into it.  ``scalars[k]`` is node k's coefficient
     unless ``lengths[k] > 0``; then its coefficient is the next ``lengths[k]``
-    of ``values``, which must be the cube's atom count.  All entries are
-    checked at once, and the earliest bad one is named.
+    of ``values``, which must be the cube's atom count.  Every number is read
+    by ``lattice._float_array``'s rule, and every length must be an integer.
+    All entries are checked at once, and ``ModelError`` names the earliest bad one.
 
     The coefficient table of ``_leaf_levels``, which depends on the entries
     alone, is built on first use and kept.
@@ -75,14 +76,12 @@ class CoefficientFamily:
         n = model.n_nodes
         scalars = _float_array(scalars, copy=True)
         if scalars.shape != (n,):
-            raise ValueError(
-                f"coefficient missing: {scalars.size} entries for {n} nodes"
-            )
+            raise ValueError(f"coefficient missing: {scalars.size} entries for {n} nodes")
         values = _float_array(values, copy=True)
         offsets = np.zeros(n + 1, dtype=np.int64)
         if lengths is not None:
-            lengths = np.asarray(lengths, dtype=np.int64)
-            if lengths.shape != (n,) or lengths.min() < 0:
+            lengths = _int_array(lengths, model.ids, "length")
+            if lengths.min() < 0:
                 raise ValueError(f"need one length >= 0 per node, got {lengths!r}")
             np.cumsum(lengths, out=offsets[1:])
         if values.shape != (offsets[-1],):
@@ -97,7 +96,7 @@ class CoefficientFamily:
         good = np.isfinite(entries) & (entries >= 0)
         if not np.logical_and.reduce(good) or (bad_length is not None
                                                 and np.logical_or.reduce(bad_length)):
-            self._raise_earliest(model, np.diff(offsets), good)
+            self._raise_earliest(model, offsets, good)
         self.model = model
         self._scalars = scalars
         self._offsets = offsets
@@ -107,20 +106,21 @@ class CoefficientFamily:
         self._coef = None
 
     @staticmethod
-    def _raise_earliest(model, lengths, good):
-        """Name the earliest bad entry; a vector's length before its values."""
-        n = model.n_nodes
-        width = model.leaf_hi - model.leaf_lo
+    def _raise_earliest(model, offsets, good):
+        """Name the earliest bad entry, a vector value with its leaf; a vector's
+        length before its values."""
+        n, width, lengths = model.n_nodes, model.leaf_hi - model.leaf_lo, np.diff(offsets)
         owner = np.concatenate([np.arange(n), np.repeat(np.arange(n), lengths)])
         bad_length = (lengths > 0) & (lengths != width)
-        k = int(owner[~good].min(initial=n))
         k_length = int(np.argmax(bad_length)) if bad_length.any() else n
-        if k_length <= k:
-            raise ValueError(
-                f"coefficient vector for {model.ids[k_length]!r} has shape "
-                f"({lengths[k_length]},), cube has {width[k_length]} atoms"
-            )
-        raise ValueError(f"coefficient for {model.ids[k]!r} must be finite >= 0")
+        bad = (~good).nonzero()[0]
+        j = int(bad[np.argmin(owner[bad])]) if bad.size else -1  # the earliest node's first
+        if j < 0 or k_length <= owner[j]:
+            raise ModelError(f"coefficient vector for {model.ids[k_length]!r} has shape "
+                             f"({lengths[k_length]},), cube has {width[k_length]} atoms")
+        k = int(owner[j])
+        at = "" if j < n else f" at leaf {model.leaf_ids[model.leaf_lo[k] + j - n - offsets[k]]!r}"
+        raise ModelError(f"coefficient for {model.ids[k]!r} must be finite >= 0{at}")
 
     def entry(self, k):
         """Coefficient of node index k: float or read-only vector over its leaf slice."""
@@ -155,9 +155,9 @@ class CoefficientFamily:
     def from_mapping(cls, model: DyadicModel, mapping: Mapping) -> "CoefficientFamily":
         """Build from {node id: scalar or {leaf id: value}}; every node required.
 
-        Atoms that a vector entry leaves out get 0.  A value that is a string
-        or a boolean is rejected, as in the instance files.  Keys that are not
-        strings are looked up as their str().
+        Atoms that a vector entry leaves out get 0, and every value is read by
+        ``lattice._float_array``'s rule.  Keys that are not strings are looked
+        up as their str().
         """
         if not isinstance(mapping, Mapping):
             raise ModelError("coefficients must map node ids to coefficients, "
@@ -168,33 +168,23 @@ class CoefficientFamily:
         unknown = nodes < 0
         if unknown.any():
             raise ModelError(f"coefficient for unknown node {keys[int(unknown.argmax())]!r}")
-        given = np.zeros(n, dtype=bool)
-        given[nodes] = True
-        if not given.all():
-            raise ValueError(f"coefficient missing for node {model.ids[int(given.argmin())]!r}")
+        slot = np.full(n, -1)  # each node's position in the mapping
+        slot[nodes] = np.arange(len(keys))
+        if np.logical_or.reduce(slot < 0):
+            k = int(np.argmax(slot < 0))
+            raise ValueError(f"coefficient missing for node {model.ids[k]!r}")
         values = list(mapping.values())
-        vectors = []  # positions in `values` of the vector entries, in node order
-        kinds = set(map(type, values))
-        if not kinds <= {float, int}:
-            i = _non_number(values, kinds)
-            if i is not None:
-                raise ModelError(f"coefficient for {model.ids[nodes[i]]!r} must be a number, "
-                                 f"got {values[i]!r}")
-            # one Mapping test per type, not per entry: it is an ABC lookup
-            kinds = {kind for kind in kinds if issubclass(kind, Mapping)}
-            vectors = sorted((i for i, val in enumerate(values) if type(val) in kinds),
-                             key=nodes.__getitem__)
-        maps = [values[i] for i in vectors]
-        for i in vectors:
-            values[i] = 0.0
-        scalars = np.empty(n)
-        scalars[nodes] = _float_array(values)
-        if not vectors:
+        scalars = _float_array(values)[slot]
+        # a vector entry reads as NaN: the vector entries are the NaN scalars
+        # whose value is a map, in node order
+        cubes = [k for k in np.isnan(scalars).nonzero()[0].tolist()
+                 if isinstance(values[slot[k]], Mapping)]
+        if not cubes:
             return cls(model, scalars)
 
         # every (atom, value) pair of the vector entries, cube by cube: cube k's
         # values start at `start` in the flat array, its atoms at leaf_lo[k]
-        cubes = nodes[vectors]
+        maps = [values[slot[k]] for k in cubes]
         count = np.fromiter(map(len, maps), np.int64, len(maps))
         atoms = list(chain.from_iterable(maps))
         entries = list(chain.from_iterable(m.values() for m in maps))
@@ -208,10 +198,6 @@ class CoefficientFamily:
         if outside.any():
             i = int(np.argmax(outside))
             raise ValueError(f"leaf {atoms[i]!r} is not an atom of cube {model.ids[cube[i]]!r}")
-        i = _non_number(entries)
-        if i is not None:
-            raise ModelError(f"coefficient of cube {model.ids[cube[i]]!r} at leaf {atoms[i]!r} "
-                             f"must be a number, got {entries[i]!r}")
         lengths = np.zeros(n, dtype=np.int64)
         lengths[cubes] = width
         flat = np.zeros(int(width.sum()))

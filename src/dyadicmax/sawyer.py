@@ -79,7 +79,8 @@ class ReducedSystem:
     multiplier: np.ndarray    # g = multiplier * f, leafwise
 
     def transform(self, f):
-        return np.asarray(f, dtype=float) * self.multiplier
+        """g = multiplier * f, f checked as a leaf function of the instance's model."""
+        return as_leaf_function(self.coefficients.model, f) * self.multiplier
 
 
 def reduce_three_to_two(inst: SawyerInstance) -> ReducedSystem:

@@ -15,13 +15,13 @@ import math
 from collections.abc import Mapping
 from dataclasses import InitVar, dataclass, field
 from functools import cached_property
+from itertools import repeat
 from typing import Optional
 
 import numpy as np
 
-from .lattice import (MU, _TINY, DyadicModel, ModelError, _check_p, _check_pq, _float_array,
-                      _is_number, _lp_rows, _lq_groups, _lq_rows, _number, _positions,
-                      as_leaf_function)
+from .lattice import (MU, _TINY, DyadicModel, ModelError, _check_p, _check_pq, _checked_vector,
+                      _lp_rows, _lq_groups, _lq_rows, _number, _positions, as_leaf_function)
 from .maximal import (CoefficientFamily, _apply_by_label, _check_n_start, _level_terms,
                       node_integrals)
 from .constants import (VerificationError, _check_rtol, holder_conjugate, testing_constant,
@@ -301,34 +301,24 @@ class CarlesonSequence:
 
     @classmethod
     def from_weights(cls, model: DyadicModel, weights) -> "CarlesonSequence":
-        w = _float_array(weights)
-        if w.shape != (model.n_nodes,):
-            raise ValueError(f"need one weight per node, got shape {w.shape}")
-        finite = np.isfinite(w)
-        if not np.logical_and.reduce(finite):
-            k = int(finite.argmin())
-            raise ValueError(f"Carleson weight of node {model.ids[k]!r} is not finite: {w[k]}")
-        if np.minimum.reduce(w) < 0:
-            raise ValueError("Carleson weights must be >= 0")
+        """One finite weight >= 0 per node, or ``ModelError`` names the first bad node."""
+        w = _checked_vector(model, weights, "Carleson weight", per="node", nonneg=True)
         return cls(model=model, weights=w,
                    packing_constant=_packing_constant(model, model.subtree_totals(w)))
 
     @classmethod
     def from_mapping(cls, model: DyadicModel, mapping) -> "CarlesonSequence":
         """Build from {node id: weight}, absent nodes weighing 0; an unknown id
-        or a weight that is not a number (a string or a boolean) is named."""
+        or a weight that is not a finite number >= 0 is named."""
         if not isinstance(mapping, Mapping):
             raise ModelError("Carleson weights must map node ids to weights, "
                              f"got {type(mapping).__name__}")
-        w = np.zeros(model.n_nodes)
-        nodes = _positions(model.index, list(mapping)).tolist()
-        for (key, val), k in zip(mapping.items(), nodes):
-            if k < 0:
-                raise ModelError(f"Carleson weight for unknown node {key!r}")
-            if not _is_number(val):
-                raise ModelError(f"Carleson weight of {key!r} must be a number, got {val!r}")
-            w[k] = _number(val)
-        return cls.from_weights(model, w)
+        keys = list(mapping)
+        nodes = _positions(model.index, keys).tolist()
+        if -1 in nodes:
+            raise ModelError(f"Carleson weight for unknown node {keys[nodes.index(-1)]!r}")
+        by_node = dict(zip(nodes, mapping.values()))
+        return cls.from_weights(model, list(map(by_node.get, range(model.n_nodes), repeat(0.0))))
 
     def as_mapping(self) -> dict:
         return {self.model.ids[k]: float(v)

@@ -146,7 +146,7 @@ def _small_instance(**extra):
     ({"L1": 1.0}, "missing {key} mass for leaf 'L2'"),
     ({"L1": 1.0, "L2": 1.0, "X": 1.0}, "{key} mass for unknown node 'X'"),
     ({"L1": 1.0, "L2": 1.0, "Q0": 1.0}, "{key} mass assigned to non-leaf 'Q0'"),
-    ({"L1": 1.0, "L2": -1.0}, "negative mass in {key} at leaf 'L2'"),
+    ({"L1": 1.0, "L2": -1.0}, "{key} mass of leaf 'L2' is negative"),
     # json writes and reads back an infinite value as the token Infinity
     ({"L1": 1.0, "L2": math.inf}, "{key} mass of leaf 'L2' is not a finite number"),
 ], ids=["missing_leaf", "unknown_node", "interior_node", "negative", "infinite"])
@@ -161,10 +161,10 @@ def test_verify_reads_omega_and_w_strictly(tmp_path, capsys, key, values, messag
 
 
 @pytest.mark.parametrize("change, message", [
-    ({"mu": {"L1": "1.5", "L2": 2.0}}, "mu value of leaf 'L1' must be a number, got '1.5'"),
-    ({"nu": {"L1": 1.0, "L2": True}}, "nu value of leaf 'L2' must be a number, got True"),
-    ({"omega": {"L1": 1.0, "L2": "2"}}, "omega value of leaf 'L2' must be a number"),
-    ({"w": {"L1": False, "L2": 1.0}}, "w value of leaf 'L1' must be a number"),
+    ({"mu": {"L1": "1.5", "L2": 2.0}}, "mu mass of leaf 'L1' is not a finite number, got '1.5'"),
+    ({"nu": {"L1": 1.0, "L2": True}}, "nu mass of leaf 'L2' is not a finite number, got True"),
+    ({"omega": {"L1": 1.0, "L2": "2"}}, "omega mass of leaf 'L2' is not a finite number"),
+    ({"w": {"L1": False, "L2": 1.0}}, "w mass of leaf 'L1' is not a finite number"),
     ({"alpha": "0.5"}, "alpha must be a number in (0, 1], got '0.5'"),
     ({"nodes": [{"id": "Q0", "parent": "L2"}, {"id": "L1", "parent": "Q0"},
                 {"id": "L2", "parent": "Q0"}]}, "cycle detected: no root node"),
@@ -207,7 +207,7 @@ def test_verify_rejects_a_coefficient_written_as_a_string(tmp_path, capsys):
     bad.with_name("bad.coeffs.json").write_text(
         json.dumps({"Q0": 1.0, "L1": "2.0", "L2": 1.0}))
     assert main(["verify", str(bad), "--out", str(tmp_path / "run")]) == 2
-    assert "coefficient for 'L1' must be a number, got '2.0'" in capsys.readouterr().err
+    assert "coefficient for 'L1' must be finite >= 0" in capsys.readouterr().err
 
 
 def test_verify_defaults_absent_omega_to_mu_and_w_to_one(tmp_path):
@@ -349,6 +349,28 @@ def test_verify_starts_at_most_one_process_per_file(tmp_path, monkeypatch, worke
     code, records = cmd_verify(config, paths)
     assert code == 0 and len(records) == 6 * files
     assert sizes == pool
+
+
+def test_a_sweep_that_dies_keeps_the_records_of_the_instances_before(tmp_path, monkeypatch):
+    # the records were written only after every instance had finished
+    import dyadicmax.cli as cli_mod
+    paths, _ = gen(tmp_path, trials=3, seed=0)
+    config = SweepConfig(seed=0, p_values=(2.0,), q_tokens=("inf",), out=str(tmp_path / "run"))
+    first = cli_mod._verify_one(paths[0].stem, cli_mod._load_instance(paths[0]), config)
+    verify_one, calls = cli_mod._verify_one, []
+
+    def dies_on_the_second(*args):
+        calls.append(args[0])
+        if len(calls) == 2:
+            raise MemoryError("the sweep dies here")
+        return verify_one(*args)
+
+    monkeypatch.setattr(cli_mod, "_verify_one", dies_on_the_second)
+    with pytest.raises(MemoryError):
+        cmd_verify(config, paths)
+    text = (tmp_path / "run" / "report.jsonl").read_text()
+    assert text.endswith("\n") and len(calls) == 2
+    assert [json.loads(line) for line in text.splitlines()] == json.loads(json.dumps(first))
 
 
 def test_verify_one_on_reused_objects_matches_fresh_loads(tmp_path):

@@ -117,7 +117,7 @@ def test_coefficient_file_errors_name_the_file(tmp_path, text, message):
 @pytest.mark.parametrize("change, message", [
     ({"omega": [1.0, 2.0]}, "omega must map leaf ids to values, got list"),
     ({"alpha": None}, "alpha must be a number in (0, 1], got None"),
-    ({"mu": {"a": "1"}}, "mu value of leaf 'a' must be a number"),
+    ({"mu": {"a": "1"}}, "mu mass of leaf 'a' is not a finite number"),
 ], ids=["omega_list", "null_alpha", "string_mass"])
 def test_instance_file_errors_name_the_file(tmp_path, change, message):
     path = tmp_path / "bad.json"

@@ -1,14 +1,17 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dyadicmax import (CoefficientFamily, DyadicModel, ModelError, RandomModelParams,
-                       apply_maximal, as_leaf_function, average, build_model, integrate,
-                       lp_norm, random_model, read_model, write_model)
+from dyadicmax import (CarlesonSequence, CoefficientFamily, DyadicModel, ModelError,
+                       RandomModelParams, SawyerInstance, apply_maximal, as_leaf_function,
+                       average, build_decomposition, build_model, classical_coefficients,
+                       integrate, lp_norm, random_model, read_model, reduce_three_to_two,
+                       write_model)
 from dyadicmax.cli import SweepConfig, cmd_generate
 from dyadicmax.lattice import _check_pq, _lq_groups, _lq_rows, _running_lq, model_to_dict
 from dyadicmax.maximal import node_integrals
@@ -25,7 +28,7 @@ def test_build_additivity(e1):
 
 
 def test_build_negative_mass_rejected():
-    with pytest.raises(ModelError, match="negative mass"):
+    with pytest.raises(ModelError, match="mu mass of leaf 'L' is negative"):
         build_model({
             "nodes": [{"id": "L", "parent": None}],
             "mu": {"L": -1},
@@ -183,30 +186,89 @@ def test_number_rules_reject_an_integer_too_large_for_a_float(tmp_path):
         read_instance(path)
 
 
-def test_an_integer_too_large_for_a_float_leaves_its_neighbours_as_they_were():
-    # only the too-large integer becomes NaN; True beside it still reads as 1
-    # and the error names the leaf that holds the integer
+def test_float_array_reads_every_entry_by_the_number_rule():
+    # a boolean, an integer too large for a float and a string all read as NaN,
+    # so the finiteness test names the first of them
     from dyadicmax.lattice import _float_array
     got = _float_array([True, 10 ** 400, "2", 0.5])
-    np.testing.assert_array_equal(got, [1.0, math.nan, 2.0, 0.5])
-    with pytest.raises(ModelError, match="mass of leaf 'y' is not a finite number"):
+    np.testing.assert_array_equal(got, [math.nan, math.nan, math.nan, 0.5])
+    with pytest.raises(ModelError, match="mu mass of leaf 'x' is not a finite number, got True"):
         DyadicModel(["x", "y"], [-1, -1], [True, 10 ** 400], [1.0, 1.0])
+    # numeric arrays convert directly; a boolean array is no more a number than True
+    assert _float_array(np.array([3, 4])).tolist() == [3.0, 4.0]
+    assert np.isnan(_float_array(np.array([True, False]))).all()
+    assert _float_array((x for x in (1, "1"))).tolist()[0] == 1.0
+    assert _float_array(2.0).shape == ()  # not a sequence: every shape test rejects it
 
 
 BIG = 10 ** 400  # an integer too large for a float: float() raises OverflowError
 
+# what no entry of a vector may be: each reads as NaN and is named as not finite
+NOT_NUMBERS = {"string": "1.5", "boolean": True, "null": None, "dict": {}, "big_int": BIG,
+               "nan": math.nan}
+
+
+def _sawyer(m, **fields):
+    return SawyerInstance(**{"model": m, "omega_leaf": [1.0, 1.0], "w_leaf": [1.0, 1.0],
+                             "alpha": 0.5, "p": 2.0, **fields})
+
+
+# each entry point, the bad entry at leaf L2 or node L1 (e1's second position)
+VECTOR_CALLS = {
+    "as_leaf_function": (lambda m, x: as_leaf_function(m, [1, x]),
+                         "function value of leaf 'L2' is not a finite number"),
+    "apply_maximal": (lambda m, x: apply_maximal(m, CoefficientFamily.constant(m), [1, x], 2.0),
+                      "function value of leaf 'L2' is not a finite number"),
+    "lp_norm": (lambda m, x: lp_norm(m, [1, x], 2.0, "mu"),
+                "function value of leaf 'L2' is not a finite number"),
+    "integrate": (lambda m, x: integrate(m, [1, x], "Q0"),
+                  "function value of leaf 'L2' is not a finite number"),
+    "model_masses": (lambda m, x: DyadicModel(m.ids, [-1, 0, 0], [1, x], [1, 1]),
+                     "mu mass of leaf 'L2' is not a finite number"),
+    "with_measures": (lambda m, x: m.with_measures(nu_leaf=[1, x]),
+                      "nu mass of leaf 'L2' is not a finite number"),
+    "subtree_totals": (lambda m, x: m.subtree_totals([1, x, 1]),
+                       "value of node 'L1' is not a finite number"),
+    "coefficient_scalars": (lambda m, x: CoefficientFamily(m, [1, x, 1]),
+                            "coefficient for 'L1' must be finite >= 0"),
+    "coefficient_values": (lambda m, x: CoefficientFamily(m, [0, 1, 1], [2, 0, 0], [1, x]),
+                           "coefficient for 'Q0' must be finite >= 0 at leaf 'L2'"),
+    "from_weights": (lambda m, x: CarlesonSequence.from_weights(m, [1, x, 1]),
+                     "Carleson weight of node 'L1' is not a finite number"),
+    "sawyer_omega": (lambda m, x: _sawyer(m, omega_leaf=[1, x]),
+                     "omega mass of leaf 'L2' is not a finite number"),
+    "sawyer_w": (lambda m, x: _sawyer(m, w_leaf=[1, x]),
+                 "w mass of leaf 'L2' is not a finite number"),
+    "classical_coefficients": (lambda m, x: classical_coefficients(m, [1, x], 0.5),
+                               "omega mass of leaf 'L2' is not a finite number"),
+    "build_decomposition": (lambda m, x: build_decomposition(m, [1, x], 1.5),
+                            "function value of leaf 'L2' is not a finite number"),
+    "transform": (lambda m, x: reduce_three_to_two(_sawyer(m)).transform([1, x]),
+                  "function value of leaf 'L2' is not a finite number"),
+}
+
 
 @pytest.mark.parametrize("call, message", [
-    (lambda m: lp_norm(m, [1.0, 1.0], BIG, "mu"), "p must be a number >= 1"),
-    (lambda m: as_leaf_function(m, [BIG, 1]), "function values must be finite"),
-    (lambda m: apply_maximal(m, CoefficientFamily.constant(m), [BIG, 1], 2.0),
-     "function values must be finite"),
-    (lambda m: CoefficientFamily.constant(m, BIG), "coefficient for 'Q0' must be finite >= 0"),
-    (lambda m: m.subtree_totals([1, BIG, 1]), "value of node 'L1' is not a finite number"),
-], ids=["lp_norm", "as_leaf_function", "apply_maximal", "constant", "subtree_totals"])
+    pytest.param(lambda m: lp_norm(m, [1.0, 1.0], BIG, "mu"), "p must be a number >= 1",
+                 id="lp_norm"),
+    pytest.param(lambda m: as_leaf_function(m, [BIG, 1]),
+                 "function value of leaf 'L1' is not a finite number", id="as_leaf_function"),
+    pytest.param(lambda m: apply_maximal(m, CoefficientFamily.constant(m), [BIG, 1], 2.0),
+                 "function value of leaf 'L1' is not a finite number", id="apply_maximal"),
+    pytest.param(lambda m: CoefficientFamily.constant(m, BIG),
+                 "coefficient for 'Q0' must be finite >= 0", id="constant"),
+    pytest.param(lambda m: m.subtree_totals([1, BIG, 1]),
+                 "value of node 'L1' is not a finite number", id="subtree_totals"),
+    # the rejection matrix: every vector entry point against every entry that is no number
+    *(pytest.param(lambda m, call=call, bad=bad: call(m, bad), message, id=f"{name}-{entry}")
+      for name, (call, message) in VECTOR_CALLS.items()
+      for entry, bad in NOT_NUMBERS.items()),
+])
 def test_entry_points_reject_an_integer_too_large_for_a_float(e1, call, message):
-    # each raised OverflowError; they now give the file readers' ValueError
-    with pytest.raises(ValueError, match=message):
+    # each raised OverflowError, and took a string or a boolean as a number or
+    # raised TypeError on a dict; each now gives the file readers' ValueError,
+    # which names the entry
+    with pytest.raises(ValueError, match=re.escape(message)):
         call(e1)
 
 
@@ -666,6 +728,23 @@ def test_every_negative_parent_link_is_a_root():
     assert model == DyadicModel(shape[0], [-1, 0, 0], *shape[2:])
 
 
+@pytest.mark.parametrize("link", [0.7, "0", False, None, -10 ** 30],
+                         ids=["float", "string", "boolean", "null", "beyond_int64"])
+def test_a_parent_index_must_be_an_integer(link):
+    # the first four were truncated or converted to parent 0 and built a model;
+    # -10**30 raised OverflowError
+    message = re.escape(f"parent of node 'a' must be a 64-bit integer, got {link!r}")
+    with pytest.raises(ModelError, match=message):
+        DyadicModel(["R", "a", "b"], [-1, link, 0], [1.0, 2.0], [1.0, 1.0])
+    with pytest.raises(ModelError, match="need one parent for each of 3 nodes"):
+        DyadicModel(["R", "a", "b"], [-1, 0], [1.0, 2.0], [1.0, 1.0])
+    # numpy integers and whole floats are integers; an int64 array is taken as it is
+    model = DyadicModel(["R", "a", "b"], np.array([-1, 0, 0], dtype=np.int32), [1.0, 2.0],
+                        [1.0, 1.0])
+    assert model == DyadicModel(["R", "a", "b"], np.array([-1, 0, 0]), [1.0, 2.0], [1.0, 1.0])
+    assert model == DyadicModel(["R", "a", "b"], [-1.0, 0.0, 0], [1.0, 2.0], [1.0, 1.0])
+
+
 def _leaf_count(parents):
     """The number of nodes that are no node's parent."""
     return len(parents) - len({up for up in parents if up >= 0})
@@ -802,8 +881,8 @@ def test_generated_files_build_the_walks_models(tmp_path):
 
 
 @pytest.mark.parametrize("mu, match", [
-    ({"a": "1.5", "b": True}, "mu value of leaf 'a' must be a number, got '1.5'"),
-    ({"a": 1.5, "b": True}, "mu value of leaf 'b' must be a number, got True"),
+    ({"a": "1.5", "b": True}, "mu mass of leaf 'a' is not a finite number, got '1.5'"),
+    ({"a": 1.5, "b": True}, "mu mass of leaf 'b' is not a finite number, got True"),
 ])
 def test_masses_written_as_strings_or_booleans_rejected(mu, match):
     spec = {"nodes": [{"id": "R", "parent": None}, {"id": "a", "parent": "R"},

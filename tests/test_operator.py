@@ -49,12 +49,12 @@ def test_coefficients_must_cover_all_nodes(e1):
 
 
 @pytest.mark.parametrize("mapping, match", [
-    ({"Q0": "2.0", "L1": True, "L2": {"L2": "3"}}, "coefficient for 'Q0' must be a number, got '2.0'"),
-    ({"Q0": 2.0, "L1": True, "L2": {"L2": "3"}}, "coefficient for 'L1' must be a number, got True"),
+    ({"Q0": "2.0", "L1": True, "L2": {"L2": "3"}}, "coefficient for 'Q0' must be finite >= 0$"),
+    ({"Q0": 2.0, "L1": True, "L2": {"L2": "3"}}, "coefficient for 'L1' must be finite >= 0$"),
     ({"Q0": 2.0, "L1": 1, "L2": {"L2": "3"}},
-     "coefficient of cube 'L2' at leaf 'L2' must be a number, got '3'"),
+     "coefficient for 'L2' must be finite >= 0 at leaf 'L2'"),
     ({"Q0": {"L1": 1.0, "L2": False}, "L1": 1, "L2": 1.0},
-     "coefficient of cube 'Q0' at leaf 'L2' must be a number, got False"),
+     "coefficient for 'Q0' must be finite >= 0 at leaf 'L2'"),
 ])
 def test_coefficients_written_as_strings_or_booleans_rejected(e1, mapping, match):
     with pytest.raises(ModelError, match=match):
@@ -157,6 +157,14 @@ def test_wrong_length_coefficient_vector_is_named(deep_model):
     scalars[deep_model.node("b1")] = -1.0  # a later bad entry is not the one named
     with pytest.raises(ValueError, match=r"vector for 'A' has shape \(3,\), cube has 2 atoms"):
         CoefficientFamily(deep_model, scalars, lengths, np.ones(6))
+
+
+@pytest.mark.parametrize("length", [1.9, "1", True])
+def test_a_vector_length_must_be_an_integer(e1, length):
+    # 1.9 was read as the length 1
+    message = f"length of node 'L1' must be a 64-bit integer, got {length!r}"
+    with pytest.raises(ValueError, match=message):
+        CoefficientFamily(e1, [1.0, 1.0, 1.0], [0, length, 0], [1.0])
 
 
 def test_entry_is_a_float_or_a_read_only_vector(deep_model):

@@ -172,7 +172,7 @@ def test_one_alpha_rule_for_the_coefficients_and_the_instance(deep_model, alpha)
 
 @pytest.mark.parametrize("key", ["omega", "w"])
 @pytest.mark.parametrize("value, message", [
-    (-1.0, "negative mass in {key} at leaf '{leaf}'"),
+    (-1.0, "{key} mass of leaf '{leaf}' is negative"),
     (math.inf, "{key} mass of leaf '{leaf}' is not a finite number"),
     (math.nan, "{key} mass of leaf '{leaf}' is not a finite number"),
 ], ids=["negative", "infinite", "nan"])
@@ -186,6 +186,22 @@ def test_instance_masses_name_the_leaf(deep_model, key, value, message):
     if key == "omega":  # the classical coefficients read omega by the same rule
         with pytest.raises(ModelError, match=message):
             classical_coefficients(deep_model, values, 0.5)
+
+
+def test_transform_checks_f_as_a_leaf_function(deep_model):
+    # np.asarray broadcast a column against the multiplier, converted strings
+    # and let NaN through
+    red = reduce_three_to_two(SawyerInstance(deep_model, np.ones(5), np.full(5, 4.0), 0.5, 2.0))
+    assert red.transform([1, 2, 3, 4, 5]).tolist() == [4.0, 8.0, 12.0, 16.0, 20.0]
+    with pytest.raises(ValueError, match=re.escape("need one function value per leaf")):
+        red.transform(np.arange(5.0)[:, None])
+    leaf = deep_model.leaf_ids[1]
+    with pytest.raises(ValueError, match=re.escape(f"leaf '{deep_model.leaf_ids[0]}' is not a "
+                                                   "finite number, got [1]")):
+        red.transform([[1], [2], [3], [4], [5]])  # a list entry is no number
+    for bad in ("2", math.nan):
+        with pytest.raises(ValueError, match=f"function value of leaf '{leaf}' is not a finite"):
+            red.transform([1, bad, 3, 4, 5])
 
 
 @pytest.mark.parametrize("rtol", [math.inf, math.nan, -1.0])
@@ -205,7 +221,7 @@ def test_read_instance_rejects_a_string_mass(tmp_path, key):
     leaf = inst.model.leaf_ids[-1]
     data[key][leaf] = "1.5"
     path.write_text(json.dumps(data))
-    with pytest.raises(ModelError, match=f"{key} value of leaf '{leaf}' must be a number"):
+    with pytest.raises(ModelError, match=f"{key} mass of leaf '{leaf}' is not a finite number"):
         read_instance(path)
 
 

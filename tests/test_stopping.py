@@ -26,7 +26,7 @@ def test_stopping_children_examples(e1):
 
 
 def test_stopping_children_require_nonneg(e1):
-    with pytest.raises(ValueError, match="nonnegative"):
+    with pytest.raises(ValueError, match="function value of leaf 'L2' is negative"):
         stopping_children(e1, [4, -1], "Q0", 1.5)
 
 
@@ -228,16 +228,16 @@ def test_carleson_sequence_packing(e1):
 # an integer too large for a float raised OverflowError, not the named error
 @pytest.mark.parametrize("bad", [math.inf, math.nan, 10 ** 400], ids=["inf", "nan", "huge_int"])
 def test_carleson_weights_must_be_finite(e1, bad):
-    with pytest.raises(ValueError, match="'Q0' is not finite"):
+    with pytest.raises(ValueError, match="'Q0' is not a finite number"):
         CarlesonSequence.from_weights(e1, [bad, 0.0, 0.0])
-    with pytest.raises(ValueError, match="'L2' is not finite"):
+    with pytest.raises(ValueError, match="'L2' is not a finite number"):
         CarlesonSequence.from_mapping(e1, {"L1": 1.0, "L2": bad})
 
 
 @pytest.mark.parametrize("mapping, match", [
-    ({"Q0": "2.5"}, "weight of 'Q0' must be a number, got '2.5'"),
-    ({"Q0": 1.0, "L1": True}, "weight of 'L1' must be a number, got True"),
-    ({"L2": None}, "weight of 'L2' must be a number, got None"),
+    ({"Q0": "2.5"}, "weight of node 'Q0' is not a finite number, got '2.5'"),
+    ({"Q0": 1.0, "L1": True}, "weight of node 'L1' is not a finite number, got True"),
+    ({"L2": None}, "weight of node 'L2' is not a finite number, got None"),
     ({"Q0": 1.0, "Q9": 1.0}, "Carleson weight for unknown node 'Q9'"),
     ([("Q0", 1.0)], "Carleson weights must map node ids to weights, got list"),
 ], ids=["string", "boolean", "null", "unknown_id", "not_a_mapping"])
