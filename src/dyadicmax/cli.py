@@ -23,8 +23,8 @@ import numpy as np
 
 from .constants import (NormSearch, VerificationError, _check_rtol, theorem_constant,
                         theorem_constant_hp, verify_theorem)
-from .lattice import (ModelError, RandomModelParams, _check_pq, _is_number, _read_json,
-                      random_model)
+from .lattice import (ModelError, RandomModelParams, _check_int, _check_pq, _is_number,
+                      _read_json, random_model)
 from .maximal import (CoefficientFamily, _classical_scalars, classical_coefficients,
                       read_coefficients, write_coefficients)
 from .sawyer import (ReductionError, _draw_instance, _instance_from_dict, _reduced_measure,
@@ -38,7 +38,8 @@ __all__ = ["SweepConfig", "cmd_generate", "cmd_verify", "cmd_report", "main"]
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """Validated batch parameters shared by the subcommands."""
+    """Batch parameters shared by the subcommands, checked when they are made:
+    the CLI's own rules, and the library's rule for every other option."""
 
     trials: int = 10
     seed: int = 0
@@ -57,10 +58,9 @@ class SweepConfig:
     halve_cp: bool = False
     audit: bool = False
 
-    def validate(self):
-        """The CLI's own rules, and the library's rule for every other option."""
-        if self.trials < 1:
-            raise ValueError(f"trials must be >= 1, got {self.trials}")
+    def __post_init__(self):
+        for name in ("trials", "workers"):
+            object.__setattr__(self, name, _check_int(getattr(self, name), name, 1))
         for values, name in ((self.p_values, "p"), (self.q_tokens, "q")):
             if not values:  # no combination would run: a vacuous pass
                 raise ValueError(f"need at least one {name} value")
@@ -73,9 +73,10 @@ class SweepConfig:
         # a seed that NormSearch takes is one that _instance_entropy's SeedSequence takes
         NormSearch(n_random=self.search_random, ascent_rounds=self.search_ascent,
                    seed=self.seed)
-        if self.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {self.workers}")
-        return self
+        _generate_params(self)  # the shape options, as generate reads them
+        for name in ("halve_cp", "audit"):
+            if not isinstance(getattr(self, name), (bool, np.bool_)):
+                raise ValueError(f"{name} must be a bool, got {getattr(self, name)!r}")
 
 
 def resolve_q(token: str, p: float) -> float:
@@ -94,6 +95,13 @@ def _q_label(q):
     return "inf" if q == math.inf else q
 
 
+def _generate_params(config: SweepConfig) -> RandomModelParams:
+    """The shape of generate's instances, with their masses' and leaves' odds."""
+    return RandomModelParams(depth_min=config.depth_min, depth_max=config.depth_max,
+                             branch_min=config.branch_min, branch_max=config.branch_max,
+                             zero_prob_mu=0.15, zero_prob_nu=0.15, leaf_prob=0.25)
+
+
 def _instance_entropy(config_seed: int, name: str):
     digest = hashlib.sha256(name.encode()).digest()
     return [config_seed, int.from_bytes(digest[:8], "big")]
@@ -105,12 +113,7 @@ def _instance_entropy(config_seed: int, name: str):
 
 def cmd_generate(config: SweepConfig):
     """Write ``trials`` instance files plus coefficient files; print manifest."""
-    config.validate()
-    params = RandomModelParams(
-        depth_min=config.depth_min, depth_max=config.depth_max,
-        branch_min=config.branch_min, branch_max=config.branch_max,
-        zero_prob_mu=0.15, zero_prob_nu=0.15, leaf_prob=0.25,
-    ).validate()
+    params = _generate_params(config)
     out = Path(config.out)
     try:
         out.mkdir(parents=True, exist_ok=True)
@@ -346,7 +349,6 @@ def cmd_verify(config: SweepConfig, instance_paths):
     again if it is still empty.  Records are written instance by instance, so
     a sweep that dies keeps those of the instances that finished before.
     """
-    config.validate()
     # companion coefficient files ride along with shell globs; skip them
     paths = sorted(str(p) for p in instance_paths
                    if not str(p).endswith(".coeffs.json"))
@@ -538,9 +540,8 @@ def main(argv=None):
             return 2
         return 0
     instances = options.pop("instances", None)
-    config = SweepConfig(**options)
     try:
-        config.validate()
+        config = SweepConfig(**options)
         if command == "generate":
             cmd_generate(config)
             return 0

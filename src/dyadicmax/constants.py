@@ -17,7 +17,8 @@ from typing import Optional
 
 import numpy as np
 
-from .lattice import _TINY, DyadicModel, _check_p, _check_pq, _lp_rows, _lq_rows, _number
+from .lattice import (_TINY, DyadicModel, _check_int, _check_nonneg, _check_p, _check_pq,
+                      _lp_rows, _lq_rows)
 from .maximal import (CoefficientFamily, _apply_levels, _indicator_norms,
                       _indicator_ratios, _level_terms, _suffix_table)
 
@@ -58,15 +59,16 @@ def theorem_constant(p: float) -> float:
     return ((1.0 + 1.0 / p) ** (p + 1.0) * p) ** (1.0 / p) * holder_conjugate(p)
 
 
-@functools.lru_cache(maxsize=64)
+@functools.lru_cache(maxsize=64, typed=True)
 def theorem_constant_hp(p, dps: int = 50) -> float:
     """Independent high-precision evaluation of the same constant, for finite
-    p > 1, in a ``decimal`` context of ``dps`` significant digits.
+    p > 1, in a ``decimal`` context of ``dps`` (an integer >= 1) digits.
 
     Memoised per (p, dps): a sweep asks for the same few p again and again.
-    A p that is rejected stores nothing, since the cache keeps only results.
+    A p or dps that is rejected stores nothing, since the cache keeps only
+    results; it keys on the types too, so dps = True never finds dps = 1's.
     """
-    with _decimal_context(dps):
+    with _decimal_context(_check_int(dps, "dps", 1, decimal.MAX_PREC)):
         mp = decimal.Decimal(_check_p(p))  # exact: every float is a decimal
         pc = mp / (mp - 1)
         return float(((1 + 1 / mp) ** (mp + 1) * mp) ** (1 / mp) * pc)
@@ -110,7 +112,7 @@ class NormSearch:
     probe beyond them, and ``ascent_rounds`` nonlinear power steps then climb
     from the best indicator, the constant function and the best random one.
     Both budgets must be integers >= 0; 0 turns that part off.  ``seed``
-    must be a non-negative integer.
+    must be an integer >= 0 too.  All three are checked when the search is made.
     """
 
     n_random: int = 200
@@ -118,22 +120,14 @@ class NormSearch:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("n_random", "ascent_rounds"):
-            value = getattr(self, name)
-            if not (isinstance(value, (int, np.integer)) and value >= 0):
-                raise ValueError(f"{name} must be an integer >= 0, got {value!r}")
-        if not (isinstance(self.seed, (int, np.integer)) and self.seed >= 0):
-            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
+        for name in ("n_random", "ascent_rounds", "seed"):
+            object.__setattr__(self, name, _check_int(getattr(self, name), name, 0))
 
 
 def _check_rtol(rtol) -> float:
-    """A relative tolerance must be a number (not a string or a boolean),
-    finite and >= 0: every comparison x > y * (1 + rtol) is False when rtol
-    is NaN, which would pass anything."""
-    value = _number(rtol)
-    if not 0.0 <= value < math.inf:
-        raise ValueError(f"rtol must be finite and >= 0, got {rtol!r}")
-    return value
+    """A relative tolerance by ``_check_nonneg``'s rule: every comparison
+    x > y * (1 + rtol) is False when rtol is NaN, which would pass anything."""
+    return _check_nonneg(rtol, "rtol")
 
 
 # bytes of (depth + 1) x atoms float tables that one block of _ratios' rows may fill
@@ -368,13 +362,16 @@ def operator_norm_bruteforce(model: DyadicModel, a: CoefficientFamily, p, q,
     refines the best point by deterministic coordinate ascent, and
     (optionally) re-evaluates the refined maximizer in ``precision_dps``-digit
     decimal arithmetic.  Nondecreasing in resolution up to ascent rounding.
+    ``resolution`` is an integer >= 1, and so is ``precision_dps`` unless it
+    is None, which skips the decimal step.
     """
     _check_pq(p, q)
     k = model.n_leaves
     if k > 4:
         raise ValueError(f"too many leaves for exhaustive search: {k} > 4")
-    if resolution < 1:
-        raise ValueError("resolution must be >= 1")
+    resolution = _check_int(resolution, "resolution", 1)
+    if precision_dps is not None:
+        precision_dps = _check_int(precision_dps, "precision_dps", 1, decimal.MAX_PREC)
     if np.all(model.mu_leaf == 0):
         raise ValueError("all candidates have zero mu-norm")
 
@@ -407,7 +404,7 @@ def operator_norm_bruteforce(model: DyadicModel, a: CoefficientFamily, p, q,
                 improved = True
         step *= 0.25
 
-    if precision_dps:
+    if precision_dps is not None:
         best_ratio = max(best_ratio,
                          _reference_ratio_hp(model, a, best_f, p, q, precision_dps))
     return best_ratio

@@ -76,6 +76,34 @@ def _number(value) -> float:
         return math.nan
 
 
+def _check_int(value, name, lo, hi=None) -> int:
+    """An integer option as a Python int: an int or a numpy integer (never a
+    boolean or a float, 2.0 included) read exactly, in [lo, hi] (None: no
+    bound); else ``ValueError`` names the option and the value."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        exact = int(value)
+        if (lo is None or lo <= exact) and (hi is None or exact <= hi):
+            return exact
+    need = "" if lo is None else f" >= {lo}" if hi is None else f" in [{lo}, {hi}]"
+    raise ValueError(f"{name} must be an integer{need}, got {value!r}")
+
+
+def _check_prob(value, name) -> float:
+    """A probability as a float: a number by ``_number``'s rule, in [0, 1]."""
+    prob = _number(value)
+    if not 0.0 <= prob <= 1.0:
+        raise ValueError(f"{name} must be a probability in [0, 1], got {value!r}")
+    return prob
+
+
+def _check_nonneg(value, name) -> float:
+    """A float by ``_number``'s rule, finite and >= 0 (a NaN is neither)."""
+    number = _number(value)
+    if not 0.0 <= number < math.inf:
+        raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
+    return number
+
+
 def _float_array(values, copy=None) -> np.ndarray:
     """``values`` as a float array, each entry read by ``_number``'s rule, so that a
     string, a boolean, None, a container or an integer too large for a float is
@@ -735,7 +763,8 @@ class RandomModelParams:
     """Shape and mass distribution of randomly generated models.
 
     ``leaf_prob`` lets interior nodes stop early so leaves sit at mixed
-    depths; ``zero_prob_*`` sparsify the leaf masses.
+    depths; ``zero_prob_*`` sparsify the leaf masses.  They are checked when
+    they are made: integers, nonempty ranges, a root, probabilities in [0, 1].
     """
 
     depth_min: int = 1
@@ -748,7 +777,12 @@ class RandomModelParams:
     zero_prob_nu: float = 0.0
     leaf_prob: float = 0.0
 
-    def validate(self):
+    def __post_init__(self):
+        # any integer here: the range messages below name an empty range
+        for name in ("depth_min", "depth_max", "branch_min", "branch_max", "roots"):
+            object.__setattr__(self, name, _check_int(getattr(self, name), name, None))
+        for name in ("zero_prob_mu", "zero_prob_nu", "leaf_prob"):
+            object.__setattr__(self, name, _check_prob(getattr(self, name), name))
         if self.depth_min < 1 or self.depth_min > self.depth_max:
             raise ValueError(f"empty depth range [{self.depth_min}, {self.depth_max}]")
         if self.branch_min < 1 or self.branch_min > self.branch_max:
@@ -757,7 +791,6 @@ class RandomModelParams:
             raise ValueError("need at least one root")
         if self.mass_dist not in ("exponential", "uniform", "pareto"):
             raise ValueError(f"unknown mass distribution {self.mass_dist!r}")
-        return self
 
 
 def _draw_masses(rng, n, dist, zero_prob):
@@ -780,7 +813,6 @@ def random_model(params: RandomModelParams, seed: int) -> DyadicModel:
     lists, which come in index order, keep the order in which the children
     were drawn.
     """
-    params.validate()
     rng = np.random.default_rng(seed)
 
     parents = []  # node k's parent index
@@ -804,7 +836,7 @@ def random_model(params: RandomModelParams, seed: int) -> DyadicModel:
     nu = _draw_masses(rng, n_leaves, params.mass_dist, params.zero_prob_nu)
     # masses are i.i.d., so they go straight into the model's own (DFS) leaf order
     ids = [f"n{k}" for k in range(len(parents))]
-    return DyadicModel(ids, parents, mu, nu, min_children=1)
+    return DyadicModel(ids, np.array(parents, dtype=np.int64), mu, nu, min_children=1)
 
 
 # ---------------------------------------------------------------------------

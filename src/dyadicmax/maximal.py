@@ -28,6 +28,7 @@ axis, by groups or along a running prefix (``lattice._lq_rows``,
 
 from __future__ import annotations
 
+import math
 from collections.abc import Mapping
 from dataclasses import dataclass
 from itertools import chain
@@ -35,9 +36,9 @@ from typing import Optional
 
 import numpy as np
 
-from .lattice import (MU, _TINY, DyadicModel, ModelError, _check_q, _float_array, _int_array,
-                      _lq_groups, _lq_rows, _number, _positions, _read_json, _running_lq,
-                      _write_json, as_leaf_function)
+from .lattice import (MU, _TINY, DyadicModel, ModelError, _check_int, _check_nonneg, _check_prob,
+                      _check_q, _float_array, _int_array, _lq_groups, _lq_rows, _number,
+                      _positions, _read_json, _running_lq, _write_json, as_leaf_function)
 
 __all__ = [
     "CoefficientFamily",
@@ -149,7 +150,7 @@ class CoefficientFamily:
 
     @classmethod
     def constant(cls, model: DyadicModel, value: float = 1.0) -> "CoefficientFamily":
-        return cls(model, np.full(model.n_nodes, _number(value)))
+        return cls(model, np.full(model.n_nodes, _check_nonneg(value, "constant coefficient")))
 
     @classmethod
     def from_mapping(cls, model: DyadicModel, mapping: Mapping) -> "CoefficientFamily":
@@ -174,9 +175,9 @@ class CoefficientFamily:
             k = int(np.argmax(slot < 0))
             raise ValueError(f"coefficient missing for node {model.ids[k]!r}")
         values = list(mapping.values())
-        scalars = _float_array(values)[slot]
-        # a vector entry reads as NaN: the vector entries are the NaN scalars
-        # whose value is a map, in node order
+        # a vector entry reads as NaN, a dict by its type (so a file's scalars convert
+        # in one call): the vector entries are the NaN scalars whose value is a map
+        scalars = _float_array([math.nan if type(v) is dict else v for v in values])[slot]
         cubes = [k for k in np.isnan(scalars).nonzero()[0].tolist()
                  if isinstance(values[slot[k]], Mapping)]
         if not cubes:
@@ -208,9 +209,11 @@ class CoefficientFamily:
     def random(cls, model: DyadicModel, seed, *, vector_prob: float = 0.3,
                zero_prob: float = 0.1) -> "CoefficientFamily":
         """Random family: lognormal values, some vector-valued, some zeroed."""
+        vector_prob = _check_prob(vector_prob, "vector_prob")
+        zero_prob = _check_prob(zero_prob, "zero_prob")
         rng = np.random.default_rng(seed)
         scalars = [0.0] * model.n_nodes
-        lengths = [0] * model.n_nodes
+        lengths = np.zeros(model.n_nodes, dtype=np.int64)
         vectors = [np.empty(0)]
         for k, width in enumerate((model.leaf_hi - model.leaf_lo).tolist()):
             if rng.random() < zero_prob:
@@ -223,8 +226,7 @@ class CoefficientFamily:
         return cls(model, scalars, lengths, np.concatenate(vectors))
 
     def scaled(self, c: float) -> "CoefficientFamily":
-        if c < 0:
-            raise ValueError("scale factor must be >= 0")
+        c = _check_nonneg(c, "scale factor")
         return CoefficientFamily(self.model, self._scalars * c, np.diff(self._offsets),
                                  self._values * c)
 
@@ -246,15 +248,6 @@ class MaximalOutput:
     values: np.ndarray
     q: float
     truncation: Optional[tuple] = None  # None | ("cube", id) | ("depth", N)
-
-
-def _check_n_start(model, n_start) -> int:
-    """A truncation depth must be an integer in [0, max_depth]: a float would
-    otherwise fail later as a slice or tuple index."""
-    if not (isinstance(n_start, (int, np.integer)) and 0 <= n_start <= model.max_depth):
-        raise ValueError(f"n_start must be an integer in [0, {model.max_depth}], "
-                         f"got {n_start!r}")
-    return int(n_start)
 
 
 def node_integrals(model: DyadicModel, F: np.ndarray, measure: str = MU) -> np.ndarray:
@@ -422,7 +415,7 @@ def apply_depth_truncated(model: DyadicModel, a: CoefficientFamily, f, q,
     """
     q = _check_q(q)
     f = as_leaf_function(model, f)
-    n_start = _check_n_start(model, n_start)
+    n_start = _check_int(n_start, "n_start", 0, model.max_depth)
     vals = _apply_levels(model, a, f, q, n_start)
     return MaximalOutput(values=vals, q=q, truncation=("depth", n_start))
 

@@ -20,10 +20,10 @@ from typing import Optional
 
 import numpy as np
 
-from .lattice import (MU, _TINY, DyadicModel, ModelError, _check_p, _check_pq, _checked_vector,
-                      _lp_rows, _lq_groups, _lq_rows, _number, _positions, as_leaf_function)
-from .maximal import (CoefficientFamily, _apply_by_label, _check_n_start, _level_terms,
-                      node_integrals)
+from .lattice import (MU, _TINY, DyadicModel, ModelError, _check_int, _check_p, _check_pq,
+                      _checked_vector, _lp_rows, _lq_groups, _lq_rows, _number, _positions,
+                      as_leaf_function)
+from .maximal import CoefficientFamily, _apply_by_label, _level_terms, node_integrals
 from .constants import (VerificationError, _check_rtol, holder_conjugate, testing_constant,
                         theorem_constant)
 
@@ -153,7 +153,7 @@ def build_decomposition(model: DyadicModel, f, r, *, n_start: int = 0) -> Stoppi
     """
     r = _check_r(r)
     f = as_leaf_function(model, f, nonneg=True)
-    n_start = _check_n_start(model, n_start)
+    n_start = _check_int(n_start, "n_start", 0, model.max_depth)
 
     averages = _node_averages(model, f)
     owner, stopping_parent = np.full((2, model.n_nodes), -1, dtype=np.int64)
@@ -466,7 +466,7 @@ def proof_trace(model: DyadicModel, a: CoefficientFamily, f, p, q, r=None,
     p = _check_pq(p, q)
     rtol = _check_rtol(rtol)
     f = as_leaf_function(model, f, nonneg=True)
-    n_start = _check_n_start(model, n_start)
+    n_start = _check_int(n_start, "n_start", 0, model.max_depth)
     r = default_r(p) if r is None else _check_r(r)
     if decomp is None:
         decomp = build_decomposition(model, f, r, n_start=n_start)

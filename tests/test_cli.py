@@ -48,7 +48,7 @@ def test_generate_depth_one_shape(tmp_path):
 
 def test_generate_zero_trials_config_error(tmp_path):
     with pytest.raises(ValueError, match="trials"):
-        SweepConfig(trials=0, out=str(tmp_path)).validate()
+        SweepConfig(trials=0, out=str(tmp_path))
 
 
 def test_generate_zero_trials_exits_2(tmp_path):
@@ -462,18 +462,18 @@ def test_verify_one_holds_no_table_across_combinations():
 
 def test_verify_rejects_bad_pq(tmp_path):
     with pytest.raises(ValueError, match="p <= q"):
-        SweepConfig(p_values=(3.0,), q_tokens=("2.0",)).validate()
+        SweepConfig(p_values=(3.0,), q_tokens=("2.0",))
 
 
 def test_verify_accepts_a_zero_tol():
     # the library's rtol rule allows 0; the CLI's own copy demanded > 0
-    assert SweepConfig(tol=0.0).validate().tol == 0.0
+    assert SweepConfig(tol=0.0).tol == 0.0
 
 
 @pytest.mark.parametrize("flag, value, message", [
     ("--depth-min", "0", "empty depth range [0, 3]"),
     ("--branch-max", "1", "empty branching range [2, 1]"),
-    ("--seed", "-1", "seed must be a non-negative integer"),
+    ("--seed", "-1", "seed must be an integer >= 0"),
 ], ids=["depth_min_0", "branch_max_1", "negative_seed"])
 def test_generate_bad_option_exits_2_and_creates_nothing(tmp_path, capsys, flag, value,
                                                          message):
@@ -496,9 +496,9 @@ def test_generate_bad_option_exits_2_and_creates_nothing(tmp_path, capsys, flag,
     ("--r", "inf", "ratio r must be a finite number > 1"),
     ("--search-random", "-1", "n_random must be an integer"),
     ("--search-ascent", "-1", "ascent_rounds must be an integer"),
-    ("--seed", "-1", "seed must be a non-negative integer"),
-    ("--workers", "0", "workers must be >= 1"),
-    ("--workers", "-1", "workers must be >= 1"),
+    ("--seed", "-1", "seed must be an integer >= 0"),
+    ("--workers", "0", "workers must be an integer >= 1"),
+    ("--workers", "-1", "workers must be an integer >= 1"),
 ])
 def test_verify_bad_option_exits_2(tmp_path, capsys, flag, value, message):
     # each of these once passed validation: NaN compares False with every

@@ -295,14 +295,14 @@ def test_norm_search_rejects_a_bad_budget(budget):
 @pytest.mark.parametrize("seed", [1.5, -1, None, "3", np.float64(2.0)])
 def test_norm_search_rejects_a_bad_seed(seed):
     # a float used to fail only inside the search, and -1 with numpy's message
-    with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+    with pytest.raises(ValueError, match="seed must be an integer >= 0"):
         NormSearch(seed=seed)
 
 
 def test_verify_theorem_raises_bad_search_input(e1):
     # only mu = 0 makes the estimate 0; any other ValueError of the search is
     # bad input, not a sandwich violation with A_lower = 0
-    with pytest.raises(ValueError, match="negative"):
+    with pytest.raises(ValueError, match="seed must be an integer >= 0"):
         verify_theorem(e1, CoefficientFamily.constant(e1), 2, INF, NormSearch(4, 2, seed=-1))
 
 

@@ -256,7 +256,7 @@ VECTOR_CALLS = {
     pytest.param(lambda m: apply_maximal(m, CoefficientFamily.constant(m), [BIG, 1], 2.0),
                  "function value of leaf 'L1' is not a finite number", id="apply_maximal"),
     pytest.param(lambda m: CoefficientFamily.constant(m, BIG),
-                 "coefficient for 'Q0' must be finite >= 0", id="constant"),
+                 "constant coefficient must be finite and >= 0", id="constant"),
     pytest.param(lambda m: m.subtree_totals([1, BIG, 1]),
                  "value of node 'L1' is not a finite number", id="subtree_totals"),
     # the rejection matrix: every vector entry point against every entry that is no number
