@@ -42,12 +42,12 @@ print("note: 'rr' has mu mass 0, so it never influences mu-averages")
 ones = CoefficientFamily.constant(model)
 for q in (1.5, 2.0, math.inf):
     out = apply_maximal(model, ones, f, q)
-    print(f"\nmaximal operator, q={q}: {np.round(out.values, 6)}")
+    print(f"\nmaximal operator, q={q}: {np.round(out, 6)}")
 
 print("\ntruncated to the subcubes of 'left':",
-      apply_truncated(model, ones, f, math.inf, "left").values)
+      apply_truncated(model, ones, f, math.inf, "left"))
 print("dropping the root level (depth >= 1):",
-      apply_depth_truncated(model, ones, f, math.inf, 1).values)
+      apply_depth_truncated(model, ones, f, math.inf, 1))
 
 # the classical weighted family: omega(Q)^(-alpha) on each cube
 omega = np.array([1.0, 1.0, 1.0, 1.0])
@@ -55,4 +55,4 @@ classic = classical_coefficients(model, omega, alpha=1.0)
 print("\nclassical coefficients (alpha=1):",
       {nid: classic.entry(k) for k, nid in enumerate(model.ids)})
 print("with these, q=inf recovers the usual dyadic maximal function:")
-print(apply_maximal(model, classic, f, math.inf).values)
+print(apply_maximal(model, classic, f, math.inf))

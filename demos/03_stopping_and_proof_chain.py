@@ -65,4 +65,4 @@ for link in trace.links:
 print(f"block reconstruction error: {trace.reconstruction_rel_error:.2e}")
 final = next(link for link in trace.links if link.name == "final")
 print("the operator norm estimate certified by the chain:",
-      f"|Mf|_p = {final.lhs:.4f} <= final bound {trace.final_bound:.4f}")
+      f"|Mf|_p = {final.lhs:.4f} <= final bound {final.rhs:.4f}")

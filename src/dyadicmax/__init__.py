@@ -25,7 +25,6 @@ from .lattice import (
 )
 from .maximal import (
     CoefficientFamily,
-    MaximalOutput,
     apply_depth_truncated,
     apply_maximal,
     apply_truncated,

@@ -64,9 +64,14 @@ class SweepConfig:
         for values, name in ((self.p_values, "p"), (self.q_tokens, "q")):
             if not values:  # no combination would run: a vacuous pass
                 raise ValueError(f"need at least one {name} value")
+        seen = set()  # each (p, q) once: a pair swept twice writes two record sets under one key
         for p in self.p_values:
             for tok in self.q_tokens:
-                _check_pq(p, resolve_q(tok, p))
+                q = resolve_q(tok, p)
+                pair = (_check_pq(p, q), q)
+                if pair in seen:
+                    raise ValueError(f"p = {pair[0]}, q = {_q_label(q)} is swept twice")
+                seen.add(pair)
         if self.r != "auto":
             _check_r(self.r)
         _check_rtol(self.tol)
@@ -408,7 +413,9 @@ def cmd_report(report_path, csv_path=None):
     A line that is not a check record, such as the cut-off last line of a
     killed sweep, raises ``ValueError`` naming the file and the line.  The
     strings "inf", "-inf" and "nan" are read back as numbers; any other
-    value that is not a number is skipped.
+    value that is not a number is skipped.  A NaN is the worst value of its
+    metric wherever it comes.  The rows are sorted by p, then q, each as a
+    number (inf last, then any that is none), then metric.
     """
     path = Path(report_path)
     if not path.exists():
@@ -423,7 +430,9 @@ def cmd_report(report_path, csv_path=None):
         key = (p, q, metric)
         cur = best.get(key)
         value = number(value)
-        if value is not None and (cur is None or better(value, cur[0])):
+        if value is None or cur is not None and cur[0] != cur[0]:  # a NaN stays
+            return
+        if cur is None or value != value or better(value, cur[0]):
             best[key] = (value, instance)
 
     with path.open("rb") as fh:  # json.loads decodes, so bad bytes are a bad line too
@@ -449,9 +458,13 @@ def cmd_report(report_path, csv_path=None):
                 raise ValueError(f"{path}, line {lineno}: not a check record: "
                                  f"{type(exc).__name__}: {exc}") from None
 
+    def order(value):  # a number ("inf" read back) before any value that is none
+        as_number = number(value)
+        return (0, as_number) if as_number is not None else (1, str(value))
+
     rows = [(p, q, metric, value, instance)
             for (p, q, metric), (value, instance) in sorted(
-                best.items(), key=lambda kv: (kv[0][0], str(kv[0][1]), kv[0][2]))]
+                best.items(), key=lambda kv: (order(kv[0][0]), order(kv[0][1]), kv[0][2]))]
     target = open(csv_path, "w", newline="") if csv_path else sys.stdout
     try:
         writer = csv.writer(target)

@@ -60,15 +60,16 @@ def theorem_constant(p: float) -> float:
 
 
 @functools.lru_cache(maxsize=64, typed=True)
-def theorem_constant_hp(p, dps: int = 50) -> float:
+def theorem_constant_hp(p) -> float:
     """Independent high-precision evaluation of the same constant, for finite
-    p > 1, in a ``decimal`` context of ``dps`` (an integer >= 1) digits.
+    p > 1, in a ``decimal`` context of 50 digits.
 
-    Memoised per (p, dps): a sweep asks for the same few p again and again.
-    A p or dps that is rejected stores nothing, since the cache keeps only
-    results; it keys on the types too, so dps = True never finds dps = 1's.
+    Memoised per p: a sweep asks for the same few p again and again.  A p
+    that is rejected stores nothing, since the cache keeps only results; it
+    keys on the types too, so Decimal("2"), which is rejected, never finds
+    the result of 2.0.
     """
-    with _decimal_context(_check_int(dps, "dps", 1, decimal.MAX_PREC)):
+    with _decimal_context(50):
         mp = decimal.Decimal(_check_p(p))  # exact: every float is a decimal
         pc = mp / (mp - 1)
         return float(((1 + 1 / mp) ** (mp + 1) * mp) ** (1 / mp) * pc)

@@ -180,7 +180,7 @@ def _positions(index, ids) -> np.ndarray:
     return pos
 
 
-def _layout(ids, parent, roots, min_children):
+def _layout(ids, parent, roots):
     """Depth-first layout of a forest given by its parent links, in array passes.
 
     ``roots`` holds the nodes whose ``parent`` link is negative, in index
@@ -196,11 +196,9 @@ def _layout(ids, parent, roots, min_children):
     nodes as the child lists of the level above, slices of the sorted ones;
     one up it adds up the subtree sizes; and one down again places every
     node after its parent and its elder siblings' subtrees.  A parent index
-    of n or more and a forest without a root are rejected first.  Then a
-    node no root reaches (a node on a cycle of parent links, or below one)
-    and a node with fewer than ``min_children`` children are faults; the
-    first faulty node in index order (document order) is named, with the
-    first of those two faults that it has.
+    of n or more and a forest without a root are rejected first.  Then the
+    first node in index order (document order) that no root reaches, a node
+    on a cycle of parent links or below one, is named.
     """
     n = len(ids)
     if np.maximum.reduce(parent) >= n:
@@ -232,13 +230,9 @@ def _layout(ids, parent, roots, min_children):
         depth[nodes] = d
         levels.append((nodes, owner[pick], pick))
         placed += nodes.size
-    few = (counts > 0) & (counts < min_children) if min_children > 1 else False
-    if placed != n or min_children > 1 and np.logical_or.reduce(few):
-        k = int(np.argmax((depth < 0) | few))
-        if depth[k] < 0:
-            raise ModelError(f"cycle detected: node {ids[k]!r} unreachable from any root")
-        raise ModelError(
-            f"node {ids[k]!r} has {counts[k]} children; minimum is {min_children}")
+    if placed != n:
+        k = int(np.argmax(depth < 0))
+        raise ModelError(f"cycle detected: node {ids[k]!r} unreachable from any root")
 
     # up: subtree sizes.  A node's place in its parent's subtree is 1 plus the
     # sizes of its elder siblings, from one running sum over the flat lists
@@ -293,7 +287,7 @@ class DyadicModel:
     distinct strings, lets :func:`build_model` hand over the one it built.
     """
 
-    def __init__(self, ids, parents, mu_leaf, nu_leaf, *, min_children=1, _id_index=None):
+    def __init__(self, ids, parents, mu_leaf, nu_leaf, *, _id_index=None):
         n = len(ids)
         if n == 0:
             raise ModelError("empty model")
@@ -308,8 +302,7 @@ class DyadicModel:
         roots = (self.parent < 0).nonzero()[0]
         self.roots = tuple(roots.tolist())
         (self.depth, self.dfs_order, self.dfs_lo, self.dfs_hi, self.leaf_lo, self.leaf_hi,
-         self._child_counts, self._child_flat, self.levels) = _layout(self.ids, self.parent,
-                                                                      roots, min_children)
+         self._child_counts, self._child_flat, self.levels) = _layout(self.ids, self.parent, roots)
 
         self.max_depth = len(self.levels) - 1
         self.is_leaf = self._child_counts == 0
@@ -504,9 +497,10 @@ class DyadicModel:
         )
 
     def __repr__(self):
+        mu = np.add.reduce(self.mu_node[list(self.roots)])  # the whole forest's
         return (
             f"DyadicModel(nodes={self.n_nodes}, leaves={self.n_leaves}, "
-            f"depth={self.max_depth}, mu={self.mu_node[self.roots[0]]:.6g})"
+            f"depth={self.max_depth}, mu={mu:.6g})"
         )
 
 
@@ -540,7 +534,7 @@ def _check_pq(p, q) -> float:
 # construction
 
 
-def build_model(spec: Mapping, *, min_children: int = 2) -> DyadicModel:
+def build_model(spec: Mapping) -> DyadicModel:
     """Build and validate a model from a tree description.
 
     ``spec`` follows the instance file schema::
@@ -553,8 +547,7 @@ def build_model(spec: Mapping, *, min_children: int = 2) -> DyadicModel:
     ``children`` list, as files of earlier versions do; a present one must
     then list exactly the model's children of its node, in that order, or
     the first record whose list disagrees is named.  When no record has one,
-    that check is skipped.  Every non-leaf must have at least
-    ``min_children`` children (lower it to 1 to allow chains).
+    that check is skipped.  A cube may have a single child.
     """
     try:
         records, mu_map, nu_map = list(spec["nodes"]), spec["mu"], spec["nu"]
@@ -589,8 +582,7 @@ def build_model(spec: Mapping, *, min_children: int = 2) -> DyadicModel:
                       if c is not None and type(c) not in (list, tuple))
         raise ModelError(f"children of {ids[k]!r} must be a list of ids, got {got!r}")
 
-    model = DyadicModel(ids, parents, mu_map, nu_map, min_children=min_children,
-                        _id_index=index)
+    model = DyadicModel(ids, parents, mu_map, nu_map, _id_index=index)
     if kinds == {type(None)}:  # no record lists its children
         return model
     # a declared child list must be the model's, entries compared as their str()
@@ -760,11 +752,12 @@ def lp_norm(model: DyadicModel, g, p, measure: str) -> float:
 
 @dataclass(frozen=True)
 class RandomModelParams:
-    """Shape and mass distribution of randomly generated models.
+    """Shape and leaf masses of randomly generated models.
 
     ``leaf_prob`` lets interior nodes stop early so leaves sit at mixed
-    depths; ``zero_prob_*`` sparsify the leaf masses.  They are checked when
-    they are made: integers, nonempty ranges, a root, probabilities in [0, 1].
+    depths; the masses are exponential, and ``zero_prob_*`` sparsify them.
+    They are checked when they are made: integers, nonempty ranges, a root,
+    probabilities in [0, 1].
     """
 
     depth_min: int = 1
@@ -772,7 +765,6 @@ class RandomModelParams:
     branch_min: int = 2
     branch_max: int = 3
     roots: int = 1
-    mass_dist: str = "exponential"  # exponential | uniform | pareto
     zero_prob_mu: float = 0.0
     zero_prob_nu: float = 0.0
     leaf_prob: float = 0.0
@@ -789,17 +781,11 @@ class RandomModelParams:
             raise ValueError(f"empty branching range [{self.branch_min}, {self.branch_max}]")
         if self.roots < 1:
             raise ValueError("need at least one root")
-        if self.mass_dist not in ("exponential", "uniform", "pareto"):
-            raise ValueError(f"unknown mass distribution {self.mass_dist!r}")
 
 
-def _draw_masses(rng, n, dist, zero_prob):
-    if dist == "exponential":
-        vals = rng.exponential(1.0, n)
-    elif dist == "uniform":
-        vals = rng.uniform(0.0, 1.0, n)
-    else:
-        vals = rng.pareto(1.5, n)
+def _draw_masses(rng, n, zero_prob):
+    """n exponential masses, each 0 with probability ``zero_prob``."""
+    vals = rng.exponential(1.0, n)
     if zero_prob > 0:
         vals = np.where(rng.random(n) < zero_prob, 0.0, vals)
     return vals
@@ -832,11 +818,11 @@ def random_model(params: RandomModelParams, seed: int) -> DyadicModel:
                 parents.append(node)
 
     n_leaves = len(parents) - len(set(parents).difference([-1]))  # nodes no one's parent
-    mu = _draw_masses(rng, n_leaves, params.mass_dist, params.zero_prob_mu)
-    nu = _draw_masses(rng, n_leaves, params.mass_dist, params.zero_prob_nu)
+    mu = _draw_masses(rng, n_leaves, params.zero_prob_mu)
+    nu = _draw_masses(rng, n_leaves, params.zero_prob_nu)
     # masses are i.i.d., so they go straight into the model's own (DFS) leaf order
     ids = [f"n{k}" for k in range(len(parents))]
-    return DyadicModel(ids, np.array(parents, dtype=np.int64), mu, nu, min_children=1)
+    return DyadicModel(ids, np.array(parents, dtype=np.int64), mu, nu)
 
 
 # ---------------------------------------------------------------------------
@@ -884,6 +870,6 @@ def write_model(model: DyadicModel, path) -> None:
     _write_json(model_to_dict(model), path)
 
 
-def read_model(path, *, min_children: int = 1) -> DyadicModel:
-    """Load an instance file; permissive about unary chains by default."""
-    return _read_json(path, lambda spec: build_model(spec, min_children=min_children))
+def read_model(path) -> DyadicModel:
+    """Load an instance file."""
+    return _read_json(path, build_model)

@@ -30,9 +30,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Mapping
-from dataclasses import dataclass
 from itertools import chain
-from typing import Optional
 
 import numpy as np
 
@@ -42,7 +40,6 @@ from .lattice import (MU, _TINY, DyadicModel, ModelError, _check_int, _check_non
 
 __all__ = [
     "CoefficientFamily",
-    "MaximalOutput",
     "apply_maximal",
     "apply_truncated",
     "apply_depth_truncated",
@@ -241,15 +238,6 @@ class CoefficientFamily:
         return out
 
 
-@dataclass
-class MaximalOutput:
-    """Operator values per atom, with the exponent and truncation applied."""
-
-    values: np.ndarray
-    q: float
-    truncation: Optional[tuple] = None  # None | ("cube", id) | ("depth", N)
-
-
 def node_integrals(model: DyadicModel, F: np.ndarray, measure: str = MU) -> np.ndarray:
     """Integrals over every cube of a leaf function, or of a batch of them.
 
@@ -388,36 +376,33 @@ def _apply_by_label(model: DyadicModel, T, q, labels):
             _lq_groups(T[keep], part[keep], n_parts, q))
 
 
-def apply_maximal(model: DyadicModel, a: CoefficientFamily, f, q) -> MaximalOutput:
-    """Evaluate the full maximal operator on f (signed f allowed)."""
+def apply_maximal(model: DyadicModel, a: CoefficientFamily, f, q) -> np.ndarray:
+    """The full maximal operator on f (signed f allowed), one value per atom."""
     q = _check_q(q)
-    f = as_leaf_function(model, f)
-    return MaximalOutput(values=_apply_levels(model, a, f, q), q=q, truncation=None)
+    return _apply_levels(model, a, as_leaf_function(model, f), q)
 
 
-def apply_truncated(model: DyadicModel, a: CoefficientFamily, f, q, Q) -> MaximalOutput:
-    """Evaluate the operator truncated to the subcubes of Q; zero off Q."""
+def apply_truncated(model: DyadicModel, a: CoefficientFamily, f, q, Q) -> np.ndarray:
+    """The operator truncated to the subcubes of Q, one value per atom; zero off Q."""
     q = _check_q(q)
     f = as_leaf_function(model, f)
     k = model.node(Q)
     lo, hi = model.leaf_lo[k], model.leaf_hi[k]
     vals = np.zeros(model.n_leaves)
     vals[lo:hi] = _apply_levels(model, a, f, q, model.depth[k], slice(lo, hi))
-    return MaximalOutput(values=vals, q=q, truncation=("cube", model.ids[k]))
+    return vals
 
 
 def apply_depth_truncated(model: DyadicModel, a: CoefficientFamily, f, q,
-                          n_start: int) -> MaximalOutput:
-    """Evaluate the operator over levels n_start and deeper.
+                          n_start: int) -> np.ndarray:
+    """The operator over levels n_start and deeper, one value per atom.
 
     n_start = 0 recovers the full operator; each increment discards one more
     top level of the forest.
     """
     q = _check_q(q)
     f = as_leaf_function(model, f)
-    n_start = _check_int(n_start, "n_start", 0, model.max_depth)
-    vals = _apply_levels(model, a, f, q, n_start)
-    return MaximalOutput(values=vals, q=q, truncation=("depth", n_start))
+    return _apply_levels(model, a, f, q, _check_int(n_start, "n_start", 0, model.max_depth))
 
 
 def classical_coefficients(model: DyadicModel, omega_leaf, alpha: float) -> CoefficientFamily:

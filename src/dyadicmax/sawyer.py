@@ -211,18 +211,17 @@ def verify_reduction(inst: SawyerInstance, f, q, *, rtol: float = 1e-12,
     return report
 
 
-def truncation_restriction_gap(model: DyadicModel, a: CoefficientFamily, Q,
-                               q=math.inf) -> float:
+def truncation_restriction_gap(model: DyadicModel, a: CoefficientFamily, Q) -> float:
     """Max gap between the truncation at Q and the restricted full operator.
 
     Compares the operator truncated to subcubes of Q, applied to 1_Q, with
-    1_Q times the full operator of 1_Q.  For classical coefficients the two
-    agree atom by atom (coefficients shrink along ancestors); the gap is
-    measured, not assumed.
+    1_Q times the full operator of 1_Q, both at q = inf.  For classical
+    coefficients the two agree atom by atom (coefficients shrink along
+    ancestors); the gap is measured, not assumed.
     """
     one_q = indicator(model, Q)
-    truncated = apply_truncated(model, a, one_q, q, Q).values
-    full = apply_maximal(model, a, one_q, q).values * one_q
+    truncated = apply_truncated(model, a, one_q, math.inf, Q)
+    full = apply_maximal(model, a, one_q, math.inf) * one_q
     scale = max(np.max(truncated), np.max(full), 1e-300)
     return float(np.max(np.abs(truncated - full)) / scale)
 
@@ -268,7 +267,7 @@ def _instance_from_dict(data, p: Optional[float] = None) -> SawyerInstance:
     An absent ``omega`` is ``mu``, an absent ``w`` is 1 and an absent
     ``alpha`` is 0.5; ``p`` overrides the stored exponent, which defaults to 2.
     """
-    model = build_model(data, min_children=1)
+    model = build_model(data)
     omega, w = data.get("omega"), data.get("w")
     return SawyerInstance(
         model=model,

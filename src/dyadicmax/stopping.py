@@ -408,6 +408,7 @@ class ProofTrace:
       final:       N <= r^((p+1)/p) (r-1)^(-1/p) p' B |f|
       optimal_r:   at r = (p+1)/p the final constant is C(p) B
 
+    The figures of the chain are the sides of these links, read from ``links``.
     The per-block figures stay arrays over the stopping cubes; ``blocks``,
     one :class:`BlockRecord` per stopping cube, is built from them on first
     access, so a caller that reads only the links builds no record.  Not
@@ -420,11 +421,6 @@ class ProofTrace:
     r: float
     B: float
     lhs: float                  # N ** p, inf where it overflows; no link reads it
-    est1: float                 # (sum over blocks of |F_Q|^p)^(1/p)
-    carleson_lhs: float
-    carleson_bound: float
-    final_bound: float
-    optimal_bound: Optional[float]
     reconstruction_rel_error: float
     average_control_excess: float   # max over blocks of avg_R / (r avg_Q) - 1
     links: list
@@ -515,8 +511,6 @@ def proof_trace(model: DyadicModel, a: CoefficientFamily, f, p, q, r=None,
     pc = holder_conjugate(p)
     carleson_bound = (r / (r - 1.0)) ** (1.0 / p) * pc * norm_f
     final_bound = r ** ((p + 1.0) / p) * (r - 1.0) ** (-1.0 / p) * pc * B * norm_f
-    at_optimal = math.isclose(r, default_r(p), rel_tol=1e-12)
-    optimal_bound = theorem_constant(p) * B * norm_f if at_optimal else None
 
     def link(name, lhs, rhs):
         return LinkCheck(name, lhs, rhs, bool(_held(lhs, rhs, p, rtol)))
@@ -528,18 +522,15 @@ def proof_trace(model: DyadicModel, a: CoefficientFamily, f, p, q, r=None,
         link("carleson", carleson_lhs, carleson_bound),
         link("final", norm_Mf, final_bound),
     ]
-    if optimal_bound is not None:
-        links.append(link("optimal_r", norm_Mf, optimal_bound))
+    if math.isclose(r, default_r(p), rel_tol=1e-12):
+        links.append(link("optimal_r", norm_Mf, theorem_constant(p) * B * norm_f))
 
     try:
         lhs = norm_Mf ** p
     except OverflowError:  # a float's power raises where numpy's would give inf
         lhs = math.inf
     trace = ProofTrace(
-        decomposition=decomp, p=p, q=q, r=r, B=B, lhs=lhs, est1=est1,
-        carleson_lhs=carleson_lhs, carleson_bound=carleson_bound,
-        final_bound=final_bound, optimal_bound=optimal_bound,
-        reconstruction_rel_error=recon_err,
+        decomposition=decomp, p=p, q=q, r=r, B=B, lhs=lhs, reconstruction_rel_error=recon_err,
         average_control_excess=avg_excess if avg_excess > -math.inf else 0.0,
         links=links, block_arrays=(stop, norms, bounds, avg_stop),
     )

@@ -178,16 +178,15 @@ def ref_indicator_ratios(model, a, p, q):
     return np.asarray(out)
 
 
-def ref_walk(ids, parents, mu_leaf, nu_leaf, min_children=1):
+def ref_walk(ids, parents, mu_leaf, nu_leaf):
     """The model's arrays as a depth-first walk over plain lists builds them.
 
     This is the constructor's walk as it was before the array layout: the
     child lists come from the parent links in one loop over the nodes, so
     each lists its children in index order; roots are the nodes with a
-    negative parent, in index order, and one stack walk checks the child
-    counts and fixes the leaf order and the subtree intervals, naming the
-    first fault it meets in depth-first order, and then the first node it
-    never reached (one on or below a cycle of parent links).  A parent index
+    negative parent, in index order, and one stack walk fixes the leaf
+    order and the subtree intervals, and then names the first node it never
+    reached (one on or below a cycle of parent links).  A parent index
     of n or more is rejected before the walk.  Returns
     {attribute: value} for every array and table the constructor sets.
     Masses come in leaf order or by leaf id.
@@ -226,8 +225,6 @@ def ref_walk(ids, parents, mu_leaf, nu_leaf, min_children=1):
             leaves.append(k)
             n_leaves += 1
             hi[k], leaf_hi[k] = pos, n_leaves
-        elif len(ch) < min_children:
-            raise ModelError(f"node {ids[k]!r} has {len(ch)} children; minimum is {min_children}")
         else:
             d += 1
             stack.append(~k)
@@ -346,8 +343,8 @@ def ref_verify_reduction(inst, f, q, rtol=1e-12):
     integral_err = float(np.max(np.abs(ints_two - ints_three)) / scale)
 
     a = reduced.coefficients
-    m_two = apply_maximal(model_two, a, g, q).values
-    m_three = apply_maximal(model_three, a, f, q).values
+    m_two = apply_maximal(model_two, a, g, q)
+    m_three = apply_maximal(model_three, a, f, q)
     mscale = max(np.max(m_two), np.max(m_three), 1e-300)
     operator_err = float(np.max(np.abs(m_two - m_three)) / mscale)
 

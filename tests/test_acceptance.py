@@ -160,11 +160,12 @@ def test_criterion_6_proof_chain_sweep():
             for q in q_grid(p):
                 trace = proof_trace(model, a, f, p, q, rtol=1e-9)  # r defaults to (p+1)/p
                 assert trace.ok, (seed, p, q, trace.failed_links())
-                assert trace.optimal_bound is not None
+                bounds = {link.name: link.rhs for link in trace.links}
+                assert "optimal_r" in bounds
                 expected = (((1 + 1 / p) ** (p + 1) * p) ** (1 / p)
                             * holder_conjugate(p) * trace.B
                             * lp_norm(model, f, p, "mu"))
-                assert trace.optimal_bound == pytest.approx(expected, rel=1e-12)
+                assert bounds["optimal_r"] == pytest.approx(expected, rel=1e-12)
                 assert trace.reconstruction_rel_error <= 1e-12, (seed, p, q)
                 worst_recon = max(worst_recon, trace.reconstruction_rel_error)
                 traces += 1
@@ -208,22 +209,22 @@ def test_criterion_8_operator_laws():
         q_lo = float(rng.uniform(1.1, q_hi))
         c = float(rng.uniform(0.1, 10.0))
 
-        hi = apply_maximal(model, a, f, q_hi).values
-        lo = apply_maximal(model, a, f, q_lo).values
-        sup = apply_maximal(model, a, f, INF).values
+        hi = apply_maximal(model, a, f, q_hi)
+        lo = apply_maximal(model, a, f, q_lo)
+        sup = apply_maximal(model, a, f, INF)
         assert np.all(hi <= lo * (1 + 1e-10) + 1e-12)
         assert np.all(sup <= hi * (1 + 1e-10) + 1e-12)
         assert np.all(sup <= lo * (1 + 1e-10) + 1e-12)
 
-        assert np.allclose(apply_maximal(model, a, c * f, q_lo).values,
+        assert np.allclose(apply_maximal(model, a, c * f, q_lo),
                            c * lo, rtol=1e-10, atol=1e-12)
 
-        both = apply_maximal(model, a, f + g, q_lo).values
-        split = lo + apply_maximal(model, a, g, q_lo).values
+        both = apply_maximal(model, a, f + g, q_lo)
+        split = lo + apply_maximal(model, a, g, q_lo)
         assert np.all(both <= split * (1 + 1e-10) + 1e-12)
 
         k = int(rng.integers(model.n_nodes))
-        part = apply_truncated(model, a, f, q_lo, model.ids[k]).values
+        part = apply_truncated(model, a, f, q_lo, model.ids[k])
         assert np.all(part <= lo * (1 + 1e-10) + 1e-12)
         cases += 1
     elapsed = time.time() - t0

@@ -465,6 +465,18 @@ def test_verify_rejects_bad_pq(tmp_path):
         SweepConfig(p_values=(3.0,), q_tokens=("2.0",))
 
 
+def test_verify_accepts_a_cube_with_one_child(tmp_path):
+    # the filtrations of the theorem may refine a cube into itself: R's only child is A
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps({
+        "nodes": [{"id": "R", "parent": None}, {"id": "A", "parent": "R"},
+                  {"id": "a1", "parent": "A"}, {"id": "a2", "parent": "A"}],
+        "mu": {"a1": 1.0, "a2": 2.0}, "nu": {"a1": 3.0, "a2": 0.5}}))
+    config = SweepConfig(p_values=(2.0,), q_tokens=("p", "inf"), out=str(tmp_path / "run"))
+    code, records = cmd_verify(config, [path])
+    assert code == 0 and len(records) == 12
+
+
 def test_verify_accepts_a_zero_tol():
     # the library's rtol rule allows 0; the CLI's own copy demanded > 0
     assert SweepConfig(tol=0.0).tol == 0.0
@@ -499,12 +511,17 @@ def test_generate_bad_option_exits_2_and_creates_nothing(tmp_path, capsys, flag,
     ("--seed", "-1", "seed must be an integer >= 0"),
     ("--workers", "0", "workers must be an integer >= 1"),
     ("--workers", "-1", "workers must be an integer >= 1"),
+    ("--q", "p,2", "p = 2.0, q = 2.0 is swept twice"),
+    ("--q", "4,2p", "p = 2.0, q = 4.0 is swept twice"),
+    ("--p", "2,3,2", "p = 2.0, q = inf is swept twice"),
 ])
 def test_verify_bad_option_exits_2(tmp_path, capsys, flag, value, message):
     # each of these once passed validation: NaN compares False with every
     # bound, so --tol nan passed any sandwich, and the others crashed or
     # failed checks mid-sweep with exit 1 and no report (--seed -1: a numpy
-    # traceback and an empty report.jsonl).  The messages are the library's
+    # traceback and an empty report.jsonl).  A (p, q) pair named twice (the
+    # default p is 2) ran twice, with two test functions, and wrote two record
+    # sets under one key.  The messages are the library's
     paths, _ = gen(tmp_path, trials=2, seed=0)
     with pytest.raises(SystemExit) as exc:
         main(["verify", f"{flag}={value}", "--out", str(tmp_path / "run"), str(paths[1])])
@@ -743,6 +760,42 @@ def test_report_reads_non_finite_strings_as_numbers(tmp_path):
     assert cmd_report(report) == [(2.0, "inf", "max_A_over_B", 1.5, "i"),
                                   (2.0, "inf", "max_packing_ratio", math.inf, "i"),
                                   (2.0, "inf", "min_proof_slack", -math.inf, "i")]
+
+
+@pytest.mark.parametrize("nan_first", [True, False], ids=["nan_first", "nan_later"])
+@pytest.mark.parametrize("check, key, metric, number", [
+    ("sandwich", "A_lower", "max_A_over_B", 1.2),
+    ("packing", "worst_ratio", "max_packing_ratio", 1.2),
+    ("proof_chain", "min_rel_slack", "min_proof_slack", -0.5),
+])
+def test_report_keeps_a_nan_wherever_it_comes(tmp_path, nan_first, check, key, metric, number):
+    # a NaN won only as the first value of its metric: a "nan" worst_ratio
+    # after 1.2 summarized as 1.2.  Now the first NaN wins, as in verify_packing
+    def record(instance, value):
+        detail = {key: value, **({"B": 1.0} if check == "sandwich" else {})}
+        return json.dumps({"instance": instance, "p": 2.0, "q": "inf", "check": check,
+                           "pass": False, "margin": 0.0, "detail": detail})
+    lines = [record("n", number), record("first_nan", "nan"), record("second_nan", "nan")]
+    if nan_first:
+        lines[:2] = lines[1::-1]
+    report = tmp_path / "report.jsonl"
+    report.write_text("\n".join(lines) + "\n")
+    [(p, q, got_metric, value, instance)] = cmd_report(report)
+    assert (p, q, got_metric, instance) == (2.0, "inf", metric, "first_nan")
+    assert math.isnan(value)
+
+
+def test_report_sorts_q_as_a_number_with_inf_last(tmp_path):
+    # q was sorted as a string: at p = 6 with --q p,2p, q = 12.0 came before 6.0.
+    # A p written as a string beside a number raised TypeError in the sort
+    report = tmp_path / "report.jsonl"
+    report.write_text("".join(
+        json.dumps({"instance": "i", "p": p, "q": q, "check": "packing", "pass": True,
+                    "margin": 0.0, "detail": {"worst_ratio": 1.0}}) + "\n"
+        for p, q in [(6.0, 12.0), (6.0, "inf"), ("6", 6.0), (6.0, 6.0), (6.0, 100.0),
+                     (2.0, 4.0)]))
+    assert [row[:2] for row in cmd_report(report)] == [
+        (2.0, 4.0), (6.0, 6.0), (6.0, 12.0), (6.0, 100.0), (6.0, "inf"), ("6", 6.0)]
 
 
 def test_report_missing_file(tmp_path):

@@ -28,7 +28,7 @@ C_AT_2 = 5.196152422706632  # 3*sqrt(3)
 
 
 def ratio(model, a, f, p, q):
-    return (lp_norm(model, apply_maximal(model, a, f, q).values, p, "nu")
+    return (lp_norm(model, apply_maximal(model, a, f, q), p, "nu")
             / lp_norm(model, f, p, "mu"))
 
 
@@ -666,7 +666,7 @@ def test_power_step_returns_the_operator_on_its_input():
             _, image = _power_step(model, a, F, p, q)
             assert np.array_equal(image, _apply_levels(model, a, F, q)), (seed, p, q)
             for f, row in zip(F, image):
-                assert np.array_equal(row, apply_maximal(model, a, f, q).values)
+                assert np.array_equal(row, apply_maximal(model, a, f, q))
 
 
 def test_theorem_constant_hp_is_memoised():
@@ -674,8 +674,7 @@ def test_theorem_constant_hp_is_memoised():
     first = theorem_constant_hp(2.5)
     assert theorem_constant_hp(2.5) == first
     assert theorem_constant_hp.cache_info().hits == 1
-    assert theorem_constant_hp(2.5, dps=60) == pytest.approx(first, rel=1e-15)
-    assert theorem_constant_hp.cache_info().misses == 2
+    assert theorem_constant_hp.cache_info().misses == 1
 
 
 @pytest.mark.parametrize("p", [math.inf, math.nan, 1.0, 0.5, -2.0])
@@ -763,7 +762,7 @@ def test_power_step_finite_at_large_p(q):
     ones = np.ones(model.n_leaves)
     with np.errstate(over="ignore"):
         # the unscaled weights nu(x) Mf(x)^(p-1) overflow on this instance
-        assert np.max(apply_maximal(model, big, ones, q).values) ** (p - 1) == INF
+        assert np.max(apply_maximal(model, big, ones, q)) ** (p - 1) == INF
     X = np.vstack([ones, indicator(model, model.ids[1]), random_nonneg(model, 3, "pareto")])
     for _ in range(20):
         X, _ = _power_step(model, big, X, p, q)

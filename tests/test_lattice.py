@@ -69,16 +69,30 @@ def test_build_cycle_rejected():
         })
 
 
-def test_build_min_children_enforced():
+def test_build_accepts_a_cube_with_one_child(tmp_path):
+    # a filtration may refine a cube into itself: every reader takes the chain
     spec = {
         "nodes": [{"id": "R", "parent": None}, {"id": "L", "parent": "R"}],
         "mu": {"L": 1},
         "nu": {"L": 1},
     }
-    with pytest.raises(ModelError, match="children"):
-        build_model(spec)
-    chain = build_model(spec, min_children=1)
-    assert chain.n_leaves == 1
+    write_model(build_model(spec), tmp_path / "chain.json")
+    for chain in (build_model(spec), read_model(tmp_path / "chain.json")):
+        assert chain.n_leaves == 1 and chain.children[0] == (1,)
+
+
+def test_repr_totals_mu_over_every_root():
+    # a forest printed its first root's mu as the model's: mu=3 here
+    forest = build_model({
+        "nodes": [{"id": "R1", "parent": None}, {"id": "x", "parent": "R1"},
+                  {"id": "y", "parent": "R1"}, {"id": "R2", "parent": None}],
+        "mu": {"x": 1, "y": 2, "R2": 5}, "nu": {"x": 1, "y": 1, "R2": 1}})
+    assert repr(forest) == "DyadicModel(nodes=4, leaves=3, depth=1, mu=8)"
+    tree = build_model({
+        "nodes": [{"id": "R", "parent": None}, {"id": "x", "parent": "R"},
+                  {"id": "y", "parent": "R"}],
+        "mu": {"x": 0.1, "y": 0.2}, "nu": {"x": 1, "y": 1}})
+    assert repr(tree) == "DyadicModel(nodes=3, leaves=2, depth=1, mu=0.3)"
 
 
 def test_forest_two_roots():
@@ -304,11 +318,13 @@ def test_small_atom_beside_large_mass():
 
 
 def test_cube_sums_match_fsum_on_a_large_tree():
-    params = RandomModelParams(depth_min=6, depth_max=6, branch_min=3, branch_max=3,
-                               mass_dist="pareto", zero_prob_mu=0.15)
+    params = RandomModelParams(depth_min=6, depth_max=6, branch_min=3, branch_max=3)
     model = random_model(params, 11)
     assert model.n_nodes == 1093
     rng = np.random.default_rng(11)
+    # heavy-tailed masses, some 0: a large cube beside a small one in every sum
+    model = model.with_measures(np.where(rng.random(model.n_leaves) < 0.15, 0.0,
+                                         rng.pareto(1.5, model.n_leaves)))
     F = rng.pareto(1.5, (3, model.n_leaves))
     node_vals = rng.pareto(1.5, model.n_nodes)
     cases = [(model.mu_node, model.mu_leaf, model.leaf_lo, model.leaf_hi)]
@@ -501,7 +517,7 @@ def test_model_dict_writes_parent_links_only():
         spec = model_to_dict(model)
         assert all(rec.keys() == {"id", "parent"} for rec in spec["nodes"])
         for data in (spec, _with_child_lists(spec)):
-            again = build_model(data, min_children=1)
+            again = build_model(data)
             assert again == model and again.children == model.children
 
 
@@ -625,7 +641,7 @@ def test_mass_sum_that_overflows_rejected(measure):
                         {"id": "a2", "parent": "S"}],
               "mu": spec["mu"], "nu": spec["nu"]}
     with pytest.raises(ModelError, match=f"{measure} mass of cube 'S' is not"):
-        build_model({**forest, measure: huge}, min_children=1)
+        build_model({**forest, measure: huge})
 
 
 def test_children_string_rejected():
@@ -636,7 +652,7 @@ def test_children_string_rejected():
                       {"id": "L", "parent": "R"}],
             "mu": {"L": 1},
             "nu": {"L": 1},
-        }, min_children=1)
+        })
 
 
 # -- layout against an independent walk ---------------------------------------
@@ -683,8 +699,7 @@ def test_families_match_plain_lists():
     assert models[-1]._families.shape == (2, 1500)
 
 
-@pytest.mark.parametrize("case", ["unreachable_cycle", "self_parent", "few_children",
-                                  "bad_index", "no_root"])
+@pytest.mark.parametrize("case", ["unreachable_cycle", "self_parent", "bad_index", "no_root"])
 def test_layout_rejects_bad_shapes(case):
     if case == "unreachable_cycle":  # A and B are each other's parent
         shape = (["R", "A", "B", "L"], [-1, 2, 1, 0])
@@ -692,9 +707,6 @@ def test_layout_rejects_bad_shapes(case):
     elif case == "self_parent":  # S is its own parent, and so its own child
         shape = (["R", "S", "L"], [-1, 1, 0])
         match = "cycle detected: node 'S' unreachable from any root"
-    elif case == "few_children":
-        shape = (["R", "a", "b"], [-1, 0, 1])
-        match = "node 'R' has 1 children; minimum is 2"
     elif case == "bad_index":  # a parent index of n or more names no node
         shape = (["R", "a", "b"], [-1, 0, 3])
         match = r"parent index of node 'b' out of range \[0, 3\)"
@@ -703,7 +715,7 @@ def test_layout_rejects_bad_shapes(case):
         match = "cycle detected: no root node"
     for build in (DyadicModel, ref_walk):
         with pytest.raises(ModelError, match=match):
-            build(*shape, [1.0], [1.0], min_children=2 if case == "few_children" else 1)
+            build(*shape, [1.0], [1.0])
 
 
 def _assert_same_model(model, want):
@@ -793,8 +805,8 @@ def test_layout_equals_the_walk_on_the_caterpillar_and_random_models():
 
 @settings(max_examples=300, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 14),
-       faults=st.integers(0, 3), min_children=st.integers(1, 3))
-def test_layout_rejects_what_the_walk_rejects(seed, n, faults, min_children):
+       faults=st.integers(0, 3))
+def test_layout_rejects_what_the_walk_rejects(seed, n, faults):
     # a random forest with up to three edits of its parent links, each of which
     # may break it: a link re-pointed (which may close a cycle), a new root, a
     # node made its own parent
@@ -806,42 +818,24 @@ def test_layout_rejects_what_the_walk_rejects(seed, n, faults, min_children):
     leaves = _leaf_count(parents)
     shape = (ids, parents, np.ones(leaves), np.ones(leaves))
     try:
-        want = ref_walk(*shape, min_children=min_children)
-    except ModelError:
-        with pytest.raises(ModelError):
-            DyadicModel(*shape, min_children=min_children)
+        want = ref_walk(*shape)
+    except ModelError as exc:
+        with pytest.raises(ModelError, match=re.escape(str(exc))):
+            DyadicModel(*shape)
     else:
-        _assert_same_model(DyadicModel(*shape, min_children=min_children), want)
-
-
-@pytest.mark.parametrize("case", ["two_few", "unreachable_and_few"])
-def test_two_faults_name_the_first_faulty_node_in_document_order(case):
-    # the walk met the faults in depth-first order; the layout names the
-    # faulty node that comes first in the node list
-    if case == "two_few":  # u (index 3) comes before b (index 2) depth-first; each has 1 child
-        shape = (["R", "a", "b", "u", "v", "x", "w"], [-1, 0, 0, 1, 1, 2, 3])
-        walk, match = "node 'u' has 1 children", "node 'b' has 1 children; minimum is 2"
-    else:  # X is its own parent; a has 1 child
-        shape = (["R", "X", "a", "b", "c"], [-1, 1, 0, 2, 0])
-        walk, match = "node 'a' has 1 children", "node 'X' unreachable from any root"
-    leaves = _leaf_count(shape[1])
-    masses = (np.ones(leaves), np.ones(leaves))
-    with pytest.raises(ModelError, match=walk):
-        ref_walk(*shape, *masses, min_children=2)
-    with pytest.raises(ModelError, match=match):
-        DyadicModel(*shape, *masses, min_children=2)
+        _assert_same_model(DyadicModel(*shape), want)
 
 
 def test_build_model_names_the_first_faulty_record():
-    # P and Q are each other's parent, and a has one child: the walk met a
-    # first, the record of P comes first
+    # P and Q are each other's parent, so no root reaches either: the record
+    # of P, which comes first, is named
     with pytest.raises(ModelError, match="node 'P' unreachable from any root"):
         build_model({
             "nodes": [{"id": "R", "parent": None}, {"id": "P", "parent": "Q"},
                       {"id": "Q", "parent": "P"}, {"id": "a", "parent": "R"},
                       {"id": "b", "parent": "R"}, {"id": "x", "parent": "a"}],
             "mu": {"x": 1, "b": 1}, "nu": {"x": 1, "b": 1},
-        }, min_children=2)
+        })
 
 
 def test_build_model_builds_the_id_index_once(monkeypatch):

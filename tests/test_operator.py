@@ -25,10 +25,10 @@ def ones(e1):
 
 
 def test_maximal_examples(e1, ones):
-    assert np.allclose(apply_maximal(e1, ones, [1, 1], INF).values, [2, 2])
-    assert np.allclose(apply_maximal(e1, ones, [1, 1], 2).values,
+    assert np.allclose(apply_maximal(e1, ones, [1, 1], INF), [2, 2])
+    assert np.allclose(apply_maximal(e1, ones, [1, 1], 2),
                        [math.sqrt(5), math.sqrt(5)])
-    assert np.all(apply_maximal(e1, ones, [0, 0], 3).values == 0)
+    assert np.all(apply_maximal(e1, ones, [0, 0], 3) == 0)
 
 
 def test_maximal_rejects_bad_q(e1, ones):
@@ -70,8 +70,8 @@ def test_coefficient_keys_that_are_not_strings_read_as_their_str():
 
 
 def test_truncated_examples(e1, ones):
-    assert np.allclose(apply_truncated(e1, ones, [1, 1], INF, "L1").values, [1, 0])
-    assert np.allclose(apply_truncated(e1, ones, [1, 1], INF, "Q0").values, [2, 2])
+    assert np.allclose(apply_truncated(e1, ones, [1, 1], INF, "L1"), [1, 0])
+    assert np.allclose(apply_truncated(e1, ones, [1, 1], INF, "Q0"), [2, 2])
     with pytest.raises(KeyError):
         apply_truncated(e1, ones, [1, 1], INF, "nope")
 
@@ -86,15 +86,15 @@ def test_truncated_null_subtree():
         ],
         "mu": {"a1": 0, "a2": 0, "B": 2},
         "nu": {"a1": 1, "a2": 1, "B": 1},
-    }, min_children=2)
+    })
     a = CoefficientFamily.constant(model)
-    out = apply_truncated(model, a, [5, 7, 1], INF, "A").values
+    out = apply_truncated(model, a, [5, 7, 1], INF, "A")
     assert np.all(out == 0)
 
 
 def test_depth_truncated_examples(e1, ones):
-    assert np.allclose(apply_depth_truncated(e1, ones, [1, 1], INF, 0).values, [2, 2])
-    assert np.allclose(apply_depth_truncated(e1, ones, [1, 1], INF, 1).values, [1, 1])
+    assert np.allclose(apply_depth_truncated(e1, ones, [1, 1], INF, 0), [2, 2])
+    assert np.allclose(apply_depth_truncated(e1, ones, [1, 1], INF, 1), [1, 1])
     with pytest.raises(ValueError):
         apply_depth_truncated(e1, ones, [1, 1], INF, 2)
 
@@ -107,9 +107,9 @@ def test_apply_depth_truncated_rejects_a_bad_n_start(e1, ones, n_start):
 
 
 def test_depth_truncation_monotone(e1, ones):
-    prev = apply_depth_truncated(e1, ones, [1, 1], 2, 0).values
+    prev = apply_depth_truncated(e1, ones, [1, 1], 2, 0)
     for n in range(1, e1.max_depth + 1):
-        cur = apply_depth_truncated(e1, ones, [1, 1], 2, n).values
+        cur = apply_depth_truncated(e1, ones, [1, 1], 2, n)
         assert np.all(cur <= prev + 1e-15)
         prev = cur
 
@@ -259,7 +259,7 @@ def test_apply_by_label_matches_a_plain_loop(q):
 
 
 def test_signed_f_uses_absolute_integrals(e1, ones):
-    out = apply_maximal(e1, ones, [1, -1], INF).values
+    out = apply_maximal(e1, ones, [1, -1], INF)
     # root integral cancels to 0; each atom sees only its own term
     assert np.allclose(out, [1, 1])
 
@@ -273,13 +273,13 @@ def test_matches_reference_all_variants(seed):
     model, a = make_instance(seed)
     f = random_nonneg(model, seed + 7) - 0.2
     for q in (1.5, 2, 4, INF):
-        got = apply_maximal(model, a, f, q).values
+        got = apply_maximal(model, a, f, q)
         assert np.allclose(got, ref_maximal(model, a, f, q), rtol=1e-10, atol=1e-12)
     k = seed % model.n_nodes
-    got = apply_truncated(model, a, f, 2, model.ids[k]).values
+    got = apply_truncated(model, a, f, 2, model.ids[k])
     assert np.allclose(got, ref_truncated(model, a, f, 2, k), rtol=1e-10, atol=1e-12)
     n = seed % (model.max_depth + 1)
-    got = apply_depth_truncated(model, a, f, INF, n).values
+    got = apply_depth_truncated(model, a, f, INF, n)
     assert np.allclose(got, ref_depth_truncated(model, a, f, INF, n),
                        rtol=1e-10, atol=1e-12)
 
@@ -292,9 +292,9 @@ def test_q_monotonicity(seed, q1, q2):
         q1, q2 = q2, q1
     model, a = make_instance(seed)
     f = random_nonneg(model, seed + 8)
-    hi = apply_maximal(model, a, f, q1).values
-    lo = apply_maximal(model, a, f, q2).values
-    sup = apply_maximal(model, a, f, INF).values
+    hi = apply_maximal(model, a, f, q1)
+    lo = apply_maximal(model, a, f, q2)
+    sup = apply_maximal(model, a, f, INF)
     assert np.all(hi <= lo * (1 + 1e-10) + 1e-12)
     assert np.all(sup <= hi * (1 + 1e-10) + 1e-12)
 
@@ -303,8 +303,8 @@ def test_limit_consistency_large_q():
     for seed in range(20):
         model, a = make_instance(seed)
         f = random_nonneg(model, seed + 9)
-        big = apply_maximal(model, a, f, 1e6).values
-        sup = apply_maximal(model, a, f, INF).values
+        big = apply_maximal(model, a, f, 1e6)
+        sup = apply_maximal(model, a, f, INF)
         scale = np.maximum(sup, 1e-300)
         assert np.max(np.abs(big - sup) / scale) < 1e-3
 
@@ -315,8 +315,8 @@ def test_positive_homogeneity(seed, c):
     model, a = make_instance(seed)
     f = random_nonneg(model, seed + 10) - 0.4
     for q in (2, INF):
-        lhs = apply_maximal(model, a, c * f, q).values
-        rhs = c * apply_maximal(model, a, f, q).values
+        lhs = apply_maximal(model, a, c * f, q)
+        rhs = c * apply_maximal(model, a, f, q)
         assert np.allclose(lhs, rhs, rtol=1e-10, atol=1e-12)
 
 
@@ -327,8 +327,8 @@ def test_sublinear(seed):
     f = random_nonneg(model, seed + 11) - 0.5
     g = random_nonneg(model, seed + 12) - 0.5
     for q in (1.5, 3, INF):
-        both = apply_maximal(model, a, f + g, q).values
-        split = apply_maximal(model, a, f, q).values + apply_maximal(model, a, g, q).values
+        both = apply_maximal(model, a, f + g, q)
+        split = apply_maximal(model, a, f, q) + apply_maximal(model, a, g, q)
         assert np.all(both <= split * (1 + 1e-10) + 1e-12)
 
 
@@ -339,8 +339,8 @@ def test_monotone_in_f(seed):
     f = random_nonneg(model, seed + 13)
     g = f + random_nonneg(model, seed + 14)
     for q in (2, INF):
-        mf = apply_maximal(model, a, f, q).values
-        mg = apply_maximal(model, a, g, q).values
+        mf = apply_maximal(model, a, f, q)
+        mg = apply_maximal(model, a, g, q)
         assert np.all(mf <= mg * (1 + 1e-10) + 1e-12)
 
 
@@ -349,12 +349,12 @@ def test_monotone_in_f(seed):
 def test_truncation_bounded_by_full(seed):
     model, a = make_instance(seed)
     f = random_nonneg(model, seed + 15)
-    full = apply_maximal(model, a, f, 2).values
+    full = apply_maximal(model, a, f, 2)
     for k in range(0, model.n_nodes, max(1, model.n_nodes // 5)):
-        part = apply_truncated(model, a, f, 2, model.ids[k]).values
+        part = apply_truncated(model, a, f, 2, model.ids[k])
         assert np.all(part <= full * (1 + 1e-10) + 1e-12)
     root = model.ids[model.roots[0]]
-    at_root = apply_truncated(model, a, f, 2, root).values
+    at_root = apply_truncated(model, a, f, 2, root)
     lo, hi = model.leaf_lo[model.roots[0]], model.leaf_hi[model.roots[0]]
     assert np.allclose(at_root[lo:hi], full[lo:hi], rtol=1e-12, atol=1e-12)
     assert np.all(at_root[:lo] == 0) and np.all(at_root[hi:] == 0)
@@ -395,5 +395,5 @@ def test_indicator_ratios_match_per_cube_operator(seed, roots, branch_min, p, q_
         if den == 0:
             assert got[k] == -1.0
             continue
-        want = lp_norm(model, apply_maximal(model, a, one_q, q).values, p, "nu") / den
+        want = lp_norm(model, apply_maximal(model, a, one_q, q), p, "nu") / den
         assert got[k] == pytest.approx(want, rel=1e-13, abs=0), (k, want)

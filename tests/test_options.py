@@ -5,6 +5,7 @@ the option, never ``TypeError``."""
 
 import math
 import re
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -51,7 +52,6 @@ INTEGER_OPTIONS = {
                    "resolution must be an integer >= 1"),
     "precision_dps": (lambda v: operator_norm_bruteforce(MODEL, ONES, 2, 2, 4, precision_dps=v),
                       0, "precision_dps must be an integer in [1, "),
-    "dps": (lambda v: theorem_constant_hp(2, dps=v), 0, "dps must be an integer in [1, "),
 }
 NOT_INTEGERS = {"true": True, "np_true": np.True_, "whole_float": 2.0, "float": 2.5,
                 "string": "2", "none": None}
@@ -164,10 +164,8 @@ def test_checked_options_are_python_ints():
     assert type(RandomModelParams(depth_max=np.int16(5)).depth_max) is int
 
 
-def test_a_rejected_dps_is_not_found_in_the_cache():
-    # the cache keys on types: True == 1 and 2.0 == 2 would find the results of 1 and 2
-    theorem_constant_hp(2, dps=1)
-    theorem_constant_hp(2, dps=2)
-    for bad in (True, 2.0):
-        with pytest.raises(ValueError, match="dps must be an integer"):
-            theorem_constant_hp(2, dps=bad)
+def test_a_rejected_p_is_not_found_in_the_cache():
+    # the cache keys on types: Decimal("2") == 2.0 would find the result of 2.0
+    theorem_constant_hp(2.0)
+    with pytest.raises(ValueError, match="p must be a finite number > 1"):
+        theorem_constant_hp(Decimal("2"))

@@ -133,7 +133,7 @@ def test_partition_ok_rejects_bad_owner_arrays(e1):
     assert not partition_ok(with_owners(d, L2=-1))       # in-scope node without owner
     chain = build_model({"nodes": [{"id": "R", "parent": None}, {"id": "A", "parent": "R"},
                                    {"id": "a", "parent": "A"}],
-                         "mu": {"a": 1}, "nu": {"a": 1}}, min_children=1)
+                         "mu": {"a": 1}, "nu": {"a": 1}})
     d3 = build_decomposition(chain, [1.0], 1.5)
     assert list(d3.owner_index) == [0, 0, 0] and partition_ok(d3)
     with pytest.raises(ValueError):                      # the owners are read-only
@@ -278,7 +278,7 @@ def test_checks_reject_objects_built_for_another_tree():
     def tree(links):
         nodes = [{"id": nid, "parent": up} for nid, up in links.items()]
         atoms = {nid: 1.0 for nid in links if nid not in links.values()}
-        return build_model({"nodes": nodes, "mu": atoms, "nu": atoms}, min_children=1)
+        return build_model({"nodes": nodes, "mu": atoms, "nu": atoms})
 
     A = tree({"R": None, "a": "R", "b": "R", "x": "a", "y": "a"})
     B = tree({"R": None, "a": "R", "b": "R", "u": "b", "v": "b"})
@@ -364,7 +364,8 @@ def test_proof_trace_e1(e1):
     trace = proof_trace(e1, a, [1, 1], 2, INF, 1.5)
     assert trace.B == pytest.approx(2.0)
     assert trace.lhs == pytest.approx(8.0)
-    assert trace.final_bound == pytest.approx(math.sqrt(216.0))
+    final = next(link for link in trace.links if link.name == "final")
+    assert final.rhs == pytest.approx(math.sqrt(216.0))
     assert trace.ok
     assert trace.reconstruction_rel_error < 1e-15
     names = [link.name for link in trace.links]
@@ -374,7 +375,9 @@ def test_proof_trace_e1(e1):
 def test_proof_trace_zero_function(e1):
     a = CoefficientFamily.constant(e1)
     trace = proof_trace(e1, a, [0, 0], 2, 4, 1.5)
-    assert trace.lhs == 0.0 and trace.est1 == 0.0 and trace.final_bound == 0.0
+    assert trace.lhs == 0.0
+    assert all(link.lhs == link.rhs == 0.0 for link in trace.links
+               if link.name in ("lq_to_lp", "final"))
     assert trace.ok
 
 
@@ -420,8 +423,7 @@ def test_proof_trace_reuses_decomposition():
     given = proof_trace(model, a, f, 2.0, 4.0, 1.5, n_start=1, decomp=decomp)
     built = proof_trace(model, a, f, 2.0, 4.0, 1.5, n_start=1)
     assert given.decomposition is decomp
-    assert (given.lhs, given.est1, given.carleson_lhs) == \
-        (built.lhs, built.est1, built.carleson_lhs)
+    assert given.lhs == built.lhs and given.links == built.links
     assert [b.norm for b in given.blocks] == [b.norm for b in built.blocks]
     # an equal model that is another object is accepted, as in verify_packing
     equal = model.with_measures(nu_leaf=model.nu_leaf)
@@ -493,7 +495,7 @@ def test_depth_truncated_trace_bounds():
     f = random_nonneg(model, 99)
     n = model.max_depth
     trace = proof_trace(model, a, f, 1.5, INF, n_start=n)
-    lhs = lp_norm(model, apply_depth_truncated(model, a, f, INF, n).values,
+    lhs = lp_norm(model, apply_depth_truncated(model, a, f, INF, n),
                   1.5, "nu") ** 1.5
     assert trace.lhs == pytest.approx(lhs, rel=1e-12)
     assert trace.ok
@@ -506,8 +508,9 @@ def test_proof_trace_random_sweep_default_r():
         for p, q in ((1.5, 1.5), (2.0, 4.0), (3.0, INF)):
             trace = proof_trace(model, a, f, p, q)  # default r = (p+1)/p
             assert trace.ok
-            assert trace.optimal_bound is not None
-            assert trace.final_bound == pytest.approx(trace.optimal_bound, rel=1e-12)
+            bounds = {link.name: link.rhs for link in trace.links}
+            assert "optimal_r" in bounds
+            assert bounds["final"] == pytest.approx(bounds["optimal_r"], rel=1e-12)
 
 
 @pytest.mark.parametrize("n_start", [1.5, -1, 2, np.float64(1.0), "1", None])
