@@ -204,9 +204,9 @@ def _verify_one(name: str, instance, config: SweepConfig):
     The change of weight's inputs are computed once and shared: the reduced
     mass and the multiplier once per p, and the entries omega(Q)^(-alpha) of
     its coefficients, which depend on the instance alone, at the first
-    reduction.  They hold one value per atom or node; each
-    ``verify_reduction`` builds its own family, so no level table outlives
-    its combination.
+    reduction.  They hold one value per atom or node; ``verify_reduction``
+    builds a family for each side, so no level table outlives its
+    combination.
 
     A check that raises anything but the failures it reports (a
     ``VerificationError`` or a ``ReductionError``) costs its combination

@@ -686,6 +686,9 @@ def _running_lq(T, q, axis):
     running peak's, is carried from row to row as
     acc_d = acc_(d-1) * (peak_(d-1) / peak_d)^q + (T_d / peak_d)^q: every power
     is taken for all rows at once, and only that multiply-add runs row by row.
+    The sums build up in the buffer of the terms (T_d / peak_d)^q, each product
+    goes to the row of its shrink factor, which is then spent, and the peaks
+    are scaled in place into the result: besides T, three tables of T's size.
     """
     T = T.swapaxes(0, axis)
     n = T.shape[0]
@@ -697,27 +700,33 @@ def _running_lq(T, q, axis):
         return peak.swapaxes(0, axis)
     for d in range(n):
         np.maximum(peak[d], T[d], out=peak[d + 1])
-    scale = np.maximum(peak[1:], _TINY)
-    shrink = (peak[:-1] / scale) ** q
-    terms = (T / scale) ** q
+    shrink = np.maximum(peak[1:], _TINY)  # the scales, then (peak_(d-1) / peak_d)^q
     acc = np.zeros(peak.shape)
+    terms = np.divide(T, shrink, out=acc[1:])
+    terms **= q
+    np.divide(peak[:-1], shrink, out=shrink)
+    shrink **= q
     for d in range(n):
-        np.multiply(acc[d], shrink[d], out=acc[d + 1])
-        acc[d + 1] += terms[d]
-    return (peak * acc ** (1.0 / q)).swapaxes(0, axis)
+        np.multiply(acc[d], shrink[d], out=shrink[d])
+        np.add(shrink[d], acc[d + 1], out=acc[d + 1])
+    acc **= 1.0 / q
+    peak *= acc
+    return peak.swapaxes(0, axis)
 
 
 def _lq_groups(values, group, n, q):
     """ell-q norms of values >= 0 by group, values[i] in group[i] of range(n).
 
     An empty group gives 0.  Each value is divided by its group's peak
-    before the power, as in :func:`_lq_rows`.
+    before the power, as in :func:`_lq_rows`, in the buffer of the gathered
+    peaks.
     """
     peak = np.zeros(n)
     np.maximum.at(peak, group, values)
     if q == math.inf:
         return peak
-    scaled = values / np.maximum(peak, _TINY)[group]
+    scaled = np.maximum(peak, _TINY)[group]
+    np.divide(values, scaled, out=scaled)
     scaled **= q
     return peak * np.bincount(group, weights=scaled, minlength=n) ** (1.0 / q)
 

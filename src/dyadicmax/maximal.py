@@ -311,10 +311,13 @@ def _weighted_cells(model: DyadicModel, p):
     each in the mask's order."""
     anc = model._ancestors
     keep = (anc < model.n_nodes) & (model.nu_leaf > 0)
-    # keep * weight holds each atom's weight (times 1, exactly) in its kept
-    # cells; masking it is about four times faster on the 9841-node ternary
-    # tree than gathering by the kept cells' columns
-    return keep, anc[keep], (keep * model.nu_leaf ** (1.0 / p))[keep]
+    # the weights are masked from a view that repeats them down the levels
+    # (stride 0), built by the C constructor: no table of them is made, and on
+    # the 9841-node ternary tree this is about four times faster than masking
+    # a product with the mask or gathering by the kept cells' columns
+    weight = model.nu_leaf ** (1.0 / p)
+    rows = np.ndarray(anc.shape, buffer=weight, strides=(0,) + weight.strides)
+    return keep, anc[keep], rows[keep]
 
 
 def _indicator_ratios(model: DyadicModel, a: CoefficientFamily, p, q, S) -> np.ndarray:
@@ -346,21 +349,28 @@ def _indicator_ratios(model: DyadicModel, a: CoefficientFamily, p, q, S) -> np.n
                     -1.0)
 
 
-def _apply_by_label(model: DyadicModel, T, q, labels):
-    """The operator on f split into parts by a labelling of the cubes, from
-    f's table of terms ``T`` (``_level_terms`` of f * mu).
+def _apply_by_label(model: DyadicModel, a: CoefficientFamily, f, q, labels, first_level):
+    """The operator on f over the cubes at depth >= first_level, and the same
+    split into parts by a labelling of the cubes, from one table of terms.
 
     ``labels[k] >= 0`` puts cube k in that part and -1 leaves it out.  Along
     every atom's path a part must hold one contiguous run of depths, as a
-    stopping block does.  Returns (leaf, label, values): for each atom x and
-    each part b meeting x's path, the ell-q combination of |I_R| * a_R(x)
-    over the cubes R of b that contain x.  The parts come atom by atom, and
-    down each atom's path.
+    stopping block does.  Returns (Mf, leaf, label, values): Mf per atom, and
+    for each atom x and each part b meeting x's path, the ell-q combination
+    of |I_R| * a_R(x) over the cubes R of b that contain x.  The parts come
+    atom by atom, and down each atom's path.  The table is dropped once the
+    parts' terms are gathered, before their grouped norm.
     """
+    T = _level_terms(model, a, f * model.mu_leaf)
+    Mf = _lq_rows(T[first_level:], q, axis=0)
     lab = np.concatenate((np.asarray(labels, dtype=np.int64), [-1]))[model._ancestors]
     keep = lab >= 0
     new = keep.copy()  # where a part's run starts down an atom's path
     new[1:] &= lab[1:] != lab[:-1]
+    # the starts atom by atom: flat positions in the atom-major copy of the mask
+    leaf, level = np.divmod(new.T.ravel().nonzero()[0], len(new))
+    label = lab[level, leaf]
+    del lab
     # parts are numbered atom by atom, and down each atom's path: the running
     # count of the starts, added a row at a time (cumsum along axis 0 walks
     # the table column by column), plus the parts of the atoms before
@@ -368,12 +378,12 @@ def _apply_by_label(model: DyadicModel, T, q, labels):
     for d in range(1, len(part)):
         np.add(part[d - 1], part[d], out=part[d])
     count = part[-1].copy()
-    n_parts = int(np.add.reduce(count))
     part += count.cumsum() - count - 1
-    # the starts atom by atom: flat positions in the atom-major copy of the mask
-    start = new.T.ravel().nonzero()[0]
-    return (start // len(new), lab.T.ravel()[start],
-            _lq_groups(T[keep], part[keep], n_parts, q))
+    group = part[keep]
+    del part
+    values = T[keep]
+    del T
+    return Mf, leaf, label, _lq_groups(values, group, leaf.size, q)
 
 
 def apply_maximal(model: DyadicModel, a: CoefficientFamily, f, q) -> np.ndarray:

@@ -162,8 +162,8 @@ def verify_reduction(inst: SawyerInstance, f, q, *, rtol: float = 1e-12,
     ``_reduced`` lets a caller that checks several q at one p compute once
     what ``reduce_three_to_two`` derives from the instance: the reduced mass
     and the multiplier (``_reduced_measure``) and the entries of the
-    coefficients (``maximal._classical_scalars``).  The family, and with it
-    its level table, is built on each call and dropped when it returns.
+    coefficients (``maximal._classical_scalars``).  A family, and with it its
+    level table, is built for each side and dropped before the next.
     """
     model, p, q = inst.model, inst.p, _check_q(q)
     rtol = _check_rtol(rtol)
@@ -172,20 +172,23 @@ def verify_reduction(inst: SawyerInstance, f, q, *, rtol: float = 1e-12,
         _reduced = (*_reduced_measure(inst),
                     _classical_scalars(model, inst.omega_leaf, inst.alpha))
     mu, multiplier, scalars = _reduced
-    a = CoefficientFamily(model, scalars)
     largest = np.maximum.reduce
 
     # an overflow (g = f * w^(p'/p) can exceed the floats) shows as a non-finite error
     with np.errstate(over="ignore", invalid="ignore"):
         g = f * multiplier
-        rows = np.array((g * mu, f * inst.omega_leaf))  # each side's f * mass, stacked
+        rows = np.array((g * mu, f * inst.omega_leaf))  # each side's f * mass
+        # each side's terms from a family of its own: its table of terms and
+        # the family's level table are dropped before the next side is built,
+        # and both sides before the cube integrals
+        m_two, m_three = (_lq_rows(_level_terms(model, CoefficientFamily(model, scalars), side),
+                                   q, axis=0) for side in rows)
+        mscale = max(largest(m_two), largest(m_three), 1e-300)
+        operator_err = float(largest(np.abs(m_two - m_three)) / mscale)
+
         ints_two, ints_three = model._subtree_sums(rows)
         scale = max(largest(np.abs(ints_two)), largest(np.abs(ints_three)), 1e-300)
         integral_err = float(largest(np.abs(ints_two - ints_three)) / scale)
-
-        m_two, m_three = _lq_rows(_level_terms(model, a, rows), q, axis=-2)
-        mscale = max(largest(m_two), largest(m_three), 1e-300)
-        operator_err = float(largest(np.abs(m_two - m_three)) / mscale)
 
         norm_two = float(_lp_rows(g, mu, p))
         norm_three = float(_lp_rows(f, inst.target_leaf, p))

@@ -23,7 +23,7 @@ import numpy as np
 from .lattice import (MU, _TINY, DyadicModel, ModelError, _check_int, _check_p, _check_pq,
                       _checked_vector, _lp_rows, _lq_groups, _lq_rows, _number, _positions,
                       as_leaf_function)
-from .maximal import CoefficientFamily, _apply_by_label, _level_terms, node_integrals
+from .maximal import CoefficientFamily, _apply_by_label, node_integrals
 from .constants import (VerificationError, _check_rtol, holder_conjugate, testing_constant,
                         theorem_constant)
 
@@ -476,13 +476,10 @@ def proof_trace(model: DyadicModel, a: CoefficientFamily, f, p, q, r=None,
 
     averages = decomp.averages
 
-    # one table of terms |I_R| a_R(x) serves the depth-truncated operator and its blocks
-    T = _level_terms(model, a, f * model.mu_leaf)
-    lhs_vals = _lq_rows(T[n_start:], q, axis=0)
-    norm_Mf = float(_lp_rows(lhs_vals, model.nu_leaf, p))
-
+    # one table of terms |I_R| a_R(x) serves the depth-truncated operator and
     # F_Q per (atom, block): each (atom, cube) pair lies in exactly one block
-    leaf, owner, F = _apply_by_label(model, T, q, decomp.owner_index)
+    lhs_vals, leaf, owner, F = _apply_by_label(model, a, f, q, decomp.owner_index, n_start)
+    norm_Mf = float(_lp_rows(lhs_vals, model.nu_leaf, p))
     stop, _ = decomp._by_generation()
     norms = _lq_groups(model.nu_leaf[leaf] ** (1.0 / p) * F, owner, model.n_nodes, p)[stop]
     avg_stop, mu_stop = averages[stop], model.mu_node[stop]

@@ -409,6 +409,18 @@ def ref_running_lq(T, q, axis):
     return out.swapaxes(0, axis)
 
 
+def ref_lq_groups(values, group, n, q):
+    """ell-q norms by group, each value divided by its group's peak in a
+    temporary of its own before the power."""
+    peak = np.zeros(n)
+    np.maximum.at(peak, group, values)
+    if q == math.inf:
+        return peak
+    scaled = values / np.maximum(peak, math.ulp(0.0))[group]
+    scaled **= q
+    return peak * np.bincount(group, weights=scaled, minlength=n) ** (1.0 / q)
+
+
 def ref_indicator_norms(model, a, p, q):
     """|M_Q 1_Q|_p,nu for every cube Q, from the suffixes of the mu-terms."""
     from dyadicmax.lattice import _lq_groups

@@ -73,9 +73,9 @@ def _max_for_every_lq(T, q, axis=-1):
     return LQ_ROWS(T, math.inf, axis)
 
 
-def _parts_halved(model, T, q, labels):
-    leaf, label, values = APPLY_BY_LABEL(model, T, q, labels)
-    return leaf, label, 0.5 * values
+def _parts_halved(*args):
+    Mf, leaf, label, values = APPLY_BY_LABEL(*args)
+    return Mf, leaf, label, 0.5 * values
 
 
 # the function faulted, and its faulty replacement

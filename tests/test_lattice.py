@@ -18,7 +18,8 @@ from dyadicmax.maximal import node_integrals
 from dyadicmax.sawyer import random_instance
 
 from _reference import (ref_ancestors, ref_families, ref_integrate, ref_layout,
-                        ref_lp_norm, ref_running_lq, ref_subtree_sums, ref_walk)
+                        ref_lp_norm, ref_lq_groups, ref_running_lq, ref_subtree_sums,
+                        ref_walk)
 from conftest import caterpillar, make_instance, random_nonneg
 
 
@@ -394,6 +395,30 @@ def test_running_lq_matches_the_level_by_level_form_bit_for_bit():
                 got, want = _running_lq(T, q, axis), ref_running_lq(T, q, axis)
                 assert got.strides == want.strides and got.tobytes() == want.tobytes(), \
                     (trial, q)
+
+
+@pytest.mark.parametrize("q", [1.5, 4.0, 1e6, math.inf])
+def test_lq_groups_match_the_two_temporary_form_bit_for_bit(q):
+    # the values divided into the buffer of the gathered peaks: zeros, -0.0,
+    # 1e+-300, inf and NaN come out bit for bit as with a quotient of its own
+    rng = np.random.default_rng(23)
+    with np.errstate(all="ignore"):
+        for trial in range(200):
+            size = int(rng.integers(1, 60))
+            values = rng.pareto(1.0, size) * 10.0 ** rng.integers(-300, 300)
+            mark = rng.random(size)
+            values[mark < 0.15] = 0.0
+            values[mark > 0.97] = -0.0
+            values[(mark > 0.5) & (mark < 0.55)] = 1e300
+            values[(mark > 0.55) & (mark < 0.6)] = 1e-300
+            if trial % 5 == 0:
+                values[mark > 0.94] = math.inf
+            if trial % 7 == 0:
+                values[mark > 0.95] = math.nan
+            n = int(rng.integers(1, 9))
+            group = rng.integers(0, n, size)
+            got, want = _lq_groups(values, group, n, q), ref_lq_groups(values, group, n, q)
+            assert got.tobytes() == want.tobytes(), (trial, q)
 
 
 def test_subtree_sums_match_the_interior_reduceat_bit_for_bit():

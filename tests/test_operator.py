@@ -249,13 +249,14 @@ def test_apply_by_label_matches_a_plain_loop(q):
     # deeper first generation: same (leaf, label) pairs in the same order
     for model, a in _forests():
         f = random_nonneg(model, model.n_nodes)
-        T = _level_terms(model, a, f * model.mu_leaf)
         for n_start in sorted({0, 1, model.max_depth // 2, model.max_depth}):
             labels = build_decomposition(model, f, 1.3, n_start=n_start).owner_index
-            leaf, label, values = _apply_by_label(model, T, q, labels)
+            Mf, leaf, label, values = _apply_by_label(model, a, f, q, labels, n_start)
             want_leaf, want_label, want = ref_apply_by_label(model, a, f, q, labels)
             assert leaf.tolist() == want_leaf and label.tolist() == want_label
             np.testing.assert_allclose(values, want, rtol=1e-12, atol=0)
+            # the whole operator comes from the same table, bit for bit
+            assert Mf.tobytes() == _apply_levels(model, a, f, q, n_start).tobytes()
 
 
 def test_signed_f_uses_absolute_integrals(e1, ones):

@@ -226,13 +226,18 @@ def test_read_instance_rejects_a_string_mass(tmp_path, key):
 
 
 def test_verify_reduction_nan_error_never_passes(monkeypatch):
-    # max(1e-16, nan) is 1e-16: a NaN must fail on its own, whatever its position
+    # max(1e-16, nan) is 1e-16: a NaN must fail on its own, whatever its
+    # position.  The operator runs once per side, the two-measure side first;
+    # a NaN goes into that side's first atom alone
     import dyadicmax.sawyer as sawyer
     lq_rows = sawyer._lq_rows
+    sides = []
 
     def with_nan(*args, **kwargs):
         out = lq_rows(*args, **kwargs)
-        out[0, 0] = math.nan
+        if len(sides) % 2 == 0:
+            out[0] = math.nan
+        sides.append(out.shape)
         return out
 
     monkeypatch.setattr(sawyer, "_lq_rows", with_nan)
@@ -244,6 +249,7 @@ def test_verify_reduction_nan_error_never_passes(monkeypatch):
     assert not rep.ok
     with pytest.raises(VerificationError, match="reduction identity violated"):
         verify_reduction(inst, f, INF)
+    assert sides == [(inst.model.n_leaves,)] * 4
 
 
 def test_verify_reduction_overflow_fails_quietly(deep_model):
@@ -305,3 +311,51 @@ def test_instance_file_roundtrip(tmp_path):
     assert again.alpha == inst.alpha and again.p == inst.p
     override = read_instance(path, p=3.5)
     assert override.p == 3.5
+
+
+def test_verify_reduction_sides_one_at_a_time_match_the_stacked_form_bit_for_bit(tmp_path):
+    # each side's table of terms on its own gives the five figures, the ratios
+    # included, of the two sides stacked into one table, on the acceptance
+    # sweep's trees and on a caterpillar
+    from dyadicmax.cli import SweepConfig, _load_instance, cmd_generate
+    from dyadicmax.lattice import _lp_rows, _lq_rows
+    from dyadicmax.maximal import _classical_scalars, _level_terms
+    from dyadicmax.sawyer import SawyerInstance, _reduced_measure
+    from conftest import caterpillar
+
+    paths = cmd_generate(SweepConfig(trials=48, seed=0, depth_max=4, branch_max=3,
+                                     out=str(tmp_path)))
+    insts = [_load_instance(path)[0] for path in paths]
+    deep = caterpillar(200)
+    rng = np.random.default_rng(9)
+    insts.append(SawyerInstance(model=deep, omega_leaf=rng.exponential(1.0, deep.n_leaves),
+                                w_leaf=rng.lognormal(0.0, 1.0, deep.n_leaves), alpha=0.4,
+                                p=2.0))
+    for k, base in enumerate(insts):
+        model = base.model
+        f = np.random.default_rng(k).exponential(1.0, model.n_leaves)
+        for p in (1.5, 2.0, 3.0):
+            inst = replace(base, p=p)
+            for q in (p, 2 * p, INF):
+                rep = verify_reduction(inst, f, q, strict=False)
+                mu, multiplier = _reduced_measure(inst)
+                a = CoefficientFamily(model, _classical_scalars(model, inst.omega_leaf,
+                                                                inst.alpha))
+                g = f * multiplier
+                rows = np.array((g * mu, f * inst.omega_leaf))
+                m_two, m_three = _lq_rows(_level_terms(model, a, rows), q, axis=-2)
+                scale = max(m_two.max(), m_three.max(), 1e-300)
+                assert rep.operator_rel_error == float(np.abs(m_two - m_three).max() / scale)
+                norm_two = float(_lp_rows(g, mu, p))
+                norm_three = float(_lp_rows(f, inst.target_leaf, p))
+                if norm_two > 0 and norm_three > 0:
+                    assert rep.ratio_lhs == float(_lp_rows(m_two, model.nu_leaf, p)) / norm_two
+                    assert rep.ratio_rhs == (float(_lp_rows(m_three, model.nu_leaf, p))
+                                             / norm_three)
+                else:
+                    assert rep.ratio_lhs is None and rep.ratio_rhs is None
+                ints = model._subtree_sums(rows)
+                iscale = max(np.abs(ints[0]).max(), np.abs(ints[1]).max(), 1e-300)
+                assert rep.integral_rel_error == float(np.abs(ints[0] - ints[1]).max() / iscale)
+                assert rep.norm_rel_error == abs(norm_two - norm_three) / max(
+                    abs(norm_two), abs(norm_three), 1e-300)

@@ -5,7 +5,8 @@ import warnings
 import numpy as np
 import pytest
 
-from dyadicmax import (CarlesonSequence, CoefficientFamily, ModelError, VerificationError,
+from dyadicmax import (CarlesonSequence, CoefficientFamily, ModelError, RandomModelParams,
+                       SawyerInstance, VerificationError, random_model, verify_reduction,
                        apply_depth_truncated, build_decomposition, build_model,
                        carleson_embedding_check, default_r, holder_conjugate,
                        lp_norm, proof_trace, stopping_children, stopping_weights,
@@ -531,3 +532,46 @@ def test_proof_trace_rejects_a_bad_n_start(e1, n_start):
 def test_default_r_rejects_p_outside_the_range(p):
     with pytest.raises(ValueError, match="p must be a finite number > 1"):
         default_r(p)
+
+
+@pytest.mark.parametrize("q", [INF, 4.0])
+def test_proof_path_working_set_in_level_tables(q):
+    # tracemalloc peaks in (depth + 1) x atoms float tables on a 3280-node
+    # ternary tree: testing_constant, proof_trace with the B and decomposition
+    # that verify hands in and without them, and verify_reduction.  The parent
+    # of this bound peaked at 4.9 / 8.5, 6.3 / 8.2, 7.0 / 9.3 and 5.8 / 7.3
+    import tracemalloc
+    params = RandomModelParams(depth_min=7, depth_max=7, branch_min=3, branch_max=3,
+                               zero_prob_mu=0.15, zero_prob_nu=0.15)
+    model = random_model(params, 5)
+    a = CoefficientFamily.random(model, 6)
+    assert model.n_nodes == 3280
+    rng = np.random.default_rng(0)
+    inst = SawyerInstance(model=model, omega_leaf=rng.exponential(1.0, model.n_leaves),
+                          w_leaf=rng.lognormal(0.0, 1.0, model.n_leaves), alpha=0.5, p=2.0)
+    f = rng.exponential(1.0, model.n_leaves)
+    p, r = 2.0, default_r(2.0)
+    B, _ = testing_constant(model, a, p, q)
+    decomp = build_decomposition(model, f, r)
+
+    def tables(call):
+        call()  # shape tables and coefficient tables built once, outside the count
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            call()
+            top = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return (top - base) / (8 * model._ancestors.size)
+
+    peaks = {
+        "testing_constant": tables(lambda: testing_constant(model, a, p, q)),
+        "proof_trace_given_B": tables(lambda: proof_trace(model, a, f, p, q, r, B=B,
+                                                          decomp=decomp)),
+        "proof_trace": tables(lambda: proof_trace(model, a, f, p, q, r)),
+        "verify_reduction": tables(lambda: verify_reduction(inst, f, q, strict=False)),
+    }
+    bounds = {"testing_constant": 5, "proof_trace_given_B": 5, "proof_trace": 6,
+              "verify_reduction": 5}
+    assert all(peaks[name] <= bounds[name] for name in peaks), peaks
