@@ -414,8 +414,11 @@ def cmd_report(report_path, csv_path=None):
     killed sweep, raises ``ValueError`` naming the file and the line.  The
     strings "inf", "-inf" and "nan" are read back as numbers; any other
     value that is not a number is skipped.  A NaN is the worst value of its
-    metric wherever it comes.  The rows are sorted by p, then q, each as a
-    number (inf last, then any that is none), then metric.
+    metric wherever it comes, and a failure that leaves no value counts as
+    one: a sandwich whose B is NaN, a proof chain that stopped at a failed
+    link, and an ``error`` record, whose combination ran none of the three
+    checks summarized.  The rows are sorted by p, then q, each as a number (inf last,
+    then any that is none), then metric.
     """
     path = Path(report_path)
     if not path.exists():
@@ -443,7 +446,7 @@ def cmd_report(report_path, csv_path=None):
                 rec = json.loads(line)
                 p, q, det = rec["p"], rec["q"], rec["detail"]
                 B = number(det.get("B", 0))
-                if rec["check"] == "sandwich" and B is not None and B > 0:
+                if rec["check"] == "sandwich" and B is not None and not B <= 0:
                     A = number(det["A_lower"])
                     if A is not None:
                         consider(p, q, "max_A_over_B", A / B, rec["instance"],
@@ -451,9 +454,12 @@ def cmd_report(report_path, csv_path=None):
                 elif rec["check"] == "packing":
                     consider(p, q, "max_packing_ratio", det["worst_ratio"],
                              rec["instance"], lambda a, b: a > b)
-                elif rec["check"] == "proof_chain" and "min_rel_slack" in det:
-                    consider(p, q, "min_proof_slack", det["min_rel_slack"],
+                elif rec["check"] == "proof_chain":
+                    consider(p, q, "min_proof_slack", det.get("min_rel_slack", math.nan),
                              rec["instance"], lambda a, b: a < b)
+                elif rec["check"] == "error":  # a NaN is never compared
+                    for metric in ("max_A_over_B", "max_packing_ratio", "min_proof_slack"):
+                        consider(p, q, metric, math.nan, rec["instance"], None)
             except (ValueError, KeyError, TypeError, AttributeError) as exc:
                 raise ValueError(f"{path}, line {lineno}: not a check record: "
                                  f"{type(exc).__name__}: {exc}") from None

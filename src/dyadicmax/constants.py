@@ -17,10 +17,9 @@ from typing import Optional
 
 import numpy as np
 
-from .lattice import (_TINY, DyadicModel, _check_int, _check_nonneg, _check_p, _check_pq,
-                      _lp_rows, _lq_rows)
-from .maximal import (CoefficientFamily, _apply_levels, _indicator_norms,
-                      _indicator_ratios, _level_terms, _suffix_table)
+from .lattice import _TINY, DyadicModel, _check_int, _check_nonneg, _check_p, _check_pq, _lp_rows
+from .maximal import (CoefficientFamily, _apply_levels, _indicator_norms, _indicator_ratios,
+                      _power_step, _step_index, _suffix_table)
 
 __all__ = [
     "ConstantsReport",
@@ -131,102 +130,13 @@ def _check_rtol(rtol) -> float:
     return _check_nonneg(rtol, "rtol")
 
 
-# bytes of (depth + 1) x atoms float tables that one block of _ratios' rows may fill
-_BLOCK_BYTES = 512 * 1024
-
-
-def _row_blocks(F, row_bytes):
-    """F's rows in consecutive blocks, for level tables of ``row_bytes`` a row.
-    A block holds rows = max(2, _BLOCK_BYTES // row_bytes) or more (all of F
-    if F has fewer) and fewer than 2 * rows.  So no row is alone unless F has
-    one: numpy gathers a lone row atom-innermost, and its sums along the
-    levels would round differently from the same row's in a batch.  The
-    blocks are ``numpy.array_split``'s: the first len(F) % blocks hold one
-    row more."""
-    blocks = max(1, len(F) // max(2, _BLOCK_BYTES // row_bytes))
-    size, extra = divmod(len(F), blocks)
-    ends = [i * size + min(i, extra) for i in range(blocks + 1)]
-    return [F[lo:hi] for lo, hi in zip(ends, ends[1:])]
-
-
-def _ratios(model, a, F, p, q, images=None):
-    """|Mf|_p,nu / |f|_p,mu for every row f of F (-1 where |f|_p,mu = 0), and the
-    mu-norms.  ``images``, the operator on the rows of F, is computed if not
-    given, block by block (``_row_blocks``), so no level table of the whole
-    batch is ever held: each row's ratio is the same as in one pass."""
-    if images is None:
-        blocks = _row_blocks(F, 8 * model._ancestors.size)
-        if len(blocks) > 1:
-            parts = [_ratios(model, a, block, p, q, _apply_levels(model, a, block, q))
-                     for block in blocks]
-            return tuple(np.concatenate(column) for column in zip(*parts))
-        images = _apply_levels(model, a, F, q)
+def _ratios(model, F, images, p):
+    """|Mf|_p,nu / |f|_p,mu for every row f of F and its image Mf in ``images``,
+    and -1 where |f|_p,mu = 0."""
     out_norm = _lp_rows(images, model.nu_leaf, p)
     in_norm = _lp_rows(F, model.mu_leaf, p)
     # |f|_p,mu = 0 makes f * mu = 0, and so Mf = 0: the quotient there is 0 (see _TINY)
-    ratios = np.where(in_norm > 0, out_norm / np.maximum(in_norm, _TINY), -1.0)
-    return ratios, in_norm
-
-
-def _step_index(model, m):
-    """What every power step on a batch of m rows indexes with, built once per
-    search: the node cell of every term, the ancestor table plus (n_nodes + 1)
-    * row, in the (level, atom, row) order of the level tables in memory; and
-    the row offsets and atom numbers that pick one level per atom at q = inf."""
-    rows = (model.n_nodes + 1) * np.arange(m)
-    return model._ancestors[..., None] + rows, rows[:, None], np.arange(model.n_leaves)
-
-
-def _power_step(model, a, F, p, q, index=None):
-    """One nonlinear power step on every row of a batch of functions f >= 0.
-
-    With g_Q = d|Mf|^p_p,nu / dI_Q, the maximizers of |Mf|_p,nu / |f|_p,mu
-    are the fixed points of f(y) -> (sum of g_Q over the cubes Q containing
-    y)^(1/(p-1)).  Since |Mf|^p is convex in f >= 0, no step lowers the
-    ratio in exact arithmetic.  At q = inf g is the subgradient that puts
-    each atom's weight on the first (shallowest) level attaining its max.
-    The map is scale invariant, so each row's weights and sums are rescaled
-    by their peak before the powers: iterates lie in [0, 1] and stay finite
-    at any p.  Returns (the next iterates, M F): the operator on the rows it
-    consumed, which the step computes anyway, so each iterate is scored from
-    the step that consumes it.  g_Q of row i is summed in cell
-    Q + (n_nodes + 1) * i through ``index``, ``_step_index`` for F's row
-    count, which a search builds once for all its steps.
-    """
-    coef = a._leaf_levels()
-    m = F.shape[0]
-    cells, rows, atom = _step_index(model, m) if index is None else index
-    T = _level_terms(model, a, F * model.mu_leaf)
-    Mf = _lq_rows(T, q, axis=1)
-    # each row's weights over its peak; a zero row stays 0 (see _TINY)
-    weight = Mf / np.maximum(np.maximum.reduce(Mf, axis=1, keepdims=True), _TINY)
-    weight **= p - 1.0
-    weight *= model.nu_leaf
-    # padding, whose weights are 0, goes to each row's spare cell n_nodes, which
-    # g[cells] reads back.  Each cell sums its terms in atom order, and G sums
-    # each atom's levels in the layout of T, which fancy indexing makes
-    # (level, atom, row), as the transposes below keep
-    if q == math.inf:
-        # each atom's weight goes to its first maximal level only: T has no NaN,
-        # so argmax finds the first level equal to Mf.  One flat index into the
-        # (level, atom) tables picks that level's cube and coefficient
-        first = T.argmax(axis=1)
-        first *= model.n_leaves
-        first += atom
-        node = model._ancestors.ravel()[first] + rows  # never a padding level
-        weight *= coef.ravel()[first]
-    else:
-        node = cells
-        R = T / np.maximum(Mf, _TINY)[:, None]
-        R **= q - 1.0
-        R *= weight[:, None]
-        R *= coef
-        weight = R.transpose(1, 2, 0)
-    g = np.bincount(node.ravel(), weights=weight.ravel(), minlength=m * (model.n_nodes + 1))
-    G = np.add.reduce(g[cells].transpose(2, 0, 1), axis=1)
-    G /= np.maximum(np.maximum.reduce(G, axis=1, keepdims=True), _TINY)
-    G **= 1.0 / (p - 1.0)
-    return G, Mf
+    return np.where(in_norm > 0, out_norm / np.maximum(in_norm, _TINY), -1.0)
 
 
 def operator_norm_lower(model: DyadicModel, a: CoefficientFamily, p, q,
@@ -250,6 +160,9 @@ def operator_norm_lower(model: DyadicModel, a: CoefficientFamily, p, q,
     """
     _check_pq(p, q)
     search = search or NormSearch()
+    # F[1] = 1 below has mu-norm 0 exactly when mu = 0, and every candidate then too
+    if not np.logical_or.reduce(model.mu_leaf > 0):
+        raise ValueError("all candidates have zero mu-norm")
 
     S = _suffix_table(model, a, q) if _S is None else _S
     cubes = _indicator_ratios(model, a, p, q, S)
@@ -263,9 +176,7 @@ def operator_norm_lower(model: DyadicModel, a: CoefficientFamily, p, q,
     R = F[2:]
     R[...] = np.random.default_rng(search.seed).pareto(1.5, R.shape)
     np.ldexp(R, -np.frexp(np.maximum.reduce(R, axis=1))[1][:, None], out=R)
-    ratios, in_norms = _ratios(model, a, F[1:], p, q)
-    if not np.logical_or.reduce(in_norms != 0):
-        raise ValueError("all candidates have zero mu-norm")
+    ratios = _ratios(model, F[1:], _apply_levels(model, a, F[1:], q), p)
     ratios = np.concatenate([cubes[k:k + 1], ratios])
     best_idx = int(ratios.argmax())
     best_ratio = float(ratios[best_idx])
@@ -289,7 +200,7 @@ def operator_norm_lower(model: DyadicModel, a: CoefficientFamily, p, q,
     if steps:
         # one batch scores every step; the earliest best iterate wins, as step by step
         X = np.concatenate(steps)
-        step_ratios, _ = _ratios(model, a, X, p, q, np.concatenate(images[1:]))
+        step_ratios = _ratios(model, X, np.concatenate(images[1:]), p)
         k = int(step_ratios.argmax())
         if step_ratios[k] > best_ratio:
             best_ratio, best_f = float(step_ratios[k]), X[k]
@@ -359,7 +270,7 @@ def operator_norm_bruteforce(model: DyadicModel, a: CoefficientFamily, p, q,
     """Exhaustive oracle for the operator norm on models with <= 4 leaves.
 
     Scans a grid over every nonnegative direction, one ``_sphere_grid`` block
-    at a time (``_ratios`` bounds the memory of each by its row blocks),
+    at a time (``_apply_levels`` bounds the memory of each by its row blocks),
     refines the best point by deterministic coordinate ascent, and
     (optionally) re-evaluates the refined maximizer in ``precision_dps``-digit
     decimal arithmetic.  Nondecreasing in resolution up to ascent rounding.
@@ -379,7 +290,7 @@ def operator_norm_bruteforce(model: DyadicModel, a: CoefficientFamily, p, q,
     best_ratio = -1.0
     best_f = None
     for block in _sphere_grid(k, resolution):
-        ratios, _ = _ratios(model, a, block, p, q)
+        ratios = _ratios(model, block, _apply_levels(model, a, block, q), p)
         idx = int(np.argmax(ratios))
         if ratios[idx] > best_ratio:
             best_ratio = float(ratios[idx])
@@ -397,7 +308,8 @@ def operator_norm_bruteforce(model: DyadicModel, a: CoefficientFamily, p, q,
                     t = best_f.copy()
                     t[j] = t[j] * mult if t[j] > 0 else step
                     trials.append(t)
-            ratios, _ = _ratios(model, a, np.stack(trials), p, q)
+            trials = np.stack(trials)
+            ratios = _ratios(model, trials, _apply_levels(model, a, trials, q), p)
             idx = int(np.argmax(ratios))
             if ratios[idx] > best_ratio * (1 + 1e-14):
                 best_ratio = float(ratios[idx])

@@ -278,8 +278,9 @@ class DyadicModel:
     level-by-leaf ancestor table, both padded with n_nodes) are built on
     first use and cached on the model, so every coefficient family on the
     tree, and every ``with_measures`` copy made after they exist, shares
-    them.  Other modules read subtree sums per node (``_subtree_sums``) or
-    along the paths (``_path_sums``), never the buffer of ``_dfs_sums``.
+    them.  Other modules read subtree sums per node (``_subtree_sums``), and
+    ``maximal`` alone reads them along the paths (``_path_sums``) and the
+    level tables; none reads the buffer of ``_dfs_sums``.
 
     Instances are immutable after construction and safe to share across
     threads; all module operations are pure functions of their inputs.

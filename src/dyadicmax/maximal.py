@@ -14,10 +14,12 @@ coefficient of that ancestor at the atom (0 below it), which a family builds
 once from its entry arrays and caches.  One table of terms |I_R| * a_R(x),
 the model's sums of f's leaf values along each atom's path times those
 coefficients (``_level_terms``), serves the full operator on one function or
-a batch, both truncations (a reduction over a range of levels), the testing
-constant and the ratio of every cube indicator (running reductions along
-each atom's path) and the proof chain's stopping blocks (a reduction over
-each run of levels that one block owns).  The tables are level-major: a
+a batch, both truncations (a reduction over a range of levels), the norm
+search's power step, the testing constant and the ratio of every cube
+indicator (running reductions along each atom's path) and the proof chain's
+stopping blocks (a reduction over each run of levels that one block owns).
+No other module reads these tables: the norm search and the reduction call
+the operator.  The tables are level-major: a
 tree has few levels and many atoms, so each level is one contiguous row of
 atoms and every reduction along the paths is elementwise work across a few
 rows, where an atom-major table would run one short inner loop per atom.
@@ -270,10 +272,84 @@ def _level_terms(model, a, rows):
     return T
 
 
-def _apply_levels(model, a, f, q, first_level=0, leaves=slice(None)):
-    """The operator on f, or on a batch of rows, over the cubes at depth >= first_level."""
-    T = _level_terms(model, a, f * model.mu_leaf)
-    return _lq_rows(T[..., first_level:, leaves], q, axis=-2)
+# bytes of (depth + 1) x atoms float tables that one block of a batch may fill
+_BLOCK_BYTES = 512 * 1024
+
+
+def _apply_levels(model, a, f, q, first_level=0, leaves=slice(None), mass=None):
+    """The operator on f, or on a batch of rows, over the cubes at depth >= first_level,
+    integrating against ``mass`` (mu unless given).  A batch runs in ``numpy.array_split``'s
+    blocks of max(2, _BLOCK_BYTES // one row's table bytes) rows or more, so no table of the
+    batch is held, and no row is alone: numpy gathers a lone row atom-innermost, and its
+    sums along the levels would round differently.  Each row's image is the one pass's."""
+    rows = f * (model.mu_leaf if mass is None else mass)
+    per_block = max(2, _BLOCK_BYTES // (8 * model._ancestors.size))
+    blocks = 1 if rows.ndim == 1 else len(rows) // per_block
+    # array_split, a Python wrapper, only runs where the batch is split
+    images = [_lq_rows(_level_terms(model, a, block)[..., first_level:, leaves], q, axis=-2)
+              for block in (np.array_split(rows, blocks) if blocks > 1 else [rows])]
+    return images[0] if len(images) == 1 else np.concatenate(images)
+
+
+def _step_index(model, m):
+    """What every power step on a batch of m rows indexes with, built once per
+    search: the node cell of every term, the ancestor table plus (n_nodes + 1)
+    * row, in the (level, atom, row) order of the level tables in memory; and
+    the row offsets and atom numbers that pick one level per atom at q = inf."""
+    rows = (model.n_nodes + 1) * np.arange(m)
+    return model._ancestors[..., None] + rows, rows[:, None], np.arange(model.n_leaves)
+
+
+def _power_step(model, a, F, p, q, index=None):
+    """One nonlinear power step on every row of a batch of functions f >= 0.
+
+    With g_Q = d|Mf|^p_p,nu / dI_Q, the maximizers of |Mf|_p,nu / |f|_p,mu
+    are the fixed points of f(y) -> (sum of g_Q over the cubes Q containing
+    y)^(1/(p-1)).  Since |Mf|^p is convex in f >= 0, no step lowers the
+    ratio in exact arithmetic.  At q = inf g is the subgradient that puts
+    each atom's weight on the first (shallowest) level attaining its max.
+    The map is scale invariant, so each row's weights and sums are rescaled
+    by their peak before the powers: iterates lie in [0, 1] and stay finite
+    at any p.  Returns (the next iterates, M F): the operator on the rows it
+    consumed, which the step computes anyway, so each iterate is scored from
+    the step that consumes it.  g_Q of row i is summed in cell
+    Q + (n_nodes + 1) * i through ``index``, ``_step_index`` for F's row
+    count, which a search builds once for all its steps.
+    """
+    coef = a._leaf_levels()
+    m = F.shape[0]
+    cells, rows, atom = _step_index(model, m) if index is None else index
+    T = _level_terms(model, a, F * model.mu_leaf)
+    Mf = _lq_rows(T, q, axis=1)
+    # each row's weights over its peak; a zero row stays 0 (see _TINY)
+    weight = Mf / np.maximum(np.maximum.reduce(Mf, axis=1, keepdims=True), _TINY)
+    weight **= p - 1.0
+    weight *= model.nu_leaf
+    # padding, whose weights are 0, goes to each row's spare cell n_nodes, which
+    # g[cells] reads back.  Each cell sums its terms in atom order, and G sums
+    # each atom's levels in the layout of T, which fancy indexing makes
+    # (level, atom, row), as the transposes below keep
+    if q == math.inf:
+        # each atom's weight goes to its first maximal level only: T has no NaN,
+        # so argmax finds the first level equal to Mf.  One flat index into the
+        # (level, atom) tables picks that level's cube and coefficient
+        first = T.argmax(axis=1)
+        first *= model.n_leaves
+        first += atom
+        node = model._ancestors.ravel()[first] + rows  # never a padding level
+        weight *= coef.ravel()[first]
+    else:
+        node = cells
+        R = T / np.maximum(Mf, _TINY)[:, None]
+        R **= q - 1.0
+        R *= weight[:, None]
+        R *= coef
+        weight = R.transpose(1, 2, 0)
+    g = np.bincount(node.ravel(), weights=weight.ravel(), minlength=m * (model.n_nodes + 1))
+    G = np.add.reduce(g[cells].transpose(2, 0, 1), axis=1)
+    G /= np.maximum(np.maximum.reduce(G, axis=1, keepdims=True), _TINY)
+    G **= 1.0 / (p - 1.0)
+    return G, Mf
 
 
 def _suffix_table(model: DyadicModel, a: CoefficientFamily, q) -> np.ndarray:

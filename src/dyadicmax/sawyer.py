@@ -19,9 +19,9 @@ import numpy as np
 
 from .constants import VerificationError, _check_rtol, holder_conjugate
 from .lattice import (DyadicModel, RandomModelParams, _check_p, _check_q,
-                      _lp_rows, _lq_rows, _read_json, _write_json, as_leaf_function,
+                      _lp_rows, _read_json, _write_json, as_leaf_function,
                       build_model, indicator, leaf_values, model_to_dict, random_model)
-from .maximal import (CoefficientFamily, _check_alpha, _classical_scalars, _level_terms,
+from .maximal import (CoefficientFamily, _apply_levels, _check_alpha, _classical_scalars,
                       apply_maximal, apply_truncated, classical_coefficients)
 
 __all__ = [
@@ -177,16 +177,15 @@ def verify_reduction(inst: SawyerInstance, f, q, *, rtol: float = 1e-12,
     # an overflow (g = f * w^(p'/p) can exceed the floats) shows as a non-finite error
     with np.errstate(over="ignore", invalid="ignore"):
         g = f * multiplier
-        rows = np.array((g * mu, f * inst.omega_leaf))  # each side's f * mass
-        # each side's terms from a family of its own: its table of terms and
+        # each side's operator from a family of its own: its table of terms and
         # the family's level table are dropped before the next side is built,
         # and both sides before the cube integrals
-        m_two, m_three = (_lq_rows(_level_terms(model, CoefficientFamily(model, scalars), side),
-                                   q, axis=0) for side in rows)
+        m_two, m_three = (_apply_levels(model, CoefficientFamily(model, scalars), h, q, mass=mass)
+                          for h, mass in ((g, mu), (f, inst.omega_leaf)))
         mscale = max(largest(m_two), largest(m_three), 1e-300)
         operator_err = float(largest(np.abs(m_two - m_three)) / mscale)
 
-        ints_two, ints_three = model._subtree_sums(rows)
+        ints_two, ints_three = model._subtree_sums(np.array((g * mu, f * inst.omega_leaf)))
         scale = max(largest(np.abs(ints_two)), largest(np.abs(ints_three)), 1e-300)
         integral_err = float(largest(np.abs(ints_two - ints_three)) / scale)
 

@@ -785,6 +785,50 @@ def test_report_keeps_a_nan_wherever_it_comes(tmp_path, nan_first, check, key, m
     assert math.isnan(value)
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_report_counts_a_failure_without_a_value_as_nan(tmp_path, capsys):
+    # one mu mass of 1.7e308 makes mu(R) * a_R overflow: the sandwich's B is
+    # NaN and the proof chain stops at a failed link, with no slack.  Both were
+    # skipped, and the summary showed instance_0000's passing figures alone
+    paths = cmd_generate(SweepConfig(trials=4, out=str(tmp_path / "inst")))
+    data = json.loads(paths[3].read_text())
+    data["mu"][next(iter(data["mu"]))] = 1.7e308
+    paths[3].write_text(json.dumps(data))
+    run = tmp_path / "run"
+    assert main(["verify", "--p", "2", "--q", "inf", "--out", str(run),
+                 str(paths[0]), str(paths[3])]) == 1
+    err = capsys.readouterr().err
+    assert "instance_0003 p=2.0 q=inf sandwich non-finite sandwich: B=nan" in err
+    assert "instance_0003 p=2.0 q=inf proof_chain" in err
+    rows = {metric: (value, instance)
+            for _, _, metric, value, instance in cmd_report(run / "report.jsonl")}
+    for metric in ("max_A_over_B", "min_proof_slack"):
+        value, instance = rows[metric]
+        assert math.isnan(value) and instance == "instance_0003", metric
+    assert rows["max_packing_ratio"][1] == "instance_0000"
+
+
+def test_report_counts_an_error_record_as_nan_in_every_metric(tmp_path):
+    # an unexpected exception leaves one error record for its combination,
+    # which ran none of the checks: the summary named only the others
+    def record(instance, check, **detail):
+        return json.dumps({"instance": instance, "p": 2.0, "q": "inf", "check": check,
+                           "pass": check != "error", "margin": 0.0, "detail": detail})
+    report = tmp_path / "report.jsonl"
+    report.write_text("\n".join([
+        record("fine", "sandwich", B=1.0, A_lower=1.2),
+        record("fine", "packing", worst_ratio=1.1),
+        record("fine", "proof_chain", min_rel_slack=0.5),
+        record("broken", "error", error="RuntimeWarning: overflow encountered in multiply"),
+        record("later", "packing", worst_ratio=1.5),
+    ]) + "\n")
+    rows = cmd_report(report)
+    assert [(metric, instance) for _, _, metric, _, instance in rows] == [
+        ("max_A_over_B", "broken"), ("max_packing_ratio", "broken"),
+        ("min_proof_slack", "broken")]
+    assert all(math.isnan(value) for _, _, _, value, _ in rows)
+
+
 def test_report_sorts_q_as_a_number_with_inf_last(tmp_path):
     # q was sorted as a string: at p = 6 with --q p,2p, q = 12.0 came before 6.0.
     # A p written as a string beside a number raised TypeError in the sort

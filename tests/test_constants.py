@@ -12,11 +12,12 @@ from dyadicmax import (CoefficientFamily, NormSearch, RandomModelParams,
                        operator_norm_lower, proof_trace, random_model, stopping_weights,
                        testing_constant, theorem_constant, theorem_constant_hp,
                        verify_theorem)
-from dyadicmax import constants
+from dyadicmax import maximal
 from dyadicmax.cli import SweepConfig, _load_instance, cmd_generate
-from dyadicmax.constants import (_power_step, _ratios, _reference_ratio_hp, _row_blocks,
-                                 _step_index)
-from dyadicmax.maximal import _apply_levels, _indicator_ratios, _suffix_table, node_integrals
+from dyadicmax.constants import _ratios, _reference_ratio_hp
+from dyadicmax.lattice import _lp_rows
+from dyadicmax.maximal import (_apply_levels, _indicator_ratios, _power_step, _step_index,
+                               _suffix_table, node_integrals)
 
 from _reference import (ref_power_step, ref_power_step_tables, ref_ratio_mp,
                         ref_testing_constant, ref_theorem_constant_mp)
@@ -164,6 +165,22 @@ def test_norm_lower_rejects_all_zero_mu():
         "mu": {"x": 0, "y": 0}, "nu": {"x": 1, "y": 1}})
     with pytest.raises(ValueError, match="zero mu-norm"):
         operator_norm_lower(model, CoefficientFamily.constant(model), 2, INF)
+
+
+@pytest.mark.parametrize("p", [1.5, 1000.0])
+def test_norm_lower_zero_mu_guard_agrees_with_the_in_norm_test(p):
+    # the guard reads mu itself; it stands for the test that every candidate
+    # has mu-norm 0, which the constant candidate decides, and the two agree
+    # on a model whose one positive mu mass is the smallest float
+    from dyadicmax import build_model
+    model = build_model({
+        "nodes": [{"id": "R", "parent": None},
+                  {"id": "x", "parent": "R"}, {"id": "y", "parent": "R"}],
+        "mu": {"x": 0, "y": 5e-324}, "nu": {"x": 1, "y": 1}})
+    assert _lp_rows(np.ones(model.n_leaves), model.mu_leaf, p) > 0
+    for q in (p, INF):
+        A, witness = operator_norm_lower(model, CoefficientFamily.constant(model), p, q)
+        assert A > 0 and np.all(np.isfinite(witness)), q
 
 
 def test_bruteforce_e1(e1):
@@ -519,7 +536,6 @@ def test_norm_lower_matches_step_by_step_evaluation():
     # operator_norm_lower evaluates all power steps in one batch; this replays
     # them one step at a time and keeps the first strictly better iterate
     # from the best cube indicator, whose ratio comes in closed form
-    from dyadicmax.constants import _ratios
     for seed in range(8):
         model, a = make_instance(seed, branch_min=1 + seed % 2)
         if np.all(model.mu_leaf == 0):
@@ -528,11 +544,12 @@ def test_norm_lower_matches_step_by_step_evaluation():
             cubes = _indicator_ratios(model, a, p, q, _suffix_table(model, a, q))
             k = int(np.argmax(cubes))
             X = np.vstack([indicator(model, model.ids[k]), np.ones(model.n_leaves)])
-            ratios = np.append(cubes[k], _ratios(model, a, X[1:], p, q)[0])
+            ones = _ratios(model, X[1:], _apply_levels(model, a, X[1:], q), p)
+            ratios = np.append(cubes[k], ones)
             best, best_f = ratios.max(), X[np.argmax(ratios)]
             for _ in range(6):
                 X, _ = _power_step(model, a, X, p, q)
-                step, _ = _ratios(model, a, X, p, q)
+                step = _ratios(model, X, _apply_levels(model, a, X, q), p)
                 if step.max() > best:
                     best, best_f = step.max(), X[np.argmax(step)]
             A, witness = operator_norm_lower(model, a, p, q,
@@ -591,35 +608,50 @@ def block_instances(tmp_path_factory):
                     (deep, CoefficientFamily.random(deep, 5))]
 
 
-@pytest.mark.parametrize("budget", [1, 40_000, 300_000, 2 ** 30])
+@pytest.mark.parametrize("budget", [1, 40_000, 300_000, 2 ** 19])
 def test_blocked_ratios_equal_one_pass_bit_for_bit(block_instances, monkeypatch, budget):
-    # blocks of two rows or more, up to one block for the whole batch; the
-    # images handed in are the operator on the whole batch in one pass
-    monkeypatch.setattr(constants, "_BLOCK_BYTES", budget)
+    # blocks of two rows or more, up to one block for the whole batch (the
+    # default budget on the sweep's trees), against one pass over the batch
     for i, (model, a) in enumerate(block_instances):
         rng = np.random.default_rng(i)
         F = np.vstack([np.ones(model.n_leaves), rng.pareto(1.5, (24, model.n_leaves))])
-        for p in (1.5, 2.0, 3.0):
-            for q in (p, 2 * p, INF):
-                blocked = _ratios(model, a, F, p, q)
-                whole = _ratios(model, a, F, p, q, _apply_levels(model, a, F, q))
-                for got, want in zip(blocked, whole):
-                    assert np.array_equal(got, want), (i, p, q)
+        for q in (1.5, 2.0, 3.0, 4.0, 6.0, INF):
+            monkeypatch.setattr(maximal, "_BLOCK_BYTES", 2 ** 30)
+            whole = _apply_levels(model, a, F, q)
+            monkeypatch.setattr(maximal, "_BLOCK_BYTES", budget)
+            blocked = _apply_levels(model, a, F, q)
+            assert np.array_equal(blocked, whole), (i, q)
+            for p in (1.5, 2.0, 3.0):
+                assert np.array_equal(_ratios(model, F, blocked, p),
+                                      _ratios(model, F, whole, p)), (i, p, q)
 
 
-def test_row_blocks_never_leave_a_row_alone(monkeypatch):
-    # numpy gathers a lone row in another memory order, whose sums round differently
-    for budget in (1, 7, 64, 1000):
-        monkeypatch.setattr(constants, "_BLOCK_BYTES", budget)
-        for row_bytes in (1, 8, 24, 100, 5000):
-            rows = max(2, budget // row_bytes)
-            for n in range(1, 40):
-                F = np.arange(3.0 * n).reshape(n, 3)
-                blocks = _row_blocks(F, row_bytes)
-                sizes = [len(b) for b in blocks]
-                assert np.array_equal(np.vstack(blocks), F)
-                assert min(sizes) >= min(rows, n), (budget, row_bytes, sizes)
-                assert max(sizes) < 2 * rows, (budget, row_bytes, sizes)
+def test_apply_levels_never_leaves_a_row_alone(monkeypatch):
+    # numpy gathers a lone row in another memory order, whose sums round
+    # differently: the blocks that reach the table of terms hold two rows or
+    # more unless the batch has one, and fewer than twice the budget's rows
+    model, a = make_instance(3)
+    row_bytes = 8 * model._ancestors.size
+    shapes = []
+    level_terms = maximal._level_terms
+    monkeypatch.setattr(maximal, "_level_terms",
+                        lambda model, a, rows: shapes.append(rows.shape)
+                        or level_terms(model, a, rows))
+    for budget in (1, row_bytes, 3 * row_bytes, 7 * row_bytes + 5, 2 ** 30):
+        monkeypatch.setattr(maximal, "_BLOCK_BYTES", budget)
+        rows = max(2, budget // row_bytes)
+        for n in range(1, 40):
+            shapes.clear()
+            F = np.random.default_rng(n).pareto(1.5, (n, model.n_leaves))
+            image = _apply_levels(model, a, F, 2.0)
+            sizes = [shape[0] for shape in shapes]
+            assert all(len(shape) == 2 for shape in shapes) and sum(sizes) == n
+            assert min(sizes) >= min(rows, n), (budget, n, sizes)
+            assert max(sizes) < 2 * rows, (budget, n, sizes)
+            assert image.shape == (n, model.n_leaves)
+    shapes.clear()
+    _apply_levels(model, a, np.ones(model.n_leaves), 2.0)
+    assert shapes == [(model.n_leaves,)]
 
 
 @pytest.mark.parametrize("q", [INF, 4.0])

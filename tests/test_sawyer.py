@@ -230,17 +230,17 @@ def test_verify_reduction_nan_error_never_passes(monkeypatch):
     # position.  The operator runs once per side, the two-measure side first;
     # a NaN goes into that side's first atom alone
     import dyadicmax.sawyer as sawyer
-    lq_rows = sawyer._lq_rows
+    apply_levels = sawyer._apply_levels
     sides = []
 
     def with_nan(*args, **kwargs):
-        out = lq_rows(*args, **kwargs)
+        out = apply_levels(*args, **kwargs)
         if len(sides) % 2 == 0:
             out[0] = math.nan
         sides.append(out.shape)
         return out
 
-    monkeypatch.setattr(sawyer, "_lq_rows", with_nan)
+    monkeypatch.setattr(sawyer, "_apply_levels", with_nan)
     inst = random_instance(3)
     f = np.ones(inst.model.n_leaves)
     rep = verify_reduction(inst, f, INF, strict=False)
