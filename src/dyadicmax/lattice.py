@@ -11,7 +11,6 @@ averages and weighted Lp norms.
 
 from __future__ import annotations
 
-import copy
 import json
 import math
 import numbers
@@ -278,9 +277,12 @@ class DyadicModel:
     level-by-leaf ancestor table, both padded with n_nodes) are built on
     first use and cached on the model, so every coefficient family on the
     tree, and every ``with_measures`` copy made after they exist, shares
-    them.  Other modules read subtree sums per node (``_subtree_sums``), and
-    ``maximal`` alone reads them along the paths (``_path_sums``) and the
-    level tables; none reads the buffer of ``_dfs_sums``.
+    them.  The ancestor table is the one (depth + 1) x atoms table the model
+    keeps: ``_path_sums`` gathers through it, every other reader sees its
+    read-only view ``_ancestors``, and a pickle holds the table alone.  Other
+    modules read subtree sums per node (``_subtree_sums``), and ``maximal``
+    alone reads them along the paths (``_path_sums``) and the level tables;
+    none reads the buffer of ``_dfs_sums``.
 
     Instances are immutable after construction and safe to share across
     threads; all module operations are pure functions of their inputs.
@@ -313,12 +315,13 @@ class DyadicModel:
         # interior nodes in DFS order, so that the gaps between their intervals,
         # which reduceat also sums, are disjoint: O(nodes) extra work in all.
         # In the buffer of _dfs_sums a leaf's sum is its own value, at its DFS
-        # position, and interior node i's (in this order) is entry n + 1 + 2i
+        # position, interior node i's (in this order) is entry n + 1 + 2i, and
+        # the padding n's is the zero cell n
         inner = self.dfs_order[~self.is_leaf[self.dfs_order]]
         self._inner_bounds = np.empty(2 * inner.size, dtype=np.int64)
         self._inner_bounds[0::2] = self.dfs_lo[inner]
         self._inner_bounds[1::2] = self.dfs_hi[inner]
-        self._sum_slots = self.dfs_lo.copy()
+        self._sum_slots = np.append(self.dfs_lo, n)
         self._sum_slots[inner] = np.arange(n + 1, n + 1 + 2 * inner.size, 2)
         self._sum_cells = n + 1 + self._inner_bounds.size
         self._leaf_dfs = self.dfs_lo[self.leaf_nodes]  # each atom's DFS position
@@ -385,28 +388,36 @@ class DyadicModel:
         return out
 
     @cached_property
-    def _ancestors(self):
+    def _ancestor_index(self):
         """The ancestor of every atom at every depth: one row per depth, one column
         per leaf, n_nodes (the spare slot of every n_nodes + 1 array) below the
-        leaf.  It depends on the tree's shape only.  The table is level-major,
-        so a reduction along every atom's path (a max, an ell-q sum, a running
-        norm) is elementwise work across a few contiguous rows of atoms."""
+        leaf.  It depends on the tree's shape only, and it is the one table of
+        that size that the model keeps.  It stays writeable because
+        ``ndarray.take`` copies a read-only index on every call; ``_path_sums``
+        gathers through it, and every other reader sees it as ``_ancestors``."""
         anc = np.full((self.max_depth + 1, self.n_leaves), self.n_nodes, dtype=np.int64)
         cols, cur = np.arange(self.n_leaves), self.leaf_nodes
         while cols.size:
             anc[self.depth[cur], cols] = cur
             cur = self.parent[cur]
             cols, cur = cols[cur >= 0], cur[cur >= 0]
-        anc.setflags(write=False)
         return anc
 
     @cached_property
-    def _ancestor_sums(self):
-        """The ancestor table as positions in the buffer of ``_dfs_sums``; the
-        padding n_nodes is the buffer's zero cell n_nodes."""
-        slots = np.concatenate((self._sum_slots, [self.n_nodes]))[self._ancestors]
-        slots.setflags(write=False)
-        return slots
+    def _ancestors(self):
+        """``_ancestor_index`` as a read-only view.  The table is level-major, so a
+        reduction along every atom's path (a max, an ell-q sum, a running norm)
+        is elementwise work across a few contiguous rows of atoms."""
+        anc = self._ancestor_index.view()
+        anc.setflags(write=False)
+        return anc
+
+    def __getstate__(self):
+        """The instance dict without the view ``_ancestors``, which a pickle would
+        hold as a second table: it is made again over the unpickled table."""
+        state = self.__dict__.copy()
+        state.pop("_ancestors", None)
+        return state
 
     def ancestors_or_self(self, k):
         out = []
@@ -429,8 +440,8 @@ class DyadicModel:
 
     def _dfs_sums(self, values):
         """Per-node sums over each subtree, along the last axis of ``values``, in
-        one buffer: node k's sum is entry ``_sum_slots[k]``, and entry n_nodes
-        is 0.
+        one buffer: node k's sum is entry ``_sum_slots[k]``, and entry n_nodes,
+        ``_sum_slots[n_nodes]``, is 0.
 
         The last axis holds one value per leaf or one per node (with as many
         leaves as nodes every node is a lone leaf, and the two agree); leading
@@ -453,18 +464,19 @@ class DyadicModel:
 
     def _subtree_sums(self, values):
         """``_dfs_sums`` in node order: one sum per node along the last axis."""
-        return self._dfs_sums(values)[..., self._sum_slots]
+        return self._dfs_sums(values)[..., self._sum_slots[:-1]]
 
     def _path_sums(self, values):
-        """The sum over every atom's ancestor at every depth, 0 below the atom:
-        one ``_dfs_sums`` gathered as the ancestor table, on the last two axes.
+        """The sum over every atom's ancestor at every depth, 0 below the atom,
+        on the last two axes: the subtree sums in node order, then the zero
+        cell n_nodes for the padding, gathered through the ancestor table.
 
-        The buffer is gathered laid out cells first, each ancestor copying one
-        contiguous run of the rows: a batch of rows comes out in the (level,
-        atom, row) memory order that fancy indexing gives, with the same
-        values, but two to five times faster on two or three rows."""
-        sums = self._dfs_sums(values)
-        return np.ascontiguousarray(sums.T).take(self._ancestor_sums, axis=0).T.swapaxes(-1, -2)
+        Both gathers run laid out cells first, each cell copying one contiguous
+        run of the rows: a batch of rows comes out in the (level, atom, row)
+        memory order that fancy indexing gives, with the same values, but two
+        to five times faster on two or three rows."""
+        sums = np.ascontiguousarray(self._dfs_sums(values).T).take(self._sum_slots, axis=0)
+        return sums.take(self._ancestor_index, axis=0).T.swapaxes(-1, -2)
 
     def subtree_totals(self, node_values):
         """Per-node sums of a node vector over each node's subtree, each on its own.
@@ -480,7 +492,8 @@ class DyadicModel:
         tables already built (such as the ancestor table), instead of walking
         the tree again.  Masses may be given in leaf order or by leaf id.
         """
-        model = copy.copy(self)
+        model = object.__new__(DyadicModel)  # copy.copy would leave out _ancestors
+        model.__dict__.update(self.__dict__)
         model._set_measures(self.mu_leaf if mu_leaf is None else mu_leaf,
                             self.nu_leaf if nu_leaf is None else nu_leaf)
         return model

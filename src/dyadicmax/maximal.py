@@ -9,20 +9,22 @@ forest.
 
 Every evaluation runs on two level-by-leaf tables of shape
 (depth + 1) x atoms: the ancestor of every atom at every depth (n_nodes
-below the atom), cached on the model for every family on the tree, and the
-coefficient of that ancestor at the atom (0 below it), which a family builds
-once from its entry arrays and caches.  One table of terms |I_R| * a_R(x),
-the model's sums of f's leaf values along each atom's path times those
-coefficients (``_level_terms``), serves the full operator on one function or
-a batch, both truncations (a reduction over a range of levels), the norm
-search's power step, the testing constant and the ratio of every cube
-indicator (running reductions along each atom's path) and the proof chain's
-stopping blocks (a reduction over each run of levels that one block owns).
-No other module reads these tables: the norm search and the reduction call
-the operator.  The tables are level-major: a
-tree has few levels and many atoms, so each level is one contiguous row of
-atoms and every reduction along the paths is elementwise work across a few
-rows, where an atom-major table would run one short inner loop per atom.
+below the atom), the one integer table of that shape that the model keeps
+for every family on the tree (read here through its read-only view
+``_ancestors``), and the coefficient of that ancestor at the atom (0 below
+it), which a family builds once from its entry arrays and caches.  One
+table of terms |I_R| * a_R(x), the model's sums of f's leaf values along
+each atom's path (gathered through the ancestor table without copying it)
+times those coefficients (``_level_terms``), serves the full operator on
+one function or a batch, both truncations (a reduction over a range of
+levels), the norm search's power step, the testing constant and the ratio
+of every cube indicator (running reductions along each atom's path) and the
+proof chain's stopping blocks (a reduction over each run of levels that one
+block owns).  No other module reads these tables: the norm search and the
+reduction call the operator.  The tables are level-major: a tree has few
+levels and many atoms, so each level is one contiguous row of atoms and
+every reduction along the paths is elementwise work across a few rows,
+where an atom-major table would run one short inner loop per atom.
 Every ell-q combination divides by its peak before the power, along an
 axis, by groups or along a running prefix (``lattice._lq_rows``,
 ``_lq_groups``, ``_running_lq``).
@@ -340,7 +342,7 @@ def _power_step(model, a, F, p, q, index=None):
         weight *= coef.ravel()[first]
     else:
         node = cells
-        R = T / np.maximum(Mf, _TINY)[:, None]
+        R = np.divide(T, np.maximum(Mf, _TINY)[:, None], out=T)  # T is spent
         R **= q - 1.0
         R *= weight[:, None]
         R *= coef

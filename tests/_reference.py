@@ -244,7 +244,7 @@ def ref_walk(ids, parents, mu_leaf, nu_leaf):
                      for dd in range(max(depth) + 1)]
     inner = out["dfs_order"][~out["is_leaf"][out["dfs_order"]]]
     bounds = np.stack([out["dfs_lo"], out["dfs_hi"]], axis=1)[inner].ravel()
-    slots = out["dfs_lo"].copy()
+    slots = np.append(out["dfs_lo"], n)  # the padding n reads the zero cell n
     slots[inner] = n + 1 + 2 * np.arange(inner.size)
     out.update(_inner_bounds=bounds, _sum_slots=slots, _sum_cells=n + 1 + bounds.size,
                _leaf_dfs=out["dfs_lo"][out["leaf_nodes"]])
@@ -253,8 +253,8 @@ def ref_walk(ids, parents, mu_leaf, nu_leaf):
     sums = np.zeros((2, n + 1 + bounds.size))
     sums[:, out["_leaf_dfs"]] = masses
     np.add.reduceat(sums[:, :n + 1], bounds, axis=-1, out=sums[:, n + 1:])
-    out.update(mu_leaf=masses[0], nu_leaf=masses[1], mu_node=sums[0, slots],
-               nu_node=sums[1, slots])
+    out.update(mu_leaf=masses[0], nu_leaf=masses[1], mu_node=sums[0, slots[:n]],
+               nu_node=sums[1, slots[:n]])
     return out
 
 

@@ -670,6 +670,29 @@ def test_norm_lower_holds_few_level_tables_on_a_deep_tree(q):
     assert peak < 20 * table, peak / table
 
 
+@pytest.mark.parametrize("q", [INF, 4.0])
+def test_power_step_working_set_in_level_tables(q):
+    # tracemalloc peak of one step on 3 rows of the 400-level caterpillar, with
+    # the search's index built outside, in (depth + 1) x atoms float tables:
+    # the terms, and beside them the operator's ell-q quotient or the gathered
+    # cube sums; the step's own quotient goes into the buffer of the terms.
+    # Beside them it took 9 tables at q = 4
+    model = caterpillar(400)
+    a = CoefficientFamily.random(model, 9)
+    F = np.random.default_rng(0).pareto(1.5, (3, model.n_leaves))
+    index = _step_index(model, len(F))
+    _power_step(model, a, F, 2.0, q, index)  # the shape and coefficient tables
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        _power_step(model, a, F, 2.0, q, index)
+        top = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    table = 8 * model._ancestors.size
+    assert top - base <= 6 * table + 64 * model.n_nodes * len(F), (top - base) / table
+
+
 def test_norm_search_stays_finite_on_masses_near_the_float_limit():
     # the cube sums are finite, but a random candidate above 1 times mu(a1)
     # would overflow, and A_lower come out NaN, unless the candidates are scaled

@@ -462,6 +462,27 @@ def test_path_sums_gather_the_subtree_sums_along_each_path():
             assert not got[..., below].any()
 
 
+def test_path_sums_copy_no_ancestor_table():
+    # numpy's take copies a read-only index on every call: a gather on the
+    # 1500-level caterpillar, one row or a batch, allocates its result and
+    # O(nodes x rows) more, never a second (depth + 1) x atoms table
+    import tracemalloc
+    model = caterpillar(1500)
+    values = np.random.default_rng(0).normal(size=(3, model.n_leaves))
+    model._path_sums(values[0])  # the ancestor table, built once outside the count
+    table = 8 * model._ancestors.size
+    for v in (values, values[0]):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            got = model._path_sums(v)
+            top = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        rows = v.size // model.n_leaves
+        assert top - base <= got.nbytes + 64 * model.n_nodes * rows < got.nbytes + table / 4
+
+
 def test_running_max_matches_accumulate():
     # at q = inf the running kernel is the running peak, bit for bit
     rng = np.random.default_rng(11)

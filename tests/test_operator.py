@@ -11,7 +11,8 @@ from dyadicmax import (CoefficientFamily, ModelError, apply_depth_truncated, app
 from dyadicmax.lattice import _lq_rows
 from dyadicmax.maximal import (_apply_by_label, _apply_levels, _indicator_norms,
                               _indicator_ratios, _level_terms, _suffix_table)
-from dyadicmax.stopping import build_decomposition
+from dyadicmax.constants import testing_constant
+from dyadicmax.stopping import build_decomposition, proof_trace
 
 from _reference import (ref_apply_by_label, ref_depth_truncated, ref_indicator_norms,
                         ref_indicator_ratios, ref_leaf_levels, ref_level_terms, ref_maximal,
@@ -188,19 +189,79 @@ def test_leaf_level_tables_match_entry_by_entry():
 
 
 def test_ancestor_table_is_shared_by_the_tree():
-    # the ancestor table and its path slots are built once per tree shape: a
-    # family used with a copy of its model, and a family built on the copy,
-    # read the model's own tables
+    # the ancestor table is built once per tree shape: a family used with a
+    # copy of its model, and a family built on the copy, read the model's own
     model, a = make_instance(3)
     f = np.ones(model.n_leaves)
     apply_maximal(model, a, f, 2.0)
-    anc, slots = model._ancestors, model._ancestor_sums
+    anc = model._ancestors
     copy = model.with_measures(mu_leaf=2.0 * model.mu_leaf)
     b = classical_coefficients(copy, model.mu_leaf, 0.5)
     apply_maximal(copy, a, f, 2.0)
     apply_maximal(copy, b, f, 2.0)
-    assert b.model is copy and copy._ancestors is anc and copy._ancestor_sums is slots
-    assert not anc.flags.writeable and not slots.flags.writeable
+    assert b.model is copy and copy._ancestors is anc
+    assert not anc.flags.writeable
+
+
+def _integer_level_tables(model):
+    """The buffers of the (depth + 1) x atoms integer arrays that the model
+    keeps, each once, however many views of it the model holds."""
+    owners = {}
+    for value in vars(model).values():
+        if (isinstance(value, np.ndarray) and value.dtype.kind in "iu"
+                and value.shape == (model.max_depth + 1, model.n_leaves)):
+            while isinstance(value.base, np.ndarray):
+                value = value.base
+            owners[id(value)] = value
+    return list(owners.values())
+
+
+def _two_instances(seed):
+    """A random forest and a 60-level caterpillar, each with a family of its own."""
+    cat = caterpillar(60)
+    return make_instance(seed), (cat, CoefficientFamily.random(cat, seed))
+
+
+def _run_every_kernel(model, a):
+    """The operator, the testing constant and the proof chain at (2, inf) and
+    (2, 4), as values whose repr is their bits."""
+    f = random_nonneg(model, 7)
+    out = []
+    for q in (INF, 4.0):
+        B, witness = testing_constant(model, a, 2.0, q)
+        trace = proof_trace(model, a, f, 2.0, q)
+        out.append((apply_maximal(model, a, f, q).tolist(), B, witness,
+                    trace.B, trace.lhs, trace.links, trace.blocks))
+    return repr(out)
+
+
+def test_model_keeps_one_ancestor_table():
+    # every level-table kernel has run, and the model holds one integer table
+    # of its (depth + 1) x atoms shape, whose view every reader sees read-only
+    for model, a in _two_instances(4):
+        _run_every_kernel(model, a)
+        model.with_measures(nu_leaf=2.0 * model.nu_leaf)._path_sums(model.mu_leaf)
+        tables = _integer_level_tables(model)
+        assert len(tables) == 1 and np.shares_memory(tables[0], model._ancestors)
+        assert not model._ancestors.flags.writeable
+
+
+def test_a_pickled_model_evaluates_bit_for_bit_as_the_original():
+    # a model pickled after its tables were built, as a process pool would send
+    # it, carries one ancestor table, which it gathers through as the original
+    # does, and shows read-only as the original does
+    import pickle
+    for model, a in _two_instances(5):
+        want = _run_every_kernel(model, a)
+        values = np.random.default_rng(5).normal(size=(3, model.n_leaves))
+        sums = [model._path_sums(v) for v in (values, values[:2], values[0])]
+        copy, b = pickle.loads(pickle.dumps((model, a)))
+        assert b.model is copy and copy == model and len(_integer_level_tables(copy)) == 1
+        assert not copy._ancestors.flags.writeable
+        for v, expected in zip((values, values[:2], values[0]), sums):
+            got = copy._path_sums(v)
+            assert got.strides == expected.strides and got.tobytes() == expected.tobytes()
+        assert _run_every_kernel(copy, b) == want and len(_integer_level_tables(copy)) == 1
 
 
 def _forests():
